@@ -63,15 +63,13 @@ def repr_key(value):
     return (0, "", value)
 
 
-# Steady-state supersteps (1+) vectorize: min-reduce each dirty slot
-# under repr_key and fan improved labels out through the fabric.
-# Superstep 0 (candidate gathering) stays per-vertex.
-from functools import partial as _partial  # noqa: E402
-
+# Steady-state supersteps (1+) vectorize: min-reduce each occupied
+# slot under repr_key and scatter improved labels along the compiled
+# out-adjacency.  Superstep 0 (candidate gathering) stays per-vertex.
 from repro.bsp import kernels as _kernels  # noqa: E402
 
 _kernels.register_vectorized(
-    HashMinComponents, _partial(_kernels.make_hashmin_kernel, key=repr_key)
+    HashMinComponents, _kernels.MinPropagationKernel(repr_key)
 )
 
 

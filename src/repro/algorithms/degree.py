@@ -48,7 +48,7 @@ class DegreeCentrality(VertexProgram):
         vertex.vote_to_halt()
 
 
-_kernels.register_vectorized(DegreeCentrality, _kernels.make_degree_kernel)
+_kernels.register_vectorized(DegreeCentrality, _kernels.DegreeKernel)
 
 
 def degree_centrality(graph: Graph, **engine_kwargs) -> PregelResult:

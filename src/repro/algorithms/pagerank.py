@@ -91,13 +91,8 @@ class PageRank(VertexProgram):
 
 
 # The vectorized kernel reproduces compute()'s float sequence exactly
-# (seed/steady/final phases keyed on the superstep number); the rank
-# entry lets parallel pool ranks run it on their partition slices.
-_kernels.register_vectorized(
-    PageRank,
-    _kernels.make_pagerank_kernel,
-    rank=(_kernels.pagerank_rank_allow, _kernels.make_pagerank_rank_kernel),
-)
+# (seed/steady/final phases keyed on the superstep number).
+_kernels.register_vectorized(PageRank, _kernels.PageRankKernel)
 
 
 def pagerank(

@@ -52,16 +52,14 @@ class WeaklyConnectedComponents(VertexProgram):
 # Steady-state supersteps vectorize with the per-vertex peer sets
 # (the program's own _peers expression) precompiled to dense indices;
 # superstep 0 (initial broadcast) stays per-vertex.
-from functools import partial as _partial  # noqa: E402
-
 from repro.bsp import kernels as _kernels  # noqa: E402
 
 _kernels.register_vectorized(
     WeaklyConnectedComponents,
-    _partial(
-        _kernels.make_wcc_kernel,
-        key=repr_key,
+    _kernels.MinPropagationKernel(
+        repr_key,
         peers_of=WeaklyConnectedComponents._peers,
+        charge_peers=True,
     ),
 )
 

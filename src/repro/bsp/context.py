@@ -17,14 +17,15 @@ class ComputeContext:
     engine rebinds it per vertex so the per-vertex send/charge counters
     feed the BPPA tracker.  Programs should treat it as opaque API.
 
-    ``engine`` is anything implementing the narrow engine contract the
+    ``engine`` is anything implementing the narrow host contract the
     context consumes: ``_enqueue`` / ``_fanout`` / ``_aggregate``,
     ``num_vertices``, and an ``rng`` attribute.  Besides
     :class:`~repro.bsp.engine.PregelEngine` this is implemented by the
     per-process partition runtime of the parallel backend
-    (:mod:`repro.bsp.parallel`), which runs ``compute()`` against its
-    own accumulator state and ships the effects back to the
-    coordinator.
+    (:mod:`repro.bsp.parallel`); on the dense path both forward
+    ``_enqueue``/``_fanout`` to the send methods of the executing
+    :class:`~repro.bsp.fabric.DenseLane`, and the rank ships its
+    lane's effects back to the coordinator.
     """
 
     def __init__(self, engine):

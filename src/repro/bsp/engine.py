@@ -69,8 +69,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Any, Dict, Hashable, List, Optional, Set
 
+from repro.bsp.aggregator import SumAggregator
 from repro.bsp.checkpoint import restore_checkpoint, take_checkpoint
 from repro.bsp.combiner import Combiner
 from repro.bsp.context import ComputeContext, MasterContext
@@ -481,6 +483,19 @@ class PregelEngine:
             current[name], value
         )
 
+    def _aggregate_many(self, name: str, values) -> None:
+        """Fold ``values`` into aggregator ``name`` in order — the
+        reduce sequence of one :meth:`_aggregate` call per value, in
+        one bulk call (the vectorized kernels' contribution path)."""
+        current = self._agg_current
+        aggregator = self._aggregators[name]
+        if type(aggregator) is SumAggregator:
+            current[name] = sum(values, current[name])
+        else:
+            current[name] = reduce(
+                aggregator.reduce, values, current[name]
+            )
+
     # ------------------------------------------------------------------
     # Execution-path management (delegated to the fabric; kept as
     # engine methods because checkpoint restore and the parallel
@@ -592,10 +607,10 @@ class PregelEngine:
             self._store.wake_log[superstep] = wake_all
         if fast:
             active_count = self._compute_pass_fast(wake_all)
-            pending = fabric.out_pending
         else:
             active_count = self._compute_pass_reference(wake_all)
-            pending = sum(len(v) for v in fabric.outbox.values())
+        # Every send charged its worker, on either path.
+        pending = sum(w.sent_logical for w in fabric.workers)
         if tracker is not None:
             tracker.record_superstep()
 

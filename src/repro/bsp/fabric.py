@@ -6,10 +6,13 @@ dict path's ``inbox``/``outbox`` and the dense fast path's slot
 arrays — plus the send/fanout entry points the compute kernels call
 and the two delivery routines that move a superstep's traffic across
 the barrier.  The engine composes exactly one fabric and forwards its
-``_enqueue``/``_fanout`` attributes to the fabric's current bindings
-(rebinding them together on every path switch, so
-:class:`~repro.bsp.context.ComputeContext`'s cached references stay
-hot and correct).
+``_enqueue``/``_fanout`` attributes to the fabric's current bindings:
+the reference pair, or — on the dense path — the send methods of the
+:class:`DenseLane` whose worker is executing (:meth:`MessageFabric.
+bind_lane`).  A lane is one worker's share of the dense plane; the
+dense send paths are written once against it, and a pool rank of the
+parallel backend runs the very same lane code over its partition
+slice.
 
 Two interchangeable layouts, byte-identical by construction
 ----------------------------------------------------------
@@ -74,6 +77,238 @@ from repro.graph.snapshot import is_graph_snapshot
 from repro.trace.events import FaultInjected
 
 
+class DenseLane:
+    """One worker's lane of the dense plane: everything a single
+    worker's compute pass reads and writes, and the send paths that
+    write it.
+
+    The serial engine holds one lane per worker over the fabric's
+    global arrays (``base == 0``); a pool rank holds exactly one over
+    its resident slice (``base == start``).  Both run the same compute
+    loops (:mod:`repro.bsp.kernels`) and the same send methods against
+    their lanes, so what one worker's pass *is* exists once.
+
+    ``states``/``in_slots``/``dense_out``/``remote_out`` are indexed by
+    ``dense idx - base``; ``acc``/``cnt`` — this worker's
+    ``(src_worker, destination)`` slots — and the ``idx_of``/
+    ``owner_of`` tables by global dense index.  ``touched`` lists the
+    destinations first written this pass, in first-touch order;
+    ``cur`` is the position of the vertex currently executing (the
+    full-neighbor fanout reads its precompiled row).  ``enqueue``/
+    ``fanout`` are bound once to the plain or the combining pair, and
+    the host forwards its ``_enqueue``/``_fanout`` to them.
+    """
+
+    __slots__ = (
+        "worker", "index", "start", "stop", "base",
+        "states", "in_slots", "dense_out", "remote_out",
+        "idx_of", "owner_of",
+        "acc", "cnt", "combine", "touched", "cur",
+        "enqueue", "fanout",
+    )
+
+    def __init__(
+        self, worker, base, states, in_slots,
+        dense_out, remote_out, idx_of, owner_of, combiner,
+    ):
+        self.worker = worker
+        self.index = worker.index
+        self.start = worker.range_start
+        self.stop = worker.range_stop
+        self.base = base
+        self.states = states
+        self.in_slots = in_slots
+        self.dense_out = dense_out
+        self.remote_out = remote_out
+        self.idx_of = idx_of
+        self.owner_of = owner_of
+        n = len(owner_of)
+        self.acc: List[Any] = [None] * n
+        self.touched: List[int] = []
+        self.cur = -1
+        if combiner is None:
+            self.cnt = None
+            self.combine = None
+            self.enqueue = self.enqueue_plain
+            self.fanout = self.fanout_plain
+        else:
+            self.cnt = [0] * n
+            # Stock SumCombiner folds with the C-level add (exactly
+            # ``a + b``, the same expression its combine() evaluates),
+            # skipping a Python frame per fold.  Gated on the exact
+            # type so subclasses keep their overridden behavior.
+            if type(combiner) is SumCombiner:
+                self.combine = operator.add
+            else:
+                self.combine = combiner.combine
+            self.enqueue = self.enqueue_combining
+            self.fanout = self.fanout_combining
+
+    # Send paths.  A slot without a combiner is the list of messages in
+    # send order; with one it is the send-time fold in ``acc`` plus the
+    # logical count in ``cnt``.  Confined recovery (the only producer
+    # of replayed sends) forces the reference path, so no replay guard
+    # is needed here.
+
+    def enqueue_plain(
+        self, source: Hashable, target: Hashable, message: Any
+    ) -> None:
+        dst = self.idx_of.get(target)
+        if dst is None:
+            raise MessageToUnknownVertexError(target)
+        bucket = self.acc[dst]
+        if bucket is None:
+            self.acc[dst] = [message]
+            self.touched.append(dst)
+        else:
+            bucket.append(message)
+        worker = self.worker
+        worker.sent_logical += 1
+        if self.owner_of[dst] != self.index:
+            worker.sent_remote += 1
+
+    def enqueue_combining(
+        self, source: Hashable, target: Hashable, message: Any
+    ) -> None:
+        dst = self.idx_of.get(target)
+        if dst is None:
+            raise MessageToUnknownVertexError(target)
+        cnt = self.cnt
+        c = cnt[dst]
+        if c:
+            self.acc[dst] = self.combine(self.acc[dst], message)
+            cnt[dst] = c + 1
+        else:
+            self.acc[dst] = message
+            cnt[dst] = 1
+            self.touched.append(dst)
+        worker = self.worker
+        worker.sent_logical += 1
+        if self.owner_of[dst] != self.index:
+            worker.sent_remote += 1
+
+    def fanout_plain(self, source, targets, message) -> int:
+        cur = self.cur
+        acc = self.acc
+        touched = self.touched
+        worker = self.worker
+        nbrs = self.dense_out[cur]
+        if nbrs is not None and targets is self.states[cur].out_edges:
+            # Full-neighbor fanout: use the precompiled dense
+            # adjacency — no per-target hashing.
+            for dst in nbrs:
+                bucket = acc[dst]
+                if bucket is None:
+                    acc[dst] = [message]
+                    touched.append(dst)
+                else:
+                    bucket.append(message)
+            n = len(nbrs)
+            worker.sent_logical += n
+            worker.sent_remote += self.remote_out[cur]
+            return n
+        idx_get = self.idx_of.get
+        owner_of = self.owner_of
+        src = self.index
+        n = remote = 0
+        try:
+            for target in targets:
+                dst = idx_get(target)
+                if dst is None:
+                    raise MessageToUnknownVertexError(target)
+                bucket = acc[dst]
+                if bucket is None:
+                    acc[dst] = [message]
+                    touched.append(dst)
+                else:
+                    bucket.append(message)
+                if owner_of[dst] != src:
+                    remote += 1
+                n += 1
+        finally:
+            # Commit partial counts on an unknown-target raise, exactly
+            # as per-message sends would have.
+            worker.sent_logical += n
+            worker.sent_remote += remote
+        return n
+
+    def fanout_combining(self, source, targets, message) -> int:
+        cur = self.cur
+        acc = self.acc
+        cnt = self.cnt
+        touched = self.touched
+        combine = self.combine
+        worker = self.worker
+        nbrs = self.dense_out[cur]
+        if nbrs is not None and targets is self.states[cur].out_edges:
+            for dst in nbrs:
+                c = cnt[dst]
+                if c:
+                    acc[dst] = combine(acc[dst], message)
+                    cnt[dst] = c + 1
+                else:
+                    acc[dst] = message
+                    cnt[dst] = 1
+                    touched.append(dst)
+            n = len(nbrs)
+            worker.sent_logical += n
+            worker.sent_remote += self.remote_out[cur]
+            return n
+        idx_get = self.idx_of.get
+        owner_of = self.owner_of
+        src = self.index
+        n = remote = 0
+        try:
+            for target in targets:
+                dst = idx_get(target)
+                if dst is None:
+                    raise MessageToUnknownVertexError(target)
+                c = cnt[dst]
+                if c:
+                    acc[dst] = combine(acc[dst], message)
+                    cnt[dst] = c + 1
+                else:
+                    acc[dst] = message
+                    cnt[dst] = 1
+                    touched.append(dst)
+                if owner_of[dst] != src:
+                    remote += 1
+                n += 1
+        finally:
+            worker.sent_logical += n
+            worker.sent_remote += remote
+        return n
+
+
+def snapshot_adjacency(snapshot, id_of, owner_of, start: int, stop: int):
+    """Compile the dense adjacency of dense range ``[start, stop)``
+    straight from a snapshot's CSR columns.
+
+    Row positions are permuted to dense indices with one flat table
+    instead of hashing every target id.  Row order equals the
+    ``out_edges`` insertion order by construction (vertex states are
+    built from the same ``out_edge_items`` rows), so the result is
+    identical to walking ``out_edges`` through ``idx_of``.  Returns
+    ``(dense_out, remote_out)`` rows for the range, in order.
+    """
+    positions = [snapshot.position_of(vid) for vid in id_of]
+    perm = [0] * len(positions)
+    for idx, p in enumerate(positions):
+        perm[p] = idx
+    dense_out: List[List[int]] = []
+    remote_out: List[int] = []
+    for idx in range(start, stop):
+        src = owner_of[idx]
+        nbrs = [perm[q] for q in snapshot.out_row_positions(positions[idx])]
+        remote = 0
+        for j in nbrs:
+            if owner_of[j] != src:
+                remote += 1
+        dense_out.append(nbrs)
+        remote_out.append(remote)
+    return dense_out, remote_out
+
+
 class MessageFabric:
     """One engine's mailboxes, send paths, and delivery routines.
 
@@ -135,19 +370,14 @@ class MessageFabric:
         self.in_slots: Optional[List[Optional[List[Any]]]] = None
         self.in_dirty: List[int] = []
         self.out_dirty: List[int] = []
-        self.out_pending = 0
+        #: One :class:`DenseLane` per worker; ``accs``/``cnts`` are
+        #: the lanes' accumulator arrays in worker order (what
+        #: delivery and the spill tier scan).
+        self.lanes: Optional[List[DenseLane]] = None
         self.accs: Optional[List[List[Any]]] = None
         self.cnts: Optional[List[List[int]]] = None
-        self.acc: Optional[List[Any]] = None
-        self.cnt: Optional[List[int]] = None
-        self.acc_touched: List[int] = []
         self.slot_seen: Optional[List[int]] = None
         self.stamp = 0
-        self.combine = None
-        # Per-vertex send context, bound by the dense compute kernel.
-        self.cur_worker = None
-        self.cur_src = 0
-        self.cur_idx = 0
 
         self.enqueue = self.enqueue_reference
         self.fanout = self.fanout_reference
@@ -183,157 +413,14 @@ class MessageFabric:
             n += 1
         return n
 
-    # ------------------------------------------------------------------
-    # Send paths: dense slots, send-time combining
-    # ------------------------------------------------------------------
-    #
-    # These run only from inside the dense compute kernel, which binds
-    # cur_worker / cur_src / cur_idx per vertex and acc / cnt per
-    # worker; confined recovery (the only producer of ``replaying``)
-    # forces the reference path, so no replay guard is needed here.
+    def bind_lane(self, lane: DenseLane) -> None:
+        """Route the engine's sends to ``lane`` — the worker whose
+        compute pass is about to run (workers run sequentially)."""
+        engine = self._engine
+        self.enqueue = engine._enqueue = lane.enqueue
+        self.fanout = engine._fanout = lane.fanout
 
-    def enqueue_fast(
-        self, source: Hashable, target: Hashable, message: Any
-    ) -> None:
-        dst = self.dense.idx_of.get(target)
-        if dst is None:
-            raise MessageToUnknownVertexError(target)
-        bucket = self.acc[dst]
-        if bucket is None:
-            self.acc[dst] = [message]
-            self.acc_touched.append(dst)
-        else:
-            bucket.append(message)
-        self.out_pending += 1
-        worker = self.cur_worker
-        worker.sent_logical += 1
-        if self.dense.owner_of[dst] != self.cur_src:
-            worker.sent_remote += 1
-
-    def enqueue_fast_combining(
-        self, source: Hashable, target: Hashable, message: Any
-    ) -> None:
-        dst = self.dense.idx_of.get(target)
-        if dst is None:
-            raise MessageToUnknownVertexError(target)
-        cnt = self.cnt
-        c = cnt[dst]
-        if c:
-            self.acc[dst] = self.combine(self.acc[dst], message)
-            cnt[dst] = c + 1
-        else:
-            self.acc[dst] = message
-            cnt[dst] = 1
-            self.acc_touched.append(dst)
-        self.out_pending += 1
-        worker = self.cur_worker
-        worker.sent_logical += 1
-        if self.dense.owner_of[dst] != self.cur_src:
-            worker.sent_remote += 1
-
-    def fanout_fast(self, source, targets, message) -> int:
-        idx = self.cur_idx
-        acc = self.acc
-        touched = self.acc_touched
-        worker = self.cur_worker
-        nbrs = self.dense_out[idx]
-        if (
-            nbrs is not None
-            and targets is self.dense_states[idx].out_edges
-        ):
-            # Full-neighbor fanout: use the precompiled dense
-            # adjacency — no per-target hashing.
-            for dst in nbrs:
-                bucket = acc[dst]
-                if bucket is None:
-                    acc[dst] = [message]
-                    touched.append(dst)
-                else:
-                    bucket.append(message)
-            n = len(nbrs)
-            worker.sent_logical += n
-            worker.sent_remote += self.remote_out[idx]
-            self.out_pending += n
-            return n
-        idx_get = self.dense.idx_of.get
-        owner_of = self.dense.owner_of
-        src = self.cur_src
-        n = remote = 0
-        try:
-            for target in targets:
-                dst = idx_get(target)
-                if dst is None:
-                    raise MessageToUnknownVertexError(target)
-                bucket = acc[dst]
-                if bucket is None:
-                    acc[dst] = [message]
-                    touched.append(dst)
-                else:
-                    bucket.append(message)
-                if owner_of[dst] != src:
-                    remote += 1
-                n += 1
-        finally:
-            # Commit partial counts on an unknown-target raise, exactly
-            # as per-message sends would have.
-            worker.sent_logical += n
-            worker.sent_remote += remote
-            self.out_pending += n
-        return n
-
-    def fanout_fast_combining(self, source, targets, message) -> int:
-        idx = self.cur_idx
-        acc = self.acc
-        cnt = self.cnt
-        touched = self.acc_touched
-        combine = self.combine
-        worker = self.cur_worker
-        nbrs = self.dense_out[idx]
-        if (
-            nbrs is not None
-            and targets is self.dense_states[idx].out_edges
-        ):
-            for dst in nbrs:
-                c = cnt[dst]
-                if c:
-                    acc[dst] = combine(acc[dst], message)
-                    cnt[dst] = c + 1
-                else:
-                    acc[dst] = message
-                    cnt[dst] = 1
-                    touched.append(dst)
-            n = len(nbrs)
-            worker.sent_logical += n
-            worker.sent_remote += self.remote_out[idx]
-            self.out_pending += n
-            return n
-        idx_get = self.dense.idx_of.get
-        owner_of = self.dense.owner_of
-        src = self.cur_src
-        n = remote = 0
-        try:
-            for target in targets:
-                dst = idx_get(target)
-                if dst is None:
-                    raise MessageToUnknownVertexError(target)
-                c = cnt[dst]
-                if c:
-                    acc[dst] = combine(acc[dst], message)
-                    cnt[dst] = c + 1
-                else:
-                    acc[dst] = message
-                    cnt[dst] = 1
-                    touched.append(dst)
-                if owner_of[dst] != src:
-                    remote += 1
-                n += 1
-        finally:
-            worker.sent_logical += n
-            worker.sent_remote += remote
-            self.out_pending += n
-        return n
-
-    def flush_worker_sends(self) -> None:
+    def flush_worker_sends(self, lane: DenseLane) -> None:
         """Record the finished worker's first-touched destinations in
         the global dirty list.
 
@@ -343,7 +430,7 @@ class MessageFabric:
         which is also global send order, so ``out_dirty`` gets the
         reference outbox's first-touch key order.
         """
-        touched = self.acc_touched
+        touched = lane.touched
         seen = self.slot_seen
         stamp = self.stamp
         dirty = self.out_dirty
@@ -351,15 +438,9 @@ class MessageFabric:
             if seen[dst] != stamp:
                 seen[dst] = stamp
                 dirty.append(dst)
-        self.acc_touched = []
+        lane.touched = []
         if self.memory_budget is not None and touched:
-            # The bound accumulator identifies the finishing worker
-            # (workers run sequentially; acc is rebound per worker).
-            acc = self.acc
-            for widx, lane in enumerate(self.accs):
-                if lane is acc:
-                    self.account_lane(widx, touched)
-                    break
+            self.account_lane(lane.index, touched)
 
     # ------------------------------------------------------------------
     # Spill tier: byte-accounted lane eviction under a memory budget
@@ -375,6 +456,10 @@ class MessageFabric:
     # recorded at flush time and the reloaded values round-trip exactly
     # (typed columns for conforming floats/ints, pickle otherwise — the
     # same equality contract the parallel transport already relies on).
+    # A spill record has one shape per mailbox layout: ``(payloads,
+    # counts)`` with a combiner, ``(flat payloads, bucket lengths)``
+    # without; the payload column is a typed ``array`` when
+    # ``encode_lane`` takes it and a plain list otherwise.
 
     def account_lane(self, worker_index: int, touched) -> None:
         """Charge one worker's finished lane against the memory
@@ -389,28 +474,26 @@ class MessageFabric:
             counts = array("q", [cnt[d] for d in touched])
             enc = encode_lane(payloads)
             if enc is None:
-                record = ("comb-obj", payloads, counts)
                 nbytes = len(
                     pickle.dumps(payloads, pickle.HIGHEST_PROTOCOL)
                 ) + 8 * len(counts)
             else:
-                typecode, col = enc
-                record = ("comb-col", typecode, col, counts)
+                payloads = col = enc[1]
                 nbytes = col.itemsize * len(col) + 8 * len(counts)
+            record = (payloads, counts)
         else:
             buckets = [acc[d] for d in touched]
             lens = array("q", [len(b) for b in buckets])
             flat = [m for b in buckets for m in b]
             enc = encode_lane(flat)
             if enc is None:
-                record = ("plain-obj", buckets)
                 nbytes = len(
                     pickle.dumps(buckets, pickle.HIGHEST_PROTOCOL)
                 )
             else:
-                typecode, col = enc
-                record = ("plain-col", typecode, col, lens)
+                flat = col = enc[1]
                 nbytes = col.itemsize * len(col) + 8 * len(lens)
+            record = (flat, lens)
         nbytes += 8 * len(touched)
         if self._resident_bytes + nbytes <= self.memory_budget:
             self._resident_bytes += nbytes
@@ -447,30 +530,19 @@ class MessageFabric:
                 touched, record = pickle.load(fh)
             os.unlink(path)
             acc = self.accs[worker_index]
-            kind = record[0]
-            if kind == "comb-col":
-                _, _typecode, col, counts = record
-                cnt = self.cnts[worker_index]
-                for i, d in enumerate(touched):
-                    acc[d] = col[i]
-                    cnt[d] = counts[i]
-            elif kind == "comb-obj":
-                _, payloads, counts = record
+            if self.cnts is not None:
+                payloads, counts = record
                 cnt = self.cnts[worker_index]
                 for i, d in enumerate(touched):
                     acc[d] = payloads[i]
                     cnt[d] = counts[i]
-            elif kind == "plain-col":
-                _, _typecode, col, lens = record
+            else:
+                flat, lens = record
                 pos = 0
                 for i, d in enumerate(touched):
                     end = pos + lens[i]
-                    acc[d] = list(col[pos:end])
+                    acc[d] = list(flat[pos:end])
                     pos = end
-            else:  # plain-obj
-                _, buckets = record
-                for i, d in enumerate(touched):
-                    acc[d] = buckets[i]
         self._spilled = {}
 
     def _spill_root(self) -> str:
@@ -532,38 +604,25 @@ class MessageFabric:
         owner_of = dense.owner_of
         dense_out: List[Optional[List[int]]] = [None] * n
         remote_out = [0] * n
-        # Snapshot-backed graphs compile straight from the CSR arrays:
-        # the row positions are permuted to dense indices with one flat
-        # table instead of hashing every target id.  Row order equals
-        # out_edges insertion order by construction (the state store
-        # built those dicts from out_edge_items), so the compiled
-        # adjacency is identical to the generic walk below.
+        # Snapshot-backed graphs compile straight from the CSR arrays
+        # (a row is used when it matches the state's out_edges).
         graph = self._engine._graph
-        positions = perm = None
+        csr_out = csr_remote = None
         if is_graph_snapshot(graph) and graph.num_vertices == n:
             try:
-                positions = [
-                    graph.position_of(vid) for vid in dense.id_of
-                ]
+                csr_out, csr_remote = snapshot_adjacency(
+                    graph, dense.id_of, owner_of, 0, n
+                )
             except VertexNotFoundError:  # pragma: no cover - defensive
-                positions = None
-            if positions is not None:
-                perm = [0] * n
-                for idx, p in enumerate(positions):
-                    perm[p] = idx
+                pass
         for idx, state in enumerate(dense_states):
             src = owner_of[idx]
-            if perm is not None:
-                row = graph.out_row_positions(positions[idx])
-                if len(row) == len(state.out_edges):
-                    nbrs = [perm[q] for q in row]
-                    remote = 0
-                    for j in nbrs:
-                        if owner_of[j] != src:
-                            remote += 1
-                    dense_out[idx] = nbrs
-                    remote_out[idx] = remote
-                    continue
+            if csr_out is not None and len(csr_out[idx]) == len(
+                state.out_edges
+            ):
+                dense_out[idx] = csr_out[idx]
+                remote_out[idx] = csr_remote[idx]
+                continue
             nbrs: List[int] = []
             remote = 0
             for target in state.out_edges:
@@ -582,36 +641,26 @@ class MessageFabric:
         self.in_slots = [None] * n
         self.in_dirty = []
         self.out_dirty = []
-        self.out_pending = 0
-        self.accs = [[None] * n for _ in self.workers]
+        self.lanes = [
+            DenseLane(
+                worker, 0, dense_states, self.in_slots,
+                dense_out, remote_out, idx_of, owner_of,
+                self._combiner,
+            )
+            for worker in self.workers
+        ]
+        self.accs = [lane.acc for lane in self.lanes]
         self.cnts = (
-            [[0] * n for _ in self.workers]
+            [lane.cnt for lane in self.lanes]
             if self._combiner is not None
             else None
         )
-        self.acc = None
-        self.cnt = None
-        self.acc_touched = []
         self.slot_seen = [0] * n
         self.stamp = 0
         self._drop_spill_files()
         self.inbox = defaultdict(list)  # idle while fast
         self.outbox = defaultdict(list)
-        engine = self._engine
-        if self._combiner is not None:
-            # Stock SumCombiner folds with the C-level add (exactly
-            # ``a + b``, the same expression its combine() evaluates),
-            # skipping a Python frame per fold.  Gated on the exact
-            # type so subclasses keep their overridden behavior.
-            if type(self._combiner) is SumCombiner:
-                self.combine = operator.add
-            else:
-                self.combine = self._combiner.combine
-            self.enqueue = engine._enqueue = self.enqueue_fast_combining
-            self.fanout = engine._fanout = self.fanout_fast_combining
-        else:
-            self.enqueue = engine._enqueue = self.enqueue_fast
-            self.fanout = engine._fanout = self.fanout_fast
+        self.bind_lane(self.lanes[0])
         self.fast_active = True
 
     def disengage_fast_path(self) -> None:
@@ -655,12 +704,9 @@ class MessageFabric:
         self.in_slots = None
         self.in_dirty = []
         self.out_dirty = []
-        self.out_pending = 0
+        self.lanes = None
         self.accs = None
         self.cnts = None
-        self.acc = None
-        self.cnt = None
-        self.acc_touched = []
         self.slot_seen = None
         self._drop_spill_files()
         self.enqueue = engine._enqueue = self.enqueue_reference
@@ -670,19 +716,13 @@ class MessageFabric:
     def reset_outbox(self) -> None:
         self.outbox = defaultdict(list)
 
-    def pending_messages(self) -> int:
-        """Undelivered send count after a compute pass, either layout."""
-        if self.fast_active:
-            return self.out_pending
-        return sum(len(v) for v in self.outbox.values())
-
-    def slot_view(self, start: int, stop: int):
-        """Bulk view of the inbound slot mailboxes for dense range
-        ``[start, stop)``: one slice, no per-slot indexing.  The
-        vectorized kernels gather over these views; entries are the
-        same list objects the per-vertex pass would read (``None`` for
-        empty slots), so nothing is copied."""
-        return self.in_slots[start:stop]
+    def drain_inbox(self) -> None:
+        """Clear the inbound slots a finished compute pass consumed —
+        O(active) via the dirty list."""
+        in_slots = self.in_slots
+        for idx in self.in_dirty:
+            in_slots[idx] = None
+        self.in_dirty = []
 
     def rank_inbound(self, num_ranks: int):
         """The dense inbox bucketed by owning rank for the parallel
@@ -908,7 +948,6 @@ class MessageFabric:
                 existing.extend(msgs)
             delivered += len(msgs)
         self.out_dirty = []
-        self.out_pending = 0
         self._resident_bytes = 0
         if injector is not None:
             injector.commit(faults, engine._run_stats)

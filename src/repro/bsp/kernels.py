@@ -1,62 +1,79 @@
 """Compute kernels: the per-superstep vertex-execution loops.
 
-Bottom layer of the decomposed runtime (``docs/architecture.md``).  A
-kernel is a function ``(engine, wake_all) -> active_count`` that runs
-one superstep's ``compute()`` calls against the engine's current
-mailbox layout and returns the number of active vertices.  The two
-Pregel kernels live here:
+Bottom layer of the decomposed runtime (``docs/architecture.md``).
+Two per-vertex loops live here:
 
 * :func:`reference_compute_pass` — the dict-path oracle: vertices
   reached by id hash, inboxes popped from the fabric's dict mailbox;
-* :func:`dense_compute_pass` — the dense fast path: vertices reached
-  by frozen dense index, inboxes read from slot arrays and cleared
-  O(active) via the dirty list.
+* :func:`dense_compute_pass` — the dense fast path, written against
+  **one worker's lane** (:class:`~repro.bsp.fabric.DenseLane`):
+  vertices reached by dense position, inboxes read from the lane's
+  slot view, sends folded into the lane's accumulators.
 
-Both kernels visit vertices in identical order (worker index order,
-then the worker's ``vertex_ids`` order — the dense ranges mirror it),
-apply identical wake/halt transitions, charge identical work
+Both visit vertices in identical order (worker index order, then the
+worker's ``vertex_ids`` order — the dense ranges mirror it), apply
+identical wake/halt transitions, charge identical work
 (``1 + len(messages) + sent + charged``) and feed the BPPA tracker
 identically, which is one third of the engine's byte-identity
 contract (the fabric's send/delivery ordering and the loop's
 event/recovery ordering are the other two).
+
+One dense plane, two hosts
+--------------------------
+
+Everything on the dense path — :func:`dense_compute_pass` and every
+vectorized kernel's ``run`` — executes one lane and is handed a
+*host*: the object owning the lane's run-scoped collaborators
+(``_program``, ``_ctx``, ``_tracker``, ``num_vertices``,
+``_aggregate_many``).  There are exactly two hosts.  The serial
+engine loops its workers' lanes in index order
+(:func:`fast_compute_pass`); a pool rank of the parallel backend
+(:mod:`repro.bsp.parallel`) runs its single lane
+(:func:`lane_compute_pass`).  What differs between them is
+bookkeeping only, kept at the two call sites: the engine folds
+aggregate contributions and feeds the live tracker where a rank logs
+both for the coordinator to replay, and the engine commits a lane's
+touched destinations to ``out_dirty`` where a rank ships them.
 
 The other engines' loops play the same role in their stacks — the GAS
 engine's gather/apply/scatter pass, the block engine's per-block
 compute, the async engine's FIFO update loop — but live with their
 engines (:mod:`repro.bsp.gas`, :mod:`repro.bsp.block`,
 :mod:`repro.bsp.async_engine`): each is inseparable from its engine's
-state layout, while the two Pregel kernels share one engine and are
-swapped at runtime, which is why they are split out here.
-
-The process-parallel backend (:mod:`repro.bsp.parallel`) replaces
-:func:`dense_compute_pass` with a fan-out to real OS processes whose
-rank loops run :func:`rank_compute_pass` — the dense loop re-rooted
-at a rank's resident partition slice — while the serial kernels
-remain its in-process fallback.
+state layout.
 
 The vectorized tier
 -------------------
 
-On top of the two per-vertex loops sits an opt-in third tier:
-whole-partition **vectorized kernels** that execute one superstep of a
-*registered* program as array-shaped passes over the fabric's bulk
-slot-mailbox views and a scatter plan precompiled from the dense
-adjacency (an SpMV transposed into per-destination gather lists, held
-in stdlib ``array`` lanes like the shm transport's columns; numpy, if
+On top of the per-vertex loops sits an opt-in tier: whole-lane
+**vectorized kernels** that execute one superstep of a *registered*
+program as array-shaped passes over the lane's slot-mailbox view and
+a scatter plan precompiled from its dense adjacency (an SpMV
+transposed into per-destination gather lists, held in stdlib
+``array`` lanes like the shm transport's columns; numpy, if
 importable, accelerates elementwise steps only — never reductions).
 Exact reproduction is the admission rule, not a goal: a kernel
 registers for exactly one program class (``register_vectorized``) and
-engages only when :meth:`applies` proves the superstep's semantics are
-expressible with the *identical* float operation sequence as the
-per-vertex loop — fixed summation order within a slot, left folds with
-no injected zero seed (which would flip ``-0.0``), division by the
-same exactly-converted degree.  Every other superstep — fault-injected
-runs, mutations (which disengage the fast path entirely), wake-all
-phases, unregistered programs, non-conforming topology — falls back to
-:func:`dense_compute_pass` per superstep, mirroring the shm
-transport's per-column spill design.  :func:`fast_compute_pass` is the
-dispatcher the engine binds as its fast pass; the tier actually used
-is reported per superstep via ``engine._kernel_tier`` /
+has three parts —
+
+* ``applies(program, fabric, superstep, wake_all) -> phase | None``:
+  a cheap, state-based proof that this superstep's semantics are
+  expressible with the *identical* float operation sequence as the
+  per-vertex loop (fixed summation order within a slot, left folds
+  with no injected zero seed — which would flip ``-0.0`` — division
+  by the same exactly-converted degree).  Always evaluated on the
+  authoritative fabric (:func:`vector_phase`): the serial engine's
+  own, or the coordinator's, which ships the verdict to every rank;
+* ``compile(lane, program) -> plan | None``: the lane's topology
+  compiled once (``None`` when it cannot be reproduced exactly, e.g.
+  a dangling out-edge whose send must raise);
+* ``run(host, lane, plan, phase)``: the lane's share of the superstep.
+
+Every other superstep — fault-injected runs, mutations (which
+disengage the fast path entirely), wake-all phases, unregistered
+programs, non-conforming topology — runs :func:`dense_compute_pass`,
+mirroring the shm transport's per-column spill design.  The tier
+actually used is reported per superstep via ``engine._kernel_tier`` /
 ``Worker.kernel_tier`` (observability only — never part of the
 byte-identity surface).
 """
@@ -68,10 +85,8 @@ import time
 from array import array
 from collections import deque
 from functools import partial, reduce
-from itertools import repeat
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
-
-from repro.bsp.aggregator import SumAggregator
+from itertools import compress, repeat
+from typing import Any, Dict, List, Optional, Tuple
 
 try:
     import numpy as _np
@@ -120,103 +135,33 @@ def reference_compute_pass(engine, wake_all: bool) -> int:
     return active_count
 
 
-def dense_compute_pass(engine, wake_all: bool) -> int:
-    """One superstep's compute calls on the dense path.
+def dense_compute_pass(host, lane, wake_all: bool):
+    """One worker's compute calls on the dense path.
 
     Identical visit order, wake/halt transitions, work accounting,
     and tracker feed as :func:`reference_compute_pass`; vertex state
-    and mailboxes are reached by dense index instead of by hashing,
-    and consumed inbox slots are cleared O(active) via the dirty
-    list.  Binds the fabric's per-worker accumulator lane and
-    per-vertex send context (``cur_worker``/``cur_src``/``cur_idx``)
-    that the fast send paths read.
+    and mailboxes are reached by dense position in the lane instead
+    of by hashing.  ``lane.cur`` tracks the executing vertex for the
+    lane's full-neighbor fanout (and, on a pool rank, for the
+    heartbeat's progress reading).  Returns the dense indices
+    visited, in order.
     """
-    program = engine._program
-    ctx = engine._ctx
-    tracker = engine._tracker
-    fabric = engine._fabric
+    program = host._program
+    ctx = host._ctx
+    tracker = host._tracker
     compute = program.compute
     state_size = program.state_size
     begin_vertex = ctx._begin_vertex
-    dense_states = fabric.dense_states
-    in_slots = fabric.in_slots
-    accs = fabric.accs
-    cnts = fabric.cnts
-    fabric.stamp += 1
-    active_count = 0
-    for worker in fabric.workers:
-        seg_start = time.perf_counter()
-        fabric.cur_worker = worker
-        fabric.cur_src = worker.index
-        fabric.acc = accs[worker.index]
-        if cnts is not None:
-            fabric.cnt = cnts[worker.index]
-        work = worker.work
-        for idx in range(worker.range_start, worker.range_stop):
-            state = dense_states[idx]
-            messages = in_slots[idx]
-            if messages:
-                state.halted = False
-            elif state.halted and not wake_all:
-                continue
-            else:
-                if wake_all:
-                    state.halted = False
-                messages = []
-            active_count += 1
-            fabric.cur_idx = idx
-            begin_vertex(state)
-            compute(state, messages, ctx)
-            ops = 1 + len(messages) + ctx._sent + ctx._charged
-            work += ops
-            if tracker is not None:
-                tracker.record_vertex(
-                    state.id,
-                    ctx._sent,
-                    len(messages),
-                    ops,
-                    state_size(state),
-                )
-        worker.work = work
-        if fabric.acc_touched:
-            fabric.flush_worker_sends()
-        worker.wall_seconds = time.perf_counter() - seg_start
-    for idx in fabric.in_dirty:
-        in_slots[idx] = None
-    fabric.in_dirty = []
-    return active_count
-
-
-def rank_compute_pass(part, wake_all: bool, msgs_of: dict):
-    """One pool rank's slice of a compute pass, executed inside the
-    rank's own process against its resident partition.
-
-    The loop body is :func:`dense_compute_pass`'s inner loop verbatim
-    — same visit order (the rank's dense range mirrors the serial
-    worker's), same wake/halt transitions, work accounting, and
-    tracker feed — re-rooted at a ``_PartitionRuntime`` (which plays
-    the fabric's role for sends) instead of the engine.  Inboxes
-    arrive as ``msgs_of`` (dense idx -> messages) decoded from the
-    transport rather than from the coordinator's slot arrays.
-
-    Returns ``(active, work, executed, tracker_rows)``; ``executed``
-    is the dense-index visit order the coordinator uses to replay
-    values, halt flags and tracker rows in serial order.
-    """
-    ctx = part.ctx
-    program = part.program
-    compute = program.compute
-    state_size = program.state_size
-    begin_vertex = ctx._begin_vertex
-    track = part.track_bppa
-    tracker_rows = [] if track else None
-    start = part.range_start
-    active = 0
-    work = 0.0
-    executed = []
-    for off, state in enumerate(part.states):
-        idx = start + off
-        messages = msgs_of.get(idx)
+    states = lane.states
+    in_slots = lane.in_slots
+    base = lane.base
+    worker = lane.worker
+    work = worker.work
+    executed: List[int] = []
+    ran = executed.append
+    for pos in range(lane.start - base, lane.stop - base):
+        state = states[pos]
+        messages = in_slots[pos]
         if messages:
             state.halted = False
         elif state.halted and not wake_all:
@@ -225,58 +170,40 @@ def rank_compute_pass(part, wake_all: bool, msgs_of: dict):
             if wake_all:
                 state.halted = False
             messages = []
-        active += 1
-        part.progress += 1
-        part._cur_off = off
+        lane.cur = pos
+        ran(pos + base)
         begin_vertex(state)
         compute(state, messages, ctx)
         ops = 1 + len(messages) + ctx._sent + ctx._charged
         work += ops
-        executed.append(idx)
-        if track:
-            tracker_rows.append(
-                (
-                    state.id,
-                    ctx._sent,
-                    len(messages),
-                    ops,
-                    state_size(state),
-                )
+        if tracker is not None:
+            tracker.record_vertex(
+                state.id,
+                ctx._sent,
+                len(messages),
+                ops,
+                state_size(state),
             )
-    return active, work, executed, tracker_rows
+    worker.work = work
+    return executed
 
 
 # --------------------------------------------------------------------------
 # Vectorized kernel tier
 # --------------------------------------------------------------------------
 
-#: Exact program type -> ``factory(engine, program) -> kernel | None``.
-#: Keyed on the *exact* class (no subclass lookup): a subclass may
-#: override ``compute`` and silently diverge from the kernel's baked-in
-#: semantics, so it must re-register explicitly to opt in.
-_VECTOR_KERNELS: Dict[type, Callable] = {}
-
-#: Exact program type -> ``(allow_fn, factory)`` for the pool-rank side.
-#: ``allow_fn(engine, superstep, wake_all)`` runs on the coordinator
-#: against the authoritative fabric state; ``factory(part)`` compiles
-#: the kernel inside the rank process against its partition slice.
-_RANK_KERNELS: Dict[type, Tuple[Callable, Callable]] = {}
+#: Exact program type -> kernel (``applies``/``compile``/``run``, see
+#: the module docstring).  Keyed on the *exact* class (no subclass
+#: lookup): a subclass may override ``compute`` and silently diverge
+#: from the kernel's baked-in semantics, so it must re-register
+#: explicitly to opt in.
+_VECTOR_KERNELS: Dict[type, Any] = {}
 
 
-def register_vectorized(program_cls, factory, rank=None) -> None:
-    """Register a vectorized kernel factory for ``program_cls``.
-
-    ``factory(engine, program)`` returns a kernel object (``tier``
-    attr, ``applies(engine, superstep, wake_all) -> phase | None``,
-    ``run(engine, phase) -> active_count``) or ``None`` when the
-    current topology can't be reproduced exactly (the dispatcher then
-    stays on :func:`dense_compute_pass` for the run).  ``rank`` is an
-    optional ``(allow_fn, rank_factory)`` pair enabling the kernel
-    inside parallel pool ranks.
-    """
-    _VECTOR_KERNELS[program_cls] = factory
-    if rank is not None:
-        _RANK_KERNELS[program_cls] = rank
+def register_vectorized(program_cls, kernel) -> None:
+    """Register the vectorized kernel for ``program_cls`` — used by
+    the serial engine and the parallel backend's ranks alike."""
+    _VECTOR_KERNELS[program_cls] = kernel
 
 
 def has_vectorized_kernel(program_cls) -> bool:
@@ -284,26 +211,46 @@ def has_vectorized_kernel(program_cls) -> bool:
     return program_cls in _VECTOR_KERNELS
 
 
-def rank_kernel_factory(program_cls):
-    """The pool-rank kernel factory for ``program_cls``, or ``None``."""
-    entry = _RANK_KERNELS.get(program_cls)
-    return entry[1] if entry is not None else None
+def vector_phase(engine, wake_all: bool):
+    """The vectorized phase covering this superstep, or ``None`` for
+    the per-vertex loop.
 
-
-def rank_vector_allow(engine, superstep: int, wake_all: bool) -> bool:
-    """Coordinator-side gate: may pool ranks vectorize this superstep?
-
-    Evaluated against the authoritative (coordinator) fabric state so
-    every rank receives the same verdict; mirrors the serial
-    dispatcher's gates (explicit opt-out, fault injector present,
-    unregistered program) plus the kernel's own ``applies`` test.
+    Evaluated against the authoritative fabric state — the serial
+    engine's own, or the coordinator's on the parallel backend, so
+    every rank receives the same verdict.  Declines outright when the
+    tier is disabled, a fault injector is present (the exactness
+    proofs do not cover replayed supersteps) or the program's exact
+    class has no kernel.
     """
     if engine._use_vectorized is False or engine._injector is not None:
-        return False
-    entry = _RANK_KERNELS.get(type(engine._program))
-    if entry is None:
-        return False
-    return bool(entry[0](engine, superstep, wake_all))
+        return None
+    kernel = _VECTOR_KERNELS.get(type(engine._program))
+    if kernel is None:
+        return None
+    return kernel.applies(
+        engine._program, engine._fabric, engine._ctx.superstep, wake_all
+    )
+
+
+def compile_plan(program, lane):
+    """Compile ``lane``'s plan for ``program``'s registered kernel;
+    ``None`` when the lane's topology cannot be reproduced exactly
+    (the lane then stays on :func:`dense_compute_pass`)."""
+    return _VECTOR_KERNELS[type(program)].compile(lane, program)
+
+
+def lane_compute_pass(host, lane, wake_all: bool, phase, plan):
+    """One lane's share of a superstep, on the tier its plan allows.
+
+    Returns ``(tier, executed, scattered)``: ``executed`` is the dense
+    indices visited, in visit order; ``scattered`` is the scatter plan
+    whose whole ``order`` was written into the lane's accumulators, or
+    ``None`` when the sends went through ``lane.touched``.
+    """
+    if plan is None:
+        return "dense", dense_compute_pass(host, lane, wake_all), None
+    kernel = _VECTOR_KERNELS[type(host._program)]
+    return ("vectorized", *kernel.run(host, lane, plan, phase))
 
 
 def _segment_folder(combine):
@@ -371,8 +318,8 @@ class _ScatterLane:
     passes — the same per-destination left fold, batched.  The rare
     fatter destinations keep their own getter and fold count
     (``m_dst``/``m_get``/``m_cnt``).  ``order`` is the first-touch
-    destination order — identical to the accumulator ``acc_touched``
-    order the per-vertex pass would produce — and ``novel`` (see
+    destination order — identical to the lane's ``touched`` order
+    the per-vertex pass would produce — and ``novel`` (see
     :func:`_link_commit_order`) is its cross-lane deduplication.
     Index lanes are stdlib ``array('q')`` / ``array('d')`` columns,
     same conventions as the shm transport.
@@ -414,9 +361,9 @@ def _column_getter(positions):
 def _compile_scatter_lane(lo, hi, dense_out, remote_out):
     """Compile the scatter plan for dense positions ``[lo, hi)``.
 
-    ``dense_out``/``remote_out`` are indexed by those positions (global
-    dense index serially, local offset in a pool rank); destination
-    indices in ``dense_out`` rows are global either way.  Returns
+    ``dense_out``/``remote_out`` are indexed by those positions (a
+    lane's ``dense idx - base``); destination indices in ``dense_out``
+    rows are global dense indices.  Returns
     ``None`` when any vertex in range has a dangling out-edge
     (``dense_out`` row ``None``) — the per-vertex path must run so the
     send raises identically.
@@ -601,10 +548,10 @@ def _link_commit_order(lanes):
     the *first* lane to touch, in first-touch order.
 
     When a kernel scatters through every lane in worker-index order
-    (the only way the serial kernels run), extending ``out_dirty``
+    (the only way the serial host runs them), extending ``out_dirty``
     with the lanes' ``novel`` columns reproduces exactly the
-    stamp-dedup that ``flush_worker_sends`` performs over
-    ``acc_touched`` — but the dedup is paid once at compile time
+    stamp-dedup that ``flush_worker_sends`` performs over a lane's
+    ``touched`` list — but the dedup is paid once at compile time
     instead of every superstep."""
     seen = set()
     for lane in lanes:
@@ -613,45 +560,99 @@ def _link_commit_order(lanes):
         lane.novel = array("q", novel)
 
 
+def _scatter(plan, shares, lane) -> None:
+    """Write ``shares`` through ``plan`` into ``lane``'s accumulators
+    (combining or plain, as the lane is laid out)."""
+    if lane.cnt is not None:
+        _scatter_combined(plan, shares, lane.acc, lane.cnt, lane.combine)
+    else:
+        _scatter_lists(plan, shares, lane.acc)
+
+
+def _compile_lane_scatter(lane, program):
+    """``compile`` of the kernels that scatter along every out-edge."""
+    base = lane.base
+    return _compile_scatter_lane(
+        lane.start - base, lane.stop - base,
+        lane.dense_out, lane.remote_out,
+    )
+
+
 def fast_compute_pass(engine, wake_all: bool) -> int:
-    """The dense fast path's dispatching kernel.
+    """The serial host: one superstep of the dense fast path, lane by
+    lane in worker-index order.
 
-    Tries the registered vectorized kernel for the engine's program
-    (exact class match, no fault injector, not explicitly disabled,
-    topology compiled cleanly, and the kernel's ``applies`` proof holds
-    for *this* superstep); otherwise falls back to
-    :func:`dense_compute_pass`.  Records the tier actually used on the
-    engine and its workers for trace observability.
+    Runs the program's vectorized kernel when :func:`vector_phase`
+    proves it for *this* superstep and every lane compiled, the
+    per-vertex :func:`dense_compute_pass` otherwise; records the tier
+    used on the engine and its workers for trace observability.
     """
-    kernel = _select_kernel(engine)
-    if kernel is not None:
-        phase = kernel.applies(engine, engine._ctx.superstep, wake_all)
-        if phase is not None:
-            _set_tier(engine, kernel.tier)
-            return kernel.run(engine, phase)
-    _set_tier(engine, "dense")
-    return dense_compute_pass(engine, wake_all)
+    fabric = engine._fabric
+    phase = vector_phase(engine, wake_all)
+    plans = _serial_plans(engine) if phase is not None else None
+    budgeted = fabric.memory_budget is not None
+    fabric.stamp += 1
+    active = 0
+    for lane in fabric.lanes:
+        seg_start = time.perf_counter()
+        worker = lane.worker
+        if plans is None:
+            plan = None
+            fabric.bind_lane(lane)
+        else:
+            plan = plans[lane.index]
+        tier, executed, scattered = lane_compute_pass(
+            engine, lane, wake_all, phase, plan
+        )
+        if scattered is not None:
+            # The plan's cross-lane dedup was paid at compile time.
+            fabric.out_dirty.extend(scattered.novel)
+            if budgeted:
+                fabric.account_lane(lane.index, scattered.order)
+        elif lane.touched:
+            fabric.flush_worker_sends(lane)
+        active += len(executed)
+        worker.kernel_tier = engine._kernel_tier = tier
+        worker.wall_seconds = time.perf_counter() - seg_start
+    fabric.drain_inbox()
+    return active
 
 
-def _select_kernel(engine):
-    if engine._use_vectorized is False or engine._injector is not None:
-        return None
-    factory = _VECTOR_KERNELS.get(type(engine._program))
-    if factory is None:
-        return None
-    dense = engine._fabric.dense
+def _serial_plans(engine):
+    """One compiled plan per lane of the engine's fabric, or ``None``
+    when any lane declines — all or nothing, because the scatter
+    plans' precomputed ``novel`` columns assume every earlier lane
+    scattered its whole order.  Compiled once per dense index."""
+    fabric = engine._fabric
     cache = engine._vector_kernel_cache
-    if cache is not None and cache[0] is dense:
+    if cache is not None and cache[0] is fabric.dense:
         return cache[1]
-    kernel = factory(engine, engine._program)
-    engine._vector_kernel_cache = (dense, kernel)
-    return kernel
+    plans: Optional[list] = []
+    for lane in fabric.lanes:
+        plan = compile_plan(engine._program, lane)
+        if plan is None:
+            plans = None
+            break
+        plans.append(plan)
+    if plans is not None:
+        _link_commit_order(
+            [plan for plan in plans if type(plan) is _ScatterLane]
+        )
+    engine._vector_kernel_cache = (fabric.dense, plans)
+    return plans
 
 
-def _set_tier(engine, tier: str) -> None:
-    engine._kernel_tier = tier
-    for worker in engine._fabric.workers:
-        worker.kernel_tier = tier
+def _feed_tracker(tracker, program, seg_states, seg_slots, sends):
+    """One tracker row per vertex of a whole-lane pass, in visit
+    order: ``sends`` says whether the phase scattered along every
+    out-edge, ``seg_slots`` (``None`` on a seed phase) what arrived."""
+    state_size = program.state_size
+    record = tracker.record_vertex
+    for i, state in enumerate(seg_states):
+        slot = seg_slots[i] if seg_slots is not None else None
+        ln = len(slot) if slot else 0
+        sent = len(state.out_edges) if sends else 0
+        record(state.id, sent, ln, 1 + ln + sent + 0.0, state_size(state))
 
 
 # -- PageRank ---------------------------------------------------------------
@@ -684,8 +685,8 @@ def _pagerank_phase(program, fabric, superstep, wake_all):
     return "seed" if superstep == 0 else ("final" if superstep == num else "steady")
 
 
-class _PageRankVectorKernel:
-    """Whole-partition PageRank pass over the slot mailboxes.
+class PageRankKernel:
+    """Whole-lane PageRank pass over the slot mailboxes.
 
     Gather is ``sum(slot, 0.0)`` — the same left fold, seeded the same
     way, as the reference's ``total = 0.0; for m in messages: total +=
@@ -695,260 +696,66 @@ class _PageRankVectorKernel:
     every float op bit-identical to the per-vertex loop.
     """
 
-    tier = "vectorized"
-    __slots__ = ("_lanes",)
+    applies = staticmethod(_pagerank_phase)
+    compile = staticmethod(_compile_lane_scatter)
 
-    def __init__(self, lanes):
-        self._lanes = lanes
-
-    def applies(self, engine, superstep, wake_all):
-        return _pagerank_phase(engine._program, engine._fabric, superstep, wake_all)
-
-    def run(self, engine, phase):
-        program = engine._program
-        fabric = engine._fabric
-        tracker = engine._tracker
-        dense_states = fabric.dense_states
-        in_slots = fabric.in_slots
-        accs = fabric.accs
-        cnts = fabric.cnts
-        combine = fabric.combine if cnts is not None else None
-        n = len(dense_states)
+    @staticmethod
+    def run(host, lane, plan, phase):
+        program = host._program
+        worker = lane.worker
+        lo = lane.start - lane.base
+        hi = lane.stop - lane.base
+        seg_states = lane.states[lo:hi]
+        n_seg = hi - lo
+        n = host.num_vertices
         d = program.damping
-        seed = phase == "seed"
-        final = phase == "final"
-        if seed:
-            inv_n = 1.0 / n
-        else:
-            base = (1.0 - d) / n
-            agg = engine._agg_current
-            aggregator = engine._aggregators["l1_change"]
-            sum_agg = type(aggregator) is SumAggregator
-        fabric.stamp += 1
-        active = 0
-        lanes = self._lanes
-        for worker in fabric.workers:
-            seg_start = time.perf_counter()
-            lo = worker.range_start
-            hi = worker.range_stop
-            seg_states = dense_states[lo:hi]
-            n_seg = hi - lo
-            if seed:
-                total_msgs = 0
-                new_vals = [inv_n] * n_seg
-            else:
-                seg_slots = fabric.slot_view(lo, hi)
-                total_msgs = sum(map(len, filter(None, seg_slots)))
-                totals = [
-                    sum(slot, 0.0) if slot else 0.0 for slot in seg_slots
-                ]
-                new_vals = _affine(totals, d, base)
-                # L1 deltas fold in visit order, before assignment —
-                # the reference aggregates against the *old* value.
-                diffs = map(abs, map(_SUB, new_vals, map(_VALUE, seg_states)))
-                if sum_agg:
-                    agg["l1_change"] = sum(diffs, agg["l1_change"])
-                else:
-                    agg["l1_change"] = reduce(
-                        aggregator.reduce, diffs, agg["l1_change"]
-                    )
-            _drain(map(setattr, seg_states, repeat("value"), new_vals))
-            lane = lanes[worker.index]
-            if final:
-                _drain(
-                    map(setattr, seg_states, repeat("halted"), repeat(True))
-                )
-                lane_sent = 0
-            else:
-                lane_sent = lane.sent
-                if lane.n:
-                    shares = _elementwise_div(
-                        lane.value_getter(new_vals), lane.degs, lane.np_degs
-                    )
-                    if combine is not None:
-                        _scatter_combined(
-                            lane, shares, accs[worker.index],
-                            cnts[worker.index], combine,
-                        )
-                    else:
-                        _scatter_lists(lane, shares, accs[worker.index])
-                    fabric.out_dirty.extend(lane.novel)
-                    if fabric.memory_budget is not None:
-                        fabric.account_lane(worker.index, lane.order)
-                worker.sent_logical += lane_sent
-                worker.sent_remote += lane.remote
-                fabric.out_pending += lane_sent
-            active += n_seg
-            worker.work += float(n_seg + total_msgs + lane_sent)
-            if tracker is not None:
-                state_size = program.state_size
-                record = tracker.record_vertex
-                if seed:
-                    for state in seg_states:
-                        sent = len(state.out_edges)
-                        record(state.id, sent, 0, 1 + sent + 0.0, state_size(state))
-                elif final:
-                    for state, slot in zip(seg_states, seg_slots):
-                        ln = len(slot) if slot else 0
-                        record(state.id, 0, ln, 1 + ln + 0.0, state_size(state))
-                else:
-                    for state, slot in zip(seg_states, seg_slots):
-                        ln = len(slot) if slot else 0
-                        sent = len(state.out_edges)
-                        record(
-                            state.id, sent, ln,
-                            1 + ln + sent + 0.0, state_size(state),
-                        )
-            worker.wall_seconds = time.perf_counter() - seg_start
-        for idx in fabric.in_dirty:
-            in_slots[idx] = None
-        fabric.in_dirty = []
-        return active
-
-
-def make_pagerank_kernel(engine, program):
-    """Compile the serial PageRank kernel: one scatter lane per worker."""
-    fabric = engine._fabric
-    if not fabric.dense_states:
-        return None
-    lanes = []
-    for worker in fabric.workers:
-        lane = _compile_scatter_lane(
-            worker.range_start, worker.range_stop,
-            fabric.dense_out, fabric.remote_out,
-        )
-        if lane is None:
-            return None
-        lanes.append(lane)
-    _link_commit_order(lanes)
-    return _PageRankVectorKernel(lanes)
-
-
-def pagerank_rank_allow(engine, superstep, wake_all):
-    """Coordinator-side ``applies`` for the pool-rank PageRank kernel."""
-    return _pagerank_phase(engine._program, engine._fabric, superstep, wake_all) is not None
-
-
-class _RankPageRankKernel:
-    """The PageRank pass re-rooted at a pool rank's partition slice.
-
-    Same float sequence as the serial kernel; aggregate deltas are
-    appended to ``part.agg_log`` per vertex (not folded) so the
-    coordinator replays the identical reduce sequence, and the
-    response contract matches :func:`rank_compute_pass` exactly
-    (``executed`` covers the full slice, one tracker row per vertex).
-    """
-
-    __slots__ = ("_lane",)
-
-    def __init__(self, lane):
-        self._lane = lane
-
-    def run(self, part, superstep, msgs_of):
-        program = part.program
-        states = part.states
-        n_part = len(states)
-        start = part.range_start
-        n = part.num_vertices
-        d = program.damping
-        lane = self._lane
-        if superstep == 0:
+        if phase == "seed":
             seg_slots = None
             total_msgs = 0
-            new_vals = [1.0 / n] * n_part
+            new_vals = [1.0 / n] * n_seg
         else:
-            seg_slots = [None] * n_part
-            for idx, msgs in msgs_of.items():
-                seg_slots[idx - start] = msgs
+            seg_slots = lane.in_slots[lo:hi]
             total_msgs = sum(map(len, filter(None, seg_slots)))
-            base = (1.0 - d) / n
             totals = [
                 sum(slot, 0.0) if slot else 0.0 for slot in seg_slots
             ]
-            new_vals = _affine(totals, d, base)
-            part.agg_log.extend(
-                zip(
-                    repeat("l1_change"),
-                    map(abs, map(_SUB, new_vals, map(_VALUE, states))),
-                )
+            new_vals = _affine(totals, d, (1.0 - d) / n)
+            # L1 deltas aggregate in visit order, before assignment —
+            # the reference aggregates against the *old* value.
+            host._aggregate_many(
+                "l1_change",
+                map(abs, map(_SUB, new_vals, map(_VALUE, seg_states))),
             )
-        _drain(map(setattr, states, repeat("value"), new_vals))
-        final = superstep == program.num_supersteps
-        if final:
-            _drain(map(setattr, states, repeat("halted"), repeat(True)))
-            lane_sent = 0
+        _drain(map(setattr, seg_states, repeat("value"), new_vals))
+        if phase == "final":
+            _drain(
+                map(setattr, seg_states, repeat("halted"), repeat(True))
+            )
+            sent = 0
+            scattered = None
         else:
-            lane_sent = lane.sent
-            if lane.n:
+            sent = plan.sent
+            if plan.n:
                 shares = _elementwise_div(
-                    lane.value_getter(new_vals), lane.degs, lane.np_degs
+                    plan.value_getter(new_vals), plan.degs, plan.np_degs
                 )
-                if part.cnt is not None:
-                    _scatter_combined(
-                        lane, shares, part.acc, part.cnt, part._combine
-                    )
-                else:
-                    _scatter_lists(lane, shares, part.acc)
-                part.acc_touched.extend(lane.order)
-            part.sent_logical += lane_sent
-            part.sent_remote += lane.remote
-            part.out_pending += lane_sent
-        work = float(n_part + total_msgs + lane_sent)
-        tracker_rows = None
-        if part.track_bppa:
-            tracker_rows = []
-            state_size = program.state_size
-            row = tracker_rows.append
-            if superstep == 0:
-                for state in states:
-                    sent = len(state.out_edges)
-                    row((state.id, sent, 0, 1 + sent + 0.0, state_size(state)))
-            elif final:
-                for state, slot in zip(states, seg_slots):
-                    ln = len(slot) if slot else 0
-                    row((state.id, 0, ln, 1 + ln + 0.0, state_size(state)))
-            else:
-                for state, slot in zip(states, seg_slots):
-                    ln = len(slot) if slot else 0
-                    sent = len(state.out_edges)
-                    row(
-                        (state.id, sent, ln, 1 + ln + sent + 0.0,
-                         state_size(state))
-                    )
-        part.progress += n_part
-        executed = list(range(start, start + n_part))
-        return n_part, work, executed, tracker_rows
-
-
-def make_pagerank_rank_kernel(part):
-    """Compile the pool-rank PageRank kernel for one partition slice."""
-    if not part.states:
-        return None
-    lane = _compile_scatter_lane(
-        0, len(part.states), part.dense_out, part.remote_out
-    )
-    if lane is None:
-        return None
-    return _RankPageRankKernel(lane)
+                _scatter(plan, shares, lane)
+            worker.sent_logical += sent
+            worker.sent_remote += plan.remote
+            scattered = plan
+        worker.work += float(n_seg + total_msgs + sent)
+        if host._tracker is not None:
+            _feed_tracker(
+                host._tracker, program, seg_states, seg_slots,
+                phase != "final",
+            )
+        return range(lane.start, lane.stop), scattered
 
 
 # -- Min-propagation (hashmin / WCC) ----------------------------------------
 
 
-def _steady_min_applies(fabric, superstep, wake_all):
-    """Shared ``applies`` test for the min-propagation steady state:
-    past superstep 0, no wake-all, and *every* vertex halted — then the
-    per-vertex loop would visit exactly the vertices holding messages,
-    which is the in-dirty list."""
-    if superstep == 0 or wake_all:
-        return None
-    states = fabric.dense_states
-    if not states or not all(map(_HALTED, states)):
-        return None
-    return "steady"
-
-
-def _plain_numeric_ids(fabric):
+def _plain_numeric_ids(ids):
     """True when every vertex id is a plain (non-bool) int or float.
 
     The min-label programs' labels are always drawn from the vertex-id
@@ -958,303 +765,164 @@ def _plain_numeric_ids(fabric):
     included, because the key tuples' leading elements are then always
     equal and every tuple comparison reduces to the same underlying
     value comparison the plain operators perform."""
-    return all(type(i) in (int, float) for i in fabric.dense.id_of)
+    return all(type(i) in (int, float) for i in ids)
 
 
-class _HashMinVectorKernel:
-    """Steady-state hashmin pass: visit the sorted in-dirty list, take
-    the min message under the program's total order, and fan improved
-    labels out through the fabric's own send path (whose dense branch
-    uses the precompiled adjacency and whose generic branch raises on
-    dangling targets exactly as the per-vertex loop would).
+class MinPropagationKernel:
+    """Steady-state min-label pass (WCC and hashmin): visit the lane's
+    occupied slots in ascending order, take the min message under the
+    program's total order, and scatter improved labels along peer
+    lists precompiled to dense indices and remote counts, so the loop
+    never rebuilds a set or hashes an id.  The inline scatter mirrors
+    the lane's generic fanout (first-touch append, pairwise combining
+    in arrival order).
 
-    Superstep 0 (candidate gathering over ``vertex.neighbors()``) stays
-    on the per-vertex loop; halt flags stay ``True`` throughout because
-    the reference's wake -> compute -> ``vote_to_halt`` round-trips
-    every visited vertex back to halted.
+    Superstep 0 (candidate gathering) stays on the per-vertex loop;
+    halt flags stay ``True`` throughout because the reference's
+    wake -> compute -> ``vote_to_halt`` round-trips every visited
+    vertex back to halted.
+
+    ``key`` is the program's total order over labels (dropped under
+    the plain-numeric proof).  ``peers_of(state)`` is the program's
+    own peer-set expression, evaluated once per vertex at compile;
+    ``None`` means the program propagates along its out-edges, which
+    is exactly the lane's compiled adjacency.  ``charge_peers``
+    reproduces WCC's cost model, which charges the peer-set size on
+    every visit; hashmin's compute term is message count only.
     """
 
-    tier = "vectorized"
-    __slots__ = ("_key",)
-
-    def __init__(self, key):
+    def __init__(self, key, peers_of=None, charge_peers=False):
         self._key = key
-
-    def applies(self, engine, superstep, wake_all):
-        return _steady_min_applies(engine._fabric, superstep, wake_all)
-
-    def run(self, engine, phase):
-        program = engine._program
-        fabric = engine._fabric
-        tracker = engine._tracker
-        key = self._key
-        state_size = program.state_size
-        dense_states = fabric.dense_states
-        in_slots = fabric.in_slots
-        accs = fabric.accs
-        cnts = fabric.cnts
-        fanout = fabric.fanout
-        fabric.stamp += 1
-        visit = sorted(fabric.in_dirty)
-        n_visit = len(visit)
-        active = 0
-        i = 0
-        for worker in fabric.workers:
-            seg_start = time.perf_counter()
-            stop = worker.range_stop
-            fabric.cur_worker = worker
-            fabric.cur_src = worker.index
-            fabric.acc = accs[worker.index]
-            if cnts is not None:
-                fabric.cnt = cnts[worker.index]
-            work = worker.work
-            while i < n_visit:
-                idx = visit[i]
-                if idx >= stop:
-                    break
-                i += 1
-                messages = in_slots[idx]
-                if not messages:
-                    continue
-                state = dense_states[idx]
-                ln = len(messages)
-                if key is None:
-                    incoming = min(messages)
-                    improved = incoming < state.value
-                else:
-                    incoming = min(messages, key=key)
-                    improved = key(incoming) < key(state.value)
-                if improved:
-                    state.value = incoming
-                    fabric.cur_idx = idx
-                    sent = fanout(state.id, state.out_edges, incoming)
-                else:
-                    sent = 0
-                active += 1
-                ops = 1 + ln + sent + (0.0 + ln)
-                work += ops
-                if tracker is not None:
-                    tracker.record_vertex(
-                        state.id, sent, ln, ops, state_size(state)
-                    )
-            worker.work = work
-            if fabric.acc_touched:
-                fabric.flush_worker_sends()
-            worker.wall_seconds = time.perf_counter() - seg_start
-        for idx in fabric.in_dirty:
-            in_slots[idx] = None
-        fabric.in_dirty = []
-        return active
-
-
-def make_hashmin_kernel(engine, program, key):
-    """Compile the hashmin steady-state kernel (``key`` is the
-    program's total order over labels, dropped under the plain-numeric
-    proof).
-
-    Out-edge targets are precompiled to dense indices so the steady
-    loop scatters inline; when any target is unmappable (dangling
-    edge) the fanout-based kernel runs instead, so the generic send
-    path raises there exactly as the per-vertex loop would.
-    """
-    fabric = engine._fabric
-    states = fabric.dense_states
-    if not states:
-        return None
-    if _plain_numeric_ids(fabric):
-        key = None
-    # Hashmin propagates along out-edges, which is exactly the dense
-    # adjacency engage_fast_path already compiled (from the CSR columns
-    # directly when the graph is a snapshot) — reuse those rows instead
-    # of re-hashing every target.  A None row (dangling edge) keeps the
-    # fanout-based kernel, whose generic send path raises exactly as
-    # the per-vertex loop would.
-    dense_out = fabric.dense_out
-    if any(row is None for row in dense_out):
-        return _HashMinVectorKernel(key)
-    return _MinPropagationVectorKernel(
-        key, dense_out, fabric.remote_out, charge_peers=False
-    )
-
-
-class _MinPropagationVectorKernel:
-    """Steady-state min-label pass (WCC and hashmin) with the
-    per-vertex peer lists precompiled to dense indices and remote
-    counts, so the steady loop never rebuilds a set or hashes an id.
-    The inline scatter mirrors the fabric's generic fanout branch
-    (first-touch append, pairwise combining in arrival order).
-
-    ``charge_peers`` reproduces WCC's cost model, which charges the
-    peer-set size on every visit; hashmin's compute term is message
-    count only.
-    """
-
-    tier = "vectorized"
-    __slots__ = ("_key", "_peer_idx", "_peer_remote", "_charge_peers")
-
-    def __init__(self, key, peer_idx, peer_remote, charge_peers):
-        self._key = key
-        self._peer_idx = peer_idx
-        self._peer_remote = peer_remote
+        self._peers_of = peers_of
         self._charge_peers = charge_peers
 
-    def applies(self, engine, superstep, wake_all):
-        return _steady_min_applies(engine._fabric, superstep, wake_all)
+    @staticmethod
+    def applies(program, fabric, superstep, wake_all):
+        """Past superstep 0, no wake-all, and *every* vertex halted —
+        then the per-vertex loop would visit exactly the vertices
+        holding messages."""
+        if superstep == 0 or wake_all:
+            return None
+        states = fabric.dense_states
+        if not states or not all(map(_HALTED, states)):
+            return None
+        return "steady"
 
-    def run(self, engine, phase):
-        program = engine._program
-        fabric = engine._fabric
-        tracker = engine._tracker
-        key = self._key
-        peer_idx = self._peer_idx
-        peer_remote = self._peer_remote
-        charge_peers = self._charge_peers
-        state_size = program.state_size
-        dense_states = fabric.dense_states
-        in_slots = fabric.in_slots
-        accs = fabric.accs
-        cnts = fabric.cnts
-        combine = fabric.combine
-        fabric.stamp += 1
-        visit = sorted(fabric.in_dirty)
-        n_visit = len(visit)
-        active = 0
-        i = 0
-        for worker in fabric.workers:
-            seg_start = time.perf_counter()
-            stop = worker.range_stop
-            fabric.cur_worker = worker
-            fabric.cur_src = worker.index
-            # Bind the fabric's lane pointers too: flush_worker_sends
-            # identifies the finishing worker through them when the
-            # spill tier is accounting lanes.
-            fabric.acc = acc = accs[worker.index]
-            cnt = cnts[worker.index] if cnts is not None else None
-            fabric.cnt = cnt
-            touched = fabric.acc_touched
-            work = worker.work
-            sent_total = 0
-            remote_total = 0
-            while i < n_visit:
-                idx = visit[i]
-                if idx >= stop:
-                    break
-                i += 1
-                messages = in_slots[idx]
-                if not messages:
-                    continue
-                state = dense_states[idx]
-                ln = len(messages)
-                peers = peer_idx[idx]
-                n_peers = len(peers)
-                if key is None:
-                    incoming = min(messages)
-                    improved = incoming < state.value
-                else:
-                    incoming = min(messages, key=key)
-                    improved = key(incoming) < key(state.value)
-                if improved:
-                    state.value = incoming
-                    if cnt is not None:
-                        for dst in peers:
-                            c = cnt[dst]
-                            if c:
-                                acc[dst] = combine(acc[dst], incoming)
-                                cnt[dst] = c + 1
-                            else:
-                                acc[dst] = incoming
-                                cnt[dst] = 1
-                                touched.append(dst)
-                    else:
-                        for dst in peers:
-                            bucket = acc[dst]
-                            if bucket is None:
-                                acc[dst] = [incoming]
-                                touched.append(dst)
-                            else:
-                                bucket.append(incoming)
-                    sent = n_peers
-                    sent_total += n_peers
-                    remote_total += peer_remote[idx]
-                else:
-                    sent = 0
-                active += 1
-                if charge_peers:
-                    ops = 1 + ln + sent + (0.0 + n_peers + ln)
-                else:
-                    ops = 1 + ln + sent + (0.0 + ln)
-                work += ops
-                if tracker is not None:
-                    tracker.record_vertex(
-                        state.id, sent, ln, ops, state_size(state)
-                    )
-            worker.work = work
-            worker.sent_logical += sent_total
-            worker.sent_remote += remote_total
-            fabric.out_pending += sent_total
-            if fabric.acc_touched:
-                fabric.flush_worker_sends()
-            worker.wall_seconds = time.perf_counter() - seg_start
-        for idx in fabric.in_dirty:
-            in_slots[idx] = None
-        fabric.in_dirty = []
-        return active
-
-
-def make_wcc_kernel(engine, program, key, peers_of):
-    """Compile the WCC steady-state kernel.
-
-    ``peers_of(state)`` must be the program's own peer-set expression,
-    evaluated here once per vertex; peers are mapped to dense indices
-    (bailing out to the per-vertex loop if any target is unknown, so
-    the send raises identically there).
-    """
-    fabric = engine._fabric
-    states = fabric.dense_states
-    if not states:
-        return None
-    idx_get = fabric.dense.idx_of.get
-    owner_of = fabric.dense.owner_of
-    peer_idx = []
-    peer_remote = []
-    for i, state in enumerate(states):
-        src = owner_of[i]
-        row = []
-        remote = 0
-        for peer in peers_of(state):
-            j = idx_get(peer)
-            if j is None:
+    def compile(self, lane, program):
+        """``(key, peer_idx, peer_remote)`` over the lane's range, or
+        ``None`` when a peer is unknown (dangling edge) — the
+        per-vertex loop must run so the send raises identically."""
+        lo = lane.start - lane.base
+        hi = lane.stop - lane.base
+        if self._peers_of is None:
+            peer_idx = lane.dense_out[lo:hi]
+            if any(row is None for row in peer_idx):
                 return None
-            row.append(j)
-            if owner_of[j] != src:
-                remote += 1
-        peer_idx.append(row)
-        peer_remote.append(remote)
-    if _plain_numeric_ids(fabric):
-        key = None
-    return _MinPropagationVectorKernel(
-        key, peer_idx, peer_remote, charge_peers=True
-    )
+            peer_remote = lane.remote_out[lo:hi]
+        else:
+            idx_get = lane.idx_of.get
+            owner_of = lane.owner_of
+            src = lane.index
+            peer_idx = []
+            peer_remote = []
+            for state in lane.states[lo:hi]:
+                row = []
+                remote = 0
+                for peer in self._peers_of(state):
+                    j = idx_get(peer)
+                    if j is None:
+                        return None
+                    row.append(j)
+                    if owner_of[j] != src:
+                        remote += 1
+                peer_idx.append(row)
+                peer_remote.append(remote)
+        key = None if _plain_numeric_ids(lane.idx_of) else self._key
+        return key, peer_idx, peer_remote
+
+    def run(self, host, lane, plan, phase):
+        key, peer_idx, peer_remote = plan
+        charge_peers = self._charge_peers
+        tracker = host._tracker
+        state_size = host._program.state_size
+        worker = lane.worker
+        acc = lane.acc
+        cnt = lane.cnt
+        combine = lane.combine
+        touched = lane.touched
+        start = lane.start
+        lo = start - lane.base
+        hi = lane.stop - lane.base
+        seg_states = lane.states[lo:hi]
+        seg_slots = lane.in_slots[lo:hi]
+        work = worker.work
+        sent_total = 0
+        remote_total = 0
+        executed: List[int] = []
+        for i in compress(range(hi - lo), seg_slots):
+            messages = seg_slots[i]
+            state = seg_states[i]
+            ln = len(messages)
+            peers = peer_idx[i]
+            n_peers = len(peers)
+            if key is None:
+                incoming = min(messages)
+                improved = incoming < state.value
+            else:
+                incoming = min(messages, key=key)
+                improved = key(incoming) < key(state.value)
+            if improved:
+                state.value = incoming
+                if cnt is not None:
+                    for dst in peers:
+                        c = cnt[dst]
+                        if c:
+                            acc[dst] = combine(acc[dst], incoming)
+                            cnt[dst] = c + 1
+                        else:
+                            acc[dst] = incoming
+                            cnt[dst] = 1
+                            touched.append(dst)
+                else:
+                    for dst in peers:
+                        bucket = acc[dst]
+                        if bucket is None:
+                            acc[dst] = [incoming]
+                            touched.append(dst)
+                        else:
+                            bucket.append(incoming)
+                sent = n_peers
+                sent_total += n_peers
+                remote_total += peer_remote[i]
+            else:
+                sent = 0
+            executed.append(start + i)
+            if charge_peers:
+                ops = 1 + ln + sent + (0.0 + n_peers + ln)
+            else:
+                ops = 1 + ln + sent + (0.0 + ln)
+            work += ops
+            if tracker is not None:
+                tracker.record_vertex(
+                    state.id, sent, ln, ops, state_size(state)
+                )
+        worker.work = work
+        worker.sent_logical += sent_total
+        worker.sent_remote += remote_total
+        return executed, None
 
 
 # -- Degree centrality ------------------------------------------------------
 
 
-class _DegreeVectorKernel:
+class DegreeKernel:
     """Degree-style workload: a seed superstep scattering a constant
-    ``1.0`` along the precompiled lanes, then pure gather supersteps
-    (``value += sum(slot, 0.0)``) over the in-dirty list with every
+    ``1.0`` along the precompiled plan, then pure gather supersteps
+    (``value += sum(slot, 0.0)``) over the occupied slots with every
     vertex staying halted."""
 
-    tier = "vectorized"
-    __slots__ = ("_lanes", "_ones")
-
-    def __init__(self, lanes):
-        self._lanes = lanes
-        self._ones = [[1.0] * lane.n for lane in lanes]
-
-    def applies(self, engine, superstep, wake_all):
-        fabric = engine._fabric
+    @staticmethod
+    def applies(program, fabric, superstep, wake_all):
         states = fabric.dense_states
         if not states:
             return None
@@ -1268,104 +936,44 @@ class _DegreeVectorKernel:
             return None
         return "gather"
 
-    def run(self, engine, phase):
-        program = engine._program
-        fabric = engine._fabric
-        tracker = engine._tracker
-        state_size = program.state_size
-        dense_states = fabric.dense_states
-        in_slots = fabric.in_slots
-        accs = fabric.accs
-        cnts = fabric.cnts
-        combine = fabric.combine if cnts is not None else None
-        fabric.stamp += 1
-        active = 0
+    compile = staticmethod(_compile_lane_scatter)
+
+    @staticmethod
+    def run(host, lane, plan, phase):
+        program = host._program
+        tracker = host._tracker
+        worker = lane.worker
+        start = lane.start
+        lo = start - lane.base
+        hi = lane.stop - lane.base
+        seg_states = lane.states[lo:hi]
         if phase == "seed":
-            lanes = self._lanes
-            for worker in fabric.workers:
-                seg_start = time.perf_counter()
-                lo = worker.range_start
-                hi = worker.range_stop
-                seg_states = dense_states[lo:hi]
-                for state in seg_states:
-                    state.value = 0.0
-                    state.halted = True
-                lane = lanes[worker.index]
-                if lane.n:
-                    ones = self._ones[worker.index]
-                    if combine is not None:
-                        _scatter_combined(
-                            lane, ones, accs[worker.index],
-                            cnts[worker.index], combine,
-                        )
-                    else:
-                        _scatter_lists(lane, ones, accs[worker.index])
-                    fabric.out_dirty.extend(lane.novel)
-                    if fabric.memory_budget is not None:
-                        fabric.account_lane(worker.index, lane.order)
-                worker.sent_logical += lane.sent
-                worker.sent_remote += lane.remote
-                fabric.out_pending += lane.sent
-                n_seg = hi - lo
-                active += n_seg
-                worker.work += float(n_seg + lane.sent)
-                if tracker is not None:
-                    record = tracker.record_vertex
-                    for state in seg_states:
-                        sent = len(state.out_edges)
-                        record(
-                            state.id, sent, 0,
-                            1 + sent + 0.0, state_size(state),
-                        )
-                worker.wall_seconds = time.perf_counter() - seg_start
-        else:
-            visit = sorted(fabric.in_dirty)
-            n_visit = len(visit)
-            i = 0
-            for worker in fabric.workers:
-                seg_start = time.perf_counter()
-                stop = worker.range_stop
-                work = worker.work
-                while i < n_visit:
-                    idx = visit[i]
-                    if idx >= stop:
-                        break
-                    i += 1
-                    messages = in_slots[idx]
-                    if not messages:
-                        continue
-                    state = dense_states[idx]
-                    ln = len(messages)
-                    state.value = state.value + sum(messages, 0.0)
-                    active += 1
-                    ops = 1 + ln + 0.0
-                    work += ops
-                    if tracker is not None:
-                        tracker.record_vertex(
-                            state.id, 0, ln, ops, state_size(state)
-                        )
-                worker.work = work
-                worker.wall_seconds = time.perf_counter() - seg_start
-        for idx in fabric.in_dirty:
-            in_slots[idx] = None
-        fabric.in_dirty = []
-        return active
-
-
-def make_degree_kernel(engine, program):
-    """Compile the degree-centrality kernel: one scatter lane per
-    worker for the constant-message seed superstep."""
-    fabric = engine._fabric
-    if not fabric.dense_states:
-        return None
-    lanes = []
-    for worker in fabric.workers:
-        lane = _compile_scatter_lane(
-            worker.range_start, worker.range_stop,
-            fabric.dense_out, fabric.remote_out,
-        )
-        if lane is None:
-            return None
-        lanes.append(lane)
-    _link_commit_order(lanes)
-    return _DegreeVectorKernel(lanes)
+            for state in seg_states:
+                state.value = 0.0
+                state.halted = True
+            if plan.n:
+                _scatter(plan, [1.0] * plan.n, lane)
+            worker.sent_logical += plan.sent
+            worker.sent_remote += plan.remote
+            worker.work += float(hi - lo + plan.sent)
+            if tracker is not None:
+                _feed_tracker(tracker, program, seg_states, None, True)
+            return range(start, lane.stop), plan
+        state_size = program.state_size
+        seg_slots = lane.in_slots[lo:hi]
+        work = worker.work
+        executed: List[int] = []
+        for i in compress(range(hi - lo), seg_slots):
+            messages = seg_slots[i]
+            state = seg_states[i]
+            ln = len(messages)
+            state.value = state.value + sum(messages, 0.0)
+            executed.append(start + i)
+            ops = 1 + ln + 0.0
+            work += ops
+            if tracker is not None:
+                tracker.record_vertex(
+                    state.id, 0, ln, ops, state_size(state)
+                )
+        worker.work = work
+        return executed, None

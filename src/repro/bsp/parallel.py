@@ -29,10 +29,13 @@ and fault injector, exactly as the serial engine does.  Only the
   memory stay bounded by the partition, not the graph;
 * each superstep the coordinator ships ``(superstep, wake_all,
   finalized aggregates, this rank's inbound slots, program state if it
-  changed)`` to every rank, and each rank runs **the same compute loop
-  as the serial fast path** (:class:`_PartitionRuntime` mirrors
-  ``_enqueue_fast`` / ``_fanout_fast`` & co. line for line) against
-  its private accumulator arrays;
+  changed, the vectorized-kernel verdict)`` to every rank, and each
+  rank runs **the serial fast path's own compute code** — the dense
+  per-vertex loop, the lane send methods and the registered
+  vectorized kernels of :mod:`repro.bsp.kernels` /
+  :class:`~repro.bsp.fabric.DenseLane` — over one lane holding its
+  slice and its private accumulator arrays
+  (:class:`_PartitionRuntime` is that lane's host);
 * the coordinator then collects the per-rank effect sets **in fixed
   worker-rank order** and replays them into its own engine state: new
   vertex values and halted flags, per-``(rank, destination)``
@@ -145,29 +148,30 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
-import operator
 import os
 import pickle
 import random
 import threading
 import time
 import weakref
+from functools import cached_property
+from itertools import repeat
 from multiprocessing import connection as mp_connection
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bsp import shm_transport
 from repro.bsp.context import ComputeContext
-from repro.bsp.combiner import SumCombiner
 from repro.bsp.engine import PregelEngine, PregelResult
+from repro.bsp.fabric import DenseLane, snapshot_adjacency
 from repro.bsp.kernels import (
-    rank_compute_pass,
-    rank_kernel_factory,
-    rank_vector_allow,
+    compile_plan,
+    lane_compute_pass,
+    vector_phase,
 )
 from repro.bsp.vertex import VertexState
-from repro.errors import MessageToUnknownVertexError
+from repro.bsp.worker import Worker
 from repro.graph.graph import Graph
-from repro.graph.partition import owner_for
+from repro.graph.partition import build_dense_index, owner_for
 from repro.graph.snapshot import CsrSnapshot, is_graph_snapshot
 from repro.bsp.program import VertexProgram
 from repro.trace.events import Handoff
@@ -220,17 +224,17 @@ def _expand_snapshot_init(
     adjacency pages are shared read-only across ranks, not copied) and
     rederives everything the pickle payload would have carried:
 
-    * the dense index, by replaying the coordinator's own two-step
-      construction — bucket ``snapshot.vertices()`` (insertion order)
-      through the shared :func:`~repro.graph.partition.owner_for`
-      rule, then concatenate the buckets exactly as
-      :func:`~repro.graph.partition.build_dense_index` does;
+    * the dense index, the way the coordinator built its own — bucket
+      ``snapshot.vertices()`` (insertion order) through the shared
+      :func:`~repro.graph.partition.owner_for` rule, then
+      :func:`~repro.graph.partition.build_dense_index` over the
+      buckets;
     * this slice's vertex states, from the snapshot's ``*_edge_items``
       rows (the same rows ``StateStore`` read, so the dict order is
       byte-identical);
     * this slice's compiled adjacency, straight off the CSR columns
-      (``out_row_positions`` mapped through the position→dense-index
-      permutation — the same plan the coordinator's fabric compiled).
+      (:func:`~repro.bsp.fabric.snapshot_adjacency` — the same plan
+      the coordinator's fabric compiled).
 
     The rederived slice boundary must equal the one the coordinator
     shipped; any mismatch (e.g. an unstable partitioner) raises, the
@@ -240,40 +244,22 @@ def _expand_snapshot_init(
     snap = CsrSnapshot.open(init["snapshot_path"])
     partitioner = init["partitioner"]
     num_workers: int = init["num_workers"]
-    buckets: List[List[Hashable]] = [[] for _ in range(num_workers)]
-    position: Dict[Hashable, int] = {}
-    for pos, v in enumerate(snap.vertices()):
-        position[v] = pos
-        buckets[owner_for(v, partitioner, num_workers)].append(v)
-    id_of: List[Hashable] = []
-    idx_of: Dict[Hashable, int] = {}
-    owner_of: List[int] = []
-    ranges: List[Tuple[int, int]] = []
-    for widx, bucket in enumerate(buckets):
-        start = len(id_of)
-        for vid in bucket:
-            idx_of[vid] = len(id_of)
-            id_of.append(vid)
-            owner_of.append(widx)
-        ranges.append((start, len(id_of)))
-    if ranges[rank] != tuple(init["range"]):
+    buckets = [Worker(i) for i in range(num_workers)]
+    for v in snap.vertices():
+        buckets[owner_for(v, partitioner, num_workers)].vertex_ids.append(v)
+    dense = build_dense_index(buckets)
+    if dense.ranges[rank] != tuple(init["range"]):
         raise ValueError(
-            f"rank {rank}: rederived slice {ranges[rank]} does not "
-            f"match the coordinator's {tuple(init['range'])} — "
+            f"rank {rank}: rederived slice {dense.ranges[rank]} does "
+            f"not match the coordinator's {tuple(init['range'])} — "
             "unstable partitioner?"
         )
-    perm = [0] * len(id_of)
-    for idx, vid in enumerate(id_of):
-        perm[position[vid]] = idx
-    start, stop = ranges[rank]
+    start, stop = dense.ranges[rank]
     directed = snap.directed
     values = init["values"]
     halted = init["halted"]
     snaps = []
-    dense_out: List[Optional[List[int]]] = []
-    remote_out: List[int] = []
-    for off, idx in enumerate(range(start, stop)):
-        vid = id_of[idx]
+    for off, vid in enumerate(dense.id_of[start:stop]):
         out_edges = dict(snap.out_edge_items(vid))
         in_edges = (
             dict(snap.in_edge_items(vid)) if directed else None
@@ -281,18 +267,14 @@ def _expand_snapshot_init(
         snaps.append(
             (vid, values[off], out_edges, in_edges, halted[off])
         )
-        nbrs = [
-            perm[q] for q in snap.out_row_positions(position[vid])
-        ]
-        dense_out.append(nbrs)
-        remote_out.append(
-            sum(1 for j in nbrs if owner_of[j] != rank)
-        )
+    dense_out, remote_out = snapshot_adjacency(
+        snap, dense.id_of, dense.owner_of, start, stop
+    )
     expanded = dict(init)
     expanded.update(
-        num_vertices=len(id_of),
-        idx_of=idx_of,
-        owner_of=owner_of,
+        num_vertices=len(dense.id_of),
+        idx_of=dense.idx_of,
+        owner_of=dense.owner_of,
         states=snaps,
         dense_out=dense_out,
         remote_out=remote_out,
@@ -300,33 +282,46 @@ def _expand_snapshot_init(
     return expanded
 
 
-class _PartitionRuntime:
-    """One rank's resident partition plus the narrow engine contract
-    :class:`~repro.bsp.context.ComputeContext` consumes.
+class _TrackerRows:
+    """Rank-side stand-in for the BPPA tracker: logs the rows the
+    coordinator replays into the real tracker in rank order."""
 
-    The send/fanout methods below mirror the serial engine's
-    ``_enqueue_fast`` / ``_enqueue_fast_combining`` / ``_fanout_fast``
-    / ``_fanout_fast_combining`` exactly — same slot occupancy
-    encoding, same ``operator.add`` specialization for the stock
-    :class:`SumCombiner`, same dense full-neighbor fanout branch, same
-    partial-count commit on an unknown-target raise — so a vertex's
-    observable effects are bit-for-bit what the serial pass would have
-    produced.  Only the *location* of the accumulator differs: it is
-    this rank's private array instead of ``engine._accs[rank]``, and
-    the coordinator loads it into ``engine._accs[rank]`` afterwards.
+    def __init__(self):
+        self.rows: List[Tuple] = []
+
+    def record_vertex(self, *row) -> None:
+        self.rows.append(row)
+
+
+class _PartitionRuntime:
+    """One rank's resident partition: the second host of the dense
+    compute plane (:mod:`repro.bsp.kernels`), next to the serial
+    engine.
+
+    The partition is one :class:`~repro.bsp.fabric.DenseLane` over the
+    rank's slice — its states, inbound slots, compiled adjacency, a
+    private accumulator array and a :class:`~repro.bsp.worker.Worker`
+    for the counters — executed by the same per-vertex loop, lane send
+    methods and vectorized kernels the serial engine runs over its
+    workers' lanes.  This class supplies only what a host owes the
+    lane code (``_program``/``_ctx``/``_tracker``/``num_vertices``,
+    the ``_enqueue``/``_fanout`` forwards) and the bookkeeping that
+    genuinely differs across the process boundary: aggregate
+    contributions and tracker rows are *logged* for the coordinator
+    to replay in rank order, and the touched accumulator slots are
+    detached and shipped instead of committed to ``out_dirty``.
     """
 
     def __init__(self, rank: int, init: Dict[str, Any]):
-        self.rank = rank
         if "snapshot_path" in init:
             init = _expand_snapshot_init(rank, init)
         self.num_vertices: int = init["num_vertices"]
-        self.idx_of: Dict[Hashable, int] = init["idx_of"]
-        self.owner_of: List[int] = init["owner_of"]
-        self.range_start, self.range_stop = init["range"]
-        self.program: VertexProgram = init["program"]
-        self.combiner = init["combiner"]
-        self.track_bppa: bool = init["track_bppa"]
+        worker = Worker(rank)
+        worker.range_start, worker.range_stop = init["range"]
+        self._program: VertexProgram = init["program"]
+        self._tracker: Optional[_TrackerRows] = (
+            _TrackerRows() if init["track_bppa"] else None
+        )
         # Shipped sorted; the index mapping is the columnar codec's
         # name lane (coordinator decodes with the same sorted list).
         agg_sorted = list(init["agg_names"])
@@ -337,48 +332,8 @@ class _PartitionRuntime:
         self.rng = random.Random()
         self.rng.setstate(init["rng_state"])
         self._rng_baseline = init["rng_state"]
-        # My slice of the compiled dense adjacency, indexed by local
-        # offset (dense idx - range_start).
-        self.dense_out: List[Optional[List[int]]] = init["dense_out"]
-        self.remote_out: List[int] = init["remote_out"]
-        self.states: List[VertexState] = []
-        self._load_states(init["states"])
-        n = self.num_vertices
-        self.acc: List[Any] = [None] * n
-        self.cnt: Optional[List[int]] = (
-            [0] * n if self.combiner is not None else None
-        )
-        self.acc_touched: List[int] = []
-        self.out_pending = 0
-        self.sent_logical = 0
-        self.sent_remote = 0
-        self.agg_log: List[Tuple[str, Any]] = []
-        #: Monotonic count of vertices executed over the partition's
-        #: lifetime, read by the heartbeat thread: an advancing value
-        #: proves the rank is making progress, not merely alive.
-        self.progress = 0
-        self._cur_off = 0
-        #: Lazily compiled vectorized kernel for this slice: ``None``
-        #: until the first allowed superstep, ``False`` when the
-        #: program has no rank kernel or compilation bailed.  Survives
-        #: reload()s — the plan depends only on topology, which is
-        #: frozen while the pool is alive; program parameters are read
-        #: live on every pass.
-        self._vector_kernel = None
-        if self.combiner is not None:
-            # Same SumCombiner specialization as the serial engine.
-            if type(self.combiner) is SumCombiner:
-                self._combine = operator.add
-            else:
-                self._combine = self.combiner.combine
-            self._enqueue = self._enqueue_combining
-            self._fanout = self._fanout_combining
-        # (plain-path _enqueue/_fanout are the class methods)
-        self.ctx = ComputeContext(self)
-
-    def _load_states(self, snaps) -> None:
         states = []
-        for vid, value, out_edges, in_edges, halted in snaps:
+        for vid, value, out_edges, in_edges, halted in init["states"]:
             state = VertexState(
                 vid,
                 value=value,
@@ -387,140 +342,40 @@ class _PartitionRuntime:
             )
             state.halted = halted
             states.append(state)
-        self.states = states
+        self.states: List[VertexState] = states
+        # The slice's arrays are indexed by local offset (dense idx -
+        # range start), hence the base; ``in_slots`` is rebuilt from
+        # the shipped inbound batch every step.
+        self.lane = lane = DenseLane(
+            worker, worker.range_start, states, None,
+            init["dense_out"], init["remote_out"],
+            init["idx_of"], init["owner_of"], init["combiner"],
+        )
+        self._enqueue = lane.enqueue
+        self._fanout = lane.fanout
+        self.agg_log: List[Tuple[str, Any]] = []
+        #: Compute passes started over the partition's lifetime (see
+        #: :attr:`progress`).
+        self._passes = 0
+        self._ctx = ComputeContext(self)
 
-    # -- engine contract (ComputeContext) ---------------------------
+    @cached_property
+    def _plan(self):
+        """The lane's vectorized plan (``None`` when compilation
+        bails), compiled on the first superstep the coordinator grants
+        a phase for.  Survives reload()s — the plan depends only on
+        topology, which is frozen while the pool is alive; program
+        parameters are read live each pass."""
+        return compile_plan(self._program, self.lane)
 
-    def _enqueue(self, source, target, message) -> None:
-        dst = self.idx_of.get(target)
-        if dst is None:
-            raise MessageToUnknownVertexError(target)
-        bucket = self.acc[dst]
-        if bucket is None:
-            self.acc[dst] = [message]
-            self.acc_touched.append(dst)
-        else:
-            bucket.append(message)
-        self.out_pending += 1
-        self.sent_logical += 1
-        if self.owner_of[dst] != self.rank:
-            self.sent_remote += 1
+    @property
+    def progress(self) -> int:
+        """Monotonic while the rank advances — passes started, then
+        the position of the vertex executing within the pass — so the
+        heartbeat can tell a slow rank from a stuck one."""
+        return self._passes * (len(self.states) + 1) + self.lane.cur + 1
 
-    def _enqueue_combining(self, source, target, message) -> None:
-        dst = self.idx_of.get(target)
-        if dst is None:
-            raise MessageToUnknownVertexError(target)
-        cnt = self.cnt
-        c = cnt[dst]
-        if c:
-            self.acc[dst] = self._combine(self.acc[dst], message)
-            cnt[dst] = c + 1
-        else:
-            self.acc[dst] = message
-            cnt[dst] = 1
-            self.acc_touched.append(dst)
-        self.out_pending += 1
-        self.sent_logical += 1
-        if self.owner_of[dst] != self.rank:
-            self.sent_remote += 1
-
-    def _fanout(self, source, targets, message) -> int:
-        off = self._cur_off
-        acc = self.acc
-        touched = self.acc_touched
-        nbrs = self.dense_out[off]
-        if (
-            nbrs is not None
-            and targets is self.states[off].out_edges
-        ):
-            for dst in nbrs:
-                bucket = acc[dst]
-                if bucket is None:
-                    acc[dst] = [message]
-                    touched.append(dst)
-                else:
-                    bucket.append(message)
-            n = len(nbrs)
-            self.sent_logical += n
-            self.sent_remote += self.remote_out[off]
-            self.out_pending += n
-            return n
-        idx_get = self.idx_of.get
-        owner_of = self.owner_of
-        rank = self.rank
-        n = remote = 0
-        try:
-            for target in targets:
-                dst = idx_get(target)
-                if dst is None:
-                    raise MessageToUnknownVertexError(target)
-                bucket = acc[dst]
-                if bucket is None:
-                    acc[dst] = [message]
-                    touched.append(dst)
-                else:
-                    bucket.append(message)
-                if owner_of[dst] != rank:
-                    remote += 1
-                n += 1
-        finally:
-            # Commit partial counts on an unknown-target raise,
-            # exactly as the serial fast path does.
-            self.sent_logical += n
-            self.sent_remote += remote
-            self.out_pending += n
-        return n
-
-    def _fanout_combining(self, source, targets, message) -> int:
-        off = self._cur_off
-        acc = self.acc
-        cnt = self.cnt
-        touched = self.acc_touched
-        combine = self._combine
-        nbrs = self.dense_out[off]
-        if (
-            nbrs is not None
-            and targets is self.states[off].out_edges
-        ):
-            for dst in nbrs:
-                c = cnt[dst]
-                if c:
-                    acc[dst] = combine(acc[dst], message)
-                    cnt[dst] = c + 1
-                else:
-                    acc[dst] = message
-                    cnt[dst] = 1
-                    touched.append(dst)
-            n = len(nbrs)
-            self.sent_logical += n
-            self.sent_remote += self.remote_out[off]
-            self.out_pending += n
-            return n
-        idx_get = self.idx_of.get
-        owner_of = self.owner_of
-        rank = self.rank
-        n = remote = 0
-        try:
-            for target in targets:
-                dst = idx_get(target)
-                if dst is None:
-                    raise MessageToUnknownVertexError(target)
-                c = cnt[dst]
-                if c:
-                    acc[dst] = combine(acc[dst], message)
-                    cnt[dst] = c + 1
-                else:
-                    acc[dst] = message
-                    cnt[dst] = 1
-                    touched.append(dst)
-                if owner_of[dst] != rank:
-                    remote += 1
-                n += 1
-        finally:
-            self.sent_logical += n
-            self.sent_remote += remote
-            self.out_pending += n
-        return n
+    # -- host contract (ComputeContext, lane kernels) ---------------
 
     def _aggregate(self, name: str, value: Any) -> None:
         # Contributions are *recorded*, not reduced: the coordinator
@@ -532,6 +387,9 @@ class _PartitionRuntime:
             raise KeyError(name)
         self.agg_log.append((name, value))
 
+    def _aggregate_many(self, name: str, values) -> None:
+        self.agg_log.extend(zip(repeat(name), values))
+
     # -- superstep execution ----------------------------------------
 
     def step(
@@ -541,52 +399,43 @@ class _PartitionRuntime:
         agg_prev: Dict[str, Any],
         inbound: List[Tuple[int, List[Any]]],
         program_state: Optional[Dict[str, Any]],
-        allow_vector: bool = False,
+        phase,
     ) -> Dict[str, Any]:
-        """Run my slice of one compute pass; return the effect set.
+        """Run my lane's share of one compute pass; return the effect
+        set.
 
-        The vertex loop itself lives with the other kernels
-        (:func:`repro.bsp.kernels.rank_compute_pass`) — same visit
-        order, wake/halt transitions, work accounting, and tracker
-        feed as the serial dense pass.  When the coordinator granted
-        ``allow_vector`` (it evaluated the kernel's applicability
-        against the authoritative fabric state), the slice runs
-        through the program's vectorized rank kernel instead — byte-
-        identical by construction, reported via ``kernel_tier``.
+        ``phase`` is the coordinator's
+        :func:`~repro.bsp.kernels.vector_phase` verdict, evaluated
+        against the authoritative fabric state: with one, the lane
+        runs the program's vectorized kernel if its plan compiles,
+        and the per-vertex dense loop otherwise — byte-identical
+        either way, reported via ``kernel_tier``.
         """
         if program_state is not None:
             # master_compute mutated the program since the last ship.
-            self.program.__dict__.clear()
-            self.program.__dict__.update(program_state)
-        msgs_of = dict(inbound)
-        ctx = self.ctx
-        ctx._begin_superstep(superstep, agg_prev)
-        kernel = None
-        if allow_vector:
-            kernel = self._vector_kernel
-            if kernel is None:
-                factory = rank_kernel_factory(type(self.program))
-                kernel = (
-                    factory(self) if factory is not None else None
-                ) or False
-                self._vector_kernel = kernel
-        if kernel:
-            kernel_tier = "vectorized"
-            active, work, executed, tracker_rows = kernel.run(
-                self, superstep, msgs_of
-            )
-        else:
-            kernel_tier = "dense"
-            active, work, executed, tracker_rows = rank_compute_pass(
-                self, wake_all, msgs_of
-            )
-        start = self.range_start
+            self._program.__dict__.clear()
+            self._program.__dict__.update(program_state)
+        lane = self.lane
+        start = lane.start
+        in_slots: List[Any] = [None] * len(self.states)
+        for idx, messages in inbound:
+            in_slots[idx - start] = messages
+        lane.in_slots = in_slots
+        lane.worker.reset_counters()
+        lane.cur = -1
+        self._passes += 1
+        self._ctx._begin_superstep(superstep, agg_prev)
+        plan = self._plan if phase is not None else None
+        kernel_tier, executed, scattered = lane_compute_pass(
+            self, lane, wake_all, phase, plan
+        )
         # Detach the touched accumulator slots for shipping.
-        touched = self.acc_touched
-        acc = self.acc
+        touched = lane.touched if scattered is None else scattered.order
+        lane.touched = []
+        acc = lane.acc
         payloads = [acc[d] for d in touched]
-        if self.cnt is not None:
-            cnt = self.cnt
+        if lane.cnt is not None:
+            cnt = lane.cnt
             counts: Optional[List[int]] = [cnt[d] for d in touched]
             for d in touched:
                 acc[d] = None
@@ -595,17 +444,17 @@ class _PartitionRuntime:
             counts = None
             for d in touched:
                 acc[d] = None
-        self.acc_touched = []
         rng_state = self.rng.getstate()
         drew = rng_state != self._rng_baseline
         self._rng_baseline = rng_state
         states = self.states
+        worker = lane.worker
+        tracker = self._tracker
         resp = {
-            "active": active,
-            "work": work,
-            "sent_logical": self.sent_logical,
-            "sent_remote": self.sent_remote,
-            "pending": self.out_pending,
+            "active": len(executed),
+            "work": worker.work,
+            "sent_logical": worker.sent_logical,
+            "sent_remote": worker.sent_remote,
             "values": [
                 (idx, states[idx - start].value) for idx in executed
             ],
@@ -616,21 +465,20 @@ class _PartitionRuntime:
             "payloads": payloads,
             "counts": counts,
             "aggs": self.agg_log,
-            "tracker": tracker_rows,
-            "mutations": ctx._take_mutations(),
+            "tracker": None if tracker is None else tracker.rows,
+            "mutations": self._ctx._take_mutations(),
             "drew": drew,
             "kernel_tier": kernel_tier,
         }
         self.agg_log = []
-        self.sent_logical = 0
-        self.sent_remote = 0
-        self.out_pending = 0
+        if tracker is not None:
+            tracker.rows = []
         return resp
 
     def reload(self, payload: Dict[str, Any]) -> None:
         """Adopt post-rollback values/flags (topology is unchanged
         while the pool is alive, so edges stay resident)."""
-        start = self.range_start
+        start = self.lane.start
         states = self.states
         for idx, value, halted in payload["states"]:
             state = states[idx - start]
@@ -638,8 +486,8 @@ class _PartitionRuntime:
             state.halted = halted
         self.rng.setstate(payload["rng_state"])
         self._rng_baseline = payload["rng_state"]
-        self.program.__dict__.clear()
-        self.program.__dict__.update(payload["program_state"])
+        self._program.__dict__.clear()
+        self._program.__dict__.update(payload["program_state"])
 
 
 def _worker_main(
@@ -720,7 +568,7 @@ def _worker_main(
                 elif cmd == "step":
                     (
                         superstep, wake_all, agg_prev,
-                        inbound, state, allow_vector,
+                        inbound, state, phase,
                     ) = msg[1:]
                     if seg is not None and type(inbound) is tuple:
                         inbound = shm_transport.decode_inbound(
@@ -731,7 +579,7 @@ def _worker_main(
                     try:
                         resp = part.step(
                             superstep, wake_all, agg_prev,
-                            inbound, state, allow_vector,
+                            inbound, state, phase,
                         )
                     finally:
                         stepping.clear()
@@ -1403,9 +1251,9 @@ class ParallelPregelEngine(PregelEngine):
         inbound = fabric.rank_inbound(len(links))
         superstep = self._ctx.superstep
         agg_prev = self._agg_finalized
-        # Kernel-tier grant, decided here against the authoritative
-        # fabric state so every rank takes the same path.
-        allow_vector = rank_vector_allow(self, superstep, wake_all)
+        # Kernel-tier verdict, decided here against the authoritative
+        # fabric state so every rank is offered the same phase.
+        phase = vector_phase(self, wake_all)
         down_bytes: List[int] = [0] * len(links)
         down_columnar = True
         for link in links:
@@ -1428,7 +1276,7 @@ class ParallelPregelEngine(PregelEngine):
                         agg_prev,
                         batch,
                         ship_state,
-                        allow_vector,
+                        phase,
                     ),
                 )
             except (EOFError, OSError, BrokenPipeError) as exc:
@@ -1571,7 +1419,6 @@ class ParallelPregelEngine(PregelEngine):
         mutation_log = self._ctx._mutations
         max_seconds = max(pl["seconds"] for pl in payloads)
         active_count = 0
-        total_pending = 0
         tiers = set()
         for rank, pl in enumerate(payloads):
             worker = workers[rank]
@@ -1584,7 +1431,6 @@ class ParallelPregelEngine(PregelEngine):
             worker.kernel_tier = tier = pl.get("kernel_tier", "dense")
             tiers.add(tier)
             active_count += pl["active"]
-            total_pending += pl["pending"]
             for idx, value in pl["values"]:
                 state = dense_states[idx]
                 state.value = value
@@ -1626,11 +1472,7 @@ class ParallelPregelEngine(PregelEngine):
                 )
                 mutation_log.add_vertices.extend(mut.add_vertices)
                 mutation_log.add_edges.extend(mut.add_edges)
-        fabric.out_pending = total_pending
-        in_slots = fabric.in_slots
-        for idx in fabric.in_dirty:
-            in_slots[idx] = None
-        fabric.in_dirty = []
+        fabric.drain_inbox()
         self.parallel_supersteps += 1
         self._kernel_tier = (
             "mixed" if len(tiers) > 1 else next(iter(tiers), "dense")

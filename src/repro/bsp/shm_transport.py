@@ -445,7 +445,6 @@ def encode_reply(
         "work": resp["work"],
         "sent_logical": resp["sent_logical"],
         "sent_remote": resp["sent_remote"],
-        "pending": resp["pending"],
         "drew": resp["drew"],
         "kernel_tier": resp["kernel_tier"],
         "n_exec": len(values),
@@ -647,7 +646,6 @@ def decode_reply(
         "work": header["work"],
         "sent_logical": header["sent_logical"],
         "sent_remote": header["sent_remote"],
-        "pending": header["pending"],
         "values": values,
         "halted": halted,
         "touched": touched,

@@ -35,6 +35,7 @@ import random
 import pytest
 
 from repro.algorithms.block_programs import BlockHashMin
+from repro.algorithms.degree import DegreeCentrality
 from repro.algorithms.gas_programs import HashMinGAS
 from repro.bsp import (
     BlockEngine,
@@ -74,10 +75,17 @@ BACKENDS = [
     "parallel", "parallel-shm",
 ]
 
+#: The shared workload table plus degree centrality, so all four
+#: programs with a registered kernel cross every path here.
+FUZZ_WORKLOADS = WORKLOADS + [
+    ("degree", WORKLOADS[0][1], lambda: DegreeCentrality(), "sum"),
+]
+
 #: Workloads whose program class registers a vectorized kernel —
-#: their clean fast+vectorized runs must actually leave the dense
-#: tier (``sssp``'s sparse frontier and ``bfs-tree`` register none).
-VECTORIZED_WORKLOADS = {"pagerank", "wcc", "hashmin"}
+#: their clean fast+vectorized and pool runs must actually leave the
+#: dense tier (``sssp``'s sparse frontier and ``bfs-tree`` register
+#: none).
+VECTORIZED_WORKLOADS = {"pagerank", "wcc", "hashmin", "degree"}
 
 
 def _case_recipe(wl_name: str, workers: int, fault_name: str) -> dict:
@@ -162,8 +170,8 @@ def canonical(result):
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize(
     "wl_name,_graph,make_program,natural",
-    WORKLOADS,
-    ids=[w[0] for w in WORKLOADS],
+    FUZZ_WORKLOADS,
+    ids=[w[0] for w in FUZZ_WORKLOADS],
 )
 def test_differential_fuzz(
     wl_name, _graph, make_program, natural, workers, fault_name,
@@ -212,7 +220,8 @@ def test_differential_fuzz(
     for backend, result in results.items():
         assert result.stats.ledger_balanced(), f"{backend}; {repro}"
     # Kernel-tier honesty: the pinned-off fast path must never leave
-    # the dense pass, while the vectorized path must actually use the
+    # the dense pass, while the vectorized path and the pool ranks
+    # (which run the same registered kernels) must actually use the
     # array kernels on clean runs of registered programs — and must
     # stay per-vertex under a fault injector (the exactness proofs do
     # not cover replayed supersteps).
@@ -220,19 +229,19 @@ def test_differential_fuzz(
         w.kernel_tier for w in results["fast"].stats.wall
     }
     assert "vectorized" not in fast_tiers, f"fast; {repro}"
-    vec_tiers = {
-        w.kernel_tier
-        for w in results["fast+vectorized"].stats.wall
-    }
-    if make_plan is not None:
-        assert "vectorized" not in vec_tiers, (
-            f"fast+vectorized ran array kernels under a fault plan; "
-            f"{repro}"
-        )
-    elif wl_name in VECTORIZED_WORKLOADS:
-        assert "vectorized" in vec_tiers, (
-            f"fast+vectorized never left the dense tier; {repro}"
-        )
+    for backend in ("fast+vectorized", "parallel", "parallel-shm"):
+        vec_tiers = {
+            w.kernel_tier for w in results[backend].stats.wall
+        }
+        if make_plan is not None:
+            assert "vectorized" not in vec_tiers, (
+                f"{backend} ran array kernels under a fault plan; "
+                f"{repro}"
+            )
+        elif wl_name in VECTORIZED_WORKLOADS:
+            assert "vectorized" in vec_tiers, (
+                f"{backend} never left the dense tier; {repro}"
+            )
     # Spill honesty: under a 1-byte budget every non-empty lane
     # spills, so any case that sent messages must have hit the disk
     # tier (the snapshot path must not pass the comparison by never

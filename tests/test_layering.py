@@ -60,6 +60,60 @@ def test_engine_module_stays_thin():
     )
 
 
+BSP_ROOT = ENGINE_PY.parent
+
+#: The dense compute plane is written once (``kernels.py`` loops and
+#: kernels over a ``fabric.DenseLane``) and hosted twice (the serial
+#: engine, a pool rank in ``parallel.py``).  The budgets are the sizes
+#: at which that became true; a fork of the loop, the send paths or a
+#: kernel for one host would have to grow them.
+KERNELS_LINE_BUDGET = 979
+PARALLEL_LINE_BUDGET = 1484
+
+
+class TestDensePlaneIsNotForked:
+    """Source audit pinning the un-forked state of the dense plane."""
+
+    @pytest.mark.parametrize(
+        "module,budget",
+        [
+            ("kernels.py", KERNELS_LINE_BUDGET),
+            ("parallel.py", PARALLEL_LINE_BUDGET),
+        ],
+    )
+    def test_line_budgets(self, module, budget):
+        lines = (BSP_ROOT / module).read_text().count("\n")
+        assert lines <= budget, (
+            f"src/repro/bsp/{module} has grown to {lines} lines "
+            f"(budget {budget}): a second copy of the compute loop, "
+            "the send paths or a kernel does not belong here."
+        )
+
+    def test_vertex_compute_is_called_from_two_loops(self):
+        # The reference loop and the dense lane loop; both hosts of
+        # the dense plane call the latter.
+        call = re.compile(r"\bcompute\(state, messages, ctx\)")
+        assert len(call.findall((BSP_ROOT / "kernels.py").read_text())) == 2
+        assert not call.search((BSP_ROOT / "parallel.py").read_text())
+
+    def test_dense_sends_raise_from_one_module(self):
+        raising = {
+            path.name
+            for path in BSP_ROOT.glob("*.py")
+            if "raise MessageToUnknownVertexError" in path.read_text()
+        }
+        # fabric.py: the reference and the lane send paths; block.py:
+        # the block engine's own mailbox.
+        assert raising == {"fabric.py", "block.py"}
+
+    def test_partition_runtime_owns_no_send_path(self):
+        defined = re.findall(
+            r"def (_?(?:enqueue|fanout)\w*)",
+            (BSP_ROOT / "parallel.py").read_text(),
+        )
+        assert defined == []
+
+
 SRC_ROOT = ENGINE_PY.parents[1]
 
 #: Intentional uses of the *builtin* ``key=repr`` over vertex ids —

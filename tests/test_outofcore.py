@@ -63,11 +63,10 @@ class TestBudgetSemantics:
     @pytest.mark.parametrize(
         "name,make_program,combiner",
         [
-            # One case per spill record kind: numeric messages with a
-            # combiner ("comb-col"), numeric without ("plain-col"),
-            # tuple messages with a combiner ("comb-obj" — the codec
-            # rejects them, so the lane spills pickled), and tuple
-            # messages without ("plain-obj").
+            # Both spill record shapes (combining / plain mailbox),
+            # each with a typed payload column (numeric messages,
+            # "-col") and a plain-list one (tuple messages the codec
+            # rejects, "-obj").
             (
                 "comb-col",
                 lambda: PageRank(num_supersteps=6),

@@ -26,6 +26,7 @@ identity* with the reference dict path — not approximate equality, not
 from __future__ import annotations
 
 import math
+import multiprocessing
 import operator
 import pickle
 import struct
@@ -191,10 +192,9 @@ def test_parallel_oracle_differential(wl_name, make_program,
     par = engine.run()
     assert canonical(par) == canonical(ref), (wl_name, transport)
     assert engine.parallel_disabled_reason is None
-    if wl_name == "pagerank":
-        # The rank-side registry carries the PageRank kernel; the
-        # pool must actually have vectorized, not silently degraded.
-        assert "vectorized" in tiers_of(par), tiers_of(par)
+    # Ranks run the same registered kernels as the serial engine; the
+    # pool must actually have vectorized, not silently stayed dense.
+    assert "vectorized" in tiers_of(par), tiers_of(par)
 
 
 @pytest.mark.parametrize("transport", ["pickle", "columnar"])
@@ -542,6 +542,17 @@ def test_oracle_catches_reassociated_summation(monkeypatch):
         "the oracle failed to catch a re-associated summation — the "
         "differential harness has lost its bit-level sensitivity"
     )
+    if "fork" in multiprocessing.get_all_start_methods():
+        # Forked ranks inherit the patched seams: the pool path runs
+        # the same fold code, so the oracle must catch it there too.
+        pooled = create_engine(
+            graph, pagerank(), backend="parallel", num_workers=4,
+            combiner=SumCombiner(), track_bppa=True, seed=0,
+            mp_start_method="fork",
+        ).run()
+        assert "vectorized" in tiers_of(pooled)
+        assert canonical(pooled) != canonical(ref)
+        assert canonical(pooled) == canonical(poisoned)
     # The damage is confined to float values (last-bit drift), which
     # is precisely why byte-level comparison is required: plain
     # approximate equality would have passed.
