@@ -46,11 +46,12 @@ mixing incompatible state.  Three knobs are deliberately *excluded*:
 * the backend — serial, fast-path and process-parallel execution are
   byte-identical by contract, so a run checkpointed under one backend
   may resume under another;
-* the parallel backend's ``transport`` — columnar and pickle are wire
-  formats over the same rank-ordered merge, byte-identical by the
-  same contract (the ``transport`` kwarg is consumed by
-  ``ParallelPregelEngine`` and never reaches the fingerprint), so a
-  run checkpointed under one transport resumes under the other;
+* the parallel backend's ``transport`` — it only decides whether
+  columns travel in a shared-memory segment or in the pipe message,
+  the rank-ordered merge sees the same columns either way (the
+  ``transport`` kwarg is consumed by ``ParallelPregelEngine`` and
+  never reaches the fingerprint), so a run checkpointed under one
+  transport resumes under the other;
 * ``max_supersteps`` — it is a guard, not semantics; the canonical
   reason to resume is "the run was killed, give it more budget".
 

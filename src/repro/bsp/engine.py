@@ -440,22 +440,6 @@ class PregelEngine:
     def _ckpt_costs(self) -> Dict[int, float]:
         return self._store.ckpt_costs
 
-    @property
-    def _message_log(self):
-        return self._store.message_log
-
-    @property
-    def _wake_log(self):
-        return self._store.wake_log
-
-    @property
-    def _mutated_since_checkpoint(self) -> bool:
-        return self._store.mutated_since_checkpoint
-
-    @property
-    def _crash_counts(self) -> Dict[int, int]:
-        return self._loop.crash_counts
-
     # ------------------------------------------------------------------
     # Engine services used by ComputeContext
     # ------------------------------------------------------------------
@@ -501,9 +485,6 @@ class PregelEngine:
     # engine methods because checkpoint restore and the parallel
     # backend hook them here)
     # ------------------------------------------------------------------
-
-    def _engage_fast_path(self) -> None:
-        self._fabric.engage_fast_path()
 
     def _disengage_fast_path(self) -> None:
         self._fabric.disengage_fast_path()
@@ -700,13 +681,6 @@ class PregelEngine:
     # ------------------------------------------------------------------
     # Checkpointing and recovery
     # ------------------------------------------------------------------
-
-    @property
-    def _checkpointing_enabled(self) -> bool:
-        return self._policy.enabled
-
-    def _should_checkpoint(self, superstep: int) -> bool:
-        return self._policy.due(superstep)
 
     def _write_checkpoint(
         self, superstep: int, stats: RunStats

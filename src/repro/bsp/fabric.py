@@ -47,11 +47,19 @@ Key properties that keep the fast path byte-identical:
   the topology is frozen while the fast path is active, so the
   compiled neighbor indices cannot go stale.
 
-With a combiner, a slot is a single combined message in
-``accs[w][dst]`` plus its logical count in ``cnts[w][dst]``
+With a combiner, a slot is a single combined message in worker
+``w``'s ``lane.acc[dst]`` plus its logical count in ``lane.cnt[dst]``
 (occupancy is ``cnt > 0``, so messages may be any value, including
 None); without one it is a list of messages in send order (occupancy:
 non-None).
+
+Off its accumulator arrays a lane's slots have exactly one form,
+:class:`LaneRecord` — three columns over the dense slot index.  It is
+what a pool rank detaches and replies with, what the coordinator
+commits, what the spill tier sizes, writes and reloads, and (in the
+plain layout) what an inbound slot batch is; :meth:`DenseLane.detach`
+and :meth:`DenseLane.adopt` are the only code that moves slots between
+the two forms.
 """
 
 from __future__ import annotations
@@ -63,11 +71,11 @@ import shutil
 import tempfile
 from array import array
 from collections import defaultdict
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 
 from repro.bsp.combiner import SumCombiner
 from repro.bsp.faults import DeliveryFaults
-from repro.bsp.shm_transport import encode_lane
+from repro.bsp.shm_transport import typed_column
 from repro.errors import (
     MessageToUnknownVertexError,
     VertexNotFoundError,
@@ -75,6 +83,58 @@ from repro.errors import (
 from repro.graph.partition import build_dense_index
 from repro.graph.snapshot import is_graph_snapshot
 from repro.trace.events import FaultInjected
+
+
+class LaneRecord(NamedTuple):
+    """Slots of one lane, detached from its accumulator arrays.
+
+    ``touched`` is the slots' dense indices (``array('q')``, first-
+    touch order).  With a combiner ``payloads`` holds one combined
+    message per slot and ``counts`` the slots' logical counts; without
+    one ``payloads`` is the slots' messages laid end to end and
+    ``counts`` the bucket lengths.  ``counts`` is an ``array('q')``;
+    ``payloads`` is a typed array when
+    :func:`~repro.bsp.shm_transport.typed_column` takes the column
+    (exact floats or in-range exact ints — bit- and type-identical on
+    the way back) and the plain list otherwise.
+    """
+
+    touched: array
+    payloads: Any
+    counts: array
+
+    @classmethod
+    def from_buckets(cls, touched, buckets) -> "LaneRecord":
+        """The plain-layout record of ``buckets`` (one message list
+        per touched slot)."""
+        return cls(
+            array("q", touched),
+            typed_column([m for b in buckets for m in b]),
+            array("q", map(len, buckets)),
+        )
+
+    def buckets(self):
+        """``(slot, message list)`` pairs of a plain-layout record."""
+        flat = self.payloads
+        if type(flat) is array:
+            flat = flat.tolist()
+        pos = 0
+        for slot, n in zip(self.touched, self.counts):
+            end = pos + n
+            yield slot, flat[pos:end]
+            pos = end
+
+    @property
+    def nbytes(self) -> int:
+        """What the spill tier charges for the record: raw bytes for
+        typed columns, the pickled size for an un-typed payload
+        column."""
+        payloads = self.payloads
+        if type(payloads) is array:
+            size = payloads.itemsize * len(payloads)
+        else:
+            size = len(pickle.dumps(payloads, pickle.HIGHEST_PROTOCOL))
+        return size + 8 * len(self.counts) + 8 * len(self.touched)
 
 
 class DenseLane:
@@ -279,6 +339,43 @@ class DenseLane:
             worker.sent_remote += remote
         return n
 
+    # The two moves between accumulator slots and a LaneRecord.
+
+    def detach(self, touched) -> LaneRecord:
+        """Gather the ``touched`` slots into a record and clear
+        them."""
+        acc = self.acc
+        cnt = self.cnt
+        slots = [acc[d] for d in touched]
+        if cnt is None:
+            record = LaneRecord.from_buckets(touched, slots)
+        else:
+            record = LaneRecord(
+                array("q", touched),
+                typed_column(slots),
+                array("q", [cnt[d] for d in touched]),
+            )
+            for d in touched:
+                cnt[d] = 0
+        for d in touched:
+            acc[d] = None
+        return record
+
+    def adopt(self, record: LaneRecord) -> None:
+        """Write a record's slots back into the (clear) accumulator
+        slots they were detached from."""
+        acc = self.acc
+        cnt = self.cnt
+        if cnt is None:
+            for d, bucket in record.buckets():
+                acc[d] = bucket
+        else:
+            for d, payload, count in zip(
+                record.touched, record.payloads, record.counts
+            ):
+                acc[d] = payload
+                cnt[d] = count
+
 
 def snapshot_adjacency(snapshot, id_of, owner_of, start: int, stop: int):
     """Compile the dense adjacency of dense range ``[start, stop)``
@@ -336,8 +433,7 @@ class MessageFabric:
         #: Soft cap, in encoded bytes, on one superstep's buffered
         #: message volume across the slot-mailbox accumulator lanes.
         #: ``None`` (the default) disables the spill tier entirely —
-        #: no accounting, no encoding, byte-for-byte the historical
-        #: behavior.
+        #: no accounting, no detaching.
         self.memory_budget = memory_budget
         self._spill_dir = spill_dir
         self._spill_tmp: Optional[str] = None
@@ -370,12 +466,9 @@ class MessageFabric:
         self.in_slots: Optional[List[Optional[List[Any]]]] = None
         self.in_dirty: List[int] = []
         self.out_dirty: List[int] = []
-        #: One :class:`DenseLane` per worker; ``accs``/``cnts`` are
-        #: the lanes' accumulator arrays in worker order (what
-        #: delivery and the spill tier scan).
+        #: One :class:`DenseLane` per worker, in worker order (the
+        #: order delivery scans their accumulator arrays).
         self.lanes: Optional[List[DenseLane]] = None
-        self.accs: Optional[List[List[Any]]] = None
-        self.cnts: Optional[List[List[int]]] = None
         self.slot_seen: Optional[List[int]] = None
         self.stamp = 0
 
@@ -420,17 +513,22 @@ class MessageFabric:
         self.enqueue = engine._enqueue = lane.enqueue
         self.fanout = engine._fanout = lane.fanout
 
-    def flush_worker_sends(self, lane: DenseLane) -> None:
-        """Record the finished worker's first-touched destinations in
-        the global dirty list.
+    def flush_worker_sends(
+        self, lane: DenseLane, record: Optional[LaneRecord] = None
+    ) -> None:
+        """Commit the finished worker's sends: record its first-touched
+        destinations in the global dirty list.
 
-        Runs once per worker per superstep, O(touched destinations),
-        and moves no payloads — slots stay in the per-worker
-        accumulators until delivery.  Workers flush in index order,
-        which is also global send order, so ``out_dirty`` gets the
-        reference outbox's first-touch key order.
+        The serial engine's lanes keep their slots resident in the
+        accumulators until delivery; the coordinator of the parallel
+        backend passes the ``record`` a rank detached from its lane
+        instead, which is adopted into this lane's (or spilled).
+        Runs once per worker per superstep, O(touched destinations).
+        Workers flush in index order, which is also global send
+        order, so ``out_dirty`` gets the reference outbox's
+        first-touch key order.
         """
-        touched = lane.touched
+        touched = lane.touched if record is None else record.touched
         seen = self.slot_seen
         stamp = self.stamp
         dirty = self.out_dirty
@@ -440,63 +538,46 @@ class MessageFabric:
                 dirty.append(dst)
         lane.touched = []
         if self.memory_budget is not None and touched:
-            self.account_lane(lane.index, touched)
+            self.account_lane(lane.index, touched, record)
+        elif record is not None:
+            lane.adopt(record)
 
     # ------------------------------------------------------------------
     # Spill tier: byte-accounted lane eviction under a memory budget
     # ------------------------------------------------------------------
     #
-    # When ``memory_budget`` is set, every finished accumulator lane is
-    # encoded with the shm-transport column codecs and charged against
-    # the budget; lanes that would push the superstep's buffered volume
-    # past it are written to disk and their slots cleared.  Delivery
-    # reloads spilled lanes — in worker-index order, the order the
-    # delivery scan reads them — before the normal slot scan, so the
-    # spill is invisible to everything downstream: ``out_dirty`` was
-    # recorded at flush time and the reloaded values round-trip exactly
-    # (typed columns for conforming floats/ints, pickle otherwise — the
-    # same equality contract the parallel transport already relies on).
-    # A spill record has one shape per mailbox layout: ``(payloads,
-    # counts)`` with a combiner, ``(flat payloads, bucket lengths)``
-    # without; the payload column is a typed ``array`` when
-    # ``encode_lane`` takes it and a plain list otherwise.
+    # When ``memory_budget`` is set, every finished lane is detached
+    # into its LaneRecord and the record's size charged against the
+    # budget; a record that would push the superstep's buffered volume
+    # past it is pickled to disk as it is, the others are adopted back.
+    # Delivery reloads spilled records — in worker-index order, the
+    # order the delivery scan reads lanes — before the normal slot
+    # scan, so the spill is invisible to everything downstream:
+    # ``out_dirty`` was recorded at flush time and the reloaded values
+    # round-trip exactly (typed columns for conforming floats/ints,
+    # pickle otherwise — the same equality contract the parallel
+    # backend's rank boundary relies on).
 
-    def account_lane(self, worker_index: int, touched) -> None:
+    def account_lane(
+        self,
+        worker_index: int,
+        touched,
+        record: Optional[LaneRecord] = None,
+    ) -> None:
         """Charge one worker's finished lane against the memory
         budget, spilling it to disk when the budget is exceeded.
-        No-op without a budget or an empty lane."""
+        ``record`` is the lane as already detached (the one a rank
+        replied with); without it the ``touched`` slots are detached
+        here.  No-op without a budget or an empty lane."""
         if self.memory_budget is None or not touched:
             return
-        acc = self.accs[worker_index]
-        if self.cnts is not None:
-            cnt = self.cnts[worker_index]
-            payloads = [acc[d] for d in touched]
-            counts = array("q", [cnt[d] for d in touched])
-            enc = encode_lane(payloads)
-            if enc is None:
-                nbytes = len(
-                    pickle.dumps(payloads, pickle.HIGHEST_PROTOCOL)
-                ) + 8 * len(counts)
-            else:
-                payloads = col = enc[1]
-                nbytes = col.itemsize * len(col) + 8 * len(counts)
-            record = (payloads, counts)
-        else:
-            buckets = [acc[d] for d in touched]
-            lens = array("q", [len(b) for b in buckets])
-            flat = [m for b in buckets for m in b]
-            enc = encode_lane(flat)
-            if enc is None:
-                nbytes = len(
-                    pickle.dumps(buckets, pickle.HIGHEST_PROTOCOL)
-                )
-            else:
-                flat = col = enc[1]
-                nbytes = col.itemsize * len(col) + 8 * len(lens)
-            record = (flat, lens)
-        nbytes += 8 * len(touched)
+        lane = self.lanes[worker_index]
+        if record is None:
+            record = lane.detach(touched)
+        nbytes = record.nbytes
         if self._resident_bytes + nbytes <= self.memory_budget:
             self._resident_bytes += nbytes
+            lane.adopt(record)
             return
         root = self._spill_root()
         path = os.path.join(
@@ -504,45 +585,21 @@ class MessageFabric:
         )
         self._spill_seq += 1
         with open(path, "wb") as fh:
-            pickle.dump(
-                (array("q", touched), record),
-                fh,
-                pickle.HIGHEST_PROTOCOL,
-            )
+            pickle.dump(record, fh, pickle.HIGHEST_PROTOCOL)
         self._spilled[worker_index] = path
         self.spilled_lanes += 1
         self.spilled_bytes += nbytes
-        if self.cnts is not None:
-            for d in touched:
-                acc[d] = None
-                cnt[d] = 0
-        else:
-            for d in touched:
-                acc[d] = None
 
     def _reload_spilled(self) -> None:
-        """Load every spilled lane back into its accumulator (worker
-        order — the order the delivery scan consumes lanes) and delete
-        the files."""
+        """Load every spilled record back into its lane (worker order
+        — the order the delivery scan consumes lanes) and delete the
+        files."""
         for worker_index in sorted(self._spilled):
             path = self._spilled[worker_index]
             with open(path, "rb") as fh:
-                touched, record = pickle.load(fh)
+                record = pickle.load(fh)
             os.unlink(path)
-            acc = self.accs[worker_index]
-            if self.cnts is not None:
-                payloads, counts = record
-                cnt = self.cnts[worker_index]
-                for i, d in enumerate(touched):
-                    acc[d] = payloads[i]
-                    cnt[d] = counts[i]
-            else:
-                flat, lens = record
-                pos = 0
-                for i, d in enumerate(touched):
-                    end = pos + lens[i]
-                    acc[d] = list(flat[pos:end])
-                    pos = end
+            self.lanes[worker_index].adopt(record)
         self._spilled = {}
 
     def _spill_root(self) -> str:
@@ -649,12 +706,6 @@ class MessageFabric:
             )
             for worker in self.workers
         ]
-        self.accs = [lane.acc for lane in self.lanes]
-        self.cnts = (
-            [lane.cnt for lane in self.lanes]
-            if self._combiner is not None
-            else None
-        )
         self.slot_seen = [0] * n
         self.stamp = 0
         self._drop_spill_files()
@@ -705,8 +756,6 @@ class MessageFabric:
         self.in_dirty = []
         self.out_dirty = []
         self.lanes = None
-        self.accs = None
-        self.cnts = None
         self.slot_seen = None
         self._drop_spill_files()
         self.enqueue = engine._enqueue = self.enqueue_reference
@@ -724,17 +773,20 @@ class MessageFabric:
             in_slots[idx] = None
         self.in_dirty = []
 
-    def rank_inbound(self, num_ranks: int):
+    def rank_inbound(self, num_ranks: int) -> List[LaneRecord]:
         """The dense inbox bucketed by owning rank for the parallel
-        backend's dispatch: one ``[(dense idx, messages)]`` list per
+        backend's dispatch: one plain-layout :class:`LaneRecord` per
         rank, in slot-delivery order (``in_dirty``), which is the
         order the serial dense pass would consume the same slots."""
         owner_of = self.dense.owner_of
         in_slots = self.in_slots
-        inbound = [[] for _ in range(num_ranks)]
+        slots: List[List[int]] = [[] for _ in range(num_ranks)]
         for idx in self.in_dirty:
-            inbound[owner_of[idx]].append((idx, in_slots[idx]))
-        return inbound
+            slots[owner_of[idx]].append(idx)
+        return [
+            LaneRecord.from_buckets(idxs, [in_slots[i] for i in idxs])
+            for idxs in slots
+        ]
 
     # ------------------------------------------------------------------
     # Checkpoint views
@@ -874,10 +926,7 @@ class MessageFabric:
         faults = DeliveryFaults() if injector is not None else None
         if self._spilled:
             self._reload_spilled()
-        if combining:
-            lanes = list(zip(workers, self.accs, self.cnts))
-        else:
-            lanes = list(zip(workers, self.accs))
+        lanes = [(lane.worker, lane.acc, lane.cnt) for lane in self.lanes]
         for dst in self.out_dirty:
             if mutated and id_of[dst] not in states:
                 # Dropped: destination removed this superstep —
@@ -926,7 +975,7 @@ class MessageFabric:
                 dst_worker.received_network += len(msgs)
             else:
                 msgs = None
-                for src_worker, acc_w in lanes:
+                for src_worker, acc_w, _cnt in lanes:
                     bucket = acc_w[dst]
                     if bucket is not None:
                         acc_w[dst] = None

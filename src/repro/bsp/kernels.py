@@ -72,7 +72,7 @@ has three parts —
 Every other superstep — fault-injected runs, mutations (which
 disengage the fast path entirely), wake-all phases, unregistered
 programs, non-conforming topology — runs :func:`dense_compute_pass`,
-mirroring the shm transport's per-column spill design.  The tier
+mirroring the shm transport's per-column placement.  The tier
 actually used is reported per superstep via ``engine._kernel_tier`` /
 ``Worker.kernel_tier`` (observability only — never part of the
 byte-identity surface).

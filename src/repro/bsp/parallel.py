@@ -107,34 +107,29 @@ orphan rank processes outlive an interrupted run.
 Transport tiers
 ---------------
 
-Two wire formats move a superstep across the rank boundary, selected
-by the ``transport`` kwarg (``"auto"``/``"columnar"`` — the default —
-or ``"pickle"``):
+A superstep crosses the rank boundary in one format
+(:mod:`repro.bsp.shm_transport`): the inbound slot batch and the
+rank's effect set are *columns* — typed ``float64``/``int64`` arrays
+where the values conform, plain lists otherwise — built once on the
+sending side and consumed as columns on the receiving side.  The
+``transport`` kwarg only decides whether the pool has a shared-memory
+segment for conforming columns to travel in:
 
-* **columnar** (:mod:`repro.bsp.shm_transport`): one shared-memory
-  segment per pool, created by the coordinator and mapped once by
-  every rank, carries inbound slot batches and effect-set columns as
-  raw ``float64``/``int64`` lanes; the pipe moves only a small header
-  of scalars and lane descriptors.  For fixed-width numeric workloads
-  (PageRank, SSSP, WCC/hashmin) steady-state supersteps serialize
-  nothing but that header.  Any column the codec cannot take — mixed
-  or non-numeric types (e.g. BFS-tree's dict values), out-of-range
-  ints, capacity overflow — rides the pipe pickled in the header's
-  spill dict instead: degradation is per column and per superstep,
-  never a mode switch, and the decoded structures are exactly what
-  the pickle tier ships, so the rank-ordered merge (and with it byte
-  identity) is untouched.  ``columnar_supersteps`` counts supersteps
-  that crossed fully columnar in both directions on every rank.
-* **pickle**: the original everything-through-the-pipe format, kept
-  as the fallback tier and selectable outright for A/B measurement.
+* ``"auto"``/``"columnar"`` (the default): a typed column that fits
+  its lane is bulk-copied into the segment and the pipe message
+  carries only its descriptor; any other column (e.g. BFS-tree's dict
+  values) rides the pipe message as it is — per column and per
+  superstep, never a mode switch.  ``columnar_supersteps`` counts
+  supersteps in which every column of every rank travelled in the
+  segment, both directions.
+* ``"pickle"``: no segment; every column rides the pipe message.
+  Same code, same columns — selectable for A/B measurement.
 
-If the segment cannot be created (no shared-memory support) the pool
-still runs on the pickle tier, recording why in
-``transport_disabled_reason``.  Segment lifecycle is tied to the
-pool's: every teardown route destroys it, each rank's orphan watchdog
-unlinks it when the coordinator vanishes, and
-:func:`repro.bsp.shm_transport.sweep_leaked_segments` reaps segments
-whose creating process died without running either.
+If the segment cannot be created the pool runs exactly as under
+``"pickle"``, recording why in ``transport_disabled_reason``.  The
+segment's lifecycle is tied to the pool's (every teardown route
+destroys it; see :mod:`repro.bsp.shm_transport` for the leak
+handling).
 
 Wall-clock speedup is real but bounded by the host:
 ``RunStats.wall`` records per-rank compute seconds, barrier wait, and
@@ -154,15 +149,17 @@ import random
 import threading
 import time
 import weakref
+from array import array
 from functools import cached_property
 from itertools import repeat
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bsp import shm_transport
+from repro.bsp.shm_transport import typed_column
 from repro.bsp.context import ComputeContext
 from repro.bsp.engine import PregelEngine, PregelResult
-from repro.bsp.fabric import DenseLane, snapshot_adjacency
+from repro.bsp.fabric import DenseLane, LaneRecord, snapshot_adjacency
 from repro.bsp.kernels import (
     compile_plan,
     lane_compute_pass,
@@ -309,7 +306,10 @@ class _PartitionRuntime:
     genuinely differs across the process boundary: aggregate
     contributions and tracker rows are *logged* for the coordinator
     to replay in rank order, and the touched accumulator slots are
-    detached and shipped instead of committed to ``out_dirty``.
+    detached (:meth:`~repro.bsp.fabric.DenseLane.detach`) and shipped
+    instead of committed to ``out_dirty``.  What :meth:`step` returns
+    is the rank's effect set as columns, built once; the codec only
+    decides where each column travels.
     """
 
     def __init__(self, rank: int, init: Dict[str, Any]):
@@ -322,12 +322,10 @@ class _PartitionRuntime:
         self._tracker: Optional[_TrackerRows] = (
             _TrackerRows() if init["track_bppa"] else None
         )
-        # Shipped sorted; the index mapping is the columnar codec's
-        # name lane (coordinator decodes with the same sorted list).
-        agg_sorted = list(init["agg_names"])
-        self.agg_names = frozenset(agg_sorted)
+        # Shipped sorted; contributions are logged under a name's
+        # position (the coordinator holds the same sorted list).
         self.agg_index = {
-            name: i for i, name in enumerate(agg_sorted)
+            name: i for i, name in enumerate(init["agg_names"])
         }
         self.rng = random.Random()
         self.rng.setstate(init["rng_state"])
@@ -353,7 +351,8 @@ class _PartitionRuntime:
         )
         self._enqueue = lane.enqueue
         self._fanout = lane.fanout
-        self.agg_log: List[Tuple[str, Any]] = []
+        self.agg_name = array("q")
+        self.agg_val: List[Any] = []
         #: Compute passes started over the partition's lifetime (see
         #: :attr:`progress`).
         self._passes = 0
@@ -383,12 +382,16 @@ class _PartitionRuntime:
         # order, so non-associative reducers see the serial order and
         # an unknown name raises the same KeyError the registry
         # lookup would.
-        if name not in self.agg_names:
-            raise KeyError(name)
-        self.agg_log.append((name, value))
+        self.agg_name.append(self.agg_index[name])
+        self.agg_val.append(value)
 
     def _aggregate_many(self, name: str, values) -> None:
-        self.agg_log.extend(zip(repeat(name), values))
+        index = self.agg_index[name]
+        before = len(self.agg_val)
+        self.agg_val.extend(values)
+        self.agg_name.extend(
+            repeat(index, len(self.agg_val) - before)
+        )
 
     # -- superstep execution ----------------------------------------
 
@@ -397,12 +400,12 @@ class _PartitionRuntime:
         superstep: int,
         wake_all: bool,
         agg_prev: Dict[str, Any],
-        inbound: List[Tuple[int, List[Any]]],
+        inbound: LaneRecord,
         program_state: Optional[Dict[str, Any]],
         phase,
-    ) -> Dict[str, Any]:
+    ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         """Run my lane's share of one compute pass; return the effect
-        set.
+        set as ``(scalars, columns)``.
 
         ``phase`` is the coordinator's
         :func:`~repro.bsp.kernels.vector_phase` verdict, evaluated
@@ -418,7 +421,7 @@ class _PartitionRuntime:
         lane = self.lane
         start = lane.start
         in_slots: List[Any] = [None] * len(self.states)
-        for idx, messages in inbound:
+        for idx, messages in inbound.buckets():
             in_slots[idx - start] = messages
         lane.in_slots = in_slots
         lane.worker.reset_counters()
@@ -429,51 +432,56 @@ class _PartitionRuntime:
         kernel_tier, executed, scattered = lane_compute_pass(
             self, lane, wake_all, phase, plan
         )
-        # Detach the touched accumulator slots for shipping.
-        touched = lane.touched if scattered is None else scattered.order
+        record = lane.detach(
+            lane.touched if scattered is None else scattered.order
+        )
         lane.touched = []
-        acc = lane.acc
-        payloads = [acc[d] for d in touched]
-        if lane.cnt is not None:
-            cnt = lane.cnt
-            counts: Optional[List[int]] = [cnt[d] for d in touched]
-            for d in touched:
-                acc[d] = None
-                cnt[d] = 0
-        else:
-            counts = None
-            for d in touched:
-                acc[d] = None
         rng_state = self.rng.getstate()
         drew = rng_state != self._rng_baseline
         self._rng_baseline = rng_state
         states = self.states
         worker = lane.worker
-        tracker = self._tracker
-        resp = {
+        scalars = {
             "active": len(executed),
             "work": worker.work,
             "sent_logical": worker.sent_logical,
             "sent_remote": worker.sent_remote,
-            "values": [
-                (idx, states[idx - start].value) for idx in executed
-            ],
-            "halted": [
-                idx for idx in executed if states[idx - start].halted
-            ],
-            "touched": touched,
-            "payloads": payloads,
-            "counts": counts,
-            "aggs": self.agg_log,
-            "tracker": None if tracker is None else tracker.rows,
-            "mutations": self._ctx._take_mutations(),
             "drew": drew,
             "kernel_tier": kernel_tier,
         }
-        self.agg_log = []
+        columns = {
+            "executed": array("q", executed),
+            "values": typed_column(
+                [states[idx - start].value for idx in executed]
+            ),
+            "halted": array(
+                "q",
+                [idx for idx in executed if states[idx - start].halted],
+            ),
+            "agg_name": self.agg_name,
+            "agg_val": typed_column(self.agg_val),
+            **record._asdict(),
+        }
+        self.agg_name = array("q")
+        self.agg_val = []
+        tracker = self._tracker
         if tracker is not None:
-            tracker.rows = []
-        return resp
+            # One row per executed vertex, in order: the vertex ids
+            # are recovered coordinator-side from ``executed``.
+            rows, tracker.rows = tracker.rows, []
+            _vids, sent, recv, ops, size = (
+                zip(*rows) if rows else [()] * 5
+            )
+            columns.update(
+                tr_sent=array("q", sent),
+                tr_recv=array("q", recv),
+                tr_ops=typed_column(ops),
+                tr_size=typed_column(size),
+            )
+        mutations = self._ctx._take_mutations()
+        if mutations is not None:
+            columns["mutations"] = mutations
+        return scalars, columns
 
     def reload(self, payload: Dict[str, Any]) -> None:
         """Adopt post-rollback values/flags (topology is unchanged
@@ -570,36 +578,21 @@ def _worker_main(
                         superstep, wake_all, agg_prev,
                         inbound, state, phase,
                     ) = msg[1:]
-                    if seg is not None and type(inbound) is tuple:
-                        inbound = shm_transport.decode_inbound(
-                            seg, rank, inbound
-                        )
+                    columns, _ = shm_transport.decode_inbound(
+                        seg, rank, inbound
+                    )
                     t0 = time.perf_counter()
                     stepping.set()
                     try:
-                        resp = part.step(
+                        scalars, columns = part.step(
                             superstep, wake_all, agg_prev,
-                            inbound, state, phase,
+                            LaneRecord(**columns), state, phase,
                         )
                     finally:
                         stepping.clear()
-                    seconds = time.perf_counter() - t0
-                    resp["seconds"] = seconds
-                    reply = ("ok", resp)
-                    if seg is not None:
-                        # Per-column degradation happens inside
-                        # encode_reply; a whole-reply failure (lane
-                        # overflow, unexpected type) falls back to
-                        # the pickle tier for this superstep.
-                        try:
-                            header = shm_transport.encode_reply(
-                                seg, rank, resp, part.agg_index
-                            )
-                            header["seconds"] = seconds
-                            reply = ("okc", header)
-                        except Exception:
-                            reply = ("ok", resp)
-                    _send(reply)
+                    scalars["seconds"] = time.perf_counter() - t0
+                    wire = shm_transport.encode_reply(seg, rank, columns)
+                    _send(("ok", scalars, wire))
                 elif cmd == "reload":
                     part.reload(msg[1])
                     _send(("ready", rank))
@@ -738,13 +731,13 @@ class ParallelPregelEngine(PregelEngine):
         pool restart (default 0.05s; doubles per restart, capped at
         2s).
     transport:
-        ``"auto"`` / ``"columnar"`` (equivalent defaults): supersteps
-        cross the rank boundary as shared-memory columns with a tiny
-        pipe header, degrading per column to pickled spill for
-        non-conforming data.  ``"pickle"``: the original fully
-        pickled pipe traffic, kept for A/B measurement and as the
-        tier columnar falls back to when shared memory is
-        unavailable (see :attr:`transport_disabled_reason`).
+        ``"auto"`` / ``"columnar"`` (equivalent defaults): conforming
+        columns cross the rank boundary in a shared-memory segment,
+        the pipe carrying scalars, descriptors and whatever column
+        does not conform.  ``"pickle"``: no segment, every column
+        rides the pipe — for A/B measurement, and what a run gets
+        when shared memory is unavailable (see
+        :attr:`transport_disabled_reason`).
 
     The engine degrades to the byte-identical serial path whenever
     process parallelism cannot preserve the contract; inspect
@@ -812,7 +805,9 @@ class ParallelPregelEngine(PregelEngine):
         self._segment: Optional[
             shm_transport.ColumnarSegment
         ] = None
-        self._agg_list: List[str] = []
+        #: Aggregator names, sorted: ranks log a contribution under
+        #: its name's position here.
+        self._agg_list: List[str] = sorted(self._aggregators)
         self._links: Optional[List[_WorkerLink]] = None
         self._pool_disabled = False
         self._program_blob: Optional[bytes] = None
@@ -826,15 +821,14 @@ class ParallelPregelEngine(PregelEngine):
         self.rank_failures: List[Tuple[int, int, str]] = []
         #: Supersteps whose compute pass actually ran on the pool.
         self.parallel_supersteps = 0
-        #: Pool supersteps that crossed the boundary fully columnar —
-        #: both directions shared-memory lanes, nothing pickled but
-        #: the header — on every rank.
+        #: Pool supersteps in which every column of every rank
+        #: travelled in the segment, both directions.
         self.columnar_supersteps = 0
-        #: Why the columnar tier is unavailable (shared memory could
-        #: not be set up); ``None`` while it works or was never
-        #: requested.  Distinct from ``parallel_disabled_reason``:
-        #: losing the columnar tier only drops to the pickle tier,
-        #: the pool keeps running.
+        #: Why there is no segment although one was requested (shared
+        #: memory could not be set up); ``None`` while it works or was
+        #: never requested.  Distinct from
+        #: ``parallel_disabled_reason``: without a segment the columns
+        #: ride the pipe, the pool keeps running.
         self.transport_disabled_reason: Optional[str] = None
         #: Why the pool is (or became) unused; None while eligible.
         self.parallel_disabled_reason: Optional[str] = None
@@ -856,9 +850,10 @@ class ParallelPregelEngine(PregelEngine):
 
     @property
     def transport_tier(self) -> str:
-        """``"columnar"`` or ``"pickle"`` — the tier pool supersteps
-        use (individual columns can still spill to the pipe; see
-        :attr:`columnar_supersteps` for the all-columnar count)."""
+        """``"columnar"`` while the pool has a segment to place
+        columns in, ``"pickle"`` otherwise (individual columns can
+        still ride the pipe; see :attr:`columnar_supersteps` for the
+        all-in-segment count)."""
         if (
             self._transport == "pickle"
             or self.transport_disabled_reason is not None
@@ -868,8 +863,8 @@ class ParallelPregelEngine(PregelEngine):
 
     @property
     def pickle_supersteps(self) -> int:
-        """Pool supersteps that moved at least one pickled column (or
-        ran on the pickle tier outright)."""
+        """Pool supersteps that moved at least one column over the
+        pipe (all of them when there is no segment)."""
         return self.parallel_supersteps - self.columnar_supersteps
 
     def _destroy_segment(self) -> None:
@@ -901,61 +896,13 @@ class ParallelPregelEngine(PregelEngine):
         fabric = self._fabric
         dense = fabric.dense
         start, stop = dense.ranges[rank]
-        dense_states = fabric.dense_states
-        if self._ship_snapshot:
-            # Out-of-core shipping: the rank opens the memory-mapped
-            # snapshot itself (_expand_snapshot_init) and rederives
-            # topology, adjacency, and the dense index locally; only
-            # this slice's mutable run state crosses the pipe.
-            return {
-                "snapshot_path": self._graph.path,
-                "partitioner": self._partitioner,
-                "num_workers": self._num_workers,
-                "range": (start, stop),
-                "values": [
-                    dense_states[idx].value
-                    for idx in range(start, stop)
-                ],
-                "halted": [
-                    dense_states[idx].halted
-                    for idx in range(start, stop)
-                ],
-                "program": self._program,
-                "combiner": self._combiner,
-                "track_bppa": self._tracker is not None,
-                "agg_names": sorted(self._aggregators),
-                "rng_state": self.rng.getstate(),
-                "shm": (
-                    None
-                    if self._segment is None
-                    else self._segment.descriptor
-                ),
-            }
-        snaps = []
-        for idx in range(start, stop):
-            state = dense_states[idx]
-            aliased = state.in_edges is state.out_edges
-            snaps.append(
-                (
-                    state.id,
-                    state.value,
-                    state.out_edges,
-                    None if aliased else state.in_edges,
-                    state.halted,
-                )
-            )
-        return {
-            "num_vertices": len(dense.id_of),
-            "idx_of": dense.idx_of,
-            "owner_of": dense.owner_of,
+        slice_states = fabric.dense_states[start:stop]
+        payload = {
             "range": (start, stop),
-            "states": snaps,
-            "dense_out": fabric.dense_out[start:stop],
-            "remote_out": fabric.remote_out[start:stop],
             "program": self._program,
             "combiner": self._combiner,
             "track_bppa": self._tracker is not None,
-            "agg_names": sorted(self._aggregators),
+            "agg_names": self._agg_list,
             "rng_state": self.rng.getstate(),
             "shm": (
                 None
@@ -963,6 +910,39 @@ class ParallelPregelEngine(PregelEngine):
                 else self._segment.descriptor
             ),
         }
+        if self._ship_snapshot:
+            # Out-of-core shipping: the rank opens the memory-mapped
+            # snapshot itself (_expand_snapshot_init) and rederives
+            # topology, adjacency, and the dense index locally; only
+            # this slice's mutable run state crosses the pipe.
+            payload.update(
+                snapshot_path=self._graph.path,
+                partitioner=self._partitioner,
+                num_workers=self._num_workers,
+                values=[state.value for state in slice_states],
+                halted=[state.halted for state in slice_states],
+            )
+            return payload
+        payload.update(
+            num_vertices=len(dense.id_of),
+            idx_of=dense.idx_of,
+            owner_of=dense.owner_of,
+            states=[
+                (
+                    state.id,
+                    state.value,
+                    state.out_edges,
+                    None
+                    if state.in_edges is state.out_edges
+                    else state.in_edges,
+                    state.halted,
+                )
+                for state in slice_states
+            ],
+            dense_out=fabric.dense_out[start:stop],
+            remote_out=fabric.remote_out[start:stop],
+        )
+        return payload
 
     def _reload_payload(self, rank: int) -> Dict[str, Any]:
         fabric = self._fabric
@@ -993,7 +973,6 @@ class ParallelPregelEngine(PregelEngine):
         except Exception as exc:
             self._disable_pool(f"program not picklable: {exc!r}")
             return False
-        self._agg_list = sorted(self._aggregators)
         self._ship_snapshot = False
         if (
             is_graph_snapshot(self._graph)
@@ -1012,8 +991,8 @@ class ParallelPregelEngine(PregelEngine):
             self._transport == "columnar"
             and self.transport_disabled_reason is None
         ):
-            # Losing shared memory only costs the columnar tier —
-            # the pool still runs on the pickle tier.
+            # Losing shared memory only costs the segment — the pool
+            # still runs, every column riding the pipe.
             try:
                 dense = self._fabric.dense
                 self._segment = shm_transport.ColumnarSegment(
@@ -1036,15 +1015,7 @@ class ParallelPregelEngine(PregelEngine):
                         mp_ctx, rank, self._rank_heartbeat_interval
                     )
                 )
-            for link in links:
-                _send_msg(
-                    link.conn,
-                    ("init", self._init_payload(link.rank)),
-                )
-            for link in links:
-                reply = self._recv_ready(link)
-                if reply[0] != "ready":
-                    raise reply[1]
+            self._sync_links(links, range(self._num_workers))
         except Exception as exc:
             for link in links:
                 link.kill()
@@ -1054,6 +1025,23 @@ class ParallelPregelEngine(PregelEngine):
         self._links = links
         _track_pool(self)
         return True
+
+    def _sync_links(self, links: List[_WorkerLink], fresh) -> None:
+        """Ship every link its set-up payload — the full partition to
+        the ranks in ``fresh``, only the current values to the others
+        (topology cannot have changed while the pool is alive) — then
+        wait for every rank's ``ready``; a rank's error reply is
+        raised."""
+        for link in links:
+            if link.rank in fresh:
+                msg = ("init", self._init_payload(link.rank))
+            else:
+                msg = ("reload", self._reload_payload(link.rank))
+            _send_msg(link.conn, msg)
+        for link in links:
+            reply = self._recv_ready(link)
+            if reply[0] != "ready":
+                raise reply[1]
 
     def _recv_ready(self, link: _WorkerLink) -> Tuple:
         """One non-heartbeat reply from ``link``, polled with a
@@ -1206,24 +1194,7 @@ class ParallelPregelEngine(PregelEngine):
                         self._rank_heartbeat_interval,
                     )
                     respawned.add(link.rank)
-            # Ship: freshly spawned ranks need the full partition,
-            # survivors only the rolled-back values (topology cannot
-            # have changed while the pool is alive).
-            for link in links:
-                if link.rank in respawned:
-                    _send_msg(
-                        link.conn,
-                        ("init", self._init_payload(link.rank)),
-                    )
-                else:
-                    _send_msg(
-                        link.conn,
-                        ("reload", self._reload_payload(link.rank)),
-                    )
-            for link in links:
-                reply = self._recv_ready(link)
-                if reply[0] != "ready":
-                    raise reply[1]
+            self._sync_links(links, respawned)
             self._program_blob = reload_blob
         except Exception as exc:
             self._shutdown_pool(f"post-restore resync failed: {exc!r}")
@@ -1255,17 +1226,14 @@ class ParallelPregelEngine(PregelEngine):
         # fabric state so every rank is offered the same phase.
         phase = vector_phase(self, wake_all)
         down_bytes: List[int] = [0] * len(links)
-        down_columnar = True
+        # Counts towards columnar_supersteps when every column of
+        # every rank crossed in the segment, both ways.
+        all_columnar = True
         for link in links:
-            batch: Any = inbound[link.rank]
-            if seg is not None:
-                desc = shm_transport.encode_inbound(
-                    seg, link.rank, batch
-                )
-                if desc is not None:
-                    batch = desc
-                else:
-                    down_columnar = False
+            wire = shm_transport.encode_inbound(
+                seg, link.rank, inbound[link.rank]._asdict()
+            )
+            all_columnar = all_columnar and not wire[1]
             try:
                 down_bytes[link.rank] = _send_msg(
                     link.conn,
@@ -1274,7 +1242,7 @@ class ParallelPregelEngine(PregelEngine):
                         superstep,
                         wake_all,
                         agg_prev,
-                        batch,
+                        wire,
                         ship_state,
                         phase,
                     ),
@@ -1290,24 +1258,17 @@ class ParallelPregelEngine(PregelEngine):
         for reply in replies:  # rank order = serial raise order
             if reply[0] == "err":
                 raise reply[1]
-        all_columnar = seg is not None and down_columnar
-        payloads: List[Dict[str, Any]] = []
-        id_of = fabric.dense.id_of
-        for link, reply in zip(links, replies):
-            if reply[0] == "okc":
-                resp, columnar = shm_transport.decode_reply(
-                    seg, link.rank, reply[1], id_of, self._agg_list
-                )
-                all_columnar = all_columnar and columnar
-            else:
-                resp = reply[1]
-                all_columnar = False
-            payloads.append(resp)
-        for rank, pl in enumerate(payloads):
-            pl["payload_bytes"] = (
-                down_bytes[rank] + reply_bytes[rank]
+        effects: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
+        for link, (_ok, scalars, wire) in zip(links, replies):
+            columns, columnar = shm_transport.decode_reply(
+                seg, link.rank, wire
             )
-        if any(pl["drew"] for pl in payloads):
+            all_columnar = all_columnar and columnar
+            scalars["payload_bytes"] = (
+                down_bytes[link.rank] + reply_bytes[link.rank]
+            )
+            effects.append((scalars, columns))
+        if any(scalars["drew"] for scalars, _columns in effects):
             # The program consumed the run's shared RNG stream, whose
             # draw order is sequential across workers.  Discard the
             # superstep (nothing was applied; the coordinator RNG is
@@ -1318,7 +1279,7 @@ class ParallelPregelEngine(PregelEngine):
             return super()._compute_pass_fast(wake_all)
         if all_columnar:
             self.columnar_supersteps += 1
-        return self._apply_parallel_results(payloads)
+        return self._apply_parallel_results(effects)
 
     def _collect_step_replies(
         self, links: List[_WorkerLink]
@@ -1395,76 +1356,72 @@ class ParallelPregelEngine(PregelEngine):
         )
 
     def _apply_parallel_results(
-        self, payloads: List[Dict[str, Any]]
+        self, effects: List[Tuple[Dict[str, Any], Dict[str, Any]]]
     ) -> int:
-        """Replay the per-rank effect sets into the coordinator's
-        engine state, in fixed rank order (= serial execution order).
+        """Replay the per-rank effect sets — ``(scalars, columns)``,
+        as the ranks built them — into the coordinator's engine
+        state, in fixed rank order (= serial execution order).
         Everything downstream — delivery, combining, fault draws,
         master compute — runs the unchanged serial code against this
         state."""
         fabric = self._fabric
         dense_states = fabric.dense_states
+        id_of = fabric.dense.id_of
+        agg_list = self._agg_list
         tracker = self._tracker
         workers = self._workers
-        accs = fabric.accs
-        cnts = fabric.cnts
-        # Same per-pass stamp discipline as the serial fast pass:
-        # first touches dedup across ranks in rank order, recovering
-        # the reference outbox's key insertion order.
+        # Same per-pass stamp as the serial fast pass: each rank's
+        # lane record commits through the fabric's own flush, so first
+        # touches dedup across ranks in rank order.
         fabric.stamp += 1
-        stamp = fabric.stamp
-        seen = fabric.slot_seen
-        dirty = fabric.out_dirty
         aggregate = self._aggregate
         mutation_log = self._ctx._mutations
-        max_seconds = max(pl["seconds"] for pl in payloads)
+        max_seconds = max(
+            scalars["seconds"] for scalars, _columns in effects
+        )
         active_count = 0
         tiers = set()
-        for rank, pl in enumerate(payloads):
+        for rank, (scalars, columns) in enumerate(effects):
             worker = workers[rank]
-            worker.work = pl["work"]
-            worker.sent_logical = pl["sent_logical"]
-            worker.sent_remote = pl["sent_remote"]
-            worker.wall_seconds = pl["seconds"]
-            worker.barrier_seconds = max_seconds - pl["seconds"]
-            worker.payload_bytes = pl.get("payload_bytes", 0)
-            worker.kernel_tier = tier = pl.get("kernel_tier", "dense")
+            worker.work = scalars["work"]
+            worker.sent_logical = scalars["sent_logical"]
+            worker.sent_remote = scalars["sent_remote"]
+            worker.wall_seconds = scalars["seconds"]
+            worker.barrier_seconds = max_seconds - scalars["seconds"]
+            worker.payload_bytes = scalars["payload_bytes"]
+            worker.kernel_tier = tier = scalars["kernel_tier"]
             tiers.add(tier)
-            active_count += pl["active"]
-            for idx, value in pl["values"]:
+            active_count += scalars["active"]
+            executed = columns["executed"]
+            for idx, value in zip(executed, columns["values"]):
                 state = dense_states[idx]
                 state.value = value
                 state.halted = False
-            for idx in pl["halted"]:
+            for idx in columns["halted"]:
                 dense_states[idx].halted = True
-            acc = accs[rank]
-            touched = pl["touched"]
-            if cnts is not None:
-                cnt = cnts[rank]
-                for dst, payload, count in zip(
-                    touched, pl["payloads"], pl["counts"]
+            record = LaneRecord(
+                columns["touched"],
+                columns["payloads"],
+                columns["counts"],
+            )
+            if record.touched:
+                # The serial flush's commit and spill point: the lane
+                # is complete, delivery has not read it yet.
+                fabric.flush_worker_sends(fabric.lanes[rank], record)
+            if tracker is not None:
+                for row in zip(
+                    map(id_of.__getitem__, executed),
+                    columns["tr_sent"],
+                    columns["tr_recv"],
+                    columns["tr_ops"],
+                    columns["tr_size"],
                 ):
-                    acc[dst] = payload
-                    cnt[dst] = count
-            else:
-                for dst, payload in zip(touched, pl["payloads"]):
-                    acc[dst] = payload
-            for dst in touched:
-                if seen[dst] != stamp:
-                    seen[dst] = stamp
-                    dirty.append(dst)
-            if fabric.memory_budget is not None and touched:
-                # Same spill point as the serial flush: the lane is
-                # complete, delivery has not read it yet.
-                fabric.account_lane(rank, touched)
-            if tracker is not None and pl["tracker"]:
-                for vid, sent, received, ops, size in pl["tracker"]:
-                    tracker.record_vertex(
-                        vid, sent, received, ops, size
-                    )
-            for name, value in pl["aggs"]:
-                aggregate(name, value)
-            mut = pl["mutations"]
+                    tracker.record_vertex(*row)
+            for index, value in zip(
+                columns["agg_name"], columns["agg_val"]
+            ):
+                aggregate(agg_list[index], value)
+            mut = columns.get("mutations")
             if mut is not None:
                 mutation_log.remove_edges.extend(mut.remove_edges)
                 mutation_log.remove_vertices.extend(

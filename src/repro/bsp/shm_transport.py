@@ -1,35 +1,35 @@
-"""Shared-memory columnar transport for the process-parallel backend.
+"""The effect-set codec and the shared-memory segment of the
+process-parallel backend.
 
-The pickle transport ships every superstep's inbound slots and effect
-sets as fully pickled Python structures through the coordinator/rank
-pipes — for a fixed-width numeric workload like PageRank that is tens
-of kilobytes per rank per superstep of redundant framing around what
-is really two flat ``float64`` arrays.  This module provides the
-columnar alternative (``docs/parallel_backend.md``, transport tiers):
+One superstep crosses the rank boundary as **columns**: the inbound
+slot batch going down, the rank's effect set — executed indices,
+value/halt columns, the detached lane record (touched slots, payloads,
+counts), BPPA tracker columns and aggregator contributions — coming
+up.  Each column is a typed ``array`` when its values conform
+(:func:`typed_column`) and a plain list otherwise.  There is one wire
+format (``docs/parallel_backend.md``, transport tiers): a pair
+``(placed, pipe)`` where ``pipe`` holds the columns that ride the
+pipe message itself and ``placed`` the descriptors of those that do
+not.  The segment is only *where a conforming column travels*:
 
 * one :class:`multiprocessing.shared_memory.SharedMemory` segment per
   pool, created by the coordinator at pool start and mapped once by
   every rank, laid out as fixed-offset per-rank **lanes** over the
-  dense slot index — inbound slot indices/lengths/messages going down,
-  executed indices, value/halt columns, touched-slot indices, combined
-  payloads, BPPA tracker columns and aggregator contributions coming
-  up;
-* a lane codec that moves homogeneous ``float``/``int`` columns as raw
-  ``float64``/``int64`` bytes (``array`` + ``memoryview`` — C-speed
-  bulk copies, and bit-exact round-trips: CPython floats *are*
-  float64, and ints within int64 range convert losslessly);
-* per-lane degradation: any column the codec cannot take — mixed or
-  non-numeric types, out-of-range ints, capacity overflow — rides the
-  pipe pickled in the reply's ``spill`` dict instead, so the transport
-  never constrains what a program may compute with.  The pipe message
-  itself shrinks to a small header of scalars and lane descriptors.
+  dense slot index (:class:`ColumnarSegment`);
+* a column is *placed* in its lane when there is a segment, the
+  column is a typed array and it fits the lane's capacity — moved as
+  raw ``float64``/``int64`` bytes (C-speed bulk copies, and bit-exact
+  round-trips: CPython floats *are* float64, and ints within int64
+  range convert losslessly) — and the pipe carries only its
+  ``(typecode, count)`` descriptor;
+* every other column — mixed or non-numeric types, out-of-range ints,
+  capacity overflow, or no segment at all (``transport="pickle"``,
+  shared memory unavailable) — rides the pipe as it is, so the
+  transport never constrains what a program may compute with.
 
-The transport changes only the wire format.  Ranks still compute the
-exact effect sets the pickle transport ships, and the coordinator
-decodes lanes back into the *same Python structures* before the
-unchanged rank-ordered merge — so byte-identity with serial execution
-is preserved structurally, not re-proven per workload (the
-differential-fuzz suite pins it anyway).
+The decision is per column and per superstep, made by one table-driven
+loop (:data:`DOWN_LANES`/:data:`UP_LANES`); the coordinator and the
+ranks run the same code whether or not a segment exists.
 
 Segment lifecycle and leak handling
 -----------------------------------
@@ -112,6 +112,13 @@ def encode_lane(values: Sequence[Any]) -> Optional[Tuple[str, array]]:
     return None
 
 
+def typed_column(values: List[Any]):
+    """``values`` as the typed array :func:`encode_lane` makes of it,
+    or ``values`` itself when it does not conform."""
+    encoded = encode_lane(values)
+    return values if encoded is None else encoded[1]
+
+
 # ---------------------------------------------------------------------
 # Segment layout and lifecycle
 # ---------------------------------------------------------------------
@@ -178,13 +185,10 @@ class ColumnarSegment:
     *name* and every rank reconstructs identical offsets on attach.
     Lane capacities are sized so that every conforming workload fits
     (inbound and combined payloads are bounded by the slot count when
-    a combiner is active); a non-combining superstep that overflows
-    its data lane degrades to the pickle spill for that rank, never
-    truncates.
+    a combiner is active); a non-combining column that overflows its
+    data lane rides the pipe for that superstep, never truncates.
     """
 
-    #: Lane names in layout order.  ``P`` is the rank's partition
-    #: size, ``n`` the total slot count, ``W`` the rank count.
     def __init__(
         self,
         num_slots: int,
@@ -216,10 +220,8 @@ class ColumnarSegment:
             add(rank, "up_values", part)
             add(rank, "up_halted", part)
             add(rank, "up_touched", n)
-            if self.combining:
-                add(rank, "up_counts", n)
-            else:
-                add(rank, "up_lens", n)
+            # Slot counts with a combiner, bucket lengths without.
+            add(rank, "up_counts", n)
             add(rank, "up_data", max(2 * n, 1024))
             if self.tracking:
                 add(rank, "up_tr_sent", part)
@@ -271,8 +273,10 @@ class ColumnarSegment:
 
     # -- lane primitives --------------------------------------------
 
-    def cap(self, rank: int, lane: str) -> int:
-        return self._offsets[(rank, lane)][1]
+    def cap(self, rank: int, lane: Optional[str]) -> int:
+        """Slots in the lane; -1 (nothing fits) when this layout has
+        no such lane."""
+        return self._offsets.get((rank, lane), (0, -1))[1]
 
     def write(self, rank: int, lane: str, column: array) -> int:
         """Bulk-copy ``column`` into the lane; returns bytes moved."""
@@ -287,13 +291,15 @@ class ColumnarSegment:
 
     def read(
         self, rank: int, lane: str, typecode: str, count: int
-    ) -> list:
+    ) -> array:
+        """Bulk-copy ``count`` slots of the lane out as a typed
+        array."""
         offset, _cap = self._offsets[(rank, lane)]
         column = array(typecode)
         column.frombytes(
             self._shm.buf[offset : offset + count * _SLOT]
         )
-        return column.tolist()
+        return column
 
     # -- lifecycle ---------------------------------------------------
 
@@ -366,297 +372,101 @@ def sweep_leaked_segments() -> List[str]:
 
 
 # ---------------------------------------------------------------------
-# Inbound (coordinator -> rank)
+# The effect-set codec
 # ---------------------------------------------------------------------
+
+#: Column name -> segment lane, per direction.  The inbound batch is a
+#: lane record in the plain layout (slots, flat messages, bucket
+#: lengths); the reply carries the rank's whole effect set.  A column
+#: with no lane here (a mutation log) always rides the pipe.
+DOWN_LANES = {
+    "touched": "down_idx",
+    "counts": "down_len",
+    "payloads": "down_data",
+}
+UP_LANES = {
+    "executed": "up_executed",
+    "values": "up_values",
+    "halted": "up_halted",
+    "touched": "up_touched",
+    "counts": "up_counts",
+    "payloads": "up_data",
+    "tr_sent": "up_tr_sent",
+    "tr_recv": "up_tr_recv",
+    "tr_ops": "up_tr_ops",
+    "tr_size": "up_tr_size",
+    "agg_name": "up_agg_name",
+    "agg_val": "up_agg_val",
+}
+
+#: ``(placed, pipe)``: ``placed`` maps a column name to the
+#: ``(typecode, count)`` of its copy in the segment, ``pipe`` maps
+#: every other column name to the column itself.
+Wire = Tuple[Dict[str, Tuple[str, int]], Dict[str, Any]]
+
+
+def _encode(
+    seg: Optional[ColumnarSegment],
+    rank: int,
+    lanes: Dict[str, str],
+    columns: Dict[str, Any],
+) -> Wire:
+    placed: Dict[str, Tuple[str, int]] = {}
+    pipe: Dict[str, Any] = {}
+    for key, column in columns.items():
+        lane = lanes.get(key)
+        if (
+            seg is not None
+            and type(column) is array
+            and len(column) <= seg.cap(rank, lane)
+        ):
+            seg.write(rank, lane, column)
+            placed[key] = (column.typecode, len(column))
+        else:
+            pipe[key] = column
+    return placed, pipe
+
+
+def _decode(
+    seg: Optional[ColumnarSegment],
+    rank: int,
+    lanes: Dict[str, str],
+    wire: Wire,
+) -> Tuple[Dict[str, Any], bool]:
+    placed, pipe = wire
+    columns = dict(pipe)
+    for key, (typecode, count) in placed.items():
+        columns[key] = seg.read(rank, lanes[key], typecode, count)
+    return columns, not pipe
 
 
 def encode_inbound(
-    seg: ColumnarSegment,
-    rank: int,
-    pairs: List[Tuple[int, List[Any]]],
-) -> Optional[Tuple]:
-    """Write one rank's inbound slot batch ``[(dense idx, messages)]``
-    into its down lanes; returns the pipe descriptor, or ``None`` when
-    the batch does not conform (caller ships it pickled instead)."""
-    if len(pairs) > seg.cap(rank, "down_idx"):
-        return None
-    flat: List[Any] = []
-    for _idx, msgs in pairs:
-        flat.extend(msgs)
-    encoded = encode_lane(flat)
-    if encoded is None:
-        return None
-    code, data = encoded
-    if len(data) > seg.cap(rank, "down_data"):
-        return None
-    seg.write(rank, "down_idx", array(LANE_INT, (p[0] for p in pairs)))
-    seg.write(
-        rank, "down_len", array(LANE_INT, (len(p[1]) for p in pairs))
-    )
-    seg.write(rank, "down_data", data)
-    return ("shm", len(pairs), code, len(data))
+    seg: Optional[ColumnarSegment], rank: int, columns: Dict[str, Any]
+) -> Wire:
+    """Coordinator side: place one rank's inbound columns in its down
+    lanes where they go, leave the rest for the pipe."""
+    return _encode(seg, rank, DOWN_LANES, columns)
 
 
 def decode_inbound(
-    seg: ColumnarSegment, rank: int, descriptor: Tuple
-) -> List[Tuple[int, List[Any]]]:
-    """Rank-side inverse of :func:`encode_inbound`: rebuild the exact
-    ``[(idx, messages)]`` batch the pickle transport would have
-    shipped."""
-    _tag, count, code, data_len = descriptor
-    idxs = seg.read(rank, "down_idx", LANE_INT, count)
-    lens = seg.read(rank, "down_len", LANE_INT, count)
-    flat = seg.read(rank, "down_data", code, data_len)
-    pairs: List[Tuple[int, List[Any]]] = []
-    pos = 0
-    for i in range(count):
-        end = pos + lens[i]
-        pairs.append((idxs[i], flat[pos:end]))
-        pos = end
-    return pairs
-
-
-# ---------------------------------------------------------------------
-# Reply (rank -> coordinator)
-# ---------------------------------------------------------------------
+    seg: Optional[ColumnarSegment], rank: int, wire: Wire
+) -> Tuple[Dict[str, Any], bool]:
+    """Rank-side inverse of :func:`encode_inbound`; returns
+    ``(columns, every column was in the segment)``."""
+    return _decode(seg, rank, DOWN_LANES, wire)
 
 
 def encode_reply(
-    seg: ColumnarSegment,
-    rank: int,
-    resp: Dict[str, Any],
-    agg_index: Dict[str, int],
-) -> Dict[str, Any]:
-    """Encode a rank's effect set into its up lanes; returns the small
-    pipe header (scalars, lane descriptors, and a ``spill`` dict
-    holding any column that did not conform).
-
-    Never fails: a lane group the codec rejects rides the pipe in
-    ``spill`` exactly as the pickle transport would ship it, so the
-    transport tier degrades per column, not per run.
-    """
-    spill: Dict[str, Any] = {}
-    shm_bytes = 0
-    values = resp["values"]
-    executed = array(LANE_INT, (idx for idx, _v in values))
-    shm_bytes += seg.write(rank, "up_executed", executed)
-    header: Dict[str, Any] = {
-        "active": resp["active"],
-        "work": resp["work"],
-        "sent_logical": resp["sent_logical"],
-        "sent_remote": resp["sent_remote"],
-        "drew": resp["drew"],
-        "kernel_tier": resp["kernel_tier"],
-        "n_exec": len(values),
-    }
-
-    encoded = encode_lane([v for _idx, v in values])
-    if encoded is None:
-        header["values"] = None
-        spill["values"] = values
-    else:
-        code, column = encoded
-        shm_bytes += seg.write(rank, "up_values", column)
-        header["values"] = code
-
-    halted = resp["halted"]
-    shm_bytes += seg.write(rank, "up_halted", array(LANE_INT, halted))
-    header["n_halt"] = len(halted)
-
-    touched = resp["touched"]
-    payloads = resp["payloads"]
-    counts = resp["counts"]
-    msgs_desc: Optional[Tuple] = None
-    if len(touched) <= seg.cap(rank, "up_touched"):
-        if counts is not None:
-            encoded = encode_lane(payloads)
-            if encoded is not None:
-                code, column = encoded
-                shm_bytes += seg.write(
-                    rank, "up_touched", array(LANE_INT, touched)
-                )
-                shm_bytes += seg.write(
-                    rank, "up_counts", array(LANE_INT, counts)
-                )
-                shm_bytes += seg.write(rank, "up_data", column)
-                msgs_desc = ("c", len(touched), code)
-        else:
-            flat: List[Any] = []
-            for bucket in payloads:
-                flat.extend(bucket)
-            encoded = encode_lane(flat)
-            if (
-                encoded is not None
-                and len(flat) <= seg.cap(rank, "up_data")
-            ):
-                code, column = encoded
-                shm_bytes += seg.write(
-                    rank, "up_touched", array(LANE_INT, touched)
-                )
-                shm_bytes += seg.write(
-                    rank,
-                    "up_lens",
-                    array(LANE_INT, (len(b) for b in payloads)),
-                )
-                shm_bytes += seg.write(rank, "up_data", column)
-                msgs_desc = ("p", len(touched), code, len(flat))
-    header["msgs"] = msgs_desc
-    if msgs_desc is None:
-        spill["msgs"] = (touched, payloads, counts)
-
-    tracker = resp["tracker"]
-    if tracker is None:
-        header["tracker"] = "none"
-    elif not tracker:
-        header["tracker"] = "empty"
-    elif not seg.tracking:  # pragma: no cover - layout always matches
-        header["tracker"] = None
-        spill["tracker"] = tracker
-    else:
-        ops_enc = encode_lane([row[3] for row in tracker])
-        size_enc = encode_lane([row[4] for row in tracker])
-        if ops_enc is None or size_enc is None:
-            header["tracker"] = None
-            spill["tracker"] = tracker
-        else:
-            # vids are recovered coordinator-side from the executed
-            # lane (tracker rows are per executed vertex, in order).
-            shm_bytes += seg.write(
-                rank,
-                "up_tr_sent",
-                array(LANE_INT, (row[1] for row in tracker)),
-            )
-            shm_bytes += seg.write(
-                rank,
-                "up_tr_recv",
-                array(LANE_INT, (row[2] for row in tracker)),
-            )
-            shm_bytes += seg.write(rank, "up_tr_ops", ops_enc[1])
-            shm_bytes += seg.write(rank, "up_tr_size", size_enc[1])
-            header["tracker"] = (ops_enc[0], size_enc[0])
-
-    aggs = resp["aggs"]
-    if not aggs:
-        header["aggs"] = "empty"
-    elif len(aggs) > seg.cap(rank, "up_agg_name"):
-        header["aggs"] = None
-        spill["aggs"] = aggs
-    else:
-        val_enc = encode_lane([value for _name, value in aggs])
-        if val_enc is None:
-            header["aggs"] = None
-            spill["aggs"] = aggs
-        else:
-            shm_bytes += seg.write(
-                rank,
-                "up_agg_name",
-                array(
-                    LANE_INT,
-                    (agg_index[name] for name, _value in aggs),
-                ),
-            )
-            shm_bytes += seg.write(rank, "up_agg_val", val_enc[1])
-            header["aggs"] = (len(aggs), val_enc[0])
-
-    mutations = resp["mutations"]
-    if mutations is not None:
-        spill["mutations"] = mutations
-    header["spill"] = spill
-    header["shm_bytes"] = shm_bytes
-    return header
+    seg: Optional[ColumnarSegment], rank: int, columns: Dict[str, Any]
+) -> Wire:
+    """Rank side: place the effect set's columns in the rank's up
+    lanes where they go, leave the rest for the pipe."""
+    return _encode(seg, rank, UP_LANES, columns)
 
 
 def decode_reply(
-    seg: ColumnarSegment,
-    rank: int,
-    header: Dict[str, Any],
-    id_of: Sequence,
-    agg_names: Sequence[str],
+    seg: Optional[ColumnarSegment], rank: int, wire: Wire
 ) -> Tuple[Dict[str, Any], bool]:
-    """Coordinator-side inverse of :func:`encode_reply`: rebuild the
-    exact effect-set dict the pickle transport ships, so the merge
-    code downstream cannot tell the transports apart.  Returns
-    ``(effect set, fully_columnar)``."""
-    spill = header["spill"]
-    fully_columnar = not spill
-    n_exec = header["n_exec"]
-    executed = seg.read(rank, "up_executed", LANE_INT, n_exec)
-
-    if header["values"] is None:
-        values = spill["values"]
-    else:
-        column = seg.read(rank, "up_values", header["values"], n_exec)
-        values = list(zip(executed, column))
-
-    halted = seg.read(rank, "up_halted", LANE_INT, header["n_halt"])
-
-    msgs_desc = header["msgs"]
-    if msgs_desc is None:
-        touched, payloads, counts = spill["msgs"]
-    elif msgs_desc[0] == "c":
-        _tag, k, code = msgs_desc
-        touched = seg.read(rank, "up_touched", LANE_INT, k)
-        counts = seg.read(rank, "up_counts", LANE_INT, k)
-        payloads = seg.read(rank, "up_data", code, k)
-    else:
-        _tag, k, code, data_len = msgs_desc
-        touched = seg.read(rank, "up_touched", LANE_INT, k)
-        lens = seg.read(rank, "up_lens", LANE_INT, k)
-        flat = seg.read(rank, "up_data", code, data_len)
-        payloads = []
-        pos = 0
-        for i in range(k):
-            end = pos + lens[i]
-            payloads.append(flat[pos:end])
-            pos = end
-        counts = None
-
-    tr_desc = header["tracker"]
-    if tr_desc == "none":
-        tracker = None
-    elif tr_desc == "empty":
-        tracker = []
-    elif tr_desc is None:
-        tracker = spill["tracker"]
-    else:
-        ops_code, size_code = tr_desc
-        sent = seg.read(rank, "up_tr_sent", LANE_INT, n_exec)
-        recv = seg.read(rank, "up_tr_recv", LANE_INT, n_exec)
-        ops = seg.read(rank, "up_tr_ops", ops_code, n_exec)
-        sizes = seg.read(rank, "up_tr_size", size_code, n_exec)
-        tracker = list(
-            zip((id_of[idx] for idx in executed), sent, recv, ops, sizes)
-        )
-
-    agg_desc = header["aggs"]
-    if agg_desc == "empty":
-        aggs = []
-    elif agg_desc is None:
-        aggs = spill["aggs"]
-    else:
-        count, code = agg_desc
-        name_idx = seg.read(rank, "up_agg_name", LANE_INT, count)
-        agg_vals = seg.read(rank, "up_agg_val", code, count)
-        aggs = list(
-            zip((agg_names[i] for i in name_idx), agg_vals)
-        )
-
-    resp = {
-        "active": header["active"],
-        "work": header["work"],
-        "sent_logical": header["sent_logical"],
-        "sent_remote": header["sent_remote"],
-        "values": values,
-        "halted": halted,
-        "touched": touched,
-        "payloads": payloads,
-        "counts": counts,
-        "aggs": aggs,
-        "tracker": tracker,
-        "mutations": spill.get("mutations"),
-        "drew": header["drew"],
-        "kernel_tier": header.get("kernel_tier", "dense"),
-        "seconds": header["seconds"],
-        "shm_bytes": header["shm_bytes"],
-    }
-    return resp, fully_columnar
+    """Coordinator-side inverse of :func:`encode_reply`; returns
+    ``(columns, every column was in the segment)``."""
+    return _decode(seg, rank, UP_LANES, wire)

@@ -33,14 +33,6 @@ class EdgeNotFoundError(GraphError, KeyError):
         self.v = v
 
 
-class DuplicateVertexError(GraphError, ValueError):
-    """A vertex id was added twice with conflicting data."""
-
-    def __init__(self, vertex):
-        super().__init__(f"vertex {vertex!r} is already in the graph")
-        self.vertex = vertex
-
-
 class EdgeListFormatError(GraphError, ValueError):
     """An edge-list line could not be parsed.
 
@@ -92,10 +84,6 @@ class NotATreeError(GraphError, ValueError):
     """An operation requiring a tree was invoked on a non-tree graph."""
 
 
-class NotBipartiteError(GraphError, ValueError):
-    """An operation requiring a bipartite graph got a non-bipartite one."""
-
-
 class DisconnectedGraphError(GraphError, ValueError):
     """An operation requiring a connected graph got a disconnected one."""
 
@@ -126,10 +114,6 @@ class MessageToUnknownVertexError(BSPError, KeyError):
     def __init__(self, target):
         super().__init__(f"message sent to unknown vertex {target!r}")
         self.target = target
-
-
-class MutationConflictError(BSPError, RuntimeError):
-    """Conflicting topology mutations were requested in one superstep."""
 
 
 class WorkerCrashError(BSPError, RuntimeError):
@@ -209,17 +193,6 @@ class RecoveryExhaustedError(BSPError, RuntimeError):
         )
         self.superstep = superstep
         self.attempts = attempts
-
-
-class ParallelBackendError(BSPError, RuntimeError):
-    """The process-parallel backend's worker pool failed irrecoverably.
-
-    Raised only for protocol-level failures (a worker process died in
-    a way that was neither injected by a fault plan nor recoverable by
-    falling back to serial execution).  Ordinary degradations — an
-    unpicklable program, RNG consumption, topology mutation — never
-    raise; they hand execution off to the byte-identical serial path.
-    """
 
 
 class BenchmarkError(ReproError):

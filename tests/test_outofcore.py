@@ -231,18 +231,49 @@ class TestParallelSnapshotMode:
         assert engine.parallel_disabled_reason is None
         assert digest(result) == digest(base)
 
-    def test_budgeted_parallel_spills_and_matches(self, snapshot):
+    # The coordinator accounts and spills the record each rank
+    # replied with: both mailbox layouts, with and without a segment.
+    @pytest.mark.parametrize(
+        "combiner", [SumCombiner, None], ids=["sum", "plain"]
+    )
+    @pytest.mark.parametrize(
+        "transport",
+        [
+            pytest.param("columnar", id="shm"),
+            pytest.param("pickle", id="pipe"),
+        ],
+    )
+    def test_budgeted_parallel_spills_and_matches(
+        self, snapshot, transport, combiner
+    ):
+        make_combiner = combiner or (lambda: None)
         _, base = run(
-            GRAPH, PageRank(num_supersteps=6), combiner=SumCombiner()
+            GRAPH, PageRank(num_supersteps=6), combiner=make_combiner()
+        )
+        serial, _ = run(
+            GRAPH,
+            PageRank(num_supersteps=6),
+            combiner=make_combiner(),
+            memory_budget=1,
         )
         engine, result = self._parallel(
             snapshot,
             PageRank(num_supersteps=6),
-            combiner=SumCombiner(),
+            combiner=make_combiner(),
             memory_budget=1,
+            transport=transport,
         )
         assert engine._ship_snapshot
+        assert engine.parallel_supersteps > 0
+        assert engine.transport_tier == transport
         assert engine._fabric.spilled_lanes > 0
+        assert (
+            engine._fabric.spilled_lanes,
+            engine._fabric.spilled_bytes,
+        ) == (
+            serial._fabric.spilled_lanes,
+            serial._fabric.spilled_bytes,
+        )
         assert digest(result) == digest(base)
 
     def test_in_ram_snapshot_falls_back_to_pickled_payload(self):
