@@ -1,17 +1,16 @@
 """Durable on-disk checkpoints and cross-process resume.
 
-PR 1 gave the engine checkpoint/rollback fault tolerance, but every
-checkpoint lived in the coordinator's heap: a SIGKILL of the run lost
-all work.  This module persists each checkpoint to disk behind the
-existing :class:`~repro.bsp.checkpoint.CheckpointStore` interface so a
-run can be resumed in a *fresh interpreter*, byte-identical to the
-uninterrupted run.  That is the operational half of the paper's
+In-memory checkpoints die with the coordinator: a SIGKILL of the run
+loses all work.  This module persists each checkpoint to disk behind
+the :class:`~repro.bsp.checkpoint.CheckpointStore` interface so a run
+can be resumed in a *fresh interpreter*, byte-identical to the
+uninterrupted run — the operational half of the paper's
 fault-tolerance story: recovery cost, not steady-state speed, decides
 whether a long iterative job is usable (Ammar & Özsu treat
 fault-handling behavior as a first-class differentiator).
 
-On-disk format
---------------
+On-disk format (version 2)
+--------------------------
 A checkpoint directory holds one JSON manifest plus one binary record
 per retained checkpoint::
 
@@ -21,16 +20,31 @@ per retained checkpoint::
     ckpt-000002.bin     #          "checkpoint", "context"}
     ...
 
+A record's :class:`~repro.bsp.checkpoint.Checkpoint` is columns plus,
+only when the run's topology is no longer the baseline the engine
+froze at construction, a ``TopologySnapshot`` of its own.  A record of
+an unmutated run therefore holds no edge, owner or worker-list data
+and does not grow with the edge count: the resuming engine re-derives
+the baseline from the graph it is handed, and the fingerprint (below)
+guarantees that graph lays the columns out identically.  A version-1
+directory (edge-map copies in every record) is refused, on resume and
+on a fresh open alike, with a :class:`~repro.errors.CheckpointError`
+that names the version.
+
 Every write is atomic: the bytes go to a temp file in the same
 directory, are flushed and ``fsync``'d, and only then renamed over the
 final name (``os.replace``), so a crash mid-write can never leave a
-half-written checkpoint under a valid name.  The manifest records each
-record's byte length and CRC-32; on load both are verified *before*
-unpickling, and any record that fails — truncated, bit-flipped,
-undecodable — is skipped in favor of the newest older intact
-checkpoint.  Only when every retained generation is damaged does the
-store raise :class:`~repro.errors.CheckpointCorruptionError`; raw
-pickle tracebacks never escape.
+half-written checkpoint under a valid name.  A write the filesystem
+refuses (disk full, quota) raises a ``CheckpointError`` naming the
+file and leaves no temp file; the manifest is rewritten before older
+generations are pruned, so it names only records that are on disk and
+the run resumes from the previous generation.  The manifest records
+each record's byte length and CRC-32; on load both are verified
+*before* unpickling, and any record that fails — truncated,
+bit-flipped, undecodable — is skipped in favor of the newest older
+intact checkpoint.  Only when every retained generation is damaged
+does the store raise :class:`~repro.errors.CheckpointCorruptionError`;
+raw pickle tracebacks never escape.
 
 Config fingerprint
 ------------------
@@ -39,34 +53,37 @@ deterministic execution: the graph structure, the program's class and
 constructor state, worker count, seed, checkpoint interval, recovery
 budget, recovery mode, execution-path request, BPPA tracking, the
 combiner/partitioner/cost-model configuration, and the fault plan.
-Resuming against a directory whose fingerprint differs raises
+It is **order-sensitive, because execution is**: besides the sorted
+structure digest (:func:`graph_signature`) it folds in a CRC of the
+baseline — vertex ids in ``states`` order, edge rows in iteration
+order with weights.  Vertex order is what a record's columns align to
+and adjacency order is the send order, so a graph with the same
+content in another insertion order is another run.  Resuming against
+a directory whose fingerprint differs raises
 :class:`~repro.errors.FingerprintMismatchError` instead of silently
 mixing incompatible state.  Three knobs are deliberately *excluded*:
 
 * the backend — serial, fast-path and process-parallel execution are
   byte-identical by contract, so a run checkpointed under one backend
   may resume under another;
-* the parallel backend's ``transport`` — it only decides whether
-  columns travel in a shared-memory segment or in the pipe message,
-  the rank-ordered merge sees the same columns either way (the
-  ``transport`` kwarg is consumed by ``ParallelPregelEngine`` and
-  never reaches the fingerprint), so a run checkpointed under one
-  transport resumes under the other;
+* the parallel backend's ``transport`` — shared-memory segment or pipe
+  message, the rank-ordered merge sees the same columns (the kwarg is
+  consumed by ``ParallelPregelEngine`` and never reaches the
+  fingerprint), so a run resumes under either;
 * ``max_supersteps`` — it is a guard, not semantics; the canonical
   reason to resume is "the run was killed, give it more budget".
 
 Resume context
 --------------
 A :class:`~repro.bsp.checkpoint.Checkpoint` rewinds a *live* engine;
-resuming in a fresh process additionally needs the run-scoped state
-that rollback never restores because the crashed process still had it:
-the :class:`~repro.metrics.stats.RunStats` accumulated so far, the
-aggregate history, execution/crash counters, per-superstep checkpoint
-costs, the confined-recovery logs, the program's mutable attributes,
-and the fault injector's RNG stream.  :func:`build_run_context`
-captures all of it at every durable write; :func:`resume_engine`
-adopts it into a fresh engine before the standard
-:func:`~repro.bsp.checkpoint.restore_checkpoint` runs.
+a fresh process additionally needs the run-scoped state that rollback
+never restores because the crashed process still had it: the
+:class:`~repro.metrics.stats.RunStats` so far, the aggregate history,
+execution/crash counters, per-superstep checkpoint costs, the
+confined-recovery logs, the program's mutable attributes, and the
+fault injector's RNG stream.  :func:`build_run_context` captures it at
+every durable write; :func:`resume_engine` adopts it before the
+standard :func:`~repro.bsp.checkpoint.restore_checkpoint` runs.
 """
 
 from __future__ import annotations
@@ -89,10 +106,9 @@ from repro.errors import (
 )
 
 #: Version of the on-disk layout; bumped on incompatible changes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MANIFEST_NAME = "MANIFEST.json"
-
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 
@@ -114,6 +130,13 @@ def _fsync_directory(path: str) -> None:
         os.close(fd)
 
 
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
 def atomic_write(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` atomically (tmp + fsync + rename).
 
@@ -131,10 +154,7 @@ def atomic_write(path: str, data: bytes) -> None:
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        _unlink(tmp)
         raise
     _fsync_directory(directory)
 
@@ -160,14 +180,18 @@ def _object_signature(obj: Any) -> str:
 def graph_signature(graph) -> str:
     """Structure digest of a graph: counts plus a CRC-32 over the
     canonically-sorted vertex and edge descriptions."""
+    # One CRC per sorted list: the chained CRC-32 of the pieces is the
+    # CRC-32 of their concatenation.
     crc = 0
-    for desc in sorted(f"v:{v!r}" for v in graph.vertices()):
-        crc = zlib.crc32(desc.encode("utf-8"), crc)
-    for desc in sorted(
-        f"e:{u!r}->{v!r}:{d.weight!r}:{d.label!r}"
-        for u, v, d in graph.edges(data=True)
+    for descriptions in (
+        [f"v:{v!r}" for v in graph.vertices()],
+        [
+            f"e:{u!r}->{v!r}:{d.weight!r}:{d.label!r}"
+            for u, v, d in graph.edges(data=True)
+        ],
     ):
-        crc = zlib.crc32(desc.encode("utf-8"), crc)
+        descriptions.sort()
+        crc = zlib.crc32("".join(descriptions).encode("utf-8"), crc)
     return (
         f"graph(n={graph.num_vertices},m={graph.num_edges},"
         f"directed={graph.directed},crc={crc & 0xFFFFFFFF:08x})"
@@ -189,18 +213,22 @@ def config_fingerprint(
     partitioner,
     cost_model,
     fault_plan,
+    baseline=None,
 ) -> str:
     """Fingerprint the (graph, program, engine-config) tuple.
 
     Everything that shapes deterministic execution is folded in; the
     backend, the parallel transport, and ``max_supersteps`` are
-    deliberately excluded (see the module docstring).  Uses SHA-256
-    over canonical ``repr`` strings, so the result is independent of
-    ``PYTHONHASHSEED``.
+    deliberately excluded (see the module docstring).  ``baseline`` is
+    the engine's frozen ``TopologySnapshot``: its CRC pins the vertex
+    and adjacency order a record's columns are aligned to.  Uses
+    SHA-256 over canonical ``repr`` strings, so the result is
+    independent of ``PYTHONHASHSEED``.
     """
     parts = [
         f"format={FORMAT_VERSION}",
         graph_signature(graph),
+        f"order={zlib.crc32(repr(baseline).encode('utf-8')):08x}",
         f"program={_object_signature(program)}",
         f"program_name={getattr(program, 'name', '')!r}",
         f"num_workers={num_workers}",
@@ -227,18 +255,17 @@ def config_fingerprint(
 class DurableCheckpointStore(CheckpointStore):
     """A :class:`CheckpointStore` whose checkpoints also live on disk.
 
-    The in-memory behavior is unchanged — ``latest`` still serves
-    in-process rollback with zero deserialization — and
-    :meth:`persist` additionally writes each checkpoint (plus its
-    resume context) as an atomic, checksummed record.  ``keep``
-    generations are retained so corruption of the newest record can
-    fall back to an older intact one.
+    ``latest`` still serves in-process rollback with zero
+    deserialization; :meth:`persist` additionally writes each
+    checkpoint (plus its resume context) as an atomic, checksummed
+    record, and ``keep`` generations are retained so corruption of the
+    newest record can fall back to an older intact one.
 
     Open with ``resume=False`` to start a directory fresh (an existing
-    manifest must carry the same fingerprint, otherwise
-    :class:`FingerprintMismatchError`), or ``resume=True`` to load the
-    newest intact checkpoint, after which :meth:`resume_state` hands
-    the engine its ``(checkpoint, context)`` pair.
+    manifest must carry the same format version and fingerprint), or
+    ``resume=True`` to load the newest intact checkpoint, after which
+    :meth:`resume_state` hands the engine its ``(checkpoint,
+    context)`` pair.
     """
 
     durable = True
@@ -277,32 +304,26 @@ class DurableCheckpointStore(CheckpointStore):
         else:
             existing = self._try_read_manifest()
             if existing is not None:
-                found = existing.get("fingerprint")
-                if found != fingerprint:
-                    raise FingerprintMismatchError(
-                        fingerprint, found, self.directory
-                    )
-            self._manifest = {
-                "format_version": FORMAT_VERSION,
-                "run_id": run_id or uuid.uuid4().hex,
-                "fingerprint": fingerprint,
-                "total_written": 0,
-                "total_atoms": 0,
-                "checkpoints": [],
-            }
+                self._check_compatible(existing)
             self._seq = 0
             self._remove_stale_records()
-            self._write_manifest()
+            self._write_manifest(
+                {
+                    "format_version": FORMAT_VERSION,
+                    "run_id": run_id or uuid.uuid4().hex,
+                    "fingerprint": fingerprint,
+                    "total_written": 0,
+                    "total_atoms": 0,
+                    "checkpoints": [],
+                }
+            )
 
     # -- writing ----------------------------------------------------
 
     def persist(self, checkpoint, context: Optional[dict] = None):
-        """Write ``checkpoint`` (+ resume ``context``) durably.
-
-        Called by the engine after :meth:`save` and after all
-        checkpoint accounting, so the persisted context matches the
-        uninterrupted run's state at this boundary exactly.
-        """
+        """Write ``checkpoint`` (+ resume ``context``) durably — after
+        :meth:`save` and all checkpoint accounting, so the context is
+        the uninterrupted run's state at this boundary exactly."""
         record = {
             "format_version": FORMAT_VERSION,
             "superstep": checkpoint.superstep,
@@ -317,39 +338,54 @@ class DurableCheckpointStore(CheckpointStore):
                 f"({exc!r}); use picklable vertex values and program "
                 "attributes with checkpoint_dir"
             ) from exc
-        self._seq += 1
-        filename = f"ckpt-{self._seq:06d}.bin"
-        atomic_write(os.path.join(self.directory, filename), blob)
-        entries = self._manifest["checkpoints"]
-        entries.append(
+        seq = self._seq + 1
+        filename = f"ckpt-{seq:06d}.bin"
+        self._write(filename, blob)
+        entries = self._manifest["checkpoints"] + [
             {
-                "seq": self._seq,
+                "seq": seq,
                 "superstep": checkpoint.superstep,
                 "file": filename,
                 "length": len(blob),
                 "crc32": zlib.crc32(blob) & 0xFFFFFFFF,
                 "atoms": checkpoint.size,
             }
-        )
-        while len(entries) > self.keep:
-            stale = entries.pop(0)
-            try:
-                os.unlink(
-                    os.path.join(self.directory, stale["file"])
+        ]
+        # The manifest first, the pruning after: whatever fails, the
+        # manifest on disk names only records that are on disk.
+        try:
+            self._write_manifest(
+                dict(
+                    self._manifest,
+                    checkpoints=entries[-self.keep:],
+                    total_written=self.written,
+                    total_atoms=self.total_size,
                 )
-            except OSError:
-                pass
-        self._manifest["total_written"] = self.written
-        self._manifest["total_atoms"] = self.total_size
-        self._write_manifest()
+            )
+        except CheckpointError:
+            _unlink(os.path.join(self.directory, filename))
+            raise
+        self._seq = seq
+        for stale in entries[:-self.keep]:
+            _unlink(os.path.join(self.directory, stale["file"]))
 
-    def _write_manifest(self) -> None:
-        payload = json.dumps(
-            self._manifest, indent=2, sort_keys=True
-        ).encode("utf-8")
-        atomic_write(
-            os.path.join(self.directory, MANIFEST_NAME), payload
-        )
+    def _write(self, name: str, data: bytes) -> None:
+        """:func:`atomic_write` into the directory; resource exhaustion
+        (disk full, quota) is a typed error naming the file."""
+        path = os.path.join(self.directory, name)
+        try:
+            atomic_write(path, data)
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot write {path!r} ({exc}); every checkpoint the "
+                "manifest names is still intact and resumable"
+            ) from exc
+
+    def _write_manifest(self, manifest: dict) -> None:
+        """Write ``manifest`` and, once it is on disk, adopt it."""
+        payload = json.dumps(manifest, indent=2, sort_keys=True)
+        self._write(MANIFEST_NAME, payload.encode("utf-8"))
+        self._manifest = manifest
 
     def _remove_stale_records(self) -> None:
         try:
@@ -358,10 +394,7 @@ class DurableCheckpointStore(CheckpointStore):
             return
         for name in names:
             if name.startswith("ckpt-") and name.endswith(".bin"):
-                try:
-                    os.unlink(os.path.join(self.directory, name))
-                except OSError:
-                    pass
+                _unlink(os.path.join(self.directory, name))
 
     # -- reading ----------------------------------------------------
 
@@ -370,31 +403,26 @@ class DurableCheckpointStore(CheckpointStore):
         when the store was opened fresh."""
         return self._resume_record
 
-    def _manifest_path(self) -> str:
-        return os.path.join(self.directory, MANIFEST_NAME)
-
     def _try_read_manifest(self) -> Optional[dict]:
+        """The manifest, or None when there is none worth keeping."""
         try:
-            with open(self._manifest_path(), "rb") as handle:
-                return json.loads(handle.read().decode("utf-8"))
-        except (OSError, ValueError):
+            return self._read_manifest()
+        except CheckpointError:
             return None
 
     def _read_manifest(self) -> dict:
-        path = self._manifest_path()
+        path = os.path.join(self.directory, MANIFEST_NAME)
         if not os.path.exists(path):
             raise CheckpointError(
                 f"cannot resume: no checkpoint manifest at {path!r}"
             )
         try:
             with open(path, "rb") as handle:
-                raw = handle.read()
+                manifest = json.loads(handle.read().decode("utf-8"))
         except OSError as exc:
             raise CheckpointCorruptionError(
                 f"cannot resume: manifest unreadable ({exc})"
             ) from exc
-        try:
-            manifest = json.loads(raw.decode("utf-8"))
         except ValueError as exc:
             raise CheckpointCorruptionError(
                 f"cannot resume: manifest at {path!r} is not valid "
@@ -413,9 +441,10 @@ class DurableCheckpointStore(CheckpointStore):
         version = manifest.get("format_version")
         if version != FORMAT_VERSION:
             raise CheckpointError(
-                f"cannot resume: checkpoint format version {version!r}"
-                f" is not supported (this build writes "
-                f"{FORMAT_VERSION})"
+                f"{self.directory!r} holds checkpoint format version "
+                f"{version!r}; this build reads and writes version "
+                f"{FORMAT_VERSION} only (resume with the build that "
+                "wrote it, or point at a clean directory)"
             )
         found = manifest.get("fingerprint")
         if self.fingerprint is not None and found != self.fingerprint:
@@ -423,9 +452,7 @@ class DurableCheckpointStore(CheckpointStore):
                 self.fingerprint, found, self.directory
             )
 
-    def _load_latest_intact(
-        self, manifest: dict
-    ) -> Tuple[Any, Optional[dict]]:
+    def _load_latest_intact(self, manifest: dict):
         entries = sorted(
             manifest["checkpoints"],
             key=lambda entry: entry.get("seq", 0),

@@ -291,6 +291,13 @@ class PregelEngine:
         partitioner = partitioner or HashPartitioner(num_workers)
         self._partitioner = partitioner
         self._store = StateStore(graph, program, partitioner, num_workers)
+        # A checkpoint is columns over one frozen topology: freeze it
+        # before any program code runs, iff one can ever be written.
+        self._policy = CheckpointPolicy(
+            checkpoint_interval, fault_plan, self._store.ckpt_store
+        )
+        if self._policy.enabled or checkpoint_dir is not None:
+            self._store.freeze_baseline()
 
         self._tracker: Optional[BppaTracker] = None
         if track_bppa:
@@ -327,9 +334,9 @@ class PregelEngine:
         self._max_recovery_attempts = max_recovery_attempts
         self._confined_recovery = confined_recovery
         # Durable checkpoints: swap the in-memory store for the
-        # on-disk one before the policy captures it (the fingerprint
-        # makes a resume against a different configuration fail
-        # loudly — see repro.bsp.durability).
+        # on-disk one (the fingerprint makes a resume against a
+        # different configuration fail loudly — see
+        # repro.bsp.durability).
         self._checkpoint_dir = checkpoint_dir
         self._resume_state = None
         if checkpoint_dir is not None:
@@ -347,14 +354,12 @@ class PregelEngine:
                 partitioner=partitioner,
                 cost_model=self._cost_model,
                 fault_plan=fault_plan,
+                baseline=self._store.baseline,
             )
-            self._store.ckpt_store = open_durable_store(
-                checkpoint_dir, fingerprint, resume
+            self._policy.store = self._store.ckpt_store = (
+                open_durable_store(checkpoint_dir, fingerprint, resume)
             )
             self._resume_state = self._store.ckpt_store.resume_state()
-        self._policy = CheckpointPolicy(
-            checkpoint_interval, fault_plan, self._store.ckpt_store
-        )
         self._loop = SuperstepLoop(
             max_supersteps=max_supersteps,
             program_name=program.name,

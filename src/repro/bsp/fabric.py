@@ -794,15 +794,15 @@ class MessageFabric:
 
     def inbox_snapshot_items(self):
         """``(vertex_id, messages)`` pairs of the undelivered inbox in
-        delivery order, independent of mailbox layout.  Used by
+        delivery order, independent of mailbox layout, for one pass
+        (no list of pairs is built).  Used by
         :func:`~repro.bsp.checkpoint.take_checkpoint`."""
         if self.fast_active:
-            id_of = self.dense.id_of
-            in_slots = self.in_slots
-            return [
-                (id_of[idx], in_slots[idx]) for idx in self.in_dirty
-            ]
-        return list(self.inbox.items())
+            return zip(
+                map(self.dense.id_of.__getitem__, self.in_dirty),
+                map(self.in_slots.__getitem__, self.in_dirty),
+            )
+        return self.inbox.items()
 
     def restore_inbox(self, inbox: Dict[Hashable, List[Any]]) -> None:
         """Adopt ``inbox`` (delivery-ordered) into the active mailbox

@@ -34,6 +34,7 @@ from typing import Any, Dict, Hashable, List, Optional, Set
 from repro.bsp.checkpoint import (
     CheckpointStore,
     EngineSnapshot,
+    TopologySnapshot,
     restore_partition,
 )
 from repro.bsp.context import ComputeContext
@@ -93,12 +94,20 @@ class StateStore:
             self.states[v] = state
             self.workers[self.assign(v)].vertex_ids.append(v)
 
-        # Recovery bookkeeping.
+        # Recovery bookkeeping.  ``baseline`` is the topology frozen
+        # right after construction (:meth:`freeze_baseline`) that later
+        # checkpoints share for as long as it verifiably still holds.
+        self.baseline: Optional[TopologySnapshot] = None
         self.ckpt_store = CheckpointStore()
         self.ckpt_costs: Dict[int, float] = {}
         self.message_log: Dict[int, Dict[Hashable, List[Any]]] = {}
         self.wake_log: Dict[int, bool] = {}
         self.mutated_since_checkpoint = False
+
+    def freeze_baseline(self) -> None:
+        """Capture the topology checkpoints are columns over.  Called
+        once, before any program code can touch an edge map."""
+        self.baseline = TopologySnapshot.capture(self)
 
     def assign(self, vertex_id: Hashable) -> int:
         """Record ``vertex_id``'s ownership (the shared

@@ -224,23 +224,22 @@ class Graph:
     ) -> Iterator[Tuple]:
         """Iterate over edges.
 
-        For undirected graphs each edge is yielded once, from the
-        endpoint under which it was first inserted.  With ``data=True``
-        yields ``(u, v, EdgeData)`` triples.
+        For undirected graphs each edge is yielded once, where
+        iteration first meets it: from its endpoint that comes first
+        in vertex order.  With ``data=True`` yields
+        ``(u, v, EdgeData)`` triples.
         """
         if self._directed:
             for u, nbrs in self._adj.items():
                 for v, edata in nbrs.items():
                     yield (u, v, edata) if data else (u, v)
         else:
-            seen = set()
+            position = {u: i for i, u in enumerate(self._adj)}
             for u, nbrs in self._adj.items():
+                first = position[u]
                 for v, edata in nbrs.items():
-                    key = (id(edata),)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield (u, v, edata) if data else (u, v)
+                    if position[v] >= first:
+                        yield (u, v, edata) if data else (u, v)
 
     # ------------------------------------------------------------------
     # Neighborhoods and degrees

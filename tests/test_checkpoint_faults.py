@@ -1,14 +1,20 @@
 """Unit tests for the checkpoint and fault-injection primitives."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+import repro.bsp.engine as engine_module
 from repro.bsp import PregelEngine, VertexProgram
 from repro.bsp.checkpoint import (
     CheckpointStore,
+    TopologySnapshot,
     cow_copy,
     restore_checkpoint,
     take_checkpoint,
 )
+from repro.bsp.combiner import resolve_combiner
 from repro.bsp.faults import (
     CrashFault,
     FaultInjector,
@@ -16,7 +22,9 @@ from repro.bsp.faults import (
     crash_plan,
 )
 from repro.errors import CheckpointError, WorkerCrashError
-from repro.graph import path_graph
+from repro.graph import erdos_renyi_graph, path_graph
+from repro.metrics.bppa import state_atoms
+from tests.conftest import WORKLOADS
 
 
 class TestCowCopy:
@@ -95,6 +103,58 @@ class TestCheckpointRoundTrip:
         for state in engine._states.values():
             assert state.in_edges is state.out_edges
 
+    def test_unconfigured_engine_takes_self_contained_checkpoints(
+        self,
+    ):
+        # No interval, no crash plan, no checkpoint_dir: no baseline
+        # was frozen, so a checkpoint taken by hand carries its own
+        # topology and restores from it.
+        engine = PregelEngine(path_graph(6), Accumulate(), num_workers=2)
+        assert engine._store.baseline is None
+        ckpt = take_checkpoint(engine, 0)
+        assert isinstance(ckpt.topology, TopologySnapshot)
+        edges = {v: dict(s.out_edges) for v, s in engine._states.items()}
+        for state in engine._states.values():
+            state.out_edges.clear()
+        restore_checkpoint(engine, ckpt)
+        restore_checkpoint(engine, ckpt)  # a snapshot restores repeatedly
+        assert {
+            v: s.out_edges for v, s in engine._states.items()
+        } == edges
+        assert all(v == 4 for v in engine.run().values.values())
+
+    def test_shared_baseline_is_isolated_from_live_mutation(self):
+        engine = PregelEngine(
+            path_graph(6),
+            Accumulate(),
+            num_workers=2,
+            checkpoint_interval=2,
+        )
+        ckpt = take_checkpoint(engine, 0)
+        assert ckpt.topology is None  # the store's verified baseline
+        edges = {v: dict(s.out_edges) for v, s in engine._states.items()}
+        for state in engine._states.values():
+            state.out_edges.clear()
+        # The live maps no longer are the baseline...
+        assert take_checkpoint(engine, 0).topology is not None
+        # ...but the baseline still is what it froze.
+        restore_checkpoint(engine, ckpt)
+        assert {
+            v: s.out_edges for v, s in engine._states.items()
+        } == edges
+        for state in engine._states.values():
+            assert state.in_edges is state.out_edges
+        assert take_checkpoint(engine, 0).topology is None
+
+    def test_baseline_sharing_checkpoint_needs_an_engine_with_one(self):
+        configured = PregelEngine(
+            path_graph(4), Accumulate(), checkpoint_interval=2
+        )
+        shared = take_checkpoint(configured, 0)
+        unconfigured = PregelEngine(path_graph(4), Accumulate())
+        with pytest.raises(CheckpointError, match="baseline"):
+            restore_checkpoint(unconfigured, shared)
+
     def test_store_counts_writes(self):
         engine = PregelEngine(path_graph(4), Accumulate())
         store = CheckpointStore()
@@ -108,6 +168,190 @@ class TestCheckpointRoundTrip:
         store = CheckpointStore()
         with pytest.raises(CheckpointError):
             store.require_latest()
+
+
+# ---------------------------------------------------------------------
+# Verified baseline sharing: a checkpoint shares the frozen topology
+# only while the live topology verifiably still is it.
+# ---------------------------------------------------------------------
+
+
+class EdgeTouch(VertexProgram):
+    """Streams ``(sender, row position, weight)`` along every out-edge
+    — so values record adjacency *order* and weights, not just
+    membership — and, in superstep ``at``, changes its first out-edge
+    in the way ``mode`` names."""
+
+    name = "edge-touch"
+
+    def __init__(self, mode, at, until=7):
+        self.mode = mode
+        self.at = at
+        self.until = until
+
+    def compute(self, v, msgs, ctx):
+        v.value = (v.value or ()) + (tuple(msgs),)
+        if ctx.superstep == self.at and v.out_edges:
+            first = next(iter(v.out_edges))
+            if self.mode == "mutation":
+                ctx.remove_edge(v.id, first)
+            elif self.mode == "del":
+                del v.out_edges[first]
+            elif self.mode == "reweight":
+                v.out_edges[first] = 2.5
+            elif self.mode == "reorder":
+                # Same keys, same weights: only iteration order moves.
+                v.out_edges[first] = v.out_edges.pop(first)
+        if ctx.superstep >= self.until:
+            v.vote_to_halt()
+            return
+        for position, (target, weight) in enumerate(
+            list(v.out_edges.items())
+        ):
+            ctx.send(target, (v.id, position, weight))
+
+
+TOUCH_GRAPHS = [
+    ("undirected", erdos_renyi_graph(24, 0.2, seed=3)),
+    ("directed", erdos_renyi_graph(24, 0.15, seed=4, directed=True)),
+]
+
+
+def _run_touch(monkeypatch, graph, mode, at, fast, crash_at=None):
+    """One EdgeTouch run; returns the result and, per checkpoint
+    written, ``(superstep, topology is None)``."""
+    shared = []
+
+    def recording(engine, superstep):
+        ckpt = take_checkpoint(engine, superstep)
+        shared.append((superstep, ckpt.topology is None))
+        return ckpt
+
+    monkeypatch.setattr(engine_module, "take_checkpoint", recording)
+    result = PregelEngine(
+        graph,
+        EdgeTouch(mode, at),
+        num_workers=3,
+        use_fast_path=fast,
+        checkpoint_interval=2,
+        fault_plan=None
+        if crash_at is None
+        else crash_plan(superstep=crash_at, worker=1),
+    ).run()
+    return result, shared
+
+
+def _committed(stats):
+    """The modeled books a rollback must reproduce: every committed
+    superstep (bar its execution count) and the checkpoint ledger."""
+    return (
+        [dataclasses.replace(e, executions=1) for e in stats.supersteps],
+        stats.checkpoints_written,
+        stats.checkpoint_cost,
+    )
+
+
+class TestVerifiedBaselineSharing:
+    @pytest.mark.parametrize("fast", [False, True], ids=["ref", "fast"])
+    @pytest.mark.parametrize(
+        "graph", [g for _, g in TOUCH_GRAPHS], ids=[n for n, _ in TOUCH_GRAPHS]
+    )
+    def test_untouched_topology_is_always_shared(
+        self, monkeypatch, graph, fast
+    ):
+        _, shared = _run_touch(monkeypatch, graph, "none", 3, fast)
+        assert shared == [(0, True), (2, True), (4, True), (6, True)]
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["ref", "fast"])
+    @pytest.mark.parametrize(
+        "graph", [g for _, g in TOUCH_GRAPHS], ids=[n for n, _ in TOUCH_GRAPHS]
+    )
+    # (3, 5): rollback restores a checkpoint that carries its own
+    # topology.  (2, 3): rollback restores the shared baseline after
+    # the live maps were changed, and replays the change.
+    @pytest.mark.parametrize("at,crash_at", [(3, 5), (2, 3)])
+    @pytest.mark.parametrize(
+        "mode", ["mutation", "del", "reweight", "reorder"]
+    )
+    def test_any_edge_change_ends_sharing_and_rollback_is_exact(
+        self, monkeypatch, graph, fast, at, crash_at, mode
+    ):
+        clean, shared = _run_touch(monkeypatch, graph, mode, at, fast)
+        # Checkpoints precede their superstep's compute: the ones up
+        # to and including ``at`` saw the untouched topology.
+        assert shared == [(s, s <= at) for s in (0, 2, 4, 6)]
+        crashed, crashed_shared = _run_touch(
+            monkeypatch, graph, mode, at, fast, crash_at
+        )
+        assert crashed.stats.recovery_attempts == 1
+        assert dict(crashed_shared) == dict(shared)
+        assert pickle.dumps(crashed.values) == pickle.dumps(clean.values)
+        assert crashed.aggregate_history == clean.aggregate_history
+        assert _committed(crashed.stats) == _committed(clean.stats)
+        assert crashed.bppa == clean.bppa
+        # The change is visible in the answer at all (the oracle
+        # above is not vacuous).
+        untouched, _ = _run_touch(monkeypatch, graph, "none", at, fast)
+        assert untouched.values != clean.values
+
+    @pytest.mark.parametrize(
+        "mode", ["none", "mutation", "del", "reweight", "reorder"]
+    )
+    def test_paths_agree_under_rollback(self, monkeypatch, mode):
+        graph = TOUCH_GRAPHS[1][1]
+        ref, _ = _run_touch(monkeypatch, graph, mode, 3, False, 5)
+        fast, _ = _run_touch(monkeypatch, graph, mode, 3, True, 5)
+        assert pickle.dumps(fast.values) == pickle.dumps(ref.values)
+        assert fast.stats == ref.stats
+        assert pickle.dumps(fast.stats) == pickle.dumps(ref.stats)
+        assert fast.aggregate_history == ref.aggregate_history
+
+
+def _parent_formula_size(engine) -> int:
+    """``Checkpoint.size`` as the per-vertex-snapshot layout measured
+    it, over live state: one atom per vertex, plus value, edge, inbox
+    and aggregator atoms."""
+    atoms = 0
+    for state in engine._states.values():
+        atoms += 1 + state_atoms(state.value) + len(state.out_edges)
+        if state.in_edges is not state.out_edges:
+            atoms += len(state.in_edges)
+    for _, msgs in engine._inbox_snapshot_items():
+        atoms += sum(state_atoms(m) or 1 for m in msgs)
+    return atoms + state_atoms(engine._agg_finalized)
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["ref", "fast"])
+@pytest.mark.parametrize("use_combiner", [True, False], ids=["comb", "nocomb"])
+@pytest.mark.parametrize(
+    "wl_name,graph,make_program,natural",
+    WORKLOADS,
+    ids=[w[0] for w in WORKLOADS],
+)
+def test_checkpoint_size_matches_the_per_vertex_formula(
+    monkeypatch, wl_name, graph, make_program, natural, use_combiner, fast
+):
+    checked = []
+
+    def checking(engine, superstep):
+        expected = _parent_formula_size(engine)
+        ckpt = take_checkpoint(engine, superstep)
+        assert ckpt.size == expected, (wl_name, superstep)
+        checked.append(superstep)
+        return ckpt
+
+    monkeypatch.setattr(engine_module, "take_checkpoint", checking)
+    result = PregelEngine(
+        graph,
+        make_program(),
+        num_workers=4,
+        combiner=resolve_combiner(natural) if use_combiner else None,
+        use_fast_path=fast,
+        checkpoint_interval=2,
+    ).run()
+    # Superstep 0 and every second one after it, to the end.
+    assert checked == list(range(0, result.num_supersteps, 2))
+    assert len(checked) >= 2
 
 
 class TestFaultPlan:

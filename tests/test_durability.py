@@ -12,18 +12,29 @@ Three layers of coverage:
 * engine-level resume — an interrupted run resumed from disk must be
   byte-identical (values, pickled stats, aggregate history, BPPA) to
   the uninterrupted run, including under an active fault plan whose
-  injector RNG must continue mid-stream.
+  injector RNG must continue mid-stream;
+* resource exhaustion — a write the filesystem refuses is a typed
+  error that leaves the directory resumable;
+* the version-2 record — no topology data in a record of an unmutated
+  run, a topology-carrying record after a mutation, and a fingerprint
+  that pins vertex and adjacency order.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pickle
+import subprocess
+import sys
+import zlib
 
 import pytest
 
+import repro.bsp.durability as durability
 from repro.algorithms.pagerank import PageRank
+from repro.bsp import SumCombiner, VertexProgram
 from repro.bsp.checkpoint import EngineSnapshot
 from repro.bsp.durability import (
     FORMAT_VERSION,
@@ -31,6 +42,7 @@ from repro.bsp.durability import (
     DurableCheckpointStore,
     atomic_write,
     config_fingerprint,
+    graph_signature,
     open_durable_store,
 )
 from repro.bsp.engine import PregelEngine, run_program
@@ -38,6 +50,7 @@ from repro.bsp.faults import chaos_plan
 from repro.core.chaos import (
     bitflip_file,
     canonical_result,
+    result_digest,
     truncate_file,
 )
 from repro.errors import (
@@ -46,6 +59,7 @@ from repro.errors import (
     FingerprintMismatchError,
     SuperstepLimitExceeded,
 )
+from repro.graph import Graph
 from repro.graph.generators import erdos_renyi_graph
 
 GRAPH = erdos_renyi_graph(30, 0.15, seed=7, directed=True)
@@ -177,6 +191,24 @@ class TestCorruptionMatrix:
             CheckpointError, match="format version"
         ):
             _store(tmp_path, resume=True)
+
+    @pytest.mark.parametrize("resume", [True, False, "auto"])
+    def test_version_1_directory_is_refused_by_name(
+        self, tmp_path, resume
+    ):
+        _fill(_store(tmp_path), 2)
+        manifest = json.loads(
+            (tmp_path / MANIFEST_NAME).read_text()
+        )
+        manifest["format_version"] = 1
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(
+            CheckpointError, match="format version 1;"
+        ) as info:
+            open_durable_store(str(tmp_path), FP, resume)
+        assert not isinstance(info.value, FingerprintMismatchError)
+        # Refused, not wiped.
+        assert len(_ckpt_files(tmp_path)) == 2
 
     def test_empty_manifest_never_ran(self, tmp_path):
         _store(tmp_path)  # fresh open writes an empty manifest
@@ -405,6 +437,304 @@ class TestEngineResume:
         )
 
 
+# ---------------------------------------------------------------------
+# Resource exhaustion: never a raw OSError, always resumable
+# ---------------------------------------------------------------------
+
+
+def _fail_nth_write(monkeypatch, op, nth):
+    """From now on the ``nth`` :func:`atomic_write` fails inside
+    ``op`` (``"write"``, ``"fsync"`` or ``"replace"``) with ENOSPC."""
+    state = {"writes": 0, "armed": False}
+    real_atomic_write = durability.atomic_write
+
+    def counting(path, data):
+        state["writes"] += 1
+        state["armed"] = state["writes"] == nth
+        try:
+            return real_atomic_write(path, data)
+        finally:
+            state["armed"] = False
+
+    def full(*_args, **_kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def guarded(real):
+        def call(*args, **kwargs):
+            if state["armed"]:
+                full()
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(durability, "atomic_write", counting)
+    if op == "write":
+        real_fdopen = os.fdopen
+
+        def fdopen(*args, **kwargs):
+            handle = real_fdopen(*args, **kwargs)
+            if state["armed"]:
+                handle.write = full
+            return handle
+
+        monkeypatch.setattr(durability.os, "fdopen", fdopen)
+    else:
+        monkeypatch.setattr(
+            durability.os, op, guarded(getattr(os, op))
+        )
+
+
+def _assert_directory_is_sound(directory):
+    """No temp file left, and every record the manifest names is on
+    disk with the recorded length and CRC."""
+    names = os.listdir(directory)
+    assert [n for n in names if n.startswith(".tmp-")] == []
+    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    for entry in manifest["checkpoints"]:
+        blob = (directory / entry["file"]).read_bytes()
+        assert len(blob) == entry["length"]
+        assert zlib.crc32(blob) & 0xFFFFFFFF == entry["crc32"]
+    return manifest
+
+
+class TestResourceExhaustion:
+    def _engine(self, **kwargs):
+        return PregelEngine(
+            GRAPH,
+            PageRank(num_supersteps=8),
+            num_workers=3,
+            seed=11,
+            checkpoint_interval=2,
+            **kwargs,
+        )
+
+    # A fresh engine's writes: the empty manifest, then (record,
+    # manifest) per checkpoint — 6 is the third record, 7 the
+    # manifest that would have named it.
+    @pytest.mark.parametrize(
+        "nth,named", [(6, "ckpt-000003.bin"), (7, MANIFEST_NAME)]
+    )
+    @pytest.mark.parametrize("op", ["write", "fsync", "replace"])
+    def test_full_disk_is_typed_and_resumable(
+        self, tmp_path, monkeypatch, op, nth, named
+    ):
+        directory = tmp_path / "ck"
+        baseline = self._engine().run()
+        with monkeypatch.context() as patch:
+            _fail_nth_write(patch, op, nth)
+            with pytest.raises(CheckpointError) as info:
+                self._engine(checkpoint_dir=str(directory)).run()
+        assert not isinstance(info.value, CheckpointCorruptionError)
+        assert isinstance(info.value.__cause__, OSError)
+        assert named in str(info.value)
+        manifest = _assert_directory_is_sound(directory)
+        assert [e["seq"] for e in manifest["checkpoints"]] == [1, 2]
+        assert _ckpt_files(directory) == [
+            "ckpt-000001.bin",
+            "ckpt-000002.bin",
+        ]
+        # The previous generation (superstep 2) carries the run on.
+        resumed = self._engine(
+            checkpoint_dir=str(directory), resume=True
+        ).run()
+        assert canonical_result(resumed) == canonical_result(baseline)
+
+    def test_full_disk_after_retention_keeps_named_records(
+        self, tmp_path, monkeypatch
+    ):
+        # With keep=3 the fourth checkpoint prunes the first; a
+        # failure of its manifest write must not have pruned yet.
+        store = _store(tmp_path)
+        _fill(store, 3)
+        _fail_nth_write(monkeypatch, "replace", 2)
+        snap = store.save(EngineSnapshot(superstep=3, payload={}))
+        with pytest.raises(CheckpointError, match=MANIFEST_NAME):
+            store.persist(snap, {"marker": 3})
+        manifest = _assert_directory_is_sound(tmp_path)
+        assert [e["seq"] for e in manifest["checkpoints"]] == [1, 2, 3]
+        ckpt, context = _store(tmp_path, resume=True).resume_state()
+        assert (ckpt.superstep, context) == (2, {"marker": 2})
+
+    def test_fresh_open_on_a_full_disk_is_typed(
+        self, tmp_path, monkeypatch
+    ):
+        _fail_nth_write(monkeypatch, "fsync", 1)
+        with pytest.raises(CheckpointError, match=MANIFEST_NAME):
+            _store(tmp_path)
+        assert os.listdir(tmp_path) == []
+
+
+# ---------------------------------------------------------------------
+# The version-2 record: columns over a fingerprint-pinned baseline
+# ---------------------------------------------------------------------
+
+
+def _ring_with_chords(n, chords):
+    """``n`` vertices on a ring plus ``chords`` extra edges per
+    vertex: same ``n``, edge count linear in ``chords``."""
+    graph = Graph()
+    for i in range(n):
+        graph.add_edge(i, (i + 1) % n)
+        for j in range(chords):
+            graph.add_edge(i, (i + 2 + 3 * j) % n)
+    return graph
+
+
+def _directory_bytes(directory) -> int:
+    return sum(
+        os.path.getsize(os.path.join(directory, name))
+        for name in os.listdir(directory)
+    )
+
+
+class _PruneThenCount(VertexProgram):
+    """Deletes its largest out-edge in place in superstep 1, then
+    keeps sending its out-degree around: every checkpoint after the
+    deletion must carry its own topology."""
+
+    name = "prune-then-count"
+
+    def compute(self, v, msgs, ctx):
+        v.value = (v.value or 0) + sum(msgs)
+        if ctx.superstep == 1 and v.out_edges:
+            del v.out_edges[max(v.out_edges)]
+        if ctx.superstep < 7:
+            for target in list(v.out_edges):
+                ctx.send(target, len(v.out_edges))
+        else:
+            v.vote_to_halt()
+
+
+def _mutation_phase(directory, phase):
+    """Runs in a fresh interpreter (see the test below); prints the
+    result digest, or ``limit`` when the run was cut short."""
+    kwargs = dict(num_workers=3, seed=5, checkpoint_interval=2)
+    if phase != "baseline":
+        kwargs["checkpoint_dir"] = directory
+    if phase == "interrupted":
+        kwargs["max_supersteps"] = 5
+    if phase == "resumed":
+        kwargs["resume"] = True
+    try:
+        result = run_program(GRAPH, _PruneThenCount(), **kwargs)
+    except SuperstepLimitExceeded:
+        print("limit")
+    else:
+        print(result_digest(result))
+
+
+def _fresh_interpreter(directory, phase) -> str:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from tests.test_durability import "
+            "_mutation_phase; _mutation_phase(*sys.argv[1:])",
+            str(directory),
+            phase,
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestColumnarRecord:
+    def _run(self, graph, directory):
+        return run_program(
+            graph,
+            PageRank(num_supersteps=6),
+            num_workers=3,
+            combiner=SumCombiner(),
+            checkpoint_interval=2,
+            checkpoint_dir=str(directory),
+        )
+
+    def test_record_does_not_grow_with_edge_count(self, tmp_path):
+        sparse, dense = _ring_with_chords(300, 1), _ring_with_chords(300, 7)
+        assert dense.num_vertices == sparse.num_vertices
+        assert dense.num_edges == 4 * sparse.num_edges
+        for name, graph in (("sparse", sparse), ("dense", dense)):
+            result = self._run(graph, tmp_path / name)
+            assert result.stats.checkpoints_written == 4
+        sizes = {
+            name: [
+                os.path.getsize(tmp_path / name / record)
+                for record in _ckpt_files(tmp_path / name)
+            ]
+            for name in ("sparse", "dense")
+        }
+        for small, large in zip(sizes["sparse"], sizes["dense"]):
+            assert large <= 1.1 * small, sizes
+        # Nothing else in the directory (the resume context inside
+        # the records, the manifest) scales with edges either.
+        assert _directory_bytes(tmp_path / "dense") <= 1.1 * (
+            _directory_bytes(tmp_path / "sparse")
+        )
+        # And the records hold no topology at all.
+        for name in ("sparse", "dense"):
+            ckpt, _ = DurableCheckpointStore(
+                str(tmp_path / name), fingerprint=None, resume=True
+            ).resume_state()
+            assert ckpt.topology is None
+
+    def test_mutated_run_resumes_in_a_fresh_interpreter(self, tmp_path):
+        directory = tmp_path / "ck"
+        assert _fresh_interpreter(directory, "interrupted") == "limit"
+        ckpt, _ = DurableCheckpointStore(
+            str(directory), fingerprint=None, resume=True
+        ).resume_state()
+        assert ckpt.superstep == 4
+        assert ckpt.topology is not None  # the deletion is on disk
+        assert _fresh_interpreter(directory, "resumed") == (
+            _fresh_interpreter(directory, "baseline")
+        )
+
+    def test_insertion_order_is_part_of_the_fingerprint(self, tmp_path):
+        edges = list(GRAPH.edges())
+        vertices = list(GRAPH.vertices())
+
+        def rebuilt(vertex_order, edge_order):
+            graph = Graph(directed=True)
+            for v in vertex_order:
+                graph.add_vertex(v)
+            for u, v in edge_order:
+                graph.add_edge(u, v)
+            return graph
+
+        def engine(graph, **kwargs):
+            return PregelEngine(
+                graph,
+                PageRank(num_supersteps=8),
+                num_workers=3,
+                checkpoint_interval=2,
+                checkpoint_dir=str(tmp_path / "ck"),
+                **kwargs,
+            )
+
+        with pytest.raises(SuperstepLimitExceeded):
+            engine(rebuilt(vertices, edges), max_supersteps=5).run()
+        for permuted in (
+            rebuilt(vertices[::-1], edges),  # column alignment
+            rebuilt(vertices, edges[::-1]),  # send order
+        ):
+            # Same content: the sorted structure digest cannot tell.
+            assert graph_signature(permuted) == graph_signature(GRAPH)
+            with pytest.raises(FingerprintMismatchError):
+                engine(permuted, resume=True)
+        # The same insertion order is the same run.
+        resumed = engine(rebuilt(vertices, edges), resume=True).run()
+        assert resumed.num_supersteps == 9
+
+
 class TestFingerprint:
     def _fingerprint(self, **overrides):
         kwargs = dict(
@@ -445,3 +775,29 @@ class TestFingerprint:
         assert (
             self._fingerprint(fault_plan=chaos_plan(seed=1)) != base
         )
+
+    def test_graph_signature_values_are_pinned(self):
+        # Literal values computed by the per-description CRC loop this
+        # function replaced: one joined CRC per list is the same CRC.
+        directed = Graph(directed=True)
+        directed.add_vertex("a", label="root")
+        directed.add_edge("a", "b", weight=2.5, label="x")
+        directed.add_edge("b", "c", weight=1.0)
+        directed.add_edge("c", "a", weight=-0.5, label=("t", 1))
+        directed.add_edge("a", "a", weight=3)
+        directed.add_vertex(7)
+        assert graph_signature(directed) == (
+            "graph(n=4,m=4,directed=True,crc=3cfea744)"
+        )
+        undirected = Graph()
+        undirected.add_edge(1, 2, weight=0.25, label="l12")
+        undirected.add_edge(2, 3)
+        undirected.add_edge(3, 1, weight=4.0, label=None)
+        undirected.add_edge(3, 3, weight=9.0, label="loop")
+        undirected.add_edge("s", 2, weight=1.5)
+        undirected.add_vertex((0, 1), label="iso")
+        assert graph_signature(undirected) == (
+            "graph(n=5,m=5,directed=False,crc=8c8b73cc)"
+        )
+        # Each undirected edge is still described exactly once.
+        assert len(list(undirected.edges())) == undirected.num_edges

@@ -138,6 +138,35 @@ class TestEdges:
         g.add_edge(1, 3)
         assert len(list(g.edges())) == 3
 
+    def test_undirected_edges_come_from_the_first_met_endpoint(self):
+        # The order and orientation the durable fingerprint and the
+        # CsrSnapshot rely on: an edge is yielded where a scan of the
+        # adjacency first meets it, whatever happened to the graph
+        # before (removals, re-insertions, self-loops, mixed ids).
+        g = Graph()
+        for u, v in [(3, 1), (1, 2), (2, 2), ("a", 3), (1, "a"), (5, 3)]:
+            g.add_edge(u, v)
+        g.remove_vertex(1)  # re-added below: now last in vertex order
+        g.add_edge(2, 1)
+        g.add_edge(1, 5)
+        g.remove_edge("a", 3)
+        g.add_edge(3, "a")
+
+        def first_met(graph):
+            seen = set()
+            for u in graph.vertices():
+                for v in graph.neighbors(u):
+                    edge = frozenset((u, v))
+                    if edge not in seen:
+                        seen.add(edge)
+                        yield (u, v)
+
+        assert list(g.edges()) == list(first_met(g))
+        assert [(u, v) for u, v, _ in g.edges(data=True)] == list(
+            g.edges()
+        )
+        assert len(list(g.edges())) == g.num_edges
+
     def test_edges_with_data(self):
         g = Graph()
         g.add_edge(1, 2, weight=4.0, label="road")
