@@ -183,8 +183,6 @@ class Checkpoint:
     rng_state: Tuple
     wake_all: bool
     bppa_observation: Optional[BppaObservation]
-    #: Rollback resumes on the execution path the snapshot was on.
-    fast_active: bool
     #: State atoms (one per vertex, plus value, edge, inbox and
     #: aggregator atoms) — drives the write-cost charge.
     size: int
@@ -303,7 +301,6 @@ def take_checkpoint(engine, superstep: int) -> Checkpoint:
         bppa_observation=None
         if tracker is None
         else dataclasses.replace(tracker.observation),
-        fast_active=engine._fast_active,
         size=len(values) + value_atoms + len(topology.edge_ids)
         + msg_atoms + state_atoms(engine._agg_finalized),
         topology=None if shared else topology,
@@ -356,12 +353,10 @@ def restore_checkpoint(
     for worker, vids in zip(engine._workers, lists):
         worker.vertex_ids = vids
         worker.reset_counters()
-    # Re-adopt the snapshot's execution path (the dense index is
-    # recompiled from the restored worker lists), then load the
-    # undelivered inbox into that path's mailbox layout.
-    engine._reset_execution_path(checkpoint.fast_active)
+    # A snapshot is layout-free: the engine's own plane re-indexes
+    # over the restored worker lists and adopts the undelivered inbox.
     msgs = _split(_thaw(checkpoint.inbox_msgs), checkpoint.inbox_lens)
-    engine._restore_inbox(dict(zip(checkpoint.inbox_ids, msgs)))
+    engine._fabric.reindex(dict(zip(checkpoint.inbox_ids, msgs)))
     engine._agg_finalized = cow_copy(checkpoint.agg_finalized)
     del engine._aggregate_history[checkpoint.history_len:]
     engine.rng.setstate(checkpoint.rng_state)
@@ -385,15 +380,19 @@ def restore_checkpoint(
 
 
 def restore_partition(engine, checkpoint: Checkpoint, worker: int) -> int:
-    """Confined restore: rewind only ``worker``'s vertices and return
-    how many.  Topology must not have changed since the checkpoint
-    (the engine falls back to full rollback otherwise)."""
+    """Confined restore: rewind only ``worker``'s vertices, in place
+    (the dense plane indexes the live ``VertexState`` objects), and
+    return how many.  Topology must not have changed since the
+    checkpoint (the engine falls back to full rollback otherwise)."""
     topology = _topology_of(engine, checkpoint)
     owned = {
         vid
         for vid, widx in zip(topology.owner_ids, topology.owner_workers)
         if widx == worker
     }
-    states = list(_restored_states(checkpoint, topology, owned))
-    engine._states.update((state.id, state) for state in states)
-    return len(states)
+    live = engine._states
+    for saved in _restored_states(checkpoint, topology, owned):
+        state = live[saved.id]
+        state.value, state.halted = saved.value, saved.halted
+        state.out_edges, state.in_edges = saved.out_edges, saved.in_edges
+    return len(owned)

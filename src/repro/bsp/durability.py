@@ -9,7 +9,7 @@ fault-tolerance story: recovery cost, not steady-state speed, decides
 whether a long iterative job is usable (Ammar & Özsu treat
 fault-handling behavior as a first-class differentiator).
 
-On-disk format (version 2)
+On-disk format (version 3)
 --------------------------
 A checkpoint directory holds one JSON manifest plus one binary record
 per retained checkpoint::
@@ -26,10 +26,11 @@ froze at construction, a ``TopologySnapshot`` of its own.  A record of
 an unmutated run therefore holds no edge, owner or worker-list data
 and does not grow with the edge count: the resuming engine re-derives
 the baseline from the graph it is handed, and the fingerprint (below)
-guarantees that graph lays the columns out identically.  A version-1
-directory (edge-map copies in every record) is refused, on resume and
-on a fresh open alike, with a :class:`~repro.errors.CheckpointError`
-that names the version.
+guarantees that graph lays the columns out identically.  Nor does a
+record name the plane that wrote it: the oracle's directory resumes
+on the dense plane and the reverse.  An older directory (version 1:
+edge-map copies; 2: the plane in records and fingerprint) is refused,
+resuming or not, with a ``CheckpointError`` naming the version.
 
 Every write is atomic: the bytes go to a temp file in the same
 directory, are flushed and ``fsync``'d, and only then renamed over the
@@ -51,8 +52,8 @@ Config fingerprint
 The manifest carries a fingerprint of everything that shapes the
 deterministic execution: the graph structure, the program's class and
 constructor state, worker count, seed, checkpoint interval, recovery
-budget, recovery mode, execution-path request, BPPA tracking, the
-combiner/partitioner/cost-model configuration, and the fault plan.
+budget, recovery mode, BPPA tracking, the combiner/partitioner/
+cost-model configuration, and the fault plan.
 It is **order-sensitive, because execution is**: besides the sorted
 structure digest (:func:`graph_signature`) it folds in a CRC of the
 baseline — vertex ids in ``states`` order, edge rows in iteration
@@ -63,9 +64,9 @@ a directory whose fingerprint differs raises
 :class:`~repro.errors.FingerprintMismatchError` instead of silently
 mixing incompatible state.  Three knobs are deliberately *excluded*:
 
-* the backend — serial, fast-path and process-parallel execution are
-  byte-identical by contract, so a run checkpointed under one backend
-  may resume under another;
+* the backend and the plane (``use_fast_path``) — serial, oracle and
+  process-parallel execution are byte-identical by contract, so a run
+  checkpointed under one may resume under another;
 * the parallel backend's ``transport`` — shared-memory segment or pipe
   message, the rank-ordered merge sees the same columns (the kwarg is
   consumed by ``ParallelPregelEngine`` and never reaches the
@@ -106,7 +107,7 @@ from repro.errors import (
 )
 
 #: Version of the on-disk layout; bumped on incompatible changes.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 MANIFEST_NAME = "MANIFEST.json"
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -207,7 +208,6 @@ def config_fingerprint(
     checkpoint_interval: Optional[int],
     max_recovery_attempts: int,
     confined_recovery: bool,
-    use_fast_path: Optional[bool],
     track_bppa: bool,
     combiner,
     partitioner,
@@ -218,7 +218,7 @@ def config_fingerprint(
     """Fingerprint the (graph, program, engine-config) tuple.
 
     Everything that shapes deterministic execution is folded in; the
-    backend, the parallel transport, and ``max_supersteps`` are
+    backend and plane, the transport and ``max_supersteps`` are
     deliberately excluded (see the module docstring).  ``baseline`` is
     the engine's frozen ``TopologySnapshot``: its CRC pins the vertex
     and adjacency order a record's columns are aligned to.  Uses
@@ -236,7 +236,6 @@ def config_fingerprint(
         f"checkpoint_interval={checkpoint_interval!r}",
         f"max_recovery_attempts={max_recovery_attempts!r}",
         f"confined_recovery={bool(confined_recovery)!r}",
-        f"use_fast_path={use_fast_path!r}",
         f"track_bppa={bool(track_bppa)!r}",
         f"combiner={_object_signature(combiner)}",
         f"partitioner={_object_signature(partitioner)}",

@@ -31,26 +31,27 @@ that also host the GAS/block/async engines:
   max-superstep guard, the checkpoint schedule
   (:class:`~repro.bsp.loop.CheckpointPolicy`), fault-injector arming,
   and the crash-supervision protocol;
-* :class:`~repro.bsp.fabric.MessageFabric` — both mailbox layouts
-  (reference dicts and dense slots), the send/fanout entry points,
-  combining, ledger accounting, and fault-injected delivery;
+* :class:`~repro.bsp.fabric.MessageFabric` — the run's mailbox
+  layout (dense slots, or the dict-path oracle), the send/fanout
+  entry points, combining, ledger accounting, and fault-injected
+  delivery;
 * :class:`~repro.bsp.state.StateStore` — the partitioned vertex
   states, the owner map, and the recovery bookkeeping (checkpoint
   store, confined-recovery logs);
 * the compute kernels (:mod:`repro.bsp.kernels`) — the per-superstep
   vertex-execution loops for each mailbox layout.
 
-Both execution paths (``docs/performance.md``) execute vertices, fold
-combiners, deliver messages and draw injected faults in exactly the
-same order, so a run produces **byte-identical** :class:`PregelResult`
-values, ``RunStats``, and BPPA observations on either path — including
-under checkpointing and fault plans.  The fast path engages
-automatically and disengages for the rest of the run the first time a
-topology mutation is applied (dense ids are frozen);
-``confined_recovery`` runs use the reference path throughout, because
-confined replay re-executes single partitions against logged
-per-vertex inboxes.  A third path — real process parallelism over the
-dense layout — lives in :mod:`repro.bsp.parallel` and is selected with
+One plane per run (``docs/performance.md``): an engine executes on
+the dense plane from its first superstep to its last — topology
+mutations re-index it in place at the barrier, rollbacks and confined
+recovery restore into it — unless it was built with
+``use_fast_path=False``, which makes it the dict-path oracle for its
+whole run.  The two execute vertices, fold combiners, deliver
+messages and draw injected faults in exactly the same order, so a run
+produces **byte-identical** :class:`PregelResult` values, ``RunStats``,
+and BPPA observations on either — including under checkpointing,
+mutations and fault plans.  Real process parallelism over the dense
+plane lives in :mod:`repro.bsp.parallel` and is selected with
 ``backend="parallel"`` via :func:`create_engine`/:func:`run_program`.
 
 The fault-tolerance story (``docs/fault_tolerance.md``): with
@@ -70,7 +71,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Any, Dict, Hashable, List, Optional, Set
+from typing import Any, Dict, Hashable, List, Optional
 
 from repro.bsp.aggregator import SumAggregator
 from repro.bsp.checkpoint import restore_checkpoint, take_checkpoint
@@ -109,7 +110,7 @@ from repro.metrics.stats import (
     SuperstepWall,
     peak_rss_bytes,
 )
-from repro.trace.events import CheckpointWrite, Handoff
+from repro.trace.events import CheckpointWrite
 from repro.trace.recorder import TraceRecorder, get_default_trace
 
 
@@ -176,7 +177,7 @@ class PregelEngine:
         messages instead of rolling every worker back (cheaper; falls
         back to full rollback when topology mutated since the last
         checkpoint; assumes ``compute`` does not draw from
-        ``ctx.random``).  Forces the reference execution path.
+        ``ctx.random``).  Runs on whichever plane the engine is on.
     checkpoint_dir:
         Directory for durable on-disk checkpoints
         (:mod:`repro.bsp.durability`): each scheduled checkpoint is
@@ -190,12 +191,11 @@ class PregelEngine:
         a different configuration); ``"auto"`` resumes when possible
         and starts fresh otherwise.
     use_fast_path:
-        ``None`` (default): engage the dense-index fast path unless
-        ``confined_recovery`` is set.  ``False``: force the reference
-        dict path (the equivalence oracle).  ``True``: require the
-        fast path; raises :class:`ValueError` when combined with
-        ``confined_recovery``.  Either way the first applied topology
-        mutation permanently falls back to the reference path.
+        The run's execution plane, fixed here for the whole run.
+        ``None``/``True`` (default): the dense plane.  ``False``: the
+        reference dict path — the equivalence oracle the dense plane
+        is tested against.  Nothing a program does (mutations, edge
+        edits) or the run suffers (crashes, resume) changes it.
     use_vectorized:
         ``None`` (default): on the fast path, run supersteps through
         the program's registered vectorized kernel whenever its
@@ -203,8 +203,8 @@ class PregelEngine:
         per-vertex dense pass otherwise (fault-injected runs stay
         per-vertex throughout).  ``False``: never vectorize.
         ``True``: require the capability — raises
-        :class:`ValueError` unless the fast path is enabled and the
-        program class has a registered kernel (per-superstep fallback
+        :class:`ValueError` unless the engine is on the dense plane and
+        the program class has a registered kernel (per-superstep fallback
         still applies; the tier actually used each superstep is
         recorded in ``SuperstepWall.kernel_tier`` and the workers'
         trace profiles).  Not part of the checkpoint fingerprint:
@@ -224,7 +224,7 @@ class PregelEngine:
     trace:
         A :class:`~repro.trace.recorder.TraceRecorder` to receive the
         run's structured events (superstep lifecycle, per-worker
-        profiles, checkpoint writes, rollbacks, injected faults, path
+        profiles, checkpoint writes, rollbacks, injected faults, pool
         handoffs — see :mod:`repro.trace`).  ``None`` (default) falls
         back to the process-wide recorder set via
         :func:`~repro.trace.recorder.set_default_trace`, and tracing
@@ -306,15 +306,8 @@ class PregelEngine:
             }
             self._tracker = BppaTracker(degrees)
 
-        # Superstep-scoped structures.  The fabric owns every mailbox;
-        # the engine keeps the aggregator registry and master state.
-        self._fabric = MessageFabric(
-            self,
-            self._store,
-            combiner,
-            memory_budget=memory_budget,
-            spill_dir=spill_dir,
-        )
+        # Superstep-scoped structures: the aggregator registry and
+        # master state here, every mailbox in the fabric (built last).
         self._ctx = ComputeContext(self)
         self._aggregators = dict(getattr(program, "aggregators", dict)())
         self._agg_current: Dict[str, Any] = {}
@@ -348,7 +341,6 @@ class PregelEngine:
                 checkpoint_interval=checkpoint_interval,
                 max_recovery_attempts=max_recovery_attempts,
                 confined_recovery=confined_recovery,
-                use_fast_path=use_fast_path,
                 track_bppa=track_bppa,
                 combiner=combiner,
                 partitioner=partitioner,
@@ -371,26 +363,17 @@ class PregelEngine:
             max_recovery_attempts=max_recovery_attempts,
             on_limit="raise",
         )
-        self._replaying = False
         self._exec_counts: Dict[int, int] = {}
         self._run_stats: Optional[RunStats] = None
 
-        # Execution-path selection (dense fast path vs reference).
-        if use_fast_path and confined_recovery:
-            raise ValueError(
-                "the dense fast path cannot run under confined "
-                "recovery (confined replay needs the per-vertex "
-                "message log of the reference path)"
-            )
-        if use_fast_path is None:
-            use_fast_path = not confined_recovery
-        self._fast_enabled = bool(use_fast_path)
+        # The execution plane is a construction-time fact: dense
+        # unless the caller asked for the dict-path oracle.
+        self._fast_enabled = use_fast_path is None or bool(use_fast_path)
         if use_vectorized:
             if not self._fast_enabled:
                 raise ValueError(
                     "use_vectorized=True requires the dense fast path "
-                    "(it cannot combine with use_fast_path=False or "
-                    "confined_recovery)"
+                    "(it cannot combine with use_fast_path=False)"
                 )
             if not has_vectorized_kernel(type(program)):
                 raise ValueError(
@@ -400,10 +383,20 @@ class PregelEngine:
         self._use_vectorized = use_vectorized
         self._kernel_tier = "reference"
         self._vector_kernel_cache = None
+
+        # The fabric owns every mailbox and, on the dense plane, binds
+        # ``_enqueue``/``_fanout`` to the executing lane.  Built last:
+        # the dense arrays then reuse what the fingerprint freed.
+        self._fabric = MessageFabric(
+            self,
+            self._store,
+            combiner,
+            memory_budget=memory_budget,
+            spill_dir=spill_dir,
+            dense=self._fast_enabled,
+        )
         self._enqueue = self._fabric.enqueue
         self._fanout = self._fabric.fanout
-        if self._fast_enabled:
-            self._fabric.engage_fast_path()
 
     # ------------------------------------------------------------------
     # Layer views (compat surface shared with checkpoint/parallel code)
@@ -434,10 +427,6 @@ class PregelEngine:
         return self._store.workers
 
     @property
-    def _fast_active(self) -> bool:
-        return self._fabric.fast_active
-
-    @property
     def _ckpt_store(self):
         return self._store.ckpt_store
 
@@ -455,15 +444,14 @@ class PregelEngine:
 
     @property
     def fast_path(self) -> bool:
-        """True while the dense-index fast path is engaged."""
+        """True on the dense plane, False on the dict-path oracle —
+        the same answer from construction to the end of the run."""
         return self._fabric.fast_active
 
     def has_vertex(self, vertex_id: Hashable) -> bool:
         return vertex_id in self._store.states
 
     def _aggregate(self, name: str, value: Any) -> None:
-        if self._replaying:
-            return
         # _agg_current is pre-seeded with every registered
         # aggregator's initial() at superstep start, so an unknown
         # name raises KeyError exactly as the registry lookup would.
@@ -486,30 +474,27 @@ class PregelEngine:
             )
 
     # ------------------------------------------------------------------
-    # Execution-path management (delegated to the fabric; kept as
-    # engine methods because checkpoint restore and the parallel
-    # backend hook them here)
+    # Hooks the parallel backend overrides
     # ------------------------------------------------------------------
 
-    def _disengage_fast_path(self) -> None:
-        self._fabric.disengage_fast_path()
-
-    def _reset_execution_path(self, fast: bool) -> None:
-        self._fabric.reset_execution_path(fast)
-
     def _post_restore_sync(self) -> None:
-        """Hook invoked by :func:`~repro.bsp.checkpoint.
-        restore_checkpoint` after a full rollback has rebuilt the
-        engine state.  The serial engine needs nothing; the process-
-        parallel backend overrides this to push the restored
-        partitions back out to its worker processes (respawning any
-        that were killed by an injected crash)."""
+        """Hook invoked after a recovery — a full rollback
+        (:func:`~repro.bsp.checkpoint.restore_checkpoint`) or a
+        confined replay — has rewritten the engine state.  The serial
+        engine needs nothing; the process-parallel backend overrides
+        this to push the restored partitions back out to its worker
+        processes (respawning any that were killed by an injected
+        crash)."""
+
+    def _reindex(self) -> None:
+        """End of a barrier that applied topology mutations: the
+        dense plane recompiles in place.  The parallel backend
+        overrides this to retire the pool compiled for the old
+        index."""
+        self._fabric.reindex()
 
     def _inbox_snapshot_items(self):
         return self._fabric.inbox_snapshot_items()
-
-    def _restore_inbox(self, inbox: Dict[Hashable, List[Any]]) -> None:
-        self._fabric.restore_inbox(inbox)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -594,7 +579,7 @@ class PregelEngine:
         if fast:
             active_count = self._compute_pass_fast(wake_all)
         else:
-            active_count = self._compute_pass_reference(wake_all)
+            active_count = reference_compute_pass(self, wake_all)
         # Every send charged its worker, on either path.
         pending = sum(w.sent_logical for w in fabric.workers)
         if tracker is not None:
@@ -613,35 +598,24 @@ class PregelEngine:
         )
         program.master_compute(master)
 
-        removed = self._apply_mutations()
+        removed = apply_mutations(self)
         mutated = removed is not None
         if fast:
             delivered = fabric.deliver_fast(superstep, mutated)
-            if mutated:
-                # The frozen dense index no longer matches the
-                # topology: hand the undelivered inbox to the
-                # reference path and stay there.
-                if trace is not None:
-                    trace.emit(
-                        Handoff(
-                            superstep=superstep,
-                            from_path="fast",
-                            to_path="reference",
-                            reason="topology mutation froze the "
-                            "dense index",
-                        )
-                    )
-                self._disengage_fast_path()
         else:
             delivered = fabric.deliver(superstep)
         if removed:
             # The senders' charges for messages to removed vertices
             # were reversed during delivery; the ownership entries can
             # now be reclaimed (re-added ids were already discarded
-            # from ``removed`` by _apply_mutations).
+            # from ``removed`` by apply_mutations).
             owner = self._store.owner
             for vid in removed:
                 owner.pop(vid, None)
+        if mutated and fast:
+            # The dense index no longer matches the topology:
+            # recompile it in place, inbox carried across by id.
+            self._reindex()
         entry = self._superstep_stats(superstep, active_count)
         stats.supersteps.append(entry)
         ws = fabric.workers
@@ -675,10 +649,6 @@ class PregelEngine:
             ):
                 return True
         return False
-
-    def _compute_pass_reference(self, wake_all: bool) -> int:
-        self._kernel_tier = "reference"
-        return reference_compute_pass(self, wake_all)
 
     def _compute_pass_fast(self, wake_all: bool) -> int:
         return fast_compute_pass(self, wake_all)
@@ -738,7 +708,7 @@ class PregelEngine:
             self._confined_recovery
             and not self._store.mutated_since_checkpoint
         ):
-            self._confined_replay(crash, superstep, stats, ckpt)
+            confined_replay(self, crash, superstep, stats, ckpt)
             return superstep
 
         # Full rollback: discard the supersteps after the checkpoint
@@ -754,15 +724,6 @@ class PregelEngine:
         )
         return ckpt.superstep
 
-    def _confined_replay(
-        self,
-        crash: WorkerCrashError,
-        superstep: int,
-        stats: RunStats,
-        ckpt,
-    ) -> None:
-        confined_replay(self, crash, superstep, stats, ckpt)
-
     # ------------------------------------------------------------------
     # Superstep boundary
     # ------------------------------------------------------------------
@@ -777,9 +738,6 @@ class PregelEngine:
             checkpoint_cost=self._store.ckpt_costs.get(superstep, 0.0),
             executions=self._exec_counts.get(superstep, 1),
         )
-
-    def _apply_mutations(self) -> Optional[Set[Hashable]]:
-        return apply_mutations(self)
 
 
 # ---------------------------------------------------------------------
@@ -824,11 +782,12 @@ def create_engine(
 
     ``backend=None`` uses :func:`get_default_backend`.  The parallel
     backend transparently degrades to serial execution whenever real
-    process parallelism cannot be byte-identical (confined recovery,
-    ``use_fast_path=False``, programs flagged ``parallel_safe=False``
-    — see ``docs/parallel_backend.md``), so selecting it is always
-    safe.  Backend-specific kwargs pass through — notably the
-    parallel backend's ``transport=`` tier selector.
+    process parallelism cannot be byte-identical (the
+    ``use_fast_path=False`` oracle, programs flagged
+    ``parallel_safe=False`` — see ``docs/parallel_backend.md``), so
+    selecting it is always safe.  Backend-specific kwargs pass
+    through — notably the parallel backend's ``transport=`` tier
+    selector.
     """
     backend = backend or _default_backend
     if backend not in BACKENDS:

@@ -1,51 +1,53 @@
 """The message fabric: routing, combining, ledger accounting, and
 fault-injected delivery.
 
-This layer owns every mailbox the Pregel engine has — the reference
-dict path's ``inbox``/``outbox`` and the dense fast path's slot
-arrays — plus the send/fanout entry points the compute kernels call
-and the two delivery routines that move a superstep's traffic across
-the barrier.  The engine composes exactly one fabric and forwards its
-``_enqueue``/``_fanout`` attributes to the fabric's current bindings:
-the reference pair, or — on the dense path — the send methods of the
-:class:`DenseLane` whose worker is executing (:meth:`MessageFabric.
-bind_lane`).  A lane is one worker's share of the dense plane; the
-dense send paths are written once against it, and a pool rank of the
-parallel backend runs the very same lane code over its partition
-slice.
+This layer owns every mailbox the Pregel engine has, the send/fanout
+entry points the compute kernels call and the delivery routine that
+moves a superstep's traffic across the barrier.  The engine composes
+exactly one fabric and forwards its ``_enqueue``/``_fanout`` to the
+fabric's current bindings: the send methods of the :class:`DenseLane`
+whose worker is executing (:meth:`MessageFabric.bind_lane`).  A lane
+is one worker's share of the dense plane; the dense send paths are
+written once against it, and a pool rank of the parallel backend runs
+the very same lane code over its partition slice.
 
-Two interchangeable layouts, byte-identical by construction
-----------------------------------------------------------
+One plane per run; the dict path is the oracle
+----------------------------------------------
 
-* the **reference dict path** — hashable-keyed ``inbox``/``outbox``
-  dicts, one ``(src_worker, message)`` tuple per logical message,
-  combiner applied at delivery.  Always correct, survives topology
-  mutations, supports confined recovery, and is the oracle the fast
-  path is tested against;
-* the **dense fast path** — vertex ids compiled to contiguous ints
+A fabric's mailbox layout is fixed at construction (``fast_active`` is
+assigned in ``__init__`` and ``engage_fast_path`` only):
+
+* the **dense plane** (every engine but the oracle) — vertex ids
+  compiled to contiguous ints
   (:class:`~repro.graph.partition.DenseIndex`), slot mailboxes (flat
   lists indexed by dense id with per-superstep dirty lists, so
   clearing is O(active) not O(n)), and the combiner folded *at send
-  time* into a per-``(destination, sending worker)`` slot.
+  time* into a per-``(destination, sending worker)`` slot.  Mutations,
+  rollbacks and confined recovery all run here: a barrier that
+  applied mutations ends with :meth:`MessageFabric.reindex`;
+* the **dict path** (``use_fast_path=False``) — hashable-keyed
+  ``inbox``/``outbox`` dicts, one ``(src_worker, message)`` tuple per
+  logical message, combiner applied at delivery: the oracle the dense
+  plane is tested against, allocated only for an engine that asks.
 
-Key properties that keep the fast path byte-identical:
+Key properties that keep the dense plane byte-identical to the oracle:
 
 * Workers execute sequentially, so global send order is "all of
   worker 0's sends, then worker 1's, …".  Each worker owns a
   persistent accumulator array indexed by dense destination (its
   ``(src_worker, destination)`` slots), and delivery scans the workers
   in index order per destination — which is exactly the
-  per-destination grouping order the reference outbox produces at
+  per-destination grouping order the oracle's outbox produces at
   delivery time.
 * ``out_dirty`` is rebuilt per superstep by stamping first touches per
   worker and deduplicating across workers in worker order; that
-  equals the reference outbox's key insertion order, which fixes the
+  equals the oracle outbox's key insertion order, which fixes the
   fault-injection draw sequence and the inbox (and checkpoint)
   insertion order.
-* The dense adjacency (``dense_out``/``remote_out``, compiled once at
-  engage) replaces the per-message id hash for full-neighbor fanouts;
-  the topology is frozen while the fast path is active, so the
-  compiled neighbor indices cannot go stale.
+* The dense adjacency (``dense_out``/``remote_out``, compiled at every
+  engage) replaces the per-message id hash for full-neighbor fanouts,
+  row by row while :meth:`DenseLane.row_holds`: an ``out_edges`` dict
+  edited in place sends through the per-target loop.
 
 With a combiner, a slot is a single combined message in worker
 ``w``'s ``lane.acc[dst]`` plus its logical count in ``lane.cnt[dst]``
@@ -71,6 +73,7 @@ import shutil
 import tempfile
 from array import array
 from collections import defaultdict
+from contextlib import contextmanager
 from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 
 from repro.bsp.combiner import SumCombiner
@@ -206,9 +209,26 @@ class DenseLane:
 
     # Send paths.  A slot without a combiner is the list of messages in
     # send order; with one it is the send-time fold in ``acc`` plus the
-    # logical count in ``cnt``.  Confined recovery (the only producer
-    # of replayed sends) forces the reference path, so no replay guard
-    # is needed here.
+    # logical count in ``cnt``.  Confined recovery rebinds the host's
+    # sends to the fabric's null pair for the replay, so no replay
+    # guard is needed here.
+
+    def row_holds(self, pos: int, targets) -> bool:
+        """Whether position ``pos``'s compiled row may stand in for
+        ``targets``: it compiled, ``targets`` is the vertex's live
+        ``out_edges``, and no in-place edit shows — a removal or an
+        insertion changes the length, the two together put the new
+        id last, so both are O(1) to see."""
+        nbrs = self.dense_out[pos]
+        if (
+            nbrs is None
+            or targets is not self.states[pos].out_edges
+            or len(nbrs) != len(targets)
+        ):
+            return False
+        return not nbrs or (
+            self.idx_of.get(next(reversed(targets))) == nbrs[-1]
+        )
 
     def enqueue_plain(
         self, source: Hashable, target: Hashable, message: Any
@@ -252,10 +272,10 @@ class DenseLane:
         acc = self.acc
         touched = self.touched
         worker = self.worker
-        nbrs = self.dense_out[cur]
-        if nbrs is not None and targets is self.states[cur].out_edges:
+        if self.row_holds(cur, targets):
             # Full-neighbor fanout: use the precompiled dense
             # adjacency — no per-target hashing.
+            nbrs = self.dense_out[cur]
             for dst in nbrs:
                 bucket = acc[dst]
                 if bucket is None:
@@ -299,8 +319,8 @@ class DenseLane:
         touched = self.touched
         combine = self.combine
         worker = self.worker
-        nbrs = self.dense_out[cur]
-        if nbrs is not None and targets is self.states[cur].out_edges:
+        if self.row_holds(cur, targets):
+            nbrs = self.dense_out[cur]
             for dst in nbrs:
                 c = cnt[dst]
                 if c:
@@ -411,12 +431,14 @@ class MessageFabric:
 
     ``engine`` supplies the run-scoped collaborators the fabric reads
     at superstep boundaries (``_injector``, ``_run_stats``, ``_trace``,
-    ``_confined_recovery``, ``_fast_enabled``); ``store`` supplies the
-    vertex partition (``states``/``owner``/``workers``, mirrored here
-    as direct attributes for the per-message hot paths, plus the
+    ``_confined_recovery``); ``store`` supplies the vertex partition
+    (``states``/``owner``/``workers``, mirrored here as direct
+    attributes for the per-message hot paths, plus the
     confined-recovery message log).  The engine's ``_states``/
     ``_owner`` property setters refresh the mirrors whenever a
-    checkpoint restore swaps the underlying dicts.
+    checkpoint restore swaps the underlying dicts.  ``dense`` picks
+    the run's one mailbox layout: the dense plane, or (``False``) the
+    dict-path oracle.
     """
 
     def __init__(
@@ -426,6 +448,7 @@ class MessageFabric:
         combiner,
         memory_budget: Optional[int] = None,
         spill_dir: Optional[str] = None,
+        dense: bool = True,
     ):
         self._engine = engine
         self._store = store
@@ -448,16 +471,13 @@ class MessageFabric:
         self.states = store.states
         self.owner = store.owner
         self.workers = store.workers
-        #: True while a confined replay is re-executing compute calls
-        #: (sends and aggregations are suppressed — their effects are
-        #: already in the live state).
-        self.replaying = False
 
-        # Reference dict path (idle while the fast path is engaged).
-        self.inbox: Dict[Hashable, List[Any]] = defaultdict(list)
-        self.outbox: Dict[Hashable, List] = defaultdict(list)
+        # The dict-path oracle's mailboxes (allocated below, for an
+        # oracle engine only).
+        self.inbox: Optional[Dict[Hashable, List[Any]]] = None
+        self.outbox: Optional[Dict[Hashable, List]] = None
 
-        # Dense fast path (compiled by engage_fast_path).
+        # The dense plane (compiled by engage_fast_path).
         self.fast_active = False
         self.dense = None
         self.dense_states = None
@@ -472,23 +492,46 @@ class MessageFabric:
         self.slot_seen: Optional[List[int]] = None
         self.stamp = 0
 
-        self.enqueue = self.enqueue_reference
-        self.fanout = self.fanout_reference
+        if dense:
+            self.engage_fast_path()
+        else:
+            self.inbox = defaultdict(list)
+            self.outbox = defaultdict(list)
+            self.enqueue = self.enqueue_reference
+            self.fanout = self.fanout_reference
 
     # ------------------------------------------------------------------
-    # Send paths: reference
+    # Send paths: the oracle's, and the null pair of a confined replay
     # ------------------------------------------------------------------
+
+    @contextmanager
+    def replayed_sends(self):
+        """Bind the engine's sends to a validating null pair while a
+        confined replay re-executes ``compute`` calls, on either
+        layout: a re-issued send is checked like a live one, then
+        dropped — the original was delivered, and logged, when the
+        superstep first ran."""
+        engine = self._engine
+        live = self.enqueue, self.fanout
+        self.enqueue = engine._enqueue = self._enqueue_replayed
+        self.fanout = engine._fanout = self.fanout_reference
+        try:
+            yield
+        finally:
+            self.enqueue, self.fanout = live
+            engine._enqueue, engine._fanout = live
+
+    def _enqueue_replayed(
+        self, source: Hashable, target: Hashable, message: Any
+    ) -> None:
+        if target not in self.states:
+            raise MessageToUnknownVertexError(target)
 
     def enqueue_reference(
         self, source: Hashable, target: Hashable, message: Any
     ) -> None:
         if target not in self.states:
             raise MessageToUnknownVertexError(target)
-        if self.replaying:
-            # Confined replay recomputes state only; every message the
-            # original execution sent was already delivered (and
-            # logged), so re-sends are suppressed.
-            return
         src_worker = self.owner[source]
         dst_worker = self.owner[target]
         self.outbox[target].append((src_worker, message))
@@ -499,6 +542,7 @@ class MessageFabric:
     def fanout_reference(
         self, source: Hashable, targets, message: Any
     ) -> int:
+        """One ``self.enqueue`` call per target."""
         enqueue = self.enqueue
         n = 0
         for target in targets:
@@ -635,13 +679,14 @@ class MessageFabric:
     # ------------------------------------------------------------------
 
     def engage_fast_path(self) -> None:
-        """Compile the dense index and switch to slot mailboxes.
+        """Compile the dense index over the store's current partition
+        and lay out empty slot mailboxes.
 
-        Called at construction and when a checkpoint restore rewinds
-        the engine to a state where the fast path was active.  The
-        dense order mirrors worker/`vertex_ids` order exactly, so
-        execution sequencing is unchanged.
+        Called at construction and by :meth:`reindex`.  The dense
+        order mirrors worker/`vertex_ids` order exactly, so execution
+        sequencing is unchanged.
         """
+        first = self.dense is None
         dense = build_dense_index(self.workers)
         self.dense = dense
         for worker, (start, stop) in zip(self.workers, dense.ranges):
@@ -655,44 +700,41 @@ class MessageFabric:
         # precomputed int indices instead of hashing ids per message.
         # A vertex with a dangling out-edge (no matching state) gets
         # None and falls back to the generic per-target loop, which
-        # raises MessageToUnknownVertexError exactly as the reference
-        # path would.
+        # raises MessageToUnknownVertexError exactly as the oracle
+        # would.
         idx_of = dense.idx_of
         owner_of = dense.owner_of
-        dense_out: List[Optional[List[int]]] = [None] * n
-        remote_out = [0] * n
-        # Snapshot-backed graphs compile straight from the CSR arrays
-        # (a row is used when it matches the state's out_edges).
+        dense_out: Optional[List[Optional[List[int]]]] = None
+        # A snapshot-backed graph compiles its first index straight
+        # from the CSR arrays (the states were just built from the
+        # same rows); a re-index walks the live edge maps, which
+        # mutations may have moved off the snapshot.
         graph = self._engine._graph
-        csr_out = csr_remote = None
-        if is_graph_snapshot(graph) and graph.num_vertices == n:
+        if first and is_graph_snapshot(graph) and graph.num_vertices == n:
             try:
-                csr_out, csr_remote = snapshot_adjacency(
+                dense_out, remote_out = snapshot_adjacency(
                     graph, dense.id_of, owner_of, 0, n
                 )
             except VertexNotFoundError:  # pragma: no cover - defensive
                 pass
-        for idx, state in enumerate(dense_states):
-            src = owner_of[idx]
-            if csr_out is not None and len(csr_out[idx]) == len(
-                state.out_edges
-            ):
-                dense_out[idx] = csr_out[idx]
-                remote_out[idx] = csr_remote[idx]
-                continue
-            nbrs: List[int] = []
-            remote = 0
-            for target in state.out_edges:
-                j = idx_of.get(target)
-                if j is None:
-                    nbrs = None
-                    break
-                nbrs.append(j)
-                if owner_of[j] != src:
-                    remote += 1
-            if nbrs is not None:
-                dense_out[idx] = nbrs
-                remote_out[idx] = remote
+        if dense_out is None:
+            dense_out = [None] * n
+            remote_out = [0] * n
+            for idx, state in enumerate(dense_states):
+                src = owner_of[idx]
+                nbrs: List[int] = []
+                remote = 0
+                for target in state.out_edges:
+                    j = idx_of.get(target)
+                    if j is None:
+                        nbrs = None
+                        break
+                    nbrs.append(j)
+                    if owner_of[j] != src:
+                        remote += 1
+                if nbrs is not None:
+                    dense_out[idx] = nbrs
+                    remote_out[idx] = remote
         self.dense_out = dense_out
         self.remote_out = remote_out
         self.in_slots = [None] * n
@@ -709,58 +751,23 @@ class MessageFabric:
         self.slot_seen = [0] * n
         self.stamp = 0
         self._drop_spill_files()
-        self.inbox = defaultdict(list)  # idle while fast
-        self.outbox = defaultdict(list)
         self.bind_lane(self.lanes[0])
         self.fast_active = True
 
-    def disengage_fast_path(self) -> None:
-        """Fall back to the reference dict path for the rest of the
-        run (the frozen dense index no longer matches the topology).
-
-        Undelivered slot-mailbox messages move to the dict inbox in
-        delivery order, so the reference path resumes byte-identically
-        next superstep.
-        """
-        inbox: Dict[Hashable, List[Any]] = defaultdict(list)
-        id_of = self.dense.id_of
-        in_slots = self.in_slots
-        for idx in self.in_dirty:
-            inbox[id_of[idx]] = in_slots[idx]
-        self.inbox = inbox
-        self.outbox = defaultdict(list)
-        self._clear_dense()
-
-    def reset_execution_path(self, fast: bool) -> None:
-        """Adopt the execution path recorded in a checkpoint.
-
-        Invoked (via the engine) by
-        :func:`~repro.bsp.checkpoint.restore_checkpoint` after vertex
-        states, ownership, and worker lists are restored; rebuilds the
-        path-specific mailboxes empty.
-        """
-        if fast and self._engine._fast_enabled:
+    def reindex(self, inbox=None) -> None:
+        """Rebuild this run's mailbox layout over the store's current
+        partition and carry ``inbox`` — default: the undelivered one
+        — across by vertex id.  Ends a barrier that applied topology
+        mutations (one O(n + m) recompile of the index, the adjacency
+        and, ``self.dense`` being new, the lanes' vectorized plans)
+        and a checkpoint restore, which passes the snapshot's inbox.
+        The oracle's dicts are keyed by id: the inbox is all there is
+        to adopt."""
+        if inbox is None:
+            inbox = dict(self.inbox_snapshot_items())
+        if self.fast_active:
             self.engage_fast_path()
-        else:
-            self._clear_dense()
-            self.inbox = defaultdict(list)
-            self.outbox = defaultdict(list)
-
-    def _clear_dense(self) -> None:
-        engine = self._engine
-        self.dense = None
-        self.dense_states = None
-        self.dense_out = None
-        self.remote_out = None
-        self.in_slots = None
-        self.in_dirty = []
-        self.out_dirty = []
-        self.lanes = None
-        self.slot_seen = None
-        self._drop_spill_files()
-        self.enqueue = engine._enqueue = self.enqueue_reference
-        self.fanout = engine._fanout = self.fanout_reference
-        self.fast_active = False
+        self.restore_inbox(inbox)
 
     def reset_outbox(self) -> None:
         self.outbox = defaultdict(list)
@@ -805,9 +812,10 @@ class MessageFabric:
         return self.inbox.items()
 
     def restore_inbox(self, inbox: Dict[Hashable, List[Any]]) -> None:
-        """Adopt ``inbox`` (delivery-ordered) into the active mailbox
-        layout.  Used by checkpoint restore."""
+        """Replace the undelivered inbox with a copy of ``inbox``
+        (delivery-ordered), in this run's mailbox layout."""
         if self.fast_active:
+            self.drain_inbox()
             idx_of = self.dense.idx_of
             in_slots = self.in_slots
             dirty = self.in_dirty
@@ -816,10 +824,9 @@ class MessageFabric:
                 in_slots[idx] = list(msgs)
                 dirty.append(idx)
         else:
-            fresh: Dict[Hashable, List[Any]] = defaultdict(list)
-            for vid, msgs in inbox.items():
-                fresh[vid] = list(msgs)
-            self.inbox = fresh
+            self.inbox = defaultdict(
+                list, {vid: list(msgs) for vid, msgs in inbox.items()}
+            )
 
     # ------------------------------------------------------------------
     # Delivery
@@ -884,20 +891,27 @@ class MessageFabric:
             delivered += len(msgs)
         if log_deliveries:
             self._store.message_log[superstep + 1] = log_entry
-        if injector is not None:
-            injector.commit(faults, engine._run_stats)
-            if engine._trace is not None and faults.any:
-                engine._trace.emit(
-                    FaultInjected(
-                        superstep=superstep,
-                        fault="network",
-                        retransmitted=faults.retransmitted,
-                        duplicated=faults.duplicated,
-                        delayed=faults.delayed,
-                    )
-                )
+        self._commit_faults(superstep, faults)
         self.outbox = defaultdict(list)
         return delivered
+
+    def _commit_faults(self, superstep: int, faults) -> None:
+        """Book one delivery's network-fault draws (``None``: no
+        injector) and trace them."""
+        if faults is None:
+            return
+        engine = self._engine
+        engine._injector.commit(faults, engine._run_stats)
+        if engine._trace is not None and faults.any:
+            engine._trace.emit(
+                FaultInjected(
+                    superstep=superstep,
+                    fault="network",
+                    retransmitted=faults.retransmitted,
+                    duplicated=faults.duplicated,
+                    delayed=faults.delayed,
+                )
+            )
 
     def deliver_fast(self, superstep: int, mutated: bool) -> int:
         """Slot-mailbox delivery: identical accounting and fault-draw
@@ -923,6 +937,11 @@ class MessageFabric:
         in_dirty = self.in_dirty
         states = self.states
         combining = self._combiner is not None
+        # Confined recovery replays from the same id-keyed log entry
+        # on either layout.
+        log_entry: Optional[Dict[Hashable, List[Any]]] = (
+            {} if engine._confined_recovery else None
+        )
         faults = DeliveryFaults() if injector is not None else None
         if self._spilled:
             self._reload_spilled()
@@ -930,34 +949,18 @@ class MessageFabric:
         for dst in self.out_dirty:
             if mutated and id_of[dst] not in states:
                 # Dropped: destination removed this superstep —
-                # reverse the senders' charges, as the reference
+                # reverse the senders' charges, as the oracle's
                 # delivery does.
                 target_owner = self.owner.get(id_of[dst])
-                if combining:
-                    for lane in lanes:
-                        count = lane[2][dst]
-                        if count:
-                            lane[2][dst] = 0
-                            lane[1][dst] = None
-                            w = lane[0]
-                            w.sent_logical -= count
-                            if (
-                                target_owner is None
-                                or w.index != target_owner
-                            ):
-                                w.sent_remote -= count
-                else:
-                    for lane in lanes:
-                        bucket = lane[1][dst]
-                        if bucket is not None:
-                            lane[1][dst] = None
-                            w = lane[0]
-                            w.sent_logical -= len(bucket)
-                            if (
-                                target_owner is None
-                                or w.index != target_owner
-                            ):
-                                w.sent_remote -= len(bucket)
+                for w, acc_w, cnt_w in lanes:
+                    if combining:
+                        count, cnt_w[dst] = cnt_w[dst], 0
+                    else:
+                        count = len(acc_w[dst] or ())
+                    acc_w[dst] = None
+                    w.sent_logical -= count
+                    if w.index != target_owner:
+                        w.sent_remote -= count
                 continue
             dst_worker = workers[owner_of[dst]]
             if combining:
@@ -995,19 +998,12 @@ class MessageFabric:
                 in_dirty.append(dst)
             else:  # pragma: no cover - inbox is drained every pass
                 existing.extend(msgs)
+            if log_entry is not None:
+                log_entry[id_of[dst]] = list(in_slots[dst])
             delivered += len(msgs)
+        if log_entry is not None:
+            self._store.message_log[superstep + 1] = log_entry
         self.out_dirty = []
         self._resident_bytes = 0
-        if injector is not None:
-            injector.commit(faults, engine._run_stats)
-            if engine._trace is not None and faults.any:
-                engine._trace.emit(
-                    FaultInjected(
-                        superstep=superstep,
-                        fault="network",
-                        retransmitted=faults.retransmitted,
-                        duplicated=faults.duplicated,
-                        delayed=faults.delayed,
-                    )
-                )
+        self._commit_faults(superstep, faults)
         return delivered

@@ -5,7 +5,7 @@ Two per-vertex loops live here:
 
 * :func:`reference_compute_pass` — the dict-path oracle: vertices
   reached by id hash, inboxes popped from the fabric's dict mailbox;
-* :func:`dense_compute_pass` — the dense fast path, written against
+* :func:`dense_compute_pass` — the dense plane, written against
   **one worker's lane** (:class:`~repro.bsp.fabric.DenseLane`):
   vertices reached by dense position, inboxes read from the lane's
   slot view, sends folded into the lane's accumulators.
@@ -69,10 +69,10 @@ has three parts —
   a dangling out-edge whose send must raise);
 * ``run(host, lane, plan, phase)``: the lane's share of the superstep.
 
-Every other superstep — fault-injected runs, mutations (which
-disengage the fast path entirely), wake-all phases, unregistered
-programs, non-conforming topology — runs :func:`dense_compute_pass`,
-mirroring the shm transport's per-column placement.  The tier
+Every other superstep — fault-injected runs, wake-all phases,
+unregistered programs, non-conforming topology — runs
+:func:`dense_compute_pass`, mirroring the shm transport's per-column
+placement (a mutation re-indexes the plane; plans recompile).  The tier
 actually used is reported per superstep via ``engine._kernel_tier`` /
 ``Worker.kernel_tier`` (observability only — never part of the
 byte-identity surface).

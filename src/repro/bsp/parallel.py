@@ -1,6 +1,6 @@
 """Process-parallel execution backend for the Pregel engine.
 
-:class:`ParallelPregelEngine` runs the dense fast path's per-worker
+:class:`ParallelPregelEngine` runs the dense plane's per-worker
 compute loops in **real OS processes** (one per simulated worker) while
 keeping every observable byte of a run — ``PregelResult.values``,
 ``RunStats``, BPPA observations, the aggregate history, and the fault
@@ -62,29 +62,34 @@ partition isolation, so the backend degrades to the serial path (it
 *is* a ``PregelEngine``; degrading just means never consulting the
 pool) instead of returning different bytes:
 
-* programs flagged ``parallel_safe = False``, ``use_fast_path=False``,
-  or ``confined_recovery`` — decided up front, the pool never spawns;
+* programs flagged ``parallel_safe = False`` or the
+  ``use_fast_path=False`` oracle — decided up front, the pool never
+  spawns;
 * an unpicklable program or a worker pipe failure — the pool is
   abandoned and the superstep re-executes serially;
-* **RNG consumption**: each rank compares its RNG state before and
-  after the pass.  Any draw means the program consumed the run's
-  shared sequential stream, so the whole superstep's results are
-  discarded, the pool shuts down permanently, and the superstep
-  re-executes serially from the coordinator's (untouched) state;
-* **topology mutation**: the serial engine already disengages the
-  dense path at the first applied mutation; the override also shuts
-  the pool down, and the reference dict path carries on serially.
+* **broken isolation**: each rank compares its RNG state before and
+  after the pass (a draw consumed the run's shared sequential stream)
+  and its executed vertices' compiled rows against their ``out_edges``
+  (:meth:`~repro.bsp.fabric.DenseLane.row_holds`: an in-place edit
+  never reaches the coordinator's copy).  Either way the whole
+  superstep's results are discarded, the pool shuts down permanently,
+  and the superstep re-executes serially from the coordinator's
+  (untouched) state;
+* **topology mutation**: the barrier re-indexes the coordinator's
+  dense plane in place; the pool, compiled for the old index, is
+  retired and the dense plane carries on serially.
 
 Fault tolerance
 ---------------
 
 Injected crashes become *real* process deaths: ``_recover`` kills the
-crashed rank's OS process before running the stock rollback, and the
-``_post_restore_sync`` hook (called by ``restore_checkpoint``)
-respawns dead ranks from a fresh partition snapshot and reloads the
-restored values into surviving ranks.  The dense index recompiled by
-the restore is identical to the pool's (topology cannot have changed
-while the pool is alive), so adjacency is never reshipped.
+crashed rank's OS process before running the stock recovery, and the
+``_post_restore_sync`` hook (called at the end of a full rollback and
+of a confined replay alike) respawns dead ranks from a fresh
+partition snapshot and reloads the restored values into surviving
+ranks.  The dense index a restore recompiles is identical to the
+pool's (topology cannot have changed while the pool is alive), so
+adjacency is never reshipped.
 
 Supervision of the real processes is hang-aware: the coordinator
 never blocks on a worker pipe.  Each rank runs a heartbeat thread
@@ -131,12 +136,9 @@ segment's lifecycle is tied to the pool's (every teardown route
 destroys it; see :mod:`repro.bsp.shm_transport` for the leak
 handling).
 
-Wall-clock speedup is real but bounded by the host:
-``RunStats.wall`` records per-rank compute seconds, barrier wait, and
-per-rank pipe payload bytes — measurements excluded from the
-byte-identity contract — and ``benchmarks/bench_engine.py
---parallel`` sweeps worker counts and transports into
-``BENCH_parallel_shm.json``.
+``RunStats.wall`` records per-rank compute seconds, barrier wait and
+pipe payload bytes: measurements, excluded from the byte-identity
+contract (``bench/`` reports them per workload).
 """
 
 from __future__ import annotations
@@ -437,16 +439,25 @@ class _PartitionRuntime:
         )
         lane.touched = []
         rng_state = self.rng.getstate()
-        drew = rng_state != self._rng_baseline
-        self._rng_baseline = rng_state
         states = self.states
+        # What the pass did that a partition may not, if anything (an
+        # edge edit here would never reach the coordinator's copy).
+        broke = None
+        if rng_state != self._rng_baseline:
+            broke = "program drew from the shared RNG stream"
+        elif kernel_tier == "dense" and not all(
+            lane.row_holds(idx - start, states[idx - start].out_edges)
+            for idx in executed
+        ):
+            broke = "program edited out_edges in place"
+        self._rng_baseline = rng_state
         worker = lane.worker
         scalars = {
             "active": len(executed),
             "work": worker.work,
             "sent_logical": worker.sent_logical,
             "sent_remote": worker.sent_remote,
-            "drew": drew,
+            "broke": broke,
             "kernel_tier": kernel_tier,
         }
         columns = {
@@ -835,11 +846,7 @@ class ParallelPregelEngine(PregelEngine):
         if not getattr(program, "parallel_safe", True):
             self._disable_pool("program declares parallel_safe=False")
         elif not self._fast_enabled:
-            self._disable_pool(
-                "reference execution path forced"
-                if not self._confined_recovery
-                else "confined recovery forces the reference path"
-            )
+            self._disable_pool("reference execution path forced")
 
     # -- pool management --------------------------------------------
 
@@ -877,10 +884,9 @@ class ParallelPregelEngine(PregelEngine):
         if self.parallel_disabled_reason is None:
             self.parallel_disabled_reason = reason
             if self._trace is not None:
-                # Degradations are backend-specific by nature, so the
-                # Handoff event is excluded from cross-backend
-                # modeled-trace equality; -1 marks a degradation
-                # decided before the first superstep ran.
+                # Backend-specific by nature, so Handoff events are
+                # excluded from cross-backend modeled-trace equality
+                # (-1: decided before the first superstep ran).
                 self._trace.emit(
                     Handoff(
                         superstep=getattr(
@@ -1154,11 +1160,10 @@ class ParallelPregelEngine(PregelEngine):
         if delay > 0:
             time.sleep(delay)
 
-    def _disengage_fast_path(self) -> None:
-        # A topology mutation froze the dense index out from under the
-        # pool; the reference path carries on serially.
-        self._shutdown_pool("topology mutation disengaged fast path")
-        super()._disengage_fast_path()
+    def _reindex(self) -> None:
+        # The ranks hold partitions of the old index.
+        self._shutdown_pool("topology mutation re-indexed the dense plane")
+        super()._reindex()
 
     def _recover(self, crash, superstep, stats):
         # Make the injected crash a real process death before the
@@ -1168,16 +1173,11 @@ class ParallelPregelEngine(PregelEngine):
         return super()._recover(crash, superstep, stats)
 
     def _post_restore_sync(self) -> None:
-        """Called by ``restore_checkpoint`` after a full rollback:
-        respawn dead ranks with a fresh partition snapshot, reload the
+        """Called after a full rollback or a confined replay: respawn
+        dead ranks with a fresh partition snapshot, reload the
         restored values into surviving ranks."""
         links = self._links
         if links is None:
-            return
-        if not self._fast_active:
-            # Restored onto the reference path: nothing for a pool to
-            # do for the rest of the run.
-            self._shutdown_pool("restored onto the reference path")
             return
         try:
             reload_blob = pickle.dumps(
@@ -1268,15 +1268,14 @@ class ParallelPregelEngine(PregelEngine):
                 down_bytes[link.rank] + reply_bytes[link.rank]
             )
             effects.append((scalars, columns))
-        if any(scalars["drew"] for scalars, _columns in effects):
-            # The program consumed the run's shared RNG stream, whose
-            # draw order is sequential across workers.  Discard the
-            # superstep (nothing was applied; the coordinator RNG is
-            # untouched) and re-execute serially.
-            self._shutdown_pool(
-                "program drew from the shared RNG stream"
-            )
-            return super()._compute_pass_fast(wake_all)
+        for scalars, _columns in effects:
+            if scalars["broke"]:
+                # A draw from the sequential shared RNG stream, or an
+                # edge edit the coordinator's topology never saw:
+                # discard the superstep (nothing was applied) and
+                # re-execute it serially.
+                self._shutdown_pool(scalars["broke"])
+                return super()._compute_pass_fast(wake_all)
         if all_columnar:
             self.columnar_supersteps += 1
         return self._apply_parallel_results(effects)

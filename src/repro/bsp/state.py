@@ -174,10 +174,10 @@ def apply_mutations(engine) -> Optional[Set[Hashable]]:
                 other = states.get(dst)
                 if other is not None:
                     other.in_edges.pop(vid, None)
-        # Pending outbox messages for vid stay put: delivery sees the
-        # missing destination, drops them and reverses the senders'
-        # charges so the logical books balance.
-        engine._fabric.inbox.pop(vid, None)
+        # Pending messages for vid stay put: delivery sees the missing
+        # destination, drops them and reverses the senders' charges so
+        # the logical books balance.  (Its inbox is already empty: the
+        # compute pass drained it.)
     if removed:
         # Compact the owners' id lists so later supersteps do not pay
         # a dead-vertex skip per removed vertex forever.
@@ -226,6 +226,13 @@ def confined_replay(
     effects are already in the live state of the other workers).
     Replay work is charged as recovery cost but does not touch the
     committed superstep stats.
+
+    One implementation for both mailbox layouts: the log is keyed by
+    vertex id (both delivery routines write it), the partition is
+    restored into the live ``VertexState`` objects (which the dense
+    plane indexes by position), suppression is a binding
+    (``fabric.replayed_sends()``, a no-op ``aggregate`` on the replay
+    context) and the lost inbox goes back through ``restore_inbox``.
     """
     store = engine._store
     fabric = engine._fabric
@@ -242,9 +249,10 @@ def confined_replay(
     worker = store.workers[worker_idx]
     program = engine._program
     ctx = ComputeContext(engine)
+    # Contributions were reduced when the superstep first ran.
+    ctx.aggregate = lambda name, value: None
     replay_work = 0.0
-    engine._replaying = fabric.replaying = True
-    try:
+    with fabric.replayed_sends():
         for t in range(ckpt.superstep, superstep):
             prev_aggs = (
                 engine._aggregate_history[t - 1] if t >= 1 else {}
@@ -269,18 +277,21 @@ def confined_replay(
                 replay_work += (
                     1 + len(messages) + ctx._sent + ctx._charged
                 )
-    finally:
-        engine._replaying = fabric.replaying = False
     # The crashed worker lost its incoming queue for the current
     # superstep; restore it from the delivery log.
     log_now = store.message_log.get(superstep, {})
+    inbox = dict(fabric.inbox_snapshot_items())
     for vid in worker.vertex_ids:
         if vid in log_now:
-            fabric.inbox[vid] = list(log_now[vid])
+            inbox[vid] = log_now[vid]
         else:
-            fabric.inbox.pop(vid, None)
+            inbox.pop(vid, None)
+    fabric.restore_inbox(inbox)
     stats.replay_cost += replay_work
     stats.supersteps_replayed += superstep - ckpt.superstep
+    # Backends with external execution state resynchronize, as after
+    # a full rollback.
+    engine._post_restore_sync()
 
 
 class SnapshotRecovery:

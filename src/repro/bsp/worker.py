@@ -40,9 +40,8 @@ class Worker:
         self.index = index
         self.vertex_ids: List[Hashable] = []
         # Dense CSR range [range_start, range_stop) owned by this
-        # worker under the engine's fast path; both 0 until a
-        # DenseIndex is compiled (and stale after a topology mutation
-        # disengages the fast path).
+        # worker on the dense plane, rewritten by every re-index;
+        # both stay 0 on the dict-path oracle.
         self.range_start = 0
         self.range_stop = 0
         self.work = 0.0

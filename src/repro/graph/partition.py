@@ -182,8 +182,8 @@ class DenseIndex:
 
     The table is *frozen*: it is valid only while the vertex set and
     ownership it was built from stay unchanged.  Topology mutations
-    invalidate it — the engine disengages the fast path (falling back
-    to the dict mailboxes) the superstep a mutation is applied.
+    invalidate it — the engine compiles a new one at the barrier of
+    the superstep a mutation is applied.
     """
 
     #: Dense index -> vertex id.

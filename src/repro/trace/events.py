@@ -6,8 +6,8 @@ metadata:
 * ``kind`` — the wire tag used in JSONL serialization;
 * ``comparable`` — whether the event participates in cross-backend
   modeled-trace equality.  :class:`Handoff` is the only
-  non-comparable kind: which execution path a run degrades to (and
-  why) is backend-specific by construction;
+  non-comparable kind: whether the pool steps aside (and why) is
+  backend-specific by construction;
 * ``informational`` — field names carried for humans but excluded
   from :meth:`TraceEvent.modeled_key`: measured wall-clock seconds
   (host- and backend-dependent, mirroring
@@ -226,11 +226,11 @@ class FaultInjected(TraceEvent):
 class Handoff(TraceEvent):
     """An execution path degraded to another mid-run.
 
-    Non-comparable: which path a run lands on (dense fast path falling
-    back to the reference dict path on a topology mutation, the
-    process pool shutting down and carrying on serially) is a property
-    of the backend, not of the computation, so these events are
-    excluded from cross-backend modeled-trace equality.
+    Non-comparable: whether the process pool shuts down and the run
+    carries on serially is a property of the backend, not of the
+    computation, so these events are excluded from cross-backend
+    modeled-trace equality.  The execution plane is fixed per run, so
+    ``parallel -> serial`` is the only hand-off there is.
     """
 
     superstep: int

@@ -9,6 +9,7 @@ from repro.algorithms.cc_hashmin import HashMinComponents
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SingleSourceShortestPaths
 from repro.algorithms.wcc import WeaklyConnectedComponents
+from repro.bsp import VertexProgram
 from repro.graph import (
     connected_erdos_renyi_graph,
     erdos_renyi_graph,
@@ -54,6 +55,37 @@ WORKLOADS = [
     ),
     ("bfs-tree", _WORKLOAD_UNDIRECTED, lambda: BFSTree(0), "min"),
 ]
+
+
+class EdgeTouch(VertexProgram):
+    """Edits ``out_edges`` in place, then fans out along them.
+
+    Superstep ``prune_at`` deletes every vertex's first out-edge (at
+    0 this is the ROADMAP "Fix first" repro: the lane's compiled row
+    used to keep sending along it); superstep ``rewire_at`` replaces
+    the first edge by one to another vertex — same row length,
+    different row.
+    """
+
+    name = "edge-touch"
+
+    def __init__(self, rounds=3, prune_at=0, rewire_at=None):
+        self.rounds = rounds
+        self.prune_at = prune_at
+        self.rewire_at = rewire_at
+
+    def compute(self, v, msgs, ctx):
+        step = ctx.superstep
+        v.value = len(msgs) if step == 0 else v.value + len(msgs)
+        if step == self.prune_at and v.out_edges:
+            del v.out_edges[next(iter(v.out_edges))]
+        if step == self.rewire_at and v.out_edges:
+            del v.out_edges[next(iter(v.out_edges))]
+            v.out_edges[(7 * v.id + 3) % ctx.num_vertices] = 1.0
+        if step < self.rounds:
+            ctx.send_to_neighbors(v, 1)
+        else:
+            v.vote_to_halt()
 
 
 @pytest.fixture

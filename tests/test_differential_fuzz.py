@@ -24,6 +24,14 @@ Worker counts include 1 (degenerate pool), 2, 4 and 7 (uneven
 partitions: 7 does not divide the vertex counts).  CI's worker-count
 matrix narrows the sweep via ``REPRO_FUZZ_WORKERS`` (comma-separated
 counts); unset runs all of them.
+
+One plane per run: every engine of every case must end on the plane
+it was built on, and the second matrix below crosses what used to
+leave the dense plane — barrier mutations (:class:`MutateMidRun`),
+in-place edge edits (:class:`EdgeTouch`) and confined recovery — with
+every worker count, both combiner modes and every fault plan, so that
+"dense == oracle" compares two planes there too.  A poisoned control
+skips the barrier re-index and must be caught.
 """
 
 from __future__ import annotations
@@ -40,24 +48,38 @@ from repro.algorithms.gas_programs import HashMinGAS
 from repro.bsp import (
     BlockEngine,
     GASEngine,
+    SumAggregator,
+    VertexProgram,
     create_engine,
     crash_plan,
     drop_plan,
 )
 from repro.bsp.combiner import resolve_combiner
+from repro.bsp.fabric import MessageFabric
+from repro.errors import BSPError
 from repro.graph import erdos_renyi_graph
 from repro.graph.snapshot import CsrSnapshot
-from tests.conftest import WORKLOADS
+from repro.trace import TraceRecorder, modeled_events
+from tests.conftest import WORKLOADS, EdgeTouch
 
 WORKER_COUNTS = [1, 2, 4, 7]
 _env = os.environ.get("REPRO_FUZZ_WORKERS")
 if _env:
     WORKER_COUNTS = [int(w) for w in _env.split(",") if w.strip()]
 
+#: ``(name, make_plan, confined)``.  "confined-crash" recomputes only
+#: the crashed partition from the delivery log (checkpoint at 2, crash
+#: at 3: superstep 2 is replayed with its sends bound to the null
+#: pair) — on the same plane as everything else.
 FAULT_MODES = [
-    ("clean", None),
-    ("crash", lambda: crash_plan(superstep=2, worker=1, seed=9)),
-    ("msg-drop", lambda: drop_plan(rate=0.25, seed=9)),
+    ("clean", None, False),
+    ("crash", lambda: crash_plan(superstep=2, worker=1, seed=9), False),
+    ("msg-drop", lambda: drop_plan(rate=0.25, seed=9), False),
+    (
+        "confined-crash",
+        lambda: crash_plan(superstep=3, worker=1, seed=9),
+        True,
+    ),
 ]
 
 #: "fast" pins ``use_vectorized=False`` so the per-vertex dense pass
@@ -102,8 +124,11 @@ def _case_recipe(wl_name: str, workers: int, fault_name: str) -> dict:
 
 
 def _run_case(graph, make_program, natural, recipe, backend, workers,
-              make_plan):
-    kwargs = dict(num_workers=workers, track_bppa=True, seed=0)
+              make_plan, confined=False, trace=None):
+    kwargs = dict(
+        num_workers=workers, track_bppa=True, seed=0, trace=trace,
+        confined_recovery=confined,
+    )
     if recipe["use_combiner"]:
         kwargs["combiner"] = resolve_combiner(natural)
     if make_plan is not None:
@@ -140,7 +165,12 @@ def _run_case(graph, make_program, natural, recipe, backend, workers,
             graph, make_program(), backend="parallel",
             transport=transport, **kwargs,
         )
-    return engine, engine.run()
+    plane = engine.fast_path
+    assert plane is (backend != "reference")
+    result = engine.run()
+    # One plane per run, whatever the program did or the run suffered.
+    assert engine.fast_path is plane, backend
+    return engine, result
 
 
 def canonical(result):
@@ -164,8 +194,29 @@ def canonical(result):
     )
 
 
+def _assert_same_runs(results, repro):
+    """Every backend's result equals the ``"reference"`` one — values,
+    ``RunStats``, BPPA observation, aggregate history, canonical bytes
+    — and every ledger balances (not just matches)."""
+    ref = results["reference"]
+    ref_canon = canonical(ref)
+    for backend, got in results.items():
+        assert got.values == ref.values, f"{backend} values; {repro}"
+        assert got.stats == ref.stats, f"{backend} stats; {repro}"
+        assert got.bppa == ref.bppa, f"{backend} bppa; {repro}"
+        assert got.aggregate_history == ref.aggregate_history, (
+            f"{backend} aggregate history; {repro}"
+        )
+        assert canonical(got) == ref_canon, (
+            f"{backend} canonical bytes; {repro}"
+        )
+        assert got.stats.ledger_balanced(), f"{backend}; {repro}"
+
+
 @pytest.mark.parametrize(
-    "fault_name,make_plan", FAULT_MODES, ids=[f[0] for f in FAULT_MODES]
+    "fault_name,make_plan,confined",
+    FAULT_MODES,
+    ids=[f[0] for f in FAULT_MODES],
 )
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize(
@@ -175,7 +226,7 @@ def canonical(result):
 )
 def test_differential_fuzz(
     wl_name, _graph, make_program, natural, workers, fault_name,
-    make_plan, tmp_path,
+    make_plan, confined, tmp_path,
 ):
     recipe = _case_recipe(wl_name, workers, fault_name)
     repro = (
@@ -201,24 +252,10 @@ def test_differential_fuzz(
         engines[backend], results[backend] = _run_case(
             snap if backend == "snapshot" else graph,
             make_program, natural, recipe, backend, workers,
-            make_plan,
+            make_plan, confined,
         )
     ref = results["reference"]
-    ref_canon = canonical(ref)
-    for backend in BACKENDS[1:]:
-        got = results[backend]
-        assert got.values == ref.values, f"{backend} values; {repro}"
-        assert got.stats == ref.stats, f"{backend} stats; {repro}"
-        assert got.bppa == ref.bppa, f"{backend} bppa; {repro}"
-        assert got.aggregate_history == ref.aggregate_history, (
-            f"{backend} aggregate history; {repro}"
-        )
-        assert canonical(got) == ref_canon, (
-            f"{backend} canonical bytes; {repro}"
-        )
-    # The ledgers must balance on every path, not just match.
-    for backend, result in results.items():
-        assert result.stats.ledger_balanced(), f"{backend}; {repro}"
+    _assert_same_runs(results, repro)
     # Kernel-tier honesty: the pinned-off fast path must never leave
     # the dense pass, while the vectorized path and the pool ranks
     # (which run the same registered kernels) must actually use the
@@ -229,6 +266,14 @@ def test_differential_fuzz(
         w.kernel_tier for w in results["fast"].stats.wall
     }
     assert "vectorized" not in fast_tiers, f"fast; {repro}"
+    assert {
+        w.kernel_tier for w in ref.stats.wall
+    } == {"reference"}, repro
+    if confined and ref.stats.num_supersteps > 3:
+        # The crash struck, and recovery stayed confined: the
+        # checkpointed superstep was replayed, none was discarded.
+        assert ref.stats.recovery_attempts == 1, repro
+        assert ref.stats.supersteps_replayed == 1, repro
     for backend in ("fast+vectorized", "parallel", "parallel-shm"):
         vec_tiers = {
             w.kernel_tier for w in results[backend].stats.wall
@@ -276,6 +321,190 @@ def test_differential_fuzz(
     # And the pickle run must not have paid for a segment it was told
     # not to create.
     assert engines["parallel"].transport_tier == "pickle", repro
+
+
+# ---------------------------------------------------------------------
+# What used to leave the dense plane: barrier mutations, in-place edge
+# edits, confined recovery.  Oracle / dense / spilling snapshot /
+# process pool, every worker count, with and without a combiner, under
+# every fault plan.
+# ---------------------------------------------------------------------
+
+
+class MutateMidRun(VertexProgram):
+    """Every barrier mutation kind, with traffic in flight.
+
+    Superstep 1: vertex 0 sends to vertex 3 and removes it (the
+    message is dropped at delivery, its charges reversed), adds a
+    vertex and edges to and from it, removes one of its own edges and
+    requests an edge from a vertex that does not exist (ignored).
+    Superstep 3: vertex 2 gets a dangling edge — its row cannot
+    compile, so it sends by target list — removed again at 4.  All
+    vertices gossip throughout, over whatever the topology is.
+    """
+
+    name = "mutate-mid-run"
+
+    def aggregators(self):
+        return {"total": SumAggregator()}
+
+    def compute(self, v, msgs, ctx):
+        step = ctx.superstep
+        v.value = sum(msgs) if step == 0 else v.value + sum(msgs)
+        ctx.aggregate("total", v.value)
+        if step == 1 and v.id == 0:
+            ctx.send(3, 1000)
+            ctx.remove_vertex(3)
+            ctx.add_vertex("late", value=0)
+            ctx.add_edge(0, "late")
+            ctx.add_edge("late", 0)
+            ctx.add_edge("nobody", 0)
+            if v.out_edges:
+                ctx.remove_edge(0, next(iter(v.out_edges)))
+        if step == 3 and v.id == 1:
+            ctx.add_edge(2, "nowhere")
+        if step == 4 and v.id == 2:
+            ctx.remove_edge(2, "nowhere")
+            ctx.send_to([t for t in v.out_edges if t != "nowhere"], 1)
+        elif step < 6:
+            ctx.send_to_neighbors(v, 1)
+        else:
+            v.vote_to_halt()
+
+
+#: ``(name, make_program, why the pool stepped aside)``.
+PLANE_CORPUS = [
+    (
+        "mutate-mid-run",
+        MutateMidRun,
+        "topology mutation re-indexed the dense plane",
+    ),
+    (
+        "edge-touch",
+        lambda: EdgeTouch(rounds=5, rewire_at=2),
+        "program edited out_edges in place",
+    ),
+]
+
+PLANE_BACKENDS = ["reference", "fast", "snapshot", "parallel-shm"]
+
+#: Checkpoints at 0, 2, 4 and a crash at 3, so the full rollback
+#: restores the topology the superstep-1 barrier mutated, onto the
+#: dense plane, and re-executes superstep 2; the confined plan replays
+#: it on the crashed partition only.
+_crash_at_3 = lambda: crash_plan(superstep=3, worker=1, seed=9)
+PLANE_FAULT_MODES = [
+    ("clean", None, False),
+    ("crash", _crash_at_3, False),
+    ("msg-drop", lambda: drop_plan(rate=0.25, seed=9), False),
+    ("confined-crash", _crash_at_3, True),
+]
+
+
+def _assert_planes_agree(
+    graph, make_program, use_combiner, workers, make_plan, confined,
+    snap_dir, repro,
+):
+    """Run one corpus case on every backend of ``PLANE_BACKENDS`` and
+    hold each to the oracle: values, ``RunStats`` (recovery accounting
+    included), BPPA observation, aggregate history, canonical bytes
+    and the modeled trace.  Returns ``(engines, results)``."""
+    CsrSnapshot.from_graph(graph).save(snap_dir)
+    snap = CsrSnapshot.open(snap_dir)
+    recipe = {"use_combiner": use_combiner}
+    engines, results, traces = {}, {}, {}
+    for backend in PLANE_BACKENDS:
+        traces[backend] = TraceRecorder()
+        engines[backend], results[backend] = _run_case(
+            snap if backend == "snapshot" else graph,
+            make_program, "sum", recipe, backend, workers,
+            make_plan, confined, traces[backend],
+        )
+    _assert_same_runs(results, repro)
+    for backend in PLANE_BACKENDS[1:]:
+        assert modeled_events(traces[backend]) == modeled_events(
+            traces["reference"]
+        ), f"{backend} modeled trace; {repro}"
+        assert "reference" not in {
+            w.kernel_tier for w in results[backend].stats.wall
+        }, f"{backend} ran a superstep on the dict path; {repro}"
+    return engines, results
+
+
+@pytest.mark.parametrize(
+    "fault_name,make_plan,confined",
+    PLANE_FAULT_MODES,
+    ids=[f[0] for f in PLANE_FAULT_MODES],
+)
+@pytest.mark.parametrize(
+    "use_combiner", [False, True], ids=["nocomb", "sum"]
+)
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize(
+    "name,make_program,pool_reason",
+    PLANE_CORPUS,
+    ids=[c[0] for c in PLANE_CORPUS],
+)
+def test_plane_corpus(
+    name, make_program, pool_reason, workers, use_combiner,
+    fault_name, make_plan, confined, tmp_path,
+):
+    rnd = random.Random(f"plane-{name}-{workers}-{fault_name}")
+    n, p = rnd.randrange(24, 56), round(rnd.uniform(0.1, 0.2), 3)
+    graph_seed, directed = rnd.randrange(10**6), rnd.random() < 0.3
+    repro = (
+        f"reproduce: erdos_renyi_graph(n={n}, p={p}, "
+        f"seed={graph_seed}, directed={directed}); program={name}, "
+        f"num_workers={workers}, fault={fault_name}, "
+        f"combiner={'sum' if use_combiner else 'none'}, engine seed=0"
+    )
+    graph = erdos_renyi_graph(n, p, seed=graph_seed, directed=directed)
+    engines, results = _assert_planes_agree(
+        graph, make_program, use_combiner, workers, make_plan,
+        confined, str(tmp_path / "snap"), repro,
+    )
+    ref = results["reference"]
+    if "crash" in fault_name:
+        assert ref.stats.recovery_attempts == 1, repro
+        assert ref.stats.supersteps_replayed == 1, repro
+    # The budget kept applying to the end of the run: under one byte
+    # every sending lane of every superstep spills.
+    sending = sum(
+        1
+        for entry in ref.stats.supersteps
+        for sent in entry.sent_logical
+        if sent
+    )
+    assert engines["snapshot"]._fabric.spilled_lanes >= sending, repro
+    # The pool says exactly why it stepped aside, and ran until then.
+    pool = engines["parallel-shm"]
+    assert pool.parallel_disabled_reason == pool_reason, repro
+    if name == "mutate-mid-run":
+        assert pool.parallel_supersteps >= 2, repro
+        for result in results.values():
+            assert 3 not in result.values and "late" in result.values
+
+
+def test_poisoned_control_skipped_reindex_is_caught(
+    tmp_path, monkeypatch
+):
+    """The harness must notice a dense plane that keeps its stale
+    index across a mutating barrier."""
+    graph = erdos_renyi_graph(30, 0.15, seed=4)
+    args = (
+        graph, MutateMidRun, False, 2, None, False,
+        str(tmp_path / "snap"), "poisoned control",
+    )
+    _assert_planes_agree(*args)  # sound before the poison
+    reindex = MessageFabric.reindex
+
+    def skip_barrier_reindex(self, inbox=None):
+        if inbox is not None:  # checkpoint restores still re-index
+            reindex(self, inbox)
+
+    monkeypatch.setattr(MessageFabric, "reindex", skip_barrier_reindex)
+    with pytest.raises((AssertionError, BSPError)):
+        _assert_planes_agree(*args)
 
 
 # ---------------------------------------------------------------------

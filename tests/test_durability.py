@@ -15,9 +15,11 @@ Three layers of coverage:
   injector RNG must continue mid-stream;
 * resource exhaustion — a write the filesystem refuses is a typed
   error that leaves the directory resumable;
-* the version-2 record — no topology data in a record of an unmutated
-  run, a topology-carrying record after a mutation, and a fingerprint
-  that pins vertex and adjacency order.
+* the columnar record — no topology data in a record of an unmutated
+  run, a topology-carrying record after a mutation, a fingerprint
+  that pins vertex and adjacency order, and (version 3) nothing about
+  the execution plane: the oracle's directory resumes on the dense
+  plane and the reverse.
 """
 
 from __future__ import annotations
@@ -210,6 +212,27 @@ class TestCorruptionMatrix:
         # Refused, not wiped.
         assert len(_ckpt_files(tmp_path)) == 2
 
+    @pytest.mark.parametrize("resume", [True, False, "auto"])
+    def test_version_2_directory_is_refused_by_name(
+        self, tmp_path, resume
+    ):
+        # Version 2 records carried ``fast_active`` and fingerprinted
+        # ``use_fast_path``: typed refusal, never an unpickling
+        # traceback or a fingerprint mismatch.
+        assert FORMAT_VERSION == 3
+        _fill(_store(tmp_path), 2)
+        manifest = json.loads(
+            (tmp_path / MANIFEST_NAME).read_text()
+        )
+        manifest["format_version"] = 2
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(
+            CheckpointError, match="format version 2;"
+        ) as info:
+            open_durable_store(str(tmp_path), "another-fp", resume)
+        assert not isinstance(info.value, FingerprintMismatchError)
+        assert len(_ckpt_files(tmp_path)) == 2
+
     def test_empty_manifest_never_ran(self, tmp_path):
         _store(tmp_path)  # fresh open writes an empty manifest
         with pytest.raises(
@@ -312,6 +335,43 @@ class TestEngineResume:
         assert (
             resumed_program.master_calls
             == base._program.master_calls
+        )
+
+    @pytest.mark.parametrize(
+        "writer,resumer",
+        [(False, True), (True, False)],
+        ids=["oracle-to-dense", "dense-to-oracle"],
+    )
+    def test_resume_crosses_execution_planes(
+        self, tmp_path, writer, resumer
+    ):
+        # A record says nothing about the plane that wrote it and the
+        # fingerprint does not either: both engines are the same run.
+        directory = str(tmp_path / "ck")
+        baseline = self._engine(
+            PageRank(num_supersteps=8), track_bppa=True
+        ).run()
+        with pytest.raises(SuperstepLimitExceeded):
+            self._engine(
+                PageRank(num_supersteps=8),
+                track_bppa=True,
+                checkpoint_dir=directory,
+                max_supersteps=5,
+                use_fast_path=writer,
+            ).run()
+        engine = self._engine(
+            PageRank(num_supersteps=8),
+            track_bppa=True,
+            checkpoint_dir=directory,
+            resume=True,
+            use_fast_path=resumer,
+        )
+        assert engine.fast_path is resumer
+        resumed = engine.run()
+        assert engine.fast_path is resumer
+        assert result_digest(resumed) == result_digest(baseline)
+        assert canonical_result(resumed) == canonical_result(
+            baseline
         )
 
     def test_resume_with_corrupt_latest_still_identical(
@@ -743,7 +803,6 @@ class TestFingerprint:
             checkpoint_interval=2,
             max_recovery_attempts=2,
             confined_recovery=False,
-            use_fast_path=None,
             track_bppa=False,
             combiner=None,
             partitioner=None,

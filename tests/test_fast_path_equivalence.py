@@ -27,7 +27,7 @@ from repro.bsp import (
 )
 from repro.bsp.combiner import resolve_combiner
 from repro.graph import erdos_renyi_graph, path_graph
-from tests.conftest import WORKLOADS
+from tests.conftest import WORKLOADS, EdgeTouch
 
 # ---------------------------------------------------------------------
 # The equivalence matrix: every workload x combiner mode x fault mode.
@@ -104,9 +104,8 @@ def test_fast_path_is_byte_identical(
         graph, make_program, combiner_name, make_plan, fast=True
     )
     assert_identical(ref, fast)
-    # None of the canonical workloads mutate topology, so the fast
-    # path must stay engaged for the whole run -- including across
-    # crash rollbacks, which restore onto the checkpoint's path.
+    # One plane per run: each engine ends on the plane it was built
+    # on -- including across crash rollbacks.
     assert fast_engine.fast_path is True
     assert ref_engine.fast_path is False
     # Tier honesty in the wall profile: the reference run never
@@ -122,8 +121,8 @@ def test_fast_path_is_byte_identical(
 
 
 # ---------------------------------------------------------------------
-# Topology mutations: the fast path must hand off mid-run and still
-# match the reference byte for byte.
+# Topology mutations: the dense plane re-indexes in place at the
+# barrier, stays engaged, and still matches the oracle byte for byte.
 # ---------------------------------------------------------------------
 
 
@@ -156,7 +155,13 @@ class MutateMidRun(VertexProgram):
         return {"total": SumAggregator()}
 
 
-def test_mutation_disengages_fast_path_and_still_matches():
+def assert_stayed_dense(engine, result):
+    assert engine.fast_path is True
+    tiers = {w.kernel_tier for w in result.stats.wall}
+    assert "reference" not in tiers, tiers
+
+
+def test_mutation_stays_on_dense_plane_and_still_matches():
     g = erdos_renyi_graph(24, 0.2, seed=13)
     ref_engine, ref = run_path(
         g, MutateMidRun, None, None, fast=False
@@ -165,12 +170,13 @@ def test_mutation_disengages_fast_path_and_still_matches():
         g, MutateMidRun, None, None, fast=True
     )
     assert_identical(ref, fast)
-    assert fast_engine.fast_path is False  # handed off at the mutation
+    assert ref_engine.fast_path is False
+    assert_stayed_dense(fast_engine, fast)  # re-indexed, not handed off
     assert 3 not in fast.values
     assert "late" in fast.values
 
 
-def test_mutation_handoff_matches_under_message_faults():
+def test_mutation_reindex_matches_under_message_faults():
     g = erdos_renyi_graph(24, 0.2, seed=13)
     make_plan = lambda: drop_plan(rate=0.25, seed=9)
     _, ref = run_path(g, MutateMidRun, None, make_plan, fast=False)
@@ -178,7 +184,97 @@ def test_mutation_handoff_matches_under_message_faults():
         g, MutateMidRun, None, make_plan, fast=True
     )
     assert_identical(ref, fast)
-    assert fast_engine.fast_path is False
+    assert_stayed_dense(fast_engine, fast)
+
+
+class MutateAtTwo(VertexProgram):
+    """PageRank-shaped traffic with one barrier mutation requested at
+    superstep 2 -- the scenario of the issue that deleted the
+    hand-off: under a budget the spill tier used to stop applying
+    there."""
+
+    name = "mutate-at-two"
+
+    def compute(self, v, msgs, ctx):
+        if ctx.superstep == 0:
+            v.value = 1.0
+        else:
+            v.value = 0.15 + 0.85 * sum(msgs)
+        if ctx.superstep == 2 and v.id == 0:
+            ctx.remove_vertex(1)
+            ctx.add_vertex("late", value=1.0)
+            ctx.add_edge(0, "late")
+        if ctx.superstep < 6:
+            if v.out_edges:
+                ctx.send_to_neighbors(v, v.value / len(v.out_edges))
+        else:
+            v.vote_to_halt()
+
+
+def test_budgeted_run_keeps_spilling_after_a_mutation():
+    g = erdos_renyi_graph(200, 0.1, seed=1)
+    oracle = PregelEngine(
+        g, MutateAtTwo(), num_workers=2, use_fast_path=False
+    ).run()
+    engine = PregelEngine(
+        g, MutateAtTwo(), num_workers=2, memory_budget=64
+    )
+    fabric = engine._fabric
+    spilled_after = []
+    deliver = fabric.deliver_fast
+
+    def recording_deliver(superstep, mutated):
+        delivered = deliver(superstep, mutated)
+        spilled_after.append(fabric.spilled_lanes)
+        return delivered
+
+    fabric.deliver_fast = recording_deliver
+    result = engine.run()
+    assert_identical(oracle, result)
+    assert_stayed_dense(engine, result)
+    assert {w.kernel_tier for w in result.stats.wall} == {"dense"}
+    # The mutation applied at the barrier of superstep 2; the spill
+    # tier keeps charging lanes on every sending superstep after it.
+    assert spilled_after[2] > 0
+    assert spilled_after[3] > spilled_after[2]
+    assert spilled_after[5] > spilled_after[3]
+
+
+# ---------------------------------------------------------------------
+# In-place edge edits: the lane's full-neighbour shortcut must never
+# read a compiled row the program has edited.
+# ---------------------------------------------------------------------
+
+
+def test_send_to_neighbors_after_in_place_edge_edit():
+    # The ROADMAP "Fix first" repro: every vertex deletes its first
+    # out-edge at superstep 0, then fans out for three supersteps.
+    # The dense lane kept sending along the deleted edges: 12210
+    # messages against the oracle's 11610.
+    g = erdos_renyi_graph(200, 0.1, seed=1)
+    totals = {}
+    results = {}
+    for fast in (False, True):
+        engine = PregelEngine(
+            g, EdgeTouch(), num_workers=2, use_fast_path=fast
+        )
+        results[fast] = engine.run()
+        totals[fast] = results[fast].stats.total_messages
+        assert engine.fast_path is fast
+    assert totals == {False: 11610, True: 11610}
+    assert_identical(results[False], results[True])
+
+
+@pytest.mark.parametrize("combiner_name", [None, "sum"])
+def test_rewired_row_of_equal_length_is_not_trusted(combiner_name):
+    # Delete one target and add another: the row keeps its length,
+    # the compiled row is stale all the same.
+    g = erdos_renyi_graph(60, 0.1, seed=3)
+    make = lambda: EdgeTouch(rounds=5, prune_at=None, rewire_at=1)
+    _, ref = run_path(g, make, combiner_name, None, fast=False)
+    engine, fast = run_path(g, make, combiner_name, None, fast=True)
+    assert_identical(ref, fast)
+    assert_stayed_dense(engine, fast)
 
 
 # ---------------------------------------------------------------------
@@ -186,21 +282,35 @@ def test_mutation_handoff_matches_under_message_faults():
 # ---------------------------------------------------------------------
 
 
-def test_fast_path_with_confined_recovery_is_rejected():
-    g = path_graph(4)
-    with pytest.raises(ValueError):
-        PregelEngine(
-            g,
-            MutateMidRun(),
-            confined_recovery=True,
-            use_fast_path=True,
-        )
+def test_fast_path_with_confined_recovery_constructs_and_runs():
+    g = erdos_renyi_graph(24, 0.2, seed=13)
+    kwargs = dict(
+        num_workers=4,
+        confined_recovery=True,
+        checkpoint_interval=2,
+    )
+    make_plan = lambda: crash_plan(superstep=3, worker=2, seed=1)
+    oracle = PregelEngine(
+        g, WORKLOADS[0][2](), use_fast_path=False,
+        fault_plan=make_plan(), **kwargs,
+    ).run()
+    engine = PregelEngine(
+        g, WORKLOADS[0][2](), use_fast_path=True,
+        fault_plan=make_plan(), **kwargs,
+    )
+    result = engine.run()
+    assert_identical(oracle, result)
+    assert_stayed_dense(engine, result)
+    assert result.stats.recovery_attempts == 1
+    # Confined: only the crashed partition's supersteps since the
+    # checkpoint were replayed, nothing was discarded.
+    assert result.stats.supersteps_replayed == 1
 
 
-def test_confined_recovery_defaults_to_reference_path():
+def test_confined_recovery_defaults_to_dense_plane():
     g = path_graph(4)
     engine = PregelEngine(g, MutateMidRun(), confined_recovery=True)
-    assert engine.fast_path is False
+    assert engine.fast_path is True
 
 
 def test_fast_path_is_the_default():

@@ -234,7 +234,8 @@ def test_rng_draw_detected_and_handed_to_serial():
 
 
 class _EdgeAdder(VertexProgram):
-    """Mutates topology mid-run: superstep 0 adds reverse edges."""
+    """Mutates topology mid-run: superstep 0 adds reverse edges,
+    then two more rounds count neighbours over the new topology."""
 
     name = "edge-adder"
 
@@ -245,6 +246,7 @@ class _EdgeAdder(VertexProgram):
         if ctx.superstep == 0:
             for target in vertex.out_edges:
                 ctx.add_edge(target, vertex.id)
+        if ctx.superstep < 3:
             ctx.send_to_neighbors(vertex, 1)
         vertex.value += sum(messages)
         vertex.vote_to_halt()
@@ -256,17 +258,71 @@ def test_topology_mutation_hands_off_to_serial():
         graph, _EdgeAdder(), num_workers=4, seed=0
     ).run()
     engine = ParallelPregelEngine(
-        graph, _EdgeAdder(), num_workers=4, seed=0
+        graph, _EdgeAdder(), num_workers=4, seed=0, memory_budget=1
     )
+    fabric = engine._fabric
+    spilled_at_mutation = []
+    reindex = fabric.reindex
+
+    def recording_reindex(*args):
+        spilled_at_mutation.append(fabric.spilled_lanes)
+        reindex(*args)
+
+    fabric.reindex = recording_reindex
     parallel = engine.run()
+    assert canonical(parallel) == canonical(serial)
+    # The pool is the only thing retired: the hand-off is parallel ->
+    # serial, never dense -> reference.  The run ends on the plane it
+    # started on, no superstep reports the reference tier, and the
+    # budget keeps applying after the mutation.
+    assert (
+        engine.parallel_disabled_reason
+        == "topology mutation re-indexed the dense plane"
+    )
+    assert engine.fast_path is True
+    assert "reference" not in {
+        w.kernel_tier for w in parallel.stats.wall
+    }
+    assert len(spilled_at_mutation) == 1
+    assert fabric.spilled_lanes > spilled_at_mutation[0] > 0
+    # Superstep 0 (where the mutation was requested) still ran on the
+    # pool; the re-index happens when the log is applied.
+    assert engine.parallel_supersteps >= 1
+
+
+class _EdgeEditor(VertexProgram):
+    """Edits ``out_edges`` in place: a rank's edit never reaches the
+    coordinator's topology, so the pool must say so and step aside."""
+
+    name = "edge-editor"
+
+    def initial_value(self, vertex_id, graph):
+        return 0
+
+    def compute(self, vertex, messages, ctx):
+        if ctx.superstep == 1 and vertex.out_edges:
+            del vertex.out_edges[next(iter(vertex.out_edges))]
+        vertex.value += sum(messages)
+        if ctx.superstep < 3:
+            ctx.send_to_neighbors(vertex, 1)
+        else:
+            vertex.vote_to_halt()
+
+
+def test_in_place_edge_edit_hands_off_to_serial():
+    graph = _graph()
+    kwargs = dict(num_workers=4, seed=0, checkpoint_interval=2)
+    serial = PregelEngine(graph, _EdgeEditor(), **kwargs).run()
+    engine = ParallelPregelEngine(graph, _EdgeEditor(), **kwargs)
+    parallel = engine.run()
+    # Including the checkpoint taken after the edit: its size is the
+    # edited topology's on both backends.
     assert canonical(parallel) == canonical(serial)
     assert (
         engine.parallel_disabled_reason
-        == "topology mutation disengaged fast path"
+        == "program edited out_edges in place"
     )
-    # Superstep 0 (where the mutation was requested) still ran on the
-    # pool; the disengage happens when the log is applied.
-    assert engine.parallel_supersteps >= 1
+    assert engine.parallel_supersteps == 1  # superstep 0 only
 
 
 def test_parallel_unsafe_program_disabled_up_front():
