@@ -21,7 +21,8 @@ assigned in ``__init__`` and ``engage_fast_path`` only):
   compiled to contiguous ints
   (:class:`~repro.graph.partition.DenseIndex`), slot mailboxes (flat
   lists indexed by dense id with per-superstep dirty lists, so
-  clearing is O(active) not O(n)), and the combiner folded *at send
+  clearing — and, through the lanes' frontiers, visiting — is
+  O(active) not O(n)), and the combiner folded *at send
   time* into a per-``(destination, sending worker)`` slot.  Mutations,
   rollbacks and confined recovery all run here: a barrier that
   applied mutations ends with :meth:`MessageFabric.reindex`;
@@ -159,7 +160,12 @@ class DenseLane:
     ``cur`` is the position of the vertex currently executing (the
     full-neighbor fanout reads its precompiled row).  ``enqueue``/
     ``fanout`` are bound once to the plain or the combining pair, and
-    the host forwards its ``_enqueue``/``_fanout`` to them.
+    the host forwards its ``_enqueue``/``_fanout`` to them.  The
+    frontier is two ascending position lists: ``arrivals``, the lane's
+    share of this superstep's occupied inbound slots (set by the host
+    before a pass that visits them), and ``awake``, the vertices the
+    last per-vertex pass left un-halted — ``None`` when unknown:
+    whatever writes ``halted`` outside that pass resets it.
     """
 
     __slots__ = (
@@ -167,7 +173,7 @@ class DenseLane:
         "states", "in_slots", "dense_out", "remote_out",
         "idx_of", "owner_of",
         "acc", "cnt", "combine", "touched", "cur",
-        "enqueue", "fanout",
+        "enqueue", "fanout", "arrivals", "awake",
     )
 
     def __init__(
@@ -189,6 +195,7 @@ class DenseLane:
         self.acc: List[Any] = [None] * n
         self.touched: List[int] = []
         self.cur = -1
+        self.arrivals, self.awake = (), None
         if combiner is None:
             self.cnt = None
             self.combine = None
@@ -417,12 +424,8 @@ def snapshot_adjacency(snapshot, id_of, owner_of, start: int, stop: int):
     for idx in range(start, stop):
         src = owner_of[idx]
         nbrs = [perm[q] for q in snapshot.out_row_positions(positions[idx])]
-        remote = 0
-        for j in nbrs:
-            if owner_of[j] != src:
-                remote += 1
         dense_out.append(nbrs)
-        remote_out.append(remote)
+        remote_out.append(len([j for j in nbrs if owner_of[j] != src]))
     return dense_out, remote_out
 
 
@@ -638,8 +641,7 @@ class MessageFabric:
         """Load every spilled record back into its lane (worker order
         — the order the delivery scan consumes lanes) and delete the
         files."""
-        for worker_index in sorted(self._spilled):
-            path = self._spilled[worker_index]
+        for worker_index, path in sorted(self._spilled.items()):
             with open(path, "rb") as fh:
                 record = pickle.load(fh)
             os.unlink(path)
@@ -823,6 +825,8 @@ class MessageFabric:
                 idx = idx_of[vid]
                 in_slots[idx] = list(msgs)
                 dirty.append(idx)
+            for lane in self.lanes:  # the caller rewrote ``halted``
+                lane.awake = None
         else:
             self.inbox = defaultdict(
                 list, {vid: list(msgs) for vid, msgs in inbox.items()}
@@ -992,14 +996,10 @@ class MessageFabric:
                 dst_worker.received_network += received
             if injector is not None:
                 faults.absorb(injector.network_faults(len(msgs)))
-            existing = in_slots[dst]
-            if existing is None:
-                in_slots[dst] = msgs
-                in_dirty.append(dst)
-            else:  # pragma: no cover - inbox is drained every pass
-                existing.extend(msgs)
+            in_slots[dst] = msgs  # empty: every pass drains its mail
+            in_dirty.append(dst)
             if log_entry is not None:
-                log_entry[id_of[dst]] = list(in_slots[dst])
+                log_entry[id_of[dst]] = list(msgs)
             delivered += len(msgs)
         if log_entry is not None:
             self._store.message_log[superstep + 1] = log_entry

@@ -35,12 +35,21 @@ aggregate contributions and feeds the live tracker where a rank logs
 both for the coordinator to replay, and the engine commits a lane's
 touched destinations to ``out_dirty`` where a rank ships them.
 
-The other engines' loops play the same role in their stacks — the GAS
-engine's gather/apply/scatter pass, the block engine's per-block
-compute, the async engine's FIFO update loop — but live with their
-engines (:mod:`repro.bsp.gas`, :mod:`repro.bsp.block`,
-:mod:`repro.bsp.async_engine`): each is inseparable from its engine's
-state layout.
+Sparse supersteps
+-----------------
+
+A superstep costs its *active* vertices.  Only a vertex that holds
+mail or was left un-halted can execute, so :func:`dense_compute_pass`
+walks the lane's frontier — ``lane.arrivals ∪ lane.awake``, ascending,
+which is the order the range scan would execute the same vertices in
+— and scans ``[start, stop)`` only when that is not known to be
+cheaper: on a wake-all superstep, when ``awake`` is ``None`` (fresh
+or re-indexed lanes; after a whole-lane kernel, a rollback, a
+confined replay or a rank reload rewrote ``halted``; after a pass
+that ran every vertex, which does not stop to list who halted), or
+when the frontier is as long as the range.  The gather kernels below
+visit ``lane.arrivals`` the same way.  The other engines' loops (GAS,
+block, async) live with their engines' state layouts.
 
 The vectorized tier
 -------------------
@@ -83,10 +92,11 @@ from __future__ import annotations
 import operator
 import time
 from array import array
+from bisect import bisect_left
 from collections import deque
 from functools import partial, reduce
-from itertools import compress, repeat
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Any, Dict, List, Tuple
 
 try:
     import numpy as _np
@@ -125,10 +135,7 @@ def reference_compute_pass(engine, wake_all: bool) -> int:
             worker.work += ops
             if tracker is not None:
                 tracker.record_vertex(
-                    vid,
-                    ctx._sent,
-                    len(messages),
-                    ops,
+                    vid, ctx._sent, len(messages), ops,
                     program.state_size(state),
                 )
         worker.wall_seconds = time.perf_counter() - seg_start
@@ -144,7 +151,9 @@ def dense_compute_pass(host, lane, wake_all: bool):
     of by hashing.  ``lane.cur`` tracks the executing vertex for the
     lane's full-neighbor fanout (and, on a pool rank, for the
     heartbeat's progress reading).  Returns the dense indices
-    visited, in order.
+    visited, in order, and leaves ``lane.awake`` for the next pass.
+    Walks the lane's frontier, or its whole range when the frontier
+    is not known to be smaller (module docstring).
     """
     program = host._program
     ctx = host._ctx
@@ -159,7 +168,13 @@ def dense_compute_pass(host, lane, wake_all: bool):
     work = worker.work
     executed: List[int] = []
     ran = executed.append
-    for pos in range(lane.start - base, lane.stop - base):
+    awake = lane.awake
+    span = lane.stop - lane.start
+    if wake_all or awake is None or len(awake) + len(lane.arrivals) >= span:
+        frontier = range(lane.start - base, lane.stop - base)
+    else:  # both ascending; only a mix of the two needs merging
+        frontier = sorted({*awake, *lane.arrivals}) if awake else lane.arrivals
+    for pos in frontier:
         state = states[pos]
         messages = in_slots[pos]
         if messages:
@@ -178,13 +193,14 @@ def dense_compute_pass(host, lane, wake_all: bool):
         work += ops
         if tracker is not None:
             tracker.record_vertex(
-                state.id,
-                ctx._sent,
-                len(messages),
-                ops,
-                state_size(state),
+                state.id, ctx._sent, len(messages), ops, state_size(state)
             )
     worker.work = work
+    # After a pass that ran the whole range the next scan finds who
+    # halted as cheaply as a filter here would: leave it unknown.
+    lane.awake = None if len(executed) == span else [
+        i - base for i in executed if not states[i - base].halted
+    ]
     return executed
 
 
@@ -250,6 +266,7 @@ def lane_compute_pass(host, lane, wake_all: bool, phase, plan):
     if plan is None:
         return "dense", dense_compute_pass(host, lane, wake_all), None
     kernel = _VECTOR_KERNELS[type(host._program)]
+    lane.awake = None  # unless the kernel keeps every vertex halted
     return ("vectorized", *kernel.run(host, lane, plan, phase))
 
 
@@ -278,12 +295,14 @@ def _affine(totals, scale, shift):
     return [shift + scale * t for t in totals]
 
 
-def _elementwise_div(vals, degs, np_degs):
+def _elementwise_div(vals, degs):
     """``vals[i] / degs[i]`` elementwise — IEEE-754 double division is
     bit-identical whether performed by CPython or numpy, so this (and
     only this kind of elementwise, non-reducing step) may be
-    accelerated when numpy is importable."""
-    if _np is not None and np_degs is not None:  # pragma: no cover
+    accelerated when numpy is importable (``degs`` is an
+    ``array('d')``: numpy views its buffer without a copy)."""
+    if _np is not None:  # pragma: no cover
+        np_degs = _np.frombuffer(degs, dtype=_np.float64)
         return (_np.array(vals, dtype=_np.float64) / np_degs).tolist()
     return list(map(operator.truediv, vals, degs))
 
@@ -326,20 +345,9 @@ class _ScatterLane:
     """
 
     __slots__ = (
-        "n",
-        "value_getter",
-        "degs",
-        "np_degs",
-        "order",
-        "novel",
-        "s_dst",
-        "s_get",
-        "groups",
-        "m_dst",
-        "m_get",
-        "m_cnt",
-        "sent",
-        "remote",
+        "n", "value_getter", "degs", "order", "novel",
+        "s_dst", "s_get", "groups", "m_dst", "m_get", "m_cnt",
+        "sent", "remote",
     )
 
 
@@ -396,11 +404,6 @@ def _compile_scatter_lane(lo, hi, dense_out, remote_out):
     lane = _ScatterLane()
     lane.n = k
     lane.degs = degs
-    lane.np_degs = (
-        _np.frombuffer(memoryview(degs), dtype=_np.float64)  # pragma: no cover
-        if _np is not None and k
-        else None
-    )
     if not k:
         lane.value_getter = None
     elif senders[-1] - senders[0] + 1 == k:
@@ -590,30 +593,36 @@ def fast_compute_pass(engine, wake_all: bool) -> int:
     fabric = engine._fabric
     phase = vector_phase(engine, wake_all)
     plans = _serial_plans(engine) if phase is not None else None
-    budgeted = fabric.memory_budget is not None
+    if not wake_all and (
+        phase == "gather" if plans
+        else any(lane.awake is not None for lane in fabric.lanes)
+    ):
+        # Some lane may walk a frontier: each takes its contiguous share
+        # of the occupied slots, ascending (``in_dirty`` keeps delivery order).
+        ordered = sorted(fabric.in_dirty)
+        for lane in fabric.lanes:
+            lo = bisect_left(ordered, lane.start)
+            lane.arrivals = ordered[lo:bisect_left(ordered, lane.stop)]
     fabric.stamp += 1
     active = 0
     for lane in fabric.lanes:
         seg_start = time.perf_counter()
-        worker = lane.worker
-        if plans is None:
-            plan = None
+        plan = plans[lane.index] if plans else None
+        if plan is None:
             fabric.bind_lane(lane)
-        else:
-            plan = plans[lane.index]
         tier, executed, scattered = lane_compute_pass(
             engine, lane, wake_all, phase, plan
         )
         if scattered is not None:
             # The plan's cross-lane dedup was paid at compile time.
             fabric.out_dirty.extend(scattered.novel)
-            if budgeted:
+            if fabric.memory_budget is not None:
                 fabric.account_lane(lane.index, scattered.order)
         elif lane.touched:
             fabric.flush_worker_sends(lane)
         active += len(executed)
-        worker.kernel_tier = engine._kernel_tier = tier
-        worker.wall_seconds = time.perf_counter() - seg_start
+        lane.worker.kernel_tier = engine._kernel_tier = tier
+        lane.worker.wall_seconds = time.perf_counter() - seg_start
     fabric.drain_inbox()
     return active
 
@@ -627,14 +636,10 @@ def _serial_plans(engine):
     cache = engine._vector_kernel_cache
     if cache is not None and cache[0] is fabric.dense:
         return cache[1]
-    plans: Optional[list] = []
-    for lane in fabric.lanes:
-        plan = compile_plan(engine._program, lane)
-        if plan is None:
-            plans = None
-            break
-        plans.append(plan)
-    if plans is not None:
+    plans = [compile_plan(engine._program, lane) for lane in fabric.lanes]
+    if None in plans:
+        plans = None
+    else:
         _link_commit_order(
             [plan for plan in plans if type(plan) is _ScatterLane]
         )
@@ -737,7 +742,7 @@ class PageRankKernel:
             sent = plan.sent
             if plan.n:
                 shares = _elementwise_div(
-                    plan.value_getter(new_vals), plan.degs, plan.np_degs
+                    plan.value_getter(new_vals), plan.degs
                 )
                 _scatter(plan, shares, lane)
             worker.sent_logical += sent
@@ -768,6 +773,16 @@ def _plain_numeric_ids(ids):
     return all(type(i) in (int, float) for i in ids)
 
 
+def _gather_phase(program, fabric, superstep, wake_all):
+    """``"gather"`` — the phase a host shares ``arrivals`` out for —
+    past superstep 0 with no wake-all and *every* vertex halted: the
+    per-vertex loop would visit exactly the vertices holding mail."""
+    states = fabric.dense_states
+    if superstep and not wake_all and states and all(map(_HALTED, states)):
+        return "gather"
+    return None
+
+
 class MinPropagationKernel:
     """Steady-state min-label pass (WCC and hashmin): visit the lane's
     occupied slots in ascending order, take the min message under the
@@ -796,17 +811,7 @@ class MinPropagationKernel:
         self._peers_of = peers_of
         self._charge_peers = charge_peers
 
-    @staticmethod
-    def applies(program, fabric, superstep, wake_all):
-        """Past superstep 0, no wake-all, and *every* vertex halted —
-        then the per-vertex loop would visit exactly the vertices
-        holding messages."""
-        if superstep == 0 or wake_all:
-            return None
-        states = fabric.dense_states
-        if not states or not all(map(_HALTED, states)):
-            return None
-        return "steady"
+    applies = staticmethod(_gather_phase)
 
     def compile(self, lane, program):
         """``(key, peer_idx, peer_remote)`` over the lane's range, or
@@ -850,19 +855,20 @@ class MinPropagationKernel:
         cnt = lane.cnt
         combine = lane.combine
         touched = lane.touched
-        start = lane.start
-        lo = start - lane.base
-        hi = lane.stop - lane.base
-        seg_states = lane.states[lo:hi]
-        seg_slots = lane.in_slots[lo:hi]
+        base = lane.base
+        lo = lane.start - base
+        states = lane.states
+        in_slots = lane.in_slots
         work = worker.work
         sent_total = 0
         remote_total = 0
         executed: List[int] = []
-        for i in compress(range(hi - lo), seg_slots):
-            messages = seg_slots[i]
-            state = seg_states[i]
+        lane.awake = []
+        for pos in lane.arrivals:
+            messages = in_slots[pos]
+            state = states[pos]
             ln = len(messages)
+            i = pos - lo
             peers = peer_idx[i]
             n_peers = len(peers)
             if key is None:
@@ -896,7 +902,7 @@ class MinPropagationKernel:
                 remote_total += peer_remote[i]
             else:
                 sent = 0
-            executed.append(start + i)
+            executed.append(pos + base)
             if charge_peers:
                 ops = 1 + ln + sent + (0.0 + n_peers + ln)
             else:
@@ -923,18 +929,12 @@ class DegreeKernel:
 
     @staticmethod
     def applies(program, fabric, superstep, wake_all):
+        if superstep:
+            return _gather_phase(program, fabric, superstep, wake_all)
         states = fabric.dense_states
-        if not states:
+        if not states or not wake_all or fabric.in_dirty:
             return None
-        if superstep == 0:
-            if not wake_all or fabric.in_dirty:
-                return None
-            if any(map(_HALTED, states)):
-                return None
-            return "seed"
-        if wake_all or not all(map(_HALTED, states)):
-            return None
-        return "gather"
+        return None if any(map(_HALTED, states)) else "seed"
 
     compile = staticmethod(_compile_lane_scatter)
 
@@ -943,11 +943,11 @@ class DegreeKernel:
         program = host._program
         tracker = host._tracker
         worker = lane.worker
-        start = lane.start
-        lo = start - lane.base
-        hi = lane.stop - lane.base
-        seg_states = lane.states[lo:hi]
+        base = lane.base
+        states = lane.states
+        lane.awake = []
         if phase == "seed":
+            seg_states = states[lane.start - base:lane.stop - base]
             for state in seg_states:
                 state.value = 0.0
                 state.halted = True
@@ -955,20 +955,20 @@ class DegreeKernel:
                 _scatter(plan, [1.0] * plan.n, lane)
             worker.sent_logical += plan.sent
             worker.sent_remote += plan.remote
-            worker.work += float(hi - lo + plan.sent)
+            worker.work += float(len(seg_states) + plan.sent)
             if tracker is not None:
                 _feed_tracker(tracker, program, seg_states, None, True)
-            return range(start, lane.stop), plan
+            return range(lane.start, lane.stop), plan
         state_size = program.state_size
-        seg_slots = lane.in_slots[lo:hi]
+        in_slots = lane.in_slots
         work = worker.work
         executed: List[int] = []
-        for i in compress(range(hi - lo), seg_slots):
-            messages = seg_slots[i]
-            state = seg_states[i]
+        for pos in lane.arrivals:
+            messages = in_slots[pos]
+            state = states[pos]
             ln = len(messages)
             state.value = state.value + sum(messages, 0.0)
-            executed.append(start + i)
+            executed.append(pos + base)
             ops = 1 + ln + 0.0
             work += ops
             if tracker is not None:

@@ -344,10 +344,10 @@ class _PartitionRuntime:
             states.append(state)
         self.states: List[VertexState] = states
         # The slice's arrays are indexed by local offset (dense idx -
-        # range start), hence the base; ``in_slots`` is rebuilt from
-        # the shipped inbound batch every step.
+        # range start), hence the base; each step fills ``in_slots``
+        # from the shipped inbound batch and clears it again.
         self.lane = lane = DenseLane(
-            worker, worker.range_start, states, None,
+            worker, worker.range_start, states, [None] * len(states),
             init["dense_out"], init["remote_out"],
             init["idx_of"], init["owner_of"], init["combiner"],
         )
@@ -422,10 +422,10 @@ class _PartitionRuntime:
             self._program.__dict__.update(program_state)
         lane = self.lane
         start = lane.start
-        in_slots: List[Any] = [None] * len(self.states)
+        in_slots = lane.in_slots
         for idx, messages in inbound.buckets():
             in_slots[idx - start] = messages
-        lane.in_slots = in_slots
+        lane.arrivals = sorted(idx - start for idx in inbound.touched)
         lane.worker.reset_counters()
         lane.cur = -1
         self._passes += 1
@@ -434,6 +434,8 @@ class _PartitionRuntime:
         kernel_tier, executed, scattered = lane_compute_pass(
             self, lane, wake_all, phase, plan
         )
+        for pos in lane.arrivals:
+            in_slots[pos] = None
         record = lane.detach(
             lane.touched if scattered is None else scattered.order
         )
@@ -480,9 +482,7 @@ class _PartitionRuntime:
             # One row per executed vertex, in order: the vertex ids
             # are recovered coordinator-side from ``executed``.
             rows, tracker.rows = tracker.rows, []
-            _vids, sent, recv, ops, size = (
-                zip(*rows) if rows else [()] * 5
-            )
+            _vids, sent, recv, ops, size = zip(*rows) if rows else [()] * 5
             columns.update(
                 tr_sent=array("q", sent),
                 tr_recv=array("q", recv),
@@ -503,6 +503,7 @@ class _PartitionRuntime:
             state = states[idx - start]
             state.value = value
             state.halted = halted
+        self.lane.awake = None
         self.rng.setstate(payload["rng_state"])
         self._rng_baseline = payload["rng_state"]
         self._program.__dict__.clear()
@@ -1398,10 +1399,9 @@ class ParallelPregelEngine(PregelEngine):
                 state.halted = False
             for idx in columns["halted"]:
                 dense_states[idx].halted = True
+            fabric.lanes[rank].awake = None  # for a later serial pass
             record = LaneRecord(
-                columns["touched"],
-                columns["payloads"],
-                columns["counts"],
+                columns["touched"], columns["payloads"], columns["counts"]
             )
             if record.touched:
                 # The serial flush's commit and spill point: the lane

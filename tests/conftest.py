@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.algorithms.bfs_tree import BFSTree
@@ -9,7 +11,7 @@ from repro.algorithms.cc_hashmin import HashMinComponents
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SingleSourceShortestPaths
 from repro.algorithms.wcc import WeaklyConnectedComponents
-from repro.bsp import VertexProgram
+from repro.bsp import SumAggregator, VertexProgram
 from repro.graph import (
     connected_erdos_renyi_graph,
     erdos_renyi_graph,
@@ -85,6 +87,74 @@ class EdgeTouch(VertexProgram):
         if step < self.rounds:
             ctx.send_to_neighbors(v, 1)
         else:
+            v.vote_to_halt()
+
+
+class FrontierScript(VertexProgram):
+    """Every way a vertex enters or leaves the frontier, with each
+    vertex's behaviour drawn from ``seed``.
+
+    A vertex's script is ``(linger, chatty, pick)``: it stays awake
+    for ``linger`` supersteps *without mail* before voting to halt, a
+    message re-wakes it (and restarts the count), and a ``chatty``
+    vertex sends along one seeded out-edge — every fifth one along all
+    of them — each time it runs.  Vertex ``actor`` never halts before
+    ``horizon``; at ``grow_at`` it adds the vertex ``"born"`` by
+    barrier mutation (which must run the next superstep, without
+    mail), at ``edit_at`` it deletes its first out-edge in place.
+    ``master_compute`` wakes every vertex after superstep ``wake_at``.
+    The value ``(runs, total, idle)`` and the ``runs`` aggregate count
+    every visit, so a skipped or an extra one changes the result.
+    """
+
+    name = "frontier-script"
+
+    def __init__(
+        self, seed, horizon=9, actor=0,
+        wake_at=None, grow_at=None, edit_at=None,
+    ):
+        self.seed = seed
+        self.horizon = horizon
+        self.actor = actor
+        self.wake_at = wake_at
+        self.grow_at = grow_at
+        self.edit_at = edit_at
+
+    def aggregators(self):
+        return {"runs": SumAggregator()}
+
+    def initial_value(self, vertex_id, graph):
+        return (0, 0, 0)
+
+    def master_compute(self, master):
+        if master.superstep == self.wake_at:
+            master.activate_all()
+
+    def compute(self, v, msgs, ctx):
+        step = ctx.superstep
+        rnd = random.Random(f"{self.seed}-{v.id!r}")
+        linger, chatty = rnd.randrange(4), rnd.random() < 0.35
+        pick = rnd.randrange(1 << 16)
+        runs, total, idle = v.value
+        idle = 0 if msgs else idle + 1
+        v.value = (runs + 1, total + sum(msgs), idle)
+        ctx.aggregate("runs", 1)
+        acting = v.id == self.actor
+        if acting and step == self.grow_at:
+            ctx.add_vertex("born", value=(0, 0, 0))
+            ctx.add_edge(v.id, "born")
+        if acting and step == self.edit_at and v.out_edges:
+            del v.out_edges[next(iter(v.out_edges))]
+        if step >= self.horizon:
+            v.vote_to_halt()
+            return
+        if chatty and v.out_edges:
+            if pick % 5 == 0:
+                ctx.send_to_neighbors(v, step + 1)
+            else:
+                targets = list(v.out_edges)
+                ctx.send(targets[(pick + step) % len(targets)], step + 1)
+        if idle >= linger and not acting:
             v.vote_to_halt()
 
 

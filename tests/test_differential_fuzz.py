@@ -28,7 +28,8 @@ counts); unset runs all of them.
 One plane per run: every engine of every case must end on the plane
 it was built on, and the second matrix below crosses what used to
 leave the dense plane — barrier mutations (:class:`MutateMidRun`),
-in-place edge edits (:class:`EdgeTouch`) and confined recovery — with
+in-place edge edits (:class:`EdgeTouch`) and confined recovery, plus
+the frontier transitions of :class:`FrontierScript` — with
 every worker count, both combiner modes and every fault plan, so that
 "dense == oracle" compares two planes there too.  A poisoned control
 skips the barrier re-index and must be caught.
@@ -60,7 +61,7 @@ from repro.errors import BSPError
 from repro.graph import erdos_renyi_graph
 from repro.graph.snapshot import CsrSnapshot
 from repro.trace import TraceRecorder, modeled_events
-from tests.conftest import WORKLOADS, EdgeTouch
+from tests.conftest import WORKLOADS, EdgeTouch, FrontierScript
 
 WORKER_COUNTS = [1, 2, 4, 7]
 _env = os.environ.get("REPRO_FUZZ_WORKERS")
@@ -383,6 +384,17 @@ PLANE_CORPUS = [
         "edge-touch",
         lambda: EdgeTouch(rounds=5, rewire_at=2),
         "program edited out_edges in place",
+    ),
+    # Every way into and out of a lane's frontier (lingering awake,
+    # halting, re-waking, wake-all, a vertex born at the barrier of
+    # superstep 2, an edge edit) — tests/test_frontier_pass.py crosses
+    # it with both pool transports and a min combiner as well.
+    (
+        "frontier-script",
+        lambda: FrontierScript(
+            seed=5, horizon=8, actor=1, wake_at=5, grow_at=2, edit_at=4
+        ),
+        "topology mutation re-indexed the dense plane",
     ),
 ]
 

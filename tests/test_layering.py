@@ -10,6 +10,7 @@ helpers must be the single source of partition semantics.
 
 from __future__ import annotations
 
+import ast
 import collections
 import inspect
 import pathlib
@@ -19,7 +20,9 @@ import pytest
 
 from repro.bsp import CheckpointPolicy, CheckpointStore, SuperstepLoop
 from repro.bsp import checkpoint as checkpoint_module
+from repro.bsp import state as state_module
 from repro.bsp.checkpoint import EngineSnapshot
+from repro.bsp.fabric import MessageFabric
 from repro.errors import CheckpointError, SuperstepLimitExceeded
 from repro.graph.partition import (
     HashPartitioner,
@@ -290,6 +293,124 @@ class TestCheckpointIsColumnsOverOneBaseline:
         # span attaches there).
         engine_source = ENGINE_PY.read_text()
         assert engine_source.count("take_checkpoint(self, ") == 1
+
+def _attribute_writers(module: str, attribute: str) -> list:
+    """``Class.function`` (or ``function``) of every assignment to
+    ``<anything>.<attribute>`` in ``src/repro/bsp/<module>``, in
+    source order, one entry per function."""
+    writers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Assign) and any(
+                isinstance(leaf, ast.Attribute) and leaf.attr == attribute
+                for target in child.targets
+                for leaf in ast.walk(target)
+            ):
+                if ".".join(scope) not in writers:
+                    writers.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse((BSP_ROOT / module).read_text()), [])
+    return writers
+
+
+class TestFrontierIsResetWhereHaltedIsWritten:
+    """``DenseLane.awake`` caches which vertices the last per-vertex
+    pass left un-halted, so every write of ``halted`` from outside
+    that pass must sit next to a reset.  Both sides are enumerated: a
+    new outside writer has to be registered here, beside its reset."""
+
+    #: ``(module, function)`` of every ``.halted = ...`` in the
+    #: modules that hold vertex state at run time, with the reset
+    #: that covers it.
+    HALTED_WRITERS = {
+        "kernels.py": [
+            # the oracle's loop: no lanes
+            "reference_compute_pass",
+            # the pass that computes ``awake``
+            "dense_compute_pass",
+            # sets ``awake = []`` itself (lane_compute_pass resets
+            # it before every whole-lane kernel; PageRank's final
+            # phase halts through ``setattr`` under that reset)
+            "DegreeKernel.run",
+        ],
+        "state.py": [
+            # ends in ``fabric.restore_inbox``
+            "confined_replay",
+        ],
+        "checkpoint.py": [
+            # full restore: ``fabric.reindex`` builds fresh lanes;
+            # confined restore: ``confined_replay`` above
+            "_restored_states",
+            "restore_partition",
+        ],
+        "parallel.py": [
+            # a fresh lane
+            "_PartitionRuntime.__init__",
+            # both reset the lane they wrote
+            "_PartitionRuntime.reload",
+            "ParallelPregelEngine._apply_parallel_results",
+        ],
+    }
+
+    AWAKE_WRITERS = {
+        "fabric.py": ["DenseLane.__init__", "MessageFabric.restore_inbox"],
+        "kernels.py": [
+            "dense_compute_pass",
+            "lane_compute_pass",
+            "MinPropagationKernel.run",
+            "DegreeKernel.run",
+        ],
+        "parallel.py": [
+            "_PartitionRuntime.reload",
+            "ParallelPregelEngine._apply_parallel_results",
+        ],
+    }
+
+    @pytest.mark.parametrize("module", sorted(HALTED_WRITERS))
+    def test_halted_writers_are_enumerated(self, module):
+        assert _attribute_writers(module, "halted") == (
+            self.HALTED_WRITERS[module]
+        )
+
+    def test_awake_is_assigned_where_listed(self):
+        assert _src_files_matching(r"\.awake\b[^=\n]*=[^=]") == {
+            f"bsp/{module}" for module in self.AWAKE_WRITERS
+        }
+        for module, writers in self.AWAKE_WRITERS.items():
+            assert _attribute_writers(module, "awake") == writers
+
+    def test_every_outside_writer_resets_the_frontier(self):
+        # A rank and the coordinator reset the lane they wrote ...
+        assert self.AWAKE_WRITERS["parallel.py"] == (
+            self.HALTED_WRITERS["parallel.py"][1:]
+        )
+        # ... a confined replay ends in restore_inbox, which resets
+        # every lane, and a full restore re-indexes into fresh ones.
+        assert "lane.awake = None" in inspect.getsource(
+            MessageFabric.restore_inbox
+        )
+        assert "fabric.restore_inbox(" in inspect.getsource(
+            state_module.confined_replay
+        )
+        assert "_fabric.reindex(" in inspect.getsource(
+            checkpoint_module.restore_checkpoint
+        )
+
+    def test_the_range_scan_exists_once(self):
+        kernels = (BSP_ROOT / "kernels.py").read_text()
+        assert kernels.count(
+            "range(lane.start - base, lane.stop - base)"
+        ) == 1
+        # The gather kernels walk the arrivals, not a compressed
+        # slice of the lane; PageRank's whole-lane gather still slices.
+        assert "compress(" not in kernels
+        assert kernels.count("in_slots[lo:hi]") == 1
+
 
 #: Intentional uses of the *builtin* ``key=repr`` over vertex ids —
 #: sites where only a deterministic total order matters, not numeric
