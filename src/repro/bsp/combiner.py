@@ -59,8 +59,8 @@ class SumCombiner(Combiner):
         return a + b
 
 
-#: Name -> class registry for CLI/bench surfaces that take a combiner
-#: by name (``repro-table1``, ``benchmarks/bench_engine.py``).
+#: Name -> class registry for surfaces that take a combiner by name
+#: (the workload tables of the differential suites under ``tests/``).
 COMBINERS: Dict[str, Type[Combiner]] = {
     "min": MinCombiner,
     "max": MaxCombiner,

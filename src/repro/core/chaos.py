@@ -1,8 +1,8 @@
 """Chaos programs and helpers for crash-testing the runtime.
 
-Everything the chaos test-suite and soak bench
-(``tests/test_chaos.py``, ``benchmarks/bench_chaos.py``) throw at the
-engine lives here, importable by spawned worker processes and by the
+Everything the chaos and durability suites (``tests/test_chaos.py``,
+``tests/test_durability.py``) throw at the engine lives here,
+importable by spawned worker processes and by the
 ``python -m repro.core.chaos`` subprocess runner:
 
 * programs that SIGKILL their own rank process, hang a rank forever

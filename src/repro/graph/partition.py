@@ -13,9 +13,9 @@ Two tiers live here (see ``docs/partitioning.md``):
 * **cut-minimizing** — :class:`BfsGrowPartitioner`,
   :class:`LabelPropagationPartitioner`,
   :class:`MultilevelPartitioner`, :class:`HubSplitPartitioner`: read
-  the topology to trade edge-cut against balance, the knob
-  ``benchmarks/bench_partitioners.py`` sweeps and
-  :func:`partition_metrics` scores.
+  the topology to trade edge-cut against balance, which
+  :func:`partition_metrics` scores and
+  ``tests/test_partitioner_invariants.py`` holds at run level.
 
 Determinism contract
 --------------------
@@ -924,8 +924,8 @@ class HubSplitPartitioner:
 
 
 #: The partitioner suite by report label — the constructors all share
-#: the ``(graph, num_workers)`` signature, which is what the bench
-#: and the invariant tests sweep.
+#: the ``(graph, num_workers)`` signature, which is what the
+#: invariant tests sweep.
 PARTITIONER_FAMILIES: Dict[str, Callable[[Graph, int], Partitioner]] = {
     "hash": lambda graph, p: HashPartitioner(p),
     "range": lambda graph, p: RangePartitioner(graph, p),

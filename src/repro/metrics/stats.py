@@ -26,10 +26,13 @@ def peak_rss_bytes() -> Optional[int]:
     where the ``resource`` module is unavailable.
 
     ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; both are
-    normalized to bytes here.  The value is a high-water mark — it
-    never decreases over a process's lifetime — which is exactly what
-    the out-of-core benchmarks need: "did this workload ever need
-    more memory than the budget?"
+    normalized to bytes here.  It is a process-*lifetime* high-water
+    mark that is carried across ``fork`` + ``exec``: a child reports
+    at least its parent's resident size at spawn, whatever the child
+    itself does.  It covers the calling (coordinator) process only,
+    never the pool's ranks.  So it bounds a run's memory from above
+    and cannot compare two runs; the measuring method is
+    ``bench/rss.py`` (``VmHWM`` after a ``clear_refs`` reset).
     """
     if resource is None:  # pragma: no cover - non-POSIX hosts
         return None
@@ -73,11 +76,12 @@ class SuperstepWall:
     so the tier used is never part of the determinism contract
     (``None`` on engines predating the tier report).
 
-    ``peak_rss_bytes`` is the coordinator process's peak resident set
-    size (:func:`peak_rss_bytes`) sampled as the superstep committed —
-    a host measurement like the wall columns, outside the determinism
-    contract (``None`` on engines predating the memory report or on
-    hosts without ``resource``).
+    ``peak_rss_bytes`` is the coordinator process's lifetime
+    high-water mark (:func:`peak_rss_bytes`: what the process
+    inherited at spawn included, the ranks excluded) sampled as the
+    superstep committed — a host reading like the wall columns,
+    outside the determinism contract (``None`` on engines predating
+    the memory report or on hosts without ``resource``).
     """
 
     superstep: int
@@ -285,10 +289,10 @@ class RunStats:
         default=None, compare=False, repr=False
     )
 
-    #: Peak resident set size of the process at run end
-    #: (:func:`peak_rss_bytes`), or ``None`` when not recorded.  A
-    #: host measurement like ``wall`` — excluded from equality and
-    #: pickling for the same reason.
+    #: The coordinator process's lifetime high-water mark at run end
+    #: (:func:`peak_rss_bytes` — an upper bound, not a measurement of
+    #: this run), or ``None`` when not recorded.  A host reading like
+    #: ``wall`` — excluded from equality and pickling likewise.
     peak_rss_bytes: Optional[int] = field(
         default=None, compare=False, repr=False
     )
@@ -317,7 +321,7 @@ class RunStats:
         # Pickled RunStats drop the wall-clock measurements: two runs
         # that computed the same answer on different backends (or
         # hosts) must serialize to the same bytes.  The differential
-        # harness and the bench fingerprints rely on this.
+        # harness and the benchmark's digests rely on this.
         state = dict(self.__dict__)
         state["wall"] = None
         state["peak_rss_bytes"] = None
@@ -341,14 +345,6 @@ class RunStats:
         if not self.wall:
             return 0.0
         return sum(w.elapsed for w in self.wall)
-
-    @property
-    def max_wall_imbalance(self) -> float:
-        """Worst measured per-superstep wall imbalance over the run
-        (1.0 when nothing was recorded)."""
-        if not self.wall:
-            return 1.0
-        return max(w.wall_imbalance for w in self.wall)
 
     @property
     def num_supersteps(self) -> int:

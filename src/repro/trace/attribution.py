@@ -38,12 +38,6 @@ class CostBreakdown:
     active_vertices: int = 0
     executions: int = 1
 
-    @property
-    def total_charge(self) -> float:
-        """Superstep charge plus the checkpoint write billed at its
-        start."""
-        return self.cost + self.checkpoint_cost
-
 
 def attribute_costs(
     stats: RunStats, model: Optional[BSPCostModel] = None

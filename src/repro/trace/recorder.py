@@ -5,9 +5,9 @@ A :class:`TraceRecorder` is attached to a run via
 :func:`set_default_trace`, which is how ``repro-table1 --trace``
 captures every algorithm's run without threading a kwarg through each
 wrapper).  The engine's emission sites all guard on ``trace is None``,
-so a run without a recorder pays only that None-check — the overhead
-bench (``benchmarks/bench_trace_overhead.py``) holds the disabled
-path to within noise of the pre-trace engine.
+so a run without a recorder pays only that None-check — the path
+every timed repetition of the repo benchmark (``bench/``) runs, so
+its cost sits inside every ``wall_s`` that benchmark reports.
 
 Events live in a bounded ``deque``: a runaway run overwrites its
 oldest events instead of exhausting memory, and ``dropped`` says how

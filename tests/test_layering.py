@@ -294,6 +294,53 @@ class TestCheckpointIsColumnsOverOneBaseline:
         engine_source = ENGINE_PY.read_text()
         assert engine_source.count("take_checkpoint(self, ") == 1
 
+
+REPO_ROOT = SRC_ROOT.parents[1]
+
+
+class TestOneBenchmark:
+    """``bench/`` is the only harness that reports seconds;
+    ``benchmarks/`` holds pytest-benchmark suites that assert the
+    paper's claims on the modeled cost.  The script drivers and their
+    committed ``BENCH_*.json`` artifacts are gone and stay gone."""
+
+    def test_no_committed_bench_artifacts(self):
+        assert sorted(REPO_ROOT.glob("BENCH_*.json")) == []
+
+    def test_benchmarks_holds_pytest_benchmark_suites_only(self):
+        for path in sorted((REPO_ROOT / "benchmarks").glob("*.py")):
+            if path.name in ("__init__.py", "conftest.py"):
+                continue
+            source = path.read_text()
+            assert any(
+                isinstance(node, ast.FunctionDef)
+                and node.name.startswith("test_")
+                and "benchmark" in [a.arg for a in node.args.args]
+                for node in ast.walk(ast.parse(source))
+            ), f"{path.name} takes the benchmark fixture nowhere"
+            for marker in ("argparse", "perf_counter"):
+                assert marker not in source, (path.name, marker)
+
+    def test_every_mentioned_benchmark_path_exists(self):
+        mention = re.compile(r"benchmarks/\w+\.py|BENCH_\w+\.json")
+        readers = [
+            REPO_ROOT / "README.md",
+            REPO_ROOT / "DESIGN.md",
+            REPO_ROOT / "EXPERIMENTS.md",
+            REPO_ROOT / ".github" / "workflows" / "ci.yml",
+            REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+            *sorted((REPO_ROOT / "docs").glob("*.md")),
+            *sorted(SRC_ROOT.rglob("*.py")),
+        ]
+        dangling = {
+            (reader.relative_to(REPO_ROOT).as_posix(), path)
+            for reader in readers
+            for path in mention.findall(reader.read_text())
+            if not (REPO_ROOT / path).exists()
+        }
+        assert dangling == set()
+
+
 def _attribute_writers(module: str, attribute: str) -> list:
     """``Class.function`` (or ``function``) of every assignment to
     ``<anything>.<attribute>`` in ``src/repro/bsp/<module>``, in

@@ -10,6 +10,8 @@ method, and the ``RunStats.wall`` measurement contract.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -31,7 +33,10 @@ from repro.bsp.engine import (
 )
 from repro.bsp.parallel import ParallelPregelEngine, default_start_method
 from repro.bsp.program import VertexProgram
+from repro.core.chaos import in_rank_process
 from repro.graph import erdos_renyi_graph
+from repro.trace import Handoff, TraceRecorder
+from tests.test_chaos import _repro_segments
 
 
 def _graph(directed=True, seed=3):
@@ -136,8 +141,6 @@ def test_spawn_start_method():
 
 
 def test_default_start_method_is_registered():
-    import multiprocessing
-
     assert default_start_method() in multiprocessing.get_all_start_methods()
 
 
@@ -388,6 +391,50 @@ def test_unpicklable_program_degrades_to_serial():
         "program not picklable"
     )
     assert engine.parallel_supersteps == 0
+
+
+class _DiesUnpickling(PageRank):
+    """Kills its rank while the init payload is being unpickled — what
+    an address-space cap at pool start looks like from outside.  In
+    the coordinator and on the serial path it is plain PageRank."""
+
+    def __setstate__(self, state):
+        if in_rank_process():
+            os._exit(1)
+        self.__dict__.update(state)
+
+
+def test_pool_startup_failure_degrades_to_serial_and_says_so():
+    graph = _graph()
+    common = dict(num_workers=4, combiner=SumCombiner(), seed=0)
+    serial = PregelEngine(
+        graph, _DiesUnpickling(num_supersteps=8), **common
+    ).run()
+    segments = _repro_segments()
+    recorder = TraceRecorder()
+    engine = ParallelPregelEngine(
+        graph, _DiesUnpickling(num_supersteps=8),
+        transport="columnar", trace=recorder, **common,
+    )
+    parallel = engine.run()
+    assert canonical(parallel) == canonical(serial)
+    assert engine.parallel_supersteps == 0
+    assert engine.parallel_disabled_reason.startswith(
+        "pool startup failed"
+    )
+    assert [
+        (e.from_path, e.to_path, e.reason)
+        for e in recorder.events()
+        if isinstance(e, Handoff)
+    ] == [("parallel", "serial", engine.parallel_disabled_reason)]
+    # Nothing of the half-started pool is left behind.
+    assert not engine.parallel_active
+    assert not [
+        p.name
+        for p in multiprocessing.active_children()
+        if p.name.startswith("repro-bsp-worker-")
+    ]
+    assert _repro_segments() == segments
 
 
 # -- wall-clock measurement contract --------------------------------

@@ -13,7 +13,10 @@ the same contract (``docs/partitioning.md``):
   stay within it;
 * **engine neutrality** — a PageRank run is byte-identical between
   the serial and process-parallel backends under every partitioner
-  (partitioning moves cost, never values).
+  (partitioning moves cost, never values);
+* **payoff** — on a serial PageRank run, the best balanced
+  partitioner sends >= 30% fewer remote messages than hash on at
+  least two of four graph families.
 """
 
 import hashlib
@@ -144,18 +147,48 @@ def test_cut_partitioners_beat_hash_where_it_counts(pname):
     assert cut < hashed * 0.7, (pname, cut, hashed)
 
 
-def _run_digest(graph, partitioner, backend):
+def _pagerank(graph, partitioner, num_workers, supersteps, backend):
     from repro.algorithms.pagerank import PageRank
     from repro.bsp import SumCombiner, run_program
 
-    result = run_program(
+    return run_program(
         graph,
-        PageRank(num_supersteps=6),
-        num_workers=3,
+        PageRank(num_supersteps=supersteps),
+        num_workers=num_workers,
         combiner=SumCombiner(),
         partitioner=partitioner,
         backend=backend,
     )
+
+
+def test_best_partitioner_cuts_remote_messages_at_run_level():
+    # The claim EXPERIMENTS.md makes, on a run instead of the static
+    # cut: a message between co-located vertices never crosses the
+    # interconnect, so on at least two of the four graph families the
+    # best partitioner that keeps work imbalance <= 1.5 sends >= 30%
+    # fewer remote messages than hash (35% / 90% / 38% / 97% today).
+    # Counts are modeled, so the statement is the same on every host.
+    n = 500
+    families = {
+        "ba": barabasi_albert_graph(n, 4, seed=7),
+        "grid": grid_graph(22, 23),
+        "er": connected_erdos_renyi_graph(n, 6.0 / n, seed=3),
+        "tree": random_tree(n, seed=11),
+    }
+    reductions = {}
+    for family, g in families.items():
+        remote = {}
+        for pname, make in PARTITIONER_FAMILIES.items():
+            stats = _pagerank(g, make(g, 4), 4, 10, "serial").stats
+            if pname == "hash" or stats.max_imbalance <= 1.5:
+                remote[pname] = stats.total_remote_messages
+        reductions[family] = 1.0 - min(remote.values()) / remote["hash"]
+    passing = [f for f, r in reductions.items() if r >= 0.3]
+    assert len(passing) >= 2, reductions
+
+
+def _run_digest(graph, partitioner, backend):
+    result = _pagerank(graph, partitioner, 3, 6, backend)
     payload = (
         sorted(result.values.items()),
         result.stats,
@@ -164,7 +197,7 @@ def _run_digest(graph, partitioner, backend):
     return hashlib.sha256(pickle.dumps(payload)).hexdigest()
 
 
-@pytest.mark.parametrize("pname", NEW_PARTITIONERS)
+@pytest.mark.parametrize("pname", sorted(PARTITIONER_FAMILIES))
 def test_pagerank_byte_identical_serial_vs_parallel(pname):
     g = GRAPHS["ba"]
     p = PARTITIONER_FAMILIES[pname](g, 3)

@@ -15,6 +15,7 @@ from repro.algorithms.pagerank import PageRank
 from repro.bsp import run_program
 from repro.bsp.combiner import resolve_combiner
 from repro.bsp.faults import chaos_plan, crash_plan, drop_plan
+from repro.core.chaos import canonical_result
 from repro.graph import erdos_renyi_graph
 from repro.metrics.cost_model import BSPCostModel
 from repro.trace import (
@@ -343,6 +344,12 @@ class TestRecorder:
             small_er, PageRank(num_supersteps=3), num_workers=4
         )
         assert result.num_supersteps > 0
+        # ... and attaching a recorder changes nothing the run computes.
+        traced = run_program(
+            small_er, PageRank(num_supersteps=3), num_workers=4,
+            trace=TraceRecorder(),
+        )
+        assert canonical_result(traced) == canonical_result(result)
 
 
 class TestHandoffEvents:
