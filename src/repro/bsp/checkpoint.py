@@ -277,12 +277,10 @@ def take_checkpoint(engine, superstep: int) -> Checkpoint:
     store = engine._store
     states = store.states.values()
     values, value_atoms = _freeze([s.value for s in states], 0)
-    # One pass: a list of live pairs would cost a full GC collection.
-    inbox_ids, boxes = [], []
-    for vid, box in engine._inbox_snapshot_items():
-        inbox_ids.append(vid)
-        boxes.append(box)
-    msgs, msg_atoms = _freeze(list(chain.from_iterable(boxes)), 1)
+    # Copies the fabric's live message column (``_freeze`` never
+    # returns the list it was given).
+    inbox_ids, inbox_lens, msgs = engine._fabric.inbox_columns()
+    msgs, msg_atoms = _freeze(msgs, 1)
     baseline = store.baseline
     shared = baseline is not None and baseline.holds(store)
     topology = baseline if shared else TopologySnapshot.capture(store)
@@ -292,7 +290,7 @@ def take_checkpoint(engine, superstep: int) -> Checkpoint:
         values=values,
         halted=bytes(s.halted for s in states),
         inbox_ids=inbox_ids,
-        inbox_lens=list(map(len, boxes)),
+        inbox_lens=inbox_lens,
         inbox_msgs=msgs,
         agg_finalized=cow_copy(engine._agg_finalized),
         history_len=len(engine._aggregate_history),
@@ -355,8 +353,11 @@ def restore_checkpoint(
         worker.reset_counters()
     # A snapshot is layout-free: the engine's own plane re-indexes
     # over the restored worker lists and adopts the undelivered inbox.
-    msgs = _split(_thaw(checkpoint.inbox_msgs), checkpoint.inbox_lens)
-    engine._fabric.reindex(dict(zip(checkpoint.inbox_ids, msgs)))
+    engine._fabric.reindex((
+        checkpoint.inbox_ids,
+        checkpoint.inbox_lens,
+        _thaw(checkpoint.inbox_msgs),
+    ))
     engine._agg_finalized = cow_copy(checkpoint.agg_finalized)
     del engine._aggregate_history[checkpoint.history_len:]
     engine.rng.setstate(checkpoint.rng_state)

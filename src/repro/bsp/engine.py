@@ -493,9 +493,6 @@ class PregelEngine:
         index."""
         self._fabric.reindex()
 
-    def _inbox_snapshot_items(self):
-        return self._fabric.inbox_snapshot_items()
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------

@@ -19,11 +19,9 @@ assigned in ``__init__`` and ``engage_fast_path`` only):
 
 * the **dense plane** (every engine but the oracle) — vertex ids
   compiled to contiguous ints
-  (:class:`~repro.graph.partition.DenseIndex`), slot mailboxes (flat
-  lists indexed by dense id with per-superstep dirty lists, so
-  clearing — and, through the lanes' frontiers, visiting — is
-  O(active) not O(n)), and the combiner folded *at send
-  time* into a per-``(destination, sending worker)`` slot.  Mutations,
+  (:class:`~repro.graph.partition.DenseIndex`), an inbox of columns in
+  delivery order (see below) and the combiner folded *at send time*
+  into a per-``(destination, sending worker)`` slot.  Mutations,
   rollbacks and confined recovery all run here: a barrier that
   applied mutations ends with :meth:`MessageFabric.reindex`;
 * the **dict path** (``use_fast_path=False``) — hashable-keyed
@@ -56,6 +54,14 @@ With a combiner, a slot is a single combined message in worker
 None); without one it is a list of messages in send order (occupancy:
 non-None).
 
+The dense inbox holds no container per destination: delivery appends
+each destination's messages, in worker order, to one flat column
+``in_msgs`` and records their offset and number in the
+position-indexed ``in_start``/``in_count`` (0: no mail); ``in_dirty``
+lists the destinations in delivery order.  Reading a position's
+messages is one slice, clearing is O(destinations), and nothing is
+left for the cyclic garbage collector to promote and re-scan.
+
 Off its accumulator arrays a lane's slots have exactly one form,
 :class:`LaneRecord` — three columns over the dense slot index.  It is
 what a pool rank detaches and replies with, what the coordinator
@@ -75,6 +81,7 @@ import tempfile
 from array import array
 from collections import defaultdict
 from contextlib import contextmanager
+from itertools import chain, islice
 from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 
 from repro.bsp.combiner import SumCombiner
@@ -152,32 +159,35 @@ class DenseLane:
     loops (:mod:`repro.bsp.kernels`) and the same send methods against
     their lanes, so what one worker's pass *is* exists once.
 
-    ``states``/``in_slots``/``dense_out``/``remote_out`` are indexed by
-    ``dense idx - base``; ``acc``/``cnt`` — this worker's
-    ``(src_worker, destination)`` slots — and the ``idx_of``/
-    ``owner_of`` tables by global dense index.  ``touched`` lists the
-    destinations first written this pass, in first-touch order;
-    ``cur`` is the position of the vertex currently executing (the
-    full-neighbor fanout reads its precompiled row).  ``enqueue``/
+    ``states``/``in_start``/``in_count``/``dense_out``/``remote_out``
+    are indexed by ``dense idx - base`` (the inbox columns are the
+    fabric's on the serial host, the lane's own on a pool rank, which
+    fills them from its inbound :class:`LaneRecord`); ``acc``/``cnt`` —
+    this worker's ``(src_worker, destination)`` slots — and the
+    ``idx_of``/``owner_of`` tables by global dense index.  ``touched``
+    lists the destinations first written this pass, in first-touch
+    order; ``cur`` is the position of the vertex currently executing
+    (the full-neighbor fanout reads its precompiled row).  ``enqueue``/
     ``fanout`` are bound once to the plain or the combining pair, and
     the host forwards its ``_enqueue``/``_fanout`` to them.  The
     frontier is two ascending position lists: ``arrivals``, the lane's
-    share of this superstep's occupied inbound slots (set by the host
-    before a pass that visits them), and ``awake``, the vertices the
-    last per-vertex pass left un-halted — ``None`` when unknown:
-    whatever writes ``halted`` outside that pass resets it.
+    share of this superstep's mailed positions (set by the host before a
+    pass that visits them), and ``awake``, the vertices the last
+    per-vertex pass left un-halted — ``None`` when unknown: whatever
+    writes ``halted`` outside that pass resets it.
     """
 
     __slots__ = (
         "worker", "index", "start", "stop", "base",
-        "states", "in_slots", "dense_out", "remote_out",
+        "states", "in_msgs", "in_start", "in_count",
+        "dense_out", "remote_out",
         "idx_of", "owner_of",
         "acc", "cnt", "combine", "touched", "cur",
         "enqueue", "fanout", "arrivals", "awake",
     )
 
     def __init__(
-        self, worker, base, states, in_slots,
+        self, worker, base, states, inbox,
         dense_out, remote_out, idx_of, owner_of, combiner,
     ):
         self.worker = worker
@@ -186,7 +196,11 @@ class DenseLane:
         self.stop = worker.range_stop
         self.base = base
         self.states = states
-        self.in_slots = in_slots
+        # The host's inbox columns, or (``None``) the lane's own.
+        own = len(states)
+        self.in_msgs, self.in_start, self.in_count = inbox or (
+            [], [0] * own, [0] * own
+        )
         self.dense_out = dense_out
         self.remote_out = remote_out
         self.idx_of = idx_of
@@ -403,6 +417,26 @@ class DenseLane:
                 acc[d] = payload
                 cnt[d] = count
 
+    # The two moves of the inbox columns.
+
+    def receive(self, positions, counts, msgs) -> None:
+        """Fill the (drained) inbox: ``counts[k]`` messages of
+        ``msgs``, laid end to end, for position ``positions[k]``."""
+        self.in_msgs += msgs
+        in_start, in_count = self.in_start, self.in_count
+        lo = 0
+        for pos, count in zip(positions, counts):
+            in_start[pos] = lo
+            in_count[pos] = count
+            lo += count
+
+    def drain(self, positions) -> None:
+        """Empty the inbox, which holds mail for ``positions``."""
+        in_count = self.in_count
+        for pos in positions:
+            in_count[pos] = 0
+        self.in_msgs.clear()
+
 
 def snapshot_adjacency(snapshot, id_of, owner_of, start: int, stop: int):
     """Compile the dense adjacency of dense range ``[start, stop)``
@@ -486,7 +520,10 @@ class MessageFabric:
         self.dense_states = None
         self.dense_out: Optional[List[Optional[List[int]]]] = None
         self.remote_out: Optional[List[int]] = None
-        self.in_slots: Optional[List[Optional[List[Any]]]] = None
+        #: The inbox columns (module docstring).
+        self.in_msgs: List[Any] = []
+        self.in_start: Optional[List[int]] = None
+        self.in_count: Optional[List[int]] = None
         self.in_dirty: List[int] = []
         self.out_dirty: List[int] = []
         #: One :class:`DenseLane` per worker, in worker order (the
@@ -739,12 +776,14 @@ class MessageFabric:
                     remote_out[idx] = remote
         self.dense_out = dense_out
         self.remote_out = remote_out
-        self.in_slots = [None] * n
+        inbox = self.in_msgs, self.in_start, self.in_count = (
+            [], [0] * n, [0] * n
+        )
         self.in_dirty = []
         self.out_dirty = []
         self.lanes = [
             DenseLane(
-                worker, 0, dense_states, self.in_slots,
+                worker, 0, dense_states, inbox,
                 dense_out, remote_out, idx_of, owner_of,
                 self._combiner,
             )
@@ -758,78 +797,87 @@ class MessageFabric:
 
     def reindex(self, inbox=None) -> None:
         """Rebuild this run's mailbox layout over the store's current
-        partition and carry ``inbox`` — default: the undelivered one
-        — across by vertex id.  Ends a barrier that applied topology
-        mutations (one O(n + m) recompile of the index, the adjacency
-        and, ``self.dense`` being new, the lanes' vectorized plans)
-        and a checkpoint restore, which passes the snapshot's inbox.
-        The oracle's dicts are keyed by id: the inbox is all there is
-        to adopt."""
+        partition and carry ``inbox`` — ``(ids, lens, msgs)`` columns,
+        default: the undelivered inbox — across by vertex id.  Ends a
+        barrier that applied topology mutations (one O(n + m)
+        recompile of the index, the adjacency and, ``self.dense``
+        being new, the lanes' vectorized plans) and a checkpoint
+        restore, which passes the snapshot's inbox columns.  The
+        oracle's dicts are keyed by id: the inbox is all there is to
+        adopt."""
         if inbox is None:
-            inbox = dict(self.inbox_snapshot_items())
+            inbox = self.inbox_columns()
         if self.fast_active:
             self.engage_fast_path()
-        self.restore_inbox(inbox)
+        self.restore_inbox(*inbox)
 
     def reset_outbox(self) -> None:
         self.outbox = defaultdict(list)
 
     def drain_inbox(self) -> None:
-        """Clear the inbound slots a finished compute pass consumed —
-        O(active) via the dirty list."""
-        in_slots = self.in_slots
-        for idx in self.in_dirty:
-            in_slots[idx] = None
+        """Clear the inbox a finished compute pass consumed —
+        O(touched) via the dirty list (the lanes share its columns)."""
+        self.lanes[0].drain(self.in_dirty)
         self.in_dirty = []
 
     def rank_inbound(self, num_ranks: int) -> List[LaneRecord]:
-        """The dense inbox bucketed by owning rank for the parallel
+        """The dense inbox split by owning rank for the parallel
         backend's dispatch: one plain-layout :class:`LaneRecord` per
-        rank, in slot-delivery order (``in_dirty``), which is the
-        order the serial dense pass would consume the same slots."""
+        rank, in delivery order (``in_dirty``), which is the order the
+        serial dense pass would consume the same messages."""
         owner_of = self.dense.owner_of
-        in_slots = self.in_slots
-        slots: List[List[int]] = [[] for _ in range(num_ranks)]
+        msgs, in_start, in_count = self.in_msgs, self.in_start, self.in_count
+        parts = [([], [], []) for _ in range(num_ranks)]
         for idx in self.in_dirty:
-            slots[owner_of[idx]].append(idx)
+            touched, flat, counts = parts[owner_of[idx]]
+            lo = in_start[idx]
+            count = in_count[idx]
+            touched.append(idx)
+            flat += msgs[lo:lo + count]
+            counts.append(count)
         return [
-            LaneRecord.from_buckets(idxs, [in_slots[i] for i in idxs])
-            for idxs in slots
+            LaneRecord(array("q", touched), typed_column(flat),
+                       array("q", counts))
+            for touched, flat, counts in parts
         ]
 
     # ------------------------------------------------------------------
     # Checkpoint views
     # ------------------------------------------------------------------
 
-    def inbox_snapshot_items(self):
-        """``(vertex_id, messages)`` pairs of the undelivered inbox in
-        delivery order, independent of mailbox layout, for one pass
-        (no list of pairs is built).  Used by
-        :func:`~repro.bsp.checkpoint.take_checkpoint`."""
+    def inbox_columns(self):
+        """The undelivered inbox as ``(ids, lens, msgs)`` columns in
+        delivery order, messages end to end, on either layout (the
+        dense plane's ``msgs`` is its live column, not a copy)."""
         if self.fast_active:
-            return zip(
-                map(self.dense.id_of.__getitem__, self.in_dirty),
-                map(self.in_slots.__getitem__, self.in_dirty),
+            dirty = self.in_dirty
+            return (
+                list(map(self.dense.id_of.__getitem__, dirty)),
+                list(map(self.in_count.__getitem__, dirty)),
+                self.in_msgs,
             )
-        return self.inbox.items()
+        boxes = self.inbox.values()
+        return (
+            list(self.inbox),
+            list(map(len, boxes)),
+            list(chain.from_iterable(boxes)),
+        )
 
-    def restore_inbox(self, inbox: Dict[Hashable, List[Any]]) -> None:
-        """Replace the undelivered inbox with a copy of ``inbox``
-        (delivery-ordered), in this run's mailbox layout."""
+    def restore_inbox(self, ids, lens, msgs) -> None:
+        """Replace the undelivered inbox with a copy of the ``(ids,
+        lens, msgs)`` columns (delivery-ordered), in this run's
+        mailbox layout."""
+        flat = list(msgs)  # before draining: ``msgs`` may be live
         if self.fast_active:
             self.drain_inbox()
-            idx_of = self.dense.idx_of
-            in_slots = self.in_slots
-            dirty = self.in_dirty
-            for vid, msgs in inbox.items():
-                idx = idx_of[vid]
-                in_slots[idx] = list(msgs)
-                dirty.append(idx)
+            self.in_dirty = list(map(self.dense.idx_of.__getitem__, ids))
+            self.lanes[0].receive(self.in_dirty, lens, flat)
             for lane in self.lanes:  # the caller rewrote ``halted``
                 lane.awake = None
         else:
+            it = iter(flat)
             self.inbox = defaultdict(
-                list, {vid: list(msgs) for vid, msgs in inbox.items()}
+                list, zip(ids, (list(islice(it, n)) for n in lens))
             )
 
     # ------------------------------------------------------------------
@@ -918,27 +966,31 @@ class MessageFabric:
             )
 
     def deliver_fast(self, superstep: int, mutated: bool) -> int:
-        """Slot-mailbox delivery: identical accounting and fault-draw
-        order to :meth:`deliver`, over dense indices.
+        """Slot-mailbox delivery into the inbox columns: identical
+        accounting and fault-draw order to :meth:`deliver`.
 
         Network counts are the occupied ``(destination, src_worker)``
         slots — the combiner already folded at send time — and
         ``received_logical`` comes from the per-slot logical tallies,
         so the logical/network split matches the reference path
-        exactly.  ``mutated`` enables the removed-destination check
-        (and charge reversal) that the reference path performs; when
-        no mutation was applied this superstep the check is skipped,
-        because every dense id is live by construction.
+        exactly; a destination's messages are appended in worker
+        order, the oracle's grouping order.  ``mutated`` enables the
+        removed-destination check (and charge reversal) that the
+        reference path performs; when no mutation was applied this
+        superstep the check is skipped, because every dense id is live
+        by construction.
         """
         engine = self._engine
-        delivered = 0
         injector = engine._injector
         workers = self.workers
         dense = self.dense
         owner_of = dense.owner_of
         id_of = dense.id_of
-        in_slots = self.in_slots
-        in_dirty = self.in_dirty
+        in_msgs = self.in_msgs
+        put = in_msgs.append
+        in_start = self.in_start
+        in_count = self.in_count
+        first = hi = len(in_msgs)
         states = self.states
         combining = self._combiner is not None
         # Confined recovery replays from the same id-keyed log entry
@@ -967,43 +1019,46 @@ class MessageFabric:
                         w.sent_remote -= count
                 continue
             dst_worker = workers[owner_of[dst]]
+            lo = hi
             if combining:
                 received = 0
-                msgs = []
                 for src_worker, acc_w, cnt_w in lanes:
                     count = cnt_w[dst]
                     if count:
                         cnt_w[dst] = 0
-                        msgs.append(acc_w[dst])
+                        put(acc_w[dst])
                         acc_w[dst] = None
+                        hi += 1
                         received += count
                         src_worker.sent_network += 1
+                count = hi - lo
                 dst_worker.received_logical += received
-                dst_worker.received_network += len(msgs)
+                dst_worker.received_network += count
             else:
-                msgs = None
                 for src_worker, acc_w, _cnt in lanes:
                     bucket = acc_w[dst]
                     if bucket is not None:
                         acc_w[dst] = None
-                        src_worker.sent_network += len(bucket)
-                        if msgs is None:
-                            msgs = bucket
-                        else:
-                            msgs.extend(bucket)
-                received = len(msgs)
-                dst_worker.received_logical += received
-                dst_worker.received_network += received
+                        count = len(bucket)
+                        src_worker.sent_network += count
+                        in_msgs += bucket
+                        hi += count
+                count = hi - lo
+                dst_worker.received_logical += count
+                dst_worker.received_network += count
             if injector is not None:
-                faults.absorb(injector.network_faults(len(msgs)))
-            in_slots[dst] = msgs  # empty: every pass drains its mail
-            in_dirty.append(dst)
+                faults.absorb(injector.network_faults(count))
+            in_start[dst] = lo
+            in_count[dst] = count
             if log_entry is not None:
-                log_entry[id_of[dst]] = list(msgs)
-            delivered += len(msgs)
+                log_entry[id_of[dst]] = in_msgs[lo:]
         if log_entry is not None:
             self._store.message_log[superstep + 1] = log_entry
+        # Every destination not dropped holds mail, in out_dirty order.
+        self.in_dirty = self.out_dirty if not mutated else [
+            dst for dst in self.out_dirty if in_count[dst]
+        ]
         self.out_dirty = []
         self._resident_bytes = 0
         self._commit_faults(superstep, faults)
-        return delivered
+        return hi - first

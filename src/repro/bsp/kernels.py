@@ -7,8 +7,8 @@ Two per-vertex loops live here:
   reached by id hash, inboxes popped from the fabric's dict mailbox;
 * :func:`dense_compute_pass` — the dense plane, written against
   **one worker's lane** (:class:`~repro.bsp.fabric.DenseLane`):
-  vertices reached by dense position, inboxes read from the lane's
-  slot view, sends folded into the lane's accumulators.
+  vertices reached by dense position, messages sliced out of the
+  lane's inbox columns, sends folded into the lane's accumulators.
 
 Both visit vertices in identical order (worker index order, then the
 worker's ``vertex_ids`` order — the dense ranges mirror it), apply
@@ -56,7 +56,7 @@ The vectorized tier
 
 On top of the per-vertex loops sits an opt-in tier: whole-lane
 **vectorized kernels** that execute one superstep of a *registered*
-program as array-shaped passes over the lane's slot-mailbox view and
+program as array-shaped passes over the lane's inbox columns and
 a scatter plan precompiled from its dense adjacency (an SpMV
 transposed into per-destination gather lists, held in stdlib
 ``array`` lanes like the shm transport's columns; numpy, if
@@ -68,7 +68,7 @@ has three parts —
 * ``applies(program, fabric, superstep, wake_all) -> phase | None``:
   a cheap, state-based proof that this superstep's semantics are
   expressible with the *identical* float operation sequence as the
-  per-vertex loop (fixed summation order within a slot, left folds
+  per-vertex loop (fixed summation order per destination, left folds
   with no injected zero seed — which would flip ``-0.0`` — division
   by the same exactly-converted degree).  Always evaluated on the
   authoritative fabric (:func:`vector_phase`): the serial engine's
@@ -162,7 +162,7 @@ def dense_compute_pass(host, lane, wake_all: bool):
     state_size = program.state_size
     begin_vertex = ctx._begin_vertex
     states = lane.states
-    in_slots = lane.in_slots
+    in_msgs, in_start, in_count = lane.in_msgs, lane.in_start, lane.in_count
     base = lane.base
     worker = lane.worker
     work = worker.work
@@ -176,9 +176,12 @@ def dense_compute_pass(host, lane, wake_all: bool):
         frontier = sorted({*awake, *lane.arrivals}) if awake else lane.arrivals
     for pos in frontier:
         state = states[pos]
-        messages = in_slots[pos]
-        if messages:
+        count = in_count[pos]
+        if count:
             state.halted = False
+            # A fresh list per visit: the program may keep or mutate it.
+            lo = in_start[pos]
+            messages = in_msgs[lo:lo + count]
         elif state.halted and not wake_all:
             continue
         else:
@@ -598,7 +601,7 @@ def fast_compute_pass(engine, wake_all: bool) -> int:
         else any(lane.awake is not None for lane in fabric.lanes)
     ):
         # Some lane may walk a frontier: each takes its contiguous share
-        # of the occupied slots, ascending (``in_dirty`` keeps delivery order).
+        # of the mailed positions, ascending (``in_dirty`` is unsorted).
         ordered = sorted(fabric.in_dirty)
         for lane in fabric.lanes:
             lo = bisect_left(ordered, lane.start)
@@ -647,15 +650,15 @@ def _serial_plans(engine):
     return plans
 
 
-def _feed_tracker(tracker, program, seg_states, seg_slots, sends):
+def _feed_tracker(tracker, program, seg_states, seg_counts, sends):
     """One tracker row per vertex of a whole-lane pass, in visit
     order: ``sends`` says whether the phase scattered along every
-    out-edge, ``seg_slots`` (``None`` on a seed phase) what arrived."""
+    out-edge, ``seg_counts`` (``None`` on a seed phase) how many
+    messages arrived."""
     state_size = program.state_size
     record = tracker.record_vertex
     for i, state in enumerate(seg_states):
-        slot = seg_slots[i] if seg_slots is not None else None
-        ln = len(slot) if slot else 0
+        ln = seg_counts[i] if seg_counts is not None else 0
         sent = len(state.out_edges) if sends else 0
         record(state.id, sent, ln, 1 + ln + sent + 0.0, state_size(state))
 
@@ -691,14 +694,16 @@ def _pagerank_phase(program, fabric, superstep, wake_all):
 
 
 class PageRankKernel:
-    """Whole-lane PageRank pass over the slot mailboxes.
+    """Whole-lane PageRank pass over the inbox columns.
 
-    Gather is ``sum(slot, 0.0)`` — the same left fold, seeded the same
-    way, as the reference's ``total = 0.0; for m in messages: total +=
-    m``.  The new rank is ``base + d * total`` with ``base`` computed
-    by the reference's own expression ``(1.0 - damping) / n``, and
-    shares divide by the int out-degree exactly converted to float —
-    every float op bit-identical to the per-vertex loop.
+    Gather is ``sum(messages, 0.0)`` over each position's slice of
+    ``in_msgs`` (empty without mail) — the same left fold, in the same
+    worker order, seeded the same way, as the reference's ``total =
+    0.0; for m in messages: total += m``.  The new rank is ``base + d
+    * total`` with ``base`` computed by the reference's own expression
+    ``(1.0 - damping) / n``, and shares divide by the int out-degree
+    exactly converted to float — every float op bit-identical to the
+    per-vertex loop.
     """
 
     applies = staticmethod(_pagerank_phase)
@@ -715,14 +720,16 @@ class PageRankKernel:
         n = host.num_vertices
         d = program.damping
         if phase == "seed":
-            seg_slots = None
+            seg_counts = None
             total_msgs = 0
             new_vals = [1.0 / n] * n_seg
         else:
-            seg_slots = lane.in_slots[lo:hi]
-            total_msgs = sum(map(len, filter(None, seg_slots)))
+            seg_counts = lane.in_count[lo:hi]
+            total_msgs = sum(seg_counts)
+            msgs = lane.in_msgs
             totals = [
-                sum(slot, 0.0) if slot else 0.0 for slot in seg_slots
+                sum(msgs[start:start + count], 0.0)
+                for start, count in zip(lane.in_start[lo:hi], seg_counts)
             ]
             new_vals = _affine(totals, d, (1.0 - d) / n)
             # L1 deltas aggregate in visit order, before assignment —
@@ -751,7 +758,7 @@ class PageRankKernel:
         worker.work += float(n_seg + total_msgs + sent)
         if host._tracker is not None:
             _feed_tracker(
-                host._tracker, program, seg_states, seg_slots,
+                host._tracker, program, seg_states, seg_counts,
                 phase != "final",
             )
         return range(lane.start, lane.stop), scattered
@@ -785,7 +792,7 @@ def _gather_phase(program, fabric, superstep, wake_all):
 
 class MinPropagationKernel:
     """Steady-state min-label pass (WCC and hashmin): visit the lane's
-    occupied slots in ascending order, take the min message under the
+    mailed positions in ascending order, take the min message under the
     program's total order, and scatter improved labels along peer
     lists precompiled to dense indices and remote counts, so the loop
     never rebuilds a set or hashes an id.  The inline scatter mirrors
@@ -858,16 +865,17 @@ class MinPropagationKernel:
         base = lane.base
         lo = lane.start - base
         states = lane.states
-        in_slots = lane.in_slots
+        in_msgs, in_start = lane.in_msgs, lane.in_start
+        in_count = lane.in_count
         work = worker.work
         sent_total = 0
         remote_total = 0
         executed: List[int] = []
         lane.awake = []
         for pos in lane.arrivals:
-            messages = in_slots[pos]
+            ln = in_count[pos]
+            messages = in_msgs[in_start[pos]:in_start[pos] + ln]
             state = states[pos]
-            ln = len(messages)
             i = pos - lo
             peers = peer_idx[i]
             n_peers = len(peers)
@@ -924,7 +932,7 @@ class MinPropagationKernel:
 class DegreeKernel:
     """Degree-style workload: a seed superstep scattering a constant
     ``1.0`` along the precompiled plan, then pure gather supersteps
-    (``value += sum(slot, 0.0)``) over the occupied slots with every
+    (``value += sum(messages, 0.0)``) over the mailed positions with every
     vertex staying halted."""
 
     @staticmethod
@@ -960,14 +968,16 @@ class DegreeKernel:
                 _feed_tracker(tracker, program, seg_states, None, True)
             return range(lane.start, lane.stop), plan
         state_size = program.state_size
-        in_slots = lane.in_slots
+        in_msgs, in_start = lane.in_msgs, lane.in_start
+        in_count = lane.in_count
         work = worker.work
         executed: List[int] = []
         for pos in lane.arrivals:
-            messages = in_slots[pos]
+            ln = in_count[pos]
             state = states[pos]
-            ln = len(messages)
-            state.value = state.value + sum(messages, 0.0)
+            state.value = state.value + sum(
+                in_msgs[in_start[pos]:in_start[pos] + ln], 0.0
+            )
             executed.append(pos + base)
             ops = 1 + ln + 0.0
             work += ops

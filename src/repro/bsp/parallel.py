@@ -28,7 +28,7 @@ and fault injector, exactly as the serial engine does.  Only the
   locally (:func:`_expand_snapshot_init`), so coordinator and rank
   memory stay bounded by the partition, not the graph;
 * each superstep the coordinator ships ``(superstep, wake_all,
-  finalized aggregates, this rank's inbound slots, program state if it
+  finalized aggregates, this rank's inbound record, program state if it
   changed, the vectorized-kernel verdict)`` to every rank, and each
   rank runs **the serial fast path's own compute code** — the dense
   per-vertex loop, the lane send methods and the registered
@@ -45,7 +45,7 @@ and fault injector, exactly as the serial engine does.  Only the
 
 Because the serial engine *also* executes workers in rank order, the
 rank-ordered merge reconstructs exactly the global send order, the
-``_out_dirty`` first-touch order (= the reference outbox's key
+``out_dirty`` first-touch order (= the reference outbox's key
 insertion order, which fixes the fault-injection draw sequence), the
 aggregator reduce order (contributions are replayed through
 ``engine._aggregate`` on the coordinator, so even non-associative
@@ -54,87 +54,12 @@ Delivery, combining at delivery, master compute, mutation application,
 checkpointing, and recovery all run the *unchanged* serial code on the
 coordinator — there is nothing left to diverge.
 
-Degrading to serial
--------------------
-
-Real parallelism cannot be byte-identical when compute breaks
-partition isolation, so the backend degrades to the serial path (it
-*is* a ``PregelEngine``; degrading just means never consulting the
-pool) instead of returning different bytes:
-
-* programs flagged ``parallel_safe = False`` or the
-  ``use_fast_path=False`` oracle — decided up front, the pool never
-  spawns;
-* an unpicklable program or a worker pipe failure — the pool is
-  abandoned and the superstep re-executes serially;
-* **broken isolation**: each rank compares its RNG state before and
-  after the pass (a draw consumed the run's shared sequential stream)
-  and its executed vertices' compiled rows against their ``out_edges``
-  (:meth:`~repro.bsp.fabric.DenseLane.row_holds`: an in-place edit
-  never reaches the coordinator's copy).  Either way the whole
-  superstep's results are discarded, the pool shuts down permanently,
-  and the superstep re-executes serially from the coordinator's
-  (untouched) state;
-* **topology mutation**: the barrier re-indexes the coordinator's
-  dense plane in place; the pool, compiled for the old index, is
-  retired and the dense plane carries on serially.
-
-Fault tolerance
----------------
-
-Injected crashes become *real* process deaths: ``_recover`` kills the
-crashed rank's OS process before running the stock recovery, and the
-``_post_restore_sync`` hook (called at the end of a full rollback and
-of a confined replay alike) respawns dead ranks from a fresh
-partition snapshot and reloads the restored values into surviving
-ranks.  The dense index a restore recompiles is identical to the
-pool's (topology cannot have changed while the pool is alive), so
-adjacency is never reshipped.
-
-Supervision of the real processes is hang-aware: the coordinator
-never blocks on a worker pipe.  Each rank runs a heartbeat thread
-reporting a monotonic per-vertex progress counter; the coordinator
-collects step replies with deadline polling and extends a rank's
-deadline only when its progress *advances*, so a SIGKILLed rank is
-detected immediately, an infinite-looping or sleeping rank within
-``rank_stall_timeout``, and a merely slow rank is never killed.  A
-failed rank aborts the (side-effect-free) collection, the whole pool
-is torn down — ``kill()`` escalates SIGTERM to SIGKILL so even a rank
-that ignores signals dies — and the pass retries on a fresh pool
-after bounded exponential backoff, up to ``max_rank_restarts``
-restarts per run; past the budget the run degrades to the
-byte-identical serial path.  Because results merge only after every
-rank replies, a failed pass leaves the coordinator at the exact
-superstep boundary and the retry is byte-identical by construction.
-An ``atexit`` sweep kills any pool the interpreter abandons, so no
-orphan rank processes outlive an interrupted run.
-
-Transport tiers
----------------
-
-A superstep crosses the rank boundary in one format
-(:mod:`repro.bsp.shm_transport`): the inbound slot batch and the
-rank's effect set are *columns* — typed ``float64``/``int64`` arrays
-where the values conform, plain lists otherwise — built once on the
-sending side and consumed as columns on the receiving side.  The
-``transport`` kwarg only decides whether the pool has a shared-memory
-segment for conforming columns to travel in:
-
-* ``"auto"``/``"columnar"`` (the default): a typed column that fits
-  its lane is bulk-copied into the segment and the pipe message
-  carries only its descriptor; any other column (e.g. BFS-tree's dict
-  values) rides the pipe message as it is — per column and per
-  superstep, never a mode switch.  ``columnar_supersteps`` counts
-  supersteps in which every column of every rank travelled in the
-  segment, both directions.
-* ``"pickle"``: no segment; every column rides the pipe message.
-  Same code, same columns — selectable for A/B measurement.
-
-If the segment cannot be created the pool runs exactly as under
-``"pickle"``, recording why in ``transport_disabled_reason``.  The
-segment's lifecycle is tied to the pool's (every teardown route
-destroys it; see :mod:`repro.bsp.shm_transport` for the leak
-handling).
+Where real processes cannot keep that contract (a program that is not
+``parallel_safe``, a shared-RNG draw, an in-place edge edit, a
+topology mutation, a rank lost past the restart budget) the backend
+degrades to the serial path it inherits and says why.  How it
+degrades, supervises and respawns ranks, and moves columns through
+:mod:`repro.bsp.shm_transport` is in ``docs/parallel_backend.md``.
 
 ``RunStats.wall`` records per-rank compute seconds, barrier wait and
 pipe payload bytes: measurements, excluded from the byte-identity
@@ -298,7 +223,7 @@ class _PartitionRuntime:
     engine.
 
     The partition is one :class:`~repro.bsp.fabric.DenseLane` over the
-    rank's slice — its states, inbound slots, compiled adjacency, a
+    rank's slice — its states, inbox columns, compiled adjacency, a
     private accumulator array and a :class:`~repro.bsp.worker.Worker`
     for the counters — executed by the same per-vertex loop, lane send
     methods and vectorized kernels the serial engine runs over its
@@ -344,10 +269,10 @@ class _PartitionRuntime:
             states.append(state)
         self.states: List[VertexState] = states
         # The slice's arrays are indexed by local offset (dense idx -
-        # range start), hence the base; each step fills ``in_slots``
-        # from the shipped inbound batch and clears it again.
+        # range start), hence the base; each step points the inbox
+        # columns at the inbound record it received and clears them.
         self.lane = lane = DenseLane(
-            worker, worker.range_start, states, [None] * len(states),
+            worker, worker.range_start, states, None,
             init["dense_out"], init["remote_out"],
             init["idx_of"], init["owner_of"], init["combiner"],
         )
@@ -420,22 +345,28 @@ class _PartitionRuntime:
             # master_compute mutated the program since the last ship.
             self._program.__dict__.clear()
             self._program.__dict__.update(program_state)
+        # The inbound record fills the lane's inbox columns.
         lane = self.lane
         start = lane.start
-        in_slots = lane.in_slots
-        for idx, messages in inbound.buckets():
-            in_slots[idx - start] = messages
-        lane.arrivals = sorted(idx - start for idx in inbound.touched)
+        positions = [idx - start for idx in inbound.touched]
+        lane.receive(positions, inbound.counts, inbound.payloads)
+        plan = self._plan if phase is not None else None
+        # Arrivals only for a frontier walk, as in fast_compute_pass.
+        if not wake_all and (
+            phase == "gather" if plan is not None
+            else lane.awake is not None
+        ):
+            lane.arrivals = sorted(positions)
+        else:
+            lane.arrivals = ()
         lane.worker.reset_counters()
         lane.cur = -1
         self._passes += 1
         self._ctx._begin_superstep(superstep, agg_prev)
-        plan = self._plan if phase is not None else None
         kernel_tier, executed, scattered = lane_compute_pass(
             self, lane, wake_all, phase, plan
         )
-        for pos in lane.arrivals:
-            in_slots[pos] = None
+        lane.drain(positions)
         record = lane.detach(
             lane.touched if scattered is None else scattered.order
         )

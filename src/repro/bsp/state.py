@@ -29,6 +29,7 @@ the Pregel engine — by implementing ``_snapshot_payload()`` /
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Any, Dict, Hashable, List, Optional, Set
 
 from repro.bsp.checkpoint import (
@@ -280,13 +281,18 @@ def confined_replay(
     # The crashed worker lost its incoming queue for the current
     # superstep; restore it from the delivery log.
     log_now = store.message_log.get(superstep, {})
-    inbox = dict(fabric.inbox_snapshot_items())
+    ids, lens, msgs = fabric.inbox_columns()
+    flat = iter(msgs)
+    inbox = {vid: list(islice(flat, n)) for vid, n in zip(ids, lens)}
     for vid in worker.vertex_ids:
         if vid in log_now:
             inbox[vid] = log_now[vid]
         else:
             inbox.pop(vid, None)
-    fabric.restore_inbox(inbox)
+    boxes = inbox.values()
+    fabric.restore_inbox(
+        list(inbox), list(map(len, boxes)), chain.from_iterable(boxes)
+    )
     stats.replay_cost += replay_work
     stats.supersteps_replayed += superstep - ckpt.superstep
     # Backends with external execution state resynchronize, as after

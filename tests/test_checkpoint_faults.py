@@ -316,8 +316,8 @@ def _parent_formula_size(engine) -> int:
         atoms += 1 + state_atoms(state.value) + len(state.out_edges)
         if state.in_edges is not state.out_edges:
             atoms += len(state.in_edges)
-    for _, msgs in engine._inbox_snapshot_items():
-        atoms += sum(state_atoms(m) or 1 for m in msgs)
+    for m in engine._fabric.inbox_columns()[2]:
+        atoms += state_atoms(m) or 1
     return atoms + state_atoms(engine._agg_finalized)
 
 

@@ -43,9 +43,11 @@ import random
 
 import pytest
 
+from repro.algorithms.bfs_tree import BFSTree
 from repro.algorithms.block_programs import BlockHashMin
 from repro.algorithms.degree import DegreeCentrality
 from repro.algorithms.gas_programs import HashMinGAS
+from repro.algorithms.sssp import SingleSourceShortestPaths
 from repro.bsp import (
     BlockEngine,
     GASEngine,
@@ -57,8 +59,9 @@ from repro.bsp import (
 )
 from repro.bsp.combiner import resolve_combiner
 from repro.bsp.fabric import MessageFabric
+from repro.bsp.kernels import _GROUP_MAX
 from repro.errors import BSPError
-from repro.graph import erdos_renyi_graph
+from repro.graph import barabasi_albert_graph, erdos_renyi_graph, grid_graph
 from repro.graph.snapshot import CsrSnapshot
 from repro.trace import TraceRecorder, modeled_events
 from tests.conftest import WORKLOADS, EdgeTouch, FrontierScript
@@ -244,7 +247,18 @@ def test_differential_fuzz(
         seed=recipe["graph_seed"],
         directed=recipe["directed"],
     )
-    snap_dir = str(tmp_path / "snap")
+    _assert_every_path_agrees(
+        graph, wl_name, make_program, natural, recipe, workers,
+        make_plan, confined, str(tmp_path / "snap"), repro,
+    )
+
+
+def _assert_every_path_agrees(
+    graph, wl_name, make_program, natural, recipe, workers, make_plan,
+    confined, snap_dir, repro,
+):
+    """Run one case on every backend of ``BACKENDS`` and hold each to
+    the oracle, plus the tier, spill and pool honesty checks."""
     CsrSnapshot.from_graph(graph).save(snap_dir)
     snap = CsrSnapshot.open(snap_dir)
     results = {}
@@ -322,6 +336,62 @@ def test_differential_fuzz(
     # And the pickle run must not have paid for a segment it was told
     # not to create.
     assert engines["parallel"].transport_tier == "pickle", repro
+
+
+# ---------------------------------------------------------------------
+# The two graph shapes the benchmark runs, beyond Erdős–Rényi: a
+# Barabási–Albert graph (hubs above ``_GROUP_MAX`` in-edges, so many
+# lanes per destination and the scatter plan's per-hub fold) and a
+# grid (tuple vertex ids, so every keyed order and the min-label
+# kernels' non-numeric key).
+# ---------------------------------------------------------------------
+
+def _shape_case(shape: str, wl_name: str, workers: int):
+    """``(graph, source, use_combiner, recipe text)`` drawn from the
+    case's coordinates (stable across runs and platforms)."""
+    rnd = random.Random(f"shape-{shape}-{wl_name}-{workers}")
+    use_combiner = rnd.random() < 0.5
+    if shape == "ba":
+        n, k = rnd.randrange(500, 700), rnd.randrange(5, 8)
+        seed = rnd.randrange(10**6)
+        graph = barabasi_albert_graph(n, k, seed=seed)
+        text = f"barabasi_albert_graph(n={n}, k={k}, seed={seed})"
+        return graph, 0, use_combiner, text
+    rows, cols = rnd.randrange(5, 10), rnd.randrange(6, 12)
+    text = f"grid_graph({rows}, {cols})"
+    return grid_graph(rows, cols), (0, 0), use_combiner, text
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize(
+    "wl_name,_graph,make_program,natural",
+    FUZZ_WORKLOADS,
+    ids=[w[0] for w in FUZZ_WORKLOADS],
+)
+@pytest.mark.parametrize("shape", ["ba", "grid"])
+def test_differential_shapes(
+    shape, wl_name, _graph, make_program, natural, workers, tmp_path
+):
+    graph, source, use_combiner, recipe_text = _shape_case(
+        shape, wl_name, workers
+    )
+    if wl_name == "sssp":
+        make_program = lambda: SingleSourceShortestPaths(source)
+    elif wl_name == "bfs-tree":
+        make_program = lambda: BFSTree(source)
+    recipe = {"use_combiner": use_combiner}
+    repro = (
+        f"reproduce: {recipe_text}; workload={wl_name}, source={source!r}, "
+        f"num_workers={workers}, fault=clean, "
+        f"combiner={'natural' if recipe['use_combiner'] else 'none'}, "
+        f"engine seed=0"
+    )
+    if shape == "ba":
+        assert max(map(graph.total_degree, graph.vertices())) > _GROUP_MAX
+    _assert_every_path_agrees(
+        graph, wl_name, make_program, natural, recipe, workers, None,
+        False, str(tmp_path / "snap"), repro,
+    )
 
 
 # ---------------------------------------------------------------------

@@ -180,17 +180,17 @@ def test_sssp_visits_the_frontier_on_the_serial_host(
     )
     fabric = engine._fabric
     states = CountingList(fabric.dense_states)
-    in_slots = fabric.in_slots = CountingList(fabric.in_slots)
+    in_count = fabric.in_count = CountingList(fabric.in_count)
     for lane in fabric.lanes:
-        lane.states, lane.in_slots = states, in_slots
+        lane.states, lane.in_count = states, in_count
     result = engine.run()
     n = graph.num_vertices
     active = sum(e.active_vertices for e in result.stats.supersteps)
     assert result.stats.num_supersteps > n ** 0.5
-    # One slot read per position visited; one more state read per
-    # executed vertex when the pass lists who is still awake.  The
+    # One inbox-count read per position visited; one more state read
+    # per executed vertex when the pass lists who is still awake.  The
     # range scan this replaces read n of each, every superstep.
-    assert in_slots.gets <= n + active
+    assert in_count.gets <= n + active
     assert states.gets <= n + 2 * active
     assert {w.kernel_tier for w in result.stats.wall} == {"dense"}
 
@@ -214,7 +214,7 @@ def test_sssp_visits_the_frontier_on_a_pool_rank(
     ]
     lane = parts[0].lane
     lane.states = CountingList(lane.states)
-    lane.in_slots = CountingList(lane.in_slots)
+    lane.in_count = CountingList(lane.in_count)
     owner_of = lane.owner_of
     mail = {}
     superstep = active = 0
@@ -248,7 +248,7 @@ def test_sssp_visits_the_frontier_on_a_pool_rank(
         for state in part.states:
             assert state.value == oracle.values[state.id]
     span = lane.stop - lane.start
-    assert lane.in_slots.gets <= span + active
+    assert lane.in_count.gets <= span + active
     # As on the serial host, plus the rank's isolation check
     # (``row_holds``) over the vertices it executed.
     assert lane.states.gets <= span + 3 * active
@@ -272,9 +272,9 @@ def test_dense_frontier_takes_the_range_scan(monkeypatch):
         num_workers=2, use_vectorized=False, track_bppa=False,
     )
     fabric = engine._fabric
-    in_slots = fabric.in_slots = CountingList(fabric.in_slots)
+    in_count = fabric.in_count = CountingList(fabric.in_count)
     for lane in fabric.lanes:
-        lane.in_slots = in_slots
+        lane.in_count = in_count
     result = engine.run()
     supersteps = result.stats.num_supersteps
     assert supersteps == 7
@@ -282,7 +282,7 @@ def test_dense_frontier_takes_the_range_scan(monkeypatch):
         e.active_vertices == graph.num_vertices
         for e in result.stats.supersteps
     )
-    assert in_slots.gets == graph.num_vertices * supersteps
+    assert in_count.gets == graph.num_vertices * supersteps
     assert sorts == []
     assert all(lane.arrivals == () for lane in fabric.lanes)
     # The spy is live: a sparse run on the same engine class sorts.
