@@ -87,11 +87,8 @@ from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 from repro.bsp.combiner import SumCombiner
 from repro.bsp.faults import DeliveryFaults
 from repro.bsp.shm_transport import typed_column
-from repro.errors import (
-    MessageToUnknownVertexError,
-    VertexNotFoundError,
-)
-from repro.graph.partition import build_dense_index
+from repro.errors import MessageToUnknownVertexError
+from repro.graph.partition import build_dense_index, dense_adjacency
 from repro.graph.snapshot import is_graph_snapshot
 from repro.trace.events import FaultInjected
 
@@ -438,31 +435,6 @@ class DenseLane:
         self.in_msgs.clear()
 
 
-def snapshot_adjacency(snapshot, id_of, owner_of, start: int, stop: int):
-    """Compile the dense adjacency of dense range ``[start, stop)``
-    straight from a snapshot's CSR columns.
-
-    Row positions are permuted to dense indices with one flat table
-    instead of hashing every target id.  Row order equals the
-    ``out_edges`` insertion order by construction (vertex states are
-    built from the same ``out_edge_items`` rows), so the result is
-    identical to walking ``out_edges`` through ``idx_of``.  Returns
-    ``(dense_out, remote_out)`` rows for the range, in order.
-    """
-    positions = [snapshot.position_of(vid) for vid in id_of]
-    perm = [0] * len(positions)
-    for idx, p in enumerate(positions):
-        perm[p] = idx
-    dense_out: List[List[int]] = []
-    remote_out: List[int] = []
-    for idx in range(start, stop):
-        src = owner_of[idx]
-        nbrs = [perm[q] for q in snapshot.out_row_positions(positions[idx])]
-        dense_out.append(nbrs)
-        remote_out.append(len([j for j in nbrs if owner_of[j] != src]))
-    return dense_out, remote_out
-
-
 class MessageFabric:
     """One engine's mailboxes, send paths, and delivery routines.
 
@@ -737,43 +709,15 @@ class MessageFabric:
         n = len(dense.id_of)
         # Compile the dense adjacency: full-neighbor fanouts iterate
         # precomputed int indices instead of hashing ids per message.
-        # A vertex with a dangling out-edge (no matching state) gets
-        # None and falls back to the generic per-target loop, which
-        # raises MessageToUnknownVertexError exactly as the oracle
-        # would.
-        idx_of = dense.idx_of
-        owner_of = dense.owner_of
-        dense_out: Optional[List[Optional[List[int]]]] = None
         # A snapshot-backed graph compiles its first index straight
         # from the CSR arrays (the states were just built from the
         # same rows); a re-index walks the live edge maps, which
         # mutations may have moved off the snapshot.
         graph = self._engine._graph
-        if first and is_graph_snapshot(graph) and graph.num_vertices == n:
-            try:
-                dense_out, remote_out = snapshot_adjacency(
-                    graph, dense.id_of, owner_of, 0, n
-                )
-            except VertexNotFoundError:  # pragma: no cover - defensive
-                pass
-        if dense_out is None:
-            dense_out = [None] * n
-            remote_out = [0] * n
-            for idx, state in enumerate(dense_states):
-                src = owner_of[idx]
-                nbrs: List[int] = []
-                remote = 0
-                for target in state.out_edges:
-                    j = idx_of.get(target)
-                    if j is None:
-                        nbrs = None
-                        break
-                    nbrs.append(j)
-                    if owner_of[j] != src:
-                        remote += 1
-                if nbrs is not None:
-                    dense_out[idx] = nbrs
-                    remote_out[idx] = remote
+        if not (first and is_graph_snapshot(graph)
+                and graph.num_vertices == n):
+            graph = None
+        dense_out, remote_out = dense_adjacency(dense_states, dense, graph)
         self.dense_out = dense_out
         self.remote_out = remote_out
         inbox = self.in_msgs, self.in_start, self.in_count = (
@@ -784,7 +728,7 @@ class MessageFabric:
         self.lanes = [
             DenseLane(
                 worker, 0, dense_states, inbox,
-                dense_out, remote_out, idx_of, owner_of,
+                dense_out, remote_out, dense.idx_of, dense.owner_of,
                 self._combiner,
             )
             for worker in self.workers

@@ -86,7 +86,7 @@ from repro.bsp import shm_transport
 from repro.bsp.shm_transport import typed_column
 from repro.bsp.context import ComputeContext
 from repro.bsp.engine import PregelEngine, PregelResult
-from repro.bsp.fabric import DenseLane, LaneRecord, snapshot_adjacency
+from repro.bsp.fabric import DenseLane, LaneRecord
 from repro.bsp.kernels import (
     compile_plan,
     lane_compute_pass,
@@ -95,7 +95,11 @@ from repro.bsp.kernels import (
 from repro.bsp.vertex import VertexState
 from repro.bsp.worker import Worker
 from repro.graph.graph import Graph
-from repro.graph.partition import build_dense_index, owner_for
+from repro.graph.partition import (
+    build_dense_index,
+    owner_for,
+    snapshot_adjacency,
+)
 from repro.graph.snapshot import CsrSnapshot, is_graph_snapshot
 from repro.bsp.program import VertexProgram
 from repro.trace.events import Handoff
@@ -157,7 +161,7 @@ def _expand_snapshot_init(
       rows (the same rows ``StateStore`` read, so the dict order is
       byte-identical);
     * this slice's compiled adjacency, straight off the CSR columns
-      (:func:`~repro.bsp.fabric.snapshot_adjacency` — the same plan
+      (:func:`~repro.graph.partition.snapshot_adjacency` — the same plan
       the coordinator's fabric compiled).
 
     The rederived slice boundary must equal the one the coordinator

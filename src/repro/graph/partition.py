@@ -45,6 +45,7 @@ from typing import (
     Tuple,
 )
 
+from repro.errors import VertexNotFoundError
 from repro.graph.graph import Graph
 
 Partitioner = Callable[[Hashable], int]
@@ -221,6 +222,71 @@ def build_dense_index(workers: Sequence) -> DenseIndex:
     return DenseIndex(
         id_of=id_of, idx_of=idx_of, owner_of=owner_of, ranges=ranges
     )
+
+
+def snapshot_adjacency(snapshot, id_of, owner_of, start: int, stop: int):
+    """Compile the dense adjacency of dense range ``[start, stop)``
+    straight from a snapshot's CSR columns.
+
+    Row positions are permuted to dense indices with one flat table
+    instead of hashing every target id.  Row order equals the
+    ``out_edges`` insertion order by construction (vertex states are
+    built from the same ``out_edge_items`` rows), so the result is
+    identical to walking ``out_edges`` through ``idx_of``.  Returns
+    ``(dense_out, remote_out)`` rows for the range, in order.
+    """
+    positions = [snapshot.position_of(vid) for vid in id_of]
+    perm = [0] * len(positions)
+    for idx, p in enumerate(positions):
+        perm[p] = idx
+    dense_out: List[List[int]] = []
+    remote_out: List[int] = []
+    for idx in range(start, stop):
+        src = owner_of[idx]
+        nbrs = [perm[q] for q in snapshot.out_row_positions(positions[idx])]
+        dense_out.append(nbrs)
+        remote_out.append(len([j for j in nbrs if owner_of[j] != src]))
+    return dense_out, remote_out
+
+
+def dense_adjacency(states, dense: DenseIndex, snapshot=None):
+    """Compile the dense adjacency of ``states`` (``dense`` order):
+    ``(dense_out, remote_out)``, a row of target indices and its count
+    of targets on other workers per vertex.
+
+    With ``snapshot`` — the graph snapshot the states were just built
+    from — the rows come straight off its CSR columns
+    (:func:`snapshot_adjacency`); otherwise from the live
+    ``out_edges``, where a vertex with a dangling out-edge (no
+    matching state) gets a ``None`` row and falls back to the generic
+    per-target send loop, which raises on the unknown target exactly
+    as the oracle would."""
+    idx_of, owner_of = dense.idx_of, dense.owner_of
+    if snapshot is not None:
+        try:
+            return snapshot_adjacency(
+                snapshot, dense.id_of, owner_of, 0, len(states)
+            )
+        except VertexNotFoundError:  # pragma: no cover - defensive
+            pass
+    dense_out: List[Optional[List[int]]] = [None] * len(states)
+    remote_out = [0] * len(states)
+    for idx, state in enumerate(states):
+        src = owner_of[idx]
+        nbrs: Optional[List[int]] = []
+        remote = 0
+        for target in state.out_edges:
+            j = idx_of.get(target)
+            if j is None:
+                nbrs = None
+                break
+            nbrs.append(j)
+            if owner_of[j] != src:
+                remote += 1
+        if nbrs is not None:
+            dense_out[idx] = nbrs
+            remote_out[idx] = remote
+    return dense_out, remote_out
 
 
 def _undirected_neighbors(graph: Graph, vertex: Hashable) -> List[Hashable]:
