@@ -35,7 +35,7 @@ from repro.bsp.durability import (
 from repro.bsp.fabric import MessageFabric
 from repro.bsp.loop import CheckpointPolicy, SuperstepLoop
 from repro.bsp.result import RunResult
-from repro.bsp.state import SnapshotRecovery, StateStore
+from repro.bsp.state import StateStore
 from repro.bsp.faults import (
     CrashFault,
     DeliveryFaults,
@@ -87,7 +87,6 @@ __all__ = [
     "EngineSnapshot",
     "MessageFabric",
     "RunResult",
-    "SnapshotRecovery",
     "StateStore",
     "SuperstepLoop",
     "cow_copy",

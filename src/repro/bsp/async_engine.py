@@ -19,12 +19,14 @@ Hosted on the shared runtime (``docs/architecture.md``): the FIFO
 schedule is chopped into *rounds* — each round drains the prefix of
 the queue that existed when the round began, which is exactly
 GraphLab's "iteration" notion for a FIFO set-scheduler.  Rounds play
-the role supersteps play elsewhere: they are the unit of checkpoint
-scheduling, crash recovery, trace lifecycle events, and ``RunStats``
-entries, so ``trace=`` / ``fault_plan=`` / ``checkpoint_interval=``
-behave identically across engines.  The update order — and therefore
-every counter — is byte-identical to the un-hosted engine: round
-boundaries only group the schedule, they never reorder it.
+the role supersteps play elsewhere: the
+:class:`~repro.bsp.loop.SuperstepLoop` opens, commits, checkpoints and
+rolls back rounds exactly as it does supersteps, and they are the
+``RunStats`` entries, so ``trace=`` / ``fault_plan=`` /
+``checkpoint_interval=`` behave identically across engines.  The
+update order — and therefore every counter — is byte-identical to the
+un-hosted engine: round boundaries only group the schedule, they never
+reorder it.
 """
 
 from __future__ import annotations
@@ -34,21 +36,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Set
 
-from repro.bsp.checkpoint import CheckpointStore, cow_copy
-from repro.bsp.faults import (
-    FaultInjector,
-    FaultPlan,
-    inject_network_faults,
-)
+from repro.bsp.checkpoint import EngineSnapshot, cow_copy
+from repro.bsp.faults import FaultPlan
 from repro.bsp.gas import GASProgram, NeighborView
-from repro.bsp.loop import (
-    CheckpointPolicy,
-    SuperstepLoop,
-    emit_superstep_commit,
-    emit_superstep_start,
-)
-from repro.bsp.state import SnapshotRecovery
-from repro.bsp.worker import Worker, superstep_profile
+from repro.bsp.loop import SuperstepLoop
+from repro.bsp.worker import Worker
 from repro.graph.graph import Graph
 from repro.metrics.cost_model import BSPCostModel
 from repro.metrics.stats import RunStats
@@ -83,7 +75,7 @@ class AsyncResult:
         return self.stats.num_supersteps if self.stats is not None else 0
 
 
-class AsyncEngine(SnapshotRecovery):
+class AsyncEngine:
     """FIFO-scheduled asynchronous execution of a
     :class:`~repro.bsp.gas.GASProgram`.
 
@@ -118,7 +110,6 @@ class AsyncEngine(SnapshotRecovery):
         self._program = program
         self._max_updates = max_updates
         self._cost_model = cost_model or BSPCostModel()
-        self._trace = trace if trace is not None else get_default_trace()
 
         # Scheduler state, (re)initialized per run and snapshotted by
         # the recovery layer.
@@ -131,52 +122,42 @@ class AsyncEngine(SnapshotRecovery):
         self._signals = 0
         self._converged = True
 
-        # The shared supervision stack (loop / policy / injector /
-        # snapshot store — see docs/architecture.md).  A single
-        # logical worker runs the whole schedule; every round can
-        # process at least one update, so ``max_updates + 1`` rounds
-        # always suffice to reach the budget or the fixpoint.
-        self._injector = (
-            FaultInjector(fault_plan, 1)
-            if fault_plan is not None
-            else None
-        )
-        self._ckpt_store = CheckpointStore()
-        self._ckpt_costs: Dict[int, float] = {}
-        self._exec_counts: Dict[int, int] = {}
-        self._run_stats: Optional[RunStats] = None
+        # A single logical worker runs the whole schedule; every round
+        # can process at least one update, so ``max_updates + 1``
+        # rounds always suffice to reach the budget or the fixpoint.
         self._workers = [Worker(0)]
-        self._policy = CheckpointPolicy(
-            checkpoint_interval, fault_plan, self._ckpt_store
-        )
         self._loop = SuperstepLoop(
             max_supersteps=max_updates + 1,
             program_name=getattr(program, "name", "async-program"),
             num_workers=1,
             cost_model=self._cost_model,
-            injector=self._injector,
-            policy=self._policy,
-            trace=self._trace,
+            checkpoint_interval=checkpoint_interval,
+            fault_plan=fault_plan,
             max_recovery_attempts=max_recovery_attempts,
+            trace=trace if trace is not None else get_default_trace(),
             on_limit="stop",
         )
 
-    # -- SnapshotRecovery payload hooks -----------------------------
+    # -- the snapshot a checkpoint holds and a rollback restores ----
 
-    def _snapshot_payload(self) -> Dict[str, Any]:
-        return {
-            "values": {
-                v: cow_copy(val) for v, val in self._values.items()
+    def _checkpoint(self, superstep: int) -> EngineSnapshot:
+        return EngineSnapshot(
+            superstep=superstep,
+            payload={
+                "values": {
+                    v: cow_copy(val) for v, val in self._values.items()
+                },
+                "queue": list(self._queue),
+                "queued": set(self._queued),
+                "updates": self._updates,
+                "edge_reads": self._edge_reads,
+                "signals": self._signals,
+                "converged": self._converged,
             },
-            "queue": list(self._queue),
-            "queued": set(self._queued),
-            "updates": self._updates,
-            "edge_reads": self._edge_reads,
-            "signals": self._signals,
-            "converged": self._converged,
-        }
+        )
 
-    def _restore_payload(self, payload: Dict[str, Any]) -> None:
+    def _rollback(self, crash, superstep: int, stats, ckpt) -> int:
+        payload = ckpt.payload
         self._values = {
             v: cow_copy(val) for v, val in payload["values"].items()
         }
@@ -186,6 +167,7 @@ class AsyncEngine(SnapshotRecovery):
         self._edge_reads = payload["edge_reads"]
         self._signals = payload["signals"]
         self._converged = payload["converged"]
+        return self._loop.rollback(stats, ckpt, len(self._values))
 
     # -- the hosted schedule ----------------------------------------
 
@@ -215,7 +197,6 @@ class AsyncEngine(SnapshotRecovery):
         stats = RunStats(
             num_workers=1, cost_model=self._cost_model
         )
-        self._run_stats = stats
         ran_out = not self._loop.run(self, stats)
         return AsyncResult(
             values=self._values,
@@ -234,25 +215,15 @@ class AsyncEngine(SnapshotRecovery):
         if self._updates >= self._max_updates:
             self._converged = False
             return True
-        self._exec_counts[superstep] = (
-            self._exec_counts.get(superstep, 0) + 1
+        self._loop.open_superstep(
+            superstep, self._workers, "async", self.backend_name
         )
-        trace = self._trace
-        if trace is not None:
-            emit_superstep_start(
-                trace,
-                superstep,
-                self._exec_counts[superstep],
-                "async",
-                self.backend_name,
-            )
         graph = self._graph
         program = self._program
         values = self._values
         queue = self._queue
         queued = self._queued
         worker = self._workers[0]
-        worker.reset_counters()
         seg_start = time.perf_counter()
 
         # Drain the prefix that existed at round start; signals raised
@@ -302,29 +273,9 @@ class AsyncEngine(SnapshotRecovery):
                         queue.append(u)
 
         worker.wall_seconds = time.perf_counter() - seg_start
-        entry = superstep_profile(
-            self._workers,
-            superstep,
-            processed,
-            checkpoint_cost=self._ckpt_costs.get(superstep, 0.0),
-            executions=self._exec_counts.get(superstep, 1),
+        self._loop.commit_superstep(
+            stats, self._workers, superstep, processed, network=True
         )
-        inject_network_faults(
-            self._injector,
-            sum(entry.received_network),
-            stats,
-            trace,
-            superstep,
-        )
-        stats.supersteps.append(entry)
-        if trace is not None:
-            emit_superstep_commit(
-                trace,
-                self._workers,
-                entry,
-                self._cost_model,
-                sum(entry.received_logical),
-            )
         # Decide termination here rather than in an extra (empty)
         # round, so the checkpoint policy never snapshots a round that
         # commits no entry.

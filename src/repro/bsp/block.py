@@ -15,12 +15,13 @@ per-block local work, logical/remote messages, and the BSP superstep
 charge ``max(w, g·h, L)``.
 
 Hosted on the shared runtime (``docs/architecture.md``): the
-superstep loop, checkpoint schedule, crash supervision, trace
-lifecycle events, and injected network faults all come from
-:class:`~repro.bsp.loop.SuperstepLoop` /
-:class:`~repro.bsp.state.SnapshotRecovery`, exactly as for the GAS
-engine, so ``trace=`` / ``fault_plan=`` / ``checkpoint_interval=``
-behave identically across engines.
+superstep loop and lifecycle, checkpoint schedule and accounting,
+crash supervision, rollback discard, trace events, and injected
+network faults all come from :class:`~repro.bsp.loop.SuperstepLoop`,
+exactly as for the GAS engine; the engine supplies its superstep body
+and payload snapshot (``_checkpoint``/``_rollback``), so ``trace=`` /
+``fault_plan=`` / ``checkpoint_interval=`` behave identically across
+engines.
 """
 
 from __future__ import annotations
@@ -30,20 +31,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Set
 
-from repro.bsp.checkpoint import CheckpointStore, cow_copy
-from repro.bsp.faults import (
-    FaultInjector,
-    FaultPlan,
-    inject_network_faults,
-)
-from repro.bsp.loop import (
-    CheckpointPolicy,
-    SuperstepLoop,
-    emit_superstep_commit,
-    emit_superstep_start,
-)
-from repro.bsp.state import SnapshotRecovery
-from repro.bsp.worker import Worker, superstep_profile
+from repro.bsp.checkpoint import EngineSnapshot, cow_copy
+from repro.bsp.faults import FaultPlan
+from repro.bsp.loop import SuperstepLoop
+from repro.bsp.worker import Worker
 from repro.errors import MessageToUnknownVertexError
 from repro.graph.graph import Graph
 from repro.graph.partition import (
@@ -137,7 +128,7 @@ class BlockResult:
         return self.stats.num_supersteps
 
 
-class BlockEngine(SnapshotRecovery):
+class BlockEngine:
     """Runs a :class:`BlockProgram` over a partitioned graph.
 
     Accepts the shared fault-tolerance surface
@@ -165,8 +156,17 @@ class BlockEngine(SnapshotRecovery):
         self._program = program
         self._num_blocks = num_blocks
         self._cost_model = cost_model or BSPCostModel()
-        self._max_supersteps = max_supersteps
-        self._trace = trace if trace is not None else get_default_trace()
+        self._loop = SuperstepLoop(
+            max_supersteps=max_supersteps,
+            program_name=getattr(program, "name", "block-program"),
+            num_workers=num_blocks,
+            cost_model=self._cost_model,
+            checkpoint_interval=checkpoint_interval,
+            fault_plan=fault_plan,
+            max_recovery_attempts=max_recovery_attempts,
+            trace=trace if trace is not None else get_default_trace(),
+            on_limit="stop",
+        )
         partitioner = partitioner or BfsGrowPartitioner(
             graph, num_blocks
         )
@@ -211,32 +211,6 @@ class BlockEngine(SnapshotRecovery):
             BlockContext(self, i) for i in range(num_blocks)
         ]
 
-        # The shared supervision stack (loop / policy / injector /
-        # snapshot store — see docs/architecture.md).
-        self._injector = (
-            FaultInjector(fault_plan, num_blocks)
-            if fault_plan is not None
-            else None
-        )
-        self._ckpt_store = CheckpointStore()
-        self._ckpt_costs: Dict[int, float] = {}
-        self._exec_counts: Dict[int, int] = {}
-        self._run_stats: Optional[RunStats] = None
-        self._policy = CheckpointPolicy(
-            checkpoint_interval, fault_plan, self._ckpt_store
-        )
-        self._loop = SuperstepLoop(
-            max_supersteps=max_supersteps,
-            program_name=getattr(program, "name", "block-program"),
-            num_workers=num_blocks,
-            cost_model=self._cost_model,
-            injector=self._injector,
-            policy=self._policy,
-            trace=self._trace,
-            max_recovery_attempts=max_recovery_attempts,
-            on_limit="stop",
-        )
-
     # -- services used by BlockContext ---------------------------------
 
     def _enqueue(self, src_block: int, target: Hashable, message: Any):
@@ -257,21 +231,25 @@ class BlockEngine(SnapshotRecovery):
     def _halt(self, block: int) -> None:
         self._halted[block] = True
 
-    # -- SnapshotRecovery payload hooks -----------------------------
+    # -- the snapshot a checkpoint holds and a rollback restores ----
 
-    def _snapshot_payload(self) -> Dict[str, Any]:
-        return {
-            "values": [
-                {v: cow_copy(val) for v, val in b.values.items()}
-                for b in self._blocks
-            ],
-            "halted": list(self._halted),
-            "inbox": [
-                [cow_copy(m) for m in box] for box in self._inbox
-            ],
-        }
+    def _checkpoint(self, superstep: int) -> EngineSnapshot:
+        return EngineSnapshot(
+            superstep=superstep,
+            payload={
+                "values": [
+                    {v: cow_copy(val) for v, val in b.values.items()}
+                    for b in self._blocks
+                ],
+                "halted": list(self._halted),
+                "inbox": [
+                    [cow_copy(m) for m in box] for box in self._inbox
+                ],
+            },
+        )
 
-    def _restore_payload(self, payload: Dict[str, Any]) -> None:
+    def _rollback(self, crash, superstep: int, stats, ckpt) -> int:
+        payload = ckpt.payload
         for block, vals in zip(self._blocks, payload["values"]):
             block.values = {
                 v: cow_copy(val) for v, val in vals.items()
@@ -280,9 +258,7 @@ class BlockEngine(SnapshotRecovery):
         self._inbox = [
             [cow_copy(m) for m in box] for box in payload["inbox"]
         ]
-
-    def _restored_count(self) -> int:
-        return len(self._owner)
+        return self._loop.rollback(stats, ckpt, len(self._owner))
 
     # -- the hosted superstep ---------------------------------------
 
@@ -291,7 +267,6 @@ class BlockEngine(SnapshotRecovery):
             num_workers=self._num_blocks,
             cost_model=self._cost_model,
         )
-        self._run_stats = stats
         converged = self._loop.run(self, stats)
         values: Dict[Hashable, Any] = {}
         for block in self._blocks:
@@ -303,20 +278,9 @@ class BlockEngine(SnapshotRecovery):
     def _execute_superstep(
         self, superstep: int, stats: RunStats
     ) -> bool:
-        self._exec_counts[superstep] = (
-            self._exec_counts.get(superstep, 0) + 1
+        self._loop.open_superstep(
+            superstep, self._workers, "block", self.backend_name
         )
-        trace = self._trace
-        if trace is not None:
-            emit_superstep_start(
-                trace,
-                superstep,
-                self._exec_counts[superstep],
-                "block",
-                self.backend_name,
-            )
-        for w in self._workers:
-            w.reset_counters()
         self._outbox = [[] for _ in range(self._num_blocks)]
         active = 0
         for index, block in enumerate(self._blocks):
@@ -334,32 +298,13 @@ class BlockEngine(SnapshotRecovery):
             self._workers[index].wall_seconds = (
                 time.perf_counter() - seg_start
             )
-        entry = superstep_profile(
-            self._workers,
-            superstep,
-            active,
-            checkpoint_cost=self._ckpt_costs.get(superstep, 0.0),
-            executions=self._exec_counts.get(superstep, 1),
-        )
+        delivered = sum(len(box) for box in self._outbox)
         # Injected message faults strike the superstep's cross-block
         # traffic as one batch; reliable delivery masks them.
-        inject_network_faults(
-            self._injector,
-            sum(entry.received_network),
-            stats,
-            trace,
-            superstep,
+        self._loop.commit_superstep(
+            stats, self._workers, superstep, active, delivered,
+            network=True,
         )
-        stats.supersteps.append(entry)
-        delivered = sum(len(box) for box in self._outbox)
-        if trace is not None:
-            emit_superstep_commit(
-                trace,
-                self._workers,
-                entry,
-                self._cost_model,
-                delivered,
-            )
         self._inbox = self._outbox
         return all(self._halted) and delivered == 0
 

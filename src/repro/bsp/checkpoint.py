@@ -45,7 +45,6 @@ from repro.bsp.shm_transport import typed_column
 from repro.bsp.vertex import VertexState
 from repro.errors import CheckpointError
 from repro.metrics.bppa import BppaObservation, state_atoms
-from repro.trace.events import Rollback
 
 #: Types shared (not copied) by :func:`cow_copy`.
 _IMMUTABLE_TYPES = (
@@ -195,8 +194,8 @@ class EngineSnapshot:
     """A generic payload snapshot for the re-hosted engines.
 
     The GAS/block/async engines describe their complete mutable run
-    state as a payload dict (each engine's ``_snapshot_payload``);
-    this wrapper adds what the shared machinery needs: the
+    state as a payload dict (each engine's ``_checkpoint``); this
+    wrapper adds what the shared machinery needs: the
     ``superstep`` the :class:`~repro.bsp.loop.CheckpointPolicy`
     schedule keys on and the ``size`` in state atoms that drives the
     write-cost charge, exactly like :class:`Checkpoint`.
@@ -330,16 +329,14 @@ def _restored_states(checkpoint: Checkpoint, topology, keep=None):
             yield state
 
 
-def restore_checkpoint(
-    engine, checkpoint: Checkpoint, discarded_supersteps: int = 0
-) -> None:
-    """Rewind ``engine`` to ``checkpoint`` (full rollback).
+def restore_checkpoint(engine, checkpoint: Checkpoint) -> int:
+    """Rewind ``engine`` to ``checkpoint`` (full rollback) and return
+    how many vertices it restored.
 
     Everything the snapshot captured is put back, so re-execution from
     ``checkpoint.superstep`` is byte-for-byte identical to the
-    original execution of those supersteps.  ``discarded_supersteps``
-    (committed supersteps the caller threw away) goes on the
-    ``Rollback`` trace event.
+    original execution of those supersteps.  The ``Rollback`` event is
+    the loop's (:meth:`~repro.bsp.loop.SuperstepLoop.rollback`).
     """
     topology = _topology_of(engine, checkpoint)
     engine._states = {
@@ -368,16 +365,7 @@ def restore_checkpoint(
     # Backends with external execution state (the process-parallel
     # pool's rank copies) resynchronize against the restored engine.
     engine._post_restore_sync()
-    trace = getattr(engine, "_trace", None)
-    if trace is not None:
-        trace.emit(
-            Rollback(
-                superstep=checkpoint.superstep,
-                restored_vertices=len(checkpoint.values),
-                confined=False,
-                discarded_supersteps=discarded_supersteps,
-            )
-        )
+    return len(checkpoint.values)
 
 
 def restore_partition(engine, checkpoint: Checkpoint, worker: int) -> int:

@@ -555,13 +555,14 @@ def build_run_context(engine, stats) -> dict:
     fault injector's RNG stream and crash budget.
     """
     store = engine._store
-    injector = engine._injector
+    loop = engine._loop
+    injector = loop.injector
     return {
         "stats": stats,
         "aggregate_history": list(engine._aggregate_history),
-        "exec_counts": dict(engine._exec_counts),
-        "crash_counts": dict(engine._loop.crash_counts),
-        "ckpt_costs": dict(store.ckpt_costs),
+        "exec_counts": dict(loop.exec_counts),
+        "crash_counts": dict(loop.crash_counts),
+        "ckpt_costs": dict(loop.ckpt_costs),
         "message_log": {
             superstep: {
                 vid: list(msgs) for vid, msgs in log.items()
@@ -607,16 +608,17 @@ def resume_engine(engine, checkpoint, context: dict):
 
     The run-scoped context is installed first, then the standard
     :func:`restore_checkpoint` rewinds the engine state exactly as an
-    in-process rollback would (with the ``Rollback`` trace event
-    suppressed: resuming is a continuation, not a recovery).
+    in-process rollback would (it emits no ``Rollback`` event: the
+    loop's rollback does, and resuming is a continuation, not a
+    recovery).
     """
     stats = _rebuild_stats(context["stats"])
     store = engine._store
+    loop = engine._loop
     engine._aggregate_history = list(context["aggregate_history"])
-    engine._exec_counts.clear()
-    engine._exec_counts.update(context["exec_counts"])
-    engine._loop.crash_counts = dict(context["crash_counts"])
-    store.ckpt_costs = dict(context["ckpt_costs"])
+    loop.exec_counts = dict(context["exec_counts"])
+    loop.crash_counts = dict(context["crash_counts"])
+    loop.ckpt_costs = dict(context["ckpt_costs"])
     store.message_log = {
         superstep: {vid: list(msgs) for vid, msgs in log.items()}
         for superstep, log in context["message_log"].items()
@@ -629,11 +631,7 @@ def resume_engine(engine, checkpoint, context: dict):
         engine._program.__dict__.clear()
         engine._program.__dict__.update(program_state)
     injector_state = context.get("injector")
-    if injector_state is not None and engine._injector is not None:
-        engine._injector.restore_state(injector_state)
-    trace, engine._trace = engine._trace, None
-    try:
-        restore_checkpoint(engine, checkpoint)
-    finally:
-        engine._trace = trace
+    if injector_state is not None and loop.injector is not None:
+        loop.injector.restore_state(injector_state)
+    restore_checkpoint(engine, checkpoint)
     return checkpoint.superstep, stats

@@ -24,11 +24,13 @@ Layering (``docs/architecture.md``)
 
 The engine itself owns only the Pregel-specific policy — aggregator
 semantics, master compute, vote-to-halt termination, the superstep
-protocol order.  Everything else is composed from the shared layers
-that also host the GAS/block/async engines:
+protocol order — and how its state is snapshotted and restored.
+Everything else is composed from the shared layers that also host the
+GAS/block/async engines:
 
 * :class:`~repro.bsp.loop.SuperstepLoop` — scheduling, the
-  max-superstep guard, the checkpoint schedule
+  max-superstep guard, the superstep lifecycle (open, commit,
+  checkpoint accounting, rollback discard), the checkpoint schedule
   (:class:`~repro.bsp.loop.CheckpointPolicy`), fault-injector arming,
   and the crash-supervision protocol;
 * :class:`~repro.bsp.fabric.MessageFabric` — the run's mailbox
@@ -36,8 +38,7 @@ that also host the GAS/block/async engines:
   entry points, combining, ledger accounting, and fault-injected
   delivery;
 * :class:`~repro.bsp.state.StateStore` — the partitioned vertex
-  states, the owner map, and the recovery bookkeeping (checkpoint
-  store, confined-recovery logs);
+  states, the owner map, and the confined-recovery logs;
 * the compute kernels (:mod:`repro.bsp.kernels`) — the per-superstep
   vertex-execution loops for each mailbox layout.
 
@@ -84,33 +85,21 @@ from repro.bsp.durability import (
     resume_engine,
 )
 from repro.bsp.fabric import MessageFabric
-from repro.bsp.faults import FaultInjector, FaultPlan
+from repro.bsp.faults import FaultPlan
 from repro.bsp.kernels import (
     fast_compute_pass,
     has_vectorized_kernel,
     reference_compute_pass,
 )
-from repro.bsp.loop import (
-    CheckpointPolicy,
-    SuperstepLoop,
-    emit_superstep_commit,
-    emit_superstep_start,
-)
+from repro.bsp.loop import SuperstepLoop
 from repro.bsp.program import VertexProgram
 from repro.bsp.state import StateStore, apply_mutations, confined_replay
-from repro.bsp.worker import superstep_profile
 from repro.errors import WorkerCrashError
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner
 from repro.metrics.bppa import BppaObservation, BppaTracker
 from repro.metrics.cost_model import BSPCostModel
-from repro.metrics.stats import (
-    RunStats,
-    SuperstepStats,
-    SuperstepWall,
-    peak_rss_bytes,
-)
-from repro.trace.events import CheckpointWrite
+from repro.metrics.stats import RunStats, SuperstepWall, peak_rss_bytes
 from repro.trace.recorder import TraceRecorder, get_default_trace
 
 
@@ -264,28 +253,30 @@ class PregelEngine:
                 f"memory_budget must be >= 1 byte, got "
                 f"{memory_budget!r}"
             )
-        if checkpoint_interval is not None and checkpoint_interval < 1:
-            raise ValueError(
-                f"checkpoint_interval must be >= 1, got "
-                f"{checkpoint_interval!r}"
-            )
-        if max_recovery_attempts < 0:
-            raise ValueError(
-                f"max_recovery_attempts must be >= 0, got "
-                f"{max_recovery_attempts!r}"
-            )
-        if resume and checkpoint_dir is None:
-            raise ValueError(
-                "resume requires checkpoint_dir (the durable "
-                "checkpoint directory to resume from)"
-            )
         self._graph = graph
         self._program = program
         self._num_workers = num_workers
         self._combiner = combiner
         self._cost_model = cost_model or BSPCostModel()
-        self._max_supersteps = max_supersteps
         self._trace = trace if trace is not None else get_default_trace()
+        # The loop owns the superstep lifecycle and the supervision
+        # stack; building it validates the fault-tolerance keywords.
+        self._loop = SuperstepLoop(
+            max_supersteps=max_supersteps,
+            program_name=program.name,
+            num_workers=num_workers,
+            cost_model=self._cost_model,
+            checkpoint_interval=checkpoint_interval,
+            fault_plan=fault_plan,
+            max_recovery_attempts=max_recovery_attempts,
+            trace=self._trace,
+        )
+        self._injector = self._loop.injector
+        if resume and checkpoint_dir is None:
+            raise ValueError(
+                "resume requires checkpoint_dir (the durable "
+                "checkpoint directory to resume from)"
+            )
         self.rng = random.Random(seed)
 
         partitioner = partitioner or HashPartitioner(num_workers)
@@ -293,10 +284,7 @@ class PregelEngine:
         self._store = StateStore(graph, program, partitioner, num_workers)
         # A checkpoint is columns over one frozen topology: freeze it
         # before any program code runs, iff one can ever be written.
-        self._policy = CheckpointPolicy(
-            checkpoint_interval, fault_plan, self._store.ckpt_store
-        )
-        if self._policy.enabled or checkpoint_dir is not None:
+        if self._loop.policy.enabled or checkpoint_dir is not None:
             self._store.freeze_baseline()
 
         self._tracker: Optional[BppaTracker] = None
@@ -315,22 +303,11 @@ class PregelEngine:
         self._wake_all = False
         self._aggregate_history: List[Dict[str, Any]] = []
 
-        # Fault tolerance: the loop owns the schedule and the crash
-        # protocol; the store owns the snapshots and replay logs.
-        self._checkpoint_interval = checkpoint_interval
-        self._fault_plan = fault_plan
-        self._injector = (
-            FaultInjector(fault_plan, num_workers)
-            if fault_plan is not None
-            else None
-        )
-        self._max_recovery_attempts = max_recovery_attempts
         self._confined_recovery = confined_recovery
-        # Durable checkpoints: swap the in-memory store for the
+        # Durable checkpoints: swap the loop's in-memory store for the
         # on-disk one (the fingerprint makes a resume against a
         # different configuration fail loudly — see
         # repro.bsp.durability).
-        self._checkpoint_dir = checkpoint_dir
         self._resume_state = None
         if checkpoint_dir is not None:
             fingerprint = config_fingerprint(
@@ -348,22 +325,9 @@ class PregelEngine:
                 fault_plan=fault_plan,
                 baseline=self._store.baseline,
             )
-            self._policy.store = self._store.ckpt_store = (
-                open_durable_store(checkpoint_dir, fingerprint, resume)
-            )
-            self._resume_state = self._store.ckpt_store.resume_state()
-        self._loop = SuperstepLoop(
-            max_supersteps=max_supersteps,
-            program_name=program.name,
-            num_workers=num_workers,
-            cost_model=self._cost_model,
-            injector=self._injector,
-            policy=self._policy,
-            trace=self._trace,
-            max_recovery_attempts=max_recovery_attempts,
-            on_limit="raise",
-        )
-        self._exec_counts: Dict[int, int] = {}
+            store = open_durable_store(checkpoint_dir, fingerprint, resume)
+            self._loop.policy.store = store
+            self._resume_state = store.resume_state()
         self._run_stats: Optional[RunStats] = None
 
         # The execution plane is a construction-time fact: dense
@@ -425,14 +389,6 @@ class PregelEngine:
     @property
     def _workers(self):
         return self._store.workers
-
-    @property
-    def _ckpt_store(self):
-        return self._store.ckpt_store
-
-    @property
-    def _ckpt_costs(self) -> Dict[int, float]:
-        return self._store.ckpt_costs
 
     # ------------------------------------------------------------------
     # Engine services used by ComputeContext
@@ -545,22 +501,13 @@ class PregelEngine:
         ctx = self._ctx
         tracker = self._tracker
         fabric = self._fabric
-        self._exec_counts[superstep] = (
-            self._exec_counts.get(superstep, 0) + 1
-        )
-        trace = self._trace
-        if trace is not None:
-            emit_superstep_start(
-                trace,
-                superstep,
-                self._exec_counts[superstep],
-                "fast" if fabric.fast_active else "reference",
-                self.backend_name,
-            )
-
-        for w in fabric.workers:
-            w.reset_counters()
         fast = fabric.fast_active
+        self._loop.open_superstep(
+            superstep,
+            fabric.workers,
+            "fast" if fast else "reference",
+            self.backend_name,
+        )
         if not fast:
             fabric.reset_outbox()
         self._agg_current = {
@@ -613,8 +560,6 @@ class PregelEngine:
             # The dense index no longer matches the topology:
             # recompile it in place, inbox carried across by id.
             self._reindex()
-        entry = self._superstep_stats(superstep, active_count)
-        stats.supersteps.append(entry)
         ws = fabric.workers
         stats.record_wall(
             SuperstepWall(
@@ -626,15 +571,12 @@ class PregelEngine:
                 peak_rss_bytes=peak_rss_bytes(),
             )
         )
-        if trace is not None:
-            # The barrier block: per-worker profiles in rank order
-            # (on the parallel backend the coordinator filled the
-            # Worker objects from the rank payloads in rank order, so
-            # the merged stream is deterministic), the h-relation, and
-            # the committed superstep's cost attribution.
-            emit_superstep_commit(
-                trace, fabric.workers, entry, self._cost_model, delivered
-            )
+        # On the parallel backend the coordinator filled the Worker
+        # objects from the rank payloads in rank order, so the
+        # committed profile and its barrier events are deterministic.
+        self._loop.commit_superstep(
+            stats, ws, superstep, active_count, delivered
+        )
 
         if master._halt:
             return True
@@ -651,48 +593,21 @@ class PregelEngine:
         return fast_compute_pass(self, wake_all)
 
     # ------------------------------------------------------------------
-    # Checkpointing and recovery
+    # Checkpointing and recovery (the loop does the accounting)
     # ------------------------------------------------------------------
 
-    def _write_checkpoint(
-        self, superstep: int, stats: RunStats
-    ) -> None:
+    def _checkpoint(self, superstep: int):
+        ckpt = take_checkpoint(self, superstep)
         store = self._store
-        ckpt = store.ckpt_store.save(take_checkpoint(self, superstep))
-        cost = self._cost_model.checkpoint_cost(ckpt.size)
-        stats.checkpoints_written += 1
-        stats.checkpoint_cost += cost
-        store.ckpt_costs[superstep] = cost
         store.mutated_since_checkpoint = False
-        if self._trace is not None:
-            self._trace.emit(
-                CheckpointWrite(
-                    superstep=superstep, size=ckpt.size, cost=cost
-                )
-            )
         if self._confined_recovery:
             # Logged messages before the checkpoint can never be
             # replayed again; reclaim them.
             store.prune_logs(superstep)
-        if store.ckpt_store.durable:
-            # Persist last, once all checkpoint accounting is done, so
-            # the on-disk context matches the uninterrupted run's
-            # state at this boundary exactly.
-            store.ckpt_store.persist(
-                ckpt, build_run_context(self, stats)
-            )
+        return ckpt
 
-    def _latest_checkpoint(self):
-        return self._store.ckpt_store.latest
-
-    def _recover(
-        self, crash: WorkerCrashError, superstep: int, stats: RunStats
-    ) -> int:
-        """Handle an injected crash; return the superstep to resume
-        at.  Delegates to the shared supervision protocol
-        (:meth:`~repro.bsp.loop.SuperstepLoop.recover`), which calls
-        back into :meth:`_rollback`."""
-        return self._loop.recover(self, crash, superstep, stats)
+    def _run_context(self, stats: RunStats) -> dict:
+        return build_run_context(self, stats)
 
     def _rollback(
         self,
@@ -707,33 +622,8 @@ class PregelEngine:
         ):
             confined_replay(self, crash, superstep, stats, ckpt)
             return superstep
-
-        # Full rollback: discard the supersteps after the checkpoint
-        # (their charge becomes replay cost — they will be re-executed
-        # identically) and restore the snapshot.
-        discarded = stats.supersteps[ckpt.superstep:]
-        for entry in discarded:
-            stats.replay_cost += entry.cost(self._cost_model)
-        stats.supersteps_replayed += len(discarded)
-        del stats.supersteps[ckpt.superstep:]
-        restore_checkpoint(
-            self, ckpt, discarded_supersteps=len(discarded)
-        )
-        return ckpt.superstep
-
-    # ------------------------------------------------------------------
-    # Superstep boundary
-    # ------------------------------------------------------------------
-
-    def _superstep_stats(
-        self, superstep: int, active: int
-    ) -> SuperstepStats:
-        return superstep_profile(
-            self._store.workers,
-            superstep,
-            active,
-            checkpoint_cost=self._store.ckpt_costs.get(superstep, 0.0),
-            executions=self._exec_counts.get(superstep, 1),
+        return self._loop.rollback(
+            stats, ckpt, restore_checkpoint(self, ckpt)
         )
 
 

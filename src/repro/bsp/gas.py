@@ -21,15 +21,16 @@ Semantics per iteration (sync GAS):
 
 The run ends when the active set empties (or ``max_iterations``).
 
-Hosted on the shared runtime (``docs/architecture.md``): the engine's
-iteration is driven by a :class:`~repro.bsp.loop.SuperstepLoop` with
-``on_limit="stop"`` (the iteration cap is a soft budget, not an
-error), which brings the full Pregel fault-tolerance surface along —
-``trace=`` lifecycle events reconcilable via
+Hosted on the shared runtime (``docs/architecture.md``): a
+:class:`~repro.bsp.loop.SuperstepLoop` with ``on_limit="stop"`` (the
+iteration cap is a soft budget, not an error) drives the iterations
+and owns their lifecycle — open, commit, checkpoint accounting, crash
+supervision, rollback discard — exactly as for the Pregel engine, so
+the full fault-tolerance surface comes along: ``trace=`` lifecycle
+events reconcilable via
 :func:`~repro.trace.recorder.stats_from_events`, ``fault_plan=`` with
-crash rollback through the
-:class:`~repro.bsp.state.SnapshotRecovery` payload snapshots, and
-``checkpoint_interval=`` on the shared
+crash rollback to a payload snapshot (``_checkpoint``/``_rollback``),
+and ``checkpoint_interval=`` on the shared
 :class:`~repro.bsp.loop.CheckpointPolicy` schedule.  Because message
 faults are masked by reliable delivery and crash recovery replays
 deterministically, any faulted GAS run that completes produces values
@@ -43,20 +44,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Set
 
-from repro.bsp.checkpoint import CheckpointStore, cow_copy
-from repro.bsp.faults import (
-    FaultInjector,
-    FaultPlan,
-    inject_network_faults,
-)
-from repro.bsp.loop import (
-    CheckpointPolicy,
-    SuperstepLoop,
-    emit_superstep_commit,
-    emit_superstep_start,
-)
-from repro.bsp.state import SnapshotRecovery
-from repro.bsp.worker import Worker, superstep_profile
+from repro.bsp.checkpoint import EngineSnapshot, cow_copy
+from repro.bsp.faults import FaultPlan
+from repro.bsp.loop import SuperstepLoop
+from repro.bsp.worker import Worker
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner, build_owner_map
 from repro.metrics.cost_model import BSPCostModel
@@ -126,7 +117,7 @@ class GASResult:
         return self.stats.num_supersteps
 
 
-class GASEngine(SnapshotRecovery):
+class GASEngine:
     """Run a :class:`GASProgram` with per-worker cost accounting.
 
     Accepts the shared fault-tolerance surface
@@ -156,8 +147,17 @@ class GASEngine(SnapshotRecovery):
         self._program = program
         self._num_workers = num_workers
         self._cost_model = cost_model or BSPCostModel()
-        self._max_iterations = max_iterations
-        self._trace = trace if trace is not None else get_default_trace()
+        self._loop = SuperstepLoop(
+            max_supersteps=max_iterations,
+            program_name=getattr(program, "name", "gas-program"),
+            num_workers=num_workers,
+            cost_model=self._cost_model,
+            checkpoint_interval=checkpoint_interval,
+            fault_plan=fault_plan,
+            max_recovery_attempts=max_recovery_attempts,
+            trace=trace if trace is not None else get_default_trace(),
+            on_limit="stop",
+        )
         partitioner = partitioner or HashPartitioner(num_workers)
         self._owner = build_owner_map(
             graph.vertices(), partitioner, num_workers
@@ -186,48 +186,26 @@ class GASEngine(SnapshotRecovery):
                 groups.setdefault(host, []).append(u)
             self._in_hosts[v] = groups
 
-        # The shared supervision stack (loop / policy / injector /
-        # snapshot store — see docs/architecture.md).
-        self._injector = (
-            FaultInjector(fault_plan, num_workers)
-            if fault_plan is not None
-            else None
-        )
-        self._ckpt_store = CheckpointStore()
-        self._ckpt_costs: Dict[int, float] = {}
-        self._exec_counts: Dict[int, int] = {}
-        self._run_stats: Optional[RunStats] = None
-        self._policy = CheckpointPolicy(
-            checkpoint_interval, fault_plan, self._ckpt_store
-        )
-        self._loop = SuperstepLoop(
-            max_supersteps=max_iterations,
-            program_name=getattr(program, "name", "gas-program"),
-            num_workers=num_workers,
-            cost_model=self._cost_model,
-            injector=self._injector,
-            policy=self._policy,
-            trace=self._trace,
-            max_recovery_attempts=max_recovery_attempts,
-            on_limit="stop",
-        )
+    # -- the snapshot a checkpoint holds and a rollback restores ----
 
-    # -- SnapshotRecovery payload hooks -----------------------------
-
-    def _snapshot_payload(self) -> Dict[str, Any]:
-        return {
-            "values": {
-                v: cow_copy(val) for v, val in self._values.items()
+    def _checkpoint(self, superstep: int) -> EngineSnapshot:
+        return EngineSnapshot(
+            superstep=superstep,
+            payload={
+                "values": {
+                    v: cow_copy(val) for v, val in self._values.items()
+                },
+                "active": set(self._active),
             },
-            "active": set(self._active),
-        }
+        )
 
-    def _restore_payload(self, payload: Dict[str, Any]) -> None:
+    def _rollback(self, crash, superstep: int, stats, ckpt) -> int:
+        payload = ckpt.payload
         self._values = {
-            v: cow_copy(val)
-            for v, val in payload["values"].items()
+            v: cow_copy(val) for v, val in payload["values"].items()
         }
         self._active = set(payload["active"])
+        return self._loop.rollback(stats, ckpt, len(self._values))
 
     # -- the hosted iteration ---------------------------------------
 
@@ -236,7 +214,6 @@ class GASEngine(SnapshotRecovery):
             num_workers=self._num_workers,
             cost_model=self._cost_model,
         )
-        self._run_stats = stats
         self._active = set(self._graph.vertices())
         self._loop.run(self, stats)
         return GASResult(
@@ -254,20 +231,9 @@ class GASEngine(SnapshotRecovery):
         graph = self._graph
         program = self._program
         values = self._values
-        self._exec_counts[superstep] = (
-            self._exec_counts.get(superstep, 0) + 1
+        self._loop.open_superstep(
+            superstep, self._workers, "gas", self.backend_name
         )
-        trace = self._trace
-        if trace is not None:
-            emit_superstep_start(
-                trace,
-                superstep,
-                self._exec_counts[superstep],
-                "gas",
-                self.backend_name,
-            )
-        for w in self._workers:
-            w.reset_counters()
         seg_start = time.perf_counter()
         next_active: Set[Hashable] = set()
         # Synchronous semantics: gathers read the previous
@@ -360,32 +326,12 @@ class GASEngine(SnapshotRecovery):
         self._workers[0].wall_seconds = (
             time.perf_counter() - seg_start
         )
-        entry = superstep_profile(
-            self._workers,
-            superstep,
-            len(active),
-            checkpoint_cost=self._ckpt_costs.get(superstep, 0.0),
-            executions=self._exec_counts.get(superstep, 1),
-        )
         # Injected message faults strike the iteration's network
         # traffic as one batch; reliable delivery masks them, so
         # this is pure cost accounting.
-        inject_network_faults(
-            self._injector,
-            sum(entry.received_network),
-            stats,
-            trace,
-            superstep,
+        self._loop.commit_superstep(
+            stats, self._workers, superstep, len(active), network=True
         )
-        stats.supersteps.append(entry)
-        if trace is not None:
-            emit_superstep_commit(
-                trace,
-                self._workers,
-                entry,
-                self._cost_model,
-                sum(entry.received_logical),
-            )
         self._values = new_values
         self._active = next_active
         return not next_active

@@ -1,52 +1,59 @@
-"""The shared superstep loop: scheduling, barriers, halting guards,
-checkpoint policy, and crash supervision for every engine.
+"""The shared superstep loop: the one superstep lifecycle every engine
+runs on.
 
 This is the top layer of the decomposed runtime
 (``docs/architecture.md``): one :class:`SuperstepLoop` drives the
 Pregel engine, the GAS engine, the block engine, and (round-wise) the
-async engine.  The loop owns the *control* concerns that every
-execution model shares —
+async engine, and it is the only code that knows what it means to
+open a superstep, commit one, write a checkpoint, or discard
+supersteps on rollback.  The loop owns —
 
 * the max-superstep guard (raise :class:`SuperstepLimitExceeded`, or
   stop gracefully for engines whose cap is a soft budget);
-* the checkpoint schedule (:class:`CheckpointPolicy`);
-* arming the fault injector at each superstep boundary;
-* the crash-supervision protocol: attempt bookkeeping, the
-  ``FaultInjected`` crash event, exponential backoff accounting, and
-  dispatch to the host's rollback.
+* the supervision stack: the fault injector (armed at every superstep
+  boundary), the checkpoint store and its :class:`CheckpointPolicy`
+  schedule, and the per-superstep ledgers — execution counts, crash
+  counts, checkpoint charges — that a durable resume carries across
+  processes (:mod:`repro.bsp.durability`);
+* the superstep lifecycle: :meth:`SuperstepLoop.open_superstep` and
+  :meth:`SuperstepLoop.commit_superstep`, whose trace events are
+  identical for every engine, so
+  :func:`repro.trace.recorder.stats_from_events` reconciles any hosted
+  run's trace with its ``RunStats``;
+* checkpoint-write accounting and the crash-supervision protocol:
+  attempt bookkeeping, the ``FaultInjected`` crash event, exponential
+  backoff, and the full-rollback discard (:meth:`SuperstepLoop.rollback`).
 
-The *data* concerns stay with the host engine, reached through a
-small host protocol (duck-typed; see :class:`SuperstepLoop.run`):
+A host engine keeps only what really differs between engines,
+reached through a small duck-typed protocol:
 
 ``_execute_superstep(superstep, stats) -> bool``
-    Run one superstep; return True when the run is finished.
-``_write_checkpoint(superstep, stats)``
-    Snapshot engine state (only called when the policy says so).
-``_latest_checkpoint() -> checkpoint | None``
-    The most recent snapshot, for recovery.
-``_recover(crash, superstep, stats) -> int``
-    Handle an injected crash; return the superstep to resume at.
-    Hosts normally delegate straight back to
-    :meth:`SuperstepLoop.recover`, which runs the shared protocol and
-    calls the host's ``_rollback(crash, superstep, stats, ckpt)``;
-    the indirection exists so backends can hook crash handling (the
-    process-parallel backend kills the crashed rank's real OS process
-    before recovering).
-
-The trace helpers at the bottom emit the per-superstep lifecycle
-events (``SuperstepStart``, ``WorkerProfile``/``Barrier``/
-``SuperstepEnd``) identically for every engine, so
-:func:`repro.trace.recorder.stats_from_events` reconciles any hosted
-run's trace with its ``RunStats``.
+    Run one superstep between ``open_superstep`` and
+    ``commit_superstep``; return True when the run is finished.
+``_checkpoint(superstep) -> snapshot``
+    Snapshot the host's state: anything with ``superstep`` and
+    ``size`` (Pregel's columnar :class:`~repro.bsp.checkpoint.Checkpoint`,
+    a payload :class:`~repro.bsp.checkpoint.EngineSnapshot` elsewhere).
+``_rollback(crash, superstep, stats, ckpt) -> int``
+    Recover from an injected crash; return the superstep to resume
+    at.  A full rollback restores ``ckpt`` and returns
+    :meth:`SuperstepLoop.rollback`; the Pregel engine may instead
+    replay only the crashed partition (confined recovery), and its
+    parallel backend first kills the crashed rank's real process.
+``_run_context(stats) -> dict``
+    Pregel only, called only when the store is durable
+    (``checkpoint_dir``): the run-scoped state a fresh interpreter
+    needs to resume from the checkpoint just written.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.bsp.faults import FaultInjector, FaultPlan
+from repro.bsp.checkpoint import CheckpointStore
+from repro.bsp.faults import FaultInjector, FaultPlan, inject_network_faults
+from repro.bsp.worker import superstep_profile
 from repro.errors import (
-    CheckpointError,
     RecoveryExhaustedError,
     SuperstepLimitExceeded,
     WorkerCrashError,
@@ -55,7 +62,9 @@ from repro.metrics.cost_model import BSPCostModel
 from repro.metrics.stats import RunStats, SuperstepStats, peak_rss_bytes
 from repro.trace.events import (
     Barrier,
+    CheckpointWrite,
     FaultInjected,
+    Rollback,
     SuperstepEnd,
     SuperstepStart,
     WorkerProfile,
@@ -78,9 +87,8 @@ class CheckpointPolicy:
         store,
     ):
         if interval is not None and interval < 1:
-            raise CheckpointError(
-                "checkpoint_interval must be >= 1, got "
-                f"{interval}"
+            raise ValueError(
+                f"checkpoint_interval must be >= 1, got {interval!r}"
             )
         self.interval = interval
         self.fault_plan = fault_plan
@@ -114,21 +122,19 @@ class SuperstepLoop:
     program_name:
         Used in the :class:`SuperstepLimitExceeded` message.
     num_workers:
-        For folding an injected crash's worker index into range.
+        The host's worker count; injected crashes fold into range.
     cost_model:
-        Charges the exponential recovery backoff.
-    injector:
-        Optional :class:`~repro.bsp.faults.FaultInjector`; armed at
-        every superstep boundary (raising ``WorkerCrashError`` for
-        scheduled crashes).
-    policy:
-        Optional :class:`CheckpointPolicy`; when due, the host's
-        ``_write_checkpoint`` runs *before* the superstep executes.
+        Charges checkpoint writes, replayed supersteps and the
+        exponential recovery backoff.
+    checkpoint_interval, fault_plan, max_recovery_attempts:
+        The engine's fault-tolerance keywords, validated here for
+        every engine (:class:`ValueError` naming the argument).  The
+        loop builds the :class:`~repro.bsp.faults.FaultInjector`, the
+        in-memory :class:`~repro.bsp.checkpoint.CheckpointStore` and
+        the :class:`CheckpointPolicy` from them.
     trace:
-        Optional recorder for crash ``FaultInjected`` events.
-    max_recovery_attempts:
-        Per-superstep crash budget before
-        :class:`RecoveryExhaustedError`.
+        Optional recorder for the lifecycle, checkpoint, rollback and
+        crash events.
     on_limit:
         ``"raise"`` (Pregel: exceeding the bound is an error) or
         ``"stop"`` (GAS/block/async: the bound is a soft budget —
@@ -143,28 +149,38 @@ class SuperstepLoop:
         program_name: str,
         num_workers: int,
         cost_model: BSPCostModel,
-        injector: Optional[FaultInjector] = None,
-        policy: Optional[CheckpointPolicy] = None,
-        trace=None,
+        checkpoint_interval: Optional[int] = None,
+        fault_plan: Optional[FaultPlan] = None,
         max_recovery_attempts: int = 3,
+        trace=None,
         on_limit: str = "raise",
     ):
+        self.policy = CheckpointPolicy(
+            checkpoint_interval, fault_plan, CheckpointStore()
+        )
         if max_recovery_attempts < 0:
             raise ValueError(
                 "max_recovery_attempts must be >= 0, got "
-                f"{max_recovery_attempts}"
+                f"{max_recovery_attempts!r}"
             )
         self.max_supersteps = max_supersteps
         self.program_name = program_name
         self.num_workers = num_workers
         self.cost_model = cost_model
-        self.injector = injector
-        self.policy = policy
+        self.injector = (
+            FaultInjector(fault_plan, num_workers)
+            if fault_plan is not None
+            else None
+        )
         self.trace = trace
         self.max_recovery_attempts = max_recovery_attempts
         self.on_limit = on_limit
-        #: superstep -> crash count (the per-superstep crash budget).
+        # Per-superstep ledgers, keyed by superstep: executions (a
+        # rolled-back superstep runs again), crashes (the recovery
+        # budget) and the checkpoint charge written before it ran.
+        self.exec_counts: Dict[int, int] = {}
         self.crash_counts: Dict[int, int] = {}
+        self.ckpt_costs: Dict[int, float] = {}
 
     def run(self, host, stats: RunStats, start_superstep: int = 0) -> bool:
         """Supervise ``host`` to termination.
@@ -187,18 +203,110 @@ class SuperstepLoop:
                         self.max_supersteps, self.program_name
                     )
                 return False
-            if policy is not None and policy.due(superstep):
-                host._write_checkpoint(superstep, stats)
+            if policy.due(superstep):
+                self.write_checkpoint(host, superstep, stats)
             try:
                 if injector is not None:
                     injector.begin_superstep(superstep)
                 done = host._execute_superstep(superstep, stats)
             except WorkerCrashError as crash:
-                superstep = host._recover(crash, superstep, stats)
+                superstep = self.recover(host, crash, superstep, stats)
                 continue
             superstep += 1
             if done:
                 return True
+
+    # -----------------------------------------------------------------
+    # The superstep lifecycle
+    # -----------------------------------------------------------------
+
+    def open_superstep(
+        self, superstep: int, workers, path: str, backend: str
+    ) -> None:
+        """Begin one execution of ``superstep``: count it, emit
+        ``SuperstepStart`` and zero the workers' per-superstep
+        profile."""
+        execution = self.exec_counts.get(superstep, 0) + 1
+        self.exec_counts[superstep] = execution
+        if self.trace is not None:
+            emit_superstep_start(
+                self.trace, superstep, execution, path, backend
+            )
+        for w in workers:
+            w.reset_counters()
+
+    def commit_superstep(
+        self,
+        stats: RunStats,
+        workers,
+        superstep: int,
+        active: int,
+        delivered: Optional[int] = None,
+        network: bool = False,
+    ) -> None:
+        """Freeze the workers' profile into the superstep's
+        ``RunStats`` entry — with the checkpoint charge written before
+        it and its execution count — and emit the barrier block.
+
+        ``network=True`` first draws the superstep's message faults as
+        one batch over its network traffic (the GAS, block and async
+        engines; the Pregel fabric draws per destination during
+        delivery).  ``delivered`` defaults to the logical messages
+        received.
+        """
+        entry = superstep_profile(
+            workers,
+            superstep,
+            active,
+            checkpoint_cost=self.ckpt_costs.get(superstep, 0.0),
+            executions=self.exec_counts.get(superstep, 1),
+        )
+        if network:
+            inject_network_faults(
+                self.injector,
+                sum(entry.received_network),
+                stats,
+                self.trace,
+                superstep,
+            )
+        stats.supersteps.append(entry)
+        if self.trace is not None:
+            emit_superstep_commit(
+                self.trace,
+                workers,
+                entry,
+                self.cost_model,
+                sum(entry.received_logical)
+                if delivered is None
+                else delivered,
+            )
+
+    # -----------------------------------------------------------------
+    # Checkpoints and crash supervision
+    # -----------------------------------------------------------------
+
+    def write_checkpoint(
+        self, host, superstep: int, stats: RunStats
+    ) -> None:
+        """Save the host's snapshot and charge it: ``c_ckpt`` per
+        state atom, on the run and on the superstep about to run."""
+        store = self.policy.store
+        snap = store.save(host._checkpoint(superstep))
+        cost = self.cost_model.checkpoint_cost(snap.size)
+        stats.checkpoints_written += 1
+        stats.checkpoint_cost += cost
+        self.ckpt_costs[superstep] = cost
+        if self.trace is not None:
+            self.trace.emit(
+                CheckpointWrite(
+                    superstep=superstep, size=snap.size, cost=cost
+                )
+            )
+        if store.durable:
+            # Persist last, once all checkpoint accounting is done, so
+            # the on-disk context matches the uninterrupted run's
+            # state at this boundary exactly.
+            store.persist(snap, host._run_context(stats))
 
     def recover(
         self,
@@ -229,7 +337,7 @@ class SuperstepLoop:
             )
         if attempts > self.max_recovery_attempts:
             raise RecoveryExhaustedError(superstep, attempts) from crash
-        ckpt = host._latest_checkpoint()
+        ckpt = self.policy.store.latest
         if ckpt is None:
             raise RecoveryExhaustedError(superstep, attempts) from crash
 
@@ -238,6 +346,28 @@ class SuperstepLoop:
             2 ** (attempts - 1)
         )
         return host._rollback(crash, superstep, stats, ckpt)
+
+    def rollback(self, stats: RunStats, ckpt, restored: int) -> int:
+        """Finish a full rollback to ``ckpt`` once the host has
+        restored its ``restored`` vertices: the committed supersteps
+        from ``ckpt.superstep`` on are discarded (their charge becomes
+        replay cost — they will re-execute identically), and the
+        superstep to resume at is returned."""
+        discarded = stats.supersteps[ckpt.superstep:]
+        for entry in discarded:
+            stats.replay_cost += entry.cost(self.cost_model)
+        stats.supersteps_replayed += len(discarded)
+        del stats.supersteps[ckpt.superstep:]
+        if self.trace is not None:
+            self.trace.emit(
+                Rollback(
+                    superstep=ckpt.superstep,
+                    restored_vertices=restored,
+                    confined=False,
+                    discarded_supersteps=len(discarded),
+                )
+            )
+        return ckpt.superstep
 
 
 # ---------------------------------------------------------------------

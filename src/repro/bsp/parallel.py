@@ -1101,12 +1101,12 @@ class ParallelPregelEngine(PregelEngine):
         self._shutdown_pool("topology mutation re-indexed the dense plane")
         super()._reindex()
 
-    def _recover(self, crash, superstep, stats):
+    def _rollback(self, crash, superstep, stats, ckpt):
         # Make the injected crash a real process death before the
-        # stock rollback; _post_restore_sync respawns the rank.
+        # stock recovery; _post_restore_sync respawns the rank.
         if self._links is not None:
             self._links[crash.worker % self._num_workers].kill()
-        return super()._recover(crash, superstep, stats)
+        return super()._rollback(crash, superstep, stats, ckpt)
 
     def _post_restore_sync(self) -> None:
         """Called after a full rollback or a confined replay: respawn

@@ -1,13 +1,16 @@
-"""The state store: vertex values, ownership, and the
-checkpoint/rollback machinery behind every engine.
+"""The state store: vertex values, ownership, and the Pregel
+engine's recovery state.
 
 Middle layer of the decomposed runtime (``docs/architecture.md``).
 :class:`StateStore` owns the Pregel engine's partitioned vertex
 state — the ``states`` dict, the ``owner`` map (built through the
 shared :func:`~repro.graph.partition.owner_for` rule), the worker
-vertex lists — plus the recovery bookkeeping (checkpoint store and
-per-superstep costs, the confined-recovery message/wake logs, the
-mutation flag that vetoes confined replay).
+vertex lists — plus what its checkpoints and confined recovery need
+beyond the loop's ledgers: the frozen topology ``baseline``, the
+confined-recovery message/wake logs, and the mutation flag that vetoes
+confined replay.  The checkpoint store, its schedule and the
+per-superstep checkpoint charges belong to the
+:class:`~repro.bsp.loop.SuperstepLoop`, for every engine.
 
 The module-level functions implement the state-changing protocols
 that used to live inline in the engine:
@@ -17,14 +20,6 @@ that used to live inline in the engine:
   vertex additions, edge additions);
 * :func:`confined_replay` — recompute only a crashed worker's
   partition from the logged per-superstep inboxes.
-
-:class:`SnapshotRecovery` is the checkpoint/rollback mixin the
-re-hosted GAS/block/async engines compose with the shared
-:class:`~repro.bsp.loop.SuperstepLoop`: engines that can describe
-their complete mutable state as a payload dict get write/rollback —
-with the same cost accounting, trace events, and attempt budget as
-the Pregel engine — by implementing ``_snapshot_payload()`` /
-``_restore_payload()``.
 """
 
 from __future__ import annotations
@@ -32,12 +27,7 @@ from __future__ import annotations
 from itertools import chain, islice
 from typing import Any, Dict, Hashable, List, Optional, Set
 
-from repro.bsp.checkpoint import (
-    CheckpointStore,
-    EngineSnapshot,
-    TopologySnapshot,
-    restore_partition,
-)
+from repro.bsp.checkpoint import TopologySnapshot, restore_partition
 from repro.bsp.context import ComputeContext
 from repro.bsp.vertex import VertexState
 from repro.bsp.worker import Worker
@@ -45,7 +35,7 @@ from repro.errors import WorkerCrashError
 from repro.graph.graph import Graph
 from repro.graph.partition import owner_for
 from repro.metrics.stats import RunStats
-from repro.trace.events import CheckpointWrite, Rollback
+from repro.trace.events import Rollback
 
 
 class StateStore:
@@ -99,8 +89,6 @@ class StateStore:
         # right after construction (:meth:`freeze_baseline`) that later
         # checkpoints share for as long as it verifiably still holds.
         self.baseline: Optional[TopologySnapshot] = None
-        self.ckpt_store = CheckpointStore()
-        self.ckpt_costs: Dict[int, float] = {}
         self.message_log: Dict[int, Dict[Hashable, List[Any]]] = {}
         self.wake_log: Dict[int, bool] = {}
         self.mutated_since_checkpoint = False
@@ -298,85 +286,3 @@ def confined_replay(
     # Backends with external execution state resynchronize, as after
     # a full rollback.
     engine._post_restore_sync()
-
-
-class SnapshotRecovery:
-    """Checkpoint/rollback plumbing for payload-snapshot engines.
-
-    Mixed into the re-hosted GAS/block/async engines.  Expects the
-    host to define ``_loop`` (a
-    :class:`~repro.bsp.loop.SuperstepLoop`), ``_ckpt_store``,
-    ``_ckpt_costs``, ``_cost_model`` and ``_trace``, plus the two
-    payload hooks:
-
-    ``_snapshot_payload() -> dict``
-        A deep-enough copy of all mutable run state (use
-        :func:`~repro.bsp.checkpoint.cow_copy` per value).
-    ``_restore_payload(payload)``
-        Adopt a snapshot payload (copying again, so one snapshot can
-        restore repeatedly).
-
-    Rollback is always full for these engines: the snapshot restores
-    every partition, the discarded supersteps' charges become replay
-    cost, and their stats entries are deleted for re-execution —
-    exactly the Pregel engine's full-rollback accounting.
-    """
-
-    def _latest_checkpoint(self):
-        return self._ckpt_store.latest
-
-    def _restored_count(self) -> int:
-        return len(self._values)
-
-    def _write_checkpoint(
-        self, superstep: int, stats: RunStats
-    ) -> None:
-        snap = self._ckpt_store.save(
-            EngineSnapshot(
-                superstep=superstep, payload=self._snapshot_payload()
-            )
-        )
-        cost = self._cost_model.checkpoint_cost(snap.size)
-        stats.checkpoints_written += 1
-        stats.checkpoint_cost += cost
-        self._ckpt_costs[superstep] = cost
-        if self._ckpt_store.durable:
-            # Payload engines write durably too (a swapped-in
-            # DurableCheckpointStore); cross-process resume context is
-            # a Pregel-engine feature, so none is attached here.
-            self._ckpt_store.persist(snap, None)
-        if self._trace is not None:
-            self._trace.emit(
-                CheckpointWrite(
-                    superstep=superstep, size=snap.size, cost=cost
-                )
-            )
-
-    def _recover(
-        self, crash: WorkerCrashError, superstep: int, stats: RunStats
-    ) -> int:
-        return self._loop.recover(self, crash, superstep, stats)
-
-    def _rollback(
-        self,
-        crash: WorkerCrashError,
-        superstep: int,
-        stats: RunStats,
-        ckpt: EngineSnapshot,
-    ) -> int:
-        discarded = stats.supersteps[ckpt.superstep:]
-        for entry in discarded:
-            stats.replay_cost += entry.cost(self._cost_model)
-        stats.supersteps_replayed += len(discarded)
-        del stats.supersteps[ckpt.superstep:]
-        self._restore_payload(ckpt.payload)
-        if self._trace is not None:
-            self._trace.emit(
-                Rollback(
-                    superstep=ckpt.superstep,
-                    restored_vertices=self._restored_count(),
-                    confined=False,
-                    discarded_supersteps=len(discarded),
-                )
-            )
-        return ckpt.superstep

@@ -98,9 +98,9 @@ def superstep_profile(
     """Freeze the workers' per-superstep counters into one
     :class:`~repro.metrics.stats.SuperstepStats` entry.
 
-    The single construction site shared by every engine (Pregel, GAS,
-    block, async), so the per-worker column order and field mapping
-    cannot drift between them.
+    Called only by :meth:`~repro.bsp.loop.SuperstepLoop.commit_superstep`,
+    for every engine (Pregel, GAS, block, async), so the per-worker
+    column order and field mapping cannot drift between them.
     """
     return SuperstepStats(
         superstep=superstep,

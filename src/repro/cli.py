@@ -114,16 +114,6 @@ def make_parser() -> argparse.ArgumentParser:
             "fresh"
         ),
     )
-    parser.add_argument(
-        "--engine",
-        choices=["pregel", "gas", "block", "async"],
-        help=(
-            "run one engine's smoke matrix instead of the table: "
-            "workloads x fault plans on the chosen engine (all four "
-            "share the runtime's checkpoint/recovery/trace surface), "
-            "verifying faulted runs return the fault-free values"
-        ),
-    )
     return parser
 
 
@@ -154,22 +144,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         recorder = TraceRecorder(capacity=1_000_000)
         set_default_trace(recorder)
     try:
-        if args.engine:
-            from repro.core.engine_smoke import (
-                format_engine_smoke,
-                run_engine_smoke,
-            )
-
-            results = run_engine_smoke(
-                args.engine, seed=args.seed, scale=args.scale
-            )
-            print(format_engine_smoke(results))
-            elapsed = time.time() - started
-            print(
-                f"(smoke finished in {elapsed:.1f}s)",
-                file=sys.stderr,
-            )
-            return 0
         if args.faults:
             from repro.core.fault_smoke import (
                 format_fault_smoke,

@@ -49,6 +49,7 @@ from repro.algorithms.degree import DegreeCentrality
 from repro.algorithms.gas_programs import HashMinGAS
 from repro.algorithms.sssp import SingleSourceShortestPaths
 from repro.bsp import (
+    AsyncEngine,
     BlockEngine,
     GASEngine,
     SumAggregator,
@@ -590,7 +591,7 @@ def test_poisoned_control_skipped_reindex_is_caught(
 
 
 # ---------------------------------------------------------------------
-# The re-hosted engines (GAS / block) under the same fault plans: a
+# The re-hosted engines (GAS / block / async) under the same fault plans: a
 # faulted run must be byte-identical to the clean run (crash recovery
 # replays to the same answer; reliable delivery masks message faults),
 # and a repeated faulted run must be byte-identical to itself.
@@ -607,6 +608,12 @@ REHOSTED_ENGINES = [
         "block",
         lambda graph, kwargs: BlockEngine(
             graph, BlockHashMin(), num_blocks=4, **kwargs
+        ).run(),
+    ),
+    (
+        "async",
+        lambda graph, kwargs: AsyncEngine(
+            graph, HashMinGAS(), **kwargs
         ).run(),
     ),
 ]
@@ -657,7 +664,10 @@ def test_rehosted_fault_determinism(kind, runner, fault_name, make_plan):
         assert got.stats.checkpoints_written >= 1
         assert got.stats.supersteps_replayed >= 1
     if fault_name == "msg-drop":
-        assert got.stats.retransmitted_messages > 0
+        # The async engine runs on one logical worker: no network
+        # traffic by design, so nothing to drop.
+        expect_drops = kind != "async"
+        assert (got.stats.retransmitted_messages > 0) == expect_drops
     # Committed per-superstep compute/traffic columns match the clean
     # run entry for entry (replay re-executes byte-identically); only
     # the fault-tolerance annotations (checkpoint_cost, executions)

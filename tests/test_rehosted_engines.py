@@ -15,6 +15,7 @@ import pickle
 import pytest
 
 from repro.algorithms.block_programs import BlockHashMin
+from repro.algorithms.cc_hashmin import HashMinComponents
 from repro.algorithms.gas_programs import HashMinGAS, SsspGAS
 from repro.algorithms.pagerank import PageRank
 from repro.bsp import (
@@ -52,12 +53,20 @@ def run_async(graph, **kwargs):
     return AsyncEngine(graph, SsspGAS(source=0), **kwargs).run()
 
 
+def run_pregel(graph, **kwargs):
+    return PregelEngine(
+        graph, HashMinComponents(), num_workers=4, **kwargs
+    ).run()
+
+
 RUNNERS = [
     ("gas", run_gas),
     ("block", run_block),
     ("async", run_async),
 ]
 RUNNER_IDS = [r[0] for r in RUNNERS]
+ENGINES = [("pregel", run_pregel), *RUNNERS]
+ENGINE_IDS = [e[0] for e in ENGINES]
 
 
 class TestTraceReconciliation:
@@ -147,6 +156,77 @@ class TestCrashRecovery:
         assert sum(
             s.checkpoint_cost for s in stats.supersteps
         ) == pytest.approx(stats.checkpoint_cost), kind
+
+
+class TestFaultToleranceKeywords:
+    @pytest.mark.parametrize(
+        "argument,value",
+        [("checkpoint_interval", 0), ("max_recovery_attempts", -1)],
+    )
+    @pytest.mark.parametrize("kind,runner", ENGINES, ids=ENGINE_IDS)
+    def test_rejected_with_a_value_error_naming_it(
+        self, graph, kind, runner, argument, value
+    ):
+        # Checked once, where the loop is built, for every engine.
+        with pytest.raises(ValueError, match=argument):
+            runner(graph, **{argument: value})
+
+
+#: Per engine, with ``checkpoint_interval=2`` and worker 0 crashing at
+#: superstep 1: ``(checkpoints_written, checkpoint_cost, replay_cost,
+#: backoff_cost, supersteps_replayed, recovery_attempts)`` and the
+#: per-entry ``(executions, checkpoint_cost)`` column.
+EXACT_RECOVERY = {
+    "pregel": (
+        (3, 66.4, 90.0, 1.0, 1, 1),
+        [(2, 16.6), (1, 0.0), (1, 28.700000000000003), (1, 0.0),
+         (1, 21.1)],
+    ),
+    "gas": (
+        (3, 26.800000000000004, 48.0, 1.0, 1, 1),
+        [(2, 9.8), (1, 0.0), (1, 9.4), (1, 0.0),
+         (1, 7.6000000000000005)],
+    ),
+    "block": (
+        (2, 24.4, 27.0, 1.0, 1, 1),
+        [(2, 3.9000000000000004), (1, 0.0), (1, 20.5), (1, 0.0)],
+    ),
+    "async": (
+        (2, 24.0, 166.0, 1.0, 1, 1),
+        [(2, 13.9), (1, 0.0), (1, 10.100000000000001), (1, 0.0)],
+    ),
+}
+
+
+class TestExactRecoveryAccounting:
+    """The recovery ledgers of every engine, to the last bit.
+
+    The expected numbers were copied from a run of the code as it was
+    before the superstep lifecycle, checkpoint accounting and rollback
+    discard moved into ``SuperstepLoop`` (when each engine kept its
+    own copy), not from a run of the loop: they pin that the moved
+    accounting is the old accounting.
+    """
+
+    @pytest.mark.parametrize("kind,runner", ENGINES, ids=ENGINE_IDS)
+    def test_matches_the_pinned_ledgers(self, graph, kind, runner):
+        stats = runner(
+            graph,
+            checkpoint_interval=2,
+            fault_plan=crash_plan(superstep=1, worker=0),
+        ).stats
+        totals, column = EXACT_RECOVERY[kind]
+        assert (
+            stats.checkpoints_written,
+            stats.checkpoint_cost,
+            stats.replay_cost,
+            stats.backoff_cost,
+            stats.supersteps_replayed,
+            stats.recovery_attempts,
+        ) == totals
+        assert [
+            (s.executions, s.checkpoint_cost) for s in stats.supersteps
+        ] == column
 
 
 class TestRunResultProtocol:
