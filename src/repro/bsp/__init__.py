@@ -65,7 +65,6 @@ from repro.bsp.engine import (
     set_default_backend,
 )
 from repro.bsp.parallel import (
-    ParallelBackend,
     ParallelPregelEngine,
     default_start_method,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "BACKENDS",
     "PregelEngine",
     "PregelResult",
-    "ParallelBackend",
     "ParallelPregelEngine",
     "create_engine",
     "default_start_method",

@@ -673,8 +673,7 @@ def create_engine(
     ``use_fast_path=False`` oracle, programs flagged
     ``parallel_safe=False`` — see ``docs/parallel_backend.md``), so
     selecting it is always safe.  Backend-specific kwargs pass
-    through — notably the parallel backend's ``transport=`` tier
-    selector.
+    through — notably the parallel backend's ``mp_start_method=``.
     """
     backend = backend or _default_backend
     if backend not in BACKENDS:

@@ -19,14 +19,11 @@ and fault injector, exactly as the serial engine does.  Only the
 * at pool start every worker rank receives its dense partition — the
   ``[range_start, range_stop)`` slice of vertex states, the compiled
   dense adjacency, the shared ``idx_of``/``owner_of`` tables, the
-  program, the combiner, and the run RNG state.  When the run's graph
-  is a file-backed :class:`~repro.graph.snapshot.CsrSnapshot` the
-  pickled topology never crosses the pipe at all: the rank receives
-  the snapshot *path* plus its slice's mutable values, opens the file
-  itself (the mmap'd adjacency pages are shared read-only across
-  ranks) and rederives states, dense index, and compiled adjacency
-  locally (:func:`_expand_snapshot_init`), so coordinator and rank
-  memory stay bounded by the partition, not the graph;
+  program, the combiner, and the run RNG state — pickled from the
+  coordinator's live partition, whatever the graph (a ``Graph``, an
+  in-RAM or a file-backed :class:`~repro.graph.snapshot.CsrSnapshot`).
+  A rank respawned after a death, and every rank after a rollback or a
+  confined replay, is started by the same ``init``;
 * each superstep the coordinator ships ``(superstep, wake_all,
   finalized aggregates, this rank's inbound record, program state if it
   changed, the vectorized-kernel verdict)`` to every rank, and each
@@ -95,12 +92,6 @@ from repro.bsp.kernels import (
 from repro.bsp.vertex import VertexState
 from repro.bsp.worker import Worker
 from repro.graph.graph import Graph
-from repro.graph.partition import (
-    build_dense_index,
-    owner_for,
-    snapshot_adjacency,
-)
-from repro.graph.snapshot import CsrSnapshot, is_graph_snapshot
 from repro.bsp.program import VertexProgram
 from repro.trace.events import Handoff
 
@@ -109,8 +100,27 @@ from repro.trace.events import Handoff
 #: comparison use the same protocol).
 _PROTO = pickle.HIGHEST_PROTOCOL
 
-#: Recognised values of the engine's ``transport`` kwarg.
-TRANSPORTS = ("auto", "columnar", "pickle")
+#: Recognised values of the engine's ``transport`` kwarg; both mean
+#: the segment whenever shared memory can be set up, the pipe when it
+#: cannot (:attr:`ParallelPregelEngine.transport_disabled_reason`).
+TRANSPORTS = ("auto", "columnar")
+
+#: Rank supervision, read where it is used.  A rank that makes no
+#: *progress* (per-vertex counter shipped by its heartbeat thread) for
+#: ``RANK_STALL_TIMEOUT`` seconds is declared hung; a slow rank that
+#: advances is never killed.
+RANK_STALL_TIMEOUT = 60.0
+#: Seconds between a rank's progress heartbeats (a process argument of
+#: the rank, so a spawned rank sees the coordinator's value).
+RANK_HEARTBEAT_INTERVAL = 0.25
+#: Pool restarts per run after rank deaths or stalls before the run
+#: degrades to the serial path for good.
+MAX_RANK_RESTARTS = 2
+#: Base of the backoff slept before each pool restart; doubles per
+#: restart, capped at 2s.
+RANK_RESTART_BACKOFF = 0.05
+#: Setup replies have no heartbeat to extend their deadline with.
+POOL_SETUP_TIMEOUT = 120.0
 
 
 def _send_msg(conn, msg) -> int:
@@ -138,76 +148,6 @@ def default_start_method() -> str:
 # ---------------------------------------------------------------------
 # Worker-process side
 # ---------------------------------------------------------------------
-
-
-def _expand_snapshot_init(
-    rank: int, init: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Rebuild a standard init payload from a memory-mapped snapshot.
-
-    When the run's graph is a file-backed
-    :class:`~repro.graph.snapshot.CsrSnapshot`, the coordinator ships
-    only the snapshot *path* plus the partitioner and this slice's
-    values/halted flags; each rank opens the file itself (mmap — the
-    adjacency pages are shared read-only across ranks, not copied) and
-    rederives everything the pickle payload would have carried:
-
-    * the dense index, the way the coordinator built its own — bucket
-      ``snapshot.vertices()`` (insertion order) through the shared
-      :func:`~repro.graph.partition.owner_for` rule, then
-      :func:`~repro.graph.partition.build_dense_index` over the
-      buckets;
-    * this slice's vertex states, from the snapshot's ``*_edge_items``
-      rows (the same rows ``StateStore`` read, so the dict order is
-      byte-identical);
-    * this slice's compiled adjacency, straight off the CSR columns
-      (:func:`~repro.graph.partition.snapshot_adjacency` — the same plan
-      the coordinator's fabric compiled).
-
-    The rederived slice boundary must equal the one the coordinator
-    shipped; any mismatch (e.g. an unstable partitioner) raises, the
-    init fails, and the engine degrades to the byte-identical serial
-    path.
-    """
-    snap = CsrSnapshot.open(init["snapshot_path"])
-    partitioner = init["partitioner"]
-    num_workers: int = init["num_workers"]
-    buckets = [Worker(i) for i in range(num_workers)]
-    for v in snap.vertices():
-        buckets[owner_for(v, partitioner, num_workers)].vertex_ids.append(v)
-    dense = build_dense_index(buckets)
-    if dense.ranges[rank] != tuple(init["range"]):
-        raise ValueError(
-            f"rank {rank}: rederived slice {dense.ranges[rank]} does "
-            f"not match the coordinator's {tuple(init['range'])} — "
-            "unstable partitioner?"
-        )
-    start, stop = dense.ranges[rank]
-    directed = snap.directed
-    values = init["values"]
-    halted = init["halted"]
-    snaps = []
-    for off, vid in enumerate(dense.id_of[start:stop]):
-        out_edges = dict(snap.out_edge_items(vid))
-        in_edges = (
-            dict(snap.in_edge_items(vid)) if directed else None
-        )
-        snaps.append(
-            (vid, values[off], out_edges, in_edges, halted[off])
-        )
-    dense_out, remote_out = snapshot_adjacency(
-        snap, dense.id_of, dense.owner_of, start, stop
-    )
-    expanded = dict(init)
-    expanded.update(
-        num_vertices=len(dense.id_of),
-        idx_of=dense.idx_of,
-        owner_of=dense.owner_of,
-        states=snaps,
-        dense_out=dense_out,
-        remote_out=remote_out,
-    )
-    return expanded
 
 
 class _TrackerRows:
@@ -244,8 +184,6 @@ class _PartitionRuntime:
     """
 
     def __init__(self, rank: int, init: Dict[str, Any]):
-        if "snapshot_path" in init:
-            init = _expand_snapshot_init(rank, init)
         self.num_vertices: int = init["num_vertices"]
         worker = Worker(rank)
         worker.range_start, worker.range_stop = init["range"]
@@ -293,9 +231,9 @@ class _PartitionRuntime:
     def _plan(self):
         """The lane's vectorized plan (``None`` when compilation
         bails), compiled on the first superstep the coordinator grants
-        a phase for.  Survives reload()s — the plan depends only on
-        topology, which is frozen while the pool is alive; program
-        parameters are read live each pass."""
+        a phase for.  The plan depends only on topology, which is
+        frozen while the partition lives; program parameters are read
+        live each pass."""
         return compile_plan(self._program, self.lane)
 
     @property
@@ -429,25 +367,8 @@ class _PartitionRuntime:
             columns["mutations"] = mutations
         return scalars, columns
 
-    def reload(self, payload: Dict[str, Any]) -> None:
-        """Adopt post-rollback values/flags (topology is unchanged
-        while the pool is alive, so edges stay resident)."""
-        start = self.lane.start
-        states = self.states
-        for idx, value, halted in payload["states"]:
-            state = states[idx - start]
-            state.value = value
-            state.halted = halted
-        self.lane.awake = None
-        self.rng.setstate(payload["rng_state"])
-        self._rng_baseline = payload["rng_state"]
-        self._program.__dict__.clear()
-        self._program.__dict__.update(payload["program_state"])
 
-
-def _worker_main(
-    rank: int, conn, hb_interval: float = 0.25
-) -> None:
+def _worker_main(rank: int, conn, hb_interval: float) -> None:
     """Command loop of one pool process (top-level: spawn-safe).
 
     A daemon heartbeat thread reports the partition's progress
@@ -540,9 +461,6 @@ def _worker_main(
                     scalars["seconds"] = time.perf_counter() - t0
                     wire = shm_transport.encode_reply(seg, rank, columns)
                     _send(("ok", scalars, wire))
-                elif cmd == "reload":
-                    part.reload(msg[1])
-                    _send(("ready", rank))
                 elif cmd == "stop":
                     stop.set()
                     with send_lock:
@@ -566,12 +484,12 @@ def _worker_main(
 class _WorkerLink:
     """A pool process and the coordinator's end of its pipe."""
 
-    def __init__(self, mp_ctx, rank: int, hb_interval: float = 0.25):
+    def __init__(self, mp_ctx, rank: int):
         self.rank = rank
         self.conn, child_conn = mp_ctx.Pipe()
         self.process = mp_ctx.Process(
             target=_worker_main,
-            args=(rank, child_conn, hb_interval),
+            args=(rank, child_conn, RANK_HEARTBEAT_INTERVAL),
             daemon=True,
             name=f"repro-bsp-worker-{rank}",
         )
@@ -662,37 +580,22 @@ class ParallelPregelEngine(PregelEngine):
     mp_start_method:
         ``"fork"`` / ``"spawn"`` / ``"forkserver"``; default
         :func:`default_start_method`.
-    rank_stall_timeout:
-        Seconds a rank may go without *progress* before the
-        coordinator declares it hung and restarts the pool (default
-        60).  Progress is a per-vertex counter shipped by the rank's
-        heartbeat thread, so a slow-but-advancing rank is never
-        killed.
-    rank_heartbeat_interval:
-        Seconds between a rank's progress heartbeats (default 0.25).
-    max_rank_restarts:
-        Pool restarts allowed per run after rank deaths or stalls
-        before degrading to the serial path for good (default 2).
-    rank_restart_backoff:
-        Base of the bounded exponential backoff slept before each
-        pool restart (default 0.05s; doubles per restart, capped at
-        2s).
     transport:
-        ``"auto"`` / ``"columnar"`` (equivalent defaults): conforming
-        columns cross the rank boundary in a shared-memory segment,
-        the pipe carrying scalars, descriptors and whatever column
-        does not conform.  ``"pickle"``: no segment, every column
-        rides the pipe — for A/B measurement, and what a run gets
-        when shared memory is unavailable (see
-        :attr:`transport_disabled_reason`).
+        ``"auto"`` / ``"columnar"`` (the same): conforming columns
+        cross the rank boundary in a shared-memory segment, the pipe
+        carrying scalars, descriptors and whatever column does not
+        conform.  Without shared memory every column rides the pipe
+        (see :attr:`transport_disabled_reason`).
 
-    The engine degrades to the byte-identical serial path whenever
-    process parallelism cannot preserve the contract; inspect
-    :attr:`parallel_disabled_reason` / :attr:`parallel_supersteps` /
-    :attr:`rank_restarts` / :attr:`rank_failures` to see what a run
-    actually did, and :attr:`transport_tier` /
-    :attr:`columnar_supersteps` / :attr:`pickle_supersteps` for how
-    its bytes moved.
+    Rank supervision (stall timeout, heartbeat interval, restart
+    budget and backoff) is the module constants ``RANK_*`` /
+    ``MAX_RANK_RESTARTS``.  The engine degrades to the byte-identical
+    serial path whenever process parallelism cannot preserve the
+    contract; inspect :attr:`parallel_disabled_reason` /
+    :attr:`parallel_supersteps` / :attr:`rank_restarts` /
+    :attr:`rank_failures` to see what a run actually did, and
+    :attr:`transport_tier` / :attr:`columnar_supersteps` /
+    :attr:`pickle_supersteps` for how its bytes moved.
     """
 
     backend_name = "parallel"
@@ -703,10 +606,6 @@ class ParallelPregelEngine(PregelEngine):
         program: VertexProgram,
         *args,
         mp_start_method: Optional[str] = None,
-        rank_stall_timeout: float = 60.0,
-        rank_heartbeat_interval: float = 0.25,
-        max_rank_restarts: int = 2,
-        rank_restart_backoff: float = 0.05,
         transport: str = "auto",
         **kwargs,
     ):
@@ -715,40 +614,8 @@ class ParallelPregelEngine(PregelEngine):
                 f"transport must be one of {TRANSPORTS}, got "
                 f"{transport!r}"
             )
-        if rank_stall_timeout <= 0:
-            raise ValueError(
-                "rank_stall_timeout must be > 0, got "
-                f"{rank_stall_timeout!r}"
-            )
-        if rank_heartbeat_interval <= 0:
-            raise ValueError(
-                "rank_heartbeat_interval must be > 0, got "
-                f"{rank_heartbeat_interval!r}"
-            )
-        if max_rank_restarts < 0:
-            raise ValueError(
-                "max_rank_restarts must be >= 0, got "
-                f"{max_rank_restarts!r}"
-            )
-        if rank_restart_backoff < 0:
-            raise ValueError(
-                "rank_restart_backoff must be >= 0, got "
-                f"{rank_restart_backoff!r}"
-            )
         super().__init__(graph, program, *args, **kwargs)
         self._mp_method = mp_start_method or default_start_method()
-        self._rank_stall_timeout = float(rank_stall_timeout)
-        self._rank_heartbeat_interval = float(rank_heartbeat_interval)
-        self._max_rank_restarts = int(max_rank_restarts)
-        self._rank_restart_backoff = float(rank_restart_backoff)
-        #: Init/reload replies get a generous fixed deadline: setup
-        #: has no progress counter to extend it with.
-        self._pool_setup_timeout = max(
-            120.0, float(rank_stall_timeout)
-        )
-        self._transport = (
-            "columnar" if transport == "auto" else transport
-        )
         self._segment: Optional[
             shm_transport.ColumnarSegment
         ] = None
@@ -758,10 +625,6 @@ class ParallelPregelEngine(PregelEngine):
         self._links: Optional[List[_WorkerLink]] = None
         self._pool_disabled = False
         self._program_blob: Optional[bytes] = None
-        #: Ship init payloads as a snapshot path instead of pickled
-        #: per-vertex state; decided at pool start (file-backed
-        #: snapshot graph + picklable partitioner).
-        self._ship_snapshot = False
         #: Pool restarts performed after rank deaths/stalls.
         self.rank_restarts = 0
         #: One ``(superstep, rank, reason)`` per detected failure.
@@ -771,9 +634,8 @@ class ParallelPregelEngine(PregelEngine):
         #: Pool supersteps in which every column of every rank
         #: travelled in the segment, both directions.
         self.columnar_supersteps = 0
-        #: Why there is no segment although one was requested (shared
-        #: memory could not be set up); ``None`` while it works or was
-        #: never requested.  Distinct from
+        #: Why there is no segment (shared memory could not be set
+        #: up); ``None`` while it works.  Distinct from
         #: ``parallel_disabled_reason``: without a segment the columns
         #: ride the pipe, the pool keeps running.
         self.transport_disabled_reason: Optional[str] = None
@@ -794,15 +656,12 @@ class ParallelPregelEngine(PregelEngine):
     @property
     def transport_tier(self) -> str:
         """``"columnar"`` while the pool has a segment to place
-        columns in, ``"pickle"`` otherwise (individual columns can
-        still ride the pipe; see :attr:`columnar_supersteps` for the
-        all-in-segment count)."""
-        if (
-            self._transport == "pickle"
-            or self.transport_disabled_reason is not None
-        ):
-            return "pickle"
-        return "columnar"
+        columns in, ``"pickle"`` once shared memory failed (individual
+        columns can still ride the pipe; see
+        :attr:`columnar_supersteps` for the all-in-segment count)."""
+        if self.transport_disabled_reason is None:
+            return "columnar"
+        return "pickle"
 
     @property
     def pickle_supersteps(self) -> int:
@@ -835,11 +694,12 @@ class ParallelPregelEngine(PregelEngine):
                 )
 
     def _init_payload(self, rank: int) -> Dict[str, Any]:
+        """The one way a rank is started, respawned or resynced: its
+        slice of the coordinator's live dense partition, pickled."""
         fabric = self._fabric
         dense = fabric.dense
         start, stop = dense.ranges[rank]
-        slice_states = fabric.dense_states[start:stop]
-        payload = {
+        return {
             "range": (start, stop),
             "program": self._program,
             "combiner": self._combiner,
@@ -851,25 +711,10 @@ class ParallelPregelEngine(PregelEngine):
                 if self._segment is None
                 else self._segment.descriptor
             ),
-        }
-        if self._ship_snapshot:
-            # Out-of-core shipping: the rank opens the memory-mapped
-            # snapshot itself (_expand_snapshot_init) and rederives
-            # topology, adjacency, and the dense index locally; only
-            # this slice's mutable run state crosses the pipe.
-            payload.update(
-                snapshot_path=self._graph.path,
-                partitioner=self._partitioner,
-                num_workers=self._num_workers,
-                values=[state.value for state in slice_states],
-                halted=[state.halted for state in slice_states],
-            )
-            return payload
-        payload.update(
-            num_vertices=len(dense.id_of),
-            idx_of=dense.idx_of,
-            owner_of=dense.owner_of,
-            states=[
+            "num_vertices": len(dense.id_of),
+            "idx_of": dense.idx_of,
+            "owner_of": dense.owner_of,
+            "states": [
                 (
                     state.id,
                     state.value,
@@ -879,29 +724,10 @@ class ParallelPregelEngine(PregelEngine):
                     else state.in_edges,
                     state.halted,
                 )
-                for state in slice_states
+                for state in fabric.dense_states[start:stop]
             ],
-            dense_out=fabric.dense_out[start:stop],
-            remote_out=fabric.remote_out[start:stop],
-        )
-        return payload
-
-    def _reload_payload(self, rank: int) -> Dict[str, Any]:
-        fabric = self._fabric
-        dense = fabric.dense
-        start, stop = dense.ranges[rank]
-        dense_states = fabric.dense_states
-        return {
-            "states": [
-                (
-                    idx,
-                    dense_states[idx].value,
-                    dense_states[idx].halted,
-                )
-                for idx in range(start, stop)
-            ],
-            "rng_state": self.rng.getstate(),
-            "program_state": getattr(self._program, "__dict__", {}),
+            "dense_out": fabric.dense_out[start:stop],
+            "remote_out": fabric.remote_out[start:stop],
         }
 
     def _start_pool(self) -> bool:
@@ -915,24 +741,7 @@ class ParallelPregelEngine(PregelEngine):
         except Exception as exc:
             self._disable_pool(f"program not picklable: {exc!r}")
             return False
-        self._ship_snapshot = False
-        if (
-            is_graph_snapshot(self._graph)
-            and self._graph.path is not None
-        ):
-            # Snapshot shipping additionally needs the partitioner on
-            # the rank side; an unpicklable one just falls back to the
-            # pickled-state payload, it does not cost the pool.
-            try:
-                pickle.dumps(self._partitioner, _PROTO)
-            except Exception:
-                pass
-            else:
-                self._ship_snapshot = True
-        if (
-            self._transport == "columnar"
-            and self.transport_disabled_reason is None
-        ):
+        if self.transport_disabled_reason is None:
             # Losing shared memory only costs the segment — the pool
             # still runs, every column riding the pipe.
             try:
@@ -952,12 +761,8 @@ class ParallelPregelEngine(PregelEngine):
         try:
             mp_ctx = multiprocessing.get_context(self._mp_method)
             for rank in range(self._num_workers):
-                links.append(
-                    _WorkerLink(
-                        mp_ctx, rank, self._rank_heartbeat_interval
-                    )
-                )
-            self._sync_links(links, range(self._num_workers))
+                links.append(_WorkerLink(mp_ctx, rank))
+            self._sync_links(links)
         except Exception as exc:
             for link in links:
                 link.kill()
@@ -968,54 +773,17 @@ class ParallelPregelEngine(PregelEngine):
         _track_pool(self)
         return True
 
-    def _sync_links(self, links: List[_WorkerLink], fresh) -> None:
-        """Ship every link its set-up payload — the full partition to
-        the ranks in ``fresh``, only the current values to the others
-        (topology cannot have changed while the pool is alive) — then
-        wait for every rank's ``ready``; a rank's error reply is
-        raised."""
+    def _sync_links(self, links: List[_WorkerLink]) -> None:
+        """Ship every link its ``init`` and wait for every rank's
+        ``ready``; a rank's error reply is raised."""
         for link in links:
-            if link.rank in fresh:
-                msg = ("init", self._init_payload(link.rank))
-            else:
-                msg = ("reload", self._reload_payload(link.rank))
-            _send_msg(link.conn, msg)
-        for link in links:
-            reply = self._recv_ready(link)
+            _send_msg(link.conn, ("init", self._init_payload(link.rank)))
+        replies, _ = self._collect_replies(
+            links, POOL_SETUP_TIMEOUT, "setup"
+        )
+        for reply in replies:
             if reply[0] != "ready":
                 raise reply[1]
-
-    def _recv_ready(self, link: _WorkerLink) -> Tuple:
-        """One non-heartbeat reply from ``link``, polled with a
-        deadline instead of a blocking ``recv`` — a rank that dies or
-        wedges during init/reload must not wedge the coordinator."""
-        deadline = time.monotonic() + self._pool_setup_timeout
-        conn = link.conn
-        while True:
-            try:
-                if conn.poll(0.05):
-                    msg = _recv_msg(conn)
-                    if msg[0] != "hb":
-                        return msg
-                    continue
-                dead = (
-                    not link.process.is_alive()
-                    and not conn.poll(0)
-                )
-            except (EOFError, OSError) as exc:
-                raise _RankFailure(
-                    link.rank, f"pipe closed during setup ({exc!r})"
-                )
-            if dead:
-                raise _RankFailure(
-                    link.rank, "process died during setup"
-                )
-            if time.monotonic() > deadline:
-                raise _RankFailure(
-                    link.rank,
-                    "stalled during setup: no reply within "
-                    f"{self._pool_setup_timeout:g}s",
-                )
 
     def _shutdown_pool(self, reason: Optional[str] = None) -> None:
         """Stop every pool process; with ``reason`` the shutdown is
@@ -1082,16 +850,14 @@ class ParallelPregelEngine(PregelEngine):
         )
         self._teardown_links()
         self.rank_restarts += 1
-        if self.rank_restarts > self._max_rank_restarts:
+        if self.rank_restarts > MAX_RANK_RESTARTS:
             self._disable_pool(
                 f"rank {failure.rank} {failure.reason}; restart "
-                f"budget ({self._max_rank_restarts}) exhausted"
+                f"budget ({MAX_RANK_RESTARTS}) exhausted"
             )
             return
         delay = min(
-            self._rank_restart_backoff
-            * (2 ** (self.rank_restarts - 1)),
-            2.0,
+            RANK_RESTART_BACKOFF * (2 ** (self.rank_restarts - 1)), 2.0
         )
         if delay > 0:
             time.sleep(delay)
@@ -1110,28 +876,22 @@ class ParallelPregelEngine(PregelEngine):
 
     def _post_restore_sync(self) -> None:
         """Called after a full rollback or a confined replay: respawn
-        dead ranks with a fresh partition snapshot, reload the
-        restored values into surviving ranks."""
+        dead ranks, then re-``init`` every rank from the restored
+        partition."""
         links = self._links
         if links is None:
             return
         try:
-            reload_blob = pickle.dumps(
+            blob = pickle.dumps(
                 getattr(self._program, "__dict__", {}), _PROTO
             )
             mp_ctx = multiprocessing.get_context(self._mp_method)
-            respawned = set()
             for i, link in enumerate(links):
                 if not link.alive:
                     link.kill()  # reap the pipe of the dead process
-                    links[i] = _WorkerLink(
-                        mp_ctx,
-                        link.rank,
-                        self._rank_heartbeat_interval,
-                    )
-                    respawned.add(link.rank)
-            self._sync_links(links, respawned)
-            self._program_blob = reload_blob
+                    links[i] = _WorkerLink(mp_ctx, link.rank)
+            self._sync_links(links)
+            self._program_blob = blob
         except Exception as exc:
             self._shutdown_pool(f"post-restore resync failed: {exc!r}")
 
@@ -1190,7 +950,9 @@ class ParallelPregelEngine(PregelEngine):
                 raise _RankFailure(
                     link.rank, f"pipe closed on dispatch ({exc!r})"
                 )
-        replies, reply_bytes = self._collect_step_replies(links)
+        replies, reply_bytes = self._collect_replies(
+            links, RANK_STALL_TIMEOUT, "step"
+        )
         for reply in replies:  # rank order = serial raise order
             if reply[0] == "err":
                 raise reply[1]
@@ -1216,22 +978,22 @@ class ParallelPregelEngine(PregelEngine):
             self.columnar_supersteps += 1
         return self._apply_parallel_results(effects)
 
-    def _collect_step_replies(
-        self, links: List[_WorkerLink]
+    def _collect_replies(
+        self, links: List[_WorkerLink], timeout: float, during: str
     ) -> Tuple[List[Tuple], List[int]]:
-        """Collect one step reply per rank with hang-aware deadline
-        polling instead of blocking ``recv`` calls; returns the
-        replies and each reply's pipe blob length in rank order.
+        """Collect one non-heartbeat reply per rank with hang-aware
+        deadline polling instead of blocking ``recv`` calls; returns
+        the replies and each reply's pipe blob length in rank order.
 
-        A rank's deadline is extended only when its heartbeat
-        progress counter *advances*: a rank that is alive but stuck
-        (infinite loop, blocked syscall, endless sleep) exhausts its
-        deadline even though heartbeats keep arriving, while a slow
-        rank that keeps executing vertices is never killed.  A dead
-        process or closed pipe raises :class:`_RankFailure` at the
-        next poll tick.
+        A rank's ``timeout`` deadline is extended only when its
+        heartbeat progress counter *advances*: a rank that is alive but
+        stuck (infinite loop, blocked syscall, endless sleep) exhausts
+        it even though heartbeats keep arriving, while a slow rank
+        that keeps executing vertices is never killed.  Setup sends no
+        heartbeats, so its deadline is fixed.  A dead process or
+        closed pipe raises :class:`_RankFailure` at the next poll
+        tick.
         """
-        timeout = self._rank_stall_timeout
         now = time.monotonic()
         pending: Dict[int, _WorkerLink] = {
             link.rank: link for link in links
@@ -1268,7 +1030,7 @@ class ParallelPregelEngine(PregelEngine):
                             del pending[rank]
                 except (EOFError, OSError) as exc:
                     raise _RankFailure(
-                        rank, f"process lost mid-step ({exc!r})"
+                        rank, f"pipe closed during {during} ({exc!r})"
                     )
             for rank, link in pending.items():
                 try:
@@ -1277,12 +1039,12 @@ class ParallelPregelEngine(PregelEngine):
                     has_data = False
                 if not link.process.is_alive() and not has_data:
                     raise _RankFailure(
-                        rank, "process died mid-step"
+                        rank, f"process died during {during}"
                     )
                 if now > deadline[rank]:
                     raise _RankFailure(
                         rank,
-                        "stalled: no progress within "
+                        f"stalled during {during}: no progress within "
                         f"{timeout:g}s",
                     )
         return (
@@ -1369,7 +1131,3 @@ class ParallelPregelEngine(PregelEngine):
             "mixed" if len(tiers) > 1 else next(iter(tiers), "dense")
         )
         return active_count
-
-
-#: The name the issue/docs use for the backend class.
-ParallelBackend = ParallelPregelEngine

@@ -23,8 +23,8 @@ not.  The segment is only *where a conforming column travels*:
   range convert losslessly) — and the pipe carries only its
   ``(typecode, count)`` descriptor;
 * every other column — mixed or non-numeric types, out-of-range ints,
-  capacity overflow, or no segment at all (``transport="pickle"``,
-  shared memory unavailable) — rides the pipe as it is, so the
+  capacity overflow, or no segment at all (shared memory
+  unavailable) — rides the pipe as it is, so the
   transport never constrains what a program may compute with.
 
 The decision is per column and per superstep, made by one table-driven

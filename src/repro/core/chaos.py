@@ -127,7 +127,8 @@ class RankHanger(PageRank):
 
     The hang is an honest stall: the heartbeat thread keeps sending,
     but the progress counter stops advancing, so the coordinator must
-    declare the rank hung within ``rank_stall_timeout`` and kill it.
+    declare the rank hung within
+    :data:`~repro.bsp.parallel.RANK_STALL_TIMEOUT` and kill it.
     With ``ignore_sigterm`` the rank first installs ``SIG_IGN`` for
     SIGTERM, proving the supervisor's SIGKILL escalation.
     """
@@ -279,15 +280,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend", choices=["serial", "parallel"], default="serial"
     )
-    parser.add_argument(
-        "--transport",
-        choices=["auto", "columnar", "pickle"],
-        default="auto",
-        help=(
-            "parallel-backend transport tier (ignored for the serial "
-            "backend)"
-        ),
-    )
     parser.add_argument("--n", type=int, default=40)
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--supersteps", type=int, default=12)
@@ -315,9 +307,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
     graph = chaos_graph(args.n, seed=args.seed)
     program = CoordinatorKiller(num_supersteps=args.supersteps)
-    kwargs = {}
-    if args.backend == "parallel":
-        kwargs["transport"] = args.transport
     try:
         result = run_program(
             graph,
@@ -328,7 +317,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             checkpoint_interval=args.checkpoint_interval,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
-            **kwargs,
         )
     except RecoveryExhaustedError as exc:
         print(f"recovery exhausted: {exc}", file=sys.stderr)

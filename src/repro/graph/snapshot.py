@@ -814,9 +814,10 @@ class CsrSnapshot:
 
     def __reduce__(self):
         if self._path is not None:
-            # Disk-backed snapshots travel as their path: a rank
-            # re-opens and mmaps only the pages it touches instead of
-            # receiving the adjacency over a pipe.
+            # Disk-backed snapshots pickle as their path: the
+            # receiver re-opens and mmaps the file.  (The parallel
+            # backend never ships a graph; its ranks get pickled
+            # slices of the coordinator's live partition.)
             return (CsrSnapshot.open, (self._path,))
         return (
             _rebuild_snapshot,

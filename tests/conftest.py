@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.algorithms.cc_hashmin import HashMinComponents
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SingleSourceShortestPaths
 from repro.algorithms.wcc import WeaklyConnectedComponents
-from repro.bsp import SumAggregator, VertexProgram
+from repro.bsp import SumAggregator, VertexProgram, shm_transport
 from repro.graph import (
     connected_erdos_renyi_graph,
     erdos_renyi_graph,
@@ -156,6 +157,28 @@ class FrontierScript(VertexProgram):
                 ctx.send(targets[(pick + step) % len(targets)], step + 1)
         if idle >= linger and not acting:
             v.vote_to_halt()
+
+
+def _no_shared_memory(*args, **kwargs):
+    raise OSError("no shared memory here")
+
+
+@contextmanager
+def shared_memory_unavailable():
+    """Pools started inside find no shared memory: creating the
+    columnar segment raises, as on a host without ``/dev/shm``, and
+    every column rides the pipe (``transport_disabled_reason`` says
+    why).  The one route to the pipe transport."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shm_transport, "ColumnarSegment", _no_shared_memory)
+        yield
+
+
+@pytest.fixture
+def no_shm():
+    """:func:`shared_memory_unavailable` for the whole test."""
+    with shared_memory_unavailable():
+        yield
 
 
 @pytest.fixture

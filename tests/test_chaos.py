@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.algorithms.pagerank import PageRank
+from repro.bsp import parallel
 from repro.bsp.engine import PregelEngine, run_program
 from repro.bsp.parallel import (
     ParallelPregelEngine,
@@ -49,8 +50,21 @@ def _serial(program, graph=GRAPH, **kwargs):
 def _parallel_engine(program, graph=GRAPH, **kwargs):
     kwargs.setdefault("num_workers", 4)
     kwargs.setdefault("seed", 0)
-    kwargs.setdefault("rank_restart_backoff", 0.01)
     return ParallelPregelEngine(graph, program, **kwargs)
+
+
+@pytest.fixture(autouse=True)
+def supervision(monkeypatch):
+    """Set rank-supervision constants of :mod:`repro.bsp.parallel`
+    for one test: ``supervision(MAX_RANK_RESTARTS=1)``.  Restarts back
+    off 0.01s here instead of 0.05s."""
+
+    def setting(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(parallel, name, value)
+
+    setting(RANK_RESTART_BACKOFF=0.01)
+    return setting
 
 
 class TestRankSigkill:
@@ -75,17 +89,19 @@ class TestRankSigkill:
         assert engine.parallel_disabled_reason is None
         assert engine.parallel_supersteps >= 1
 
-    def test_unbounded_kills_exhaust_budget_and_degrade(self):
+    def test_unbounded_kills_exhaust_budget_and_degrade(
+        self, supervision
+    ):
         # flag_path=None kills a rank on *every* parallel attempt at
         # the target superstep, so the restart budget must run out
         # and the run must finish on the serial path — still
         # byte-identical, because nothing partial is ever applied.
+        supervision(MAX_RANK_RESTARTS=1)
         baseline = _serial(
             RankKiller(flag_path=None, num_supersteps=8)
         )
         engine = _parallel_engine(
-            RankKiller(flag_path=None, num_supersteps=8),
-            max_rank_restarts=1,
+            RankKiller(flag_path=None, num_supersteps=8)
         )
         result = engine.run()
         assert canonical_result(result) == canonical_result(
@@ -95,15 +111,15 @@ class TestRankSigkill:
         assert "restart budget" in engine.parallel_disabled_reason
 
     def test_zero_restart_budget_degrades_on_first_kill(
-        self, tmp_path
+        self, tmp_path, supervision
     ):
+        supervision(MAX_RANK_RESTARTS=0)
         flag = str(tmp_path / "kill-once")
         baseline = _serial(
             RankKiller(flag_path=flag, num_supersteps=6)
         )
         engine = _parallel_engine(
-            RankKiller(flag_path=flag, num_supersteps=6),
-            max_rank_restarts=0,
+            RankKiller(flag_path=flag, num_supersteps=6)
         )
         result = engine.run()
         assert canonical_result(result) == canonical_result(
@@ -116,8 +132,9 @@ class TestRankSigkill:
 class TestHangDetection:
     @pytest.mark.parametrize("ignore_sigterm", [False, True])
     def test_hung_rank_detected_and_killed(
-        self, tmp_path, ignore_sigterm
+        self, tmp_path, ignore_sigterm, supervision
     ):
+        supervision(RANK_STALL_TIMEOUT=1.0, RANK_HEARTBEAT_INTERVAL=0.1)
         flag = str(tmp_path / "hang-once")
         program_kwargs = dict(
             flag_path=flag,
@@ -127,10 +144,7 @@ class TestHangDetection:
         )
         baseline = _serial(RankHanger(**program_kwargs))
         engine = _parallel_engine(
-            RankHanger(**program_kwargs),
-            num_workers=2,
-            rank_stall_timeout=1.0,
-            rank_heartbeat_interval=0.1,
+            RankHanger(**program_kwargs), num_workers=2
         )
         result = engine.run()
         assert canonical_result(result) == canonical_result(
@@ -144,11 +158,14 @@ class TestHangDetection:
         )
         assert engine.parallel_disabled_reason is None
 
-    def test_slow_but_progressing_rank_is_never_killed(self):
+    def test_slow_but_progressing_rank_is_never_killed(
+        self, supervision
+    ):
         # Progress heartbeats, not reply latency, drive the stall
         # deadline: each vertex takes ~3x the stall timeout's worth
         # of budget per superstep in aggregate, but the per-vertex
         # counter keeps advancing, so the supervisor must not kill.
+        supervision(RANK_STALL_TIMEOUT=1.0, RANK_HEARTBEAT_INTERVAL=0.1)
         graph = chaos_graph(8)
         baseline = _serial(
             SlowRank(delay=0.3, num_supersteps=2),
@@ -159,8 +176,6 @@ class TestHangDetection:
             SlowRank(delay=0.3, num_supersteps=2),
             graph=graph,
             num_workers=2,
-            rank_stall_timeout=1.0,
-            rank_heartbeat_interval=0.1,
         )
         result = engine.run()
         assert canonical_result(result) == canonical_result(
@@ -285,14 +300,16 @@ class TestSegmentHygiene:
         assert engine.columnar_supersteps >= 1
         assert _repro_segments() == before
 
-    def test_restart_budget_exhaustion_leaks_no_segments(self):
+    def test_restart_budget_exhaustion_leaks_no_segments(
+        self, supervision
+    ):
         # Every pool generation gets its own segment; repeated kills
         # followed by permanent serial degradation must retire all of
         # them.
+        supervision(MAX_RANK_RESTARTS=1)
         before = _repro_segments()
         engine = _parallel_engine(
             RankKiller(flag_path=None, num_supersteps=8),
-            max_rank_restarts=1,
             transport="columnar",
         )
         engine.run()
@@ -311,8 +328,6 @@ class TestSegmentHygiene:
         killed = _chaos_subprocess(
             "--backend",
             "parallel",
-            "--transport",
-            "columnar",
             "--checkpoint-dir",
             directory,
             "--kill-at",
@@ -322,8 +337,6 @@ class TestSegmentHygiene:
         resumed = _chaos_subprocess(
             "--backend",
             "parallel",
-            "--transport",
-            "columnar",
             "--checkpoint-dir",
             directory,
             "--resume",
@@ -369,9 +382,12 @@ class TestOrphanCleanup:
             process.join(timeout=10)
             assert not process.is_alive()
 
-    def test_worker_link_kill_escalates_past_sigterm(self, tmp_path):
+    def test_worker_link_kill_escalates_past_sigterm(
+        self, tmp_path, supervision
+    ):
         # A rank wedged with SIGTERM ignored must still die: kill()
         # escalates to SIGKILL after the terminate grace period.
+        supervision(RANK_STALL_TIMEOUT=0.5, RANK_HEARTBEAT_INTERVAL=0.1)
         flag = str(tmp_path / "hang-once")
         engine = _parallel_engine(
             RankHanger(
@@ -381,8 +397,6 @@ class TestOrphanCleanup:
                 num_supersteps=4,
             ),
             num_workers=2,
-            rank_stall_timeout=0.5,
-            rank_heartbeat_interval=0.1,
         )
         engine.run()
         # Whatever the path taken, no rank process may survive.

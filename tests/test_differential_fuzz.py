@@ -65,7 +65,12 @@ from repro.errors import BSPError
 from repro.graph import barabasi_albert_graph, erdos_renyi_graph, grid_graph
 from repro.graph.snapshot import CsrSnapshot
 from repro.trace import TraceRecorder, modeled_events
-from tests.conftest import WORKLOADS, EdgeTouch, FrontierScript
+from tests.conftest import (
+    WORKLOADS,
+    EdgeTouch,
+    FrontierScript,
+    shared_memory_unavailable,
+)
 
 WORKER_COUNTS = [1, 2, 4, 7]
 _env = os.environ.get("REPRO_FUZZ_WORKERS")
@@ -95,8 +100,9 @@ FAULT_MODES = [
 #: ``CsrSnapshot`` of the same graph under ``memory_budget=1``, so
 #: every buffered message lane spills to disk and replays at delivery
 #: — covering the out-of-core storage *and* spill tiers in one path.
-#: "parallel" pins the pickle transport explicitly (the fallback
-#: tier); "parallel-shm" is the shared-memory columnar transport.
+#: "parallel" runs the pool without shared memory, every column on
+#: the pipe (the fallback tier); "parallel-shm" is the shared-memory
+#: columnar transport.
 BACKENDS = [
     "reference", "fast", "fast+vectorized", "snapshot",
     "parallel", "parallel-shm",
@@ -163,16 +169,16 @@ def _run_case(graph, make_program, natural, recipe, backend, workers,
             memory_budget=1, **kwargs,
         )
     else:
-        transport = (
-            "columnar" if backend == "parallel-shm" else "pickle"
-        )
         engine = create_engine(
-            graph, make_program(), backend="parallel",
-            transport=transport, **kwargs,
+            graph, make_program(), backend="parallel", **kwargs,
         )
     plane = engine.fast_path
     assert plane is (backend != "reference")
-    result = engine.run()
+    if backend == "parallel":
+        with shared_memory_unavailable():
+            result = engine.run()
+    else:
+        result = engine.run()
     # One plane per run, whatever the program did or the run suffered.
     assert engine.fast_path is plane, backend
     return engine, result
@@ -334,8 +340,8 @@ def _assert_every_path_agrees(
     shm = engines["parallel-shm"]
     assert shm.transport_disabled_reason is None, repro
     assert shm.transport_tier == "columnar", repro
-    # And the pickle run must not have paid for a segment it was told
-    # not to create.
+    # And the run without shared memory must have said so and ridden
+    # the pipe.
     assert engines["parallel"].transport_tier == "pickle", repro
 
 

@@ -59,7 +59,7 @@ def _script_case(seed):
         horizon=rnd.randrange(7, 11),
         actor=rnd.randrange(n),
         # After the crash plans' supersteps (2 and 3), so the pool is
-        # still alive to be killed, reloaded and confined-replayed.
+        # still alive to be killed, re-initialised and confined-replayed.
         wake_at=rnd.choice([None, 4, 5]),
         grow_at=rnd.choice([None, 4, 5, 6]),
         edit_at=rnd.choice([None, 5, 6, 7]),

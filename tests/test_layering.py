@@ -75,7 +75,7 @@ BSP_ROOT = ENGINE_PY.parent
 #: One line budget for the whole ``repro.bsp`` package.  A deletion in
 #: one module may pay for code in another; a simplicity PR lowers the
 #: number.  The large modules keep the ceilings below as well.
-REPRO_BSP_LINE_BUDGET = 8499
+REPRO_BSP_LINE_BUDGET = 8254
 
 #: The dense compute plane is written once (``kernels.py`` loops and
 #: kernels over a ``fabric.DenseLane``) and hosted twice (the serial
@@ -87,7 +87,7 @@ REPRO_BSP_LINE_BUDGET = 8499
 #: true; a fork of the send paths, the lane gather/write-back or the
 #: wire format would have to grow them.
 KERNELS_LINE_BUDGET = 989
-PARALLEL_LINE_BUDGET = 1441
+PARALLEL_LINE_BUDGET = 1133
 SHM_TRANSPORT_LINE_BUDGET = 472
 FABRIC_LINE_BUDGET = 1013
 
@@ -410,10 +410,9 @@ class TestFrontierIsResetWhereHaltedIsWritten:
             "restore_partition",
         ],
         "parallel.py": [
-            # a fresh lane
+            # a fresh lane (a rank is only ever re-initialised)
             "_PartitionRuntime.__init__",
-            # both reset the lane they wrote
-            "_PartitionRuntime.reload",
+            # resets the lane it wrote
             "ParallelPregelEngine._apply_parallel_results",
         ],
     }
@@ -426,10 +425,7 @@ class TestFrontierIsResetWhereHaltedIsWritten:
             "MinPropagationKernel.run",
             "DegreeKernel.run",
         ],
-        "parallel.py": [
-            "_PartitionRuntime.reload",
-            "ParallelPregelEngine._apply_parallel_results",
-        ],
+        "parallel.py": ["ParallelPregelEngine._apply_parallel_results"],
     }
 
     @pytest.mark.parametrize("module", sorted(HALTED_WRITERS))
@@ -446,7 +442,7 @@ class TestFrontierIsResetWhereHaltedIsWritten:
             assert _attribute_writers(module, "awake") == writers
 
     def test_every_outside_writer_resets_the_frontier(self):
-        # A rank and the coordinator reset the lane they wrote ...
+        # The coordinator resets the lane it wrote ...
         assert self.AWAKE_WRITERS["parallel.py"] == (
             self.HALTED_WRITERS["parallel.py"][1:]
         )
@@ -692,6 +688,38 @@ class TestOneSuperstepLifecycle:
             "_superstep_stats",
         ):
             assert _src_files_matching(rf"\b{name}\b") == set(), name
+
+
+class TestOneWayToStartARank:
+    """A pool rank is started, respawned and resynced by one ``init``
+    payload pickled from the coordinator's live partition, and its
+    replies are collected by one poller."""
+
+    def test_the_other_start_paths_are_gone(self):
+        for name in (
+            "_expand_snapshot_init",
+            "_ship_snapshot",
+            "snapshot_path",
+            "_reload_payload",
+            "_recv_ready",
+        ):
+            assert _src_files_matching(rf"\b{name}\b") == set(), name
+
+    def test_supervision_is_not_a_keyword(self):
+        from repro.bsp.parallel import ParallelPregelEngine
+
+        params = inspect.signature(ParallelPregelEngine.__init__).parameters
+        assert list(params) == [
+            "self", "graph", "program", "args",
+            "mp_start_method", "transport", "kwargs",
+        ]
+        for name in (
+            "rank_stall_timeout",
+            "rank_heartbeat_interval",
+            "max_rank_restarts",
+            "rank_restart_backoff",
+        ):
+            assert name not in params, name
 
 
 class TestSuperstepLoop:

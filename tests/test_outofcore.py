@@ -1,10 +1,10 @@
 """Out-of-core runtime tests: the message-spill tier, the memory
-budget semantics, peak-RSS observability, and the parallel backend's
-snapshot shipping mode.
+budget semantics, peak-RSS observability, and the parallel backend
+over a snapshot.
 
 The invariant everywhere is the repo's byte-identity contract: a
-budgeted (spilling) run, a snapshot-backed run, and a snapshot-shipped
-parallel run must produce exactly the bytes of the unbudgeted
+budgeted (spilling) run, a snapshot-backed run, and a parallel run
+over a snapshot must produce exactly the bytes of the unbudgeted
 in-memory serial run — values, ``RunStats``, aggregate history — with
 the out-of-core machinery observable only through fabric counters and
 the informational peak-RSS fields.
@@ -23,10 +23,14 @@ from repro.bsp import (
     MinCombiner,
     PregelEngine,
     SumCombiner,
+    VertexProgram,
     crash_plan,
+    create_engine,
+    run_program,
 )
 from repro.bsp.parallel import ParallelPregelEngine
 from repro.core.report import format_trace_report
+from repro.errors import SuperstepLimitExceeded
 from repro.graph import barabasi_albert_graph, erdos_renyi_graph
 from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.stats import peak_rss_bytes
@@ -200,16 +204,18 @@ class TestParallelSnapshotMode:
         )
         return engine, engine.run()
 
-    def test_ships_path_not_topology(self, snapshot):
+    @pytest.mark.parametrize("where", ["in-ram", "on-disk"])
+    def test_pool_runs_over_a_snapshot(self, snapshot, where):
+        graph = (
+            CsrSnapshot.from_graph(GRAPH) if where == "in-ram" else snapshot
+        )
+        assert (graph.path is None) == (where == "in-ram")
         _, base = run(
             GRAPH, PageRank(num_supersteps=6), combiner=SumCombiner()
         )
         engine, result = self._parallel(
-            snapshot,
-            PageRank(num_supersteps=6),
-            combiner=SumCombiner(),
+            graph, PageRank(num_supersteps=6), combiner=SumCombiner()
         )
-        assert engine._ship_snapshot
         assert engine.parallel_disabled_reason is None
         assert engine.parallel_supersteps > 0
         assert digest(result) == digest(base)
@@ -227,7 +233,6 @@ class TestParallelSnapshotMode:
         engine, result = self._parallel(
             snapshot, PageRank(num_supersteps=6), **kwargs
         )
-        assert engine._ship_snapshot
         assert engine.parallel_disabled_reason is None
         assert digest(result) == digest(base)
 
@@ -244,8 +249,10 @@ class TestParallelSnapshotMode:
         ],
     )
     def test_budgeted_parallel_spills_and_matches(
-        self, snapshot, transport, combiner
+        self, snapshot, transport, combiner, request
     ):
+        if transport == "pickle":
+            request.getfixturevalue("no_shm")
         make_combiner = combiner or (lambda: None)
         _, base = run(
             GRAPH, PageRank(num_supersteps=6), combiner=make_combiner()
@@ -261,9 +268,7 @@ class TestParallelSnapshotMode:
             PageRank(num_supersteps=6),
             combiner=make_combiner(),
             memory_budget=1,
-            transport=transport,
         )
-        assert engine._ship_snapshot
         assert engine.parallel_supersteps > 0
         assert engine.transport_tier == transport
         assert engine._fabric.spilled_lanes > 0
@@ -276,18 +281,58 @@ class TestParallelSnapshotMode:
         )
         assert digest(result) == digest(base)
 
-    def test_in_ram_snapshot_falls_back_to_pickled_payload(self):
-        snap = CsrSnapshot.from_graph(GRAPH)
-        assert snap.path is None
-        _, base = run(
-            GRAPH, PageRank(num_supersteps=4), combiner=SumCombiner()
+
+class PruneThenDiffuse(VertexProgram):
+    """Vertex 0 drops the edge to its first out-neighbour at superstep
+    1; every vertex diffuses ``sum(messages) % 1000`` along its
+    remaining edges until superstep 8.  A rank computing on the
+    pre-mutation edges changes every value."""
+
+    name = "prune-then-diffuse"
+
+    def compute(self, v, msgs, ctx):
+        step = ctx.superstep
+        if step == 1 and v.id == 0 and v.out_edges:
+            ctx.remove_edge(0, next(iter(v.out_edges)))
+        v.value = 1.0 if step == 0 else sum(msgs) % 1000.0
+        if step < 8:
+            ctx.send_to_neighbors(v, v.value / max(len(v.out_edges), 1))
+        else:
+            v.vote_to_halt()
+
+
+class TestResumeOverSnapshot:
+    """A durable run over a file-backed snapshot that mutated its
+    topology resumes on the pool from the coordinator's live partition,
+    not from the edges in the file."""
+
+    @pytest.mark.parametrize("first", ["parallel", "serial"])
+    def test_resumed_pool_sees_the_removed_edge(self, tmp_path, first):
+        graph = barabasi_albert_graph(300, 3, 1)
+        directory = str(tmp_path / "snap")
+        CsrSnapshot.from_graph(graph).save(directory)
+        common = dict(
+            num_workers=2, combiner=SumCombiner(), checkpoint_interval=1,
+            checkpoint_dir=str(tmp_path / "ck"),
         )
-        engine, result = self._parallel(
-            snap, PageRank(num_supersteps=4), combiner=SumCombiner()
+        with pytest.raises(SuperstepLimitExceeded):
+            run_program(
+                CsrSnapshot.open(directory), PruneThenDiffuse(),
+                backend=first, max_supersteps=4, **common,
+            )
+        snap = CsrSnapshot.open(directory)
+        engine = create_engine(
+            snap, PruneThenDiffuse(), backend="parallel", resume=True,
+            **common,
         )
-        assert not engine._ship_snapshot
-        assert engine.parallel_disabled_reason is None
-        assert digest(result) == digest(base)
+        resumed = engine.run()
+        snap.close()
+        base = run_program(
+            graph, PruneThenDiffuse(), backend="serial",
+            num_workers=2, combiner=SumCombiner(),
+        )
+        assert engine.parallel_supersteps > 0
+        assert resumed.values == base.values
 
 
 def test_serial_snapshot_with_string_ids(tmp_path):

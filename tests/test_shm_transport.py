@@ -31,7 +31,7 @@ from repro.bsp.shm_transport import (
 )
 from repro.bsp.worker import Worker
 from repro.graph import barabasi_albert_graph, erdos_renyi_graph
-from tests.conftest import WORKLOADS
+from tests.conftest import WORKLOADS, shared_memory_unavailable
 from tests.test_differential_fuzz import canonical
 
 
@@ -488,14 +488,15 @@ def test_columnar_pagerank_identical_and_smaller():
             graph, make_prog, "sum", backend="parallel",
             transport="columnar",
         )
-        pik_engine, pik_res = _run(
-            graph, make_prog, "sum", backend="parallel",
-            transport="pickle",
-        )
+        with shared_memory_unavailable():
+            pik_engine, pik_res = _run(
+                graph, make_prog, "sum", backend="parallel"
+            )
         assert canonical(shm_res) == canonical(ref)
         assert canonical(pik_res) == canonical(ref)
         assert shm_engine.transport_tier == "columnar"
         assert shm_engine.transport_disabled_reason is None
+        assert pik_engine.transport_tier == "pickle"
         # Float values + combined float payloads: every pool
         # superstep crosses fully columnar.
         assert shm_engine.columnar_supersteps > 0
@@ -518,10 +519,8 @@ def test_every_workload_identical_on_both_transports():
             graph, make_prog, natural, backend="parallel",
             transport="columnar",
         )
-        _, pik_res = _run(
-            graph, make_prog, natural, backend="parallel",
-            transport="pickle",
-        )
+        with shared_memory_unavailable():
+            _, pik_res = _run(graph, make_prog, natural, backend="parallel")
         assert canonical(shm_res) == canonical(ref), name
         assert canonical(pik_res) == canonical(ref), name
 
@@ -546,7 +545,7 @@ def test_non_conforming_values_spill_but_stay_identical():
     assert engine.pickle_supersteps == engine.parallel_supersteps
 
 
-def test_pickle_transport_creates_no_segment():
+def test_pickle_transport_creates_no_segment(no_shm):
     graph = erdos_renyi_graph(40, 0.1, seed=5)
     before = set(_repro_segments())
     engine, _ = _run(
@@ -554,19 +553,15 @@ def test_pickle_transport_creates_no_segment():
         lambda: PageRank(num_supersteps=5),
         "sum",
         backend="parallel",
-        transport="pickle",
     )
+    assert engine.parallel_supersteps > 0
     assert engine._segment is None
     assert set(_repro_segments()) == before
 
 
-def test_no_shared_memory_runs_the_same_reply_over_the_pipe(monkeypatch):
+def test_no_shared_memory_runs_the_same_reply_over_the_pipe(no_shm):
     # Segment creation fails on the coordinator: the pool must still
     # run, every column in the pipe header, and leak nothing.
-    def unavailable(*args, **kwargs):
-        raise OSError("no shared memory here")
-
-    monkeypatch.setattr(shm_transport, "ColumnarSegment", unavailable)
     graph = erdos_renyi_graph(40, 0.1, seed=5)
     make_prog = lambda: PageRank(num_supersteps=5)
     before = set(_repro_segments())
@@ -599,14 +594,17 @@ def test_auto_is_columnar():
 
 
 def test_transport_kwarg_validated():
+    # "pickle": the pipe is where a run without shared memory ends up,
+    # not a transport to ask for.
     graph = erdos_renyi_graph(10, 0.2, seed=1)
-    with pytest.raises(ValueError, match="transport"):
-        create_engine(
-            graph,
-            PageRank(num_supersteps=2),
-            backend="parallel",
-            transport="carrier-pigeon",
-        )
+    for transport in ("carrier-pigeon", "pickle"):
+        with pytest.raises(ValueError, match="transport"):
+            create_engine(
+                graph,
+                PageRank(num_supersteps=2),
+                backend="parallel",
+                transport=transport,
+            )
 
 
 def test_clean_run_leaves_no_segments():

@@ -180,17 +180,19 @@ def test_serial_oracle_differential_directed_graph():
     ids=[w[0] for w in WORKLOADS],
 )
 def test_parallel_oracle_differential(wl_name, make_program,
-                                      combiner_cls, transport):
+                                      combiner_cls, transport, request):
+    if transport == "pickle":
+        request.getfixturevalue("no_shm")
     graph = graph_undirected()
     ref = run_serial(graph, make_program, combiner_cls,
                      vectorize=False, num_workers=2)
     engine = create_engine(
         graph, make_program(), backend="parallel", num_workers=2,
         combiner=combiner_cls(), track_bppa=True, seed=0,
-        transport=transport,
     )
     par = engine.run()
     assert canonical(par) == canonical(ref), (wl_name, transport)
+    assert engine.transport_tier == transport
     assert engine.parallel_disabled_reason is None
     # Ranks run the same registered kernels as the serial engine; the
     # pool must actually have vectorized, not silently stayed dense.
@@ -203,11 +205,14 @@ def test_parallel_oracle_differential(wl_name, make_program,
     FAULT_MODES[1:],
     ids=[f[0] for f in FAULT_MODES[1:]],
 )
-def test_parallel_faulted_oracle(transport, fault_name, make_plan):
+def test_parallel_faulted_oracle(transport, fault_name, make_plan,
+                                 request):
     """Faulty-vs-faulty across the process boundary: the pool's
     recovered PageRank must match the faulted reference run byte for
     byte, and the fault injector must pin the ranks to the per-vertex
     pass."""
+    if transport == "pickle":
+        request.getfixturevalue("no_shm")
     graph = graph_undirected()
     make_program = WORKLOADS[0][1]
     ref = run_serial(graph, make_program, SumCombiner,
@@ -216,11 +221,11 @@ def test_parallel_faulted_oracle(transport, fault_name, make_plan):
     engine = create_engine(
         graph, make_program(), backend="parallel", num_workers=2,
         combiner=SumCombiner(), track_bppa=True, seed=0,
-        transport=transport, checkpoint_interval=2,
-        fault_plan=make_plan(),
+        checkpoint_interval=2, fault_plan=make_plan(),
     )
     par = engine.run()
     assert canonical(par) == canonical(ref), (transport, fault_name)
+    assert engine.transport_tier == transport
     assert "vectorized" not in tiers_of(par), tiers_of(par)
 
 
