@@ -5,6 +5,10 @@
 verdicts against the paper, and times the vertex-centric runs.  The
 regenerated table is accumulated across benches and written to
 ``benchmarks/table1_output.txt`` at the end of the session.
+
+Without ``pytest-benchmark`` installed, plain ``pytest benchmarks/``
+runs the same assertions: the fallback ``benchmark`` fixture below
+calls each benchmarked function once and times nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +28,25 @@ _COLLECTED = {}
 #: bands and the verdict can fall either way.  The paper's Yes is the
 #: worst-case O(m log n) bound.  See EXPERIMENTS.md.
 DOCUMENTED_DIVERGENCES = {14: {"more_work"}}
+
+
+try:
+    import pytest_benchmark  # noqa: F401 - provides ``benchmark``
+except ImportError:
+
+    class _CallOnce:
+        """The ``benchmark`` fixture's call surface, minus the timing:
+        the function runs exactly once and its result is returned."""
+
+        def __call__(self, function, *args, **kwargs):
+            return function(*args, **kwargs)
+
+        def pedantic(self, target, args=(), kwargs=None, **_rounds):
+            return target(*args, **(kwargs or {}))
+
+    @pytest.fixture
+    def benchmark():
+        return _CallOnce()
 
 
 def record_row(row) -> None:

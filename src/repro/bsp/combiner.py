@@ -8,20 +8,15 @@ message count (what the program emitted — used for local work ``w``)
 and the combined network count (what crosses the wire — used for the
 ``h``-relation in the cost model).
 
-The engine folds at one of two points depending on its execution path
-(see ``docs/performance.md``):
-
-* the **reference dict path** buffers every logical message as a
-  ``(src_worker, message)`` tuple and folds at delivery time;
-* the **dense fast path** folds *at send time* into a per-
-  ``(destination, sending worker)`` slot, so a superstep buffers
-  O(occupied slots) instead of O(logical messages).
-
-Both paths fold messages in exactly the same (send) order, so a
-combiner only needs to be deterministic — it does not need to be
-commutative for the two paths to agree bit-for-bit (though Pregel
-semantics still expect commutative + associative folds, since message
-arrival order is unspecified in a real cluster).
+The engine folds *at send time* into a per-``(destination, sending
+worker)`` slot (see ``docs/performance.md``), so a superstep buffers
+O(occupied slots) instead of O(logical messages).  Each slot folds
+its messages left to right in send order — the order the test-side
+oracle folds them at delivery — so a combiner only needs to be
+deterministic to agree bit-for-bit; it does not need to be
+commutative (though Pregel semantics still expect commutative +
+associative folds, since message arrival order is unspecified in a
+real cluster).
 """
 
 from __future__ import annotations

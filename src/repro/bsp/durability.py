@@ -26,10 +26,9 @@ froze at construction, a ``TopologySnapshot`` of its own.  A record of
 an unmutated run therefore holds no edge, owner or worker-list data
 and does not grow with the edge count: the resuming engine re-derives
 the baseline from the graph it is handed, and the fingerprint (below)
-guarantees that graph lays the columns out identically.  Nor does a
-record name the plane that wrote it: the oracle's directory resumes
-on the dense plane and the reverse.  An older directory (version 1:
-edge-map copies; 2: the plane in records and fingerprint) is refused,
+guarantees that graph lays the columns out identically.  An older
+directory (version 1: edge-map copies; 2: the plane in records and
+fingerprint) is refused,
 resuming or not, with a ``CheckpointError`` naming the version.
 
 Every write is atomic: the bytes go to a temp file in the same
@@ -64,9 +63,9 @@ a directory whose fingerprint differs raises
 :class:`~repro.errors.FingerprintMismatchError` instead of silently
 mixing incompatible state.  Three knobs are deliberately *excluded*:
 
-* the backend and the plane (``use_fast_path``) — serial, oracle and
-  process-parallel execution are byte-identical by contract, so a run
-  checkpointed under one may resume under another;
+* the backend — serial and process-parallel execution are
+  byte-identical by contract, so a run checkpointed under one may
+  resume under the other;
 * the parallel backend's ``transport`` — shared-memory segment or pipe
   message, the rank-ordered merge sees the same columns (the kwarg is
   consumed by ``ParallelPregelEngine`` and never reaches the

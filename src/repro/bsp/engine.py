@@ -33,27 +33,25 @@ GAS/block/async engines:
   checkpoint accounting, rollback discard), the checkpoint schedule
   (:class:`~repro.bsp.loop.CheckpointPolicy`), fault-injector arming,
   and the crash-supervision protocol;
-* :class:`~repro.bsp.fabric.MessageFabric` — the run's mailbox
-  layout (dense slots, or the dict-path oracle), the send/fanout
-  entry points, combining, ledger accounting, and fault-injected
-  delivery;
+* :class:`~repro.bsp.fabric.MessageFabric` — the dense mailboxes,
+  the send/fanout entry points, combining, ledger accounting, and
+  fault-injected delivery;
 * :class:`~repro.bsp.state.StateStore` — the partitioned vertex
   states, the owner map, and the confined-recovery logs;
 * the compute kernels (:mod:`repro.bsp.kernels`) — the per-superstep
-  vertex-execution loops for each mailbox layout.
+  vertex-execution loop and the vectorized tier over it.
 
-One plane per run (``docs/performance.md``): an engine executes on
-the dense plane from its first superstep to its last — topology
-mutations re-index it in place at the barrier, rollbacks and confined
-recovery restore into it — unless it was built with
-``use_fast_path=False``, which makes it the dict-path oracle for its
-whole run.  The two execute vertices, fold combiners, deliver
-messages and draw injected faults in exactly the same order, so a run
-produces **byte-identical** :class:`PregelResult` values, ``RunStats``,
-and BPPA observations on either — including under checkpointing,
-mutations and fault plans.  Real process parallelism over the dense
-plane lives in :mod:`repro.bsp.parallel` and is selected with
-``backend="parallel"`` via :func:`create_engine`/:func:`run_program`.
+One plane (``docs/performance.md``): an engine executes on the dense
+plane from its first superstep to its last — topology mutations
+re-index it in place at the barrier, rollbacks and confined recovery
+restore into it.  Real process parallelism over the same plane lives
+in :mod:`repro.bsp.parallel` and is selected with
+``backend="parallel"`` via :func:`create_engine`/:func:`run_program`;
+both produce **byte-identical** :class:`PregelResult` values,
+``RunStats`` and BPPA observations, including under checkpointing,
+mutations and fault plans.  The differential suites hold them to a
+Pregel interpreter that lives with the tests and shares no code with
+this package (``docs/architecture.md``, "Oracle").
 
 The fault-tolerance story (``docs/fault_tolerance.md``): with
 ``checkpoint_interval`` set the engine snapshots state at superstep
@@ -86,11 +84,7 @@ from repro.bsp.durability import (
 )
 from repro.bsp.fabric import MessageFabric
 from repro.bsp.faults import FaultPlan
-from repro.bsp.kernels import (
-    fast_compute_pass,
-    has_vectorized_kernel,
-    reference_compute_pass,
-)
+from repro.bsp.kernels import fast_compute_pass, has_vectorized_kernel
 from repro.bsp.loop import SuperstepLoop
 from repro.bsp.program import VertexProgram
 from repro.bsp.state import StateStore, apply_mutations, confined_replay
@@ -166,7 +160,7 @@ class PregelEngine:
         messages instead of rolling every worker back (cheaper; falls
         back to full rollback when topology mutated since the last
         checkpoint; assumes ``compute`` does not draw from
-        ``ctx.random``).  Runs on whichever plane the engine is on.
+        ``ctx.random``).
     checkpoint_dir:
         Directory for durable on-disk checkpoints
         (:mod:`repro.bsp.durability`): each scheduled checkpoint is
@@ -179,33 +173,26 @@ class PregelEngine:
         none, ``FingerprintMismatchError`` for a directory written by
         a different configuration); ``"auto"`` resumes when possible
         and starts fresh otherwise.
-    use_fast_path:
-        The run's execution plane, fixed here for the whole run.
-        ``None``/``True`` (default): the dense plane.  ``False``: the
-        reference dict path — the equivalence oracle the dense plane
-        is tested against.  Nothing a program does (mutations, edge
-        edits) or the run suffers (crashes, resume) changes it.
     use_vectorized:
-        ``None`` (default): on the fast path, run supersteps through
-        the program's registered vectorized kernel whenever its
-        exact-reproduction proof holds, silently falling back to the
-        per-vertex dense pass otherwise (fault-injected runs stay
+        ``None`` (default): run supersteps through the program's
+        registered vectorized kernel whenever its exact-reproduction
+        proof holds, silently falling back to the per-vertex dense
+        pass otherwise (fault-injected runs stay
         per-vertex throughout).  ``False``: never vectorize.
         ``True``: require the capability — raises
-        :class:`ValueError` unless the engine is on the dense plane and
-        the program class has a registered kernel (per-superstep fallback
-        still applies; the tier actually used each superstep is
-        recorded in ``SuperstepWall.kernel_tier`` and the workers'
-        trace profiles).  Not part of the checkpoint fingerprint:
-        the tiers are byte-identical, so resume across them is legal.
+        :class:`ValueError` unless the program class has a registered
+        kernel (per-superstep fallback still applies; the tier
+        actually used each superstep is recorded in
+        ``SuperstepWall.kernel_tier`` and the workers' trace
+        profiles).  Not part of the checkpoint fingerprint: the tiers
+        are byte-identical, so resume across them is legal.
     memory_budget:
         Soft cap, in encoded bytes, on one superstep's buffered
-        message volume on the dense fast path.  When set, finished
-        accumulator lanes are byte-accounted in the shm-transport
-        column encoding and lanes past the budget spill to disk,
-        replayed in worker order at delivery — results stay
-        byte-identical to an unbudgeted run.  ``None`` (default)
-        disables the spill tier entirely.
+        message volume.  When set, finished accumulator lanes are
+        byte-accounted in the shm-transport column encoding and lanes
+        past the budget spill to disk, replayed in worker order at
+        delivery — results stay byte-identical to an unbudgeted run.
+        ``None`` (default) disables the spill tier entirely.
     spill_dir:
         Directory for spill files (created if missing).  ``None``
         (default) uses a private temp directory, removed when the
@@ -242,7 +229,6 @@ class PregelEngine:
         confined_recovery: bool = False,
         checkpoint_dir: Optional[str] = None,
         resume=False,
-        use_fast_path: Optional[bool] = None,
         use_vectorized: Optional[bool] = None,
         memory_budget: Optional[int] = None,
         spill_dir: Optional[str] = None,
@@ -330,34 +316,24 @@ class PregelEngine:
             self._resume_state = store.resume_state()
         self._run_stats: Optional[RunStats] = None
 
-        # The execution plane is a construction-time fact: dense
-        # unless the caller asked for the dict-path oracle.
-        self._fast_enabled = use_fast_path is None or bool(use_fast_path)
-        if use_vectorized:
-            if not self._fast_enabled:
-                raise ValueError(
-                    "use_vectorized=True requires the dense fast path "
-                    "(it cannot combine with use_fast_path=False)"
-                )
-            if not has_vectorized_kernel(type(program)):
-                raise ValueError(
-                    "use_vectorized=True but no vectorized kernel is "
-                    f"registered for {type(program).__name__}"
-                )
+        if use_vectorized and not has_vectorized_kernel(type(program)):
+            raise ValueError(
+                "use_vectorized=True but no vectorized kernel is "
+                f"registered for {type(program).__name__}"
+            )
         self._use_vectorized = use_vectorized
-        self._kernel_tier = "reference"
+        self._kernel_tier = "dense"
         self._vector_kernel_cache = None
 
-        # The fabric owns every mailbox and, on the dense plane, binds
-        # ``_enqueue``/``_fanout`` to the executing lane.  Built last:
-        # the dense arrays then reuse what the fingerprint freed.
+        # The fabric owns every mailbox and binds ``_enqueue``/
+        # ``_fanout`` to the executing lane.  Built last: the dense
+        # arrays then reuse what the fingerprint freed.
         self._fabric = MessageFabric(
             self,
             self._store,
             combiner,
             memory_budget=memory_budget,
             spill_dir=spill_dir,
-            dense=self._fast_enabled,
         )
         self._enqueue = self._fabric.enqueue
         self._fanout = self._fabric.fanout
@@ -397,12 +373,6 @@ class PregelEngine:
     @property
     def num_vertices(self) -> int:
         return len(self._store.states)
-
-    @property
-    def fast_path(self) -> bool:
-        """True on the dense plane, False on the dict-path oracle —
-        the same answer from construction to the end of the run."""
-        return self._fabric.fast_active
 
     def has_vertex(self, vertex_id: Hashable) -> bool:
         return vertex_id in self._store.states
@@ -501,15 +471,9 @@ class PregelEngine:
         ctx = self._ctx
         tracker = self._tracker
         fabric = self._fabric
-        fast = fabric.fast_active
         self._loop.open_superstep(
-            superstep,
-            fabric.workers,
-            "fast" if fast else "reference",
-            self.backend_name,
+            superstep, fabric.workers, "fast", self.backend_name
         )
-        if not fast:
-            fabric.reset_outbox()
         self._agg_current = {
             name: agg.initial()
             for name, agg in self._aggregators.items()
@@ -520,11 +484,8 @@ class PregelEngine:
         self._wake_all = False
         if self._confined_recovery:
             self._store.wake_log[superstep] = wake_all
-        if fast:
-            active_count = self._compute_pass_fast(wake_all)
-        else:
-            active_count = reference_compute_pass(self, wake_all)
-        # Every send charged its worker, on either path.
+        active_count = self._compute_pass_fast(wake_all)
+        # Every send charged its worker.
         pending = sum(w.sent_logical for w in fabric.workers)
         if tracker is not None:
             tracker.record_superstep()
@@ -544,10 +505,7 @@ class PregelEngine:
 
         removed = apply_mutations(self)
         mutated = removed is not None
-        if fast:
-            delivered = fabric.deliver_fast(superstep, mutated)
-        else:
-            delivered = fabric.deliver(superstep)
+        delivered = fabric.deliver_fast(superstep, mutated)
         if removed:
             # The senders' charges for messages to removed vertices
             # were reversed during delivery; the ownership entries can
@@ -556,7 +514,7 @@ class PregelEngine:
             owner = self._store.owner
             for vid in removed:
                 owner.pop(vid, None)
-        if mutated and fast:
+        if mutated:
             # The dense index no longer matches the topology:
             # recompile it in place, inbox carried across by id.
             self._reindex()
@@ -640,8 +598,8 @@ _default_backend = "serial"
 def set_default_backend(backend: str) -> None:
     """Set the engine backend used when none is passed explicitly.
 
-    ``"serial"`` (the default and the correctness oracle) executes the
-    logical workers one after another in-process; ``"parallel"``
+    ``"serial"`` (the default) executes the logical workers one after
+    another in-process; ``"parallel"``
     executes them as real OS processes (:mod:`repro.bsp.parallel`)
     with byte-identical results.  Threaded through the CLI as
     ``repro-table1 --backend``.
@@ -669,8 +627,7 @@ def create_engine(
 
     ``backend=None`` uses :func:`get_default_backend`.  The parallel
     backend transparently degrades to serial execution whenever real
-    process parallelism cannot be byte-identical (the
-    ``use_fast_path=False`` oracle, programs flagged
+    process parallelism cannot be byte-identical (programs flagged
     ``parallel_safe=False`` — see ``docs/parallel_backend.md``), so
     selecting it is always safe.  Backend-specific kwargs pass
     through — notably the parallel backend's ``mp_start_method=``.

@@ -11,38 +11,30 @@ is one worker's share of the dense plane; the dense send paths are
 written once against it, and a pool rank of the parallel backend runs
 the very same lane code over its partition slice.
 
-One plane per run; the dict path is the oracle
-----------------------------------------------
+One plane
+---------
 
-A fabric's mailbox layout is fixed at construction (``fast_active`` is
-assigned in ``__init__`` and ``engage_fast_path`` only):
+A fabric has one mailbox layout, the **dense plane**: vertex ids
+compiled to contiguous ints
+(:class:`~repro.graph.partition.DenseIndex`), an inbox of columns in
+delivery order (see below) and the combiner folded *at send time* into
+a per-``(destination, sending worker)`` slot.  Mutations, rollbacks
+and confined recovery all run on it: a barrier that applied mutations
+ends with :meth:`MessageFabric.reindex`.
 
-* the **dense plane** (every engine but the oracle) — vertex ids
-  compiled to contiguous ints
-  (:class:`~repro.graph.partition.DenseIndex`), an inbox of columns in
-  delivery order (see below) and the combiner folded *at send time*
-  into a per-``(destination, sending worker)`` slot.  Mutations,
-  rollbacks and confined recovery all run here: a barrier that
-  applied mutations ends with :meth:`MessageFabric.reindex`;
-* the **dict path** (``use_fast_path=False``) — hashable-keyed
-  ``inbox``/``outbox`` dicts, one ``(src_worker, message)`` tuple per
-  logical message, combiner applied at delivery: the oracle the dense
-  plane is tested against, allocated only for an engine that asks.
+Its orders are the ones the test-side oracle defines
+(``docs/architecture.md``, "Oracle"):
 
-Key properties that keep the dense plane byte-identical to the oracle:
 
 * Workers execute sequentially, so global send order is "all of
   worker 0's sends, then worker 1's, …".  Each worker owns a
   persistent accumulator array indexed by dense destination (its
   ``(src_worker, destination)`` slots), and delivery scans the workers
-  in index order per destination — which is exactly the
-  per-destination grouping order the oracle's outbox produces at
-  delivery time.
+  in index order per destination.
 * ``out_dirty`` is rebuilt per superstep by stamping first touches per
-  worker and deduplicating across workers in worker order; that
-  equals the oracle outbox's key insertion order, which fixes the
-  fault-injection draw sequence and the inbox (and checkpoint)
-  insertion order.
+  worker and deduplicating across workers in worker order: the
+  destinations in first-send order, which fixes the fault-injection
+  draw sequence and the inbox (and checkpoint) insertion order.
 * The dense adjacency (``dense_out``/``remote_out``, compiled at every
   engage) replaces the per-message id hash for full-neighbor fanouts,
   row by row while :meth:`DenseLane.row_holds`: an ``out_edges`` dict
@@ -79,9 +71,7 @@ import pickle
 import shutil
 import tempfile
 from array import array
-from collections import defaultdict
 from contextlib import contextmanager
-from itertools import chain, islice
 from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 
 from repro.bsp.combiner import SumCombiner
@@ -445,9 +435,7 @@ class MessageFabric:
     attributes for the per-message hot paths, plus the
     confined-recovery message log).  The engine's ``_states``/
     ``_owner`` property setters refresh the mirrors whenever a
-    checkpoint restore swaps the underlying dicts.  ``dense`` picks
-    the run's one mailbox layout: the dense plane, or (``False``) the
-    dict-path oracle.
+    checkpoint restore swaps the underlying dicts.
     """
 
     def __init__(
@@ -457,7 +445,6 @@ class MessageFabric:
         combiner,
         memory_budget: Optional[int] = None,
         spill_dir: Optional[str] = None,
-        dense: bool = True,
     ):
         self._engine = engine
         self._store = store
@@ -481,13 +468,7 @@ class MessageFabric:
         self.owner = store.owner
         self.workers = store.workers
 
-        # The dict-path oracle's mailboxes (allocated below, for an
-        # oracle engine only).
-        self.inbox: Optional[Dict[Hashable, List[Any]]] = None
-        self.outbox: Optional[Dict[Hashable, List]] = None
-
-        # The dense plane (compiled by engage_fast_path).
-        self.fast_active = False
+        # The dense plane (compiled by engage_fast_path, below).
         self.dense = None
         self.dense_states = None
         self.dense_out: Optional[List[Optional[List[int]]]] = None
@@ -503,30 +484,23 @@ class MessageFabric:
         self.lanes: Optional[List[DenseLane]] = None
         self.slot_seen: Optional[List[int]] = None
         self.stamp = 0
-
-        if dense:
-            self.engage_fast_path()
-        else:
-            self.inbox = defaultdict(list)
-            self.outbox = defaultdict(list)
-            self.enqueue = self.enqueue_reference
-            self.fanout = self.fanout_reference
+        self.engage_fast_path()
 
     # ------------------------------------------------------------------
-    # Send paths: the oracle's, and the null pair of a confined replay
+    # Send paths: the lane binding, and the null pair of a confined
+    # replay
     # ------------------------------------------------------------------
 
     @contextmanager
     def replayed_sends(self):
         """Bind the engine's sends to a validating null pair while a
-        confined replay re-executes ``compute`` calls, on either
-        layout: a re-issued send is checked like a live one, then
-        dropped — the original was delivered, and logged, when the
-        superstep first ran."""
+        confined replay re-executes ``compute`` calls: a re-issued
+        send is checked like a live one, then dropped — the original
+        was delivered, and logged, when the superstep first ran."""
         engine = self._engine
         live = self.enqueue, self.fanout
         self.enqueue = engine._enqueue = self._enqueue_replayed
-        self.fanout = engine._fanout = self.fanout_reference
+        self.fanout = engine._fanout = self._fanout_replayed
         try:
             yield
         finally:
@@ -539,26 +513,13 @@ class MessageFabric:
         if target not in self.states:
             raise MessageToUnknownVertexError(target)
 
-    def enqueue_reference(
-        self, source: Hashable, target: Hashable, message: Any
-    ) -> None:
-        if target not in self.states:
-            raise MessageToUnknownVertexError(target)
-        src_worker = self.owner[source]
-        dst_worker = self.owner[target]
-        self.outbox[target].append((src_worker, message))
-        self.workers[src_worker].sent_logical += 1
-        if src_worker != dst_worker:
-            self.workers[src_worker].sent_remote += 1
-
-    def fanout_reference(
+    def _fanout_replayed(
         self, source: Hashable, targets, message: Any
     ) -> int:
-        """One ``self.enqueue`` call per target."""
-        enqueue = self.enqueue
+        """One :meth:`_enqueue_replayed` check per target."""
         n = 0
         for target in targets:
-            enqueue(source, target, message)
+            self._enqueue_replayed(source, target, message)
             n += 1
         return n
 
@@ -581,8 +542,8 @@ class MessageFabric:
         instead, which is adopted into this lane's (or spilled).
         Runs once per worker per superstep, O(touched destinations).
         Workers flush in index order, which is also global send
-        order, so ``out_dirty`` gets the reference outbox's
-        first-touch key order.
+        order, so ``out_dirty`` gets the destinations in first-send
+        order.
         """
         touched = lane.touched if record is None else record.touched
         seen = self.slot_seen
@@ -737,26 +698,19 @@ class MessageFabric:
         self.stamp = 0
         self._drop_spill_files()
         self.bind_lane(self.lanes[0])
-        self.fast_active = True
 
     def reindex(self, inbox=None) -> None:
-        """Rebuild this run's mailbox layout over the store's current
-        partition and carry ``inbox`` — ``(ids, lens, msgs)`` columns,
-        default: the undelivered inbox — across by vertex id.  Ends a
-        barrier that applied topology mutations (one O(n + m)
-        recompile of the index, the adjacency and, ``self.dense``
-        being new, the lanes' vectorized plans) and a checkpoint
-        restore, which passes the snapshot's inbox columns.  The
-        oracle's dicts are keyed by id: the inbox is all there is to
-        adopt."""
+        """Rebuild the dense plane over the store's current partition
+        and carry ``inbox`` — ``(ids, lens, msgs)`` columns, default:
+        the undelivered inbox — across by vertex id.  Ends a barrier
+        that applied topology mutations (one O(n + m) recompile of
+        the index, the adjacency and, ``self.dense`` being new, the
+        lanes' vectorized plans) and a checkpoint restore, which
+        passes the snapshot's inbox columns."""
         if inbox is None:
             inbox = self.inbox_columns()
-        if self.fast_active:
-            self.engage_fast_path()
+        self.engage_fast_path()
         self.restore_inbox(*inbox)
-
-    def reset_outbox(self) -> None:
-        self.outbox = defaultdict(list)
 
     def drain_inbox(self) -> None:
         """Clear the inbox a finished compute pass consumed —
@@ -791,138 +745,45 @@ class MessageFabric:
 
     def inbox_columns(self):
         """The undelivered inbox as ``(ids, lens, msgs)`` columns in
-        delivery order, messages end to end, on either layout (the
-        dense plane's ``msgs`` is its live column, not a copy)."""
-        if self.fast_active:
-            dirty = self.in_dirty
-            return (
-                list(map(self.dense.id_of.__getitem__, dirty)),
-                list(map(self.in_count.__getitem__, dirty)),
-                self.in_msgs,
-            )
-        boxes = self.inbox.values()
+        delivery order, messages end to end (``msgs`` is the live
+        column, not a copy)."""
+        dirty = self.in_dirty
         return (
-            list(self.inbox),
-            list(map(len, boxes)),
-            list(chain.from_iterable(boxes)),
+            list(map(self.dense.id_of.__getitem__, dirty)),
+            list(map(self.in_count.__getitem__, dirty)),
+            self.in_msgs,
         )
 
     def restore_inbox(self, ids, lens, msgs) -> None:
         """Replace the undelivered inbox with a copy of the ``(ids,
-        lens, msgs)`` columns (delivery-ordered), in this run's
-        mailbox layout."""
+        lens, msgs)`` columns (delivery-ordered)."""
         flat = list(msgs)  # before draining: ``msgs`` may be live
-        if self.fast_active:
-            self.drain_inbox()
-            self.in_dirty = list(map(self.dense.idx_of.__getitem__, ids))
-            self.lanes[0].receive(self.in_dirty, lens, flat)
-            for lane in self.lanes:  # the caller rewrote ``halted``
-                lane.awake = None
-        else:
-            it = iter(flat)
-            self.inbox = defaultdict(
-                list, zip(ids, (list(islice(it, n)) for n in lens))
-            )
+        self.drain_inbox()
+        self.in_dirty = list(map(self.dense.idx_of.__getitem__, ids))
+        self.lanes[0].receive(self.in_dirty, lens, flat)
+        for lane in self.lanes:  # the caller rewrote ``halted``
+            lane.awake = None
 
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
 
-    def deliver(self, superstep: int) -> int:
-        """Move the outbox into next superstep's inbox.
-
-        Applies the combiner per (destination, sending worker),
-        accounts network traffic, charges ``received_logical`` at
-        delivery time (so send/receive totals balance even when a
-        mutation removed the destination — the sender's charges are
-        reversed for such dropped messages), and runs the injected
-        network faults through the reliable-delivery layer.  Returns
-        the number of logical messages delivered.
-        """
-        engine = self._engine
-        delivered = 0
-        combiner = self._combiner
-        inbox = self.inbox
-        injector = engine._injector
-        log_deliveries = engine._confined_recovery
-        log_entry: Dict[Hashable, List[Any]] = {}
-        faults = DeliveryFaults() if injector is not None else None
-        for target, entries in self.outbox.items():
-            if target not in self.states:
-                # Destination removed by a mutation this superstep:
-                # the messages are dropped, so reverse the senders'
-                # charges to keep the logical books balanced.
-                dst_idx = self.owner.get(target)
-                for src_worker, _ in entries:
-                    w = self.workers[src_worker]
-                    w.sent_logical -= 1
-                    if dst_idx is None or src_worker != dst_idx:
-                        w.sent_remote -= 1
-                continue
-            dst_worker = self.workers[self.owner[target]]
-            dst_worker.received_logical += len(entries)
-            if combiner is None:
-                msgs = [m for _, m in entries]
-                for src_worker, _ in entries:
-                    self.workers[src_worker].sent_network += 1
-                dst_worker.received_network += len(entries)
-            else:
-                groups: Dict[int, Any] = {}
-                for src_worker, m in entries:
-                    if src_worker in groups:
-                        groups[src_worker] = combiner.combine(
-                            groups[src_worker], m
-                        )
-                    else:
-                        groups[src_worker] = m
-                msgs = list(groups.values())
-                for src_worker in groups:
-                    self.workers[src_worker].sent_network += 1
-                dst_worker.received_network += len(groups)
-            if injector is not None:
-                faults.absorb(injector.network_faults(len(msgs)))
-            inbox[target].extend(msgs)
-            if log_deliveries:
-                log_entry[target] = list(inbox[target])
-            delivered += len(msgs)
-        if log_deliveries:
-            self._store.message_log[superstep + 1] = log_entry
-        self._commit_faults(superstep, faults)
-        self.outbox = defaultdict(list)
-        return delivered
-
-    def _commit_faults(self, superstep: int, faults) -> None:
-        """Book one delivery's network-fault draws (``None``: no
-        injector) and trace them."""
-        if faults is None:
-            return
-        engine = self._engine
-        engine._injector.commit(faults, engine._run_stats)
-        if engine._trace is not None and faults.any:
-            engine._trace.emit(
-                FaultInjected(
-                    superstep=superstep,
-                    fault="network",
-                    retransmitted=faults.retransmitted,
-                    duplicated=faults.duplicated,
-                    delayed=faults.delayed,
-                )
-            )
-
     def deliver_fast(self, superstep: int, mutated: bool) -> int:
-        """Slot-mailbox delivery into the inbox columns: identical
-        accounting and fault-draw order to :meth:`deliver`.
+        """Move the superstep's slots into next superstep's inbox
+        columns; return the number of messages delivered.
 
-        Network counts are the occupied ``(destination, src_worker)``
-        slots — the combiner already folded at send time — and
-        ``received_logical`` comes from the per-slot logical tallies,
-        so the logical/network split matches the reference path
-        exactly; a destination's messages are appended in worker
-        order, the oracle's grouping order.  ``mutated`` enables the
-        removed-destination check (and charge reversal) that the
-        reference path performs; when no mutation was applied this
-        superstep the check is skipped, because every dense id is live
-        by construction.
+        Charges ``received_logical`` from the per-slot logical
+        tallies and the network counts from the occupied
+        ``(destination, src_worker)`` slots (the combiner already
+        folded at send time), appends a destination's messages in
+        worker order, and runs the injected network faults through
+        the reliable-delivery layer, one draw per destination in
+        ``out_dirty`` order.  ``mutated`` enables the
+        removed-destination check: messages to a vertex a mutation
+        removed are dropped and their senders' charges reversed, so
+        the books balance.  Without a mutation this superstep the
+        check is skipped, because every dense id is live by
+        construction.
         """
         engine = self._engine
         injector = engine._injector
@@ -937,8 +798,7 @@ class MessageFabric:
         first = hi = len(in_msgs)
         states = self.states
         combining = self._combiner is not None
-        # Confined recovery replays from the same id-keyed log entry
-        # on either layout.
+        # Confined recovery replays from an id-keyed log entry.
         log_entry: Optional[Dict[Hashable, List[Any]]] = (
             {} if engine._confined_recovery else None
         )
@@ -949,8 +809,7 @@ class MessageFabric:
         for dst in self.out_dirty:
             if mutated and id_of[dst] not in states:
                 # Dropped: destination removed this superstep —
-                # reverse the senders' charges, as the oracle's
-                # delivery does.
+                # reverse the senders' charges.
                 target_owner = self.owner.get(id_of[dst])
                 for w, acc_w, cnt_w in lanes:
                     if combining:
@@ -1004,5 +863,16 @@ class MessageFabric:
         ]
         self.out_dirty = []
         self._resident_bytes = 0
-        self._commit_faults(superstep, faults)
+        if faults is not None:
+            injector.commit(faults, engine._run_stats)
+            if engine._trace is not None and faults.any:
+                engine._trace.emit(
+                    FaultInjected(
+                        superstep=superstep,
+                        fault="network",
+                        retransmitted=faults.retransmitted,
+                        duplicated=faults.duplicated,
+                        delayed=faults.delayed,
+                    )
+                )
         return hi - first

@@ -259,13 +259,12 @@ class FaultInjector:
     def commit(self, faults: DeliveryFaults, stats) -> None:
         """Fold one superstep's accumulated faults into ``stats``.
 
-        This is the single injection point shared by both of the
-        engine's delivery implementations (reference dict mailboxes
-        and dense slot mailboxes).  Injection is mailbox-layout
-        agnostic: :meth:`network_faults` draws from counts alone, so
-        as long as a delivery path presents the same per-destination
-        batch sizes in the same order, the fault trace — and therefore
-        the cost accounting — is identical.
+        This is the single injection point of the engine's delivery
+        (serial, or the coordinator's on the parallel backend).
+        Injection is mailbox-layout agnostic: :meth:`network_faults`
+        draws from counts alone, so as long as delivery presents the
+        same per-destination batch sizes in the same order, the fault
+        trace — and therefore the cost accounting — is identical.
         """
         stats.retransmitted_messages += faults.retransmitted
         stats.duplicate_messages += faults.duplicated

@@ -1,22 +1,17 @@
 """Compute kernels: the per-superstep vertex-execution loops.
 
 Bottom layer of the decomposed runtime (``docs/architecture.md``).
-Two per-vertex loops live here:
+The per-vertex loop lives here: :func:`dense_compute_pass`, written
+against **one worker's lane** (:class:`~repro.bsp.fabric.DenseLane`):
+vertices reached by dense position, messages sliced out of the lane's
+inbox columns, sends folded into the lane's accumulators.
 
-* :func:`reference_compute_pass` — the dict-path oracle: vertices
-  reached by id hash, inboxes popped from the fabric's dict mailbox;
-* :func:`dense_compute_pass` — the dense plane, written against
-  **one worker's lane** (:class:`~repro.bsp.fabric.DenseLane`):
-  vertices reached by dense position, messages sliced out of the
-  lane's inbox columns, sends folded into the lane's accumulators.
-
-Both visit vertices in identical order (worker index order, then the
-worker's ``vertex_ids`` order — the dense ranges mirror it), apply
-identical wake/halt transitions, charge identical work
-(``1 + len(messages) + sent + charged``) and feed the BPPA tracker
-identically, which is one third of the engine's byte-identity
-contract (the fabric's send/delivery ordering and the loop's
-event/recovery ordering are the other two).
+It visits vertices in Pregel's order (worker index order, then the
+worker's ``vertex_ids`` order — the dense ranges mirror it), applies
+the wake/halt transitions, charges work ``1 + len(messages) + sent +
+charged`` per compute call and feeds the BPPA tracker — the counts
+the differential suites hold to their oracle, an interpreter that
+shares none of this code (``docs/architecture.md``, "Oracle").
 
 One dense plane, two hosts
 --------------------------
@@ -104,52 +99,12 @@ except Exception:
     _np = None
 
 
-def reference_compute_pass(engine, wake_all: bool) -> int:
-    """One superstep's compute calls on the dict path; returns the
-    active-vertex count."""
-    program = engine._program
-    ctx = engine._ctx
-    tracker = engine._tracker
-    fabric = engine._fabric
-    inbox = fabric.inbox
-    states = fabric.states
-    active_count = 0
-    for worker in fabric.workers:
-        seg_start = time.perf_counter()
-        for vid in worker.vertex_ids:
-            state = states.get(vid)
-            if state is None:
-                continue
-            messages = inbox.pop(vid, None)
-            if messages:
-                state.halted = False
-            elif state.halted and not wake_all:
-                continue
-            elif wake_all:
-                state.halted = False
-            messages = messages or []
-            active_count += 1
-            ctx._begin_vertex(state)
-            program.compute(state, messages, ctx)
-            ops = 1 + len(messages) + ctx._sent + ctx._charged
-            worker.work += ops
-            if tracker is not None:
-                tracker.record_vertex(
-                    vid, ctx._sent, len(messages), ops,
-                    program.state_size(state),
-                )
-        worker.wall_seconds = time.perf_counter() - seg_start
-    return active_count
-
-
 def dense_compute_pass(host, lane, wake_all: bool):
     """One worker's compute calls on the dense path.
 
-    Identical visit order, wake/halt transitions, work accounting,
-    and tracker feed as :func:`reference_compute_pass`; vertex state
-    and mailboxes are reached by dense position in the lane instead
-    of by hashing.  ``lane.cur`` tracks the executing vertex for the
-    lane's full-neighbor fanout (and, on a pool rank, for the
+    Vertex state and mailboxes are reached by dense position in the
+    lane, not by hashing.  ``lane.cur`` tracks the executing vertex
+    for the lane's full-neighbor fanout (and, on a pool rank, for the
     heartbeat's progress reading).  Returns the dense indices
     visited, in order, and leaves ``lane.awake`` for the next pass.
     Walks the lane's frontier, or its whole range when the frontier
@@ -698,9 +653,9 @@ class PageRankKernel:
 
     Gather is ``sum(messages, 0.0)`` over each position's slice of
     ``in_msgs`` (empty without mail) — the same left fold, in the same
-    worker order, seeded the same way, as the reference's ``total =
+    worker order, seeded the same way, as the program's ``total =
     0.0; for m in messages: total += m``.  The new rank is ``base + d
-    * total`` with ``base`` computed by the reference's own expression
+    * total`` with ``base`` computed by the program's own expression
     ``(1.0 - damping) / n``, and shares divide by the int out-degree
     exactly converted to float — every float op bit-identical to the
     per-vertex loop.
@@ -733,7 +688,7 @@ class PageRankKernel:
             ]
             new_vals = _affine(totals, d, (1.0 - d) / n)
             # L1 deltas aggregate in visit order, before assignment —
-            # the reference aggregates against the *old* value.
+            # the program aggregates against the *old* value.
             host._aggregate_many(
                 "l1_change",
                 map(abs, map(_SUB, new_vals, map(_VALUE, seg_states))),
@@ -800,7 +755,7 @@ class MinPropagationKernel:
     in arrival order).
 
     Superstep 0 (candidate gathering) stays on the per-vertex loop;
-    halt flags stay ``True`` throughout because the reference's
+    halt flags stay ``True`` throughout because the program's
     wake -> compute -> ``vote_to_halt`` round-trips every visited
     vertex back to halted.
 

@@ -6,7 +6,7 @@ keeping every observable byte of a run — ``PregelResult.values``,
 ``RunStats``, BPPA observations, the aggregate history, and the fault
 draw sequence — identical to the serial
 :class:`~repro.bsp.engine.PregelEngine`, which remains the default
-backend and the correctness oracle (``docs/parallel_backend.md``).
+backend (``docs/parallel_backend.md``).
 
 Architecture
 ------------
@@ -42,8 +42,8 @@ and fault injector, exactly as the serial engine does.  Only the
 
 Because the serial engine *also* executes workers in rank order, the
 rank-ordered merge reconstructs exactly the global send order, the
-``out_dirty`` first-touch order (= the reference outbox's key
-insertion order, which fixes the fault-injection draw sequence), the
+``out_dirty`` first-touch order (which fixes the fault-injection
+draw sequence), the
 aggregator reduce order (contributions are replayed through
 ``engine._aggregate`` on the coordinator, so even non-associative
 reducers see the serial order), and the mutation-log append order.
@@ -643,8 +643,6 @@ class ParallelPregelEngine(PregelEngine):
         self.parallel_disabled_reason: Optional[str] = None
         if not getattr(program, "parallel_safe", True):
             self._disable_pool("program declares parallel_safe=False")
-        elif not self._fast_enabled:
-            self._disable_pool("reference execution path forced")
 
     # -- pool management --------------------------------------------
 

@@ -216,9 +216,8 @@ def confined_replay(
     Replay work is charged as recovery cost but does not touch the
     committed superstep stats.
 
-    One implementation for both mailbox layouts: the log is keyed by
-    vertex id (both delivery routines write it), the partition is
-    restored into the live ``VertexState`` objects (which the dense
+    The log is keyed by vertex id (delivery writes it), the partition
+    is restored into the live ``VertexState`` objects (which the dense
     plane indexes by position), suppression is a binding
     (``fabric.replayed_sends()``, a no-op ``aggregate`` on the replay
     context) and the lost inbox goes back through ``restore_inbox``.

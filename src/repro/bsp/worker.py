@@ -40,8 +40,7 @@ class Worker:
         self.index = index
         self.vertex_ids: List[Hashable] = []
         # Dense CSR range [range_start, range_stop) owned by this
-        # worker on the dense plane, rewritten by every re-index;
-        # both stay 0 on the dict-path oracle.
+        # worker on the dense plane, rewritten by every re-index.
         self.range_start = 0
         self.range_stop = 0
         self.work = 0.0
@@ -63,10 +62,10 @@ class Worker:
         # outside the byte-identity contract.
         self.payload_bytes = 0
         # Which compute kernel executed this worker's share of the
-        # superstep ("reference" / "dense" / "vectorized").  Trace
-        # observability only — like the wall columns, never part of
-        # the byte-identity contract.
-        self.kernel_tier = "reference"
+        # superstep ("dense" / "vectorized").  Trace observability
+        # only — like the wall columns, never part of the
+        # byte-identity contract.
+        self.kernel_tier = "dense"
 
     def reset_counters(self) -> None:
         """Zero the per-superstep profile."""
@@ -79,7 +78,7 @@ class Worker:
         self.wall_seconds = 0.0
         self.barrier_seconds = 0.0
         self.payload_bytes = 0
-        self.kernel_tier = "reference"
+        self.kernel_tier = "dense"
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return (

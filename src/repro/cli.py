@@ -69,8 +69,8 @@ def make_parser() -> argparse.ArgumentParser:
         choices=["serial", "parallel"],
         default="serial",
         help=(
-            "engine execution backend: 'serial' (default; the "
-            "in-process oracle) or 'parallel' (real worker "
+            "engine execution backend: 'serial' (default; "
+            "in-process) or 'parallel' (real worker "
             "processes, byte-identical results — see "
             "docs/parallel_backend.md)"
         ),

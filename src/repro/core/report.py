@@ -154,7 +154,7 @@ def _kernel_tiers_per_superstep(events: Sequence[TraceEvent]) -> dict:
     with the same last-execution-wins semantics as the payload table:
     a new run resets the whole table, a re-executed superstep resets
     its own row.  Each entry is the set of tiers the workers of that
-    superstep reported ("reference", "dense", "vectorized")."""
+    superstep reported ("dense", "vectorized")."""
     tiers: dict = {}
     for e in events:
         if (
@@ -181,8 +181,8 @@ def format_trace_report(events: Sequence[TraceEvent]) -> str:
     backend ran), the per-superstep coordinator peak RSS read off the
     barrier events (only when the stream carries the memory report),
     the per-superstep compute-kernel tiers (only when some superstep
-    left the reference kernel — i.e. the dense fast path or the
-    vectorized tier ran), and — when the run was faulted — the
+    left the per-vertex dense pass — i.e. the vectorized tier ran),
+    and — when the run was faulted — the
     injected faults, rollbacks and path handoffs.
 
     A trace may span several runs (``repro-table1 --trace`` captures
@@ -244,14 +244,14 @@ def format_trace_report(events: Sequence[TraceEvent]) -> str:
         parts.append("")
 
     tiers = _kernel_tiers_per_superstep(events)
-    if any(t - {"reference"} for t in tiers.values()):
+    if any(t - {"dense"} for t in tiers.values()):
         parts.append("== kernel tiers (last run) ==")
         parts.append(f"  {'superstep':>9}  tier")
         for superstep in sorted(tiers):
-            label = "/".join(sorted(tiers[superstep])) or "reference"
+            label = "/".join(sorted(tiers[superstep])) or "dense"
             parts.append(f"  {superstep:>9}  {label}")
         census_t = Counter(
-            "/".join(sorted(t)) or "reference" for t in tiers.values()
+            "/".join(sorted(t)) or "dense" for t in tiers.values()
         )
         parts.append(
             "  "

@@ -178,8 +178,8 @@ class DenseIndex:
     contiguous int, grouped CSR-style so each worker owns one
     contiguous index range.  Within a worker the dense order equals
     the worker's ``vertex_ids`` order, which keeps the fast path's
-    compute/send/deliver sequencing byte-identical to the reference
-    dict path.
+    compute/send/deliver sequencing in Pregel's worker-then-insertion
+    order.
 
     The table is *frozen*: it is valid only while the vertex set and
     ownership it was built from stay unchanged.  Topology mutations
@@ -206,7 +206,7 @@ def build_dense_index(workers: Sequence) -> DenseIndex:
     ``workers`` is the engine's worker list; each worker contributes
     its ``vertex_ids`` in order, so worker ``i`` owns the contiguous
     range ``ranges[i]`` and iteration over ``range(start, stop)``
-    visits vertices in exactly the order the reference path does.
+    visits vertices in exactly the order ``vertex_ids`` lists them.
     """
     id_of: List[Hashable] = []
     idx_of: Dict[Hashable, int] = {}
@@ -259,8 +259,7 @@ def dense_adjacency(states, dense: DenseIndex, snapshot=None):
     (:func:`snapshot_adjacency`); otherwise from the live
     ``out_edges``, where a vertex with a dangling out-edge (no
     matching state) gets a ``None`` row and falls back to the generic
-    per-target send loop, which raises on the unknown target exactly
-    as the oracle would."""
+    per-target send loop, which raises on the unknown target."""
     idx_of, owner_of = dense.idx_of, dense.owner_of
     if snapshot is not None:
         try:

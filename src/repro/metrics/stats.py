@@ -70,8 +70,8 @@ class SuperstepWall:
     backends, where nothing crosses a boundary.
 
     ``kernel_tier`` names the compute kernel that executed the
-    superstep (``"reference"``, ``"dense"``, ``"vectorized"``, or
-    ``"mixed"`` when parallel ranks disagreed).  Observability like
+    superstep (``"dense"``, ``"vectorized"``, or ``"mixed"`` when
+    parallel ranks disagreed).  Observability like
     the wall columns — the tiers are byte-identical by construction,
     so the tier used is never part of the determinism contract
     (``None`` on engines predating the tier report).

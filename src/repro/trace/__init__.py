@@ -16,8 +16,8 @@ events recorded by a ring-buffered :class:`TraceRecorder` attached via
   comparison table.
 
 Traces are deterministic over the modeled quantities: the same
-workload produces the same modeled event stream on the serial
-reference path, the dense fast path, and the process-parallel backend
+workload produces the same modeled event stream on the serial engine
+and the process-parallel backend
 (ranks profile locally; the coordinator merges in rank order at each
 barrier).  Wall-clock measurements ride along but are excluded from
 equality, mirroring ``RunStats.wall``/``SuperstepWall``.

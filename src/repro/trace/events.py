@@ -12,12 +12,11 @@ metadata:
   from :meth:`TraceEvent.modeled_key`: measured wall-clock seconds
   (host- and backend-dependent, mirroring
   :class:`~repro.metrics.stats.SuperstepWall`) and the execution-path
-  labels on :class:`SuperstepStart` (the dense fast path and the
-  reference path are byte-identical over modeled quantities, so the
-  label must not break equality).
+  labels on :class:`SuperstepStart` (the backends are byte-identical
+  over modeled quantities, so the label must not break equality).
 
 The determinism contract is therefore: two runs of the same workload
-on any of the three execution paths produce identical sequences of
+on either backend produce identical sequences of
 ``modeled_key()`` tuples (see :func:`repro.trace.recorder.
 modeled_equal`), while wall fields and path labels ride along for
 reports.
@@ -76,7 +75,7 @@ class SuperstepStart(TraceEvent):
 
     superstep: int
     execution: int = 1
-    path: str = "reference"
+    path: str = "fast"
     backend: str = "serial"
 
     kind: ClassVar[str] = "superstep_start"
@@ -113,10 +112,10 @@ class WorkerProfile(TraceEvent):
     #: quantity.
     payload_bytes: int = 0
     #: Which compute kernel executed this worker's share of the
-    #: superstep ("reference" / "dense" / "vectorized"); informational
+    #: superstep ("dense" / "vectorized"); informational
     #: — the tiers are byte-identical, so which one ran is never part
     #: of the reconciliation surface.
-    kernel_tier: str = "reference"
+    kernel_tier: str = "dense"
 
     kind: ClassVar[str] = "worker_profile"
     informational: ClassVar[FrozenSet[str]] = frozenset(

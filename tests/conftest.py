@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 from contextlib import contextmanager
 
@@ -13,12 +15,17 @@ from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SingleSourceShortestPaths
 from repro.algorithms.wcc import WeaklyConnectedComponents
 from repro.bsp import SumAggregator, VertexProgram, shm_transport
+from repro.bsp.engine import PregelResult
 from repro.graph import (
     connected_erdos_renyi_graph,
     erdos_renyi_graph,
     path_graph,
     random_tree,
 )
+from repro.metrics.bppa import BppaObservation
+from repro.metrics.cost_model import BSPCostModel
+from repro.metrics.stats import RunStats, SuperstepStats
+from tests.oracle import run_oracle
 
 # ---------------------------------------------------------------------
 # The canonical workload set: one entry per core algorithm, with the
@@ -157,6 +164,90 @@ class FrontierScript(VertexProgram):
                 ctx.send(targets[(pick + step) % len(targets)], step + 1)
         if idle >= linger and not acting:
             v.vote_to_halt()
+
+
+# ---------------------------------------------------------------------
+# The oracle (tests/oracle.py) in the engine's result types
+# ---------------------------------------------------------------------
+
+
+def oracle_result(
+    graph, program, num_workers=4, combiner=None, seed=0, cost_model=None
+) -> PregelResult:
+    """Run ``program`` on the test-side Pregel interpreter
+    (:mod:`tests.oracle`) and shape what it computed with
+    :func:`as_pregel_result`."""
+    run = run_oracle(
+        graph, program, num_workers=num_workers, combiner=combiner,
+        seed=seed,
+    )
+    return as_pregel_result(run, num_workers, cost_model)
+
+
+def as_pregel_result(run, num_workers, cost_model=None) -> PregelResult:
+    """An :class:`~tests.oracle.OracleRun` as a :class:`PregelResult`:
+    one ``RunStats`` entry per superstep of its ledger, its BPPA
+    observation, aggregate history and values.  The interpreter runs
+    fault-free and writes no checkpoint, so every recovery counter is
+    zero."""
+    stats = RunStats(
+        num_workers=num_workers,
+        cost_model=cost_model or BSPCostModel(),
+        supersteps=[
+            SuperstepStats(superstep=i, **entry)
+            for i, entry in enumerate(run.ledger)
+        ],
+    )
+    return PregelResult(
+        values=run.values,
+        stats=stats,
+        bppa=BppaObservation(**run.bppa),
+        aggregate_history=run.aggregate_history,
+    )
+
+
+def value_bytes(values):
+    """Per-entry pickles in key order: equal values that share
+    objects differently still compare equal."""
+    return [
+        (repr(k), pickle.dumps(v))
+        for k, v in sorted(values.items(), key=lambda kv: repr(kv[0]))
+    ]
+
+
+def assert_held_to_oracle(result, oracle, faulted=False, note=""):
+    """Hold an engine run to the oracle's run of the same case.
+
+    A clean run must match in full: values, every ``RunStats`` field
+    (so every superstep's work, sends, receives, network and remote
+    counts and active vertices), the BPPA observation and the
+    aggregate history.  The oracle runs fault-free and writes no
+    checkpoint, so a ``faulted`` run (under a fault plan, or just
+    checkpointing) is held to it by the fault-masking contract
+    (``docs/fault_tolerance.md``): the same values, BPPA observation
+    and aggregate history, and committed supersteps equal to the
+    fault-free ones but for their checkpoint charge and execution
+    count.  The recovery accounting itself is held among the engine
+    paths, with ``fast`` as the reference."""
+    assert result.values == oracle.values, f"values; {note}"
+    assert value_bytes(result.values) == value_bytes(oracle.values), (
+        f"value bytes; {note}"
+    )
+    if faulted:
+        committed = [
+            dataclasses.replace(entry, checkpoint_cost=0.0, executions=1)
+            for entry in result.stats.supersteps
+        ]
+        assert committed == oracle.stats.supersteps, f"ledger; {note}"
+    else:
+        assert result.stats == oracle.stats, f"stats; {note}"
+        assert pickle.dumps(result.stats) == pickle.dumps(
+            oracle.stats
+        ), f"stats bytes; {note}"
+    assert result.bppa == oracle.bppa, f"bppa; {note}"
+    assert result.aggregate_history == oracle.aggregate_history, (
+        f"aggregate history; {note}"
+    )
 
 
 def _no_shared_memory(*args, **kwargs):

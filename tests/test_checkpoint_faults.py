@@ -24,7 +24,7 @@ from repro.bsp.faults import (
 from repro.errors import CheckpointError, WorkerCrashError
 from repro.graph import erdos_renyi_graph, path_graph
 from repro.metrics.bppa import state_atoms
-from tests.conftest import WORKLOADS
+from tests.conftest import WORKLOADS, assert_held_to_oracle, oracle_result
 
 
 class TestCowCopy:
@@ -217,9 +217,10 @@ TOUCH_GRAPHS = [
 ]
 
 
-def _run_touch(monkeypatch, graph, mode, at, fast, crash_at=None):
+def _run_touch(monkeypatch, graph, mode, at, oracle, crash_at=None):
     """One EdgeTouch run; returns the result and, per checkpoint
-    written, ``(superstep, topology is None)``."""
+    written, ``(superstep, topology is None)``.  With ``oracle`` the
+    run is also held to the oracle's (fault-free) run of the case."""
     shared = []
 
     def recording(engine, superstep):
@@ -232,12 +233,17 @@ def _run_touch(monkeypatch, graph, mode, at, fast, crash_at=None):
         graph,
         EdgeTouch(mode, at),
         num_workers=3,
-        use_fast_path=fast,
         checkpoint_interval=2,
         fault_plan=None
         if crash_at is None
         else crash_plan(superstep=crash_at, worker=1),
     ).run()
+    if oracle:
+        assert_held_to_oracle(
+            result,
+            oracle_result(graph, EdgeTouch(mode, at), num_workers=3),
+            faulted=True,
+        )
     return result, shared
 
 
@@ -252,17 +258,17 @@ def _committed(stats):
 
 
 class TestVerifiedBaselineSharing:
-    @pytest.mark.parametrize("fast", [False, True], ids=["ref", "fast"])
+    @pytest.mark.parametrize("oracle", [True, False], ids=["ref", "fast"])
     @pytest.mark.parametrize(
         "graph", [g for _, g in TOUCH_GRAPHS], ids=[n for n, _ in TOUCH_GRAPHS]
     )
     def test_untouched_topology_is_always_shared(
-        self, monkeypatch, graph, fast
+        self, monkeypatch, graph, oracle
     ):
-        _, shared = _run_touch(monkeypatch, graph, "none", 3, fast)
+        _, shared = _run_touch(monkeypatch, graph, "none", 3, oracle)
         assert shared == [(0, True), (2, True), (4, True), (6, True)]
 
-    @pytest.mark.parametrize("fast", [False, True], ids=["ref", "fast"])
+    @pytest.mark.parametrize("oracle", [True, False], ids=["ref", "fast"])
     @pytest.mark.parametrize(
         "graph", [g for _, g in TOUCH_GRAPHS], ids=[n for n, _ in TOUCH_GRAPHS]
     )
@@ -274,14 +280,14 @@ class TestVerifiedBaselineSharing:
         "mode", ["mutation", "del", "reweight", "reorder"]
     )
     def test_any_edge_change_ends_sharing_and_rollback_is_exact(
-        self, monkeypatch, graph, fast, at, crash_at, mode
+        self, monkeypatch, graph, oracle, at, crash_at, mode
     ):
-        clean, shared = _run_touch(monkeypatch, graph, mode, at, fast)
+        clean, shared = _run_touch(monkeypatch, graph, mode, at, oracle)
         # Checkpoints precede their superstep's compute: the ones up
         # to and including ``at`` saw the untouched topology.
         assert shared == [(s, s <= at) for s in (0, 2, 4, 6)]
         crashed, crashed_shared = _run_touch(
-            monkeypatch, graph, mode, at, fast, crash_at
+            monkeypatch, graph, mode, at, oracle, crash_at
         )
         assert crashed.stats.recovery_attempts == 1
         assert dict(crashed_shared) == dict(shared)
@@ -291,20 +297,22 @@ class TestVerifiedBaselineSharing:
         assert crashed.bppa == clean.bppa
         # The change is visible in the answer at all (the oracle
         # above is not vacuous).
-        untouched, _ = _run_touch(monkeypatch, graph, "none", at, fast)
+        untouched, _ = _run_touch(monkeypatch, graph, "none", at, oracle)
         assert untouched.values != clean.values
 
     @pytest.mark.parametrize(
         "mode", ["none", "mutation", "del", "reweight", "reorder"]
     )
     def test_paths_agree_under_rollback(self, monkeypatch, mode):
+        # The rolled-back run against the oracle's fault-free one,
+        # and against itself re-run: recovery is repeatable.
         graph = TOUCH_GRAPHS[1][1]
-        ref, _ = _run_touch(monkeypatch, graph, mode, 3, False, 5)
-        fast, _ = _run_touch(monkeypatch, graph, mode, 3, True, 5)
-        assert pickle.dumps(fast.values) == pickle.dumps(ref.values)
-        assert fast.stats == ref.stats
-        assert pickle.dumps(fast.stats) == pickle.dumps(ref.stats)
-        assert fast.aggregate_history == ref.aggregate_history
+        first, _ = _run_touch(monkeypatch, graph, mode, 3, True, 5)
+        again, _ = _run_touch(monkeypatch, graph, mode, 3, False, 5)
+        assert pickle.dumps(again.values) == pickle.dumps(first.values)
+        assert again.stats == first.stats
+        assert pickle.dumps(again.stats) == pickle.dumps(first.stats)
+        assert again.aggregate_history == first.aggregate_history
 
 
 def _parent_formula_size(engine) -> int:
@@ -321,7 +329,7 @@ def _parent_formula_size(engine) -> int:
     return atoms + state_atoms(engine._agg_finalized)
 
 
-@pytest.mark.parametrize("fast", [False, True], ids=["ref", "fast"])
+@pytest.mark.parametrize("oracle", [True, False], ids=["ref", "fast"])
 @pytest.mark.parametrize("use_combiner", [True, False], ids=["comb", "nocomb"])
 @pytest.mark.parametrize(
     "wl_name,graph,make_program,natural",
@@ -329,7 +337,7 @@ def _parent_formula_size(engine) -> int:
     ids=[w[0] for w in WORKLOADS],
 )
 def test_checkpoint_size_matches_the_per_vertex_formula(
-    monkeypatch, wl_name, graph, make_program, natural, use_combiner, fast
+    monkeypatch, wl_name, graph, make_program, natural, use_combiner, oracle
 ):
     checked = []
 
@@ -341,17 +349,23 @@ def test_checkpoint_size_matches_the_per_vertex_formula(
         return ckpt
 
     monkeypatch.setattr(engine_module, "take_checkpoint", checking)
+    combiner = resolve_combiner(natural) if use_combiner else None
     result = PregelEngine(
         graph,
         make_program(),
         num_workers=4,
-        combiner=resolve_combiner(natural) if use_combiner else None,
-        use_fast_path=fast,
+        combiner=combiner,
         checkpoint_interval=2,
     ).run()
     # Superstep 0 and every second one after it, to the end.
     assert checked == list(range(0, result.num_supersteps, 2))
     assert len(checked) >= 2
+    if oracle:
+        assert_held_to_oracle(
+            result,
+            oracle_result(graph, make_program(), combiner=combiner),
+            faulted=True,
+        )
 
 
 class TestFaultPlan:

@@ -1,17 +1,28 @@
-"""Differential fuzzing across the six execution paths.
+"""Differential fuzzing: five engine paths against a test-side oracle.
 
 For a deterministic matrix of seeded random graphs x workloads x
-worker counts x fault plans, every case runs six times — on the
-reference dict path, the dense fast path (vectorization pinned off),
-the dense fast path with the vectorized kernel tier engaged, the
-dense fast path against a memory-mapped :class:`CsrSnapshot` under a
-1-byte message budget (every lane spills to disk and replays at
-delivery), and the process-parallel backend on each of its two
-transports (shared-memory columnar and pickle) — and all six runs
-must be **byte-identical**: same values
-(compared per entry through pickle, so identity sharing inside one
-backend cannot mask or fake a difference), same ``RunStats`` ledgers,
-same BPPA observation, same aggregate history.
+worker counts x fault plans, every case runs on five engine paths —
+the dense fast path (vectorization pinned off), the dense fast path
+with the vectorized kernel tier engaged, the dense fast path against
+a memory-mapped :class:`CsrSnapshot` under a 1-byte message budget
+(every lane spills to disk and replays at delivery), and the
+process-parallel backend on each of its two transports (shared-memory
+columnar and pickle) — and all five must be **byte-identical**: same
+values (compared per entry through pickle, so identity sharing inside
+one backend cannot mask or fake a difference), same ``RunStats``
+ledgers, same BPPA observation, same aggregate history.
+
+The sixth path, ``"reference"``, is the oracle: :mod:`tests.oracle`,
+a Pregel interpreter that counts work, messages and the BPPA factors
+itself and shares no code with the engine.  A clean run's ledger,
+BPPA observation, aggregate history and values must equal it.  The
+oracle runs fault-free, so a faulted run must match it by the
+fault-masking contract — values, committed ledger, BPPA observation
+and aggregate history — while its recovery accounting is held to the
+``fast`` path's (``docs/architecture.md``, "Oracle").  So a
+counting bug shared by every engine path — in ``Worker``'s counters,
+``superstep_profile``, ``BppaTracker`` or ``apply_mutations`` — is
+caught: the poisoned controls below each plant one.
 
 The matrix is "fuzz" in the sense that every case's graph shape,
 seed, combiner use and fault plan are derived from a per-case RNG —
@@ -25,14 +36,15 @@ partitions: 7 does not divide the vertex counts).  CI's worker-count
 matrix narrows the sweep via ``REPRO_FUZZ_WORKERS`` (comma-separated
 counts); unset runs all of them.
 
-One plane per run: every engine of every case must end on the plane
-it was built on, and the second matrix below crosses what used to
-leave the dense plane — barrier mutations (:class:`MutateMidRun`),
-in-place edge edits (:class:`EdgeTouch`) and confined recovery, plus
-the frontier transitions of :class:`FrontierScript` — with
-every worker count, both combiner modes and every fault plan, so that
-"dense == oracle" compares two planes there too.  A poisoned control
-skips the barrier re-index and must be caught.
+The second matrix below crosses what used to leave the dense plane —
+barrier mutations (:class:`MutateMidRun`), in-place edge edits
+(:class:`EdgeTouch`) and confined recovery, plus the frontier
+transitions of :class:`FrontierScript` — with every worker count,
+both combiner modes and every fault plan.  A poisoned control skips
+the barrier re-index and must be caught.  Beyond the fixed matrix, a
+hypothesis-driven test draws trees, disconnected unions,
+string-relabelled ids and float edge weights, and shrinks a failure
+to a printed generator recipe.
 """
 
 from __future__ import annotations
@@ -40,8 +52,14 @@ from __future__ import annotations
 import os
 import pickle
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.bfs_tree import BFSTree
 from repro.algorithms.block_programs import BlockHashMin
@@ -58,17 +76,30 @@ from repro.bsp import (
     crash_plan,
     drop_plan,
 )
+from repro.bsp import engine as engine_module
+from repro.bsp import loop as loop_module
 from repro.bsp.combiner import resolve_combiner
 from repro.bsp.fabric import MessageFabric
 from repro.bsp.kernels import _GROUP_MAX
 from repro.errors import BSPError
-from repro.graph import barabasi_albert_graph, erdos_renyi_graph, grid_graph
+from repro.graph import (
+    Graph,
+    barabasi_albert_graph,
+    erdos_renyi_graph,
+    grid_graph,
+    random_tree,
+    random_weighted_graph,
+)
 from repro.graph.snapshot import CsrSnapshot
+from repro.metrics.bppa import BppaTracker
 from repro.trace import TraceRecorder, modeled_events
 from tests.conftest import (
     WORKLOADS,
     EdgeTouch,
     FrontierScript,
+    as_pregel_result,
+    assert_held_to_oracle,
+    oracle_result,
     shared_memory_unavailable,
 )
 
@@ -92,6 +123,8 @@ FAULT_MODES = [
     ),
 ]
 
+#: "reference" is the oracle (:mod:`tests.oracle`), which runs no
+#: engine, writes no trace and ignores the fault plan.
 #: "fast" pins ``use_vectorized=False`` so the per-vertex dense pass
 #: stays covered on every recipe; "fast+vectorized" requires the
 #: kernel tier for programs that register one (and runs auto-engage
@@ -136,52 +169,45 @@ def _case_recipe(wl_name: str, workers: int, fault_name: str) -> dict:
 
 def _run_case(graph, make_program, natural, recipe, backend, workers,
               make_plan, confined=False, trace=None):
+    """One case on one backend: ``(engine, result)``, where the
+    ``"reference"`` backend has no engine (``None``)."""
+    combiner = resolve_combiner(natural) if recipe["use_combiner"] else None
+    if backend == "reference":
+        return None, oracle_result(
+            graph, make_program(), num_workers=workers, combiner=combiner
+        )
     kwargs = dict(
         num_workers=workers, track_bppa=True, seed=0, trace=trace,
-        confined_recovery=confined,
+        confined_recovery=confined, combiner=combiner,
     )
-    if recipe["use_combiner"]:
-        kwargs["combiner"] = resolve_combiner(natural)
     if make_plan is not None:
         kwargs["checkpoint_interval"] = 2
         kwargs["fault_plan"] = make_plan()
-    if backend == "reference":
+    if backend == "fast":
         engine = create_engine(
             graph, make_program(), backend="serial",
-            use_fast_path=False, **kwargs,
-        )
-    elif backend == "fast":
-        engine = create_engine(
-            graph, make_program(), backend="serial",
-            use_fast_path=True, use_vectorized=False, **kwargs,
+            use_vectorized=False, **kwargs,
         )
     elif backend == "fast+vectorized":
         program = make_program()
         engine = create_engine(
-            graph, program, backend="serial", use_fast_path=True,
+            graph, program, backend="serial",
             use_vectorized=True if program.vectorizable() else None,
             **kwargs,
         )
     elif backend == "snapshot":
         engine = create_engine(
             graph, make_program(), backend="serial",
-            use_fast_path=True, use_vectorized=False,
-            memory_budget=1, **kwargs,
+            use_vectorized=False, memory_budget=1, **kwargs,
         )
     else:
         engine = create_engine(
             graph, make_program(), backend="parallel", **kwargs,
         )
-    plane = engine.fast_path
-    assert plane is (backend != "reference")
     if backend == "parallel":
         with shared_memory_unavailable():
-            result = engine.run()
-    else:
-        result = engine.run()
-    # One plane per run, whatever the program did or the run suffered.
-    assert engine.fast_path is plane, backend
-    return engine, result
+            return engine, engine.run()
+    return engine, engine.run()
 
 
 def canonical(result):
@@ -205,13 +231,19 @@ def canonical(result):
     )
 
 
-def _assert_same_runs(results, repro):
-    """Every backend's result equals the ``"reference"`` one — values,
+def _assert_same_runs(results, repro, faulted=False):
+    """Every engine path's result equals the ``"fast"`` one — values,
     ``RunStats``, BPPA observation, aggregate history, canonical bytes
-    — and every ledger balances (not just matches)."""
-    ref = results["reference"]
+    — every ledger balances (not just matches), and ``"fast"`` is held
+    to the oracle (``"reference"``) by :func:`assert_held_to_oracle`."""
+    ref = results["fast"]
     ref_canon = canonical(ref)
+    oracle = results["reference"]
+    assert oracle.stats.ledger_balanced(), f"oracle; {repro}"
+    assert_held_to_oracle(ref, oracle, faulted, f"fast; {repro}")
     for backend, got in results.items():
+        if backend == "reference":
+            continue
         assert got.values == ref.values, f"{backend} values; {repro}"
         assert got.stats == ref.stats, f"{backend} stats; {repro}"
         assert got.bppa == ref.bppa, f"{backend} bppa; {repro}"
@@ -239,6 +271,16 @@ def test_differential_fuzz(
     wl_name, _graph, make_program, natural, workers, fault_name,
     make_plan, confined, tmp_path,
 ):
+    _fuzz_case(
+        wl_name, make_program, natural, workers, fault_name, make_plan,
+        confined, str(tmp_path / "snap"),
+    )
+
+
+def _fuzz_case(
+    wl_name, make_program, natural, workers, fault_name, make_plan,
+    confined, snap_dir,
+):
     recipe = _case_recipe(wl_name, workers, fault_name)
     repro = (
         f"reproduce: erdos_renyi_graph(n={recipe['n']}, "
@@ -256,7 +298,7 @@ def test_differential_fuzz(
     )
     _assert_every_path_agrees(
         graph, wl_name, make_program, natural, recipe, workers,
-        make_plan, confined, str(tmp_path / "snap"), repro,
+        make_plan, confined, snap_dir, repro,
     )
 
 
@@ -264,8 +306,9 @@ def _assert_every_path_agrees(
     graph, wl_name, make_program, natural, recipe, workers, make_plan,
     confined, snap_dir, repro,
 ):
-    """Run one case on every backend of ``BACKENDS`` and hold each to
-    the oracle, plus the tier, spill and pool honesty checks."""
+    """Run one case on every backend of ``BACKENDS``, hold the engine
+    paths to each other and to the oracle, plus the tier, spill and
+    pool honesty checks."""
     CsrSnapshot.from_graph(graph).save(snap_dir)
     snap = CsrSnapshot.open(snap_dir)
     results = {}
@@ -277,7 +320,7 @@ def _assert_every_path_agrees(
             make_plan, confined,
         )
     ref = results["reference"]
-    _assert_same_runs(results, repro)
+    _assert_same_runs(results, repro, make_plan is not None)
     # Kernel-tier honesty: the pinned-off fast path must never leave
     # the dense pass, while the vectorized path and the pool ranks
     # (which run the same registered kernels) must actually use the
@@ -288,14 +331,12 @@ def _assert_every_path_agrees(
         w.kernel_tier for w in results["fast"].stats.wall
     }
     assert "vectorized" not in fast_tiers, f"fast; {repro}"
-    assert {
-        w.kernel_tier for w in ref.stats.wall
-    } == {"reference"}, repro
-    if confined and ref.stats.num_supersteps > 3:
+    fast = results["fast"]
+    if confined and fast.stats.num_supersteps > 3:
         # The crash struck, and recovery stayed confined: the
         # checkpointed superstep was replayed, none was discarded.
-        assert ref.stats.recovery_attempts == 1, repro
-        assert ref.stats.supersteps_replayed == 1, repro
+        assert fast.stats.recovery_attempts == 1, repro
+        assert fast.stats.supersteps_replayed == 1, repro
     for backend in ("fast+vectorized", "parallel", "parallel-shm"):
         vec_tiers = {
             w.kernel_tier for w in results[backend].stats.wall
@@ -414,8 +455,10 @@ class MutateMidRun(VertexProgram):
 
     Superstep 1: vertex 0 sends to vertex 3 and removes it (the
     message is dropped at delivery, its charges reversed), adds a
-    vertex and edges to and from it, removes one of its own edges and
-    requests an edge from a vertex that does not exist (ignored).
+    vertex and edges to and from it, removes one of its own edges,
+    rewires another (removed and added back with a new weight in one
+    barrier: Pregel's order, removals first, keeps it, moved last)
+    and requests an edge from a vertex that does not exist (ignored).
     Superstep 3: vertex 2 gets a dangling edge — its row cannot
     compile, so it sends by target list — removed again at 4.  All
     vertices gossip throughout, over whatever the topology is.
@@ -439,6 +482,10 @@ class MutateMidRun(VertexProgram):
             ctx.add_edge("nobody", 0)
             if v.out_edges:
                 ctx.remove_edge(0, next(iter(v.out_edges)))
+            kept = [t for t in v.out_edges if t != 3]
+            if len(kept) > 1:
+                ctx.remove_edge(0, kept[1])
+                ctx.add_edge(0, kept[1], 2.0)
         if step == 3 and v.id == 1:
             ctx.add_edge(2, "nowhere")
         if step == 4 and v.id == 2:
@@ -494,10 +541,11 @@ def _assert_planes_agree(
     graph, make_program, use_combiner, workers, make_plan, confined,
     snap_dir, repro,
 ):
-    """Run one corpus case on every backend of ``PLANE_BACKENDS`` and
-    hold each to the oracle: values, ``RunStats`` (recovery accounting
-    included), BPPA observation, aggregate history, canonical bytes
-    and the modeled trace.  Returns ``(engines, results)``."""
+    """Run one corpus case on every backend of ``PLANE_BACKENDS``:
+    the engine paths agree on values, ``RunStats`` (recovery
+    accounting included), BPPA observation, aggregate history,
+    canonical bytes and the modeled trace, and are held to the
+    oracle.  Returns ``(engines, results)``."""
     CsrSnapshot.from_graph(graph).save(snap_dir)
     snap = CsrSnapshot.open(snap_dir)
     recipe = {"use_combiner": use_combiner}
@@ -509,14 +557,11 @@ def _assert_planes_agree(
             make_program, "sum", recipe, backend, workers,
             make_plan, confined, traces[backend],
         )
-    _assert_same_runs(results, repro)
-    for backend in PLANE_BACKENDS[1:]:
+    _assert_same_runs(results, repro, make_plan is not None)
+    for backend in PLANE_BACKENDS[2:]:
         assert modeled_events(traces[backend]) == modeled_events(
-            traces["reference"]
+            traces["fast"]
         ), f"{backend} modeled trace; {repro}"
-        assert "reference" not in {
-            w.kernel_tier for w in results[backend].stats.wall
-        }, f"{backend} ran a superstep on the dict path; {repro}"
     return engines, results
 
 
@@ -554,8 +599,9 @@ def test_plane_corpus(
     )
     ref = results["reference"]
     if "crash" in fault_name:
-        assert ref.stats.recovery_attempts == 1, repro
-        assert ref.stats.supersteps_replayed == 1, repro
+        fast = results["fast"].stats
+        assert fast.recovery_attempts == 1, repro
+        assert fast.supersteps_replayed == 1, repro
     # The budget kept applying to the end of the run: under one byte
     # every sending lane of every superstep spills.
     sending = sum(
@@ -594,6 +640,276 @@ def test_poisoned_control_skipped_reindex_is_caught(
     monkeypatch.setattr(MessageFabric, "reindex", skip_barrier_reindex)
     with pytest.raises((AssertionError, BSPError)):
         _assert_planes_agree(*args)
+
+
+# ---------------------------------------------------------------------
+# Poisoned controls the engine paths cannot catch among themselves:
+# each plants a counting bug in code every engine path shares, so only
+# the oracle, which shares none of it, can tell.
+# ---------------------------------------------------------------------
+
+
+def _caught_by_the_oracle(check):
+    """Run ``check``; it must fail on the fast path's comparison with
+    the oracle (the engine paths, sharing the poison, agree)."""
+    with pytest.raises(AssertionError) as info:
+        check()
+    assert str(info.value).startswith(
+        ("values; fast;", "value bytes; fast;", "ledger; fast;",
+         "stats; fast;", "bppa; fast;", "aggregate history; fast;")
+    ), str(info.value)
+
+
+def _pagerank_case(tmp_path):
+    """The clean four-worker PageRank recipe of the fuzz matrix."""
+    _, _graph, make_program, natural = FUZZ_WORKLOADS[0]
+    return lambda: _fuzz_case(
+        "pagerank", make_program, natural, 4, "clean", None, False,
+        str(tmp_path / "snap"),
+    )
+
+
+def test_poisoned_control_swapped_remote_counts_are_caught(
+    tmp_path, monkeypatch
+):
+    """``superstep_profile`` freezes worker 0's remote sends under
+    worker 1 and the reverse."""
+    case = _pagerank_case(tmp_path)
+    case()  # sound before the poison
+    profile = loop_module.superstep_profile
+
+    def swapped(workers, *args, **kwargs):
+        entry = profile(workers, *args, **kwargs)
+        remote = entry.sent_remote
+        remote[0], remote[1] = remote[1], remote[0]
+        return entry
+
+    monkeypatch.setattr(loop_module, "superstep_profile", swapped)
+    _caught_by_the_oracle(case)
+
+
+def test_poisoned_control_bppa_message_count_is_caught(
+    tmp_path, monkeypatch
+):
+    """The tracker records every vertex as having sent one message
+    more than it did."""
+    case = _pagerank_case(tmp_path)
+    case()
+    record = BppaTracker.record_vertex
+
+    def one_too_many(self, vertex_id, sent, *args):
+        record(self, vertex_id, sent + 1, *args)
+
+    monkeypatch.setattr(BppaTracker, "record_vertex", one_too_many)
+    _caught_by_the_oracle(case)
+
+
+def test_poisoned_control_mutation_order_is_caught(tmp_path, monkeypatch):
+    """``apply_mutations`` applies a barrier's edge removals after its
+    edge additions, so :class:`MutateMidRun`'s rewired edge (removed
+    and added back in one barrier) disappears instead of moving last."""
+    graph = erdos_renyi_graph(30, 0.15, seed=4)
+    args = (
+        graph, MutateMidRun, False, 2, None, False,
+        str(tmp_path / "snap"), "poisoned control",
+    )
+    _assert_planes_agree(*args)
+    apply = engine_module.apply_mutations
+
+    def removals_last(engine):
+        log = engine._ctx._mutations
+        removals = list(log.remove_edges)
+        if not (removals and log.add_edges):
+            return apply(engine)
+        log.remove_edges.clear()
+        removed = apply(engine)
+        states = engine._store.states
+        for u, v in removals:
+            if u in states:
+                states[u].out_edges.pop(v, None)
+            if engine._graph.directed and v in states:
+                states[v].in_edges.pop(u, None)
+        return removed
+
+    monkeypatch.setattr(engine_module, "apply_mutations", removals_last)
+    _caught_by_the_oracle(lambda: _assert_planes_agree(*args))
+
+
+#: The modules the oracle must not need: the engine's mailboxes,
+#: compute loops, state store, counters, superstep loop, compute
+#: context and BPPA tracker.
+ENGINE_MODULES = [
+    "repro.bsp.fabric", "repro.bsp.kernels", "repro.bsp.state",
+    "repro.bsp.worker", "repro.bsp.loop", "repro.bsp.context",
+    "repro.metrics.bppa",
+]
+
+#: Ten PageRank rounds against the bare program surface (no
+#: ``repro.bsp`` base class or aggregator to import).
+BARE_PAGERANK = '''
+class Sum:
+    def initial(self):
+        return 0.0
+
+    def reduce(self, current, value):
+        return current + value
+
+
+class PageRank:
+    name = "bare-pagerank"
+
+    def initial_value(self, vertex_id, graph):
+        return 0.0
+
+    def aggregators(self):
+        return {"l1": Sum()}
+
+    def master_compute(self, master):
+        pass
+
+    def state_size(self, vertex):
+        return 1
+
+    def compute(self, v, msgs, ctx):
+        n = ctx.num_vertices
+        if ctx.superstep == 0:
+            rank = 1.0 / n
+        else:
+            rank = 0.15 / n + 0.85 * sum(msgs)
+        ctx.aggregate("l1", abs(rank - v.value))
+        v.value = rank
+        if ctx.superstep >= 10:
+            v.vote_to_halt()
+        elif v.out_edges:
+            ctx.send_to_neighbors(v, rank / len(v.out_edges))
+'''
+
+
+def test_oracle_runs_with_the_engine_modules_blocked():
+    """A fresh interpreter that cannot import the engine's modules
+    imports ``tests/oracle.py`` and runs PageRank with it; the engine
+    then matches that run in full."""
+    script = textwrap.dedent(f"""
+        import pickle, sys
+        for name in {ENGINE_MODULES!r}:
+            sys.modules[name] = None
+        from tests.oracle import run_oracle
+        from repro.graph import erdos_renyi_graph
+        {textwrap.indent(BARE_PAGERANK, " " * 8).strip()}
+        run = run_oracle(
+            erdos_renyi_graph(40, 0.1, seed=3), PageRank(), num_workers=3
+        )
+        loaded = sorted(
+            name for name in sys.modules
+            if name.startswith(("repro.bsp", "repro.metrics"))
+            and sys.modules[name] is not None
+        )
+        assert loaded == [], loaded
+        sys.stdout.buffer.write(pickle.dumps(run))
+    """)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=f"{root / 'src'}{os.pathsep}{root}")
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env,
+        capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    run = pickle.loads(done.stdout)
+    namespace = {}
+    exec(BARE_PAGERANK, namespace)
+    result = create_engine(
+        erdos_renyi_graph(40, 0.1, seed=3), namespace["PageRank"](),
+        num_workers=3,
+    ).run()
+    assert run.ledger and len(run.ledger) == 11
+    assert_held_to_oracle(result, as_pregel_result(run, 3))
+
+
+# ---------------------------------------------------------------------
+# Wider inputs, drawn: trees, disconnected unions, string ids and
+# float edge weights.  A failure shrinks to the generator recipe.
+# ---------------------------------------------------------------------
+
+
+def _relabelled(graph, label, into=None):
+    """``graph``'s vertices and weighted edges, ids mapped through
+    ``label``, added to ``into`` (default: a new graph)."""
+    out = into if into is not None else Graph(directed=graph.directed)
+    for v in graph.vertices():
+        out.add_vertex(label(v))
+    for v in graph.vertices():
+        for u in graph.neighbors(v):
+            if graph.directed or label(v) <= label(u):
+                out.add_edge(label(v), label(u), weight=graph.weight(v, u))
+    return out
+
+
+def _drawn_graph(shape, n, p, seed, directed):
+    """``(graph, generator recipe)`` for one drawn shape."""
+    if shape == "tree":
+        return random_tree(n, seed=seed), f"random_tree({n}, seed={seed})"
+    if shape == "weighted":
+        text = (
+            f"random_weighted_graph({n}, {p}, seed={seed}, "
+            f"connected=False, distinct_weights=False)"
+        )
+        return random_weighted_graph(
+            n, p, seed=seed, connected=False, distinct_weights=False
+        ), text
+    first = erdos_renyi_graph(n, p, seed=seed, directed=directed)
+    if shape == "strings":
+        text = (
+            f"erdos_renyi_graph({n}, {p}, seed={seed}, "
+            f"directed={directed}) relabelled v -> f'v{{v}}'"
+        )
+        return _relabelled(first, lambda v: f"v{v}"), text
+    second = erdos_renyi_graph(n, p, seed=seed + 1, directed=directed)
+    text = (
+        f"erdos_renyi_graph({n}, {p}, seed={seed}, directed={directed})"
+        f" + erdos_renyi_graph({n}, {p}, seed={seed + 1}, "
+        f"directed={directed}) shifted by {n}"
+    )
+    return _relabelled(second, lambda v: v + n, _relabelled(first, int)), text
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    shape=st.sampled_from(["tree", "disjoint", "strings", "weighted"]),
+    n=st.integers(2, 40),
+    p=st.sampled_from([0.05, 0.1, 0.2]),
+    seed=st.integers(0, 10**6),
+    directed=st.booleans(),
+    workload=st.sampled_from([w[0] for w in WORKLOADS]),
+    use_combiner=st.booleans(),
+    workers=st.sampled_from([1, 2, 3, 4, 7]),
+)
+def test_oracle_equals_dense_on_drawn_graphs(
+    shape, n, p, seed, directed, workload, use_combiner, workers
+):
+    graph, text = _drawn_graph(shape, n, p, seed, directed)
+    source = next(iter(graph.vertices()))
+    make_program = {
+        name: make for name, _graph, make, _natural in WORKLOADS
+    }[workload]
+    if workload == "sssp":
+        make_program = lambda: SingleSourceShortestPaths(source)
+    elif workload == "bfs-tree":
+        make_program = lambda: BFSTree(source)
+    natural = dict((w[0], w[3]) for w in WORKLOADS)[workload]
+    recipe = (
+        f"reproduce: {text}; workload={workload}, source={source!r}, "
+        f"num_workers={workers}, "
+        f"combiner={natural if use_combiner else 'none'}"
+    )
+    note(recipe)
+    results = {
+        backend: _run_case(
+            graph, make_program, natural, {"use_combiner": use_combiner},
+            backend, workers, None,
+        )[1]
+        for backend in ("reference", "fast", "fast+vectorized")
+    }
+    _assert_same_runs(results, recipe)
 
 
 # ---------------------------------------------------------------------

@@ -337,43 +337,6 @@ class TestEngineResume:
             == base._program.master_calls
         )
 
-    @pytest.mark.parametrize(
-        "writer,resumer",
-        [(False, True), (True, False)],
-        ids=["oracle-to-dense", "dense-to-oracle"],
-    )
-    def test_resume_crosses_execution_planes(
-        self, tmp_path, writer, resumer
-    ):
-        # A record says nothing about the plane that wrote it and the
-        # fingerprint does not either: both engines are the same run.
-        directory = str(tmp_path / "ck")
-        baseline = self._engine(
-            PageRank(num_supersteps=8), track_bppa=True
-        ).run()
-        with pytest.raises(SuperstepLimitExceeded):
-            self._engine(
-                PageRank(num_supersteps=8),
-                track_bppa=True,
-                checkpoint_dir=directory,
-                max_supersteps=5,
-                use_fast_path=writer,
-            ).run()
-        engine = self._engine(
-            PageRank(num_supersteps=8),
-            track_bppa=True,
-            checkpoint_dir=directory,
-            resume=True,
-            use_fast_path=resumer,
-        )
-        assert engine.fast_path is resumer
-        resumed = engine.run()
-        assert engine.fast_path is resumer
-        assert result_digest(resumed) == result_digest(baseline)
-        assert canonical_result(resumed) == canonical_result(
-            baseline
-        )
-
     def test_resume_with_corrupt_latest_still_identical(
         self, tmp_path
     ):

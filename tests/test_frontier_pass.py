@@ -35,7 +35,7 @@ from repro.bsp.parallel import _PartitionRuntime
 from repro.errors import BSPError
 from repro.graph import erdos_renyi_graph, grid_graph, path_graph
 from repro.graph.snapshot import CsrSnapshot
-from tests.conftest import FrontierScript
+from tests.conftest import FrontierScript, oracle_result
 from tests.test_differential_fuzz import (
     FAULT_MODES,
     WORKER_COUNTS,
@@ -43,8 +43,9 @@ from tests.test_differential_fuzz import (
     _run_case,
 )
 
-#: The oracle, the serial dense plane, the same under a one-byte
-#: budget on a memory-mapped snapshot, and the pool on both transports.
+#: The oracle (tests/oracle.py), the serial dense plane, the same
+#: under a one-byte budget on a memory-mapped snapshot, and the pool
+#: on both transports.
 BACKENDS = ["reference", "fast", "snapshot", "parallel-shm", "parallel"]
 
 
@@ -84,18 +85,16 @@ def _assert_frontier_equivalence(
         snap = CsrSnapshot.open(snap_dir)
     results = {}
     for backend in backends:
-        # _run_case asserts the plane: fast_path is True from
-        # construction to the end of the run on all but the oracle.
         _engine, results[backend] = _run_case(
             snap if backend == "snapshot" else graph,
             make_program, combiner, recipe, backend, workers,
             make_plan, confined,
         )
-    _assert_same_runs(results, repro)
+    _assert_same_runs(results, repro, make_plan is not None)
     for backend in backends[1:]:
         tiers = {w.kernel_tier for w in results[backend].stats.wall}
         assert tiers == {"dense"}, f"{backend} {tiers}; {repro}"
-    return results["reference"]
+    return results["fast"]
 
 
 @pytest.mark.parametrize(
@@ -108,12 +107,12 @@ def _assert_frontier_equivalence(
 def test_frontier_matrix(
     workers, combiner, fault_name, make_plan, confined, tmp_path
 ):
-    ref = _assert_frontier_equivalence(
+    fast = _assert_frontier_equivalence(
         f"{workers}-{combiner}-{fault_name}", workers, combiner,
         make_plan, confined, BACKENDS, str(tmp_path / "snap"),
     )
     if "crash" in fault_name:
-        assert ref.stats.recovery_attempts == 1
+        assert fast.stats.recovery_attempts == 1
 
 
 @settings(deadline=None, max_examples=25)
@@ -239,10 +238,9 @@ def test_sssp_visits_the_frontier_on_a_pool_rank(
             ):
                 mail[slot].append(message)
         superstep += 1
-    oracle = create_engine(
-        graph, program, combiner=MinCombiner(), num_workers=workers,
-        use_fast_path=False,
-    ).run()
+    oracle = oracle_result(
+        graph, program, num_workers=workers, combiner=MinCombiner()
+    )
     assert superstep == oracle.stats.num_supersteps
     for part in parts:
         for state in part.states:

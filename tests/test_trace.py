@@ -1,8 +1,8 @@
 """Tests for the structured trace layer (:mod:`repro.trace`).
 
-The contract under test: traced runs on all three execution paths —
-reference dict path, dense fast path, process-parallel backend —
-produce identical modeled event streams, whose per-superstep
+The contract under test: traced runs on both execution backends —
+the serial dense plane and the process-parallel backend — produce
+identical modeled event streams, whose per-superstep
 quantities reconcile exactly with the ``RunStats`` the run returned,
 including under checkpointing, fault injection and recovery.
 """
@@ -45,15 +45,16 @@ from repro.trace import (
     straggler_profile,
 )
 
-from tests.conftest import WORKLOADS
+from tests.conftest import WORKLOADS, assert_held_to_oracle, oracle_result
 
-#: (backend, engine kwargs) for the three execution paths.
+
+#: (backend, engine kwargs) for the execution paths.  The oracle
+#: (tests/oracle.py) emits no trace; the values are held to it.
 PATHS = [
-    ("serial", {"use_fast_path": False}),
-    ("serial", {"use_fast_path": True}),
+    ("serial", {}),
     ("parallel", {}),
 ]
-PATH_IDS = ["reference", "fast", "parallel"]
+PATH_IDS = ["fast", "parallel"]
 
 
 def traced_run(graph, make_program, combiner_name, backend, **kwargs):
@@ -88,9 +89,14 @@ class TestModeledEquality:
         _, ref, ref_result = streams[0]
         for pid, rec, result in streams[1:]:
             assert modeled_equal(ref, rec), (
-                f"{name}: {pid} modeled trace diverged from reference"
+                f"{name}: {pid} modeled trace diverged from fast"
             )
             assert result.values == ref_result.values
+        oracle = oracle_result(
+            graph, make_program(), num_workers=4,
+            combiner=resolve_combiner(combiner),
+        )
+        assert_held_to_oracle(ref_result, oracle, note=name)
 
     def test_wall_fields_do_not_break_equality(self, small_er):
         a, _ = traced_run(
@@ -117,27 +123,25 @@ class TestModeledEquality:
         assert len(walls_a) == len(walls_b) > 0
 
     def test_path_label_is_informational(self, small_er):
-        ref, _ = traced_run(
+        serial, _ = traced_run(
             small_er, lambda: PageRank(num_supersteps=4), "sum",
-            "serial", use_fast_path=False,
+            "serial",
         )
-        fast, _ = traced_run(
+        parallel, _ = traced_run(
             small_er, lambda: PageRank(num_supersteps=4), "sum",
-            "serial", use_fast_path=True,
+            "parallel",
         )
-        ref_paths = {
-            e.path
-            for e in ref.events()
-            if isinstance(e, SuperstepStart)
-        }
-        fast_paths = {
-            e.path
-            for e in fast.events()
-            if isinstance(e, SuperstepStart)
-        }
-        assert ref_paths == {"reference"}
-        assert fast_paths == {"fast"}
-        assert modeled_equal(ref, fast)
+
+        def labels(recorder):
+            return {
+                (e.path, e.backend)
+                for e in recorder.events()
+                if isinstance(e, SuperstepStart)
+            }
+
+        assert labels(serial) == {("fast", "serial")}
+        assert labels(parallel) == {("fast", "parallel")}
+        assert modeled_equal(serial, parallel)
 
 
 class TestReconciliation:
@@ -180,9 +184,6 @@ class TestReconciliation:
     def test_crash_run_modeled_equal_across_backends(self, small_er):
         streams = []
         for (backend, kwargs), pid in zip(PATHS, PATH_IDS):
-            if kwargs.get("use_fast_path") is False:
-                continue  # crash recovery on the reference path is
-                # covered by confined recovery below
             rec, result = traced_run(
                 small_er,
                 lambda: PageRank(num_supersteps=6),

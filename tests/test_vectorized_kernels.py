@@ -1,14 +1,17 @@
 """Oracle-differential harness for the vectorized kernel tier.
 
 The vectorized kernels (:mod:`repro.bsp.kernels`) promise *byte
-identity* with the reference dict path — not approximate equality, not
-"same up to float noise".  This suite pins that promise three ways:
+identity* with the per-vertex dense pass — not approximate equality,
+not "same up to float noise" — and so with the test-side oracle
+(:mod:`tests.oracle`) the per-vertex pass is held to.  This suite
+pins that promise three ways:
 
 1. **End-to-end differentials**: every registered workload runs on the
-   reference path and on the vectorized tier (serial and process-
+   per-vertex pass and on the vectorized tier (serial and process-
    parallel, both transports, clean and faulted) and the results are
    compared entry by entry through ``pickle`` — values, ``RunStats``
-   ledgers, BPPA observations and aggregate history.
+   ledgers, BPPA observations and aggregate history — and the
+   per-vertex run is held to the oracle's.
 
 2. **Unit-level bit-exactness**: the scatter/gather primitives the
    kernels are built from are run against a per-vertex oracle fold on
@@ -53,6 +56,7 @@ from repro.core.report import format_trace_report
 from repro.graph import erdos_renyi_graph
 from repro.graph.graph import Graph
 from repro.trace.recorder import TraceRecorder
+from tests.conftest import assert_held_to_oracle, oracle_result
 
 #: Every workload with a registered vectorized kernel, with its
 #: natural combiner class.
@@ -104,12 +108,21 @@ def run_serial(graph, make_program, combiner_cls, *, vectorize,
     if make_plan is not None:
         kwargs["checkpoint_interval"] = 2
         kwargs["fault_plan"] = make_plan()
-    if vectorize:
-        kwargs["use_vectorized"] = True
-    else:
-        kwargs["use_fast_path"] = False
+    kwargs["use_vectorized"] = vectorize
     engine = PregelEngine(graph, make_program(), **kwargs)
     return engine.run()
+
+
+def assert_per_vertex_run_matches_oracle(
+    result, graph, make_program, combiner_cls, *, faulted=False,
+    num_workers=4,
+):
+    """Hold a per-vertex run to the oracle's run of the same case."""
+    oracle = oracle_result(
+        graph, make_program(), num_workers=num_workers,
+        combiner=combiner_cls() if combiner_cls is not None else None,
+    )
+    assert_held_to_oracle(result, oracle, faulted)
 
 
 def tiers_of(result):
@@ -135,9 +148,9 @@ def test_serial_oracle_differential(
     wl_name, make_program, combiner_cls, use_combiner, fault_name,
     make_plan,
 ):
-    """Reference vs vectorized, faulty-vs-faulty included: the same
-    fault plan runs on both paths and the recovered results must stay
-    byte-identical."""
+    """Per-vertex vs vectorized, faulty-vs-faulty included: the same
+    fault plan runs on both tiers and the recovered results must stay
+    byte-identical; the per-vertex run is held to the oracle."""
     graph = graph_undirected()
     comb = combiner_cls if use_combiner else None
     ref = run_serial(graph, make_program, comb, vectorize=False,
@@ -146,7 +159,10 @@ def test_serial_oracle_differential(
                      make_plan=make_plan)
     assert canonical(vec) == canonical(ref), (
         f"{wl_name}/{fault_name}: vectorized tier diverged from the "
-        "reference path"
+        "per-vertex pass"
+    )
+    assert_per_vertex_run_matches_oracle(
+        ref, graph, make_program, comb, faulted=make_plan is not None
     )
     tiers = tiers_of(vec)
     if make_plan is not None:
@@ -166,6 +182,9 @@ def test_serial_oracle_differential_directed_graph():
                          vectorize=True)
         assert canonical(vec) == canonical(ref), wl_name
         assert "vectorized" in tiers_of(vec), wl_name
+        assert_per_vertex_run_matches_oracle(
+            ref, graph, make_program, combiner_cls
+        )
 
 
 # ---------------------------------------------------------------------
@@ -192,6 +211,9 @@ def test_parallel_oracle_differential(wl_name, make_program,
     )
     par = engine.run()
     assert canonical(par) == canonical(ref), (wl_name, transport)
+    assert_per_vertex_run_matches_oracle(
+        ref, graph, make_program, combiner_cls, num_workers=2
+    )
     assert engine.transport_tier == transport
     assert engine.parallel_disabled_reason is None
     # Ranks run the same registered kernels as the serial engine; the
@@ -208,9 +230,9 @@ def test_parallel_oracle_differential(wl_name, make_program,
 def test_parallel_faulted_oracle(transport, fault_name, make_plan,
                                  request):
     """Faulty-vs-faulty across the process boundary: the pool's
-    recovered PageRank must match the faulted reference run byte for
-    byte, and the fault injector must pin the ranks to the per-vertex
-    pass."""
+    recovered PageRank must match the faulted per-vertex serial run
+    byte for byte, that run must be held to the oracle, and the fault
+    injector must pin the ranks to the per-vertex pass."""
     if transport == "pickle":
         request.getfixturevalue("no_shm")
     graph = graph_undirected()
@@ -225,6 +247,10 @@ def test_parallel_faulted_oracle(transport, fault_name, make_plan,
     )
     par = engine.run()
     assert canonical(par) == canonical(ref), (transport, fault_name)
+    assert_per_vertex_run_matches_oracle(
+        ref, graph, make_program, SumCombiner, faulted=True,
+        num_workers=2,
+    )
     assert engine.transport_tier == transport
     assert "vectorized" not in tiers_of(par), tiers_of(par)
 
@@ -276,22 +302,14 @@ def test_trace_report_renders_kernel_tier_section():
     run_serial(graph, lambda: PageRank(num_supersteps=4), SumCombiner,
                vectorize=False, trace=ref_rec)
     ref_report = format_trace_report(list(ref_rec.events()))
-    # The reference path never leaves the reference kernel, so the
-    # section is omitted entirely.
+    # The per-vertex pass never leaves the dense tier, so the section
+    # is omitted entirely.
     assert "== kernel tiers" not in ref_report
 
 
 # ---------------------------------------------------------------------
 # use_vectorized=True is a requirement, not a hint
 # ---------------------------------------------------------------------
-
-
-def test_use_vectorized_requires_fast_path():
-    with pytest.raises(ValueError, match="dense fast path"):
-        PregelEngine(
-            graph_undirected(), PageRank(num_supersteps=4),
-            use_fast_path=False, use_vectorized=True,
-        )
 
 
 def test_use_vectorized_requires_registered_kernel():
