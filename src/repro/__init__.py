@@ -39,6 +39,7 @@ from repro.errors import (
     MessageToUnknownVertexError,
     RecoveryExhaustedError,
     ReproError,
+    SpillError,
     SuperstepLimitExceeded,
     WorkerCrashError,
 )
@@ -57,5 +58,6 @@ __all__ = [
     "CheckpointCorruptionError",
     "FingerprintMismatchError",
     "RecoveryExhaustedError",
+    "SpillError",
     "__version__",
 ]

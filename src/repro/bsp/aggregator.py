@@ -9,7 +9,8 @@ vertex in superstep ``S + 1`` (and to ``master_compute`` right after
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any
+from functools import reduce
+from typing import Any, Dict
 
 
 class Aggregator(ABC):
@@ -80,3 +81,36 @@ class OrAggregator(Aggregator):
 
     def reduce(self, current, value):
         return bool(current or value)
+
+
+class AggregateSink:
+    """The Pregel engine's running reductions of one superstep: the
+    compute context's ``aggregate`` is the bound :meth:`aggregate`.
+    :meth:`reset` re-seeds ``current`` with every aggregator's
+    ``initial()``, so an unknown name raises ``KeyError`` exactly as
+    the registry lookup would."""
+
+    __slots__ = ("aggregators", "current")
+
+    def __init__(self, aggregators: Dict[str, Aggregator]):
+        self.aggregators = aggregators
+        self.current: Dict[str, Any] = {}
+
+    def reset(self) -> None:
+        self.current = {
+            name: agg.initial() for name, agg in self.aggregators.items()
+        }
+
+    def aggregate(self, name: str, value: Any) -> None:
+        current = self.current
+        current[name] = self.aggregators[name].reduce(current[name], value)
+
+    def aggregate_many(self, name: str, values) -> None:
+        """Fold ``values`` into aggregator ``name`` in order — the
+        reduce sequence of one :meth:`aggregate` call per value."""
+        current = self.current
+        aggregator = self.aggregators[name]
+        if type(aggregator) is SumAggregator:
+            current[name] = sum(values, current[name])
+        else:
+            current[name] = reduce(aggregator.reduce, values, current[name])

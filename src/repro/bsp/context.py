@@ -17,42 +17,44 @@ class ComputeContext:
     engine rebinds it per vertex so the per-vertex send/charge counters
     feed the BPPA tracker.  Programs should treat it as opaque API.
 
-    ``engine`` is anything implementing the narrow host contract the
-    context consumes: ``_enqueue`` / ``_fanout`` / ``_aggregate``,
-    ``num_vertices``, and an ``rng`` attribute.  Besides
-    :class:`~repro.bsp.engine.PregelEngine` this is implemented by the
-    per-process partition runtime of the parallel backend
-    (:mod:`repro.bsp.parallel`); on the dense path both forward
-    ``_enqueue``/``_fanout`` to the send methods of the executing
-    :class:`~repro.bsp.fabric.DenseLane`, and the rank ships its
-    lane's effects back to the coordinator.
+    The context is handed what it reads, never its host: the run's
+    ``rng``, the ``aggregate(name, value)`` sink its contributions go
+    to, and — bound by the host before each worker's pass — the send
+    pair ``_enqueue``/``_fanout``, the send methods of the executing
+    :class:`~repro.bsp.fabric.DenseLane` (or a confined replay's null
+    pair).  Hosts are the serial engine and the per-process partition
+    runtime of the parallel backend (:mod:`repro.bsp.parallel`).
     """
 
-    def __init__(self, engine):
-        self._engine = engine
+    def __init__(self, rng: random.Random, aggregate):
+        self._rng = rng
         self.superstep: int = 0
         #: Number of vertices currently in the computation.  Plain
         #: attribute (not a property) because hot compute loops read
         #: it per vertex; rebound each superstep — mutations only
         #: apply at superstep boundaries, so it cannot go stale
         #: mid-superstep.
-        self.num_vertices: int = engine.num_vertices
+        self.num_vertices: int = 0
         self._current_vertex: Optional[VertexState] = None
         self._sent: int = 0
         self._charged: float = 0.0
         self._aggregates_prev: Dict[str, Any] = {}
         self._mutations = MutationLog()
-        # Hot-path binding: forward aggregate() straight to the engine
-        # (shadows the class method; one call frame per contribution).
-        self.aggregate = engine._aggregate
+        self._enqueue = self._fanout = None
+        #: ``aggregate(name, value)``: contribute ``value`` to
+        #: aggregator ``name`` (visible to all next superstep).
+        self.aggregate = aggregate
 
     # -- rebinding (engine-internal) -----------------------------------
 
     def _begin_superstep(
-        self, superstep: int, aggregates_prev: Dict[str, Any]
+        self,
+        superstep: int,
+        aggregates_prev: Dict[str, Any],
+        num_vertices: int,
     ) -> None:
         self.superstep = superstep
-        self.num_vertices = self._engine.num_vertices
+        self.num_vertices = num_vertices
         self._aggregates_prev = aggregates_prev
 
     def _begin_vertex(self, vertex: VertexState) -> None:
@@ -81,7 +83,7 @@ class ComputeContext:
     def random(self) -> random.Random:
         """The run's seeded RNG (deterministic execution order makes
         randomized programs reproducible)."""
-        return self._engine.rng
+        return self._rng
 
     def get_aggregate(self, name: str) -> Any:
         """The aggregator value reduced during the *previous*
@@ -94,9 +96,9 @@ class ComputeContext:
         """Send ``message`` to ``target``, delivered next superstep.
 
         Raises :class:`~repro.errors.MessageToUnknownVertexError`
-        (from the engine) when ``target`` is not a current vertex.
+        when ``target`` is not a current vertex.
         """
-        self._engine._enqueue(self._current_vertex.id, target, message)
+        self._enqueue(self._current_vertex.id, target, message)
         self._sent += 1
 
     def send_to_neighbors(
@@ -104,17 +106,17 @@ class ComputeContext:
     ) -> None:
         """Send ``message`` along every out-edge of ``vertex``.
 
-        Dispatched as one bulk engine call so the fast path can hoist
+        Dispatched as one bulk lane call so the fast path can hoist
         its per-message lookups out of the loop; accounting is
         identical to calling :meth:`send` per target.
         """
-        self._sent += self._engine._fanout(
+        self._sent += self._fanout(
             self._current_vertex.id, vertex.out_edges, message
         )
 
     def send_to(self, targets: Iterable[Hashable], message: Any) -> None:
         """Send the same ``message`` to each vertex in ``targets``."""
-        self._sent += self._engine._fanout(
+        self._sent += self._fanout(
             self._current_vertex.id, targets, message
         )
 
@@ -129,13 +131,6 @@ class ComputeContext:
         the cost model sees their true local work.
         """
         self._charged += ops
-
-    # -- aggregation -------------------------------------------------------
-
-    def aggregate(self, name: str, value: Any) -> None:
-        """Contribute ``value`` to aggregator ``name`` (visible to all
-        next superstep)."""
-        self._engine._aggregate(name, value)
 
     # -- topology mutation --------------------------------------------------
 

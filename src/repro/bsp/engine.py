@@ -69,10 +69,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Any, Dict, Hashable, List, Optional
 
-from repro.bsp.aggregator import SumAggregator
+from repro.bsp.aggregator import AggregateSink
 from repro.bsp.checkpoint import restore_checkpoint, take_checkpoint
 from repro.bsp.combiner import Combiner
 from repro.bsp.context import ComputeContext, MasterContext
@@ -280,11 +279,14 @@ class PregelEngine:
             }
             self._tracker = BppaTracker(degrees)
 
-        # Superstep-scoped structures: the aggregator registry and
-        # master state here, every mailbox in the fabric (built last).
-        self._ctx = ComputeContext(self)
-        self._aggregators = dict(getattr(program, "aggregators", dict)())
-        self._agg_current: Dict[str, Any] = {}
+        # Superstep-scoped structures: the aggregator sink and master
+        # state here, every mailbox in the fabric (built last).  Each
+        # layer is handed what it reads, never the engine: dropping
+        # the engine frees a finished run by reference counting.
+        self._agg_sink = AggregateSink(
+            dict(getattr(program, "aggregators", dict)())
+        )
+        self._ctx = ComputeContext(self.rng, self._agg_sink.aggregate)
         self._agg_finalized: Dict[str, Any] = {}
         self._wake_all = False
         self._aggregate_history: List[Dict[str, Any]] = []
@@ -314,7 +316,6 @@ class PregelEngine:
             store = open_durable_store(checkpoint_dir, fingerprint, resume)
             self._loop.policy.store = store
             self._resume_state = store.resume_state()
-        self._run_stats: Optional[RunStats] = None
 
         if use_vectorized and not has_vectorized_kernel(type(program)):
             raise ValueError(
@@ -325,18 +326,20 @@ class PregelEngine:
         self._kernel_tier = "dense"
         self._vector_kernel_cache = None
 
-        # The fabric owns every mailbox and binds ``_enqueue``/
-        # ``_fanout`` to the executing lane.  Built last: the dense
-        # arrays then reuse what the fingerprint freed.
+        # The fabric owns every mailbox and binds the context's sends
+        # to the executing lane.  Built last: the dense arrays then
+        # reuse what the fingerprint freed.
         self._fabric = MessageFabric(
-            self,
             self._store,
             combiner,
+            self._ctx,
+            graph=graph,
+            injector=self._injector,
+            trace=self._trace,
+            confined_recovery=confined_recovery,
             memory_budget=memory_budget,
             spill_dir=spill_dir,
         )
-        self._enqueue = self._fabric.enqueue
-        self._fanout = self._fabric.fanout
 
     # ------------------------------------------------------------------
     # Layer views (compat surface shared with checkpoint/parallel code)
@@ -366,38 +369,9 @@ class PregelEngine:
     def _workers(self):
         return self._store.workers
 
-    # ------------------------------------------------------------------
-    # Engine services used by ComputeContext
-    # ------------------------------------------------------------------
-
     @property
     def num_vertices(self) -> int:
         return len(self._store.states)
-
-    def has_vertex(self, vertex_id: Hashable) -> bool:
-        return vertex_id in self._store.states
-
-    def _aggregate(self, name: str, value: Any) -> None:
-        # _agg_current is pre-seeded with every registered
-        # aggregator's initial() at superstep start, so an unknown
-        # name raises KeyError exactly as the registry lookup would.
-        current = self._agg_current
-        current[name] = self._aggregators[name].reduce(
-            current[name], value
-        )
-
-    def _aggregate_many(self, name: str, values) -> None:
-        """Fold ``values`` into aggregator ``name`` in order — the
-        reduce sequence of one :meth:`_aggregate` call per value, in
-        one bulk call (the vectorized kernels' contribution path)."""
-        current = self._agg_current
-        aggregator = self._aggregators[name]
-        if type(aggregator) is SumAggregator:
-            current[name] = sum(values, current[name])
-        else:
-            current[name] = reduce(
-                aggregator.reduce, values, current[name]
-            )
 
     # ------------------------------------------------------------------
     # Hooks the parallel backend overrides
@@ -442,7 +416,7 @@ class PregelEngine:
             ckpt, context = self._resume_state
             self._resume_state = None
             start_superstep, stats = resume_engine(self, ckpt, context)
-        self._run_stats = stats
+        self._fabric.run_stats = stats
         tracker = self._tracker
 
         try:
@@ -474,11 +448,10 @@ class PregelEngine:
         self._loop.open_superstep(
             superstep, fabric.workers, "fast", self.backend_name
         )
-        self._agg_current = {
-            name: agg.initial()
-            for name, agg in self._aggregators.items()
-        }
-        ctx._begin_superstep(superstep, self._agg_finalized)
+        self._agg_sink.reset()
+        ctx._begin_superstep(
+            superstep, self._agg_finalized, len(self._store.states)
+        )
 
         wake_all = self._wake_all or superstep == 0
         self._wake_all = False
@@ -491,7 +464,7 @@ class PregelEngine:
             tracker.record_superstep()
 
         # Aggregators reduced this superstep become visible next.
-        self._agg_finalized = dict(self._agg_current)
+        self._agg_finalized = dict(self._agg_sink.current)
         self._aggregate_history.append(self._agg_finalized)
 
         master = MasterContext(

@@ -4,12 +4,13 @@ fault-injected delivery.
 This layer owns every mailbox the Pregel engine has, the send/fanout
 entry points the compute kernels call and the delivery routine that
 moves a superstep's traffic across the barrier.  The engine composes
-exactly one fabric and forwards its ``_enqueue``/``_fanout`` to the
-fabric's current bindings: the send methods of the :class:`DenseLane`
-whose worker is executing (:meth:`MessageFabric.bind_lane`).  A lane
-is one worker's share of the dense plane; the dense send paths are
-written once against it, and a pool rank of the parallel backend runs
-the very same lane code over its partition slice.
+exactly one fabric, which binds the compute context's sends to the
+send methods of the :class:`DenseLane` whose worker is executing
+(:meth:`MessageFabric.bind_lane`).  A lane is one worker's share of
+the dense plane; the dense send paths are written once against it,
+and a pool rank of the parallel backend runs the very same lane code
+over its partition slice.  Neither holds its engine or a bound method
+of itself (``docs/architecture.md``, "One-way ownership").
 
 One plane
 ---------
@@ -35,9 +36,10 @@ Its orders are the ones the test-side oracle defines
   worker and deduplicating across workers in worker order: the
   destinations in first-send order, which fixes the fault-injection
   draw sequence and the inbox (and checkpoint) insertion order.
-* The dense adjacency (``dense_out``/``remote_out``, compiled at every
-  engage) replaces the per-message id hash for full-neighbor fanouts,
-  row by row while :meth:`DenseLane.row_holds`: an ``out_edges`` dict
+* The dense adjacency (an :class:`~repro.graph.partition.Adjacency`
+  of flat columns, compiled at every engage) replaces the per-message
+  id hash for full-neighbor fanouts, row by row while
+  :meth:`DenseLane.held_row` finds it current: an ``out_edges`` dict
   edited in place sends through the per-target loop.
 
 With a combiner, a slot is a single combined message in worker
@@ -71,13 +73,12 @@ import pickle
 import shutil
 import tempfile
 from array import array
-from contextlib import contextmanager
 from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 
 from repro.bsp.combiner import SumCombiner
 from repro.bsp.faults import DeliveryFaults
 from repro.bsp.shm_transport import typed_column
-from repro.errors import MessageToUnknownVertexError
+from repro.errors import MessageToUnknownVertexError, SpillError
 from repro.graph.partition import build_dense_index, dense_adjacency
 from repro.graph.snapshot import is_graph_snapshot
 from repro.trace.events import FaultInjected
@@ -146,17 +147,17 @@ class DenseLane:
     loops (:mod:`repro.bsp.kernels`) and the same send methods against
     their lanes, so what one worker's pass *is* exists once.
 
-    ``states``/``in_start``/``in_count``/``dense_out``/``remote_out``
-    are indexed by ``dense idx - base`` (the inbox columns are the
-    fabric's on the serial host, the lane's own on a pool rank, which
-    fills them from its inbound :class:`LaneRecord`); ``acc``/``cnt`` —
+    ``states``/``in_start``/``in_count`` and the adjacency columns
+    (``out_start``/``out_dst``/``remote_out``/``dangling``) are indexed
+    by ``dense idx - base`` (the inbox columns are the fabric's on the
+    serial host, the lane's own on a pool rank, which fills them from
+    its inbound :class:`LaneRecord`); ``acc``/``cnt`` —
     this worker's ``(src_worker, destination)`` slots — and the
     ``idx_of``/``owner_of`` tables by global dense index.  ``touched``
     lists the destinations first written this pass, in first-touch
     order; ``cur`` is the position of the vertex currently executing
-    (the full-neighbor fanout reads its precompiled row).  ``enqueue``/
-    ``fanout`` are bound once to the plain or the combining pair, and
-    the host forwards its ``_enqueue``/``_fanout`` to them.  The
+    (the full-neighbor fanout reads its precompiled row).  The host
+    binds its compute context's sends to :meth:`sends`.  The
     frontier is two ascending position lists: ``arrivals``, the lane's
     share of this superstep's mailed positions (set by the host before a
     pass that visits them), and ``awake``, the vertices the last
@@ -167,15 +168,14 @@ class DenseLane:
     __slots__ = (
         "worker", "index", "start", "stop", "base",
         "states", "in_msgs", "in_start", "in_count",
-        "dense_out", "remote_out",
+        "out_start", "out_dst", "remote_out", "dangling",
         "idx_of", "owner_of",
-        "acc", "cnt", "combine", "touched", "cur",
-        "enqueue", "fanout", "arrivals", "awake",
+        "acc", "cnt", "combine", "touched", "cur", "arrivals", "awake",
     )
 
     def __init__(
         self, worker, base, states, inbox,
-        dense_out, remote_out, idx_of, owner_of, combiner,
+        adjacency, idx_of, owner_of, combiner,
     ):
         self.worker = worker
         self.index = worker.index
@@ -188,8 +188,9 @@ class DenseLane:
         self.in_msgs, self.in_start, self.in_count = inbox or (
             [], [0] * own, [0] * own
         )
-        self.dense_out = dense_out
-        self.remote_out = remote_out
+        (
+            self.out_start, self.out_dst, self.remote_out, self.dangling
+        ) = adjacency
         self.idx_of = idx_of
         self.owner_of = owner_of
         n = len(owner_of)
@@ -200,8 +201,6 @@ class DenseLane:
         if combiner is None:
             self.cnt = None
             self.combine = None
-            self.enqueue = self.enqueue_plain
-            self.fanout = self.fanout_plain
         else:
             self.cnt = [0] * n
             # Stock SumCombiner folds with the C-level add (exactly
@@ -212,31 +211,34 @@ class DenseLane:
                 self.combine = operator.add
             else:
                 self.combine = combiner.combine
-            self.enqueue = self.enqueue_combining
-            self.fanout = self.fanout_combining
 
     # Send paths.  A slot without a combiner is the list of messages in
     # send order; with one it is the send-time fold in ``acc`` plus the
-    # logical count in ``cnt``.  Confined recovery rebinds the host's
-    # sends to the fabric's null pair for the replay, so no replay
-    # guard is needed here.
+    # logical count in ``cnt``.  A confined replay binds its own
+    # context's sends to the fabric's null pair, so no replay guard is
+    # needed here.
 
-    def row_holds(self, pos: int, targets) -> bool:
-        """Whether position ``pos``'s compiled row may stand in for
-        ``targets``: it compiled, ``targets`` is the vertex's live
-        ``out_edges``, and no in-place edit shows — a removal or an
-        insertion changes the length, the two together put the new
-        id last, so both are O(1) to see."""
-        nbrs = self.dense_out[pos]
-        if (
-            nbrs is None
-            or targets is not self.states[pos].out_edges
-            or len(nbrs) != len(targets)
+    def sends(self):
+        """``(enqueue, fanout)``: the plain or the combining pair, as
+        the lane is laid out (not stored: a cycle through the lane)."""
+        if self.cnt is None:
+            return self.enqueue_plain, self.fanout_plain
+        return self.enqueue_combining, self.fanout_combining
+
+    def held_row(self, pos: int, targets):
+        """Position ``pos``'s compiled row, or ``None`` when it may not
+        stand in for ``targets``: it must have compiled, ``targets``
+        must be the vertex's live ``out_edges``, and no in-place edit
+        may show — a removal or an insertion changes the length, the
+        two together put the new id last, so both are O(1) to see."""
+        if targets is not self.states[pos].out_edges or pos in self.dangling:
+            return None
+        lo, hi = self.out_start[pos], self.out_start[pos + 1]
+        if hi - lo != len(targets) or lo != hi and (
+            self.idx_of.get(next(reversed(targets))) != self.out_dst[hi - 1]
         ):
-            return False
-        return not nbrs or (
-            self.idx_of.get(next(reversed(targets))) == nbrs[-1]
-        )
+            return None
+        return self.out_dst[lo:hi]
 
     def enqueue_plain(
         self, source: Hashable, target: Hashable, message: Any
@@ -280,10 +282,10 @@ class DenseLane:
         acc = self.acc
         touched = self.touched
         worker = self.worker
-        if self.row_holds(cur, targets):
+        nbrs = self.held_row(cur, targets)
+        if nbrs is not None:
             # Full-neighbor fanout: use the precompiled dense
             # adjacency — no per-target hashing.
-            nbrs = self.dense_out[cur]
             for dst in nbrs:
                 bucket = acc[dst]
                 if bucket is None:
@@ -327,8 +329,8 @@ class DenseLane:
         touched = self.touched
         combine = self.combine
         worker = self.worker
-        if self.row_holds(cur, targets):
-            nbrs = self.dense_out[cur]
+        nbrs = self.held_row(cur, targets)
+        if nbrs is not None:
             for dst in nbrs:
                 c = cnt[dst]
                 if c:
@@ -428,27 +430,36 @@ class DenseLane:
 class MessageFabric:
     """One engine's mailboxes, send paths, and delivery routines.
 
-    ``engine`` supplies the run-scoped collaborators the fabric reads
-    at superstep boundaries (``_injector``, ``_run_stats``, ``_trace``,
-    ``_confined_recovery``); ``store`` supplies the vertex partition
-    (``states``/``owner``/``workers``, mirrored here as direct
-    attributes for the per-message hot paths, plus the
-    confined-recovery message log).  The engine's ``_states``/
-    ``_owner`` property setters refresh the mirrors whenever a
+    Handed what it reads, not its engine: ``store`` supplies the
+    vertex partition (``states``/``owner``/``workers``, mirrored here
+    for the per-message hot paths, plus the confined-recovery message
+    log), ``ctx`` the context whose sends :meth:`bind_lane` binds,
+    ``graph`` the input the first index compiles from; delivery reads
+    ``injector``/``trace``/``confined_recovery`` and ``run_stats``,
+    which the engine sets when a run starts.  The engine's
+    ``_states``/``_owner`` setters refresh the mirrors whenever a
     checkpoint restore swaps the underlying dicts.
     """
 
     def __init__(
         self,
-        engine,
         store,
         combiner,
+        ctx,
+        graph=None,
+        injector=None,
+        trace=None,
+        confined_recovery: bool = False,
         memory_budget: Optional[int] = None,
         spill_dir: Optional[str] = None,
     ):
-        self._engine = engine
         self._store = store
         self._combiner = combiner
+        self._ctx = ctx
+        self._injector = injector
+        self._trace = trace
+        self._confined_recovery = confined_recovery
+        self.run_stats = None
         #: Soft cap, in encoded bytes, on one superstep's buffered
         #: message volume across the slot-mailbox accumulator lanes.
         #: ``None`` (the default) disables the spill tier entirely —
@@ -471,8 +482,7 @@ class MessageFabric:
         # The dense plane (compiled by engage_fast_path, below).
         self.dense = None
         self.dense_states = None
-        self.dense_out: Optional[List[Optional[List[int]]]] = None
-        self.remote_out: Optional[List[int]] = None
+        self.adjacency = None
         #: The inbox columns (module docstring).
         self.in_msgs: List[Any] = []
         self.in_start: Optional[List[int]] = None
@@ -484,51 +494,37 @@ class MessageFabric:
         self.lanes: Optional[List[DenseLane]] = None
         self.slot_seen: Optional[List[int]] = None
         self.stamp = 0
-        self.engage_fast_path()
+        self.engage_fast_path(graph)
 
     # ------------------------------------------------------------------
     # Send paths: the lane binding, and the null pair of a confined
     # replay
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def replayed_sends(self):
-        """Bind the engine's sends to a validating null pair while a
-        confined replay re-executes ``compute`` calls: a re-issued
-        send is checked like a live one, then dropped — the original
-        was delivered, and logged, when the superstep first ran."""
-        engine = self._engine
-        live = self.enqueue, self.fanout
-        self.enqueue = engine._enqueue = self._enqueue_replayed
-        self.fanout = engine._fanout = self._fanout_replayed
-        try:
-            yield
-        finally:
-            self.enqueue, self.fanout = live
-            engine._enqueue, engine._fanout = live
-
-    def _enqueue_replayed(
+    def replayed_send(
         self, source: Hashable, target: Hashable, message: Any
     ) -> None:
+        """The null send a confined replay's context is bound to: a
+        re-issued send is checked like a live one, then dropped — the
+        original was delivered, and logged, when the superstep first
+        ran."""
         if target not in self.states:
             raise MessageToUnknownVertexError(target)
 
-    def _fanout_replayed(
+    def replayed_fanout(
         self, source: Hashable, targets, message: Any
     ) -> int:
-        """One :meth:`_enqueue_replayed` check per target."""
+        """One :meth:`replayed_send` check per target."""
         n = 0
         for target in targets:
-            self._enqueue_replayed(source, target, message)
+            self.replayed_send(source, target, message)
             n += 1
         return n
 
     def bind_lane(self, lane: DenseLane) -> None:
-        """Route the engine's sends to ``lane`` — the worker whose
+        """Route the context's sends to ``lane`` — the worker whose
         compute pass is about to run (workers run sequentially)."""
-        engine = self._engine
-        self.enqueue = engine._enqueue = lane.enqueue
-        self.fanout = engine._fanout = lane.fanout
+        self._ctx._enqueue, self._ctx._fanout = lane.sends()
 
     def flush_worker_sends(
         self, lane: DenseLane, record: Optional[LaneRecord] = None
@@ -601,9 +597,13 @@ class MessageFabric:
             root, f"lane_{self._spill_seq}_{worker_index}.bin"
         )
         self._spill_seq += 1
-        with open(path, "wb") as fh:
-            pickle.dump(record, fh, pickle.HIGHEST_PROTOCOL)
+        # Listed first: a partial file goes with the rest at run end.
         self._spilled[worker_index] = path
+        try:
+            with open(path, "wb") as fh:
+                pickle.dump(record, fh, pickle.HIGHEST_PROTOCOL)
+        except OSError as exc:
+            raise SpillError(f"cannot spill lane to {path}: {exc}") from exc
         self.spilled_lanes += 1
         self.spilled_bytes += nbytes
 
@@ -612,8 +612,13 @@ class MessageFabric:
         — the order the delivery scan consumes lanes) and delete the
         files."""
         for worker_index, path in sorted(self._spilled.items()):
-            with open(path, "rb") as fh:
-                record = pickle.load(fh)
+            try:
+                with open(path, "rb") as fh:
+                    record = pickle.load(fh)
+            except (OSError, EOFError, pickle.UnpicklingError) as exc:
+                raise SpillError(
+                    f"cannot reload spilled lane {path}: {exc!r}"
+                ) from exc
             os.unlink(path)
             self.lanes[worker_index].adopt(record)
         self._spilled = {}
@@ -650,15 +655,14 @@ class MessageFabric:
     # Execution-path management
     # ------------------------------------------------------------------
 
-    def engage_fast_path(self) -> None:
+    def engage_fast_path(self, graph=None) -> None:
         """Compile the dense index over the store's current partition
         and lay out empty slot mailboxes.
 
-        Called at construction and by :meth:`reindex`.  The dense
-        order mirrors worker/`vertex_ids` order exactly, so execution
-        sequencing is unchanged.
+        Called at construction (with the input ``graph``) and by
+        :meth:`reindex`.  The dense order mirrors worker/`vertex_ids`
+        order exactly, so execution sequencing is unchanged.
         """
-        first = self.dense is None
         dense = build_dense_index(self.workers)
         self.dense = dense
         for worker, (start, stop) in zip(self.workers, dense.ranges):
@@ -674,13 +678,11 @@ class MessageFabric:
         # from the CSR arrays (the states were just built from the
         # same rows); a re-index walks the live edge maps, which
         # mutations may have moved off the snapshot.
-        graph = self._engine._graph
-        if not (first and is_graph_snapshot(graph)
-                and graph.num_vertices == n):
+        if not (is_graph_snapshot(graph) and graph.num_vertices == n):
             graph = None
-        dense_out, remote_out = dense_adjacency(dense_states, dense, graph)
-        self.dense_out = dense_out
-        self.remote_out = remote_out
+        adjacency = self.adjacency = dense_adjacency(
+            dense_states, dense, graph
+        )
         inbox = self.in_msgs, self.in_start, self.in_count = (
             [], [0] * n, [0] * n
         )
@@ -689,8 +691,7 @@ class MessageFabric:
         self.lanes = [
             DenseLane(
                 worker, 0, dense_states, inbox,
-                dense_out, remote_out, dense.idx_of, dense.owner_of,
-                self._combiner,
+                adjacency, dense.idx_of, dense.owner_of, self._combiner,
             )
             for worker in self.workers
         ]
@@ -785,8 +786,7 @@ class MessageFabric:
         check is skipped, because every dense id is live by
         construction.
         """
-        engine = self._engine
-        injector = engine._injector
+        injector = self._injector
         workers = self.workers
         dense = self.dense
         owner_of = dense.owner_of
@@ -800,7 +800,7 @@ class MessageFabric:
         combining = self._combiner is not None
         # Confined recovery replays from an id-keyed log entry.
         log_entry: Optional[Dict[Hashable, List[Any]]] = (
-            {} if engine._confined_recovery else None
+            {} if self._confined_recovery else None
         )
         faults = DeliveryFaults() if injector is not None else None
         if self._spilled:
@@ -864,9 +864,9 @@ class MessageFabric:
         self.out_dirty = []
         self._resident_bytes = 0
         if faults is not None:
-            injector.commit(faults, engine._run_stats)
-            if engine._trace is not None and faults.any:
-                engine._trace.emit(
+            injector.commit(faults, self.run_stats)
+            if self._trace is not None and faults.any:
+                self._trace.emit(
                     FaultInjected(
                         superstep=superstep,
                         fault="network",

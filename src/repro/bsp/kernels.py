@@ -20,7 +20,7 @@ Everything on the dense path — :func:`dense_compute_pass` and every
 vectorized kernel's ``run`` — executes one lane and is handed a
 *host*: the object owning the lane's run-scoped collaborators
 (``_program``, ``_ctx``, ``_tracker``, ``num_vertices``,
-``_aggregate_many``).  There are exactly two hosts.  The serial
+``_agg_sink``).  There are exactly two hosts.  The serial
 engine loops its workers' lanes in index order
 (:func:`fast_compute_pass`); a pool rank of the parallel backend
 (:mod:`repro.bsp.parallel`) runs its single lane
@@ -88,9 +88,9 @@ import operator
 import time
 from array import array
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from functools import partial, reduce
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from typing import Any, Dict, List, Tuple
 
 try:
@@ -324,44 +324,34 @@ def _column_getter(positions):
     return operator.itemgetter(*positions)
 
 
-def _compile_scatter_lane(lo, hi, dense_out, remote_out):
+def _compile_scatter_lane(lo, hi, adjacency):
     """Compile the scatter plan for dense positions ``[lo, hi)``.
 
-    ``dense_out``/``remote_out`` are indexed by those positions (a
-    lane's ``dense idx - base``); destination indices in ``dense_out``
-    rows are global dense indices.  Returns
-    ``None`` when any vertex in range has a dangling out-edge
-    (``dense_out`` row ``None``) — the per-vertex path must run so the
-    send raises identically.
+    ``adjacency`` is ``(out_start, out_dst, remote_out, dangling)``
+    columns indexed by those positions (a lane's ``dense idx - base``);
+    row targets are global dense indices.  Returns ``None`` when any
+    vertex in range has a dangling out-edge — the per-vertex path must
+    run so the send raises identically.
+
+    Count, then place: a C-level ``Counter`` over the range's targets
+    gives every destination's contributor count in first-touch order;
+    destinations ordered by (count, first touch) each get a run of one
+    flat placement column, filled with the sender ordinals in send
+    order; the plan's columns are cuts of that column.  No container
+    is built per destination or per vertex.
     """
-    senders = []
-    degs = array("d")
-    buckets: Dict[int, list] = {}
-    order: List[int] = []
-    sent = 0
-    remote = 0
-    k = 0
-    for i in range(lo, hi):
-        nbrs = dense_out[i]
-        if nbrs is None:
-            return None
-        if not nbrs:
-            continue
-        senders.append(i - lo)
-        degs.append(float(len(nbrs)))
-        for dst in nbrs:
-            bucket = buckets.get(dst)
-            if bucket is None:
-                buckets[dst] = [k]
-                order.append(dst)
-            else:
-                bucket.append(k)
-        sent += len(nbrs)
-        remote += remote_out[i]
-        k += 1
+    out_start, out_dst, remote_out, dangling = adjacency
+    if any(lo <= pos < hi for pos in dangling):
+        return None
+    dsts = out_dst[out_start[lo]:out_start[hi]]
+    lens = list(map(_SUB, out_start[lo + 1:hi + 1], out_start[lo:hi]))
+    senders = list(filter(lens.__getitem__, range(hi - lo)))
+    k = len(senders)
     lane = _ScatterLane()
     lane.n = k
-    lane.degs = degs
+    lane.degs = array("d", map(float, filter(None, lens)))
+    lane.sent = len(dsts)
+    lane.remote = sum(remote_out[lo:hi])
     if not k:
         lane.value_getter = None
     elif senders[-1] - senders[0] + 1 == k:
@@ -370,45 +360,43 @@ def _compile_scatter_lane(lo, hi, dense_out, remote_out):
         )
     else:
         lane.value_getter = operator.itemgetter(*senders)
-    s_dst = array("q")
-    s_pos: List[int] = []
-    grouped: Dict[int, list] = {}
-    m_dst = array("q")
-    m_get = []
-    m_cnt = array("q")
-    for dst in order:
-        positions = buckets[dst]
-        count = len(positions)
-        if count == 1:
-            s_dst.append(dst)
-            s_pos.append(positions[0])
-        elif count <= _GROUP_MAX:
-            grouped.setdefault(count, []).append((dst, positions))
-        else:
-            m_dst.append(dst)
-            m_get.append(operator.itemgetter(*positions))
-            m_cnt.append(count)
-    lane.order = array("q", order)
-    lane.s_dst = s_dst
-    if s_pos:
-        lane.s_get = _column_getter(s_pos)
-    else:
-        lane.s_get = None
+    counts = Counter(dsts)
+    lane.order = array("q", counts)
+    ranked = sorted(counts, key=counts.__getitem__)
+    sizes = list(map(counts.__getitem__, ranked))
+    cursor = dict(zip(ranked, accumulate(sizes, initial=0)))
+    place = [0] * len(dsts)
+    ordinals = chain.from_iterable(map(repeat, range(k), filter(None, lens)))
+    for j, dst in zip(ordinals, dsts):
+        at = cursor[dst]
+        place[at] = j
+        cursor[dst] = at + 1
+    lane.s_dst = array("q")
+    lane.s_get = None
     groups = []
-    for count in sorted(grouped):
-        members = grouped[count]
-        dsts = array("q", [dst for dst, _ in members])
-        getters = tuple(
-            _column_getter([positions[j] for _, positions in members])
-            for j in range(count)
-        )
-        groups.append((count, dsts, getters))
+    fat = {}
+    d = at = 0
+    for count, members in sorted(Counter(sizes).items()):
+        run = ranked[d:d + members]
+        block = place[at:at + count * members]
+        if count == 1:
+            lane.s_dst = array("q", run)
+            lane.s_get = _column_getter(block)
+        elif count <= _GROUP_MAX:
+            getters = tuple(
+                _column_getter(block[j::count]) for j in range(count)
+            )
+            groups.append((count, array("q", run), getters))
+        else:
+            for i, dst in enumerate(run):
+                fat[dst] = block[i * count:(i + 1) * count]
+        d += members
+        at += count * members
     lane.groups = tuple(groups)
-    lane.m_dst = m_dst
-    lane.m_get = tuple(m_get)
-    lane.m_cnt = m_cnt
-    lane.sent = sent
-    lane.remote = remote
+    m_dst = list(filter(fat.__contains__, counts))
+    lane.m_dst = array("q", m_dst)
+    lane.m_get = tuple(operator.itemgetter(*fat[dst]) for dst in m_dst)
+    lane.m_cnt = array("q", map(counts.__getitem__, m_dst))
     return lane
 
 
@@ -535,7 +523,7 @@ def _compile_lane_scatter(lane, program):
     base = lane.base
     return _compile_scatter_lane(
         lane.start - base, lane.stop - base,
-        lane.dense_out, lane.remote_out,
+        (lane.out_start, lane.out_dst, lane.remote_out, lane.dangling),
     )
 
 
@@ -689,7 +677,7 @@ class PageRankKernel:
             new_vals = _affine(totals, d, (1.0 - d) / n)
             # L1 deltas aggregate in visit order, before assignment —
             # the program aggregates against the *old* value.
-            host._aggregate_many(
+            host._agg_sink.aggregate_many(
                 "l1_change",
                 map(abs, map(_SUB, new_vals, map(_VALUE, seg_states))),
             )
@@ -776,39 +764,40 @@ class MinPropagationKernel:
     applies = staticmethod(_gather_phase)
 
     def compile(self, lane, program):
-        """``(key, peer_idx, peer_remote)`` over the lane's range, or
-        ``None`` when a peer is unknown (dangling edge) — the
-        per-vertex loop must run so the send raises identically."""
+        """``(key, off, starts, peers, remote)``: the peers of lane
+        position ``pos`` are ``peers[starts[i]:starts[i + 1]]`` with
+        ``i = pos - off``, ``remote[i]`` of them on other workers —
+        the lane's own adjacency columns, or the program's peer sets
+        laid out the same way.  ``None`` when a peer is unknown
+        (dangling edge): the per-vertex loop must run so the send
+        raises identically."""
         lo = lane.start - lane.base
         hi = lane.stop - lane.base
         if self._peers_of is None:
-            peer_idx = lane.dense_out[lo:hi]
-            if any(row is None for row in peer_idx):
+            if any(lo <= pos < hi for pos in lane.dangling):
                 return None
-            peer_remote = lane.remote_out[lo:hi]
+            off, starts, peers = 0, lane.out_start, lane.out_dst
+            remote = lane.remote_out
         else:
             idx_get = lane.idx_of.get
             owner_of = lane.owner_of
             src = lane.index
-            peer_idx = []
-            peer_remote = []
+            off, starts = lo, array("q", [0])
+            peers, remote = array("q"), array("q")
             for state in lane.states[lo:hi]:
-                row = []
-                remote = 0
-                for peer in self._peers_of(state):
-                    j = idx_get(peer)
-                    if j is None:
-                        return None
-                    row.append(j)
-                    if owner_of[j] != src:
-                        remote += 1
-                peer_idx.append(row)
-                peer_remote.append(remote)
+                row = list(map(idx_get, self._peers_of(state)))
+                if None in row:
+                    return None
+                peers.extend(row)
+                starts.append(len(peers))
+                remote.append(
+                    sum(map(src.__ne__, map(owner_of.__getitem__, row)))
+                )
         key = None if _plain_numeric_ids(lane.idx_of) else self._key
-        return key, peer_idx, peer_remote
+        return key, off, starts, peers, remote
 
     def run(self, host, lane, plan, phase):
-        key, peer_idx, peer_remote = plan
+        key, off, starts, peer_dst, peer_remote = plan
         charge_peers = self._charge_peers
         tracker = host._tracker
         state_size = host._program.state_size
@@ -818,7 +807,6 @@ class MinPropagationKernel:
         combine = lane.combine
         touched = lane.touched
         base = lane.base
-        lo = lane.start - base
         states = lane.states
         in_msgs, in_start = lane.in_msgs, lane.in_start
         in_count = lane.in_count
@@ -831,9 +819,9 @@ class MinPropagationKernel:
             ln = in_count[pos]
             messages = in_msgs[in_start[pos]:in_start[pos] + ln]
             state = states[pos]
-            i = pos - lo
-            peers = peer_idx[i]
-            n_peers = len(peers)
+            i = pos - off
+            first = starts[i]
+            n_peers = starts[i + 1] - first
             if key is None:
                 incoming = min(messages)
                 improved = incoming < state.value
@@ -842,6 +830,7 @@ class MinPropagationKernel:
                 improved = key(incoming) < key(state.value)
             if improved:
                 state.value = incoming
+                peers = peer_dst[first:first + n_peers]
                 if cnt is not None:
                     for dst in peers:
                         c = cnt[dst]

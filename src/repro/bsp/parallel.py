@@ -44,9 +44,9 @@ Because the serial engine *also* executes workers in rank order, the
 rank-ordered merge reconstructs exactly the global send order, the
 ``out_dirty`` first-touch order (which fixes the fault-injection
 draw sequence), the
-aggregator reduce order (contributions are replayed through
-``engine._aggregate`` on the coordinator, so even non-associative
-reducers see the serial order), and the mutation-log append order.
+aggregator reduce order (contributions are replayed through the
+coordinator's aggregate sink, so even non-associative reducers see
+the serial order), and the mutation-log append order.
 Delivery, combining at delivery, master compute, mutation application,
 checkpointing, and recovery all run the *unchanged* serial code on the
 coordinator — there is nothing left to diverge.
@@ -161,6 +161,29 @@ class _TrackerRows:
         self.rows.append(row)
 
 
+class _AggregateLog:
+    """Rank-side aggregate sink: contributions are *logged* (under
+    their name's position in the sorted list the coordinator holds)
+    and replayed through the real registry in rank order, so
+    non-associative reducers see the serial order and an unknown name
+    raises the same KeyError."""
+
+    def __init__(self, names):
+        self.index = {name: i for i, name in enumerate(names)}
+        self.names = array("q")
+        self.values: List[Any] = []
+
+    def aggregate(self, name: str, value: Any) -> None:
+        self.names.append(self.index[name])
+        self.values.append(value)
+
+    def aggregate_many(self, name: str, values) -> None:
+        index = self.index[name]
+        before = len(self.values)
+        self.values.extend(values)
+        self.names.extend(repeat(index, len(self.values) - before))
+
+
 class _PartitionRuntime:
     """One rank's resident partition: the second host of the dense
     compute plane (:mod:`repro.bsp.kernels`), next to the serial
@@ -172,8 +195,9 @@ class _PartitionRuntime:
     for the counters — executed by the same per-vertex loop, lane send
     methods and vectorized kernels the serial engine runs over its
     workers' lanes.  This class supplies only what a host owes the
-    lane code (``_program``/``_ctx``/``_tracker``/``num_vertices``,
-    the ``_enqueue``/``_fanout`` forwards) and the bookkeeping that
+    lane code (``_program``/``_ctx``/``_tracker``/``num_vertices``/
+    ``_agg_sink``, the context's sends bound to the lane's) and the
+    bookkeeping that
     genuinely differs across the process boundary: aggregate
     contributions and tracker rows are *logged* for the coordinator
     to replay in rank order, and the touched accumulator slots are
@@ -191,11 +215,7 @@ class _PartitionRuntime:
         self._tracker: Optional[_TrackerRows] = (
             _TrackerRows() if init["track_bppa"] else None
         )
-        # Shipped sorted; contributions are logged under a name's
-        # position (the coordinator holds the same sorted list).
-        self.agg_index = {
-            name: i for i, name in enumerate(init["agg_names"])
-        }
+        self._agg_sink = _AggregateLog(init["agg_names"])
         self.rng = random.Random()
         self.rng.setstate(init["rng_state"])
         self._rng_baseline = init["rng_state"]
@@ -214,18 +234,14 @@ class _PartitionRuntime:
         # range start), hence the base; each step points the inbox
         # columns at the inbound record it received and clears them.
         self.lane = lane = DenseLane(
-            worker, worker.range_start, states, None,
-            init["dense_out"], init["remote_out"],
+            worker, worker.range_start, states, None, init["adjacency"],
             init["idx_of"], init["owner_of"], init["combiner"],
         )
-        self._enqueue = lane.enqueue
-        self._fanout = lane.fanout
-        self.agg_name = array("q")
-        self.agg_val: List[Any] = []
         #: Compute passes started over the partition's lifetime (see
         #: :attr:`progress`).
         self._passes = 0
-        self._ctx = ComputeContext(self)
+        self._ctx = ComputeContext(self.rng, self._agg_sink.aggregate)
+        self._ctx._enqueue, self._ctx._fanout = lane.sends()
 
     @cached_property
     def _plan(self):
@@ -242,25 +258,6 @@ class _PartitionRuntime:
         the position of the vertex executing within the pass — so the
         heartbeat can tell a slow rank from a stuck one."""
         return self._passes * (len(self.states) + 1) + self.lane.cur + 1
-
-    # -- host contract (ComputeContext, lane kernels) ---------------
-
-    def _aggregate(self, name: str, value: Any) -> None:
-        # Contributions are *recorded*, not reduced: the coordinator
-        # replays them through the real aggregator registry in rank
-        # order, so non-associative reducers see the serial order and
-        # an unknown name raises the same KeyError the registry
-        # lookup would.
-        self.agg_name.append(self.agg_index[name])
-        self.agg_val.append(value)
-
-    def _aggregate_many(self, name: str, values) -> None:
-        index = self.agg_index[name]
-        before = len(self.agg_val)
-        self.agg_val.extend(values)
-        self.agg_name.extend(
-            repeat(index, len(self.agg_val) - before)
-        )
 
     # -- superstep execution ----------------------------------------
 
@@ -304,7 +301,7 @@ class _PartitionRuntime:
         lane.worker.reset_counters()
         lane.cur = -1
         self._passes += 1
-        self._ctx._begin_superstep(superstep, agg_prev)
+        self._ctx._begin_superstep(superstep, agg_prev, self.num_vertices)
         kernel_tier, executed, scattered = lane_compute_pass(
             self, lane, wake_all, phase, plan
         )
@@ -321,12 +318,14 @@ class _PartitionRuntime:
         if rng_state != self._rng_baseline:
             broke = "program drew from the shared RNG stream"
         elif kernel_tier == "dense" and not all(
-            lane.row_holds(idx - start, states[idx - start].out_edges)
+            lane.held_row(idx - start, states[idx - start].out_edges)
+            is not None
             for idx in executed
         ):
             broke = "program edited out_edges in place"
         self._rng_baseline = rng_state
         worker = lane.worker
+        log = self._agg_sink
         scalars = {
             "active": len(executed),
             "work": worker.work,
@@ -344,12 +343,11 @@ class _PartitionRuntime:
                 "q",
                 [idx for idx in executed if states[idx - start].halted],
             ),
-            "agg_name": self.agg_name,
-            "agg_val": typed_column(self.agg_val),
+            "agg_name": log.names,
+            "agg_val": typed_column(log.values),
             **record._asdict(),
         }
-        self.agg_name = array("q")
-        self.agg_val = []
+        log.names, log.values = array("q"), []
         tracker = self._tracker
         if tracker is not None:
             # One row per executed vertex, in order: the vertex ids
@@ -621,7 +619,7 @@ class ParallelPregelEngine(PregelEngine):
         ] = None
         #: Aggregator names, sorted: ranks log a contribution under
         #: its name's position here.
-        self._agg_list: List[str] = sorted(self._aggregators)
+        self._agg_list: List[str] = sorted(self._agg_sink.aggregators)
         self._links: Optional[List[_WorkerLink]] = None
         self._pool_disabled = False
         self._program_blob: Optional[bytes] = None
@@ -724,8 +722,7 @@ class ParallelPregelEngine(PregelEngine):
                 )
                 for state in fabric.dense_states[start:stop]
             ],
-            "dense_out": fabric.dense_out[start:stop],
-            "remote_out": fabric.remote_out[start:stop],
+            "adjacency": fabric.adjacency.rows(start, stop),
         }
 
     def _start_pool(self) -> bool:
@@ -1069,7 +1066,7 @@ class ParallelPregelEngine(PregelEngine):
         # lane record commits through the fabric's own flush, so first
         # touches dedup across ranks in rank order.
         fabric.stamp += 1
-        aggregate = self._aggregate
+        aggregate = self._agg_sink.aggregate
         mutation_log = self._ctx._mutations
         max_seconds = max(
             scalars["seconds"] for scalars, _columns in effects

@@ -218,9 +218,9 @@ def confined_replay(
 
     The log is keyed by vertex id (delivery writes it), the partition
     is restored into the live ``VertexState`` objects (which the dense
-    plane indexes by position), suppression is a binding
-    (``fabric.replayed_sends()``, a no-op ``aggregate`` on the replay
-    context) and the lost inbox goes back through ``restore_inbox``.
+    plane indexes by position), suppression is a binding (the replay
+    context's sends are the fabric's null pair, its ``aggregate`` a
+    no-op) and the lost inbox goes back through ``restore_inbox``.
     """
     store = engine._store
     fabric = engine._fabric
@@ -236,35 +236,31 @@ def confined_replay(
         )
     worker = store.workers[worker_idx]
     program = engine._program
-    ctx = ComputeContext(engine)
     # Contributions were reduced when the superstep first ran.
-    ctx.aggregate = lambda name, value: None
+    ctx = ComputeContext(engine.rng, lambda name, value: None)
+    ctx._enqueue = fabric.replayed_send
+    ctx._fanout = fabric.replayed_fanout
     replay_work = 0.0
-    with fabric.replayed_sends():
-        for t in range(ckpt.superstep, superstep):
-            prev_aggs = (
-                engine._aggregate_history[t - 1] if t >= 1 else {}
-            )
-            ctx._begin_superstep(t, prev_aggs)
-            wake_all = store.wake_log.get(t, t == 0)
-            log_t = store.message_log.get(t, {})
-            for vid in worker.vertex_ids:
-                state = store.states.get(vid)
-                if state is None:
-                    continue
-                messages = log_t.get(vid)
-                if messages:
-                    state.halted = False
-                elif state.halted and not wake_all:
-                    continue
-                elif wake_all:
-                    state.halted = False
-                messages = list(messages) if messages else []
-                ctx._begin_vertex(state)
-                program.compute(state, messages, ctx)
-                replay_work += (
-                    1 + len(messages) + ctx._sent + ctx._charged
-                )
+    for t in range(ckpt.superstep, superstep):
+        prev_aggs = engine._aggregate_history[t - 1] if t >= 1 else {}
+        ctx._begin_superstep(t, prev_aggs, len(store.states))
+        wake_all = store.wake_log.get(t, t == 0)
+        log_t = store.message_log.get(t, {})
+        for vid in worker.vertex_ids:
+            state = store.states.get(vid)
+            if state is None:
+                continue
+            messages = log_t.get(vid)
+            if messages:
+                state.halted = False
+            elif state.halted and not wake_all:
+                continue
+            elif wake_all:
+                state.halted = False
+            messages = list(messages) if messages else []
+            ctx._begin_vertex(state)
+            program.compute(state, messages, ctx)
+            replay_work += 1 + len(messages) + ctx._sent + ctx._charged
     # The crashed worker lost its incoming queue for the current
     # superstep; restore it from the delivery log.
     log_now = store.message_log.get(superstep, {})

@@ -195,6 +195,16 @@ class RecoveryExhaustedError(BSPError, RuntimeError):
         self.attempts = attempts
 
 
+class SpillError(BSPError):
+    """The spill tier could not write or reload a lane.
+
+    Raised when writing a lane under ``memory_budget`` fails (a full
+    disk under ``spill_dir``, for one) and when a spilled record no
+    longer reads back whole.  The low-level error is chained as the
+    cause; the run's spill files are removed before it propagates.
+    """
+
+
 class BenchmarkError(ReproError):
     """Base class for errors raised by the benchmark core."""
 

@@ -32,14 +32,18 @@ round-robin layout the committed bench baselines were produced with.
 
 from __future__ import annotations
 
+import operator
 import zlib
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from typing import (
     Callable,
     Dict,
     Hashable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -224,68 +228,98 @@ def build_dense_index(workers: Sequence) -> DenseIndex:
     )
 
 
-def snapshot_adjacency(snapshot, id_of, owner_of, start: int, stop: int):
-    """Compile the dense adjacency of dense range ``[start, stop)``
-    straight from a snapshot's CSR columns.
+class Adjacency(NamedTuple):
+    """The dense adjacency of a run of dense positions, as columns.
 
-    Row positions are permuted to dense indices with one flat table
-    instead of hashing every target id.  Row order equals the
-    ``out_edges`` insertion order by construction (vertex states are
-    built from the same ``out_edge_items`` rows), so the result is
-    identical to walking ``out_edges`` through ``idx_of``.  Returns
-    ``(dense_out, remote_out)`` rows for the range, in order.
+    Position ``i``'s row of target dense indices is
+    ``out_dst[out_start[i]:out_start[i + 1]]`` and ``remote_out[i]``
+    counts its targets owned by another worker.  A vertex with a
+    dangling out-edge (a target with no state) is listed in
+    ``dangling`` with an empty row: the generic per-target send loop
+    must run for it, so the send raises on the unknown target.  Three
+    ``array('q')`` columns and one set, whatever the number of
+    vertices: nothing per row for the cyclic collector to track.
     """
-    positions = [snapshot.position_of(vid) for vid in id_of]
-    perm = [0] * len(positions)
-    for idx, p in enumerate(positions):
-        perm[p] = idx
-    dense_out: List[List[int]] = []
-    remote_out: List[int] = []
-    for idx in range(start, stop):
-        src = owner_of[idx]
-        nbrs = [perm[q] for q in snapshot.out_row_positions(positions[idx])]
-        dense_out.append(nbrs)
-        remote_out.append(len([j for j in nbrs if owner_of[j] != src]))
-    return dense_out, remote_out
+
+    out_start: array
+    out_dst: array
+    remote_out: array
+    dangling: frozenset
+
+    def rows(self, start: int, stop: int) -> "Adjacency":
+        """Positions ``[start, stop)`` as an adjacency of their own,
+        indexed from 0 (target indices stay global)."""
+        lo, hi = self.out_start[start], self.out_start[stop]
+        return Adjacency(
+            array("q", map(lo.__rsub__, self.out_start[start:stop + 1])),
+            self.out_dst[lo:hi],
+            self.remote_out[start:stop],
+            frozenset(p - start for p in self.dangling if start <= p < stop),
+        )
 
 
-def dense_adjacency(states, dense: DenseIndex, snapshot=None):
-    """Compile the dense adjacency of ``states`` (``dense`` order):
-    ``(dense_out, remote_out)``, a row of target indices and its count
-    of targets on other workers per vertex.
+_OUT_EDGES = operator.attrgetter("out_edges")
+
+
+def dense_adjacency(states, dense: DenseIndex, snapshot=None) -> Adjacency:
+    """Compile the dense adjacency of ``states`` (``dense`` order).
 
     With ``snapshot`` — the graph snapshot the states were just built
-    from — the rows come straight off its CSR columns
-    (:func:`snapshot_adjacency`); otherwise from the live
-    ``out_edges``, where a vertex with a dangling out-edge (no
-    matching state) gets a ``None`` row and falls back to the generic
-    per-target send loop, which raises on the unknown target."""
+    from — the rows come straight off its CSR columns, row positions
+    permuted to dense indices with one flat table instead of hashing
+    every target id (row order equals the ``out_edges`` insertion
+    order by construction: the states were built from the same
+    ``out_edge_items`` rows).  Otherwise they come from the live
+    ``out_edges``, where a target with no state makes the row
+    dangling.  Every column is built by C-level passes over all rows
+    at once; only a dangling row takes a per-row path."""
     idx_of, owner_of = dense.idx_of, dense.owner_of
+    positions = None
     if snapshot is not None:
         try:
-            return snapshot_adjacency(
-                snapshot, dense.id_of, owner_of, 0, len(states)
-            )
+            positions = [snapshot.position_of(vid) for vid in dense.id_of]
         except VertexNotFoundError:  # pragma: no cover - defensive
             pass
-    dense_out: List[Optional[List[int]]] = [None] * len(states)
-    remote_out = [0] * len(states)
-    for idx, state in enumerate(states):
-        src = owner_of[idx]
-        nbrs: Optional[List[int]] = []
-        remote = 0
-        for target in state.out_edges:
-            j = idx_of.get(target)
-            if j is None:
-                nbrs = None
-                break
-            nbrs.append(j)
-            if owner_of[j] != src:
-                remote += 1
-        if nbrs is not None:
-            dense_out[idx] = nbrs
-            remote_out[idx] = remote
-    return dense_out, remote_out
+    if positions is not None:
+        perm = [0] * len(positions)
+        for idx, p in enumerate(positions):
+            perm[p] = idx
+        row_of = snapshot.out_row_positions
+        lens = list(map(len, map(row_of, positions)))
+        targets = map(
+            perm.__getitem__, chain.from_iterable(map(row_of, positions))
+        )
+    else:
+        lens = list(map(len, map(_OUT_EDGES, states)))
+        targets = map(idx_of.get, chain.from_iterable(map(_OUT_EDGES, states)))
+    flat = list(targets)
+    dangling = frozenset()
+    try:
+        out_dst = array("q", flat)
+    except TypeError:  # a target with no state: its row compiles empty
+        rows = [list(map(idx_of.get, s.out_edges)) for s in states]
+        dangling = frozenset(i for i, row in enumerate(rows) if None in row)
+        for i in dangling:
+            rows[i] = []
+        lens = list(map(len, rows))
+        flat = list(chain.from_iterable(rows))
+        out_dst = array("q", flat)
+    out_start = array("q", accumulate(lens, initial=0))
+    # One flag byte per target owned by another worker than its source
+    # (a worker's rows are one contiguous run); a row's remote count is
+    # the flags set in its span.
+    crossed = b"".join(
+        bytes(map(
+            operator.ne,
+            map(owner_of.__getitem__, flat[out_start[a]:out_start[b]]),
+            repeat(worker),
+        ))
+        for worker, (a, b) in enumerate(dense.ranges)
+    )
+    remote_out = array("q", map(
+        crossed.count, repeat(1), out_start[:-1], out_start[1:]
+    ))
+    return Adjacency(out_start, out_dst, remote_out, dangling)
 
 
 def _undirected_neighbors(graph: Graph, vertex: Hashable) -> List[Hashable]:

@@ -146,16 +146,16 @@ class TestBasicSemantics:
             run_program(path_graph(2), Bad())
 
     def test_engine_enqueue_rejects_unknown_target(self):
-        # The engine-level guard (not just the context-level one):
-        # a raw _enqueue to a nonexistent vertex must raise the
-        # dedicated error, never a bare KeyError.
+        # The lane-level guard (not just the context-level one): a
+        # raw send through the pair the engine bound its context to
+        # must raise the dedicated error, never a bare KeyError.
         class Quiet(VertexProgram):
             def compute(self, v, msgs, ctx):
                 v.vote_to_halt()
 
         engine = PregelEngine(path_graph(3), Quiet())
         with pytest.raises(MessageToUnknownVertexError) as err:
-            engine._enqueue(0, "ghost", "boo")
+            engine._ctx._enqueue(0, "ghost", "boo")
         assert err.value.target == "ghost"
 
     def test_initial_value_hook(self):

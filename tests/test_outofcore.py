@@ -12,6 +12,7 @@ the informational peak-RSS fields.
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
 
@@ -28,9 +29,11 @@ from repro.bsp import (
     create_engine,
     run_program,
 )
+from repro.bsp import fabric as fabric_module
+from repro.bsp.fabric import MessageFabric
 from repro.bsp.parallel import ParallelPregelEngine
 from repro.core.report import format_trace_report
-from repro.errors import SuperstepLimitExceeded
+from repro.errors import BSPError, SpillError, SuperstepLimitExceeded
 from repro.graph import barabasi_albert_graph, erdos_renyi_graph
 from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.stats import peak_rss_bytes
@@ -137,6 +140,64 @@ class TestBudgetSemantics:
         )
         assert engine._fabric.spilled_lanes == 0
         assert digest(budgeted) == digest(base)
+
+
+class TestSpillResourceExhaustion:
+    """A spill that cannot be written or read back raises a typed
+    :class:`SpillError` (the I/O error chained) and leaves no lane
+    file in an explicit ``spill_dir``."""
+
+    def _run(self, spill_dir):
+        return run(
+            GRAPH,
+            PageRank(num_supersteps=4),
+            combiner=SumCombiner(),
+            memory_budget=1,
+            spill_dir=str(spill_dir),
+        )
+
+    def test_disk_full_mid_write(self, tmp_path, monkeypatch):
+        real_dump = pickle.dump
+        written = []
+
+        def fill_the_disk(obj, fh, *args):
+            # The first lane spills whole; the second writes a few
+            # bytes, then the disk is full.
+            written.append(fh.name)
+            if len(written) == 1:
+                return real_dump(obj, fh, *args)
+            fh.write(b"\x80\x05partial")
+            fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(fabric_module.pickle, "dump", fill_the_disk)
+        spill_dir = tmp_path / "spill"
+        with pytest.raises(SpillError) as err:
+            self._run(spill_dir)
+        assert isinstance(err.value, BSPError)
+        assert err.value.__cause__.errno == errno.ENOSPC
+        assert len(written) == 2
+        assert os.listdir(spill_dir) == []
+
+    def test_truncated_record(self, tmp_path, monkeypatch):
+        reload = MessageFabric._reload_spilled
+
+        def truncate_then_reload(fabric):
+            path = min(fabric._spilled.values())
+            with open(path, "r+b") as fh:
+                fh.truncate(5)
+            reload(fabric)
+
+        monkeypatch.setattr(
+            MessageFabric, "_reload_spilled", truncate_then_reload
+        )
+        spill_dir = tmp_path / "spill"
+        with pytest.raises(SpillError) as err:
+            self._run(spill_dir)
+        assert isinstance(
+            err.value.__cause__, (EOFError, pickle.UnpicklingError)
+        )
+        assert os.listdir(spill_dir) == []
 
 
 class TestPeakRss:

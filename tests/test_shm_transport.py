@@ -32,6 +32,7 @@ from repro.bsp.shm_transport import (
 from repro.bsp.worker import Worker
 from repro.graph import barabasi_albert_graph, erdos_renyi_graph
 from tests.conftest import WORKLOADS, shared_memory_unavailable
+from tests.scatter_reference import adjacency_of
 from tests.test_differential_fuzz import canonical
 
 
@@ -234,7 +235,7 @@ def _lane(combiner):
     worker = Worker(0)
     worker.range_start, worker.range_stop = 0, NUM_SLOTS
     return DenseLane(
-        worker, 0, [], None, [], [],
+        worker, 0, [], None, adjacency_of([]),
         {i: i for i in range(NUM_SLOTS)}, [0] * NUM_SLOTS, combiner,
     )
 
@@ -326,8 +327,9 @@ _SENDS = st.one_of(
 @given(sends=_SENDS)
 def test_lane_record_round_trips_every_carrier(carry, combiner, sends):
     lane = _lane(combiner)
+    enqueue, _fanout = lane.sends()
     for dst, message in sends:
-        lane.enqueue(None, dst, message)
+        enqueue(None, dst, message)
     before = _slots(lane)
     assert list(before) == sorted(set(lane.touched))
     held = [lane.acc[d] for d in lane.touched]

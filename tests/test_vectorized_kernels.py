@@ -57,6 +57,7 @@ from repro.graph import erdos_renyi_graph
 from repro.graph.graph import Graph
 from repro.trace.recorder import TraceRecorder
 from tests.conftest import assert_held_to_oracle, oracle_result
+from tests.scatter_reference import adjacency_of
 
 #: Every workload with a registered vectorized kernel, with its
 #: natural combiner class.
@@ -402,9 +403,8 @@ def test_scatter_combined_is_bit_exact_on_edge_floats(combine):
     shares = [
         EDGE_FLOATS[i % len(EDGE_FLOATS)] for i in range(n_senders)
     ]
-    remote_out = [0] * n_senders
     lane = kernels._compile_scatter_lane(
-        0, n_senders, dense_out, remote_out
+        0, n_senders, adjacency_of(dense_out)
     )
     assert lane is not None
     assert lane.m_dst and lane.groups and len(lane.s_dst), (
@@ -427,7 +427,7 @@ def test_scatter_combined_preserves_negative_zero():
     # A fold seeded with a literal 0.0 would turn (-0.0) + (-0.0)
     # into +0.0; the kernels must seed with the first message itself.
     dense_out = [[0], [0]]
-    lane = kernels._compile_scatter_lane(0, 2, dense_out, [0, 0])
+    lane = kernels._compile_scatter_lane(0, 2, adjacency_of(dense_out))
     acc = [None]
     cnt = array("q", [0])
     kernels._scatter_combined(
@@ -444,7 +444,7 @@ def test_scatter_lists_matches_arrival_order_with_fresh_buckets():
         EDGE_FLOATS[i % len(EDGE_FLOATS)] for i in range(n_senders)
     ]
     lane = kernels._compile_scatter_lane(
-        0, n_senders, dense_out, [0] * n_senders
+        0, n_senders, adjacency_of(dense_out)
     )
     acc = [None] * 7
     kernels._scatter_lists(lane, shares, acc)
@@ -608,7 +608,7 @@ def test_monkeypatch_seams_are_the_live_code_paths(monkeypatch):
     # A 3-contributor destination is grouped (<= _GROUP_MAX) and must
     # fire the group seam.
     grouped = kernels._compile_scatter_lane(
-        0, 3, [[0], [0], [0]], [0, 0, 0]
+        0, 3, adjacency_of([[0], [0], [0]])
     )
     assert grouped.groups and not len(grouped.m_dst)
     acc, cnt = [None], array("q", [0])
@@ -621,7 +621,7 @@ def test_monkeypatch_seams_are_the_live_code_paths(monkeypatch):
     # folder seam instead.
     calls.clear()
     n = kernels._GROUP_MAX + 1
-    fat = kernels._compile_scatter_lane(0, n, [[0]] * n, [0] * n)
+    fat = kernels._compile_scatter_lane(0, n, adjacency_of([[0]] * n))
     assert len(fat.m_dst) and not fat.groups
     acc, cnt = [None], array("q", [0])
     kernels._scatter_combined(
