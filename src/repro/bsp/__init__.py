@@ -29,7 +29,6 @@ from repro.bsp.context import ComputeContext, MasterContext
 from repro.bsp.durability import (
     DurableCheckpointStore,
     config_fingerprint,
-    graph_signature,
     open_durable_store,
 )
 from repro.bsp.fabric import MessageFabric
@@ -93,7 +92,6 @@ __all__ = [
     "restore_checkpoint",
     "DurableCheckpointStore",
     "config_fingerprint",
-    "graph_signature",
     "open_durable_store",
     "CrashFault",
     "DeliveryFaults",

@@ -9,7 +9,7 @@ fault-tolerance story: recovery cost, not steady-state speed, decides
 whether a long iterative job is usable (Ammar & Özsu treat
 fault-handling behavior as a first-class differentiator).
 
-On-disk format (version 3)
+On-disk format (version 4)
 --------------------------
 A checkpoint directory holds one JSON manifest plus one binary record
 per retained checkpoint::
@@ -28,7 +28,7 @@ and does not grow with the edge count: the resuming engine re-derives
 the baseline from the graph it is handed, and the fingerprint (below)
 guarantees that graph lays the columns out identically.  An older
 directory (version 1: edge-map copies; 2: the plane in records and
-fingerprint) is refused,
+fingerprint; 3: a fingerprint over the sorted edge walk) is refused,
 resuming or not, with a ``CheckpointError`` naming the version.
 
 Every write is atomic: the bytes go to a temp file in the same
@@ -48,18 +48,18 @@ raw pickle tracebacks never escape.
 
 Config fingerprint
 ------------------
-The manifest carries a fingerprint of everything that shapes the
-deterministic execution: the graph structure, the program's class and
-constructor state, worker count, seed, checkpoint interval, recovery
-budget, recovery mode, BPPA tracking, the combiner/partitioner/
-cost-model configuration, and the fault plan.
-It is **order-sensitive, because execution is**: besides the sorted
-structure digest (:func:`graph_signature`) it folds in a CRC of the
-baseline — vertex ids in ``states`` order, edge rows in iteration
-order with weights.  Vertex order is what a record's columns align to
-and adjacency order is the send order, so a graph with the same
-content in another insertion order is another run.  Resuming against
-a directory whose fingerprint differs raises
+The manifest carries one SHA-256 over everything that shapes the
+deterministic execution: the program's class and constructor state,
+worker count, seed, checkpoint interval, recovery budget, recovery
+mode, BPPA tracking, the combiner/partitioner/cost-model
+configuration, the fault plan, and the graph — its counters and the
+columns of the baseline the engine froze, each read once (nothing
+here walks the graph's edges).  It is **order-sensitive, because
+execution is**: vertex order is what a record's columns align to and
+adjacency order is the send order.  Edge labels are *not* covered: a
+label reaches a run only through ``initial_value`` at construction,
+and a resume overwrites every value from the record.  Resuming
+against a directory whose fingerprint differs raises
 :class:`~repro.errors.FingerprintMismatchError` instead of silently
 mixing incompatible state.  Three knobs are deliberately *excluded*:
 
@@ -99,6 +99,7 @@ import zlib
 from typing import Any, List, Optional, Tuple
 
 from repro.bsp.checkpoint import CheckpointStore, restore_checkpoint
+from repro.bsp.shm_transport import typed_column
 from repro.errors import (
     CheckpointCorruptionError,
     CheckpointError,
@@ -106,7 +107,7 @@ from repro.errors import (
 )
 
 #: Version of the on-disk layout; bumped on incompatible changes.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 MANIFEST_NAME = "MANIFEST.json"
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -177,31 +178,23 @@ def _object_signature(obj: Any) -> str:
     return f"{cls.__module__}.{cls.__qualname__}({inner})"
 
 
-def graph_signature(graph) -> str:
-    """Structure digest of a graph: counts plus a CRC-32 over the
-    canonically-sorted vertex and edge descriptions."""
-    # One CRC per sorted list: the chained CRC-32 of the pieces is the
-    # CRC-32 of their concatenation.
-    crc = 0
-    for descriptions in (
-        [f"v:{v!r}" for v in graph.vertices()],
-        [
-            f"e:{u!r}->{v!r}:{d.weight!r}:{d.label!r}"
-            for u, v, d in graph.edges(data=True)
-        ],
-    ):
-        descriptions.sort()
-        crc = zlib.crc32("".join(descriptions).encode("utf-8"), crc)
-    return (
-        f"graph(n={graph.num_vertices},m={graph.num_edges},"
-        f"directed={graph.directed},crc={crc & 0xFFFFFFFF:08x})"
-    )
+def _column_bytes(column) -> Tuple[str, Any]:
+    """A baseline column as ``(tag, bytes-like)``: ``bytes`` as they
+    are, a conforming column as its typed array under its typecode,
+    any other as its canonical ``repr``."""
+    if isinstance(column, bytes):
+        return "bytes", column
+    typed = typed_column(column)
+    if typed is column:
+        return "repr", repr(column).encode("utf-8")
+    return typed.typecode, typed
 
 
 def config_fingerprint(
     graph,
     program,
     *,
+    baseline,
     num_workers: int,
     seed: Optional[int],
     checkpoint_interval: Optional[int],
@@ -212,22 +205,21 @@ def config_fingerprint(
     partitioner,
     cost_model,
     fault_plan,
-    baseline=None,
 ) -> str:
     """Fingerprint the (graph, program, engine-config) tuple.
 
     Everything that shapes deterministic execution is folded in; the
     backend and plane, the transport and ``max_supersteps`` are
     deliberately excluded (see the module docstring).  ``baseline`` is
-    the engine's frozen ``TopologySnapshot``: its CRC pins the vertex
-    and adjacency order a record's columns are aligned to.  Uses
-    SHA-256 over canonical ``repr`` strings, so the result is
-    independent of ``PYTHONHASHSEED``.
+    the engine's frozen ``TopologySnapshot``; each of its columns goes
+    in as tagged raw or typed-array bytes, or as its canonical
+    ``repr`` when it does not conform, so the result is independent of
+    ``PYTHONHASHSEED``.
     """
     parts = [
         f"format={FORMAT_VERSION}",
-        graph_signature(graph),
-        f"order={zlib.crc32(repr(baseline).encode('utf-8')):08x}",
+        f"graph(n={graph.num_vertices},m={graph.num_edges},"
+        f"directed={graph.directed})",
         f"program={_object_signature(program)}",
         f"program_name={getattr(program, 'name', '')!r}",
         f"num_workers={num_workers}",
@@ -242,6 +234,9 @@ def config_fingerprint(
         f"fault_plan={fault_plan!r}",
     ]
     digest = hashlib.sha256("|".join(parts).encode("utf-8"))
+    for tag, data in map(_column_bytes, baseline):
+        digest.update(f"|{tag}:{memoryview(data).nbytes}:".encode())
+        digest.update(data)
     return digest.hexdigest()[:16]
 
 
@@ -380,8 +375,10 @@ class DurableCheckpointStore(CheckpointStore):
             ) from exc
 
     def _write_manifest(self, manifest: dict) -> None:
-        """Write ``manifest`` and, once it is on disk, adopt it."""
-        payload = json.dumps(manifest, indent=2, sort_keys=True)
+        """Write ``manifest`` and, once it is on disk, adopt it.
+        Compact: ``indent`` would pick the pure-Python encoder, which
+        leaves cyclic garbage behind every write."""
+        payload = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
         self._write(MANIFEST_NAME, payload.encode("utf-8"))
         self._manifest = manifest
 

@@ -74,6 +74,7 @@ import threading
 import time
 import weakref
 from array import array
+from contextlib import suppress
 from functools import cached_property
 from itertools import repeat
 from multiprocessing import connection as mp_connection
@@ -485,14 +486,23 @@ class _WorkerLink:
     def __init__(self, mp_ctx, rank: int):
         self.rank = rank
         self.conn, child_conn = mp_ctx.Pipe()
-        self.process = mp_ctx.Process(
-            target=_worker_main,
-            args=(rank, child_conn, RANK_HEARTBEAT_INTERVAL),
-            daemon=True,
-            name=f"repro-bsp-worker-{rank}",
-        )
-        self.process.start()
-        child_conn.close()
+        with child_conn:
+            try:
+                self.process = mp_ctx.Process(
+                    target=_worker_main,
+                    args=(rank, child_conn, RANK_HEARTBEAT_INTERVAL),
+                    daemon=True,
+                    name=f"repro-bsp-worker-{rank}",
+                )
+                # A fork start leaks its first pipe if the second fails
+                # (EMFILE): claim two first, so such a start fails here.
+                pipes = mp_connection.Pipe(False) + mp_connection.Pipe(False)
+                for end in pipes:
+                    end.close()
+                self.process.start()
+            except BaseException:
+                self.conn.close()
+                raise
 
     @property
     def alive(self) -> bool:
@@ -503,35 +513,25 @@ class _WorkerLink:
         exited shortly after — hung in compute, or ignoring signals —
         escalate to SIGKILL, so nothing survives ``kill()``."""
         process = self.process
-        try:
+        with suppress(Exception):
             process.terminate()
             process.join(timeout=2)
             if process.is_alive():
                 process.kill()
                 process.join(timeout=5)
-        except Exception:
-            pass
-        try:
+        with suppress(Exception):
             self.conn.close()
-        except Exception:
-            pass
 
     def stop(self) -> None:
-        try:
+        with suppress(Exception):
             _send_msg(self.conn, ("stop",))
-        except Exception:
-            pass
-        try:
+        with suppress(Exception):
             self.process.join(timeout=1)
-        except Exception:
-            pass
         if self.process.is_alive():
             self.kill()
         else:
-            try:
+            with suppress(Exception):
                 self.conn.close()
-            except Exception:
-                pass
 
 
 class _RankFailure(Exception):

@@ -161,8 +161,6 @@ def _unlink_by_name(name: str) -> bool:
             seg = shared_memory.SharedMemory(name=name)
             seg.close()
             seg.unlink()
-    except FileNotFoundError:
-        return False
     except OSError:
         return False
     return True
@@ -237,9 +235,19 @@ class ColumnarSegment:
             global _ATEXIT_REGISTERED
             self.name = _segment_name()
             self.owner = True
-            self._shm = shared_memory.SharedMemory(
-                name=self.name, create=True, size=self.size
-            )
+            # Registered by hand: the stdlib registers after creating
+            # the name and, when that fails (EMFILE starting the
+            # tracker), leaves the name behind for good.
+            with _suppressed_tracking():
+                self._shm = shared_memory.SharedMemory(
+                    name=self.name, create=True, size=self.size
+                )
+            try:
+                resource_tracker.register(self._shm._name, "shared_memory")
+            except BaseException:
+                with _suppressed_tracking():
+                    self.destroy()
+                raise
             _LIVE_SEGMENT_NAMES.add(self.name)
             if not _ATEXIT_REGISTERED:
                 atexit.register(_unlink_registered_segments)
@@ -308,21 +316,15 @@ class ColumnarSegment:
         if self._closed:
             return
         self._closed = True
-        try:
+        with contextlib.suppress(Exception):
             self._shm.close()
-        except Exception:
-            pass
 
     def unlink(self) -> None:
         """Remove the backing object (idempotent; attachment views of
         other processes survive until they close)."""
         _LIVE_SEGMENT_NAMES.discard(self.name)
-        try:
+        with contextlib.suppress(OSError):
             self._shm.unlink()
-        except FileNotFoundError:
-            pass
-        except OSError:
-            pass
 
     def destroy(self) -> None:
         """Close and unlink — every coordinator teardown route, and
@@ -349,8 +351,7 @@ def sweep_leaked_segments() -> List[str]:
     for name in names:
         if not name.startswith(SEG_PREFIX):
             continue
-        tail = name[len(SEG_PREFIX) :]
-        pid_hex = tail.split("_", 1)[0]
+        pid_hex = name[len(SEG_PREFIX) :].split("_", 1)[0]
         try:
             pid = int(pid_hex, 16)
         except ValueError:
@@ -361,11 +362,9 @@ def sweep_leaked_segments() -> List[str]:
             os.kill(pid, 0)
             continue  # creator alive: not leaked
         except ProcessLookupError:
-            pass
-        except PermissionError:
-            continue  # alive, someone else's
+            pass  # creator dead: leaked
         except OSError:
-            continue
+            continue  # alive and someone else's, or unknowable
         if _unlink_by_name(name):
             removed.append(name)
     return removed

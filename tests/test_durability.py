@@ -17,9 +17,12 @@ Three layers of coverage:
   error that leaves the directory resumable;
 * the columnar record — no topology data in a record of an unmutated
   run, a topology-carrying record after a mutation, a fingerprint
-  that pins vertex and adjacency order, and (version 3) nothing about
-  the execution plane: the oracle's directory resumes on the dense
-  plane and the reverse.
+  that pins vertex and adjacency order, and nothing about the
+  execution plane;
+* the fingerprint (version 4) — one pass over the frozen baseline's
+  columns: pinned values, weight types and signs told apart, edge
+  labels and ``PYTHONHASHSEED`` ignored, the graph's edges never
+  walked.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ from repro.bsp.durability import (
     DurableCheckpointStore,
     atomic_write,
     config_fingerprint,
-    graph_signature,
     open_durable_store,
 )
 from repro.bsp.engine import PregelEngine, run_program
+from repro.bsp.state import StateStore
 from repro.bsp.faults import chaos_plan
 from repro.core.chaos import (
     bitflip_file,
@@ -63,6 +66,7 @@ from repro.errors import (
 )
 from repro.graph import Graph
 from repro.graph.generators import erdos_renyi_graph
+from repro.graph.partition import HashPartitioner
 
 GRAPH = erdos_renyi_graph(30, 0.15, seed=7, directed=True)
 
@@ -219,7 +223,7 @@ class TestCorruptionMatrix:
         # Version 2 records carried ``fast_active`` and fingerprinted
         # ``use_fast_path``: typed refusal, never an unpickling
         # traceback or a fingerprint mismatch.
-        assert FORMAT_VERSION == 3
+        assert FORMAT_VERSION == 4
         _fill(_store(tmp_path), 2)
         manifest = json.loads(
             (tmp_path / MANIFEST_NAME).read_text()
@@ -228,6 +232,26 @@ class TestCorruptionMatrix:
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(
             CheckpointError, match="format version 2;"
+        ) as info:
+            open_durable_store(str(tmp_path), "another-fp", resume)
+        assert not isinstance(info.value, FingerprintMismatchError)
+        assert len(_ckpt_files(tmp_path)) == 2
+
+    @pytest.mark.parametrize("resume", [True, False, "auto"])
+    def test_version_3_directory_is_refused_by_name(
+        self, tmp_path, resume
+    ):
+        # Version 3 fingerprinted a sorted walk of the graph's edges,
+        # labels included: its fingerprints can never match, so the
+        # refusal names the version instead of a fingerprint mismatch.
+        _fill(_store(tmp_path), 2)
+        manifest = json.loads(
+            (tmp_path / MANIFEST_NAME).read_text()
+        )
+        manifest["format_version"] = 3
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(
+            CheckpointError, match="format version 3;"
         ) as info:
             open_durable_store(str(tmp_path), "another-fp", resume)
         assert not isinstance(info.value, FingerprintMismatchError)
@@ -272,6 +296,17 @@ class TestCorruptionMatrix:
             open_durable_store(
                 str(tmp_path), "feedfacefeedface", "auto"
             )
+
+
+def _relabelled(graph, label_of) -> Graph:
+    """``graph`` rebuilt in the same vertex and edge order, edge ``i``
+    labelled ``label_of(i)``."""
+    copy = Graph(directed=graph.directed)
+    for v in graph.vertices():
+        copy.add_vertex(v)
+    for i, (u, v, data) in enumerate(graph.edges(data=True)):
+        copy.add_edge(u, v, weight=data.weight, label=label_of(i))
+    return copy
 
 
 class _CountingPageRank(PageRank):
@@ -379,6 +414,33 @@ class TestEngineResume:
             PageRank(num_supersteps=10),
             fault_plan=chaos_plan(crash_superstep=3, seed=5),
             checkpoint_dir=directory,
+            resume=True,
+        ).run()
+        assert canonical_result(resumed) == canonical_result(
+            baseline
+        )
+
+    def test_label_only_difference_resumes_byte_identical(
+        self, tmp_path
+    ):
+        # Labels reach a run only through ``initial_value`` and a
+        # resume overwrites every value: they are not fingerprinted.
+        directory = str(tmp_path / "ck")
+        labelled = _relabelled(GRAPH, lambda i: f"a{i}")
+        baseline = PregelEngine(
+            labelled, PageRank(num_supersteps=8), num_workers=3,
+            seed=11, checkpoint_interval=2,
+        ).run()
+        with pytest.raises(SuperstepLimitExceeded):
+            PregelEngine(
+                labelled, PageRank(num_supersteps=8), num_workers=3,
+                seed=11, checkpoint_interval=2,
+                checkpoint_dir=directory, max_supersteps=5,
+            ).run()
+        resumed = PregelEngine(
+            _relabelled(GRAPH, lambda i: ("b", i)),
+            PageRank(num_supersteps=8), num_workers=3, seed=11,
+            checkpoint_interval=2, checkpoint_dir=directory,
             resume=True,
         ).run()
         assert canonical_result(resumed) == canonical_result(
@@ -733,6 +795,11 @@ class TestColumnarRecord:
                 graph.add_edge(u, v)
             return graph
 
+        def content(graph):
+            return sorted(graph.vertices()), sorted(
+                (u, v, d.weight) for u, v, d in graph.edges(data=True)
+            )
+
         def engine(graph, **kwargs):
             return PregelEngine(
                 graph,
@@ -749,8 +816,8 @@ class TestColumnarRecord:
             rebuilt(vertices[::-1], edges),  # column alignment
             rebuilt(vertices, edges[::-1]),  # send order
         ):
-            # Same content: the sorted structure digest cannot tell.
-            assert graph_signature(permuted) == graph_signature(GRAPH)
+            # Same content, only the insertion order differs.
+            assert content(permuted) == content(GRAPH)
             with pytest.raises(FingerprintMismatchError):
                 engine(permuted, resume=True)
         # The same insertion order is the same run.
@@ -758,26 +825,75 @@ class TestColumnarRecord:
         assert resumed.num_supersteps == 9
 
 
+def _baseline(graph, num_workers=3):
+    """The topology baseline an engine over ``graph`` freezes."""
+    store = StateStore(
+        graph, PageRank(), HashPartitioner(num_workers), num_workers
+    )
+    store.freeze_baseline()
+    return store.baseline
+
+
+def _fingerprint(graph, **overrides) -> str:
+    kwargs = dict(
+        num_workers=3,
+        seed=11,
+        checkpoint_interval=2,
+        max_recovery_attempts=2,
+        confined_recovery=False,
+        track_bppa=False,
+        combiner=None,
+        partitioner=None,
+        cost_model=None,
+        fault_plan=None,
+    )
+    program = overrides.pop("program", PageRank(num_supersteps=8))
+    kwargs.update(overrides)
+    kwargs.setdefault("baseline", _baseline(graph, kwargs["num_workers"]))
+    return config_fingerprint(graph, program, **kwargs)
+
+
+def _pinned_graphs():
+    directed = Graph(directed=True)
+    directed.add_vertex("a", label="root")
+    directed.add_edge("a", "b", weight=2.5, label="x")
+    directed.add_edge("b", "c", weight=1.0)
+    directed.add_edge("c", "a", weight=-0.5, label=("t", 1))
+    directed.add_edge("a", "a", weight=3)
+    directed.add_vertex(7)
+    undirected = Graph()
+    undirected.add_edge(1, 2, weight=0.25, label="l12")
+    undirected.add_edge(2, 3)
+    undirected.add_edge(3, 1, weight=4.0, label=None)
+    undirected.add_edge(3, 3, weight=9.0, label="loop")
+    undirected.add_edge("s", 2, weight=1.5)
+    undirected.add_vertex((0, 1), label="iso")
+    return directed, undirected
+
+
+def _print_fingerprints():
+    """Runs in a fresh interpreter under a chosen ``PYTHONHASHSEED``
+    (see the test below): one line per graph of str and tuple ids."""
+    words = Graph(directed=True)
+    for i in range(40):
+        words.add_edge(f"v{i}", f"v{(i * 7) % 40}", weight=0.5 * i)
+    grid = Graph()
+    for r in range(6):
+        for c in range(6):
+            grid.add_edge((r, c), (r, (c + 1) % 6))
+            grid.add_edge((r, c), ((r + 1) % 6, c))
+    for graph in (words, grid, *_pinned_graphs()):
+        print(_fingerprint(graph))
+
+
+class _NoEdgeWalk(Graph):
+    def edges(self, data=False):
+        raise AssertionError("the fingerprint walked the edges")
+
+
 class TestFingerprint:
     def _fingerprint(self, **overrides):
-        kwargs = dict(
-            num_workers=3,
-            seed=11,
-            checkpoint_interval=2,
-            max_recovery_attempts=2,
-            confined_recovery=False,
-            track_bppa=False,
-            combiner=None,
-            partitioner=None,
-            cost_model=None,
-            fault_plan=None,
-        )
-        graph = overrides.pop("graph", GRAPH)
-        program = overrides.pop(
-            "program", PageRank(num_supersteps=8)
-        )
-        kwargs.update(overrides)
-        return config_fingerprint(graph, program, **kwargs)
+        return _fingerprint(overrides.pop("graph", GRAPH), **overrides)
 
     def test_stable_for_equal_configs(self):
         assert self._fingerprint() == self._fingerprint()
@@ -798,28 +914,69 @@ class TestFingerprint:
             self._fingerprint(fault_plan=chaos_plan(seed=1)) != base
         )
 
-    def test_graph_signature_values_are_pinned(self):
-        # Literal values computed by the per-description CRC loop this
-        # function replaced: one joined CRC per list is the same CRC.
-        directed = Graph(directed=True)
-        directed.add_vertex("a", label="root")
-        directed.add_edge("a", "b", weight=2.5, label="x")
-        directed.add_edge("b", "c", weight=1.0)
-        directed.add_edge("c", "a", weight=-0.5, label=("t", 1))
-        directed.add_edge("a", "a", weight=3)
-        directed.add_vertex(7)
-        assert graph_signature(directed) == (
-            "graph(n=4,m=4,directed=True,crc=3cfea744)"
+    def test_fingerprint_values_are_pinned(self):
+        # The graphs ``graph_signature`` was pinned on (format 3), at
+        # format 4: a change here is a format change.
+        directed, undirected = _pinned_graphs()
+        assert _fingerprint(directed) == "39b713bc5f9d5c3f"
+        assert _fingerprint(undirected) == "4032710a8df26292"
+
+    def test_labels_are_not_fingerprinted(self):
+        assert _fingerprint(_relabelled(GRAPH, str)) == _fingerprint(
+            _relabelled(GRAPH, lambda i: ("other", i))
         )
-        undirected = Graph()
-        undirected.add_edge(1, 2, weight=0.25, label="l12")
-        undirected.add_edge(2, 3)
-        undirected.add_edge(3, 1, weight=4.0, label=None)
-        undirected.add_edge(3, 3, weight=9.0, label="loop")
-        undirected.add_edge("s", 2, weight=1.5)
-        undirected.add_vertex((0, 1), label="iso")
-        assert graph_signature(undirected) == (
-            "graph(n=5,m=5,directed=False,crc=8c8b73cc)"
+
+    @pytest.mark.parametrize(
+        "one,other", [(1, 1.0), (0.0, -0.0), (True, 1)]
+    )
+    def test_equal_weights_of_another_type_or_sign_differ(
+        self, one, other
+    ):
+        def graph(weight):
+            g = Graph(directed=True)
+            g.add_edge(0, 1, weight=2.0)
+            g.add_edge(1, 2, weight=weight)
+            return g
+
+        assert one == other
+        assert _fingerprint(graph(one)) != _fingerprint(graph(other))
+
+    def test_independent_of_the_hash_seed(self):
+        root = os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__))
         )
-        # Each undirected edge is still described exactly once.
-        assert len(list(undirected.edges())) == undirected.num_edges
+        outputs = []
+        for hash_seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [os.path.join(root, "src"), root]
+            )
+            done = subprocess.run(
+                [
+                    sys.executable,
+                    "-c",
+                    "from tests.test_durability import "
+                    "_print_fingerprints; _print_fingerprints()",
+                ],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout.split())
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1]
+        directed, undirected = _pinned_graphs()
+        assert outputs[0][2:] == [
+            _fingerprint(directed), _fingerprint(undirected)
+        ]
+
+    def test_a_graph_whose_edge_walk_raises_still_fingerprints(self):
+        plain, walkless = Graph(directed=True), _NoEdgeWalk(directed=True)
+        for graph in (plain, walkless):
+            for u, v in GRAPH.edges():
+                graph.add_edge(u, v)
+        with pytest.raises(AssertionError):
+            list(walkless.edges())
+        assert _fingerprint(walkless) == _fingerprint(plain)

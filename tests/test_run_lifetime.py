@@ -7,10 +7,11 @@ binding) and hold no pointer back to their engine or a bound method
 of themselves.  Pinned here, without a clock:
 
 * **lifetime**: with the cyclic collector disabled, the engine — a
-  serial one or a parallel coordinator — is gone as soon as its last
-  reference drops, and a ``DEBUG_SAVEALL`` collection afterwards finds
-  nothing (a reference cycle would leave the whole run, vertex states
-  included, to a full collection);
+  serial one or a parallel coordinator, with or without durable
+  checkpoints — is gone as soon as its last reference drops, and a
+  ``DEBUG_SAVEALL`` collection afterwards finds nothing (a reference
+  cycle would leave the whole run, vertex states included, to a full
+  collection);
 * **no full collection**: one run on a held 20000-vertex
   Barabási–Albert graph triggers no generation-2 collection (the
   dense adjacency and the scatter plans are columns, so the run
@@ -113,6 +114,21 @@ def test_parallel_coordinator_is_freed_by_refcount(
     assert _leftovers(
         ba_graph, "parallel", make, num_workers, kwargs
     ) == (False, 0)
+
+
+@pytest.mark.parametrize("backend", ["serial", "parallel"])
+def test_durable_run_is_freed_by_refcount(ba_graph, tmp_path, backend):
+    # Every durable write rewrites the manifest: its encoding must
+    # leave no cycle behind either.
+    kwargs = {
+        "combiner": SumCombiner(),
+        "checkpoint_interval": 2,
+        "checkpoint_dir": str(tmp_path / "ck"),
+    }
+    assert _leftovers(
+        ba_graph, backend, lambda: PageRank(num_supersteps=10), 2, kwargs
+    ) == (False, 0)
+    assert len(os.listdir(tmp_path / "ck")) == 4  # manifest + 3 kept
 
 
 _FULL_COLLECTIONS = textwrap.dedent(

@@ -5,11 +5,15 @@ hygiene (``repro.bsp.shm_transport``, ``repro.bsp.fabric``)."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import pickle
 import struct
+import subprocess
+import sys
 import tempfile
+import textwrap
 from array import array
 
 import pytest
@@ -620,6 +624,89 @@ def test_clean_run_leaves_no_segments():
         transport="columnar",
     )
     assert set(_repro_segments()) == before
+
+
+_UNDER_FD_LIMIT = textwrap.dedent(
+    """
+    import json, os, resource
+    from multiprocessing import resource_tracker
+    from repro.algorithms.pagerank import PageRank
+    from repro.bsp import create_engine
+    from repro.graph import erdos_renyi_graph
+
+    def open_fds():
+        def is_open(fd):
+            try:
+                os.fstat(fd)
+            except OSError:
+                return False
+            return True
+        # The listing's own fd is closed by the time it is checked.
+        return set(filter(is_open, map(int, os.listdir("/proc/self/fd"))))
+
+    graph = erdos_renyi_graph(50, 0.1, seed=1)
+    make = lambda: PageRank(num_supersteps=3)
+    serial = create_engine(graph, make(), num_workers=2).run().values
+    prefix = f"repro_shm_{os.getpid():x}_"
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    report = []
+    for headroom in (2, 3, 4, 6, 8):
+        before = open_fds()
+        limit = len(before) + headroom
+        resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+        try:
+            engine = create_engine(
+                graph, make(), backend="parallel", num_workers=2
+            )
+            values = engine.run().values
+            reason = engine.parallel_disabled_reason
+            del engine
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        # A resource tracker started on the way keeps its pipe.
+        tracker = getattr(resource_tracker._resource_tracker, "_fd", None)
+        report.append({
+            "completed": values == serial,
+            "degraded": reason is not None,
+            "leaked_fds": sorted(open_fds() - before - {tracker}),
+            "segments": [
+                n for n in os.listdir("/dev/shm") if n.startswith(prefix)
+            ],
+        })
+    print(json.dumps(report))
+    """
+)
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd") or not os.path.isdir("/dev/shm"),
+    reason="needs /proc/self/fd and /dev/shm",
+)
+def test_pool_start_under_fd_limit_leaks_nothing():
+    # RLIMIT_NOFILE a few fds above what is open: the pool cannot
+    # start and the run degrades to serial.  Neither the segment
+    # (created, then refused by the resource tracker) nor a pipe of a
+    # half-started rank may outlive the attempt, in this process or
+    # (the segment) beyond it.
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "src",
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _UNDER_FD_LIMIT],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert len(report) == 5
+    for attempt in report:
+        assert attempt == {
+            "completed": True,
+            "degraded": True,
+            "leaked_fds": [],
+            "segments": [],
+        }, report
 
 
 def test_payload_bytes_exposed_per_superstep():
