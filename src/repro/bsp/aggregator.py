@@ -8,9 +8,21 @@ vertex in superstep ``S + 1`` (and to ``master_compute`` right after
 
 from __future__ import annotations
 
+import operator
+import sys
 from abc import ABC, abstractmethod
 from functools import reduce
 from typing import Any, Dict
+
+
+def _left_fold(values, start=0):
+    return reduce(operator.add, values, start)
+
+
+#: ``start + v0 + v1 + ...`` in that order: the program's ``total += m``
+#: loop.  That is ``sum`` itself before CPython 3.12; from 3.12 on
+#: ``sum`` compensates float rounding (gh-100425), so it is spelled out.
+left_sum = sum if sys.version_info < (3, 12) else _left_fold
 
 
 class Aggregator(ABC):
@@ -111,6 +123,6 @@ class AggregateSink:
         current = self.current
         aggregator = self.aggregators[name]
         if type(aggregator) is SumAggregator:
-            current[name] = sum(values, current[name])
+            current[name] = left_sum(values, current[name])
         else:
             current[name] = reduce(aggregator.reduce, values, current[name])

@@ -378,13 +378,13 @@ class PregelEngine:
     # ------------------------------------------------------------------
 
     def _post_restore_sync(self) -> None:
-        """Hook invoked after a recovery — a full rollback
-        (:func:`~repro.bsp.checkpoint.restore_checkpoint`) or a
-        confined replay — has rewritten the engine state.  The serial
-        engine needs nothing; the process-parallel backend overrides
-        this to push the restored partitions back out to its worker
-        processes (respawning any that were killed by an injected
-        crash)."""
+        """Hook invoked after a recovery (a full rollback or a
+        confined replay) has rewritten the engine state.  The parallel
+        backend re-initialises its ranks from it here."""
+
+    def _deliver(self, superstep: int, mutated: bool) -> int:
+        """Move the superstep's mail across the barrier."""
+        return self._fabric.deliver_fast(superstep, mutated)
 
     def _reindex(self) -> None:
         """End of a barrier that applied topology mutations: the
@@ -478,7 +478,7 @@ class PregelEngine:
 
         removed = apply_mutations(self)
         mutated = removed is not None
-        delivered = fabric.deliver_fast(superstep, mutated)
+        delivered = self._deliver(superstep, mutated)
         if removed:
             # The senders' charges for messages to removed vertices
             # were reversed during delivery; the ownership entries can

@@ -58,11 +58,11 @@ left for the cyclic garbage collector to promote and re-scan.
 
 Off its accumulator arrays a lane's slots have exactly one form,
 :class:`LaneRecord` — three columns over the dense slot index.  It is
-what a pool rank detaches and replies with, what the coordinator
-commits, what the spill tier sizes, writes and reloads, and (in the
-plain layout) what an inbound slot batch is; :meth:`DenseLane.detach`
-and :meth:`DenseLane.adopt` are the only code that moves slots between
-the two forms.
+what a pool rank detaches (grouped by owning rank) and replies with,
+what the coordinator holds, forwards and, delivering itself, adopts,
+what the spill tier sizes, writes and reloads, and what a rank's
+inbound batch is; :meth:`DenseLane.detach` and :meth:`DenseLane.adopt`
+move slots between the two forms.
 """
 
 from __future__ import annotations
@@ -489,6 +489,9 @@ class MessageFabric:
         self.in_count: Optional[List[int]] = None
         self.in_dirty: List[int] = []
         self.out_dirty: List[int] = []
+        #: Per source rank, the effect set whose records the parallel
+        #: backend holds off this inbox for the ranks to deliver.
+        self.held: Optional[list] = None
         #: One :class:`DenseLane` per worker, in worker order (the
         #: order delivery scans their accumulator arrays).
         self.lanes: Optional[List[DenseLane]] = None
@@ -526,22 +529,18 @@ class MessageFabric:
         compute pass is about to run (workers run sequentially)."""
         self._ctx._enqueue, self._ctx._fanout = lane.sends()
 
-    def flush_worker_sends(
-        self, lane: DenseLane, record: Optional[LaneRecord] = None
-    ) -> None:
+    def flush_worker_sends(self, lane: DenseLane) -> None:
         """Commit the finished worker's sends: record its first-touched
         destinations in the global dirty list.
 
-        The serial engine's lanes keep their slots resident in the
-        accumulators until delivery; the coordinator of the parallel
-        backend passes the ``record`` a rank detached from its lane
-        instead, which is adopted into this lane's (or spilled).
-        Runs once per worker per superstep, O(touched destinations).
-        Workers flush in index order, which is also global send
-        order, so ``out_dirty`` gets the destinations in first-send
-        order.
+        The lane's slots stay resident in its accumulators until
+        delivery (the parallel coordinator adopts a rank's records
+        into them first).  Runs once per worker per superstep,
+        O(touched destinations).  Workers flush in index order, which
+        is also global send order, so ``out_dirty`` gets the
+        destinations in first-send order.
         """
-        touched = lane.touched if record is None else record.touched
+        touched = lane.touched
         seen = self.slot_seen
         stamp = self.stamp
         dirty = self.out_dirty
@@ -550,10 +549,7 @@ class MessageFabric:
                 seen[dst] = stamp
                 dirty.append(dst)
         lane.touched = []
-        if self.memory_budget is not None and touched:
-            self.account_lane(lane.index, touched, record)
-        elif record is not None:
-            lane.adopt(record)
+        self.account_lane(lane.index, touched)
 
     # ------------------------------------------------------------------
     # Spill tier: byte-accounted lane eviction under a memory budget
@@ -571,22 +567,15 @@ class MessageFabric:
     # pickle otherwise — the same equality contract the parallel
     # backend's rank boundary relies on).
 
-    def account_lane(
-        self,
-        worker_index: int,
-        touched,
-        record: Optional[LaneRecord] = None,
-    ) -> None:
-        """Charge one worker's finished lane against the memory
-        budget, spilling it to disk when the budget is exceeded.
-        ``record`` is the lane as already detached (the one a rank
-        replied with); without it the ``touched`` slots are detached
-        here.  No-op without a budget or an empty lane."""
+    def account_lane(self, worker_index: int, touched) -> None:
+        """Charge one worker's finished lane — its ``touched`` slots,
+        detached — against the memory budget, spilling it to disk
+        when the budget is exceeded.  No-op without a budget or an
+        empty lane."""
         if self.memory_budget is None or not touched:
             return
         lane = self.lanes[worker_index]
-        if record is None:
-            record = lane.detach(touched)
+        record = lane.detach(touched)
         nbytes = record.nbytes
         if self._resident_bytes + nbytes <= self.memory_budget:
             self._resident_bytes += nbytes
@@ -720,10 +709,9 @@ class MessageFabric:
         self.in_dirty = []
 
     def rank_inbound(self, num_ranks: int) -> List[LaneRecord]:
-        """The dense inbox split by owning rank for the parallel
-        backend's dispatch: one plain-layout :class:`LaneRecord` per
-        rank, in delivery order (``in_dirty``), which is the order the
-        serial dense pass would consume the same messages."""
+        """The dense inbox split by owning rank, for a parallel step
+        after coordinator delivery: one plain-layout :class:`LaneRecord`
+        per rank, in delivery order (``in_dirty``)."""
         owner_of = self.dense.owner_of
         msgs, in_start, in_count = self.in_msgs, self.in_start, self.in_count
         parts = [([], [], []) for _ in range(num_ranks)]

@@ -20,15 +20,14 @@ Everything on the dense path — :func:`dense_compute_pass` and every
 vectorized kernel's ``run`` — executes one lane and is handed a
 *host*: the object owning the lane's run-scoped collaborators
 (``_program``, ``_ctx``, ``_tracker``, ``num_vertices``,
-``_agg_sink``).  There are exactly two hosts.  The serial
-engine loops its workers' lanes in index order
-(:func:`fast_compute_pass`); a pool rank of the parallel backend
-(:mod:`repro.bsp.parallel`) runs its single lane
-(:func:`lane_compute_pass`).  What differs between them is
-bookkeeping only, kept at the two call sites: the engine folds
-aggregate contributions and feeds the live tracker where a rank logs
-both for the coordinator to replay, and the engine commits a lane's
-touched destinations to ``out_dirty`` where a rank ships them.
+``_agg_sink``).  There are exactly two hosts.  The serial engine
+loops its workers' lanes in index order (:func:`fast_compute_pass`);
+a pool rank of the parallel backend (:mod:`repro.bsp.parallel`) runs
+its single lane (:func:`lane_compute_pass`).  What differs between
+them is bookkeeping only, kept at the two call sites: the engine
+folds aggregate contributions where a rank logs them for the
+coordinator, and commits a lane's touched destinations to
+``out_dirty`` where a rank ships them grouped by owning rank.
 
 Sparse supersteps
 -----------------
@@ -92,6 +91,8 @@ from collections import Counter, deque
 from functools import partial, reduce
 from itertools import accumulate, chain, repeat
 from typing import Any, Dict, List, Tuple
+
+from repro.bsp.aggregator import left_sum
 
 try:
     import numpy as _np
@@ -627,7 +628,7 @@ def _pagerank_phase(program, fabric, superstep, wake_all):
     if not states:
         return None
     if superstep == 0:
-        if not wake_all or fabric.in_dirty:
+        if not wake_all or fabric.in_dirty or fabric.held:
             return None
     elif wake_all:
         return None
@@ -639,7 +640,7 @@ def _pagerank_phase(program, fabric, superstep, wake_all):
 class PageRankKernel:
     """Whole-lane PageRank pass over the inbox columns.
 
-    Gather is ``sum(messages, 0.0)`` over each position's slice of
+    Gather is ``left_sum(messages, 0.0)`` over each position's slice of
     ``in_msgs`` (empty without mail) — the same left fold, in the same
     worker order, seeded the same way, as the program's ``total =
     0.0; for m in messages: total += m``.  The new rank is ``base + d
@@ -671,7 +672,7 @@ class PageRankKernel:
             total_msgs = sum(seg_counts)
             msgs = lane.in_msgs
             totals = [
-                sum(msgs[start:start + count], 0.0)
+                left_sum(msgs[start:start + count], 0.0)
                 for start, count in zip(lane.in_start[lo:hi], seg_counts)
             ]
             new_vals = _affine(totals, d, (1.0 - d) / n)
@@ -876,15 +877,15 @@ class MinPropagationKernel:
 class DegreeKernel:
     """Degree-style workload: a seed superstep scattering a constant
     ``1.0`` along the precompiled plan, then pure gather supersteps
-    (``value += sum(messages, 0.0)``) over the mailed positions with every
-    vertex staying halted."""
+    (``value += left_sum(messages, 0.0)``) over the mailed positions
+    with every vertex staying halted."""
 
     @staticmethod
     def applies(program, fabric, superstep, wake_all):
         if superstep:
             return _gather_phase(program, fabric, superstep, wake_all)
         states = fabric.dense_states
-        if not states or not wake_all or fabric.in_dirty:
+        if not states or not wake_all or fabric.in_dirty or fabric.held:
             return None
         return None if any(map(_HALTED, states)) else "seed"
 
@@ -919,9 +920,8 @@ class DegreeKernel:
         for pos in lane.arrivals:
             ln = in_count[pos]
             state = states[pos]
-            state.value = state.value + sum(
-                in_msgs[in_start[pos]:in_start[pos] + ln], 0.0
-            )
+            lo = in_start[pos]
+            state.value = state.value + left_sum(in_msgs[lo:lo + ln], 0.0)
             executed.append(pos + base)
             ops = 1 + ln + 0.0
             work += ops

@@ -8,65 +8,44 @@ draw sequence — identical to the serial
 :class:`~repro.bsp.engine.PregelEngine`, which remains the default
 backend (``docs/parallel_backend.md``).
 
-Architecture
-------------
+The coordinator (this process) stays authoritative: it owns the
+vertex states, aggregators, RNG, checkpoint store and fault injector,
+and every message of the run is in its inbox or in the records it
+holds.  A rank is started (and respawned, and resynced after a
+recovery) by one ``init``: its slice of the coordinator's live dense
+partition, a BPPA tracker over the slice and the run RNG state.  Each
+superstep a rank merges its mail — the sub-records every rank
+addressed to it, forwarded in source-rank order, or its share of the
+coordinator's inbox — into its inbox columns, runs **the serial fast
+path's own compute code** (:mod:`repro.bsp.kernels` over one
+:class:`~repro.bsp.fabric.DenseLane`), and replies with its outbound
+:class:`~repro.bsp.fabric.LaneRecord` grouped by owning rank, two
+counts per destination rank, values and halted flags, aggregator
+contributions, its tracker's maxima and its mutation log.  The
+coordinator applies the replies in rank order (= serial execution
+order), charges delivery from the counts and holds the records for
+the next step to forward.
 
-The coordinator (this process) stays authoritative: it owns the full
-vertex-state dict, the mailboxes, aggregators, RNG, checkpoint store
-and fault injector, exactly as the serial engine does.  Only the
-*compute pass* of a superstep is farmed out:
-
-* at pool start every worker rank receives its dense partition — the
-  ``[range_start, range_stop)`` slice of vertex states, the compiled
-  dense adjacency, the shared ``idx_of``/``owner_of`` tables, the
-  program, the combiner, and the run RNG state — pickled from the
-  coordinator's live partition, whatever the graph (a ``Graph``, an
-  in-RAM or a file-backed :class:`~repro.graph.snapshot.CsrSnapshot`).
-  A rank respawned after a death, and every rank after a rollback or a
-  confined replay, is started by the same ``init``;
-* each superstep the coordinator ships ``(superstep, wake_all,
-  finalized aggregates, this rank's inbound record, program state if it
-  changed, the vectorized-kernel verdict)`` to every rank, and each
-  rank runs **the serial fast path's own compute code** — the dense
-  per-vertex loop, the lane send methods and the registered
-  vectorized kernels of :mod:`repro.bsp.kernels` /
-  :class:`~repro.bsp.fabric.DenseLane` — over one lane holding its
-  slice and its private accumulator arrays
-  (:class:`_PartitionRuntime` is that lane's host);
-* the coordinator then collects the per-rank effect sets **in fixed
-  worker-rank order** and replays them into its own engine state: new
-  vertex values and halted flags, per-``(rank, destination)``
-  accumulator slots, first-touch destination order, aggregator
-  contributions, BPPA tracker rows, mutation logs, and the per-worker
-  counters.
-
-Because the serial engine *also* executes workers in rank order, the
-rank-ordered merge reconstructs exactly the global send order, the
-``out_dirty`` first-touch order (which fixes the fault-injection
-draw sequence), the
-aggregator reduce order (contributions are replayed through the
-coordinator's aggregate sink, so even non-associative reducers see
-the serial order), and the mutation-log append order.
-Delivery, combining at delivery, master compute, mutation application,
-checkpointing, and recovery all run the *unchanged* serial code on the
-coordinator — there is nothing left to diverge.
-
-Where real processes cannot keep that contract (a program that is not
+Each destination's messages reach its rank in source-rank order, the
+order :meth:`~repro.bsp.fabric.MessageFabric.deliver_fast` appends
+them in, and contributions fold through the coordinator's sink in
+rank order, so combining, float sums and non-associative reducers see
+the serial order.  Whenever the coordinator must read or change the
+inbox itself, it commits the held records to its lanes in each rank's
+first-touch order and runs the serial delivery over them.  Where real
+processes cannot keep the contract (a program that is not
 ``parallel_safe``, a shared-RNG draw, an in-place edge edit, a
 topology mutation, a rank lost past the restart budget) the backend
-degrades to the serial path it inherits and says why.  How it
-degrades, supervises and respawns ranks, and moves columns through
-:mod:`repro.bsp.shm_transport` is in ``docs/parallel_backend.md``.
-
+degrades to the serial path it inherits and says why.
 ``RunStats.wall`` records per-rank compute seconds, barrier wait and
-pipe payload bytes: measurements, excluded from the byte-identity
-contract (``bench/`` reports them per workload).
+pipe payload bytes: measurements, outside the byte-identity contract.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
+import operator
 import os
 import pickle
 import random
@@ -74,9 +53,10 @@ import threading
 import time
 import weakref
 from array import array
+from collections import Counter
 from contextlib import suppress
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, reduce
+from itertools import accumulate, chain, compress, groupby, repeat
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -94,6 +74,7 @@ from repro.bsp.vertex import VertexState
 from repro.bsp.worker import Worker
 from repro.graph.graph import Graph
 from repro.bsp.program import VertexProgram
+from repro.metrics.bppa import BppaTracker
 from repro.trace.events import Handoff
 
 #: Pickle protocol for all pool traffic and for the program-state
@@ -151,23 +132,11 @@ def default_start_method() -> str:
 # ---------------------------------------------------------------------
 
 
-class _TrackerRows:
-    """Rank-side stand-in for the BPPA tracker: logs the rows the
-    coordinator replays into the real tracker in rank order."""
-
-    def __init__(self):
-        self.rows: List[Tuple] = []
-
-    def record_vertex(self, *row) -> None:
-        self.rows.append(row)
-
-
 class _AggregateLog:
-    """Rank-side aggregate sink: contributions are *logged* (under
-    their name's position in the sorted list the coordinator holds)
-    and replayed through the real registry in rank order, so
-    non-associative reducers see the serial order and an unknown name
-    raises the same KeyError."""
+    """Rank-side aggregate sink: contributions are *logged* under
+    their name's position in the coordinator's sorted name list (an
+    unknown name raises the same KeyError) for it to fold in rank
+    order."""
 
     def __init__(self, names):
         self.index = {name: i for i, name in enumerate(names)}
@@ -188,34 +157,25 @@ class _AggregateLog:
 class _PartitionRuntime:
     """One rank's resident partition: the second host of the dense
     compute plane (:mod:`repro.bsp.kernels`), next to the serial
-    engine.
+    engine — one :class:`~repro.bsp.fabric.DenseLane` over the rank's
+    slice, run by the serial engine's own loops and kernels.
 
-    The partition is one :class:`~repro.bsp.fabric.DenseLane` over the
-    rank's slice — its states, inbox columns, compiled adjacency, a
-    private accumulator array and a :class:`~repro.bsp.worker.Worker`
-    for the counters — executed by the same per-vertex loop, lane send
-    methods and vectorized kernels the serial engine runs over its
-    workers' lanes.  This class supplies only what a host owes the
-    lane code (``_program``/``_ctx``/``_tracker``/``num_vertices``/
-    ``_agg_sink``, the context's sends bound to the lane's) and the
-    bookkeeping that
-    genuinely differs across the process boundary: aggregate
-    contributions and tracker rows are *logged* for the coordinator
-    to replay in rank order, and the touched accumulator slots are
-    detached (:meth:`~repro.bsp.fabric.DenseLane.detach`) and shipped
-    instead of committed to ``out_dirty``.  What :meth:`step` returns
-    is the rank's effect set as columns, built once; the codec only
-    decides where each column travels.
+    It supplies what a host owes the lane code (``_program``/``_ctx``/
+    ``_tracker``/``num_vertices``/``_agg_sink``) and what differs
+    across the process boundary: mail is merged into the inbox here,
+    aggregate contributions are logged, and the touched slots are
+    detached grouped by owning rank and shipped instead of committed
+    to ``out_dirty``.  :meth:`step` returns the effect set as columns;
+    the codec only decides where each column travels.
     """
 
     def __init__(self, rank: int, init: Dict[str, Any]):
         self.num_vertices: int = init["num_vertices"]
+        self.num_ranks: int = init["ranks"]
         worker = Worker(rank)
         worker.range_start, worker.range_stop = init["range"]
         self._program: VertexProgram = init["program"]
-        self._tracker: Optional[_TrackerRows] = (
-            _TrackerRows() if init["track_bppa"] else None
-        )
+        self._tracker: Optional[BppaTracker] = init["tracker"]
         self._agg_sink = _AggregateLog(init["agg_names"])
         self.rng = random.Random()
         self.rng.setstate(init["rng_state"])
@@ -232,8 +192,8 @@ class _PartitionRuntime:
             states.append(state)
         self.states: List[VertexState] = states
         # The slice's arrays are indexed by local offset (dense idx -
-        # range start), hence the base; each step points the inbox
-        # columns at the inbound record it received and clears them.
+        # range start), hence the base; each step merges its mail into
+        # the inbox columns and clears them after the pass.
         self.lane = lane = DenseLane(
             worker, worker.range_start, states, None, init["adjacency"],
             init["idx_of"], init["owner_of"], init["combiner"],
@@ -241,6 +201,7 @@ class _PartitionRuntime:
         #: Compute passes started over the partition's lifetime (see
         #: :attr:`progress`).
         self._passes = 0
+        self._shape = self._layout = None  # the last inbox layout
         self._ctx = ComputeContext(self.rng, self._agg_sink.aggregate)
         self._ctx._enqueue, self._ctx._fanout = lane.sends()
 
@@ -253,12 +214,56 @@ class _PartitionRuntime:
         live each pass."""
         return compile_plan(self._program, self.lane)
 
+    @cached_property
+    def _plan_by_rank(self):
+        """The plan's fixed send order, grouped by owning rank once."""
+        return self._by_rank(self._plan.order)
+
     @property
     def progress(self) -> int:
         """Monotonic while the rank advances — passes started, then
         the position of the vertex executing within the pass — so the
         heartbeat can tell a slow rank from a stuck one."""
         return self._passes * (len(self.states) + 1) + self.lane.cur + 1
+
+    def _by_rank(self, touched) -> Tuple[array, List[int]]:
+        """``touched`` regrouped by owning rank, each group in its
+        first-touch order, and the groups' sizes."""
+        owners = list(map(self.lane.owner_of.__getitem__, touched))
+        groups = [
+            list(compress(touched, map(rank.__eq__, owners)))
+            for rank in range(self.num_ranks)
+        ]
+        grouped = array("q", chain.from_iterable(groups))
+        return grouped, list(map(len, groups))
+
+    def _merge(self, inbound: LaneRecord) -> array:
+        """Fill the (drained) inbox from ``inbound``, entries in source-
+        rank order; return the mailed positions, ascending.  A stable
+        sort by position keeps each destination's messages in the
+        order coordinator delivery appends them in.  An entry is one
+        message when there is one payload per entry (a combining
+        rank's slots), else ``counts`` of them.  The layout depends on
+        the slot columns only: a fixed send order sorts once."""
+        touched, payloads, counts = inbound
+        shape = (touched, counts, len(payloads))
+        if shape != self._shape:
+            keys = list(map(operator.sub, touched, repeat(self.lane.start)))
+            if len(payloads) != len(keys):
+                keys = list(chain.from_iterable(map(repeat, keys, counts)))
+            tally = Counter(keys)
+            positions = sorted(tally)
+            arrival = sorted(range(len(keys)), key=keys.__getitem__)
+            self._shape, self._layout = shape, (
+                array("q", positions),
+                array("q", map(tally.__getitem__, positions)),
+                array("q", arrival),
+            )
+        positions, tallies, arrival = self._layout
+        self.lane.receive(
+            positions, tallies, map(payloads.__getitem__, arrival)
+        )
+        return positions
 
     # -- superstep execution ----------------------------------------
 
@@ -271,32 +276,29 @@ class _PartitionRuntime:
         program_state: Optional[Dict[str, Any]],
         phase,
     ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        """Run my lane's share of one compute pass; return the effect
-        set as ``(scalars, columns)``.
+        """Run my lane's share of one compute pass over my mail;
+        return the effect set as ``(scalars, columns)``.
 
-        ``phase`` is the coordinator's
-        :func:`~repro.bsp.kernels.vector_phase` verdict, evaluated
-        against the authoritative fabric state: with one, the lane
-        runs the program's vectorized kernel if its plan compiles,
-        and the per-vertex dense loop otherwise — byte-identical
-        either way, reported via ``kernel_tier``.
+        With a ``phase`` (the coordinator's ``vector_phase`` verdict)
+        the lane runs the vectorized kernel if its plan compiles.  The
+        outbound record is grouped by destination rank: ``slots`` and
+        ``logical`` count each group's entries and messages, ``order``
+        is the first-touch order the serial flush would commit.
         """
         if program_state is not None:
             # master_compute mutated the program since the last ship.
             self._program.__dict__.clear()
             self._program.__dict__.update(program_state)
-        # The inbound record fills the lane's inbox columns.
         lane = self.lane
         start = lane.start
-        positions = [idx - start for idx in inbound.touched]
-        lane.receive(positions, inbound.counts, inbound.payloads)
+        positions = self._merge(inbound)
         plan = self._plan if phase is not None else None
         # Arrivals only for a frontier walk, as in fast_compute_pass.
         if not wake_all and (
             phase == "gather" if plan is not None
             else lane.awake is not None
         ):
-            lane.arrivals = sorted(positions)
+            lane.arrivals = positions
         else:
             lane.arrivals = ()
         lane.worker.reset_counters()
@@ -307,10 +309,15 @@ class _PartitionRuntime:
             self, lane, wake_all, phase, plan
         )
         lane.drain(positions)
-        record = lane.detach(
-            lane.touched if scattered is None else scattered.order
-        )
+        if scattered is None:
+            order = array("q", lane.touched)
+            grouped, slots = self._by_rank(lane.touched)
+        else:
+            order = scattered.order
+            grouped, slots = self._plan_by_rank
+        record = lane.detach(grouped)
         lane.touched = []
+        cuts = list(accumulate(slots, initial=0))
         rng_state = self.rng.getstate()
         states = self.states
         # What the pass did that a partition may not, if anything (an
@@ -327,6 +334,7 @@ class _PartitionRuntime:
         self._rng_baseline = rng_state
         worker = lane.worker
         log = self._agg_sink
+        tracker = self._tracker
         scalars = {
             "active": len(executed),
             "work": worker.work,
@@ -334,6 +342,11 @@ class _PartitionRuntime:
             "sent_remote": worker.sent_remote,
             "broke": broke,
             "kernel_tier": kernel_tier,
+            "slots": slots,
+            "logical": [
+                sum(record.counts[lo:hi]) for lo, hi in zip(cuts, cuts[1:])
+            ],
+            "bppa": None if tracker is None else tracker.maxima(),
         }
         columns = {
             "executed": array("q", executed),
@@ -346,21 +359,10 @@ class _PartitionRuntime:
             ),
             "agg_name": log.names,
             "agg_val": typed_column(log.values),
+            "order": order,
             **record._asdict(),
         }
         log.names, log.values = array("q"), []
-        tracker = self._tracker
-        if tracker is not None:
-            # One row per executed vertex, in order: the vertex ids
-            # are recovered coordinator-side from ``executed``.
-            rows, tracker.rows = tracker.rows, []
-            _vids, sent, recv, ops, size = zip(*rows) if rows else [()] * 5
-            columns.update(
-                tr_sent=array("q", sent),
-                tr_recv=array("q", recv),
-                tr_ops=typed_column(ops),
-                tr_size=typed_column(size),
-            )
         mutations = self._ctx._take_mutations()
         if mutations is not None:
             columns["mutations"] = mutations
@@ -370,21 +372,12 @@ class _PartitionRuntime:
 def _worker_main(rank: int, conn, hb_interval: float) -> None:
     """Command loop of one pool process (top-level: spawn-safe).
 
-    A daemon heartbeat thread reports the partition's progress
-    counter every ``hb_interval`` seconds while a step is running, so
-    the coordinator can tell a hung rank (progress frozen) from a
-    slow one (progress advancing).  All pipe writes share one lock so
-    a heartbeat never interleaves with a reply.
-
-    The same thread is the orphan watchdog: when the parent pid
-    changes the coordinator died (e.g. SIGKILLed mid-run), and this
-    rank must not linger — under the fork start method sibling ranks
-    inherit each other's pipe fds, so the EOF a dead coordinator
-    would normally deliver can be held open indefinitely by a
-    sibling.  ``os._exit`` keeps the no-orphans guarantee regardless;
-    before exiting, the watchdog unlinks the pool's shared-memory
-    segment (idempotently — every exiting rank may try), because the
-    dead coordinator's own cleanup hooks never ran.
+    A daemon thread sends the partition's progress every
+    ``hb_interval`` seconds while a step runs (a hung rank's progress
+    freezes, a slow one's advances); pipe writes share one lock.  The
+    same thread is the orphan watchdog: once the parent pid changes
+    (sibling ranks may hold the dead coordinator's pipe open under
+    fork) it unlinks the segment, idempotently, and calls ``os._exit``.
     """
     part: Optional[_PartitionRuntime] = None
     seg: Optional[shm_transport.ColumnarSegment] = None
@@ -441,19 +434,14 @@ def _worker_main(rank: int, conn, hb_interval: float) -> None:
                         )
                     _send(("ready", rank))
                 elif cmd == "step":
-                    (
-                        superstep, wake_all, agg_prev,
-                        inbound, state, phase,
-                    ) = msg[1:]
-                    columns, _ = shm_transport.decode_inbound(
-                        seg, rank, inbound
-                    )
+                    superstep, wake_all, agg_prev, wire, *rest = msg[1:]
+                    columns, _ = shm_transport.decode_inbound(seg, rank, wire)
                     t0 = time.perf_counter()
                     stepping.set()
                     try:
                         scalars, columns = part.step(
                             superstep, wake_all, agg_prev,
-                            LaneRecord(**columns), state, phase,
+                            LaneRecord(**columns), *rest,
                         )
                     finally:
                         stepping.clear()
@@ -570,30 +558,19 @@ def _track_pool(engine: "ParallelPregelEngine") -> None:
 
 
 class ParallelPregelEngine(PregelEngine):
-    """:class:`PregelEngine` whose fast compute pass runs on a
+    """:class:`PregelEngine` whose compute pass and delivery run on a
     persistent pool of worker processes, one per simulated worker.
 
-    Accepts every ``PregelEngine`` parameter plus:
-
-    mp_start_method:
-        ``"fork"`` / ``"spawn"`` / ``"forkserver"``; default
-        :func:`default_start_method`.
-    transport:
-        ``"auto"`` / ``"columnar"`` (the same): conforming columns
-        cross the rank boundary in a shared-memory segment, the pipe
-        carrying scalars, descriptors and whatever column does not
-        conform.  Without shared memory every column rides the pipe
-        (see :attr:`transport_disabled_reason`).
-
-    Rank supervision (stall timeout, heartbeat interval, restart
-    budget and backoff) is the module constants ``RANK_*`` /
-    ``MAX_RANK_RESTARTS``.  The engine degrades to the byte-identical
-    serial path whenever process parallelism cannot preserve the
-    contract; inspect :attr:`parallel_disabled_reason` /
-    :attr:`parallel_supersteps` / :attr:`rank_restarts` /
-    :attr:`rank_failures` to see what a run actually did, and
-    :attr:`transport_tier` / :attr:`columnar_supersteps` /
-    :attr:`pickle_supersteps` for how its bytes moved.
+    Accepts every ``PregelEngine`` parameter plus ``mp_start_method``
+    (``"fork"`` / ``"spawn"`` / ``"forkserver"``; default
+    :func:`default_start_method`) and ``transport`` (``"auto"`` /
+    ``"columnar"``, the same: conforming columns cross in a
+    shared-memory segment, everything else rides the pipe).  Rank
+    supervision is the module constants ``RANK_*`` /
+    ``MAX_RANK_RESTARTS``.  :attr:`parallel_disabled_reason`,
+    :attr:`parallel_supersteps`, :attr:`rank_restarts`,
+    :attr:`rank_failures`, :attr:`transport_tier` and
+    :attr:`columnar_supersteps` say what a run actually did.
     """
 
     backend_name = "parallel"
@@ -609,16 +586,12 @@ class ParallelPregelEngine(PregelEngine):
     ):
         if transport not in TRANSPORTS:
             raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got "
-                f"{transport!r}"
+                f"transport must be one of {TRANSPORTS}, got {transport!r}"
             )
         super().__init__(graph, program, *args, **kwargs)
         self._mp_method = mp_start_method or default_start_method()
-        self._segment: Optional[
-            shm_transport.ColumnarSegment
-        ] = None
-        #: Aggregator names, sorted: ranks log a contribution under
-        #: its name's position here.
+        self._segment: Optional[shm_transport.ColumnarSegment] = None
+        #: Sorted aggregator names; ranks log contributions by position.
         self._agg_list: List[str] = sorted(self._agg_sink.aggregators)
         self._links: Optional[List[_WorkerLink]] = None
         self._pool_disabled = False
@@ -629,13 +602,10 @@ class ParallelPregelEngine(PregelEngine):
         self.rank_failures: List[Tuple[int, int, str]] = []
         #: Supersteps whose compute pass actually ran on the pool.
         self.parallel_supersteps = 0
-        #: Pool supersteps in which every column of every rank
-        #: travelled in the segment, both directions.
+        #: Pool supersteps whose every column crossed in the segment.
         self.columnar_supersteps = 0
-        #: Why there is no segment (shared memory could not be set
-        #: up); ``None`` while it works.  Distinct from
-        #: ``parallel_disabled_reason``: without a segment the columns
-        #: ride the pipe, the pool keeps running.
+        #: Why there is no segment (the columns ride the pipe, the
+        #: pool keeps running); ``None`` while shared memory works.
         self.transport_disabled_reason: Optional[str] = None
         #: Why the pool is (or became) unused; None while eligible.
         self.parallel_disabled_reason: Optional[str] = None
@@ -652,17 +622,12 @@ class ParallelPregelEngine(PregelEngine):
     @property
     def transport_tier(self) -> str:
         """``"columnar"`` while the pool has a segment to place
-        columns in, ``"pickle"`` once shared memory failed (individual
-        columns can still ride the pipe; see
-        :attr:`columnar_supersteps` for the all-in-segment count)."""
-        if self.transport_disabled_reason is None:
-            return "columnar"
-        return "pickle"
+        columns in, ``"pickle"`` once shared memory failed."""
+        return "pickle" if self.transport_disabled_reason else "columnar"
 
     @property
     def pickle_supersteps(self) -> int:
-        """Pool supersteps that moved at least one column over the
-        pipe (all of them when there is no segment)."""
+        """Pool supersteps that moved a column over the pipe."""
         return self.parallel_supersteps - self.columnar_supersteps
 
     def _destroy_segment(self) -> None:
@@ -678,16 +643,10 @@ class ParallelPregelEngine(PregelEngine):
                 # Backend-specific by nature, so Handoff events are
                 # excluded from cross-backend modeled-trace equality
                 # (-1: decided before the first superstep ran).
-                self._trace.emit(
-                    Handoff(
-                        superstep=getattr(
-                            self._ctx, "superstep", -1
-                        ),
-                        from_path="parallel",
-                        to_path="serial",
-                        reason=reason,
-                    )
-                )
+                self._trace.emit(Handoff(
+                    superstep=getattr(self._ctx, "superstep", -1),
+                    from_path="parallel", to_path="serial", reason=reason,
+                ))
 
     def _init_payload(self, rank: int) -> Dict[str, Any]:
         """The one way a rank is started, respawned or resynced: its
@@ -695,31 +654,25 @@ class ParallelPregelEngine(PregelEngine):
         fabric = self._fabric
         dense = fabric.dense
         start, stop = dense.ranges[rank]
+        tracker = self._tracker
         return {
             "range": (start, stop),
+            "ranks": len(dense.ranges),
             "program": self._program,
             "combiner": self._combiner,
-            "track_bppa": self._tracker is not None,
+            "tracker": None if tracker is None else tracker.restricted(
+                dense.id_of[start:stop]
+            ),
             "agg_names": self._agg_list,
             "rng_state": self.rng.getstate(),
-            "shm": (
-                None
-                if self._segment is None
-                else self._segment.descriptor
-            ),
+            "shm": self._segment and self._segment.descriptor,
             "num_vertices": len(dense.id_of),
             "idx_of": dense.idx_of,
             "owner_of": dense.owner_of,
             "states": [
-                (
-                    state.id,
-                    state.value,
-                    state.out_edges,
-                    None
-                    if state.in_edges is state.out_edges
-                    else state.in_edges,
-                    state.halted,
-                )
+                (state.id, state.value, state.out_edges, None
+                 if state.in_edges is state.out_edges else state.in_edges,
+                 state.halted)
                 for state in fabric.dense_states[start:stop]
             ],
             "adjacency": fabric.adjacency.rows(start, stop),
@@ -742,10 +695,8 @@ class ParallelPregelEngine(PregelEngine):
             try:
                 dense = self._fabric.dense
                 self._segment = shm_transport.ColumnarSegment(
-                    len(dense.id_of),
-                    dense.ranges,
+                    len(dense.id_of), dense.ranges,
                     combining=self._combiner is not None,
-                    tracking=self._tracker is not None,
                 )
             except Exception as exc:
                 self._segment = None
@@ -809,16 +760,25 @@ class ParallelPregelEngine(PregelEngine):
     def _compute_pass_fast(self, wake_all: bool) -> int:
         # Supervision loop: a rank death or stall aborts the (side-
         # effect-free) parallel pass and the pass retries on a fresh
-        # pool until the restart budget runs out.
-        while True:
-            if self._pool_disabled:
-                return super()._compute_pass_fast(wake_all)
-            if self._links is None and not self._start_pool():
-                return super()._compute_pass_fast(wake_all)
+        # pool, forwarding the same held records, until the restart
+        # budget runs out.
+        while not self._pool_disabled and (
+            self._links is not None or self._start_pool()
+        ):
             try:
-                return self._compute_pass_parallel(wake_all)
+                active = self._compute_pass_parallel(wake_all)
             except _RankFailure as failure:
                 self._handle_rank_failure(failure)
+                continue
+            if active is not None:
+                return active
+        if self._release_held():
+            # The serial pass reads the held mail from the inbox; the
+            # barrier that held it charged the ledger already.
+            self._fabric.deliver_fast(self._ctx.superstep - 1, False)
+            for worker in self._workers:
+                worker.reset_counters()
+        return super()._compute_pass_fast(wake_all)
 
     def _teardown_links(self) -> None:
         """Hard-kill every pool process without touching the
@@ -832,13 +792,10 @@ class ParallelPregelEngine(PregelEngine):
 
     def _handle_rank_failure(self, failure: _RankFailure) -> None:
         """Account one rank failure, kill the whole pool, and either
-        back off for a restart or degrade to serial for good.
-
-        Nothing from the failed pass was applied — results merge only
-        once every rank has replied — so the coordinator still holds
-        the exact superstep boundary and the retry (parallel or
-        serial) is byte-identical by construction.
-        """
+        back off for a restart or degrade to serial for good.  Nothing
+        from the failed pass was applied (results apply only once
+        every rank has replied), so the retry starts from the exact
+        superstep boundary, held records included."""
         superstep = getattr(self._ctx, "superstep", -1)
         self.rank_failures.append(
             (superstep, failure.rank, failure.reason)
@@ -865,6 +822,7 @@ class ParallelPregelEngine(PregelEngine):
     def _rollback(self, crash, superstep, stats, ckpt):
         # Make the injected crash a real process death before the
         # stock recovery; _post_restore_sync respawns the rank.
+        self._fabric.held = None  # mail of a discarded superstep
         if self._links is not None:
             self._links[crash.worker % self._num_workers].kill()
         return super()._rollback(crash, superstep, stats, ckpt)
@@ -892,7 +850,10 @@ class ParallelPregelEngine(PregelEngine):
 
     # -- the parallel compute pass ----------------------------------
 
-    def _compute_pass_parallel(self, wake_all: bool) -> int:
+    def _compute_pass_parallel(self, wake_all: bool) -> Optional[int]:
+        """The pass on the pool; ``None`` when the superstep must run
+        serially instead (the pool has been shut down, nothing was
+        applied)."""
         links = self._links
         fabric = self._fabric
         seg = self._segment
@@ -905,12 +866,16 @@ class ParallelPregelEngine(PregelEngine):
             self._shutdown_pool(
                 f"program state not picklable: {exc!r}"
             )
-            return super()._compute_pass_fast(wake_all)
+            return None
         ship_state = None
         if blob != self._program_blob:
             self._program_blob = blob
             ship_state = program_state
-        inbound = fabric.rank_inbound(len(links))
+        held = fabric.held
+        inbound = (
+            fabric.rank_inbound(len(links)) if held is None
+            else self._forwarded(held)
+        )
         superstep = self._ctx.superstep
         agg_prev = self._agg_finalized
         # Kernel-tier verdict, decided here against the authoritative
@@ -926,22 +891,13 @@ class ParallelPregelEngine(PregelEngine):
             )
             all_columnar = all_columnar and not wire[1]
             try:
-                down_bytes[link.rank] = _send_msg(
-                    link.conn,
-                    (
-                        "step",
-                        superstep,
-                        wake_all,
-                        agg_prev,
-                        wire,
-                        ship_state,
-                        phase,
-                    ),
-                )
+                down_bytes[link.rank] = _send_msg(link.conn, (
+                    "step", superstep, wake_all, agg_prev, wire,
+                    ship_state, phase,
+                ))
             except (EOFError, OSError, BrokenPipeError) as exc:
-                # A dead rank is a restartable failure, not a
-                # permanent degradation: nothing was applied, and the
-                # supervisor in _compute_pass_fast retries the pass.
+                # Restartable, not a degradation: nothing was applied
+                # and the supervisor in _compute_pass_fast retries.
                 raise _RankFailure(
                     link.rank, f"pipe closed on dispatch ({exc!r})"
                 )
@@ -963,12 +919,10 @@ class ParallelPregelEngine(PregelEngine):
             effects.append((scalars, columns))
         for scalars, _columns in effects:
             if scalars["broke"]:
-                # A draw from the sequential shared RNG stream, or an
-                # edge edit the coordinator's topology never saw:
-                # discard the superstep (nothing was applied) and
-                # re-execute it serially.
+                # A shared-RNG draw or an in-place edge edit: discard
+                # the superstep (nothing was applied), rerun serially.
                 self._shutdown_pool(scalars["broke"])
-                return super()._compute_pass_fast(wake_all)
+                return None
         if all_columnar:
             self.columnar_supersteps += 1
         return self._apply_parallel_results(effects)
@@ -976,32 +930,20 @@ class ParallelPregelEngine(PregelEngine):
     def _collect_replies(
         self, links: List[_WorkerLink], timeout: float, during: str
     ) -> Tuple[List[Tuple], List[int]]:
-        """Collect one non-heartbeat reply per rank with hang-aware
-        deadline polling instead of blocking ``recv`` calls; returns
-        the replies and each reply's pipe blob length in rank order.
-
-        A rank's ``timeout`` deadline is extended only when its
-        heartbeat progress counter *advances*: a rank that is alive but
-        stuck (infinite loop, blocked syscall, endless sleep) exhausts
-        it even though heartbeats keep arriving, while a slow rank
-        that keeps executing vertices is never killed.  Setup sends no
-        heartbeats, so its deadline is fixed.  A dead process or
-        closed pipe raises :class:`_RankFailure` at the next poll
-        tick.
+        """Collect one non-heartbeat reply per rank by deadline
+        polling; return the replies and their pipe blob lengths in
+        rank order.  A rank's ``timeout`` deadline is extended only
+        when its heartbeat progress *advances* (a stuck rank exhausts
+        it while heartbeats arrive; setup sends none); a dead process
+        or closed pipe raises :class:`_RankFailure` at the next tick.
         """
         now = time.monotonic()
-        pending: Dict[int, _WorkerLink] = {
-            link.rank: link for link in links
-        }
+        pending: Dict[int, _WorkerLink] = {link.rank: link for link in links}
         link_of = {link.conn: link for link in links}
         replies: Dict[int, Tuple] = {}
         reply_bytes: Dict[int, int] = {}
-        progress: Dict[int, int] = {
-            link.rank: -1 for link in links
-        }
-        deadline: Dict[int, float] = {
-            link.rank: now + timeout for link in links
-        }
+        progress: Dict[int, int] = {link.rank: -1 for link in links}
+        deadline = {link.rank: now + timeout for link in links}
         while pending:
             ready = mp_connection.wait(
                 [link.conn for link in pending.values()],
@@ -1050,27 +992,18 @@ class ParallelPregelEngine(PregelEngine):
     def _apply_parallel_results(
         self, effects: List[Tuple[Dict[str, Any], Dict[str, Any]]]
     ) -> int:
-        """Replay the per-rank effect sets — ``(scalars, columns)``,
-        as the ranks built them — into the coordinator's engine
-        state, in fixed rank order (= serial execution order).
-        Everything downstream — delivery, combining, fault draws,
-        master compute — runs the unchanged serial code against this
-        state."""
+        """Apply the per-rank effect sets — ``(scalars, columns)``,
+        as the ranks built them — to the coordinator's engine state,
+        in fixed rank order (= serial execution order), and hold their
+        outbound records for :meth:`_deliver`."""
         fabric = self._fabric
         dense_states = fabric.dense_states
-        id_of = fabric.dense.id_of
         agg_list = self._agg_list
+        aggregate_many = self._agg_sink.aggregate_many
         tracker = self._tracker
         workers = self._workers
-        # Same per-pass stamp as the serial fast pass: each rank's
-        # lane record commits through the fabric's own flush, so first
-        # touches dedup across ranks in rank order.
-        fabric.stamp += 1
-        aggregate = self._agg_sink.aggregate
         mutation_log = self._ctx._mutations
-        max_seconds = max(
-            scalars["seconds"] for scalars, _columns in effects
-        )
+        max_seconds = max(scalars["seconds"] for scalars, _ in effects)
         active_count = 0
         tiers = set()
         for rank, (scalars, columns) in enumerate(effects):
@@ -1084,45 +1017,112 @@ class ParallelPregelEngine(PregelEngine):
             worker.kernel_tier = tier = scalars["kernel_tier"]
             tiers.add(tier)
             active_count += scalars["active"]
-            executed = columns["executed"]
-            for idx, value in zip(executed, columns["values"]):
+            # Plain loops: on CPython 3.11 they beat map(setattr, ...).
+            for idx, value in zip(columns["executed"], columns["values"]):
                 state = dense_states[idx]
                 state.value = value
                 state.halted = False
             for idx in columns["halted"]:
                 dense_states[idx].halted = True
             fabric.lanes[rank].awake = None  # for a later serial pass
-            record = LaneRecord(
-                columns["touched"], columns["payloads"], columns["counts"]
-            )
-            if record.touched:
-                # The serial flush's commit and spill point: the lane
-                # is complete, delivery has not read it yet.
-                fabric.flush_worker_sends(fabric.lanes[rank], record)
             if tracker is not None:
-                for row in zip(
-                    map(id_of.__getitem__, executed),
-                    columns["tr_sent"],
-                    columns["tr_recv"],
-                    columns["tr_ops"],
-                    columns["tr_size"],
-                ):
-                    tracker.record_vertex(*row)
-            for index, value in zip(
-                columns["agg_name"], columns["agg_val"]
-            ):
-                aggregate(agg_list[index], value)
+                tracker.fold(scalars["bppa"])
+            # One left fold per run of one aggregator's contributions.
+            values, end = columns["agg_val"], 0
+            for index, run in groupby(columns["agg_name"]):
+                begin, end = end, end + len(list(run))
+                aggregate_many(agg_list[index], values[begin:end])
             mut = columns.get("mutations")
             if mut is not None:
                 mutation_log.remove_edges.extend(mut.remove_edges)
-                mutation_log.remove_vertices.extend(
-                    mut.remove_vertices
-                )
+                mutation_log.remove_vertices.extend(mut.remove_vertices)
                 mutation_log.add_vertices.extend(mut.add_vertices)
                 mutation_log.add_edges.extend(mut.add_edges)
         fabric.drain_inbox()
+        fabric.held = effects
         self.parallel_supersteps += 1
         self._kernel_tier = (
             "mixed" if len(tiers) > 1 else next(iter(tiers), "dense")
         )
         return active_count
+
+    def _forwarded(self, held) -> List[LaneRecord]:
+        """Every rank's inbound: the held sub-records addressed to it,
+        source ranks in order — column slices joined at C level."""
+        cut = "slots" if self._combiner is not None else "logical"
+        parts: List[List[Tuple]] = [[] for _ in held]
+        for scalars, columns in held:
+            slots = list(accumulate(scalars["slots"], initial=0))
+            data = list(accumulate(scalars[cut], initial=0))
+            for dst, part in enumerate(parts):
+                lo, hi = slots[dst], slots[dst + 1]
+                part.append((
+                    columns["touched"][lo:hi],
+                    columns["payloads"][data[dst]:data[dst + 1]],
+                    columns["counts"][lo:hi],
+                ))
+        return [LaneRecord(*map(_joined, zip(*part))) for part in parts]
+
+    def _release_held(self) -> bool:
+        """Commit the held records to the coordinator's lanes as the
+        serial flush would have (slots adopted, each rank's first
+        touches in its send order) for ``deliver_fast`` to read;
+        False when nothing is held."""
+        fabric = self._fabric
+        held, fabric.held = fabric.held, None
+        if held is None:
+            return False
+        fabric.stamp += 1
+        for lane, (_scalars, columns) in zip(fabric.lanes, held):
+            lane.adopt(LaneRecord(
+                columns["touched"], columns["payloads"], columns["counts"]
+            ))
+            lane.touched = columns["order"]
+            fabric.flush_worker_sends(lane)
+        return True
+
+    def _deliver(self, superstep: int, mutated: bool) -> int:
+        """Charge the held records' delivery from the ranks' counts and
+        keep holding them for the next step to forward.  The serial
+        flush and delivery run instead when the coordinator must read
+        or change the inbox: a mutation, a checkpoint due next, fault
+        draws, confined-recovery logs or spill accounting."""
+        fabric = self._fabric
+        held = fabric.held
+        if held is None or (
+            mutated
+            or self._injector is not None
+            or self._confined_recovery
+            or fabric.memory_budget is not None
+            or self._loop.policy.due(superstep + 1)
+        ):
+            self._release_held()
+            return super()._deliver(superstep, mutated)
+        # As deliver_fast counts: one network message per occupied
+        # slot with a combiner, per message without.
+        network_key = "slots" if self._combiner is not None else "logical"
+        workers = fabric.workers
+        delivered = 0
+        for source, (scalars, _columns) in zip(workers, held):
+            network = scalars[network_key]
+            source.sent_network += sum(network)
+            delivered += sum(network)
+            for worker, count, logical in zip(
+                workers, network, scalars["logical"]
+            ):
+                worker.received_network += count
+                worker.received_logical += logical
+        return delivered
+
+
+def _joined(columns):
+    """``columns`` end to end: one typed array when every non-empty
+    one is an array of one type code, else a list."""
+    full = [column for column in columns if len(column)] or columns[:1]
+    head = full[0]
+    if all(
+        type(column) is array and column.typecode == head.typecode
+        for column in full
+    ):
+        return reduce(operator.add, full)
+    return list(chain.from_iterable(full))

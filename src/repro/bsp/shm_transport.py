@@ -4,8 +4,8 @@ process-parallel backend.
 One superstep crosses the rank boundary as **columns**: the inbound
 slot batch going down, the rank's effect set — executed indices,
 value/halt columns, the detached lane record (touched slots, payloads,
-counts), BPPA tracker columns and aggregator contributions — coming
-up.  Each column is a typed ``array`` when its values conform
+counts) with its first-touch order, and aggregator contributions —
+coming up.  Each column is a typed ``array`` when its values conform
 (:func:`typed_column`) and a plain list otherwise.  There is one wire
 format (``docs/parallel_backend.md``, transport tiers): a pair
 ``(placed, pipe)`` where ``pipe`` holds the columns that ride the
@@ -178,9 +178,9 @@ class ColumnarSegment:
     over the dense slot index, plus the read/write primitives the
     codec uses.
 
-    The layout is a pure function of ``(num_slots, ranges, combining,
-    tracking)``, so the coordinator ships only those plus the segment
-    *name* and every rank reconstructs identical offsets on attach.
+    The layout is a pure function of ``(num_slots, ranges)``, so the
+    coordinator ships only those plus the segment *name* and every
+    rank reconstructs identical offsets on attach.
     Lane capacities are sized so that every conforming workload fits
     (inbound and combined payloads are bounded by the slot count when
     a combiner is active); a non-combining column that overflows its
@@ -192,13 +192,11 @@ class ColumnarSegment:
         num_slots: int,
         ranges: Sequence[Tuple[int, int]],
         combining: bool,
-        tracking: bool,
         name: Optional[str] = None,
     ):
         self.num_slots = int(num_slots)
         self.ranges = [tuple(r) for r in ranges]
         self.combining = bool(combining)
-        self.tracking = bool(tracking)
         n = self.num_slots
         num_ranks = len(self.ranges)
         self._offsets: Dict[Tuple[int, str], Tuple[int, int]] = {}
@@ -211,8 +209,9 @@ class ColumnarSegment:
 
         for rank, (start, stop) in enumerate(self.ranges):
             part = stop - start
-            add(rank, "down_idx", part)
-            add(rank, "down_len", part)
+            # Inbound: one entry per (source rank, destination) at most.
+            add(rank, "down_idx", part * num_ranks)
+            add(rank, "down_len", part * num_ranks)
             add(rank, "down_data", max(part * num_ranks, 1024))
             add(rank, "up_executed", part)
             add(rank, "up_values", part)
@@ -221,11 +220,7 @@ class ColumnarSegment:
             # Slot counts with a combiner, bucket lengths without.
             add(rank, "up_counts", n)
             add(rank, "up_data", max(2 * n, 1024))
-            if self.tracking:
-                add(rank, "up_tr_sent", part)
-                add(rank, "up_tr_recv", part)
-                add(rank, "up_tr_ops", part)
-                add(rank, "up_tr_size", part)
+            add(rank, "up_order", n)
             agg_cap = max(2 * part, 256)
             add(rank, "up_agg_name", agg_cap)
             add(rank, "up_agg_val", agg_cap)
@@ -271,13 +266,12 @@ class ColumnarSegment:
             self.num_slots,
             self.ranges,
             self.combining,
-            self.tracking,
         )
 
     @classmethod
     def attach(cls, descriptor: Tuple) -> "ColumnarSegment":
-        name, num_slots, ranges, combining, tracking = descriptor
-        return cls(num_slots, ranges, combining, tracking, name=name)
+        name, num_slots, ranges, combining = descriptor
+        return cls(num_slots, ranges, combining, name=name)
 
     # -- lane primitives --------------------------------------------
 
@@ -375,8 +369,8 @@ def sweep_leaked_segments() -> List[str]:
 # ---------------------------------------------------------------------
 
 #: Column name -> segment lane, per direction.  The inbound batch is a
-#: lane record in the plain layout (slots, flat messages, bucket
-#: lengths); the reply carries the rank's whole effect set.  A column
+#: lane record (the sub-records forwarded to the rank, or its share of
+#: the inbox); the reply carries the rank's whole effect set.  A column
 #: with no lane here (a mutation log) always rides the pipe.
 DOWN_LANES = {
     "touched": "down_idx",
@@ -390,10 +384,7 @@ UP_LANES = {
     "touched": "up_touched",
     "counts": "up_counts",
     "payloads": "up_data",
-    "tr_sent": "up_tr_sent",
-    "tr_recv": "up_tr_recv",
-    "tr_ops": "up_tr_ops",
-    "tr_size": "up_tr_size",
+    "order": "up_order",
     "agg_name": "up_agg_name",
     "agg_val": "up_agg_val",
 }

@@ -21,7 +21,7 @@ to produce the asymptotic verdict — see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable
+from typing import Any, Dict, Hashable, Iterable, Tuple
 
 
 def state_atoms(value: Any) -> int:
@@ -110,6 +110,31 @@ class BppaTracker:
 
     def record_superstep(self) -> None:
         self.observation.num_supersteps += 1
+
+    def restricted(self, ids: Iterable[Hashable]) -> "BppaTracker":
+        """A fresh tracker over ``ids``' degrees only — a process-
+        parallel rank's slice."""
+        degrees = self._degrees
+        return BppaTracker({v: degrees.get(v, 0) for v in ids})
+
+    def maxima(self) -> Tuple[float, float, float]:
+        """The P1, P2 and P3 factors observed so far."""
+        obs = self.observation
+        return obs.storage_factor, obs.compute_factor, obs.message_factor
+
+    def fold(self, maxima: Tuple[float, float, float]) -> None:
+        """Fold another tracker's :meth:`maxima` in.  A running
+        maximum does not depend on the order it sees rows in, so
+        folding the trackers of disjoint slices equals one tracker
+        fed every row."""
+        obs = self.observation
+        storage, compute, message = maxima
+        if storage > obs.storage_factor:
+            obs.storage_factor = storage
+        if compute > obs.compute_factor:
+            obs.compute_factor = compute
+        if message > obs.message_factor:
+            obs.message_factor = message
 
 
 @dataclass

@@ -119,7 +119,7 @@ class TestEncodeLane:
 class TestColumnarSegment:
     def test_write_read_roundtrip_via_attachment(self):
         seg = ColumnarSegment(
-            10, [(0, 5), (5, 10)], combining=True, tracking=True
+            10, [(0, 5), (5, 10)], combining=True
         )
         try:
             other = ColumnarSegment.attach(seg.descriptor)
@@ -141,7 +141,7 @@ class TestColumnarSegment:
 
     def test_attach_reconstructs_identical_layout(self):
         seg = ColumnarSegment(
-            8, [(0, 8)], combining=False, tracking=False
+            8, [(0, 8)], combining=False
         )
         try:
             other = ColumnarSegment.attach(seg.descriptor)
@@ -153,7 +153,7 @@ class TestColumnarSegment:
 
     def test_write_overflow_raises_never_truncates(self):
         seg = ColumnarSegment(
-            4, [(0, 4)], combining=False, tracking=False
+            4, [(0, 4)], combining=False
         )
         try:
             cap = seg.cap(0, "up_executed")
@@ -166,7 +166,7 @@ class TestColumnarSegment:
 
     def test_close_and_unlink_are_idempotent(self):
         seg = ColumnarSegment(
-            4, [(0, 4)], combining=False, tracking=False
+            4, [(0, 4)], combining=False
         )
         name = seg.name
         seg.destroy()
@@ -177,7 +177,7 @@ class TestColumnarSegment:
 
     def test_segment_names_carry_creator_pid(self):
         seg = ColumnarSegment(
-            4, [(0, 4)], combining=False, tracking=False
+            4, [(0, 4)], combining=False
         )
         try:
             assert seg.name.startswith(SEG_PREFIX)
@@ -207,7 +207,7 @@ def test_sweep_reaps_dead_pid_segments_only():
     resource_tracker.unregister(leaked._name, "shared_memory")
     leaked.close()
     live = ColumnarSegment(
-        4, [(0, 4)], combining=False, tracking=False
+        4, [(0, 4)], combining=False
     )
     try:
         removed = sweep_leaked_segments()
@@ -284,7 +284,7 @@ def _through_codec(seg, record):
 
 def _segment(record):
     seg = ColumnarSegment(
-        NUM_SLOTS, [(0, NUM_SLOTS)], combining=True, tracking=False
+        NUM_SLOTS, [(0, NUM_SLOTS)], combining=True
     )
     try:
         return _through_codec(seg, record)
@@ -369,7 +369,7 @@ def _same_columns(found, want):
 
 class TestEffectSetCodec:
     def test_every_column_in_segment(self):
-        seg = ColumnarSegment(64, [(0, 64)], combining=True, tracking=True)
+        seg = ColumnarSegment(64, [(0, 64)], combining=True)
         try:
             columns = _effect_columns(5)
             placed, pipe = shm_transport.encode_reply(seg, 0, columns)
@@ -386,7 +386,7 @@ class TestEffectSetCodec:
         # A one-slot layout: every lane is shorter than its column
         # (the data lane's floor is 1024 slots, the aggregate lanes'
         # 256).
-        seg = ColumnarSegment(1, [(0, 1)], combining=True, tracking=True)
+        seg = ColumnarSegment(1, [(0, 1)], combining=True)
         try:
             columns = _effect_columns(1025)
             placed, pipe = shm_transport.encode_reply(seg, 0, columns)
@@ -400,17 +400,13 @@ class TestEffectSetCodec:
             seg.destroy()
 
     def test_untyped_and_laneless_columns_ride_the_header(self):
-        seg = ColumnarSegment(64, [(0, 64)], combining=True, tracking=False)
+        seg = ColumnarSegment(64, [(0, 64)], combining=True)
         try:
             columns = _effect_columns(5)
             columns["values"] = [{"depth": 0}, None, 2**70, True, -0.0]
             columns["mutations"] = ("a mutation log",)
             placed, pipe = shm_transport.encode_reply(seg, 0, columns)
-            # No tracker lanes in this layout either.
-            assert set(pipe) == {
-                "values", "mutations",
-                "tr_sent", "tr_recv", "tr_ops", "tr_size",
-            }
+            assert set(pipe) == {"values", "mutations"}
             found, columnar = shm_transport.decode_reply(
                 seg, 0, (placed, pipe)
             )
@@ -433,7 +429,7 @@ class TestEffectSetCodec:
         record = LaneRecord.from_buckets(
             [3, 1], [[0.5, -0.0], [float("inf")]]
         )
-        seg = ColumnarSegment(8, [(0, 8)], combining=False, tracking=False)
+        seg = ColumnarSegment(8, [(0, 8)], combining=False)
         try:
             for carrier in (seg, None):
                 wire = shm_transport.encode_inbound(

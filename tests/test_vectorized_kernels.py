@@ -35,9 +35,11 @@ import pickle
 import struct
 from array import array
 from functools import reduce
+from types import SimpleNamespace
 
 import pytest
 
+import repro.bsp.aggregator as aggregator
 import repro.bsp.kernels as kernels
 from repro.algorithms.cc_hashmin import HashMinComponents
 from repro.algorithms.degree import DegreeCentrality
@@ -52,6 +54,9 @@ from repro.bsp import (
     crash_plan,
     drop_plan,
 )
+from repro.bsp.aggregator import AggregateSink, SumAggregator
+from repro.bsp.vertex import VertexState
+from repro.bsp.worker import Worker
 from repro.core.report import format_trace_report
 from repro.graph import erdos_renyi_graph
 from repro.graph.graph import Graph
@@ -328,6 +333,58 @@ def test_use_vectorized_requires_registered_kernel():
 
 def _bits(x):
     return struct.pack("<d", x)
+
+
+def _loop_total(msgs, start):
+    """The programs' own fold: ``total += m`` in arrival order."""
+    total = start
+    for m in msgs:
+        total += m
+    return total
+
+
+@pytest.mark.parametrize("fold", ["left_sum", "_left_fold"])
+@pytest.mark.parametrize(
+    "msgs", [[0.1] * 10, [1e16, 1.0, -1e16]], ids=["tenths", "cancelling"]
+)
+def test_float_folds_are_the_programs_left_fold(monkeypatch, fold, msgs):
+    """PageRank's and degree's gathers and ``aggregate_many`` fold as
+    the programs' ``total += m`` loops do.  From CPython 3.12 ``sum``
+    compensates float rounding, which both inputs expose, and
+    ``left_sum`` resolves to ``_left_fold`` there: patching it in
+    checks that branch on any interpreter."""
+    fold = getattr(aggregator, fold)
+    monkeypatch.setattr(aggregator, "left_sum", fold)
+    monkeypatch.setattr(kernels, "left_sum", fold)
+    want = _loop_total(msgs, 0.0)
+    assert _bits(fold(msgs, 0.0)) == _bits(want)
+    many, one = AggregateSink({"s": SumAggregator()}), AggregateSink(
+        {"s": SumAggregator()}
+    )
+    many.reset()
+    one.reset()
+    many.aggregate_many("s", msgs)
+    for m in msgs:
+        one.aggregate("s", m)
+    assert _bits(many.current["s"]) == _bits(one.current["s"])
+    # One mailed vertex, gathered by each kernel.
+    program = PageRank(num_supersteps=1)
+    state = VertexState(0, value=0.5)
+    lane = SimpleNamespace(
+        worker=Worker(0), start=0, stop=1, base=0, states=[state],
+        in_msgs=list(msgs), in_start=[0], in_count=[len(msgs)],
+        arrivals=[0],
+    )
+    sink = AggregateSink(program.aggregators())
+    sink.reset()
+    host = SimpleNamespace(
+        _program=program, num_vertices=1, _agg_sink=sink, _tracker=None
+    )
+    kernels.DegreeKernel.run(host, lane, None, "gather")
+    assert _bits(state.value) == _bits(0.5 + want)
+    kernels.PageRankKernel.run(host, lane, None, "final")
+    d = program.damping
+    assert _bits(state.value) == _bits((1.0 - d) / 1 + d * want)
 
 
 def _oracle_scatter(dense_out, shares, combine):
