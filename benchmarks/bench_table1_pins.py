@@ -8,6 +8,9 @@ The same per-row digest as ``tests/test_table1_pins.py`` (which pins
 Run with::
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_table1_pins.py
+
+(with ``pytest-benchmark`` installed, ``--benchmark-only`` also times
+the build once).
 """
 
 from __future__ import annotations
@@ -32,6 +35,18 @@ PINNED = {
 }
 
 
-def test_bench_configuration_is_pinned():
-    table = build_table(seed=SEED, scale=SCALE)
+def test_bench_configuration_is_pinned(benchmark):
+    table = benchmark.pedantic(
+        lambda: build_table(seed=SEED, scale=SCALE), rounds=1, iterations=1
+    )
     assert_pinned(table, PINNED, f"scale={SCALE} seed={SEED}")
+
+
+if __name__ == "__main__":
+    # Spawn-context hygiene (as in bench_table1.py): children that
+    # re-import __main__ must not relaunch the bench.
+    import sys
+
+    import pytest
+
+    sys.exit(pytest.main([__file__, *sys.argv[1:]]))

@@ -53,8 +53,7 @@ On top of the per-vertex loops sits an opt-in tier: whole-lane
 program as array-shaped passes over the lane's inbox columns and
 a scatter plan precompiled from its dense adjacency (an SpMV
 transposed into per-destination gather lists, held in stdlib
-``array`` lanes like the shm transport's columns; numpy, if
-importable, accelerates elementwise steps only — never reductions).
+``array`` lanes like the shm transport's columns; no numpy).
 Exact reproduction is the admission rule, not a goal: a kernel
 registers for exactly one program class (``register_vectorized``) and
 has three parts —
@@ -93,11 +92,6 @@ from itertools import accumulate, chain, repeat
 from typing import Any, Dict, List, Tuple
 
 from repro.bsp.aggregator import left_sum
-
-try:
-    import numpy as _np
-except Exception:
-    _np = None
 
 
 def dense_compute_pass(host, lane, wake_all: bool):
@@ -224,8 +218,10 @@ def lane_compute_pass(host, lane, wake_all: bool, phase, plan):
     """
     if plan is None:
         return "dense", dense_compute_pass(host, lane, wake_all), None
-    kernel = _VECTOR_KERNELS[type(host._program)]
     lane.awake = None  # unless the kernel keeps every vertex halted
+    if lane.start == lane.stop:  # no vertex to run, nothing to send
+        return "vectorized", (), None
+    kernel = _VECTOR_KERNELS[type(host._program)]
     return ("vectorized", *kernel.run(host, lane, plan, phase))
 
 
@@ -243,26 +239,14 @@ def _segment_folder(combine):
 
 
 def _affine(totals, scale, shift):
-    """``shift + scale * totals[i]`` elementwise — one IEEE-754
-    multiply and one add per element under either implementation
-    (both ops are commutative and round identically), so numpy may
-    accelerate it when importable."""
-    if _np is not None:
-        return (
-            _np.array(totals, dtype=_np.float64) * scale + shift
-        ).tolist()
+    """``shift + scale * totals[i]`` elementwise — the program's own
+    expression, one IEEE-754 multiply and one add per element."""
     return [shift + scale * t for t in totals]
 
 
 def _elementwise_div(vals, degs):
-    """``vals[i] / degs[i]`` elementwise — IEEE-754 double division is
-    bit-identical whether performed by CPython or numpy, so this (and
-    only this kind of elementwise, non-reducing step) may be
-    accelerated when numpy is importable (``degs`` is an
-    ``array('d')``: numpy views its buffer without a copy)."""
-    if _np is not None:  # pragma: no cover
-        np_degs = _np.frombuffer(degs, dtype=_np.float64)
-        return (_np.array(vals, dtype=_np.float64) / np_degs).tolist()
+    """``vals[i] / degs[i]`` elementwise, at C level (``degs`` is the
+    plan's ``array('d')`` of out-degrees)."""
     return list(map(operator.truediv, vals, degs))
 
 

@@ -24,14 +24,41 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, Tuple
 
 
+#: Exact types counted by dispatch; subclasses take the general rule.
+_SCALARS = frozenset((bool, int, float, complex, str, bytes))
+_FLAT = frozenset((list, tuple, set, frozenset))
+
+
 def state_atoms(value: Any) -> int:
     """Count the elementary items in a (possibly nested) vertex value.
 
     Scalars count 1; containers count the sum of their items, so a
     history set of ``k`` vertex ids costs ``k`` — exactly the storage
     notion P1 reasons about.  Cycles are not expected in vertex state
-    and are not handled.
+    and are not handled.  Exact builtin types are dispatched on
+    ``type(value)``: a container starts from one atom per item and
+    recurses only into the items that are not scalars.  Every other
+    type, subclasses included, takes the ``isinstance`` rule below,
+    which gives the same count.
     """
+    kind = type(value)
+    if kind in _SCALARS:
+        return 1
+    if kind is dict:
+        count = 2 * len(value)
+        for item in value:
+            if type(item) not in _SCALARS:
+                count += state_atoms(item) - 1
+        for item in value.values():
+            if type(item) not in _SCALARS:
+                count += state_atoms(item) - 1
+        return count
+    if kind in _FLAT:
+        count = len(value)
+        for item in value:
+            if type(item) not in _SCALARS:
+                count += state_atoms(item) - 1
+        return count
     if value is None:
         return 0
     if isinstance(value, (bool, int, float, complex, str, bytes)):

@@ -15,7 +15,9 @@ Table 1 verdicts rest on is computed here, again, by other code:
   vertices that ran;
 * **the BPPA observation** — the worst ``quantity / (d(v) + 1)`` over
   every compute call, for storage (P1), compute (P2) and messages
-  (P3), and the superstep count (P4);
+  (P3), and the superstep count (P4).  Storage is counted by
+  :func:`reference_atoms`, this module's own copy of the P1 rule,
+  unless the program overrides ``state_size``;
 * **the aggregate history** — each superstep's reduced aggregators.
 
 Semantics, in the order the engine documents them: workers run in
@@ -37,10 +39,45 @@ suites shape it into the engine's result types to compare.
 from __future__ import annotations
 
 import random
+import sys
 from typing import Any, Dict, Hashable, List, NamedTuple
 
 from repro.errors import MessageToUnknownVertexError, SuperstepLimitExceeded
 from repro.graph.partition import HashPartitioner
+
+
+def reference_atoms(value: Any) -> int:
+    """The P1 storage of a vertex value, by the recursive definition:
+    ``None`` is 0 atoms, a scalar 1, a container the sum over its
+    items (a dict's keys and values), an object with ``__dict__`` its
+    attribute dict, anything else 1."""
+    if value is None:
+        return 0
+    if isinstance(value, (bool, int, float, complex, str, bytes)):
+        return 1
+    if isinstance(value, dict):
+        return sum(
+            reference_atoms(k) + reference_atoms(v)
+            for k, v in value.items()
+        )
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return sum(reference_atoms(item) for item in value)
+    if hasattr(value, "__dict__"):
+        return reference_atoms(vars(value))
+    return 1
+
+
+def _storage_of(program):
+    """``vertex -> P1 storage`` for ``program``: its own
+    ``state_size`` when it overrides the base class's, else
+    :func:`reference_atoms` of the value.  The base class is looked up
+    among the loaded modules, never imported: a program deriving from
+    it has loaded it already."""
+    module = sys.modules.get("repro.bsp.program")
+    base = getattr(module, "VertexProgram", None)
+    if base is not None and type(program).state_size is base.state_size:
+        return lambda vertex: reference_atoms(vertex.value)
+    return program.state_size
 
 
 class OracleRun(NamedTuple):
@@ -182,6 +219,7 @@ MAX_SUPERSTEPS = 100_000
 class _Interpreter:
     def __init__(self, graph, program, num_workers, combiner, seed):
         self.program = program
+        self.storage = _storage_of(program)
         self.combiner = combiner
         self.workers = num_workers
         self.partitioner = HashPartitioner(num_workers)
@@ -286,7 +324,7 @@ class _Interpreter:
                 active += 1
                 self._observe(
                     vid, ctx._sent, len(messages), ops,
-                    program.state_size(vertex),
+                    self.storage(vertex),
                 )
         return work, active
 

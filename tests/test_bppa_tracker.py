@@ -1,5 +1,10 @@
 """Tests for the BPPA tracker, state sizing and verdicts."""
 
+import enum
+from collections import OrderedDict, defaultdict, namedtuple
+
+import pytest
+
 from repro.metrics import BppaTracker, BppaVerdict, state_atoms
 
 
@@ -28,6 +33,55 @@ class TestStateAtoms:
     def test_empty_containers(self):
         assert state_atoms([]) == 0
         assert state_atoms({}) == 0
+
+    def test_none_inside_containers_counts_nothing(self):
+        assert state_atoms([None, 1, None]) == 1
+        assert state_atoms({"parent": None, "depth": None}) == 2
+        assert state_atoms({None: None}) == 0
+
+
+class TestSubclassesTakeTheGeneralRule:
+    """Types that are not exactly a builtin scalar or container fall
+    through to the ``isinstance`` rule and count as they always did."""
+
+    def test_str_subclass_is_one_atom(self):
+        class Label(str):
+            pass
+
+        assert state_atoms(Label("abc")) == 1
+        assert state_atoms([Label("a"), Label("b")]) == 2
+
+    def test_int_enum_is_one_atom(self):
+        class Colour(enum.IntEnum):
+            RED = 1
+
+        assert state_atoms(Colour.RED) == 1
+        assert state_atoms({Colour.RED: (Colour.RED, 2)}) == 3
+
+    def test_numpy_scalars_are_one_atom(self):
+        numpy = pytest.importorskip("numpy")
+        assert state_atoms(numpy.float64(2.5)) == 1
+        assert state_atoms([numpy.float64(1.0), numpy.int64(3)]) == 2
+
+    def test_ordered_dict_counts_keys_and_values(self):
+        assert state_atoms(OrderedDict(a=1, b=[2, 3])) == 5
+
+    def test_defaultdict_counts_keys_and_values(self):
+        value = defaultdict(set, {"seen": {1, 2, 3}, "next": None})
+        assert state_atoms(value) == 1 + 3 + 1
+
+    def test_namedtuple_counts_its_fields(self):
+        Pair = namedtuple("Pair", "left right")
+        assert state_atoms(Pair(1, (2, None))) == 2
+
+    def test_slots_object_is_one_atom(self):
+        class Slotted:
+            __slots__ = ("history",)
+
+            def __init__(self):
+                self.history = {1, 2, 3}
+
+        assert state_atoms(Slotted()) == 1
 
 
 class TestTracker:

@@ -78,6 +78,7 @@ from repro.bsp import (
 )
 from repro.bsp import engine as engine_module
 from repro.bsp import loop as loop_module
+from repro.bsp import program as program_module
 from repro.bsp.combiner import resolve_combiner
 from repro.bsp.fabric import MessageFabric
 from repro.bsp.kernels import _GROUP_MAX
@@ -660,11 +661,13 @@ def _caught_by_the_oracle(check):
     ), str(info.value)
 
 
-def _pagerank_case(tmp_path):
-    """The clean four-worker PageRank recipe of the fuzz matrix."""
-    _, _graph, make_program, natural = FUZZ_WORKLOADS[0]
+def _clean_case(tmp_path, name="pagerank"):
+    """The clean four-worker recipe of fuzz workload ``name``."""
+    _, _graph, make_program, natural = next(
+        w for w in FUZZ_WORKLOADS if w[0] == name
+    )
     return lambda: _fuzz_case(
-        "pagerank", make_program, natural, 4, "clean", None, False,
+        name, make_program, natural, 4, "clean", None, False,
         str(tmp_path / "snap"),
     )
 
@@ -674,7 +677,7 @@ def test_poisoned_control_swapped_remote_counts_are_caught(
 ):
     """``superstep_profile`` freezes worker 0's remote sends under
     worker 1 and the reverse."""
-    case = _pagerank_case(tmp_path)
+    case = _clean_case(tmp_path)
     case()  # sound before the poison
     profile = loop_module.superstep_profile
 
@@ -693,7 +696,7 @@ def test_poisoned_control_bppa_message_count_is_caught(
 ):
     """The tracker records every vertex as having sent one message
     more than it did."""
-    case = _pagerank_case(tmp_path)
+    case = _clean_case(tmp_path)
     case()
     record = BppaTracker.record_vertex
 
@@ -701,6 +704,25 @@ def test_poisoned_control_bppa_message_count_is_caught(
         record(self, vertex_id, sent + 1, *args)
 
     monkeypatch.setattr(BppaTracker, "record_vertex", one_too_many)
+    _caught_by_the_oracle(case)
+
+
+def test_poisoned_control_p1_skips_dict_keys_is_caught(
+    tmp_path, monkeypatch
+):
+    """The runtime's P1 rule counts a dict's values but not its keys.
+    BFS-tree's value is a dict, so its storage factor shrinks; the
+    oracle counts P1 with its own copy of the rule and must notice."""
+    case = _clean_case(tmp_path, "bfs-tree")
+    case()
+    atoms = program_module.state_atoms
+
+    def keys_dropped(value):
+        if type(value) is dict:
+            return sum(map(atoms, value.values()))
+        return atoms(value)
+
+    monkeypatch.setattr(program_module, "state_atoms", keys_dropped)
     _caught_by_the_oracle(case)
 
 

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) for the substrate invariants."""
 
+import enum
 import math
+from collections import OrderedDict, defaultdict, namedtuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,12 @@ from repro.graph import (
     partition_counts,
 )
 from repro.metrics import growth_exponent, state_atoms
+from tests.oracle import reference_atoms
+
+try:
+    import numpy
+except ImportError:  # pragma: no cover - numpy is optional
+    numpy = None
 
 # Small random edge lists over a bounded vertex universe.
 edge_lists = st.lists(
@@ -154,7 +162,75 @@ class TestEngineInvariants:
         )
 
 
+class _Label(str):
+    """A str subclass: the general rule, one atom."""
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+_Pair = namedtuple("_Pair", "left right")
+
+
+class _Attrs:
+    """An object whose ``__dict__`` is its storage."""
+
+    def __init__(self, payload):
+        self.payload = payload
+        self.tag = "t"
+
+
+class _Slotted:
+    """No ``__dict__``: one atom whatever it holds."""
+
+    __slots__ = ("payload",)
+
+    def __init__(self, payload):
+        self.payload = payload
+
+
+#: Hashable leaves: every exact scalar type (NaN and -0.0 included),
+#: ``None``, and scalars of a subclass or foreign type.
+_hashable = st.one_of(
+    st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.binary(max_size=3), st.none(), st.builds(_Label, st.text(max_size=3)),
+    st.sampled_from(_Colour),
+    *([st.floats().map(numpy.float64)] if numpy is not None else []),
+)
+_keys = st.one_of(_hashable, st.tuples(_hashable, _hashable))
+
+#: Nested vertex values: builtin containers, their subclasses and
+#: objects, to any depth.
+vertex_values = st.recursive(
+    _hashable,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.sets(_hashable, max_size=4),
+        st.frozensets(_keys, max_size=4),
+        st.dictionaries(_keys, children, max_size=4),
+        st.dictionaries(_keys, children, max_size=3).map(OrderedDict),
+        st.dictionaries(_keys, children, max_size=3).map(
+            lambda d: defaultdict(list, d)
+        ),
+        st.builds(_Pair, children, children),
+        st.builds(_Attrs, children),
+        st.builds(_Slotted, children),
+    ),
+    max_leaves=24,
+)
+
+
 class TestMetricsInvariants:
+    @given(vertex_values)
+    @settings(max_examples=300)
+    def test_state_atoms_matches_the_recursive_definition(self, value):
+        # The runtime dispatches exact builtin types; the oracle's copy
+        # is the plain recursive rule every type once went through.
+        assert state_atoms(value) == reference_atoms(value)
+
     @given(
         st.recursive(
             st.one_of(
