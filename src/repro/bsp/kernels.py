@@ -244,12 +244,6 @@ def _affine(totals, scale, shift):
     return [shift + scale * t for t in totals]
 
 
-def _elementwise_div(vals, degs):
-    """``vals[i] / degs[i]`` elementwise, at C level (``degs`` is the
-    plan's ``array('d')`` of out-degrees)."""
-    return list(map(operator.truediv, vals, degs))
-
-
 _HALTED = operator.attrgetter("halted")
 _VALUE = operator.attrgetter("value")
 _SUB = operator.sub
@@ -676,9 +670,9 @@ class PageRankKernel:
         else:
             sent = plan.sent
             if plan.n:
-                shares = _elementwise_div(
-                    plan.value_getter(new_vals), plan.degs
-                )
+                shares = list(map(
+                    operator.truediv, plan.value_getter(new_vals), plan.degs
+                ))
                 _scatter(plan, shares, lane)
             worker.sent_logical += sent
             worker.sent_remote += plan.remote

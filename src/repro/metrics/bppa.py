@@ -45,6 +45,8 @@ def state_atoms(value: Any) -> int:
     if kind in _SCALARS:
         return 1
     if kind is dict:
+        # The item loops are inline: a helper call per container costs
+        # more than the loop it would share.
         count = 2 * len(value)
         for item in value:
             if type(item) not in _SCALARS:
