@@ -194,9 +194,9 @@ class _Slotted:
 #: Hashable leaves: every exact scalar type (NaN and -0.0 included),
 #: ``None``, and scalars of a subclass or foreign type.
 _hashable = st.one_of(
-    st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
-    st.binary(max_size=3), st.none(), st.builds(_Label, st.text(max_size=3)),
-    st.sampled_from(_Colour),
+    st.booleans(), st.integers(), st.floats(), st.complex_numbers(),
+    st.text(max_size=3), st.binary(max_size=3), st.none(),
+    st.builds(_Label, st.text(max_size=3)), st.sampled_from(_Colour),
     *([st.floats().map(numpy.float64)] if numpy is not None else []),
 )
 _keys = st.one_of(_hashable, st.tuples(_hashable, _hashable))
