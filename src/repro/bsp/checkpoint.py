@@ -36,14 +36,15 @@ import copy
 import dataclasses
 from array import array
 from dataclasses import dataclass
-from itertools import chain
-from operator import is_, methodcaller
+from itertools import chain, islice, repeat
+from operator import is_
 from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 from typing import Sequence, Tuple
 
 from repro.bsp.shm_transport import typed_column
 from repro.bsp.vertex import VertexState
 from repro.errors import CheckpointError
+from repro.graph.snapshot import row_dicts, same_rows
 from repro.metrics.bppa import BppaObservation, state_atoms
 
 #: Types shared (not copied) by :func:`cow_copy`.
@@ -76,43 +77,32 @@ def cow_copy(value: Any) -> Any:
     return copy.deepcopy(value)
 
 
-def _split(column, lens):
-    """``column`` cut into consecutive rows of ``lens`` entries."""
-    at = 0
-    for n in lens:
-        yield column[at:at + n]
-        at += n
+def _vertex_columns(store):
+    """``store``'s worker indices and list lengths (by value), and the
+    ids of ``states``, the owner map and the worker lists (by id)."""
+    lists = [w.vertex_ids for w in store.workers]
+    return (list(store.owner.values()), list(map(len, lists))), (
+        list(store.states), list(store.owner), list(chain(*lists)),
+    )
 
 
 def _live_topology(store):
-    """``store``'s topology as ``(shape, leaves)``, in the field order
-    of :class:`TopologySnapshot`: ``shape`` is what compares by value
-    (aliasing, row lengths, worker indices), ``leaves`` iterate the id
-    and weight objects themselves, column after column."""
+    """``store``'s topology in the field order of
+    :class:`TopologySnapshot`; a row that is not materialized is read
+    off the frozen topology's columns, never built into a dict."""
+    shape, (ids, owner_ids, worker_ids) = _vertex_columns(store)
     states = store.states.values()
-    out_maps = [s.out_edges for s in states]
-    in_maps = [s.in_edges for s in states]
-    aliased = bytes(map(is_, in_maps, out_maps))
-    maps = out_maps + [m for m, a in zip(in_maps, aliased) if not a]
-    lists = [w.vertex_ids for w in store.workers]
-    return (
-        aliased,
-        list(map(len, maps)),
-        list(store.owner.values()),
-        list(map(len, lists)),
-    ), (
-        store.states,
-        chain.from_iterable(maps),
-        chain.from_iterable(map(methodcaller("values"), maps)),
-        store.owner,
-        chain.from_iterable(lists),
+    aliased, lens, nbrs, wts = store.topology.live_rows(
+        [s.row for s in states],
+        [s.out_edges for s in states], [s.in_edges for s in states],
     )
+    return (aliased, lens, *shape, ids, nbrs, wts, owner_ids, worker_ids)
 
 
 class TopologySnapshot(NamedTuple):
     """Frozen edge maps, ownership and worker lists as flat columns:
     what a restore needs besides the per-vertex columns.  Never handed
-    out — a restore builds fresh dicts and lists from them."""
+    out — a restore builds fresh lists and dicts from them."""
 
     #: Per vertex in ``states`` order: 1 where ``in_edges is
     #: out_edges`` (undirected graphs).
@@ -133,31 +123,36 @@ class TopologySnapshot(NamedTuple):
 
     @classmethod
     def capture(cls, store) -> "TopologySnapshot":
-        shape, leaves = _live_topology(store)
-        return cls(*shape, *map(list, leaves))
+        return cls(*_live_topology(store))
 
     def holds(self, store) -> bool:
-        """Whether ``store``'s live topology still is this snapshot.
-        Order-sensitive, and identity rather than equality on the
-        leaves (``1 == 1.0 == True``, ``0.0 == -0.0``: a restore must
-        not change a type or a sign); an equal shape makes every live
-        column as long as its frozen one."""
-        shape, leaves = _live_topology(store)
-        return shape == self[:len(shape)] and all(
-            all(map(is_, live, frozen))
-            for live, frozen in zip(leaves, self[len(shape):])
+        """Whether ``store``'s live topology still is this snapshot, the
+        baseline, whose rows are the frozen topology's: the vertex
+        columns by identity (``1 == 1.0 == True``), and the rows that
+        are materialized, the only ones that can differ — O(n +
+        touched), not O(m)."""
+        shape, leaves = _vertex_columns(store)
+        kept = self.ids, self.owner_ids, self.worker_ids
+        if (
+            shape != (self.owner_workers, self.worker_lens)
+            or list(map(len, leaves)) != list(map(len, kept))
+            or not all(map(all, map(map, repeat(is_), leaves, kept)))
+        ):
+            return False  # past here every vertex has a frozen row
+        touched = [s for s in store.states.values() if s.out_edges is not None]
+        rows = [s.row for s in touched]
+        live = store.topology.live_rows(
+            rows, [s.out_edges for s in touched], [s.in_edges for s in touched]
         )
+        frozen = store.topology.live_rows(rows, *[[None] * len(rows)] * 2)
+        return live[0] == frozen[0] and same_rows(live[1:], frozen[1:])
 
     def edge_maps(self):
         """Per vertex, fresh ``(out_edges, in_edges)`` dicts — one
         dict twice where the two were aliased."""
-        maps = [
-            dict(zip(ids, weights))
-            for ids, weights in zip(
-                _split(self.edge_ids, self.row_lens),
-                _split(self.edge_weights, self.row_lens),
-            )
-        ]
+        maps = list(
+            row_dicts(self.row_lens, self.edge_ids, self.edge_weights)
+        )
         in_maps = iter(maps[len(self.aliased):])
         return [
             (out, out if shared else next(in_maps))
@@ -314,17 +309,24 @@ def _topology_of(engine, checkpoint: Checkpoint) -> TopologySnapshot:
     return topology
 
 
-def _restored_states(checkpoint: Checkpoint, topology, keep=None):
+def _restored_states(engine, checkpoint: Checkpoint, topology, keep=None):
     """A fresh ``VertexState`` per vertex of ``checkpoint`` (only
-    those whose id is in ``keep``, when given)."""
-    for vid, value, halted, (out_edges, in_edges) in zip(
+    those whose id is in ``keep``, when given, which a confined replay
+    runs ``compute`` on).  A full restore of a checkpoint sharing the
+    baseline puts the frozen rows back: it builds no dict."""
+    maps = (
+        repeat((None, None)) if keep is None and checkpoint.topology is None
+        else topology.edge_maps()
+    )
+    for vid, value, halted, row, (out_edges, in_edges) in zip(
         topology.ids,
         _thaw(checkpoint.values),
         checkpoint.halted,
-        topology.edge_maps(),
+        engine._store.topology.positions(topology.ids),
+        maps,
     ):
         if keep is None or vid in keep:
-            state = VertexState(vid, value, out_edges, in_edges)
+            state = VertexState.of_rows(vid, value, row, out_edges, in_edges)
             state.halted = bool(halted)
             yield state
 
@@ -341,10 +343,11 @@ def restore_checkpoint(engine, checkpoint: Checkpoint) -> int:
     topology = _topology_of(engine, checkpoint)
     engine._states = {
         state.id: state
-        for state in _restored_states(checkpoint, topology)
+        for state in _restored_states(engine, checkpoint, topology)
     }
     engine._owner = dict(zip(topology.owner_ids, topology.owner_workers))
-    lists = _split(topology.worker_ids, topology.worker_lens)
+    ids = iter(topology.worker_ids)
+    lists = map(list, map(islice, repeat(ids), topology.worker_lens))
     for worker, vids in zip(engine._workers, lists):
         worker.vertex_ids = vids
         worker.reset_counters()
@@ -380,7 +383,7 @@ def restore_partition(engine, checkpoint: Checkpoint, worker: int) -> int:
         if widx == worker
     }
     live = engine._states
-    for saved in _restored_states(checkpoint, topology, owned):
+    for saved in _restored_states(engine, checkpoint, topology, owned):
         state = live[saved.id]
         state.value, state.halted = saved.value, saved.halted
         state.out_edges, state.in_edges = saved.out_edges, saved.in_edges

@@ -333,7 +333,6 @@ class PregelEngine:
             self._store,
             combiner,
             self._ctx,
-            graph=graph,
             injector=self._injector,
             trace=self._trace,
             confined_recovery=confined_recovery,

@@ -80,7 +80,7 @@ from repro.bsp.faults import DeliveryFaults
 from repro.bsp.shm_transport import typed_column
 from repro.errors import MessageToUnknownVertexError, SpillError
 from repro.graph.partition import build_dense_index, dense_adjacency
-from repro.graph.snapshot import is_graph_snapshot
+from repro.graph.snapshot import edge_dicts
 from repro.trace.events import FaultInjected
 
 
@@ -171,11 +171,12 @@ class DenseLane:
         "out_start", "out_dst", "remote_out", "dangling",
         "idx_of", "owner_of",
         "acc", "cnt", "combine", "touched", "cur", "arrivals", "awake",
+        "rows",
     )
 
     def __init__(
         self, worker, base, states, inbox,
-        adjacency, idx_of, owner_of, combiner,
+        adjacency, idx_of, owner_of, combiner, rows=None,
     ):
         self.worker = worker
         self.index = worker.index
@@ -198,6 +199,7 @@ class DenseLane:
         self.touched: List[int] = []
         self.cur = -1
         self.arrivals, self.awake = (), None
+        self.rows = rows
         if combiner is None:
             self.cnt = None
             self.combine = None
@@ -211,6 +213,18 @@ class DenseLane:
                 self.combine = operator.add
             else:
                 self.combine = combiner.combine
+
+    def materialize(self) -> None:
+        """Give the lane's vertices private edge dicts, in one pass,
+        from ``rows(positions)``: the run's ``CsrSnapshot.edge_rows``,
+        or a rank's shipped columns of them."""
+        rows, self.rows = self.rows, None
+        if rows is not None:
+            lo, hi = self.start - self.base, self.stop - self.base
+            lazy = [s for s in self.states[lo:hi] if s.out_edges is None]
+            pairs = edge_dicts(rows([s.row for s in lazy]))
+            for state, (out, incoming) in zip(lazy, pairs):
+                state.out_edges, state.in_edges = out, incoming
 
     # Send paths.  A slot without a combiner is the list of messages in
     # send order; with one it is the send-time fold in ``acc`` plus the
@@ -433,9 +447,9 @@ class MessageFabric:
     Handed what it reads, not its engine: ``store`` supplies the
     vertex partition (``states``/``owner``/``workers``, mirrored here
     for the per-message hot paths, plus the confined-recovery message
-    log), ``ctx`` the context whose sends :meth:`bind_lane` binds,
-    ``graph`` the input the first index compiles from; delivery reads
-    ``injector``/``trace``/``confined_recovery`` and ``run_stats``,
+    log, and the frozen ``topology`` every index compiles from),
+    ``ctx`` the context whose sends :meth:`bind_lane` binds; delivery
+    reads ``injector``/``trace``/``confined_recovery`` and ``run_stats``,
     which the engine sets when a run starts.  The engine's
     ``_states``/``_owner`` setters refresh the mirrors whenever a
     checkpoint restore swaps the underlying dicts.
@@ -446,7 +460,6 @@ class MessageFabric:
         store,
         combiner,
         ctx,
-        graph=None,
         injector=None,
         trace=None,
         confined_recovery: bool = False,
@@ -497,7 +510,7 @@ class MessageFabric:
         self.lanes: Optional[List[DenseLane]] = None
         self.slot_seen: Optional[List[int]] = None
         self.stamp = 0
-        self.engage_fast_path(graph)
+        self.engage_fast_path()
 
     # ------------------------------------------------------------------
     # Send paths: the lane binding, and the null pair of a confined
@@ -644,13 +657,13 @@ class MessageFabric:
     # Execution-path management
     # ------------------------------------------------------------------
 
-    def engage_fast_path(self, graph=None) -> None:
+    def engage_fast_path(self) -> None:
         """Compile the dense index over the store's current partition
         and lay out empty slot mailboxes.
 
-        Called at construction (with the input ``graph``) and by
-        :meth:`reindex`.  The dense order mirrors worker/`vertex_ids`
-        order exactly, so execution sequencing is unchanged.
+        Called at construction and by :meth:`reindex`.  The dense
+        order mirrors worker/`vertex_ids` order exactly, so execution
+        sequencing is unchanged.
         """
         dense = build_dense_index(self.workers)
         self.dense = dense
@@ -663,14 +676,9 @@ class MessageFabric:
         n = len(dense.id_of)
         # Compile the dense adjacency: full-neighbor fanouts iterate
         # precomputed int indices instead of hashing ids per message.
-        # A snapshot-backed graph compiles its first index straight
-        # from the CSR arrays (the states were just built from the
-        # same rows); a re-index walks the live edge maps, which
-        # mutations may have moved off the snapshot.
-        if not (is_graph_snapshot(graph) and graph.num_vertices == n):
-            graph = None
+        topology = self._store.topology
         adjacency = self.adjacency = dense_adjacency(
-            dense_states, dense, graph
+            dense_states, dense, topology
         )
         inbox = self.in_msgs, self.in_start, self.in_count = (
             [], [0] * n, [0] * n
@@ -681,6 +689,7 @@ class MessageFabric:
             DenseLane(
                 worker, 0, dense_states, inbox,
                 adjacency, dense.idx_of, dense.owner_of, self._combiner,
+                topology.edge_rows,
             )
             for worker in self.workers
         ]

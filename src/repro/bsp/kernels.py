@@ -105,6 +105,7 @@ def dense_compute_pass(host, lane, wake_all: bool):
     Walks the lane's frontier, or its whole range when the frontier
     is not known to be smaller (module docstring).
     """
+    lane.materialize()  # programs read and edit real edge dicts
     program = host._program
     ctx = host._ctx
     tracker = host._tracker
@@ -572,16 +573,18 @@ def _serial_plans(engine):
     return plans
 
 
-def _feed_tracker(tracker, program, seg_states, seg_counts, sends):
+def _feed_tracker(tracker, program, lane, seg_states, seg_counts, sends):
     """One tracker row per vertex of a whole-lane pass, in visit
     order: ``sends`` says whether the phase scattered along every
-    out-edge, ``seg_counts`` (``None`` on a seed phase) how many
-    messages arrived."""
+    out-edge — as many messages as the lane's compiled row holds —
+    and ``seg_counts`` (``None`` on a seed phase) how many arrived."""
     state_size = program.state_size
     record = tracker.record_vertex
-    for i, state in enumerate(seg_states):
+    lo = lane.start - lane.base
+    starts = lane.out_start[lo:lo + len(seg_states) + 1]
+    degs = map(_SUB, starts[1:], starts) if sends else repeat(0)
+    for i, (state, sent) in enumerate(zip(seg_states, degs)):
         ln = seg_counts[i] if seg_counts is not None else 0
-        sent = len(state.out_edges) if sends else 0
         record(state.id, sent, ln, 1 + ln + sent + 0.0, state_size(state))
 
 
@@ -680,7 +683,7 @@ class PageRankKernel:
         worker.work += float(n_seg + total_msgs + sent)
         if host._tracker is not None:
             _feed_tracker(
-                host._tracker, program, seg_states, seg_counts,
+                host._tracker, program, lane, seg_states, seg_counts,
                 phase != "final",
             )
         return range(lane.start, lane.stop), scattered
@@ -758,6 +761,7 @@ class MinPropagationKernel:
             off, starts, peers = 0, lane.out_start, lane.out_dst
             remote = lane.remote_out
         else:
+            lane.materialize()  # the peer sets read the edge dicts
             idx_get = lane.idx_of.get
             owner_of = lane.owner_of
             src = lane.index
@@ -888,7 +892,7 @@ class DegreeKernel:
             worker.sent_remote += plan.remote
             worker.work += float(len(seg_states) + plan.sent)
             if tracker is not None:
-                _feed_tracker(tracker, program, seg_states, None, True)
+                _feed_tracker(tracker, program, lane, seg_states, None, True)
             return range(lane.start, lane.stop), plan
         state_size = program.state_size
         in_msgs, in_start = lane.in_msgs, lane.in_start

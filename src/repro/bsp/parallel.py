@@ -181,22 +181,19 @@ class _PartitionRuntime:
         self.rng.setstate(init["rng_state"])
         self._rng_baseline = init["rng_state"]
         states = []
-        for vid, value, out_edges, in_edges, halted in init["states"]:
-            state = VertexState(
-                vid,
-                value=value,
-                out_edges=out_edges,
-                in_edges=out_edges if in_edges is None else in_edges,
-            )
+        for vid, value, halted, *rows in init["states"]:
+            state = VertexState.of_rows(vid, value, None, *rows)
             state.halted = halted
             states.append(state)
         self.states: List[VertexState] = states
         # The slice's arrays are indexed by local offset (dense idx -
         # range start), hence the base; each step merges its mail into
-        # the inbox columns and clears them after the pass.
+        # the inbox columns and clears them after the pass.  A frozen
+        # row becomes a dict only if a per-vertex pass runs the lane.
         self.lane = lane = DenseLane(
             worker, worker.range_start, states, None, init["adjacency"],
             init["idx_of"], init["owner_of"], init["combiner"],
+            lambda positions, rows=init["rows"]: rows,
         )
         #: Compute passes started over the partition's lifetime (see
         #: :attr:`progress`).
@@ -654,6 +651,7 @@ class ParallelPregelEngine(PregelEngine):
         fabric = self._fabric
         dense = fabric.dense
         start, stop = dense.ranges[rank]
+        states = fabric.dense_states[start:stop]
         tracker = self._tracker
         return {
             "range": (start, stop),
@@ -670,11 +668,13 @@ class ParallelPregelEngine(PregelEngine):
             "idx_of": dense.idx_of,
             "owner_of": dense.owner_of,
             "states": [
-                (state.id, state.value, state.out_edges, None
-                 if state.in_edges is state.out_edges else state.in_edges,
-                 state.halted)
-                for state in fabric.dense_states[start:stop]
+                (s.id, s.value, s.halted, s.out_edges, s.in_edges)
+                for s in states
             ],
+            # Frozen rows as columns; a materialized one as its dict.
+            "rows": self._store.topology.edge_rows(
+                [s.row for s in states if s.out_edges is None]
+            ),
             "adjacency": fabric.adjacency.rows(start, stop),
         }
 

@@ -5,12 +5,12 @@ Middle layer of the decomposed runtime (``docs/architecture.md``).
 :class:`StateStore` owns the Pregel engine's partitioned vertex
 state — the ``states`` dict, the ``owner`` map (built through the
 shared :func:`~repro.graph.partition.owner_for` rule), the worker
-vertex lists — plus what its checkpoints and confined recovery need
-beyond the loop's ledgers: the frozen topology ``baseline``, the
-confined-recovery message/wake logs, and the mutation flag that vetoes
-confined replay.  The checkpoint store, its schedule and the
-per-superstep checkpoint charges belong to the
-:class:`~repro.bsp.loop.SuperstepLoop`, for every engine.
+vertex lists, the run's one frozen CSR ``topology`` — plus what its
+checkpoints and confined recovery need beyond the loop's ledgers: the
+``baseline``, the confined-recovery message/wake logs, and the flag
+that vetoes confined replay.  The checkpoint store, its schedule and
+the checkpoint charges belong to the :class:`~repro.bsp.loop.
+SuperstepLoop`, for every engine.
 
 The module-level functions implement the state-changing protocols
 that used to live inline in the engine:
@@ -34,6 +34,7 @@ from repro.bsp.worker import Worker
 from repro.errors import WorkerCrashError
 from repro.graph.graph import Graph
 from repro.graph.partition import owner_for
+from repro.graph.snapshot import CsrSnapshot, edge_dicts, is_graph_snapshot
 from repro.metrics.stats import RunStats
 from repro.trace.events import Rollback
 
@@ -53,36 +54,17 @@ class StateStore:
         self.workers = [Worker(i) for i in range(num_workers)]
         self.states: Dict[Hashable, VertexState] = {}
         self.owner: Dict[Hashable, int] = {}
-        # The GraphSource seam: both the live dict Graph and the
-        # immutable CsrSnapshot yield per-vertex (neighbor, weight)
-        # rows in identical order through *_edge_items, so the states
-        # built here — and everything downstream — are byte-identical
-        # whichever representation backs the run.  Exotic graph-likes
-        # without the protocol fall back to the per-neighbor reads.
-        out_items = getattr(graph, "out_edge_items", None)
-        in_items = getattr(graph, "in_edge_items", None)
-        for v in graph.vertices():
-            if out_items is not None:
-                out_edges = dict(out_items(v))
-            else:
-                out_edges = {
-                    u: graph.weight(v, u) for u in graph.neighbors(v)
-                }
-            if not graph.directed:
-                in_edges = out_edges
-            elif in_items is not None:
-                in_edges = dict(in_items(v))
-            else:
-                in_edges = {
-                    u: graph.weight(u, v) for u in graph.in_neighbors(v)
-                }
-            state = VertexState(
-                v,
-                value=program.initial_value(v, graph),
-                out_edges=out_edges,
-                in_edges=in_edges,
+        #: The run's one immutable topology: the caller's snapshot, or
+        #: the ``Graph`` frozen into CSR columns (the same rows).  A
+        #: row gets a dict only when needed (:meth:`materialize`).
+        self.topology = (
+            graph if is_graph_snapshot(graph)
+            else CsrSnapshot.from_graph(graph)
+        )
+        for row, v in enumerate(graph.vertices()):
+            self.states[v] = VertexState.of_rows(
+                v, program.initial_value(v, graph), row
             )
-            self.states[v] = state
             self.workers[self.assign(v)].vertex_ids.append(v)
 
         # Recovery bookkeeping.  ``baseline`` is the topology frozen
@@ -97,6 +79,13 @@ class StateStore:
         """Capture the topology checkpoints are columns over.  Called
         once, before any program code can touch an edge map."""
         self.baseline = TopologySnapshot.capture(self)
+
+    def materialize(self, state: VertexState) -> VertexState:
+        """``state``, given private edge dicts if it has none yet."""
+        if state.out_edges is None:
+            (rows,) = edge_dicts(self.topology.edge_rows([state.row]))
+            state.out_edges, state.in_edges = rows
+        return state
 
     def assign(self, vertex_id: Hashable) -> int:
         """Record ``vertex_id``'s ownership (the shared
@@ -140,29 +129,32 @@ def apply_mutations(engine) -> Optional[Set[Hashable]]:
     states = store.states
     store.mutated_since_checkpoint = True
     directed = engine._graph.directed
+    # Every row edited below is materialized first: a private dict is
+    # the one mark that a row may differ from the frozen topology.
+    edit = store.materialize
     for u, v in log.remove_edges:
         src = states.get(u)
         if src is not None:
-            src.out_edges.pop(v, None)
+            edit(src).out_edges.pop(v, None)
         if directed:
             dst = states.get(v)
             if dst is not None:
-                dst.in_edges.pop(u, None)
+                edit(dst).in_edges.pop(u, None)
     removed: Set[Hashable] = set()
     for vid in log.remove_vertices:
         state = states.pop(vid, None)
         if state is None:
             continue
         removed.add(vid)
-        for src in list(state.in_edges):
+        for src in list(edit(state).in_edges):
             other = states.get(src)
             if other is not None:
-                other.out_edges.pop(vid, None)
+                edit(other).out_edges.pop(vid, None)
         if directed:
             for dst in list(state.out_edges):
                 other = states.get(dst)
                 if other is not None:
-                    other.in_edges.pop(vid, None)
+                    edit(other).in_edges.pop(vid, None)
         # Pending messages for vid stay put: delivery sees the missing
         # destination, drops them and reverses the senders' charges so
         # the logical books balance.  (Its inbox is already empty: the
@@ -190,11 +182,11 @@ def apply_mutations(engine) -> Optional[Set[Hashable]]:
         src = states.get(u)
         if src is None:
             continue
-        src.out_edges[v] = weight
+        edit(src).out_edges[v] = weight
         if directed:
             dst = states.get(v)
             if dst is not None:
-                dst.in_edges[u] = weight
+                edit(dst).in_edges[u] = weight
     log.clear()
     return removed
 

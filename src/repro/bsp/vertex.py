@@ -19,18 +19,23 @@ class VertexState:
     out_edges:
         ``{target_id: weight}``.  Programs may mutate this directly —
         Pregel allows local edge mutation (e.g. Luby's MIS deletes
-        edges to vertices that joined the independent set).
+        edges to vertices that joined the independent set).  ``None``
+        while still the run's frozen row; the engine builds a private
+        dict before the first ``compute`` call, the same on every visit.
     in_edges:
         ``{source_id: weight}``.  Populated for directed graphs so
         programs that must message predecessors (simulation, SCC) do
         not each need a discovery superstep; for undirected graphs it
-        aliases ``out_edges``.
+        aliases ``out_edges``.  ``None`` together with ``out_edges``.
     halted:
         Set by :meth:`vote_to_halt`; cleared by the engine when a
         message arrives.
+    row:
+        The vertex's position in the run's frozen topology (``None``
+        for a vertex a mutation added).
     """
 
-    __slots__ = ("id", "value", "out_edges", "in_edges", "halted")
+    __slots__ = ("id", "value", "out_edges", "in_edges", "halted", "row")
 
     def __init__(
         self,
@@ -45,7 +50,16 @@ class VertexState:
         self.in_edges = (
             in_edges if in_edges is not None else self.out_edges
         )
-        self.halted = False
+        self.halted, self.row = False, None
+
+    @classmethod
+    def of_rows(cls, vertex_id, value, row, out_edges=None, in_edges=None):
+        """A state at frozen position ``row`` with these edge dicts."""
+        state = cls.__new__(cls)
+        state.id, state.value, state.row = vertex_id, value, row
+        state.out_edges, state.in_edges = out_edges, in_edges
+        state.halted = False
+        return state
 
     # ------------------------------------------------------------------
 
@@ -79,3 +93,5 @@ class VertexState:
             f"<VertexState {self.id!r} value={self.value!r} "
             f"deg={len(self.out_edges)} {state}>"
         )
+
+

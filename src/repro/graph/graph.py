@@ -21,11 +21,15 @@ Design notes
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import Any, Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import EdgeNotFoundError, VertexNotFoundError
 
 VertexId = Hashable
+
+_WEIGHT = attrgetter("weight")
 
 
 class EdgeData:
@@ -68,6 +72,7 @@ class Graph:
         self._pred: Dict[VertexId, Dict[VertexId, EdgeData]] = {}
         self._vertex_labels: Dict[VertexId, Any] = {}
         self._num_edges = 0
+        self._labelled = False
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -119,6 +124,7 @@ class Graph:
                 self._pred[vertex] = {}
         if label is not None:
             self._vertex_labels[vertex] = label
+            self._labelled = True
 
     def remove_vertex(self, vertex: VertexId) -> None:
         """Remove ``vertex`` and every edge incident to it."""
@@ -150,11 +156,18 @@ class Graph:
             raise VertexNotFoundError(vertex)
         return self._vertex_labels.get(vertex)
 
+    def has_labels(self) -> bool:
+        """Whether a label other than ``None`` was ever written through
+        :meth:`add_vertex`, :meth:`set_label` or :meth:`add_edge` —
+        what a snapshot must scan the labels for.  O(1)."""
+        return self._labelled
+
     def set_label(self, vertex: VertexId, label: Any) -> None:
         """Set the label of an existing ``vertex``."""
         if vertex not in self._adj:
             raise VertexNotFoundError(vertex)
         self._vertex_labels[vertex] = label
+        self._labelled = self._labelled or label is not None
 
     # ------------------------------------------------------------------
     # Edge operations
@@ -174,6 +187,7 @@ class Graph:
         """
         self.add_vertex(u)
         self.add_vertex(v)
+        self._labelled = self._labelled or label is not None
         existing = self._adj[u].get(v)
         if existing is not None:
             existing.weight = weight
@@ -265,13 +279,9 @@ class Graph:
     def out_edge_items(
         self, vertex: VertexId
     ) -> Iterator[Tuple[VertexId, float]]:
-        """``(neighbor, weight)`` pairs in row (edge-insertion) order.
-
-        The ``GraphSource`` read the BSP state store builds its
-        per-vertex edge dicts from — shared with
-        :class:`~repro.graph.snapshot.CsrSnapshot`, whose CSR rows
-        yield the identical sequence.
-        """
+        """``(neighbor, weight)`` pairs in row (edge-insertion) order —
+        shared with :class:`~repro.graph.snapshot.CsrSnapshot`, whose
+        CSR rows yield the identical sequence."""
         if vertex not in self._adj:
             raise VertexNotFoundError(vertex)
         return (
@@ -287,6 +297,26 @@ class Graph:
             raise VertexNotFoundError(vertex)
         row = self._pred[vertex] if self._directed else self._adj[vertex]
         return ((u, data.weight) for u, data in row.items())
+
+    def rows(self, vertices, incoming: bool = False):
+        """The out- (or in-) rows of ``vertices`` as ``(lengths,
+        neighbor ids, weights)``: a list of row lengths, then two
+        iterators over every row's neighbor ids and weights end to
+        end, in row order, good for one pass while the graph is not
+        edited — the ``GraphSource`` bulk read a CSR snapshot (and so
+        every run's topology) is built from, shared with
+        :meth:`CsrSnapshot.rows <repro.graph.snapshot.CsrSnapshot.
+        rows>`."""
+        adj = self._pred if incoming and self._directed else self._adj
+        try:
+            rows = list(map(adj.__getitem__, vertices))
+        except KeyError as exc:
+            raise VertexNotFoundError(exc.args[0]) from None
+        return (
+            list(map(len, rows)),
+            chain.from_iterable(rows),
+            map(_WEIGHT, chain.from_iterable(map(dict.values, rows))),
+        )
 
     def sorted_neighbors(self, vertex: VertexId) -> list:
         """Neighbors sorted by id — the adjacency-list order the Euler

@@ -49,7 +49,6 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import VertexNotFoundError
 from repro.graph.graph import Graph
 
 Partitioner = Callable[[Hashable], int]
@@ -258,52 +257,36 @@ class Adjacency(NamedTuple):
         )
 
 
-_OUT_EDGES = operator.attrgetter("out_edges")
-
-
-def dense_adjacency(states, dense: DenseIndex, snapshot=None) -> Adjacency:
+def dense_adjacency(states, dense: DenseIndex, topology) -> Adjacency:
     """Compile the dense adjacency of ``states`` (``dense`` order).
 
-    With ``snapshot`` — the graph snapshot the states were just built
-    from — the rows come straight off its CSR columns, row positions
-    permuted to dense indices with one flat table instead of hashing
-    every target id (row order equals the ``out_edges`` insertion
-    order by construction: the states were built from the same
-    ``out_edge_items`` rows).  Otherwise they come from the live
-    ``out_edges``, where a target with no state makes the row
-    dangling.  Every column is built by C-level passes over all rows
-    at once; only a dangling row takes a per-row path."""
+    One read of every row as the run sees it (``topology.rows_at``):
+    a frozen CSR row's target positions translate to dense indices
+    through one flat table, a materialized vertex's live
+    ``out_edges`` ids through the index (its weights are never read).
+    A target with no state makes its row dangling; only then does a
+    per-row path run."""
     idx_of, owner_of = dense.idx_of, dense.owner_of
-    positions = None
-    if snapshot is not None:
-        try:
-            positions = [snapshot.position_of(vid) for vid in dense.id_of]
-        except VertexNotFoundError:  # pragma: no cover - defensive
-            pass
-    if positions is not None:
-        perm = [0] * len(positions)
-        for idx, p in enumerate(positions):
-            perm[p] = idx
-        row_of = snapshot.out_row_positions
-        lens = list(map(len, map(row_of, positions)))
-        targets = map(
-            perm.__getitem__, chain.from_iterable(map(row_of, positions))
-        )
-    else:
-        lens = list(map(len, map(_OUT_EDGES, states)))
-        targets = map(idx_of.get, chain.from_iterable(map(_OUT_EDGES, states)))
-    flat = list(targets)
+    to_dense = list(map(idx_of.get, topology.vertices()))
+    positions = [s.row for s in states]
+    live = [
+        None if s.out_edges is None else list(map(idx_of.get, s.out_edges))
+        for s in states
+    ]
+    lens, targets, _ = topology.rows_at(positions, False, live, to_dense)
     dangling = frozenset()
     try:
-        out_dst = array("q", flat)
+        out_dst = array("q", targets)
     except TypeError:  # a target with no state: its row compiles empty
-        rows = [list(map(idx_of.get, s.out_edges)) for s in states]
-        dangling = frozenset(i for i, row in enumerate(rows) if None in row)
+        targets = topology.rows_at(positions, False, live, to_dense)[1]
+        targets = list(targets)
+        cuts = list(accumulate(lens, initial=0))
+        rows = [targets[a:b] for a, b in zip(cuts, cuts[1:])]
+        dangling = frozenset(i for i, r in enumerate(rows) if None in r)
         for i in dangling:
             rows[i] = []
         lens = list(map(len, rows))
-        flat = list(chain.from_iterable(rows))
-        out_dst = array("q", flat)
+        out_dst = array("q", chain.from_iterable(rows))
     out_start = array("q", accumulate(lens, initial=0))
     # One flag byte per target owned by another worker than its source
     # (a worker's rows are one contiguous run); a row's remote count is
@@ -311,7 +294,7 @@ def dense_adjacency(states, dense: DenseIndex, snapshot=None) -> Adjacency:
     crossed = b"".join(
         bytes(map(
             operator.ne,
-            map(owner_of.__getitem__, flat[out_start[a]:out_start[b]]),
+            map(owner_of.__getitem__, out_dst[out_start[a]:out_start[b]]),
             repeat(worker),
         ))
         for worker, (a, b) in enumerate(dense.ranges)

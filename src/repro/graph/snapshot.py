@@ -19,14 +19,21 @@ fits in RAM.  :class:`CsrSnapshot` is the out-of-core answer — an
 
 A snapshot implements the :class:`Graph` *read* API — ``directed``,
 ``num_vertices``, ``vertices()``, ``neighbors()``, ``in_neighbors()``,
-``weight()``, degrees, ``edges(data=True)``, labels — plus the
-``out_edge_items()`` / ``in_edge_items()`` pair that the runtime's
-``GraphSource`` seam prefers, so :class:`~repro.bsp.state.StateStore`,
-the dense fast path, fingerprinting and every vertex program work
-identically over a live ``Graph`` or a snapshot.  Iteration order is
-preserved bit for bit (vertex insertion order; per-row edge insertion
-order), which is what makes snapshot-backed runs byte-identical to
-in-memory runs.
+``weight()``, degrees, ``edges(data=True)``, labels,
+``out_edge_items()`` / ``in_edge_items()`` — plus the bulk read
+``rows()`` it shares with ``Graph``.  Iteration order is preserved bit
+for bit (vertex insertion order; per-row edge insertion order), which
+is what makes snapshot-backed runs byte-identical to in-memory runs.
+
+Every run's topology is one snapshot
+(:attr:`~repro.bsp.state.StateStore.topology`): the one it is handed,
+or its ``Graph`` frozen by :meth:`CsrSnapshot.from_graph`.  The
+runtime reads it by position (:meth:`CsrSnapshot.rows_at`, a run's
+vertex states knowing their positions), builds a vertex's edge dicts
+from it only when the per-vertex tier first runs the vertex's lane
+(:func:`edge_dicts`), and compares a materialized row with its frozen
+row (:func:`same_rows`) to decide whether a checkpoint may share the
+baseline.
 
 On-disk format
 --------------
@@ -58,11 +65,14 @@ from __future__ import annotations
 
 import json
 import mmap
+import operator
 import os
 import pickle
 import sys
 import zlib
 from array import array
+from functools import cached_property
+from itertools import accumulate, chain, compress, islice, repeat, tee
 from typing import (
     Any,
     Dict,
@@ -123,11 +133,27 @@ def _pack_weights(weights: List[Any]):
     (pickled on save), so int or exotic weights keep their exact type
     and the byte-identity contract.
     """
-    if all(type(w) is float for w in weights):
-        if all(w == 1.0 for w in weights):
+    if not weights or set(map(type, weights)) == {float}:
+        if weights.count(1.0) == len(weights):
             return None
         return array(_WEIGHT_TYPECODE, weights)
     return list(weights)
+
+
+def _csr(graph, ids, pos, incoming=False):
+    """One adjacency direction of ``graph`` as CSR columns ``(offsets,
+    targets, weights)`` from one bulk read of its rows: offsets
+    accumulate the row lengths, one map turns the flattened rows into
+    positions (``pos`` is ``None`` when every id is its own position),
+    the weights are packed."""
+    lens, neighbors, weights = graph.rows(ids, incoming)
+    return (
+        array(_OFFSET_TYPECODE, accumulate(lens, initial=0)),
+        array(_OFFSET_TYPECODE, neighbors if pos is None else map(
+            pos.__getitem__, neighbors
+        )),
+        _pack_weights(list(weights)),
+    )
 
 
 def _ids_storable_as_int64(ids: Sequence[Hashable]) -> bool:
@@ -165,11 +191,6 @@ class CsrSnapshot:
     ):
         self._directed = directed
         self._ids = ids
-        self._pos: Dict[Hashable, int] = {
-            v: i for i, v in enumerate(ids)
-        }
-        if len(self._pos) != len(ids):
-            raise SnapshotError("duplicate vertex ids in snapshot")
         self._out_off = out_offsets
         self._out_tgt = out_targets
         self._out_w = out_weights
@@ -188,6 +209,15 @@ class CsrSnapshot:
         self._mmap = _mmap
         self._fh = _file
 
+    @cached_property
+    def _pos(self) -> Dict[Hashable, int]:
+        """Vertex id -> position, built on the first read by id (a run
+        reads its own topology by position and never needs it)."""
+        pos = dict(zip(self._ids, range(len(self._ids))))
+        if len(pos) != len(self._ids):
+            raise SnapshotError("duplicate vertex ids in snapshot")
+        return pos
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -196,47 +226,38 @@ class CsrSnapshot:
     def from_graph(cls, graph) -> "CsrSnapshot":
         """Freeze a live graph (or any ``GraphSource``) into CSR
         columns, preserving vertex and per-row edge iteration order
-        exactly."""
+        exactly.  The labels are scanned only when the source says it
+        holds any (:meth:`has_labels`)."""
         ids = list(graph.vertices())
-        pos = {v: i for i, v in enumerate(ids)}
-        out_off = array(_OFFSET_TYPECODE, [0])
-        out_tgt = array(_OFFSET_TYPECODE)
-        out_weights: List[Any] = []
-        for v in ids:
-            for u, w in graph.out_edge_items(v):
-                out_tgt.append(pos[u])
-                out_weights.append(w)
-            out_off.append(len(out_tgt))
-        in_off = in_tgt = None
-        in_w = None
+        # Ids 0..n-1 in order (what the generators make) are their own
+        # positions: no table lookup per edge.
+        pos = None
+        if set(map(type, ids)) - {int} or ids != list(range(len(ids))):
+            pos = dict(zip(ids, range(len(ids))))
+        out_off, out_tgt, out_w = _csr(graph, ids, pos)
+        in_off = in_tgt = in_w = None
         if graph.directed:
-            in_off = array(_OFFSET_TYPECODE, [0])
-            in_tgt = array(_OFFSET_TYPECODE)
-            in_weights: List[Any] = []
-            for v in ids:
-                for u, w in graph.in_edge_items(v):
-                    in_tgt.append(pos[u])
-                    in_weights.append(w)
-                in_off.append(len(in_tgt))
-            in_w = _pack_weights(in_weights)
+            in_off, in_tgt, in_w = _csr(graph, ids, pos, incoming=True)
         vlabels = {}
-        for i, v in enumerate(ids):
-            label = graph.label(v)
-            if label is not None:
-                vlabels[i] = label
         elabels: Dict[Tuple[int, int], Any] = {}
-        for u, v, data in graph.edges(data=True):
-            if data.label is not None:
-                pu, pv = pos[u], pos[v]
-                elabels[(pu, pv)] = data.label
-                if not graph.directed:
-                    elabels[(pv, pu)] = data.label
+        if graph.has_labels():
+            pos = pos or dict(zip(ids, range(len(ids))))
+            for i, v in enumerate(ids):
+                label = graph.label(v)
+                if label is not None:
+                    vlabels[i] = label
+            for u, v, data in graph.edges(data=True):
+                if data.label is not None:
+                    pu, pv = pos[u], pos[v]
+                    elabels[(pu, pv)] = data.label
+                    if not graph.directed:
+                        elabels[(pv, pu)] = data.label
         return cls(
             directed=graph.directed,
             ids=ids,
             out_offsets=out_off,
             out_targets=out_tgt,
-            out_weights=_pack_weights(out_weights),
+            out_weights=out_w,
             in_offsets=in_off,
             in_targets=in_tgt,
             in_weights=in_w,
@@ -302,6 +323,10 @@ class CsrSnapshot:
 
     def label(self, vertex: Hashable) -> Any:
         return self._vlabels.get(self._position(vertex))
+
+    def has_labels(self) -> bool:
+        """Whether any vertex or edge carries a label."""
+        return bool(self._vlabels or self._elabels)
 
     def _position(self, vertex: Hashable) -> int:
         pos = self._pos.get(vertex)
@@ -447,10 +472,96 @@ class CsrSnapshot:
         """The frozen 0..n-1 position of ``vertex``."""
         return self._position(vertex)
 
+    def positions(self, vertices) -> List[Optional[int]]:
+        """The position of each of ``vertices`` (``None``: not held)."""
+        return list(map(self._pos.get, vertices))
+
     def out_row_positions(self, pos: int):
         """The forward-adjacency row of position ``pos`` as target
         positions (a zero-copy slice of the CSR column)."""
         return self._out_tgt[self._out_off[pos]:self._out_off[pos + 1]]
+
+    def rows(self, vertices, incoming: bool = False):
+        """The out- (or in-) rows of ``vertices`` as ``(lengths,
+        neighbor ids, weights)``: a list of row lengths, then two
+        iterators over every row's neighbor ids and weights end to
+        end, in row order, built lazily off the CSR columns and good
+        for one pass — :meth:`Graph.rows <repro.graph.graph.Graph.
+        rows>` over a snapshot."""
+        try:
+            positions = list(map(self._pos.__getitem__, vertices))
+        except KeyError as exc:
+            raise VertexNotFoundError(exc.args[0]) from None
+        return self.rows_at(positions, incoming)
+
+    def rows_at(
+        self, positions, incoming: bool = False, live=None, names=None
+    ):
+        """:meth:`rows` of the vertices at ``positions`` — how a run
+        reads its topology, whose states know their positions.
+        ``live``, one entry per position, overrides a frozen row with a
+        dict (a run's materialized row) where the entry is not
+        ``None``; such an entry's position is never read.  ``names``,
+        a list indexed by position, stands in for the vertex ids (a
+        run's dense index of each vertex, say)."""
+        if live is not None:
+            return _interleave(self.rows_at(
+                [p for p, row in zip(positions, live) if row is None],
+                incoming, names=names,
+            ), live)
+        if incoming:
+            off, tgt, w = self._in_off, self._in_tgt, self._in_w
+        else:
+            off, tgt, w = self._out_off, self._out_tgt, self._out_w
+        lo = list(map(off.__getitem__, positions))
+        hi = list(map(off.__getitem__, map((1).__add__, positions)))
+        lens = list(map(operator.sub, hi, lo))
+        names = self._ids if names is None else names
+        neighbors = map(names.__getitem__, chain.from_iterable(
+            map(tgt.__getitem__, map(slice, lo, hi))
+        ))
+        if w is None:
+            return lens, neighbors, repeat(1.0, sum(lens))
+        weights = map(w.__getitem__, map(slice, lo, hi))
+        return lens, neighbors, chain.from_iterable(weights)
+
+    def live_rows(self, positions, out_maps, in_maps):
+        """A run's current rows of the vertices at ``positions`` as
+        ``(aliased, lens, neighbor ids, weights)`` lists: every
+        out-row, then the in-row of each vertex whose in-row is not its
+        out-row (``aliased`` has a 1 byte per vertex where it is).  A
+        row is the live dict in ``out_maps``/``in_maps`` where there is
+        one, else its frozen row — aliased exactly when the snapshot is
+        undirected."""
+        aliased = bytes(
+            not self._directed if out is None else inc is out
+            for out, inc in zip(out_maps, in_maps)
+        )
+        keep = [not shared for shared in aliased]
+        out = self.rows_at(positions, False, out_maps)
+        inc = self.rows_at(
+            list(compress(positions, keep)), True,
+            list(compress(in_maps, keep)),
+        )
+        return (
+            aliased, out[0] + inc[0],
+            list(chain(out[1], inc[1])), list(chain(out[2], inc[2])),
+        )
+
+    def edge_rows(self, positions):
+        """``(out, in)``: the rows of the vertices at ``positions`` both
+        ways (:meth:`rows_at`), as ``(lengths, neighbor ids, weights)``
+        lists — ``weights`` is ``None`` when every weight is the
+        default ``1.0``; ``in`` is ``None`` when undirected (the
+        in-rows are the out-rows)."""
+        positions = list(positions)
+
+        def listed(incoming):
+            lens, neighbors, weights = self.rows_at(positions, incoming)
+            default = (self._in_w if incoming else self._out_w) is None
+            return lens, list(neighbors), None if default else list(weights)
+
+        return listed(False), listed(True) if self._directed else None
 
     # ------------------------------------------------------------------
     # Persistence
@@ -755,7 +866,7 @@ class CsrSnapshot:
                     f"manifest (n={n!r}, ids={len(ids)}, "
                     f"offsets={len(out_off)})"
                 )
-            return cls(
+            snapshot = cls(
                 directed=directed,
                 ids=ids,
                 out_offsets=out_off,
@@ -771,6 +882,8 @@ class CsrSnapshot:
                 _mmap=mapped,
                 _file=fh,
             )
+            snapshot._pos  # builds the id table: a duplicate id raises
+            return snapshot
         except BaseException:
             buf.release()
             if mapped is not None:
@@ -875,6 +988,59 @@ def _rebuild_snapshot(
         num_edges=num_edges,
         vertex_labels=vlabels,
         edge_labels=elabels,
+    )
+
+
+def _interleave(frozen, live):
+    """:meth:`CsrSnapshot.rows` of a run's rows: each ``live`` dict in
+    place of the next row of ``frozen``, the frozen rows of the
+    vertices whose entry is ``None``."""
+    lens, neighbors, weights = frozen
+    if len(live) == len(lens):  # every row still frozen
+        return frozen
+    frozen_lens = iter(lens)
+    lens = [next(frozen_lens) if row is None else len(row) for row in live]
+    return lens, chain.from_iterable(
+        islice(neighbors, n) if row is None else row
+        for row, n in zip(live, lens)
+    ), chain.from_iterable(
+        islice(weights, n) if row is None else row.values()
+        for row, n in zip(live, lens)
+    )
+
+
+def row_dicts(lens, neighbors, weights):
+    """One fresh ``{neighbor: weight}`` dict per row of
+    :meth:`CsrSnapshot.rows` columns, lazily, in row order (``weights``
+    ``None``: every weight is the default ``1.0``)."""
+    rows = map(islice, repeat(iter(neighbors)), lens)
+    if weights is None:
+        return map(dict.fromkeys, rows, repeat(1.0))
+    return map(dict, map(zip, rows, map(islice, repeat(iter(weights)), lens)))
+
+
+def edge_dicts(rows):
+    """Fresh ``(out_edges, in_edges)`` dicts per vertex of
+    :meth:`CsrSnapshot.edge_rows` columns — one dict twice when they
+    have no in-rows (undirected)."""
+    out, incoming = rows
+    if incoming is None:
+        return zip(*tee(row_dicts(*out)))
+    return zip(row_dicts(*out), row_dicts(*incoming))
+
+
+def same_rows(one, other) -> bool:
+    """Whether two ``(lengths, neighbor ids, weights)`` list triples
+    are the same rows to a restore: equal lengths, the very neighbor
+    objects, and the very weight objects or, for exact floats, equal
+    bits — a frozen float row reads fresh float objects."""
+    if one[0] != other[0] or not all(map(operator.is_, one[1], other[1])):
+        return False
+    mine, theirs = one[2], other[2]
+    return all(map(operator.is_, mine, theirs)) or (
+        set(map(type, mine)) == {float} == set(map(type, theirs))
+        and array(_WEIGHT_TYPECODE, mine).tobytes()
+        == array(_WEIGHT_TYPECODE, theirs).tobytes()
     )
 
 

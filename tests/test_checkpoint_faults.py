@@ -76,6 +76,12 @@ class Accumulate(VertexProgram):
             v.vote_to_halt()
 
 
+def _live(engine, state):
+    """``state``'s ``out_edges`` dict, built from the run's frozen
+    topology first if no pass has given it one yet."""
+    return engine._store.materialize(state).out_edges
+
+
 class TestCheckpointRoundTrip:
     def test_snapshot_is_isolated_from_live_mutation(self):
         engine = PregelEngine(path_graph(6), Accumulate(), num_workers=2)
@@ -86,7 +92,7 @@ class TestCheckpointRoundTrip:
         for state in engine._states.values():
             state.value = "corrupted"
             state.halted = True
-            state.out_edges.clear()
+            engine._store.materialize(state).out_edges.clear()
         engine.rng.random()
         # ...and the restore must bring everything back.
         restore_checkpoint(engine, ckpt)
@@ -113,9 +119,9 @@ class TestCheckpointRoundTrip:
         assert engine._store.baseline is None
         ckpt = take_checkpoint(engine, 0)
         assert isinstance(ckpt.topology, TopologySnapshot)
-        edges = {v: dict(s.out_edges) for v, s in engine._states.items()}
+        edges = {v: dict(_live(engine, s)) for v, s in engine._states.items()}
         for state in engine._states.values():
-            state.out_edges.clear()
+            _live(engine, state).clear()
         restore_checkpoint(engine, ckpt)
         restore_checkpoint(engine, ckpt)  # a snapshot restores repeatedly
         assert {
@@ -132,15 +138,16 @@ class TestCheckpointRoundTrip:
         )
         ckpt = take_checkpoint(engine, 0)
         assert ckpt.topology is None  # the store's verified baseline
-        edges = {v: dict(s.out_edges) for v, s in engine._states.items()}
+        edges = {v: dict(_live(engine, s)) for v, s in engine._states.items()}
         for state in engine._states.values():
-            state.out_edges.clear()
+            _live(engine, state).clear()
         # The live maps no longer are the baseline...
         assert take_checkpoint(engine, 0).topology is not None
-        # ...but the baseline still is what it froze.
+        # ...but the baseline still is what it froze: the restored
+        # rows are the frozen topology's again.
         restore_checkpoint(engine, ckpt)
         assert {
-            v: s.out_edges for v, s in engine._states.items()
+            v: _live(engine, s) for v, s in engine._states.items()
         } == edges
         for state in engine._states.values():
             assert state.in_edges is state.out_edges
@@ -320,10 +327,16 @@ def _parent_formula_size(engine) -> int:
     it, over live state: one atom per vertex, plus value, edge, inbox
     and aggregator atoms."""
     atoms = 0
-    for state in engine._states.values():
-        atoms += 1 + state_atoms(state.value) + len(state.out_edges)
-        if state.in_edges is not state.out_edges:
-            atoms += len(state.in_edges)
+    topology = engine._store.topology
+    for vid, state in engine._states.items():
+        out, inc = state.out_edges, state.in_edges
+        if out is None:  # still the frozen topology's rows
+            out = list(topology.neighbors(vid))
+            inc = list(topology.in_neighbors(vid))
+            inc = out if not topology.directed else inc
+        atoms += 1 + state_atoms(state.value) + len(out)
+        if inc is not out:
+            atoms += len(inc)
     for m in engine._fabric.inbox_columns()[2]:
         atoms += state_atoms(m) or 1
     return atoms + state_atoms(engine._agg_finalized)
