@@ -41,7 +41,7 @@ from operator import is_
 from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 from typing import Sequence, Tuple
 
-from repro.bsp.shm_transport import typed_column
+from repro.bsp.columns import typed_column
 from repro.bsp.vertex import VertexState
 from repro.errors import CheckpointError
 from repro.graph.snapshot import row_dicts, same_rows

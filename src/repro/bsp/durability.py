@@ -66,10 +66,9 @@ mixing incompatible state.  Three knobs are deliberately *excluded*:
 * the backend — serial and process-parallel execution are
   byte-identical by contract, so a run checkpointed under one may
   resume under the other;
-* the parallel backend's ``transport`` — shared-memory segment or pipe
-  message, the rank-ordered merge sees the same columns (the kwarg is
-  consumed by ``ParallelPregelEngine`` and never reaches the
-  fingerprint), so a run resumes under either;
+* the parallel backend's ``transport`` — it has one effective value
+  (the kwarg is consumed by ``ParallelPregelEngine`` and never reaches
+  the fingerprint);
 * ``max_supersteps`` — it is a guard, not semantics; the canonical
   reason to resume is "the run was killed, give it more budget".
 
@@ -99,7 +98,7 @@ import zlib
 from typing import Any, List, Optional, Tuple
 
 from repro.bsp.checkpoint import CheckpointStore, restore_checkpoint
-from repro.bsp.shm_transport import typed_column
+from repro.bsp.columns import typed_column
 from repro.errors import (
     CheckpointCorruptionError,
     CheckpointError,

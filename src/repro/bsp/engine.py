@@ -188,7 +188,7 @@ class PregelEngine:
     memory_budget:
         Soft cap, in encoded bytes, on one superstep's buffered
         message volume.  When set, finished accumulator lanes are
-        byte-accounted in the shm-transport column encoding and lanes
+        byte-accounted in the typed-column encoding and lanes
         past the budget spill to disk, replayed in worker order at
         delivery — results stay byte-identical to an unbudgeted run.
         ``None`` (default) disables the spill tier entirely.

@@ -77,7 +77,7 @@ from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 
 from repro.bsp.combiner import SumCombiner
 from repro.bsp.faults import DeliveryFaults
-from repro.bsp.shm_transport import typed_column
+from repro.bsp.columns import typed_column
 from repro.errors import MessageToUnknownVertexError, SpillError
 from repro.graph.partition import build_dense_index, dense_adjacency
 from repro.graph.snapshot import edge_dicts
@@ -93,7 +93,7 @@ class LaneRecord(NamedTuple):
     one ``payloads`` is the slots' messages laid end to end and
     ``counts`` the bucket lengths.  ``counts`` is an ``array('q')``;
     ``payloads`` is a typed array when
-    :func:`~repro.bsp.shm_transport.typed_column` takes the column
+    :func:`~repro.bsp.columns.typed_column` takes the column
     (exact floats or in-range exact ints — bit- and type-identical on
     the way back) and the plain list otherwise.
     """

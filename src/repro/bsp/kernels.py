@@ -53,7 +53,8 @@ On top of the per-vertex loops sits an opt-in tier: whole-lane
 program as array-shaped passes over the lane's inbox columns and
 a scatter plan precompiled from its dense adjacency (an SpMV
 transposed into per-destination gather lists, held in stdlib
-``array`` lanes like the shm transport's columns; no numpy).
+``array`` lanes like the typed columns of :mod:`repro.bsp.columns`;
+no numpy).
 Exact reproduction is the admission rule, not a goal: a kernel
 registers for exactly one program class (``register_vectorized``) and
 has three parts —
@@ -73,9 +74,9 @@ has three parts —
 
 Every other superstep — fault-injected runs, wake-all phases,
 unregistered programs, non-conforming topology — runs
-:func:`dense_compute_pass`, mirroring the shm transport's per-column
-placement (a mutation re-indexes the plane; plans recompile).  The tier
-actually used is reported per superstep via ``engine._kernel_tier`` /
+:func:`dense_compute_pass`, a fallback per superstep as a column's
+typing is per column (a mutation re-indexes the plane; plans
+recompile).  The tier actually used is reported per superstep via ``engine._kernel_tier`` /
 ``Worker.kernel_tier`` (observability only — never part of the
 byte-identity surface).
 """
@@ -279,7 +280,7 @@ class _ScatterLane:
     the per-vertex pass would produce — and ``novel`` (see
     :func:`_link_commit_order`) is its cross-lane deduplication.
     Index lanes are stdlib ``array('q')`` / ``array('d')`` columns,
-    same conventions as the shm transport.
+    same conventions as :mod:`repro.bsp.columns`.
     """
 
     __slots__ = (

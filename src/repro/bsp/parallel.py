@@ -60,8 +60,7 @@ from itertools import accumulate, chain, compress, groupby, repeat
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bsp import shm_transport
-from repro.bsp.shm_transport import typed_column
+from repro.bsp.columns import typed_column
 from repro.bsp.context import ComputeContext
 from repro.bsp.engine import PregelEngine, PregelResult
 from repro.bsp.fabric import DenseLane, LaneRecord
@@ -83,8 +82,8 @@ from repro.trace.events import Handoff
 _PROTO = pickle.HIGHEST_PROTOCOL
 
 #: Recognised values of the engine's ``transport`` kwarg; both mean
-#: the segment whenever shared memory can be set up, the pipe when it
-#: cannot (:attr:`ParallelPregelEngine.transport_disabled_reason`).
+#: the rank pipe, the one transport.  Held only for ``bench/surface.py``
+#: until ROADMAP Fix-first (f) drops the keyword.
 TRANSPORTS = ("auto", "columnar")
 
 #: Rank supervision, read where it is used.  A rank that makes no
@@ -165,8 +164,8 @@ class _PartitionRuntime:
     across the process boundary: mail is merged into the inbox here,
     aggregate contributions are logged, and the touched slots are
     detached grouped by owning rank and shipped instead of committed
-    to ``out_dirty``.  :meth:`step` returns the effect set as columns;
-    the codec only decides where each column travels.
+    to ``out_dirty``.  :meth:`step` returns the effect set as columns,
+    typed where they conform, for the reply message to carry.
     """
 
     def __init__(self, rank: int, init: Dict[str, Any]):
@@ -374,10 +373,9 @@ def _worker_main(rank: int, conn, hb_interval: float) -> None:
     freezes, a slow one's advances); pipe writes share one lock.  The
     same thread is the orphan watchdog: once the parent pid changes
     (sibling ranks may hold the dead coordinator's pipe open under
-    fork) it unlinks the segment, idempotently, and calls ``os._exit``.
+    fork, so no EOF would ever arrive) it calls ``os._exit``.
     """
     part: Optional[_PartitionRuntime] = None
-    seg: Optional[shm_transport.ColumnarSegment] = None
     send_lock = threading.Lock()
     stepping = threading.Event()
     stop = threading.Event()
@@ -391,14 +389,7 @@ def _worker_main(rank: int, conn, hb_interval: float) -> None:
     def _heartbeat() -> None:
         while not stop.wait(hb_interval):
             if os.getppid() != parent_pid:
-                # Orphaned: the coordinator is gone and cannot unlink
-                # the segment itself.
-                if seg is not None:
-                    try:
-                        seg.destroy()
-                    except Exception:
-                        pass
-                os._exit(0)
+                os._exit(0)  # orphaned: the coordinator is gone
             if part is None or not stepping.is_set():
                 continue
             try:
@@ -411,53 +402,35 @@ def _worker_main(rank: int, conn, hb_interval: float) -> None:
         daemon=True,
         name=f"repro-bsp-hb-{rank}",
     ).start()
-    try:
-        while True:
-            try:
-                msg = _recv_msg(conn)
-            except (EOFError, OSError):
-                return
-            cmd = msg[0]
-            try:
-                if cmd == "init":
-                    part = _PartitionRuntime(rank, msg[1])
-                    desc = msg[1].get("shm")
-                    if seg is not None:
-                        seg.close()
-                        seg = None
-                    if desc is not None:
-                        seg = shm_transport.ColumnarSegment.attach(
-                            desc
-                        )
-                    _send(("ready", rank))
-                elif cmd == "step":
-                    superstep, wake_all, agg_prev, wire, *rest = msg[1:]
-                    columns, _ = shm_transport.decode_inbound(seg, rank, wire)
-                    t0 = time.perf_counter()
-                    stepping.set()
-                    try:
-                        scalars, columns = part.step(
-                            superstep, wake_all, agg_prev,
-                            LaneRecord(**columns), *rest,
-                        )
-                    finally:
-                        stepping.clear()
-                    scalars["seconds"] = time.perf_counter() - t0
-                    wire = shm_transport.encode_reply(seg, rank, columns)
-                    _send(("ok", scalars, wire))
-                elif cmd == "stop":
-                    stop.set()
-                    with send_lock:
-                        conn.close()
-                    return
-            except BaseException as exc:  # ship failure, stay alive
+    while True:
+        try:
+            msg = _recv_msg(conn)
+        except (EOFError, OSError):
+            return
+        cmd = msg[0]
+        try:
+            if cmd == "init":
+                part = _PartitionRuntime(rank, msg[1])
+                _send(("ready", rank))
+            elif cmd == "step":
+                t0 = time.perf_counter()
+                stepping.set()
                 try:
-                    _send(("err", exc))
-                except Exception:
-                    _send(("err", RuntimeError(repr(exc))))
-    finally:
-        if seg is not None:
-            seg.close()
+                    scalars, columns = part.step(*msg[1:])
+                finally:
+                    stepping.clear()
+                scalars["seconds"] = time.perf_counter() - t0
+                _send(("ok", scalars, columns))
+            elif cmd == "stop":
+                stop.set()
+                with send_lock:
+                    conn.close()
+                return
+        except BaseException as exc:  # ship failure, stay alive
+            try:
+                _send(("err", exc))
+            except Exception:
+                _send(("err", RuntimeError(repr(exc))))
 
 
 # ---------------------------------------------------------------------
@@ -561,13 +534,11 @@ class ParallelPregelEngine(PregelEngine):
     Accepts every ``PregelEngine`` parameter plus ``mp_start_method``
     (``"fork"`` / ``"spawn"`` / ``"forkserver"``; default
     :func:`default_start_method`) and ``transport`` (``"auto"`` /
-    ``"columnar"``, the same: conforming columns cross in a
-    shared-memory segment, everything else rides the pipe).  Rank
-    supervision is the module constants ``RANK_*`` /
+    ``"columnar"``, both the rank pipe; see :data:`TRANSPORTS`).
+    Rank supervision is the module constants ``RANK_*`` /
     ``MAX_RANK_RESTARTS``.  :attr:`parallel_disabled_reason`,
-    :attr:`parallel_supersteps`, :attr:`rank_restarts`,
-    :attr:`rank_failures`, :attr:`transport_tier` and
-    :attr:`columnar_supersteps` say what a run actually did.
+    :attr:`parallel_supersteps`, :attr:`rank_restarts` and
+    :attr:`rank_failures` say what a run actually did.
     """
 
     backend_name = "parallel"
@@ -587,7 +558,6 @@ class ParallelPregelEngine(PregelEngine):
             )
         super().__init__(graph, program, *args, **kwargs)
         self._mp_method = mp_start_method or default_start_method()
-        self._segment: Optional[shm_transport.ColumnarSegment] = None
         #: Sorted aggregator names; ranks log contributions by position.
         self._agg_list: List[str] = sorted(self._agg_sink.aggregators)
         self._links: Optional[List[_WorkerLink]] = None
@@ -599,11 +569,11 @@ class ParallelPregelEngine(PregelEngine):
         self.rank_failures: List[Tuple[int, int, str]] = []
         #: Supersteps whose compute pass actually ran on the pool.
         self.parallel_supersteps = 0
-        #: Pool supersteps whose every column crossed in the segment.
+        #: Pool supersteps whose every column of every rank, both
+        #: ways, crossed as a typed ``array`` (:func:`typed_column`).
+        #: Held only for ``bench/surface.py`` until ROADMAP Fix-first
+        #: (f) drops it with the ``transport`` keyword.
         self.columnar_supersteps = 0
-        #: Why there is no segment (the columns ride the pipe, the
-        #: pool keeps running); ``None`` while shared memory works.
-        self.transport_disabled_reason: Optional[str] = None
         #: Why the pool is (or became) unused; None while eligible.
         self.parallel_disabled_reason: Optional[str] = None
         if not getattr(program, "parallel_safe", True):
@@ -615,22 +585,6 @@ class ParallelPregelEngine(PregelEngine):
     def parallel_active(self) -> bool:
         """True while the process pool is alive."""
         return self._links is not None
-
-    @property
-    def transport_tier(self) -> str:
-        """``"columnar"`` while the pool has a segment to place
-        columns in, ``"pickle"`` once shared memory failed."""
-        return "pickle" if self.transport_disabled_reason else "columnar"
-
-    @property
-    def pickle_supersteps(self) -> int:
-        """Pool supersteps that moved a column over the pipe."""
-        return self.parallel_supersteps - self.columnar_supersteps
-
-    def _destroy_segment(self) -> None:
-        seg, self._segment = self._segment, None
-        if seg is not None:
-            seg.destroy()
 
     def _disable_pool(self, reason: str) -> None:
         self._pool_disabled = True
@@ -663,7 +617,6 @@ class ParallelPregelEngine(PregelEngine):
             ),
             "agg_names": self._agg_list,
             "rng_state": self.rng.getstate(),
-            "shm": self._segment and self._segment.descriptor,
             "num_vertices": len(dense.id_of),
             "idx_of": dense.idx_of,
             "owner_of": dense.owner_of,
@@ -689,20 +642,6 @@ class ParallelPregelEngine(PregelEngine):
         except Exception as exc:
             self._disable_pool(f"program not picklable: {exc!r}")
             return False
-        if self.transport_disabled_reason is None:
-            # Losing shared memory only costs the segment — the pool
-            # still runs, every column riding the pipe.
-            try:
-                dense = self._fabric.dense
-                self._segment = shm_transport.ColumnarSegment(
-                    len(dense.id_of), dense.ranges,
-                    combining=self._combiner is not None,
-                )
-            except Exception as exc:
-                self._segment = None
-                self.transport_disabled_reason = (
-                    f"shared memory unavailable: {exc!r}"
-                )
         links: List[_WorkerLink] = []
         try:
             mp_ctx = multiprocessing.get_context(self._mp_method)
@@ -712,7 +651,6 @@ class ParallelPregelEngine(PregelEngine):
         except Exception as exc:
             for link in links:
                 link.kill()
-            self._destroy_segment()
             self._disable_pool(f"pool startup failed: {exc!r}")
             return False
         self._links = links
@@ -741,7 +679,6 @@ class ParallelPregelEngine(PregelEngine):
         if links is not None:
             for link in links:
                 link.stop()
-        self._destroy_segment()
 
     def __del__(self):  # pragma: no cover - interpreter teardown
         try:
@@ -788,7 +725,6 @@ class ParallelPregelEngine(PregelEngine):
         if links:
             for link in links:
                 link.kill()
-        self._destroy_segment()
 
     def _handle_rank_failure(self, failure: _RankFailure) -> None:
         """Account one rank failure, kill the whole pool, and either
@@ -856,7 +792,6 @@ class ParallelPregelEngine(PregelEngine):
         applied)."""
         links = self._links
         fabric = self._fabric
-        seg = self._segment
         # Program state may have been mutated by master_compute since
         # the last superstep; ship it only when its bytes changed.
         try:
@@ -882,18 +817,11 @@ class ParallelPregelEngine(PregelEngine):
         # fabric state so every rank is offered the same phase.
         phase = vector_phase(self, wake_all)
         down_bytes: List[int] = [0] * len(links)
-        # Counts towards columnar_supersteps when every column of
-        # every rank crossed in the segment, both ways.
-        all_columnar = True
         for link in links:
-            wire = shm_transport.encode_inbound(
-                seg, link.rank, inbound[link.rank]._asdict()
-            )
-            all_columnar = all_columnar and not wire[1]
             try:
                 down_bytes[link.rank] = _send_msg(link.conn, (
-                    "step", superstep, wake_all, agg_prev, wire,
-                    ship_state, phase,
+                    "step", superstep, wake_all, agg_prev,
+                    inbound[link.rank], ship_state, phase,
                 ))
             except (EOFError, OSError, BrokenPipeError) as exc:
                 # Restartable, not a degradation: nothing was applied
@@ -908,11 +836,7 @@ class ParallelPregelEngine(PregelEngine):
             if reply[0] == "err":
                 raise reply[1]
         effects: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
-        for link, (_ok, scalars, wire) in zip(links, replies):
-            columns, columnar = shm_transport.decode_reply(
-                seg, link.rank, wire
-            )
-            all_columnar = all_columnar and columnar
+        for link, (_ok, scalars, columns) in zip(links, replies):
             scalars["payload_bytes"] = (
                 down_bytes[link.rank] + reply_bytes[link.rank]
             )
@@ -923,7 +847,11 @@ class ParallelPregelEngine(PregelEngine):
                 # the superstep (nothing was applied), rerun serially.
                 self._shutdown_pool(scalars["broke"])
                 return None
-        if all_columnar:
+        if all(
+            type(column) is array
+            for record, (_scalars, columns) in zip(inbound, effects)
+            for column in chain(record, columns.values())
+        ):
             self.columnar_supersteps += 1
         return self._apply_parallel_results(effects)
 
@@ -956,14 +884,17 @@ class ParallelPregelEngine(PregelEngine):
                 try:
                     while rank in pending and conn.poll(0):
                         raw = conn.recv_bytes()
-                        msg = pickle.loads(raw)
+                        # The columns ride the blob: drop it as soon
+                        # as they are unpickled.
+                        size, msg = len(raw), pickle.loads(raw)
+                        del raw
                         if msg[0] == "hb":
                             if msg[1] > progress[rank]:
                                 progress[rank] = msg[1]
                                 deadline[rank] = now + timeout
                         else:
                             replies[rank] = msg
-                            reply_bytes[rank] = len(raw)
+                            reply_bytes[rank] = size
                             del pending[rank]
                 except (EOFError, OSError) as exc:
                     raise _RankFailure(

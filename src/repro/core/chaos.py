@@ -45,7 +45,6 @@ from typing import List, Optional
 
 from repro.algorithms.pagerank import PageRank
 from repro.bsp.engine import run_program
-from repro.bsp.shm_transport import sweep_leaked_segments
 from repro.errors import CheckpointError, RecoveryExhaustedError
 from repro.graph.generators import erdos_renyi_graph
 
@@ -196,6 +195,16 @@ class CoordinatorKiller(PageRank):
     def master_compute(self, master) -> None:
         kill_at = os.environ.get(KILL_AT_ENV)
         if kill_at is not None and master.superstep == int(kill_at):
+            # Name the ranks this kill orphans, so a caller can watch
+            # their watchdogs take them down.
+            ranks = [
+                p.pid for p in multiprocessing.active_children()
+                if p.name.startswith("repro-bsp-worker-")
+            ]
+            print(
+                f"rank_pids={','.join(map(str, ranks))}",
+                file=sys.stderr, flush=True,
+            )
             os.kill(os.getpid(), signal.SIGKILL)
         super().master_compute(master)
 
@@ -294,17 +303,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     if args.kill_at is not None:
         os.environ[KILL_AT_ENV] = str(args.kill_at)
-    if args.resume:
-        # A SIGKILLed coordinator never ran its unlink hooks; its
-        # rank watchdogs normally reap the segment, but a fresh
-        # interpreter resuming the run sweeps any dead-pid leftovers
-        # as the belt-and-braces route (shm_transport docstring).
-        swept = sweep_leaked_segments()
-        if swept:
-            print(
-                f"swept_segments={','.join(sorted(swept))}",
-                file=sys.stderr,
-            )
     graph = chaos_graph(args.n, seed=args.seed)
     program = CoordinatorKiller(num_supersteps=args.supersteps)
     try:

@@ -64,10 +64,9 @@ class SuperstepWall:
 
     ``payload_bytes[i]`` is the serialized bytes worker ``i``'s share
     of the superstep moved across the process boundary (dispatch +
-    reply pipe blobs on the parallel backend; columnar lane traffic
-    rides shared memory and is deliberately excluded — the column
-    measures serialization pressure).  ``None`` on in-process
-    backends, where nothing crosses a boundary.
+    reply pipe blobs on the parallel backend, typed columns
+    included).  ``None`` on in-process backends, where nothing
+    crosses a boundary.
 
     ``kernel_tier`` names the compute kernel that executed the
     superstep (``"dense"``, ``"vectorized"``, or ``"mixed"`` when

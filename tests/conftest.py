@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
-from contextlib import contextmanager
 
 import pytest
 
@@ -14,7 +13,7 @@ from repro.algorithms.cc_hashmin import HashMinComponents
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SingleSourceShortestPaths
 from repro.algorithms.wcc import WeaklyConnectedComponents
-from repro.bsp import SumAggregator, VertexProgram, shm_transport
+from repro.bsp import SumAggregator, VertexProgram
 from repro.bsp.engine import PregelResult
 from repro.graph import (
     connected_erdos_renyi_graph,
@@ -248,28 +247,6 @@ def assert_held_to_oracle(result, oracle, faulted=False, note=""):
     assert result.aggregate_history == oracle.aggregate_history, (
         f"aggregate history; {note}"
     )
-
-
-def _no_shared_memory(*args, **kwargs):
-    raise OSError("no shared memory here")
-
-
-@contextmanager
-def shared_memory_unavailable():
-    """Pools started inside find no shared memory: creating the
-    columnar segment raises, as on a host without ``/dev/shm``, and
-    every column rides the pipe (``transport_disabled_reason`` says
-    why).  The one route to the pipe transport."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(shm_transport, "ColumnarSegment", _no_shared_memory)
-        yield
-
-
-@pytest.fixture
-def no_shm():
-    """:func:`shared_memory_unavailable` for the whole test."""
-    with shared_memory_unavailable():
-        yield
 
 
 @pytest.fixture

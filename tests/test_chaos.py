@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import suppress
 
 import pytest
 
@@ -27,7 +28,6 @@ from repro.bsp.parallel import (
     ParallelPregelEngine,
     _kill_leaked_pools,
 )
-from repro.bsp.shm_transport import SEG_PREFIX
 from repro.core.chaos import (
     CoordinatorKiller,
     RankHanger,
@@ -190,7 +190,10 @@ class TestHangDetection:
         )
 
 
-def _chaos_subprocess(*argv):
+def _chaos_subprocess(*argv, stderr=None):
+    """Run the chaos CLI; its output is captured, or its stderr goes
+    to the ``stderr`` file (so that processes the run orphans cannot
+    hold the capture pipe open)."""
     src = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "src",
@@ -198,12 +201,16 @@ def _chaos_subprocess(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_CHAOS_KILL_AT", None)
+    streams = (
+        dict(capture_output=True) if stderr is None
+        else dict(stdout=subprocess.DEVNULL, stderr=stderr)
+    )
     return subprocess.run(
         [sys.executable, "-m", "repro.core.chaos", *argv],
-        capture_output=True,
         text=True,
         env=env,
         timeout=300,
+        **streams,
     )
 
 
@@ -261,79 +268,119 @@ class TestKillAndResume:
         assert "checkpoint error" in result.stderr
 
 
-def _repro_segments():
+def _running(pid: int) -> bool:
+    """True while ``pid`` names a process that has not exited (a
+    zombie awaiting its reaper has)."""
     try:
-        return {
-            n for n in os.listdir("/dev/shm")
-            if n.startswith(SEG_PREFIX)
-        }
-    except OSError:  # pragma: no cover - non-/dev/shm platform
-        return set()
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
 
 
-class TestSegmentHygiene:
-    """The columnar transport's shared-memory segments must not
-    survive any of the chaos suite's failure modes — a leaked segment
-    is leaked RAM for the rest of the boot."""
+def _outliving(pids, wait: float = 15.0):
+    """The ``pids`` still running after up to ``wait`` seconds."""
+    deadline = time.monotonic() + wait
+    alive = [pid for pid in pids if _running(pid)]
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.1)
+        alive = [pid for pid in alive if _running(pid)]
+    return alive
 
-    def test_rank_sigkill_and_pool_restart_leak_no_segments(
-        self, tmp_path
+
+@pytest.fixture
+def rank_pids(monkeypatch):
+    """Every rank pid this test's pools start, respawns included."""
+    pids = []
+    start = parallel._WorkerLink.__init__
+
+    def recording(self, mp_ctx, rank):
+        start(self, mp_ctx, rank)
+        pids.append(self.process.pid)
+
+    monkeypatch.setattr(parallel._WorkerLink, "__init__", recording)
+    return pids
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/stat"
+)
+class TestProcessHygiene:
+    """No rank process may outlive any of the chaos suite's failure
+    modes — an orphaned rank holds its partition's memory for as
+    long as it lives."""
+
+    def test_rank_sigkill_and_pool_restart_leave_no_rank_process(
+        self, tmp_path, rank_pids
     ):
         # The SIGKILLed rank never runs cleanup; the pool teardown and
-        # restart must retire the old segment and the run must still
-        # finish byte-identical on a fresh one.
+        # restart must reap it and its siblings, and the run must
+        # still finish byte-identical on a fresh pool.
         flag = str(tmp_path / "kill-once")
-        before = _repro_segments()
         baseline = _serial(
             RankKiller(flag_path=flag, num_supersteps=8)
         )
         engine = _parallel_engine(
-            RankKiller(flag_path=flag, num_supersteps=8),
-            transport="columnar",
+            RankKiller(flag_path=flag, num_supersteps=8)
         )
         result = engine.run()
         assert canonical_result(result) == canonical_result(
             baseline
         )
         assert engine.rank_restarts >= 1
-        assert engine.transport_disabled_reason is None
-        assert engine.columnar_supersteps >= 1
-        assert _repro_segments() == before
+        assert engine.parallel_disabled_reason is None
+        # Two pool generations of four ranks each.
+        assert len(rank_pids) == 8
+        assert _outliving(rank_pids, wait=0) == []
 
-    def test_restart_budget_exhaustion_leaks_no_segments(
-        self, supervision
+    def test_restart_budget_exhaustion_leaves_no_rank_process(
+        self, supervision, rank_pids
     ):
-        # Every pool generation gets its own segment; repeated kills
-        # followed by permanent serial degradation must retire all of
-        # them.
+        # Every pool generation is killed; permanent serial
+        # degradation must leave none of them behind.
         supervision(MAX_RANK_RESTARTS=1)
-        before = _repro_segments()
         engine = _parallel_engine(
-            RankKiller(flag_path=None, num_supersteps=8),
-            transport="columnar",
+            RankKiller(flag_path=None, num_supersteps=8)
         )
         engine.run()
         assert engine.rank_restarts == 2
-        assert _repro_segments() == before
+        assert len(rank_pids) == 8
+        assert _outliving(rank_pids, wait=0) == []
 
-    def test_coordinator_sigkill_then_resume_leaks_no_segments(
+    def test_coordinator_sigkill_orphans_exit_and_resume_matches(
         self, tmp_path
     ):
-        # The coordinator dies by SIGKILL, so its own unlink hooks
-        # never run: the rank orphan watchdogs and the resume-time
-        # dead-pid sweep must retire the segment between them, and
+        # The coordinator dies by SIGKILL, so its own teardown never
+        # runs: each rank's orphan watchdog must end its process, and
         # the resumed run must still match the uninterrupted digest.
         directory = str(tmp_path / "ck")
-        before = _repro_segments()
-        killed = _chaos_subprocess(
-            "--backend",
-            "parallel",
-            "--checkpoint-dir",
-            directory,
-            "--kill-at",
-            "6",
+        with open(tmp_path / "killed.err", "w+") as err:
+            killed = _chaos_subprocess(
+                "--backend",
+                "parallel",
+                "--checkpoint-dir",
+                directory,
+                "--kill-at",
+                "6",
+                stderr=err,
+            )
+            err.seek(0)
+            stderr = err.read()
+        assert killed.returncode == -signal.SIGKILL, stderr
+        listed = next(
+            line for line in stderr.splitlines()
+            if line.startswith("rank_pids=")
         )
-        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        orphans = [int(pid) for pid in listed.split("=")[1].split(",")]
+        assert len(orphans) == 4, listed
+        # Watchdogs poll once per heartbeat interval (0.25s); the
+        # ranks must all be gone, not merely fewer.
+        outliving = _outliving(orphans)
+        for pid in outliving:  # a failing run must not leak them
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        assert outliving == []
         resumed = _chaos_subprocess(
             "--backend",
             "parallel",
@@ -355,15 +402,6 @@ class TestSegmentHygiene:
             checkpoint_interval=2,
         )
         assert digest_line == f"digest={result_digest(baseline)}"
-        # Orphaned rank watchdogs may lag the subprocess exit by one
-        # poll interval; the segments must drain, not merely shrink.
-        deadline = time.monotonic() + 15
-        while (
-            _repro_segments() - before
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.2)
-        assert _repro_segments() - before == set()
 
 
 class TestOrphanCleanup:

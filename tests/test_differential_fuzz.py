@@ -1,18 +1,17 @@
-"""Differential fuzzing: five engine paths against a test-side oracle.
+"""Differential fuzzing: four engine paths against a test-side oracle.
 
 For a deterministic matrix of seeded random graphs x workloads x
-worker counts x fault plans, every case runs on five engine paths —
+worker counts x fault plans, every case runs on four engine paths —
 the dense fast path (vectorization pinned off), the dense fast path
 with the vectorized kernel tier engaged, the dense fast path against
 a memory-mapped :class:`CsrSnapshot` under a 1-byte message budget
 (every lane spills to disk and replays at delivery), and the
-process-parallel backend on each of its two transports (shared-memory
-columnar and pickle) — and all five must be **byte-identical**: same
+process-parallel backend — and all four must be **byte-identical**: same
 values (compared per entry through pickle, so identity sharing inside
 one backend cannot mask or fake a difference), same ``RunStats``
 ledgers, same BPPA observation, same aggregate history.
 
-The sixth path, ``"reference"``, is the oracle: :mod:`tests.oracle`,
+The fifth path, ``"reference"``, is the oracle: :mod:`tests.oracle`,
 a Pregel interpreter that counts work, messages and the BPPA factors
 itself and shares no code with the engine.  A clean run's ledger,
 BPPA observation, aggregate history and values must equal it.  The
@@ -101,7 +100,6 @@ from tests.conftest import (
     as_pregel_result,
     assert_held_to_oracle,
     oracle_result,
-    shared_memory_unavailable,
 )
 
 WORKER_COUNTS = [1, 2, 4, 7]
@@ -134,13 +132,8 @@ FAULT_MODES = [
 #: ``CsrSnapshot`` of the same graph under ``memory_budget=1``, so
 #: every buffered message lane spills to disk and replays at delivery
 #: — covering the out-of-core storage *and* spill tiers in one path.
-#: "parallel" runs the pool without shared memory, every column on
-#: the pipe (the fallback tier); "parallel-shm" is the shared-memory
-#: columnar transport.
-BACKENDS = [
-    "reference", "fast", "fast+vectorized", "snapshot",
-    "parallel", "parallel-shm",
-]
+#: "parallel" runs the process pool, every column on the rank pipe.
+BACKENDS = ["reference", "fast", "fast+vectorized", "snapshot", "parallel"]
 
 #: The shared workload table plus degree centrality, so all four
 #: programs with a registered kernel cross every path here.
@@ -205,9 +198,6 @@ def _run_case(graph, make_program, natural, recipe, backend, workers,
         engine = create_engine(
             graph, make_program(), backend="parallel", **kwargs,
         )
-    if backend == "parallel":
-        with shared_memory_unavailable():
-            return engine, engine.run()
     return engine, engine.run()
 
 
@@ -338,7 +328,7 @@ def _assert_every_path_agrees(
         # checkpointed superstep was replayed, none was discarded.
         assert fast.stats.recovery_attempts == 1, repro
         assert fast.stats.supersteps_replayed == 1, repro
-    for backend in ("fast+vectorized", "parallel", "parallel-shm"):
+    for backend in ("fast+vectorized", "parallel"):
         vec_tiers = {
             w.kernel_tier for w in results[backend].stats.wall
         }
@@ -366,25 +356,13 @@ def _assert_every_path_agrees(
     # the pool must have run every superstep (the parallel runs must
     # not silently degrade to serial and pass the comparison that
     # way).
-    for backend in ("parallel", "parallel-shm"):
-        par = engines[backend]
-        assert par.parallel_disabled_reason is None, (
-            f"{backend}; {repro}"
-        )
-        # >= because crash plans re-execute rolled-back supersteps on
-        # the pool too.
-        assert par.parallel_supersteps >= ref.stats.num_supersteps, (
-            f"{backend}; {repro}"
-        )
-    # The shm run must actually have used the columnar tier (per-
-    # column spill for non-conforming data — e.g. BFS-tree's dict
-    # values — is fine; losing shared memory outright is not).
-    shm = engines["parallel-shm"]
-    assert shm.transport_disabled_reason is None, repro
-    assert shm.transport_tier == "columnar", repro
-    # And the run without shared memory must have said so and ridden
-    # the pipe.
-    assert engines["parallel"].transport_tier == "pickle", repro
+    par = engines["parallel"]
+    assert par.parallel_disabled_reason is None, f"parallel; {repro}"
+    # >= because crash plans re-execute rolled-back supersteps on the
+    # pool too.
+    assert par.parallel_supersteps >= ref.stats.num_supersteps, (
+        f"parallel; {repro}"
+    )
 
 
 # ---------------------------------------------------------------------
@@ -513,7 +491,7 @@ PLANE_CORPUS = [
     # Every way into and out of a lane's frontier (lingering awake,
     # halting, re-waking, wake-all, a vertex born at the barrier of
     # superstep 2, an edge edit) — tests/test_frontier_pass.py crosses
-    # it with both pool transports and a min combiner as well.
+    # it with a min combiner as well.
     (
         "frontier-script",
         lambda: FrontierScript(
@@ -523,7 +501,7 @@ PLANE_CORPUS = [
     ),
 ]
 
-PLANE_BACKENDS = ["reference", "fast", "snapshot", "parallel-shm"]
+PLANE_BACKENDS = ["reference", "fast", "snapshot", "parallel"]
 
 #: Checkpoints at 0, 2, 4 and a crash at 3, so the full rollback
 #: restores the topology the superstep-1 barrier mutated, onto the
@@ -613,7 +591,7 @@ def test_plane_corpus(
     )
     assert engines["snapshot"]._fabric.spilled_lanes >= sending, repro
     # The pool says exactly why it stepped aside, and ran until then.
-    pool = engines["parallel-shm"]
+    pool = engines["parallel"]
     assert pool.parallel_disabled_reason == pool_reason, repro
     if name == "mutate-mid-run":
         assert pool.parallel_supersteps >= 2, repro

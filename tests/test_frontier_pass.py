@@ -44,9 +44,8 @@ from tests.test_differential_fuzz import (
 )
 
 #: The oracle (tests/oracle.py), the serial dense plane, the same
-#: under a one-byte budget on a memory-mapped snapshot, and the pool
-#: on both transports.
-BACKENDS = ["reference", "fast", "snapshot", "parallel-shm", "parallel"]
+#: under a one-byte budget on a memory-mapped snapshot, and the pool.
+BACKENDS = ["reference", "fast", "snapshot", "parallel"]
 
 
 def _script_case(seed):

@@ -79,25 +79,26 @@ BSP_ROOT = ENGINE_PY.parent
 #: one module may pay for code in another; a simplicity PR lowers the
 #: number.  The large modules keep the ceilings below as well.
 #: Lowered from 8009 when the durable fingerprint stopped walking the
-#: graph.
-REPRO_BSP_LINE_BUDGET = 8003
+#: graph, and from 8003 when the shared-memory segment left and the
+#: rank pipe became the one transport.
+REPRO_BSP_LINE_BUDGET = 7518
 
 #: The dense compute plane is written once (``kernels.py`` loops and
 #: kernels over a ``fabric.DenseLane``) and hosted twice (the serial
 #: engine, a pool rank in ``parallel.py``); its data plane is written
 #: once too — a detached lane is a ``fabric.LaneRecord`` for the rank
 #: reply, the coordinator merge and the spill tier, and
-#: ``shm_transport.py`` has one effect-set codec whether or not there
-#: is a segment.  The budgets are the sizes at which that became
-#: true; a fork of the send paths, the lane gather/write-back or the
-#: wire format would have to grow them.  Kernels and fabric were
+#: ``columns.py`` types a column one way for all of them.  The budgets
+#: are the sizes at which that became true; a fork of the send paths,
+#: the lane gather/write-back or the wire format would have to grow
+#: them.  Kernels and fabric were
 #: lowered (from 989 and 1013) when the dict-path oracle's compute
 #: loop, mailboxes and delivery left for tests/oracle.py; kernels and
 #: parallel (from 944 and 1133) when the adjacency became columns and
 #: the scatter plan a count-then-place compile.
 KERNELS_LINE_BUDGET = 933
 PARALLEL_LINE_BUDGET = 1128
-SHM_TRANSPORT_LINE_BUDGET = 472
+COLUMNS_LINE_BUDGET = 55
 FABRIC_LINE_BUDGET = 878
 
 
@@ -116,7 +117,7 @@ class TestDensePlaneIsNotForked:
         [
             ("kernels.py", KERNELS_LINE_BUDGET),
             ("parallel.py", PARALLEL_LINE_BUDGET),
-            ("shm_transport.py", SHM_TRANSPORT_LINE_BUDGET),
+            ("columns.py", COLUMNS_LINE_BUDGET),
             ("fabric.py", FABRIC_LINE_BUDGET),
         ],
     )
@@ -132,9 +133,9 @@ class TestDensePlaneIsNotForked:
     def test_accumulator_slots_move_in_one_module(self):
         # Gather-and-clear and write-back of accumulator slots are
         # DenseLane.detach/adopt; the rank step, the coordinator merge
-        # and the codec only pass LaneRecords along.
+        # and the column codec only pass LaneRecords along.
         slot_write = re.compile(r"\b(?:acc|cnt)\w*\[[^\]]*\]\s*=[^=]")
-        for module in ("parallel.py", "shm_transport.py"):
+        for module in ("parallel.py", "columns.py"):
             source = (BSP_ROOT / module).read_text()
             assert not slot_write.search(source), module
             assert '"okc"' not in source, module
@@ -169,6 +170,22 @@ class TestDensePlaneIsNotForked:
         # null pair; block.py: the block engine's own mailbox.
         assert raising == {"fabric.py", "block.py"}
 
+    def test_no_module_maps_shared_memory(self):
+        # Columns cross the rank boundary in the pipe message: no
+        # named kernel object outlives a process, so none needs
+        # reaping.
+        mapping = re.compile(
+            r"^\s*(?:from|import)\s+multiprocessing\b.*"
+            r"\b(?:shared_memory|resource_tracker)\b",
+            re.MULTILINE,
+        )
+        importing = {
+            path.name
+            for path in BSP_ROOT.glob("*.py")
+            if mapping.search(path.read_text())
+        }
+        assert importing == set()
+
     def test_partition_runtime_owns_no_send_path(self):
         defined = re.findall(
             r"def (_?(?:enqueue|fanout)\w*)",
@@ -199,7 +216,7 @@ class TestOnePlanePerRun:
         "module",
         [
             "checkpoint.py", "durability.py", "engine.py", "fabric.py",
-            "kernels.py", "parallel.py", "shm_transport.py",
+            "kernels.py", "parallel.py", "columns.py",
         ],
     )
     def test_sizes_after_the_path_switch_was_deleted(self, module):

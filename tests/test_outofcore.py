@@ -298,22 +298,13 @@ class TestParallelSnapshotMode:
         assert digest(result) == digest(base)
 
     # The coordinator accounts and spills the record each rank
-    # replied with: both mailbox layouts, with and without a segment.
+    # replied with: both mailbox layouts.
     @pytest.mark.parametrize(
         "combiner", [SumCombiner, None], ids=["sum", "plain"]
     )
-    @pytest.mark.parametrize(
-        "transport",
-        [
-            pytest.param("columnar", id="shm"),
-            pytest.param("pickle", id="pipe"),
-        ],
-    )
     def test_budgeted_parallel_spills_and_matches(
-        self, snapshot, transport, combiner, request
+        self, snapshot, combiner
     ):
-        if transport == "pickle":
-            request.getfixturevalue("no_shm")
         make_combiner = combiner or (lambda: None)
         _, base = run(
             GRAPH, PageRank(num_supersteps=6), combiner=make_combiner()
@@ -331,7 +322,6 @@ class TestParallelSnapshotMode:
             memory_budget=1,
         )
         assert engine.parallel_supersteps > 0
-        assert engine.transport_tier == transport
         assert engine._fabric.spilled_lanes > 0
         assert (
             engine._fabric.spilled_lanes,

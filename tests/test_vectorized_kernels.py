@@ -8,8 +8,8 @@ pins that promise three ways:
 
 1. **End-to-end differentials**: every registered workload runs on the
    per-vertex pass and on the vectorized tier (serial and process-
-   parallel, both transports, clean and faulted) and the results are
-   compared entry by entry through ``pickle`` — values, ``RunStats``
+   parallel, clean and faulted) and the results are compared entry
+   by entry through ``pickle`` — values, ``RunStats``
    ledgers, BPPA observations and aggregate history — and the
    per-vertex run is held to the oracle's.
 
@@ -194,20 +194,17 @@ def test_serial_oracle_differential_directed_graph():
 
 
 # ---------------------------------------------------------------------
-# End-to-end differentials, process-parallel (both transports)
+# End-to-end differentials, process-parallel
 # ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("transport", ["pickle", "columnar"])
 @pytest.mark.parametrize(
     "wl_name,make_program,combiner_cls",
     WORKLOADS,
     ids=[w[0] for w in WORKLOADS],
 )
 def test_parallel_oracle_differential(wl_name, make_program,
-                                      combiner_cls, transport, request):
-    if transport == "pickle":
-        request.getfixturevalue("no_shm")
+                                      combiner_cls):
     graph = graph_undirected()
     ref = run_serial(graph, make_program, combiner_cls,
                      vectorize=False, num_workers=2)
@@ -216,31 +213,26 @@ def test_parallel_oracle_differential(wl_name, make_program,
         combiner=combiner_cls(), track_bppa=True, seed=0,
     )
     par = engine.run()
-    assert canonical(par) == canonical(ref), (wl_name, transport)
+    assert canonical(par) == canonical(ref), wl_name
     assert_per_vertex_run_matches_oracle(
         ref, graph, make_program, combiner_cls, num_workers=2
     )
-    assert engine.transport_tier == transport
     assert engine.parallel_disabled_reason is None
     # Ranks run the same registered kernels as the serial engine; the
     # pool must actually have vectorized, not silently stayed dense.
     assert "vectorized" in tiers_of(par), tiers_of(par)
 
 
-@pytest.mark.parametrize("transport", ["pickle", "columnar"])
 @pytest.mark.parametrize(
     "fault_name,make_plan",
     FAULT_MODES[1:],
     ids=[f[0] for f in FAULT_MODES[1:]],
 )
-def test_parallel_faulted_oracle(transport, fault_name, make_plan,
-                                 request):
+def test_parallel_faulted_oracle(fault_name, make_plan):
     """Faulty-vs-faulty across the process boundary: the pool's
     recovered PageRank must match the faulted per-vertex serial run
     byte for byte, that run must be held to the oracle, and the fault
     injector must pin the ranks to the per-vertex pass."""
-    if transport == "pickle":
-        request.getfixturevalue("no_shm")
     graph = graph_undirected()
     make_program = WORKLOADS[0][1]
     ref = run_serial(graph, make_program, SumCombiner,
@@ -252,12 +244,11 @@ def test_parallel_faulted_oracle(transport, fault_name, make_plan,
         checkpoint_interval=2, fault_plan=make_plan(),
     )
     par = engine.run()
-    assert canonical(par) == canonical(ref), (transport, fault_name)
+    assert canonical(par) == canonical(ref), fault_name
     assert_per_vertex_run_matches_oracle(
         ref, graph, make_program, SumCombiner, faulted=True,
         num_workers=2,
     )
-    assert engine.transport_tier == transport
     assert "vectorized" not in tiers_of(par), tiers_of(par)
 
 
