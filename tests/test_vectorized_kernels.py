@@ -8,10 +8,10 @@ pins that promise three ways:
 
 1. **End-to-end differentials**: every registered workload runs on the
    per-vertex pass and on the vectorized tier (serial and process-
-   parallel, clean and faulted) and the results are compared entry
-   by entry through ``pickle`` — values, ``RunStats``
-   ledgers, BPPA observations and aggregate history — and the
-   per-vertex run is held to the oracle's.
+   parallel with typed and with pickled columns, clean and faulted)
+   and the results are compared entry by entry through ``pickle`` —
+   values, ``RunStats`` ledgers, BPPA observations and aggregate
+   history — and the per-vertex run is held to the oracle's.
 
 2. **Unit-level bit-exactness**: the scatter/gather primitives the
    kernels are built from are run against a per-vertex oracle fold on
@@ -40,7 +40,9 @@ from types import SimpleNamespace
 import pytest
 
 import repro.bsp.aggregator as aggregator
+import repro.bsp.fabric as fabric
 import repro.bsp.kernels as kernels
+import repro.bsp.parallel as parallel
 from repro.algorithms.cc_hashmin import HashMinComponents
 from repro.algorithms.degree import DegreeCentrality
 from repro.algorithms.pagerank import PageRank
@@ -194,41 +196,73 @@ def test_serial_oracle_differential_directed_graph():
 
 
 # ---------------------------------------------------------------------
-# End-to-end differentials, process-parallel
+# End-to-end differentials, process-parallel (both column carriages)
 # ---------------------------------------------------------------------
 
 
+#: How the columns of each step/reply cross the rank pipe: as typed
+#: arrays (``"columnar"``, what conforming columns do) or, with
+#: :func:`pickle_every_column`, as pickled lists (``"pickle"``, what a
+#: non-conforming column does).
+CARRIAGES = ["pickle", "columnar"]
+
+
+def pickle_every_column(monkeypatch):
+    """No column is typed: every lane record and reply column stays a
+    plain list, on the coordinator and on the ranks forked after this
+    (a spawned rank keeps typing its replies, but the coordinator's
+    records still cross untyped, so no superstep counts as columnar)."""
+    for module in (fabric, parallel):
+        monkeypatch.setattr(module, "typed_column", lambda values: values)
+
+
+def assert_carriage(engine, carriage):
+    """``columnar_supersteps`` counts the pool supersteps whose every
+    column crossed typed: all of them, or none."""
+    assert engine.parallel_supersteps > 0
+    assert engine.columnar_supersteps == (
+        engine.parallel_supersteps if carriage == "columnar" else 0
+    )
+
+
+@pytest.mark.parametrize("carriage", CARRIAGES)
 @pytest.mark.parametrize(
     "wl_name,make_program,combiner_cls",
     WORKLOADS,
     ids=[w[0] for w in WORKLOADS],
 )
 def test_parallel_oracle_differential(wl_name, make_program,
-                                      combiner_cls):
+                                      combiner_cls, carriage,
+                                      monkeypatch):
     graph = graph_undirected()
     ref = run_serial(graph, make_program, combiner_cls,
                      vectorize=False, num_workers=2)
+    if carriage == "pickle":
+        pickle_every_column(monkeypatch)
     engine = create_engine(
         graph, make_program(), backend="parallel", num_workers=2,
         combiner=combiner_cls(), track_bppa=True, seed=0,
     )
     par = engine.run()
-    assert canonical(par) == canonical(ref), wl_name
+    assert canonical(par) == canonical(ref), (wl_name, carriage)
     assert_per_vertex_run_matches_oracle(
         ref, graph, make_program, combiner_cls, num_workers=2
     )
     assert engine.parallel_disabled_reason is None
+    assert_carriage(engine, carriage)
     # Ranks run the same registered kernels as the serial engine; the
     # pool must actually have vectorized, not silently stayed dense.
     assert "vectorized" in tiers_of(par), tiers_of(par)
 
 
+@pytest.mark.parametrize("carriage", CARRIAGES)
 @pytest.mark.parametrize(
     "fault_name,make_plan",
     FAULT_MODES[1:],
     ids=[f[0] for f in FAULT_MODES[1:]],
 )
-def test_parallel_faulted_oracle(fault_name, make_plan):
+def test_parallel_faulted_oracle(fault_name, make_plan, carriage,
+                                 monkeypatch):
     """Faulty-vs-faulty across the process boundary: the pool's
     recovered PageRank must match the faulted per-vertex serial run
     byte for byte, that run must be held to the oracle, and the fault
@@ -238,17 +272,20 @@ def test_parallel_faulted_oracle(fault_name, make_plan):
     ref = run_serial(graph, make_program, SumCombiner,
                      vectorize=False, make_plan=make_plan,
                      num_workers=2)
+    if carriage == "pickle":
+        pickle_every_column(monkeypatch)
     engine = create_engine(
         graph, make_program(), backend="parallel", num_workers=2,
         combiner=SumCombiner(), track_bppa=True, seed=0,
         checkpoint_interval=2, fault_plan=make_plan(),
     )
     par = engine.run()
-    assert canonical(par) == canonical(ref), fault_name
+    assert canonical(par) == canonical(ref), (carriage, fault_name)
     assert_per_vertex_run_matches_oracle(
         ref, graph, make_program, SumCombiner, faulted=True,
         num_workers=2,
     )
+    assert_carriage(engine, carriage)
     assert "vectorized" not in tiers_of(par), tiers_of(par)
 
 
