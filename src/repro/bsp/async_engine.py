@@ -20,13 +20,13 @@ schedule is chopped into *rounds* — each round drains the prefix of
 the queue that existed when the round began, which is exactly
 GraphLab's "iteration" notion for a FIFO set-scheduler.  Rounds play
 the role supersteps play elsewhere: the
-:class:`~repro.bsp.loop.SuperstepLoop` opens, commits, checkpoints and
-rolls back rounds exactly as it does supersteps, and they are the
-``RunStats`` entries, so ``trace=`` / ``fault_plan=`` /
-``checkpoint_interval=`` behave identically across engines.  The
-update order — and therefore every counter — is byte-identical to the
-un-hosted engine: round boundaries only group the schedule, they never
-reorder it.
+:class:`~repro.bsp.loop.HostedEngine` opens, commits, checkpoints and
+rolls back rounds exactly as it does the GAS and block engines'
+supersteps, and they are the ``RunStats`` entries, so ``trace=`` /
+``fault_plan=`` / ``checkpoint_interval=`` behave identically across
+engines.  The update order — and therefore every counter — is
+byte-identical to an un-hosted schedule: round boundaries only group
+the schedule, they never reorder it.
 """
 
 from __future__ import annotations
@@ -34,21 +34,18 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Set
+from typing import Optional
 
-from repro.bsp.checkpoint import EngineSnapshot, cow_copy
 from repro.bsp.faults import FaultPlan
-from repro.bsp.gas import GASProgram, NeighborView
-from repro.bsp.loop import SuperstepLoop
-from repro.bsp.worker import Worker
+from repro.bsp.gas import GASProgram, gather
+from repro.bsp.loop import HostedEngine, HostedResult
 from repro.graph.graph import Graph
 from repro.metrics.cost_model import BSPCostModel
-from repro.metrics.stats import RunStats
-from repro.trace.recorder import TraceRecorder, get_default_trace
+from repro.trace.recorder import TraceRecorder
 
 
-@dataclass
-class AsyncResult:
+@dataclass(kw_only=True)
+class AsyncResult(HostedResult):
     """Answers plus the async engine's cost counters.
 
     ``converged`` is True when the scheduler queue drained (a genuine
@@ -56,26 +53,17 @@ class AsyncResult:
     that case ``values`` and the counters reflect the partial
     computation at the moment the budget ran out, so callers can
     inspect how far a capped run got instead of losing everything to
-    an exception.
+    an exception.  ``stats`` holds one BSP-style entry per scheduler
+    round, giving the async engine cost-model parity with the sync
+    engines; ``num_supersteps`` counts the rounds.
     """
 
-    values: Dict[Hashable, Any]
     updates: int
     edge_reads: int
     signals: int
-    converged: bool
-    #: Per-round BSP-style accounting (one entry per scheduler round),
-    #: giving the async engine cost-model parity with the sync engines.
-    stats: Optional[RunStats] = None
-
-    @property
-    def num_supersteps(self) -> int:
-        """Scheduler rounds executed (the async analogue of
-        supersteps)."""
-        return self.stats.num_supersteps if self.stats is not None else 0
 
 
-class AsyncEngine:
+class AsyncEngine(HostedEngine):
     """FIFO-scheduled asynchronous execution of a
     :class:`~repro.bsp.gas.GASProgram`.
 
@@ -83,10 +71,8 @@ class AsyncEngine:
     order and re-enqueue on signal (at most one pending entry per
     vertex, like GraphLab's set-scheduler).
 
-    Accepts the shared fault-tolerance surface
-    (``checkpoint_interval`` / ``fault_plan`` /
-    ``max_recovery_attempts`` / ``trace``), applied at round
-    granularity.
+    Takes the shared fault-tolerance surface (``checkpoint_interval``
+    / ``fault_plan`` / ``trace``), applied at round granularity.
     """
 
     backend_name = "async"
@@ -99,77 +85,40 @@ class AsyncEngine:
         cost_model: Optional[BSPCostModel] = None,
         checkpoint_interval: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-        max_recovery_attempts: int = 3,
         trace: Optional[TraceRecorder] = None,
     ):
         if max_updates < 0:
             raise ValueError(
                 f"max_updates must be >= 0, got {max_updates}"
             )
-        self._graph = graph
-        self._program = program
-        self._max_updates = max_updates
-        self._cost_model = cost_model or BSPCostModel()
-
-        # Scheduler state, (re)initialized per run and snapshotted by
-        # the recovery layer.
-        self._values: Dict[Hashable, Any] = {}
-        self._out_degree: Dict[Hashable, int] = {}
-        self._queue: deque = deque()
-        self._queued: Set[Hashable] = set()
-        self._updates = 0
-        self._edge_reads = 0
-        self._signals = 0
-        self._converged = True
-
         # A single logical worker runs the whole schedule; every round
         # can process at least one update, so ``max_updates + 1``
         # rounds always suffice to reach the budget or the fixpoint.
-        self._workers = [Worker(0)]
-        self._loop = SuperstepLoop(
-            max_supersteps=max_updates + 1,
-            program_name=getattr(program, "name", "async-program"),
-            num_workers=1,
-            cost_model=self._cost_model,
-            checkpoint_interval=checkpoint_interval,
-            fault_plan=fault_plan,
-            max_recovery_attempts=max_recovery_attempts,
-            trace=trace if trace is not None else get_default_trace(),
-            on_limit="stop",
+        super().__init__(
+            graph, program, 1, max_updates + 1, cost_model,
+            checkpoint_interval, fault_plan, trace,
         )
+        self._max_updates = max_updates
 
-    # -- the snapshot a checkpoint holds and a rollback restores ----
-
-    def _checkpoint(self, superstep: int) -> EngineSnapshot:
-        return EngineSnapshot(
-            superstep=superstep,
-            payload={
-                "values": {
-                    v: cow_copy(val) for v, val in self._values.items()
-                },
-                "queue": list(self._queue),
-                "queued": set(self._queued),
-                "updates": self._updates,
-                "edge_reads": self._edge_reads,
-                "signals": self._signals,
-                "converged": self._converged,
-            },
-        )
-
-    def _rollback(self, crash, superstep: int, stats, ckpt) -> int:
-        payload = ckpt.payload
-        self._values = {
-            v: cow_copy(val) for v, val in payload["values"].items()
+    def _payload(self) -> dict:
+        return {
+            "values": self._values,
+            "queue": list(self._queue),
+            "queued": self._queued,
+            "updates": self._updates,
+            "edge_reads": self._edge_reads,
+            "signals": self._signals,
+            "converged": self._converged,
         }
+
+    def _restore(self, payload: dict) -> None:
+        self._values = payload["values"]
         self._queue = deque(payload["queue"])
-        self._queued = set(payload["queued"])
+        self._queued = payload["queued"]
         self._updates = payload["updates"]
         self._edge_reads = payload["edge_reads"]
         self._signals = payload["signals"]
         self._converged = payload["converged"]
-        return self._loop.rollback(stats, ckpt, len(self._values))
-
-    # -- the hosted schedule ----------------------------------------
 
     def run(self) -> AsyncResult:
         """Execute to the fixpoint, or to the ``max_updates`` budget.
@@ -193,31 +142,23 @@ class AsyncEngine:
         self._edge_reads = 0
         self._signals = 0
         self._converged = True
-
-        stats = RunStats(
-            num_workers=1, cost_model=self._cost_model
-        )
-        ran_out = not self._loop.run(self, stats)
+        stats, finished = self._run_loop()
         return AsyncResult(
             values=self._values,
             updates=self._updates,
             edge_reads=self._edge_reads,
             signals=self._signals,
-            converged=self._converged and not ran_out,
+            converged=self._converged and finished,
             stats=stats,
         )
 
-    def _execute_superstep(
-        self, superstep: int, stats: RunStats
-    ) -> bool:
+    def _execute_superstep(self, superstep: int, stats) -> bool:
         if not self._queue:
             return True
         if self._updates >= self._max_updates:
             self._converged = False
             return True
-        self._loop.open_superstep(
-            superstep, self._workers, "async", self.backend_name
-        )
+        self._open(superstep)
         graph = self._graph
         program = self._program
         values = self._values
@@ -235,30 +176,18 @@ class AsyncEngine:
                 break
             v = queue.popleft()
             queued.discard(v)
-            total = program.identity()
-            gathered = 0
-            for u in graph.in_neighbors(v):
-                view = NeighborView(
-                    id=u,
-                    value=values[u],
-                    out_degree=self._out_degree[u],
-                )
-                contribution = program.gather(
-                    view, graph.weight(u, v)
-                )
-                total = (
-                    contribution
-                    if total is None
-                    else program.fold(total, contribution)
-                )
-                gathered += 1
-            self._edge_reads += gathered
+            sources = list(graph.in_neighbors(v))
+            total = gather(
+                program, graph, values, self._out_degree, v, sources,
+                program.identity(),
+            )
+            self._edge_reads += len(sources)
             old = values[v]
             new = program.apply(v, old, total)
             values[v] = new
             self._updates += 1
             processed += 1
-            worker.work += 1 + gathered
+            worker.work += 1 + len(sources)
             if program.should_scatter(old, new):
                 for u in graph.neighbors(v):
                     self._signals += 1
@@ -273,9 +202,7 @@ class AsyncEngine:
                         queue.append(u)
 
         worker.wall_seconds = time.perf_counter() - seg_start
-        self._loop.commit_superstep(
-            stats, self._workers, superstep, processed, network=True
-        )
+        self._commit(stats, superstep, processed)
         # Decide termination here rather than in an extra (empty)
         # round, so the checkpoint policy never snapshots a round that
         # commits no entry.

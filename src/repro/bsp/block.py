@@ -14,14 +14,12 @@ The cost accounting reuses :class:`~repro.metrics.stats.RunStats`:
 per-block local work, logical/remote messages, and the BSP superstep
 charge ``max(w, g·h, L)``.
 
-Hosted on the shared runtime (``docs/architecture.md``): the
-superstep loop and lifecycle, checkpoint schedule and accounting,
-crash supervision, rollback discard, trace events, and injected
-network faults all come from :class:`~repro.bsp.loop.SuperstepLoop`,
-exactly as for the GAS engine; the engine supplies its superstep body
-and payload snapshot (``_checkpoint``/``_rollback``), so ``trace=`` /
-``fault_plan=`` / ``checkpoint_interval=`` behave identically across
-engines.
+Hosted on the shared runtime (``docs/architecture.md``): a
+:class:`~repro.bsp.loop.HostedEngine` drives the supersteps on the
+:class:`~repro.bsp.loop.SuperstepLoop`, as for the GAS and async
+engines; the engine supplies its superstep body and its state payload,
+so ``trace=`` / ``fault_plan=`` / ``checkpoint_interval=`` behave
+identically across engines.
 """
 
 from __future__ import annotations
@@ -31,10 +29,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Set
 
-from repro.bsp.checkpoint import EngineSnapshot, cow_copy
 from repro.bsp.faults import FaultPlan
-from repro.bsp.loop import SuperstepLoop
-from repro.bsp.worker import Worker
+from repro.bsp.loop import HostedEngine, HostedResult
 from repro.errors import MessageToUnknownVertexError
 from repro.graph.graph import Graph
 from repro.graph.partition import (
@@ -43,8 +39,7 @@ from repro.graph.partition import (
     canonical_sort_key,
 )
 from repro.metrics.cost_model import BSPCostModel
-from repro.metrics.stats import RunStats
-from repro.trace.recorder import TraceRecorder, get_default_trace
+from repro.trace.recorder import TraceRecorder
 
 
 @dataclass
@@ -75,25 +70,47 @@ class BlockView:
 
 
 class BlockContext:
-    """Messaging and accounting surface for block programs."""
+    """Messaging and accounting surface for block programs.
 
-    def __init__(self, engine, block_index: int):
-        self._engine = engine
+    Holds what it touches — the owner map, the workers' counters, the
+    halted flags — and the superstep's outbox, which the engine hands
+    it each superstep."""
+
+    def __init__(self, block_index: int, owner, workers, halted):
         self._block_index = block_index
+        self._owner = owner
+        self._workers = workers
+        self._halted = halted
+        self._outbox: List[List] = []
         self.superstep = 0
+
+    def _begin_superstep(self, superstep: int, outbox) -> None:
+        self.superstep = superstep
+        self._outbox = outbox
 
     def send(self, target: Hashable, message: Any) -> None:
         """Send ``message`` to the block owning ``target``; delivered
         next superstep, tagged with the destination vertex."""
-        self._engine._enqueue(self._block_index, target, message)
+        dst_block = self._owner.get(target)
+        if dst_block is None:
+            raise MessageToUnknownVertexError(target)
+        self._outbox[dst_block].append((target, message))
+        src = self._workers[self._block_index]
+        dst = self._workers[dst_block]
+        src.sent_logical += 1
+        dst.received_logical += 1
+        if dst_block != self._block_index:
+            src.sent_network += 1
+            dst.received_network += 1
+            src.sent_remote += 1
 
     def charge(self, ops: float) -> None:
         """Charge extra local work to this block."""
-        self._engine._charge(self._block_index, ops)
+        self._workers[self._block_index].work += ops
 
     def vote_to_halt(self) -> None:
         """This block is done unless a message wakes it."""
-        self._engine._halt(self._block_index)
+        self._halted[self._block_index] = True
 
 
 class BlockProgram(ABC):
@@ -114,26 +131,17 @@ class BlockProgram(ABC):
 
 
 @dataclass
-class BlockResult:
-    """Per-vertex values plus the usual run statistics."""
-
-    values: Dict[Hashable, Any]
-    stats: RunStats
-    #: False when the run stopped at ``max_supersteps`` without
-    #: quiescing (soft budget, not an error).
-    converged: bool = True
-
-    @property
-    def num_supersteps(self) -> int:
-        return self.stats.num_supersteps
+class BlockResult(HostedResult):
+    """Per-vertex values plus the usual run statistics;
+    ``converged`` is False when the run stopped at ``max_supersteps``
+    without quiescing (soft budget, not an error)."""
 
 
-class BlockEngine:
+class BlockEngine(HostedEngine):
     """Runs a :class:`BlockProgram` over a partitioned graph.
 
-    Accepts the shared fault-tolerance surface
-    (``checkpoint_interval`` / ``fault_plan`` /
-    ``max_recovery_attempts`` / ``trace``) with the same semantics as
+    Takes the shared fault-tolerance surface (``checkpoint_interval``
+    / ``fault_plan`` / ``trace``) with the same semantics as
     :class:`~repro.bsp.engine.PregelEngine`.
     """
 
@@ -149,23 +157,11 @@ class BlockEngine:
         max_supersteps: int = 10_000,
         checkpoint_interval: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-        max_recovery_attempts: int = 3,
         trace: Optional[TraceRecorder] = None,
     ):
-        self._graph = graph
-        self._program = program
-        self._num_blocks = num_blocks
-        self._cost_model = cost_model or BSPCostModel()
-        self._loop = SuperstepLoop(
-            max_supersteps=max_supersteps,
-            program_name=getattr(program, "name", "block-program"),
-            num_workers=num_blocks,
-            cost_model=self._cost_model,
-            checkpoint_interval=checkpoint_interval,
-            fault_plan=fault_plan,
-            max_recovery_attempts=max_recovery_attempts,
-            trace=trace if trace is not None else get_default_trace(),
-            on_limit="stop",
+        super().__init__(
+            graph, program, num_blocks, max_supersteps, cost_model,
+            checkpoint_interval, fault_plan, trace,
         )
         partitioner = partitioner or BfsGrowPartitioner(
             graph, num_blocks
@@ -173,7 +169,6 @@ class BlockEngine:
         self._owner: Dict[Hashable, int] = build_owner_map(
             graph.vertices(), partitioner, num_blocks
         )
-        self._workers = [Worker(i) for i in range(num_blocks)]
         self._blocks: List[BlockView] = []
         for index in range(num_blocks):
             owned = {
@@ -205,69 +200,28 @@ class BlockEngine:
                 )
             )
         self._inbox: List[List] = [[] for _ in range(num_blocks)]
-        self._outbox: List[List] = [[] for _ in range(num_blocks)]
+        # Restored in place: the contexts hold the list.
         self._halted = [False] * num_blocks
         self._contexts = [
-            BlockContext(self, i) for i in range(num_blocks)
+            BlockContext(i, self._owner, self._workers, self._halted)
+            for i in range(num_blocks)
         ]
 
-    # -- services used by BlockContext ---------------------------------
+    def _payload(self) -> dict:
+        return {
+            "values": [block.values for block in self._blocks],
+            "halted": self._halted,
+            "inbox": self._inbox,
+        }
 
-    def _enqueue(self, src_block: int, target: Hashable, message: Any):
-        dst_block = self._owner.get(target)
-        if dst_block is None:
-            raise MessageToUnknownVertexError(target)
-        self._outbox[dst_block].append((target, message))
-        self._workers[src_block].sent_logical += 1
-        self._workers[dst_block].received_logical += 1
-        if src_block != dst_block:
-            self._workers[src_block].sent_network += 1
-            self._workers[dst_block].received_network += 1
-            self._workers[src_block].sent_remote += 1
-
-    def _charge(self, block: int, ops: float) -> None:
-        self._workers[block].work += ops
-
-    def _halt(self, block: int) -> None:
-        self._halted[block] = True
-
-    # -- the snapshot a checkpoint holds and a rollback restores ----
-
-    def _checkpoint(self, superstep: int) -> EngineSnapshot:
-        return EngineSnapshot(
-            superstep=superstep,
-            payload={
-                "values": [
-                    {v: cow_copy(val) for v, val in b.values.items()}
-                    for b in self._blocks
-                ],
-                "halted": list(self._halted),
-                "inbox": [
-                    [cow_copy(m) for m in box] for box in self._inbox
-                ],
-            },
-        )
-
-    def _rollback(self, crash, superstep: int, stats, ckpt) -> int:
-        payload = ckpt.payload
-        for block, vals in zip(self._blocks, payload["values"]):
-            block.values = {
-                v: cow_copy(val) for v, val in vals.items()
-            }
-        self._halted = list(payload["halted"])
-        self._inbox = [
-            [cow_copy(m) for m in box] for box in payload["inbox"]
-        ]
-        return self._loop.rollback(stats, ckpt, len(self._owner))
-
-    # -- the hosted superstep ---------------------------------------
+    def _restore(self, payload: dict) -> None:
+        for block, values in zip(self._blocks, payload["values"]):
+            block.values = values
+        self._halted[:] = payload["halted"]
+        self._inbox = payload["inbox"]
 
     def run(self) -> BlockResult:
-        stats = RunStats(
-            num_workers=self._num_blocks,
-            cost_model=self._cost_model,
-        )
-        converged = self._loop.run(self, stats)
+        stats, converged = self._run_loop()
         values: Dict[Hashable, Any] = {}
         for block in self._blocks:
             values.update(block.values)
@@ -275,13 +229,9 @@ class BlockEngine:
             values=values, stats=stats, converged=converged
         )
 
-    def _execute_superstep(
-        self, superstep: int, stats: RunStats
-    ) -> bool:
-        self._loop.open_superstep(
-            superstep, self._workers, "block", self.backend_name
-        )
-        self._outbox = [[] for _ in range(self._num_blocks)]
+    def _execute_superstep(self, superstep: int, stats) -> bool:
+        self._open(superstep)
+        outbox: List[List] = [[] for _ in self._blocks]
         active = 0
         for index, block in enumerate(self._blocks):
             messages = self._inbox[index]
@@ -292,20 +242,15 @@ class BlockEngine:
             seg_start = time.perf_counter()
             active += 1
             ctx = self._contexts[index]
-            ctx.superstep = superstep
+            ctx._begin_superstep(superstep, outbox)
             self._workers[index].work += 1 + len(messages)
             self._program.compute(block, messages, ctx)
             self._workers[index].wall_seconds = (
                 time.perf_counter() - seg_start
             )
-        delivered = sum(len(box) for box in self._outbox)
-        # Injected message faults strike the superstep's cross-block
-        # traffic as one batch; reliable delivery masks them.
-        self._loop.commit_superstep(
-            stats, self._workers, superstep, active, delivered,
-            network=True,
-        )
-        self._inbox = self._outbox
+        delivered = sum(len(box) for box in outbox)
+        self._commit(stats, superstep, active, delivered)
+        self._inbox = outbox
         return all(self._halted) and delivered == 0
 
 

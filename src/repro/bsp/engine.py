@@ -39,7 +39,9 @@ GAS/block/async engines:
 * :class:`~repro.bsp.state.StateStore` — the partitioned vertex
   states, the owner map, and the confined-recovery logs;
 * the compute kernels (:mod:`repro.bsp.kernels`) — the per-superstep
-  vertex-execution loop and the vectorized tier over it.
+  vertex-execution loop and the vectorized tier over it, which
+  ``vector_phase`` engages for each superstep whose exactness proof
+  holds for the program's registered kernel.
 
 One plane (``docs/performance.md``): an engine executes on the dense
 plane from its first superstep to its last — topology mutations
@@ -71,6 +73,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional
 
+from repro.bsp import loop
 from repro.bsp.aggregator import AggregateSink
 from repro.bsp.checkpoint import restore_checkpoint, take_checkpoint
 from repro.bsp.combiner import Combiner
@@ -83,7 +86,7 @@ from repro.bsp.durability import (
 )
 from repro.bsp.fabric import MessageFabric
 from repro.bsp.faults import FaultPlan
-from repro.bsp.kernels import fast_compute_pass, has_vectorized_kernel
+from repro.bsp.kernels import fast_compute_pass
 from repro.bsp.loop import SuperstepLoop
 from repro.bsp.program import VertexProgram
 from repro.bsp.state import StateStore, apply_mutations, confined_replay
@@ -149,11 +152,10 @@ class PregelEngine:
         baseline so recovery is possible.
     fault_plan:
         A :class:`~repro.bsp.faults.FaultPlan` to inject during the
-        run.  Crashes trigger rollback-and-replay; message faults are
-        masked by reliable delivery and only add cost.
-    max_recovery_attempts:
-        How many times one superstep may crash-and-recover before the
-        run raises :class:`~repro.errors.RecoveryExhaustedError`.
+        run.  Crashes trigger rollback-and-replay, at most
+        :data:`~repro.bsp.loop.MAX_RECOVERY_ATTEMPTS` times per
+        superstep; message faults are masked by reliable delivery and
+        only add cost.
     confined_recovery:
         Recompute only the crashed worker's partition from logged
         messages instead of rolling every worker back (cheaper; falls
@@ -172,19 +174,6 @@ class PregelEngine:
         none, ``FingerprintMismatchError`` for a directory written by
         a different configuration); ``"auto"`` resumes when possible
         and starts fresh otherwise.
-    use_vectorized:
-        ``None`` (default): run supersteps through the program's
-        registered vectorized kernel whenever its exact-reproduction
-        proof holds, silently falling back to the per-vertex dense
-        pass otherwise (fault-injected runs stay
-        per-vertex throughout).  ``False``: never vectorize.
-        ``True``: require the capability — raises
-        :class:`ValueError` unless the program class has a registered
-        kernel (per-superstep fallback still applies; the tier
-        actually used each superstep is recorded in
-        ``SuperstepWall.kernel_tier`` and the workers' trace
-        profiles).  Not part of the checkpoint fingerprint: the tiers
-        are byte-identical, so resume across them is legal.
     memory_budget:
         Soft cap, in encoded bytes, on one superstep's buffered
         message volume.  When set, finished accumulator lanes are
@@ -224,11 +213,9 @@ class PregelEngine:
         seed: int = 0,
         checkpoint_interval: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-        max_recovery_attempts: int = 3,
         confined_recovery: bool = False,
         checkpoint_dir: Optional[str] = None,
         resume=False,
-        use_vectorized: Optional[bool] = None,
         memory_budget: Optional[int] = None,
         spill_dir: Optional[str] = None,
         trace: Optional[TraceRecorder] = None,
@@ -253,7 +240,6 @@ class PregelEngine:
             cost_model=self._cost_model,
             checkpoint_interval=checkpoint_interval,
             fault_plan=fault_plan,
-            max_recovery_attempts=max_recovery_attempts,
             trace=self._trace,
         )
         self._injector = self._loop.injector
@@ -304,7 +290,7 @@ class PregelEngine:
                 num_workers=num_workers,
                 seed=seed,
                 checkpoint_interval=checkpoint_interval,
-                max_recovery_attempts=max_recovery_attempts,
+                max_recovery_attempts=loop.MAX_RECOVERY_ATTEMPTS,
                 confined_recovery=confined_recovery,
                 track_bppa=track_bppa,
                 combiner=combiner,
@@ -317,12 +303,6 @@ class PregelEngine:
             self._loop.policy.store = store
             self._resume_state = store.resume_state()
 
-        if use_vectorized and not has_vectorized_kernel(type(program)):
-            raise ValueError(
-                "use_vectorized=True but no vectorized kernel is "
-                f"registered for {type(program).__name__}"
-            )
-        self._use_vectorized = use_vectorized
         self._kernel_tier = "dense"
         self._vector_kernel_cache = None
 
@@ -601,8 +581,7 @@ def create_engine(
     backend transparently degrades to serial execution whenever real
     process parallelism cannot be byte-identical (programs flagged
     ``parallel_safe=False`` — see ``docs/parallel_backend.md``), so
-    selecting it is always safe.  Backend-specific kwargs pass
-    through — notably the parallel backend's ``mp_start_method=``.
+    selecting it is always safe.
     """
     backend = backend or _default_backend
     if backend not in BACKENDS:

@@ -22,19 +22,13 @@ Semantics per iteration (sync GAS):
 The run ends when the active set empties (or ``max_iterations``).
 
 Hosted on the shared runtime (``docs/architecture.md``): a
-:class:`~repro.bsp.loop.SuperstepLoop` with ``on_limit="stop"`` (the
-iteration cap is a soft budget, not an error) drives the iterations
-and owns their lifecycle — open, commit, checkpoint accounting, crash
-supervision, rollback discard — exactly as for the Pregel engine, so
-the full fault-tolerance surface comes along: ``trace=`` lifecycle
-events reconcilable via
-:func:`~repro.trace.recorder.stats_from_events`, ``fault_plan=`` with
-crash rollback to a payload snapshot (``_checkpoint``/``_rollback``),
-and ``checkpoint_interval=`` on the shared
-:class:`~repro.bsp.loop.CheckpointPolicy` schedule.  Because message
-faults are masked by reliable delivery and crash recovery replays
-deterministically, any faulted GAS run that completes produces values
-identical to the fault-free run.
+:class:`~repro.bsp.loop.HostedEngine` drives the iterations on the
+:class:`~repro.bsp.loop.SuperstepLoop`, as for the block and async
+engines, so ``trace=``, ``fault_plan=`` (crash rollback to a payload
+snapshot) and ``checkpoint_interval=`` behave as they do for Pregel.
+Because message faults are masked by reliable delivery and crash
+recovery replays deterministically, any faulted GAS run that completes
+produces values identical to the fault-free run.
 """
 
 from __future__ import annotations
@@ -44,15 +38,12 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Set
 
-from repro.bsp.checkpoint import EngineSnapshot, cow_copy
 from repro.bsp.faults import FaultPlan
-from repro.bsp.loop import SuperstepLoop
-from repro.bsp.worker import Worker
+from repro.bsp.loop import HostedEngine, HostedResult
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner, build_owner_map
 from repro.metrics.cost_model import BSPCostModel
-from repro.metrics.stats import RunStats
-from repro.trace.recorder import TraceRecorder, get_default_trace
+from repro.trace.recorder import TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -97,32 +88,37 @@ class GASProgram(ABC):
 
 
 @dataclass
-class GASResult:
-    """Answers plus the same measurements Pregel runs report."""
-
-    values: Dict[Hashable, Any]
-    stats: RunStats
-    #: False when the run stopped at ``max_iterations`` with vertices
-    #: still active (PowerGraph-style graceful cap, not an error).
-    converged: bool = True
+class GASResult(HostedResult):
+    """Answers plus the same measurements Pregel runs report;
+    ``converged`` is False when the run stopped at ``max_iterations``
+    with vertices still active (PowerGraph-style graceful cap, not an
+    error)."""
 
     @property
     def num_iterations(self) -> int:
         return self.stats.num_supersteps
 
-    @property
-    def num_supersteps(self) -> int:
-        """Alias satisfying the shared
-        :class:`~repro.bsp.result.RunResult` protocol."""
-        return self.stats.num_supersteps
+
+def gather(program, graph, values, out_degree, v, sources, total):
+    """Fold ``v``'s in-edges from ``sources``, in order, into
+    ``total`` (``None`` takes the first contribution): the gather of
+    the GAS and async engines alike."""
+    for u in sources:
+        view = NeighborView(id=u, value=values[u], out_degree=out_degree[u])
+        contribution = program.gather(view, graph.weight(u, v))
+        total = (
+            contribution
+            if total is None
+            else program.fold(total, contribution)
+        )
+    return total
 
 
-class GASEngine:
+class GASEngine(HostedEngine):
     """Run a :class:`GASProgram` with per-worker cost accounting.
 
-    Accepts the shared fault-tolerance surface
-    (``checkpoint_interval`` / ``fault_plan`` /
-    ``max_recovery_attempts`` / ``trace``) with the same semantics as
+    Takes the shared fault-tolerance surface (``checkpoint_interval``
+    / ``fault_plan`` / ``trace``) with the same semantics as
     :class:`~repro.bsp.engine.PregelEngine`: crash faults roll the run
     back to the latest payload snapshot and replay deterministically;
     message faults only add retransmission cost.
@@ -140,29 +136,16 @@ class GASEngine:
         max_iterations: int = 100_000,
         checkpoint_interval: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-        max_recovery_attempts: int = 3,
         trace: Optional[TraceRecorder] = None,
     ):
-        self._graph = graph
-        self._program = program
-        self._num_workers = num_workers
-        self._cost_model = cost_model or BSPCostModel()
-        self._loop = SuperstepLoop(
-            max_supersteps=max_iterations,
-            program_name=getattr(program, "name", "gas-program"),
-            num_workers=num_workers,
-            cost_model=self._cost_model,
-            checkpoint_interval=checkpoint_interval,
-            fault_plan=fault_plan,
-            max_recovery_attempts=max_recovery_attempts,
-            trace=trace if trace is not None else get_default_trace(),
-            on_limit="stop",
+        super().__init__(
+            graph, program, num_workers, max_iterations, cost_model,
+            checkpoint_interval, fault_plan, trace,
         )
         partitioner = partitioner or HashPartitioner(num_workers)
         self._owner = build_owner_map(
             graph.vertices(), partitioner, num_workers
         )
-        self._workers = [Worker(i) for i in range(num_workers)]
         self._values: Dict[Hashable, Any] = {
             v: program.initial_value(v, graph)
             for v in graph.vertices()
@@ -186,54 +169,31 @@ class GASEngine:
                 groups.setdefault(host, []).append(u)
             self._in_hosts[v] = groups
 
-    # -- the snapshot a checkpoint holds and a rollback restores ----
+    def _payload(self) -> dict:
+        return {"values": self._values, "active": self._active}
 
-    def _checkpoint(self, superstep: int) -> EngineSnapshot:
-        return EngineSnapshot(
-            superstep=superstep,
-            payload={
-                "values": {
-                    v: cow_copy(val) for v, val in self._values.items()
-                },
-                "active": set(self._active),
-            },
-        )
-
-    def _rollback(self, crash, superstep: int, stats, ckpt) -> int:
-        payload = ckpt.payload
-        self._values = {
-            v: cow_copy(val) for v, val in payload["values"].items()
-        }
-        self._active = set(payload["active"])
-        return self._loop.rollback(stats, ckpt, len(self._values))
-
-    # -- the hosted iteration ---------------------------------------
+    def _restore(self, payload: dict) -> None:
+        self._values = payload["values"]
+        self._active = payload["active"]
 
     def run(self) -> GASResult:
-        stats = RunStats(
-            num_workers=self._num_workers,
-            cost_model=self._cost_model,
-        )
         self._active = set(self._graph.vertices())
-        self._loop.run(self, stats)
+        stats, _ = self._run_loop()
         return GASResult(
             values=dict(self._values),
             stats=stats,
             converged=not self._active,
         )
 
-    def _execute_superstep(
-        self, superstep: int, stats: RunStats
-    ) -> bool:
+    def _execute_superstep(self, superstep: int, stats) -> bool:
         active = self._active
         if not active:
             return True
         graph = self._graph
         program = self._program
         values = self._values
-        self._loop.open_superstep(
-            superstep, self._workers, "gas", self.backend_name
-        )
+        workers = self._workers
+        self._open(superstep)
         seg_start = time.perf_counter()
         next_active: Set[Hashable] = set()
         # Synchronous semantics: gathers read the previous
@@ -253,44 +213,31 @@ class GASEngine:
         # Deterministic order regardless of set hashing.
         for v in sorted(active, key=repr):
             v_worker = self._owner[v]
-            dst = self._workers[v_worker]
+            dst = workers[v_worker]
             total = program.identity()
             for host, sources in self._in_hosts[v].items():
-                host_worker = self._workers[host]
+                total = gather(
+                    program, graph, values, self._out_degree, v,
+                    sources, total,
+                )
+                host_worker = workers[host]
                 for u in sources:
                     src_worker = self._owner[u]
-                    view = NeighborView(
-                        id=u,
-                        value=values[u],
-                        out_degree=self._out_degree[u],
-                    )
-                    contribution = program.gather(
-                        view, graph.weight(u, v)
-                    )
-                    total = (
-                        contribution
-                        if total is None
-                        else program.fold(total, contribution)
-                    )
                     # Edge-parallel local work at the hosting
                     # worker; logical/remote counts stay
                     # per-edge so they compare with Pregel.
                     host_worker.work += 1
-                    self._workers[src_worker].sent_logical += 1
+                    workers[src_worker].sent_logical += 1
                     dst.received_logical += 1
                     if src_worker != v_worker:
-                        self._workers[
-                            src_worker
-                        ].sent_remote += 1
+                        workers[src_worker].sent_remote += 1
                     # (a) value sync: u's value must exist at the
                     # hosting worker.
                     if src_worker != host:
                         key = (u, host)
                         if key not in synced_values:
                             synced_values.add(key)
-                            self._workers[
-                                src_worker
-                            ].sent_network += 1
+                            workers[src_worker].sent_network += 1
                             host_worker.received_network += 1
                 # (b) one partial aggregate per hosting worker.
                 if host != v_worker:
@@ -307,7 +254,7 @@ class GASEngine:
                     next_active.add(u)
                     dst.sent_logical += 1
                     u_worker = self._owner[u]
-                    self._workers[u_worker].received_logical += 1
+                    workers[u_worker].received_logical += 1
                     if u_worker != v_worker:
                         dst.sent_remote += 1
                     # (c) activations of the same target from
@@ -317,21 +264,12 @@ class GASEngine:
                     if key not in shipped_signals:
                         shipped_signals.add(key)
                         dst.sent_network += 1
-                        self._workers[
-                            u_worker
-                        ].received_network += 1
+                        workers[u_worker].received_network += 1
         # The engine interleaves workers vertex-by-vertex, so the
         # measured wall is attributed to worker 0 (modeled quantities
         # are per-worker; wall is excluded from byte-identity).
-        self._workers[0].wall_seconds = (
-            time.perf_counter() - seg_start
-        )
-        # Injected message faults strike the iteration's network
-        # traffic as one batch; reliable delivery masks them, so
-        # this is pure cost accounting.
-        self._loop.commit_superstep(
-            stats, self._workers, superstep, len(active), network=True
-        )
+        workers[0].wall_seconds = time.perf_counter() - seg_start
+        self._commit(stats, superstep, len(active))
         self._values = new_values
         self._active = next_active
         return not next_active

@@ -177,23 +177,17 @@ def register_vectorized(program_cls, kernel) -> None:
     _VECTOR_KERNELS[program_cls] = kernel
 
 
-def has_vectorized_kernel(program_cls) -> bool:
-    """True when a vectorized kernel is registered for the exact class."""
-    return program_cls in _VECTOR_KERNELS
-
-
 def vector_phase(engine, wake_all: bool):
     """The vectorized phase covering this superstep, or ``None`` for
     the per-vertex loop.
 
     Evaluated against the authoritative fabric state — the serial
     engine's own, or the coordinator's on the parallel backend, so
-    every rank receives the same verdict.  Declines outright when the
-    tier is disabled, a fault injector is present (the exactness
-    proofs do not cover replayed supersteps) or the program's exact
-    class has no kernel.
+    every rank receives the same verdict.  Declines outright when a
+    fault injector is present (the exactness proofs do not cover
+    replayed supersteps) or the program's exact class has no kernel.
     """
-    if engine._use_vectorized is False or engine._injector is not None:
+    if engine._injector is not None:
         return None
     kernel = _VECTOR_KERNELS.get(type(engine._program))
     if kernel is None:

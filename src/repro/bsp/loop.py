@@ -44,15 +44,21 @@ reached through a small duck-typed protocol:
     Pregel only, called only when the store is durable
     (``checkpoint_dir``): the run-scoped state a fresh interpreter
     needs to resume from the checkpoint just written.
+
+The GAS, block and async engines share one :class:`HostedEngine`
+that implements the last three for them over a payload dict; each
+keeps only its state layout, its superstep body and its
+``_payload``/``_restore`` pair.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Hashable, Optional
 
-from repro.bsp.checkpoint import CheckpointStore
+from repro.bsp.checkpoint import CheckpointStore, EngineSnapshot, cow_copy
 from repro.bsp.faults import FaultInjector, FaultPlan, inject_network_faults
-from repro.bsp.worker import superstep_profile
+from repro.bsp.worker import Worker, superstep_profile
 from repro.errors import (
     RecoveryExhaustedError,
     SuperstepLimitExceeded,
@@ -69,6 +75,12 @@ from repro.trace.events import (
     SuperstepStart,
     WorkerProfile,
 )
+from repro.trace.recorder import TraceRecorder, get_default_trace
+
+#: How many times one superstep may crash and recover before the run
+#: raises :class:`RecoveryExhaustedError`, on every engine.  Read
+#: where it is used, like the pool's ``RANK_*`` constants.
+MAX_RECOVERY_ATTEMPTS = 3
 
 
 class CheckpointPolicy:
@@ -126,7 +138,7 @@ class SuperstepLoop:
     cost_model:
         Charges checkpoint writes, replayed supersteps and the
         exponential recovery backoff.
-    checkpoint_interval, fault_plan, max_recovery_attempts:
+    checkpoint_interval, fault_plan:
         The engine's fault-tolerance keywords, validated here for
         every engine (:class:`ValueError` naming the argument).  The
         loop builds the :class:`~repro.bsp.faults.FaultInjector`, the
@@ -151,18 +163,12 @@ class SuperstepLoop:
         cost_model: BSPCostModel,
         checkpoint_interval: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-        max_recovery_attempts: int = 3,
         trace=None,
         on_limit: str = "raise",
     ):
         self.policy = CheckpointPolicy(
             checkpoint_interval, fault_plan, CheckpointStore()
         )
-        if max_recovery_attempts < 0:
-            raise ValueError(
-                "max_recovery_attempts must be >= 0, got "
-                f"{max_recovery_attempts!r}"
-            )
         self.max_supersteps = max_supersteps
         self.program_name = program_name
         self.num_workers = num_workers
@@ -173,7 +179,6 @@ class SuperstepLoop:
             else None
         )
         self.trace = trace
-        self.max_recovery_attempts = max_recovery_attempts
         self.on_limit = on_limit
         # Per-superstep ledgers, keyed by superstep: executions (a
         # rolled-back superstep runs again), crashes (the recovery
@@ -335,7 +340,7 @@ class SuperstepLoop:
                     attempt=attempts,
                 )
             )
-        if attempts > self.max_recovery_attempts:
+        if attempts > MAX_RECOVERY_ATTEMPTS:
             raise RecoveryExhaustedError(superstep, attempts) from crash
         ckpt = self.policy.store.latest
         if ckpt is None:
@@ -368,6 +373,106 @@ class SuperstepLoop:
                 )
             )
         return ckpt.superstep
+
+
+# ---------------------------------------------------------------------
+# The host of the paradigm engines
+# ---------------------------------------------------------------------
+
+
+@dataclass
+class HostedResult:
+    """What a hosted run returns: the values, the ``RunStats`` ledger
+    and whether the run finished inside its superstep budget."""
+
+    values: Dict[Hashable, Any]
+    stats: RunStats
+    #: False when the run stopped at its budget (a soft cap, not an
+    #: error).
+    converged: bool = True
+
+    @property
+    def num_supersteps(self) -> int:
+        return self.stats.num_supersteps
+
+
+class HostedEngine:
+    """The paradigm engines' share of the runtime.
+
+    Builds the cost model, the :class:`SuperstepLoop` (its superstep
+    cap a soft budget: ``on_limit="stop"``) and one :class:`Worker`
+    per worker; runs the loop into a ``RunStats``; snapshots the
+    engine's state payload with copy-on-write copies
+    (:class:`~repro.bsp.checkpoint.EngineSnapshot`) and finishes a
+    rollback to one.  A subclass names itself in ``backend_name`` and
+    supplies the rest of the loop's protocol:
+
+    ``_execute_superstep(superstep, stats) -> bool``
+        Its superstep body, between :meth:`_open` and :meth:`_commit`.
+    ``_payload() -> dict`` / ``_restore(payload)``
+        Its complete mutable run state as a dict of containers (read
+        for a checkpoint, which copies it), and adopting such a dict
+        (a private copy of the checkpoint's) on rollback.
+    """
+
+    def __init__(
+        self,
+        graph,
+        program,
+        num_workers: int,
+        max_supersteps: int,
+        cost_model: Optional[BSPCostModel],
+        checkpoint_interval: Optional[int],
+        fault_plan: Optional[FaultPlan],
+        trace: Optional[TraceRecorder],
+    ):
+        self._graph = graph
+        self._program = program
+        self._cost_model = cost_model or BSPCostModel()
+        self._workers = [Worker(i) for i in range(num_workers)]
+        self._loop = SuperstepLoop(
+            max_supersteps=max_supersteps,
+            program_name=getattr(
+                program, "name", f"{self.backend_name}-program"
+            ),
+            num_workers=num_workers,
+            cost_model=self._cost_model,
+            checkpoint_interval=checkpoint_interval,
+            fault_plan=fault_plan,
+            trace=trace if trace is not None else get_default_trace(),
+            on_limit="stop",
+        )
+
+    def _run_loop(self):
+        """``(stats, finished)``: ``finished`` is False when the
+        superstep budget stopped the run."""
+        stats = RunStats(
+            num_workers=len(self._workers), cost_model=self._cost_model
+        )
+        return stats, self._loop.run(self, stats)
+
+    def _open(self, superstep: int) -> None:
+        self._loop.open_superstep(
+            superstep, self._workers, self.backend_name, self.backend_name
+        )
+
+    def _commit(self, stats, superstep, active, delivered=None) -> None:
+        # Injected message faults strike the superstep's network
+        # traffic as one batch; reliable delivery masks them, so this
+        # is pure cost accounting.
+        self._loop.commit_superstep(
+            stats, self._workers, superstep, active, delivered,
+            network=True,
+        )
+
+    def _checkpoint(self, superstep: int) -> EngineSnapshot:
+        return EngineSnapshot(
+            superstep=superstep, payload=cow_copy(self._payload())
+        )
+
+    def _rollback(self, crash, superstep: int, stats, ckpt) -> int:
+        self._restore(cow_copy(ckpt.payload))
+        return self._loop.rollback(stats, ckpt, self._graph.num_vertices)
 
 
 # ---------------------------------------------------------------------

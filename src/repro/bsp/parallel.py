@@ -119,9 +119,9 @@ def _recv_msg(conn):
 
 
 def default_start_method() -> str:
-    """``"fork"`` where available (cheap: the child inherits loaded
-    modules), else ``"spawn"``.  Both are supported and tested; pass
-    ``mp_start_method="spawn"`` to force the portable one."""
+    """The pool's start method: ``"fork"`` where available (cheap: the
+    child inherits loaded modules), else ``"spawn"``.  Both are
+    supported and tested."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 
@@ -368,13 +368,19 @@ class _PartitionRuntime:
 def _worker_main(rank: int, conn, hb_interval: float) -> None:
     """Command loop of one pool process (top-level: spawn-safe).
 
-    A daemon thread sends the partition's progress every
+    A forked rank first closes the coordinator's pipe ends it
+    inherited (:data:`_COORDINATOR_ENDS`), so once the coordinator
+    dies nothing holds them open and the rank's next read is EOF.  A
+    daemon thread sends the partition's progress every
     ``hb_interval`` seconds while a step runs (a hung rank's progress
     freezes, a slow one's advances); pipe writes share one lock.  The
-    same thread is the orphan watchdog: once the parent pid changes
-    (sibling ranks may hold the dead coordinator's pipe open under
-    fork, so no EOF would ever arrive) it calls ``os._exit``.
+    same thread is the orphan watchdog for a rank busy in compute when
+    the coordinator dies: once the parent pid changes it calls
+    ``os._exit``.
     """
+    for end in _COORDINATOR_ENDS:  # empty in a spawned rank
+        end.close()
+    _COORDINATOR_ENDS.clear()
     part: Optional[_PartitionRuntime] = None
     send_lock = threading.Lock()
     stepping = threading.Event()
@@ -438,12 +444,19 @@ def _worker_main(rank: int, conn, hb_interval: float) -> None:
 # ---------------------------------------------------------------------
 
 
+#: The coordinator's end of every live rank pipe.  A forked rank
+#: inherits all of them, its own pipe's included, and closes them
+#: before anything else (:func:`_worker_main`).
+_COORDINATOR_ENDS: set = set()
+
+
 class _WorkerLink:
     """A pool process and the coordinator's end of its pipe."""
 
     def __init__(self, mp_ctx, rank: int):
         self.rank = rank
         self.conn, child_conn = mp_ctx.Pipe()
+        _COORDINATOR_ENDS.add(self.conn)
         with child_conn:
             try:
                 self.process = mp_ctx.Process(
@@ -459,7 +472,7 @@ class _WorkerLink:
                     end.close()
                 self.process.start()
             except BaseException:
-                self.conn.close()
+                self._close()
                 raise
 
     @property
@@ -477,8 +490,7 @@ class _WorkerLink:
             if process.is_alive():
                 process.kill()
                 process.join(timeout=5)
-        with suppress(Exception):
-            self.conn.close()
+        self._close()
 
     def stop(self) -> None:
         with suppress(Exception):
@@ -488,8 +500,12 @@ class _WorkerLink:
         if self.process.is_alive():
             self.kill()
         else:
-            with suppress(Exception):
-                self.conn.close()
+            self._close()
+
+    def _close(self) -> None:
+        _COORDINATOR_ENDS.discard(self.conn)
+        with suppress(Exception):
+            self.conn.close()
 
 
 class _RankFailure(Exception):
@@ -531,11 +547,10 @@ class ParallelPregelEngine(PregelEngine):
     """:class:`PregelEngine` whose compute pass and delivery run on a
     persistent pool of worker processes, one per simulated worker.
 
-    Accepts every ``PregelEngine`` parameter plus ``mp_start_method``
-    (``"fork"`` / ``"spawn"`` / ``"forkserver"``; default
-    :func:`default_start_method`) and ``transport`` (``"auto"`` /
-    ``"columnar"``, both the rank pipe; see :data:`TRANSPORTS`).
-    Rank supervision is the module constants ``RANK_*`` /
+    Accepts every ``PregelEngine`` parameter plus ``transport``
+    (``"auto"`` / ``"columnar"``, both the rank pipe; see
+    :data:`TRANSPORTS`).  Ranks start by :func:`default_start_method`;
+    rank supervision is the module constants ``RANK_*`` /
     ``MAX_RANK_RESTARTS``.  :attr:`parallel_disabled_reason`,
     :attr:`parallel_supersteps`, :attr:`rank_restarts` and
     :attr:`rank_failures` say what a run actually did.
@@ -548,7 +563,6 @@ class ParallelPregelEngine(PregelEngine):
         graph: Graph,
         program: VertexProgram,
         *args,
-        mp_start_method: Optional[str] = None,
         transport: str = "auto",
         **kwargs,
     ):
@@ -557,7 +571,6 @@ class ParallelPregelEngine(PregelEngine):
                 f"transport must be one of {TRANSPORTS}, got {transport!r}"
             )
         super().__init__(graph, program, *args, **kwargs)
-        self._mp_method = mp_start_method or default_start_method()
         #: Sorted aggregator names; ranks log contributions by position.
         self._agg_list: List[str] = sorted(self._agg_sink.aggregators)
         self._links: Optional[List[_WorkerLink]] = None
@@ -644,7 +657,7 @@ class ParallelPregelEngine(PregelEngine):
             return False
         links: List[_WorkerLink] = []
         try:
-            mp_ctx = multiprocessing.get_context(self._mp_method)
+            mp_ctx = multiprocessing.get_context(default_start_method())
             for rank in range(self._num_workers):
                 links.append(_WorkerLink(mp_ctx, rank))
             self._sync_links(links)
@@ -774,7 +787,7 @@ class ParallelPregelEngine(PregelEngine):
             blob = pickle.dumps(
                 getattr(self._program, "__dict__", {}), _PROTO
             )
-            mp_ctx = multiprocessing.get_context(self._mp_method)
+            mp_ctx = multiprocessing.get_context(default_start_method())
             for i, link in enumerate(links):
                 if not link.alive:
                     link.kill()  # reap the pipe of the dead process

@@ -70,15 +70,3 @@ class VertexProgram(ABC):
         implementation would not store may override.
         """
         return state_atoms(vertex.value)
-
-    @classmethod
-    def vectorizable(cls) -> bool:
-        """Whether a vectorized kernel is registered for this exact
-        program class (see :mod:`repro.bsp.kernels`).  Registration is
-        per-class because a kernel bakes in one ``compute`` body's
-        float operation sequence — a subclass overriding ``compute``
-        must register its own kernel to opt in.
-        """
-        from repro.bsp.kernels import has_vectorized_kernel
-
-        return has_vectorized_kernel(cls)

@@ -181,9 +181,9 @@ class RecoveryExhaustedError(BSPError, RuntimeError):
     """Recovery retries were exhausted without completing the run.
 
     A run under fault injection retries each crashed superstep up to
-    ``max_recovery_attempts`` times (with exponential-backoff cost
-    accounting); a fault plan that keeps crashing past the budget
-    raises this instead of looping forever.
+    ``repro.bsp.loop.MAX_RECOVERY_ATTEMPTS`` times (with
+    exponential-backoff cost accounting); a fault plan that keeps
+    crashing past the budget raises this instead of looping forever.
     """
 
     def __init__(self, superstep, attempts):

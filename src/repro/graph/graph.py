@@ -280,8 +280,9 @@ class Graph:
         self, vertex: VertexId
     ) -> Iterator[Tuple[VertexId, float]]:
         """``(neighbor, weight)`` pairs in row (edge-insertion) order —
-        shared with :class:`~repro.graph.snapshot.CsrSnapshot`, whose
-        CSR rows yield the identical sequence."""
+        the sequence a :class:`~repro.graph.snapshot.CsrSnapshot` of
+        the graph yields too.  A per-row read for callers: a run reads
+        its topology in bulk (:meth:`rows`), never through this."""
         if vertex not in self._adj:
             raise VertexNotFoundError(vertex)
         return (

@@ -373,9 +373,11 @@ class CsrSnapshot:
     def out_edge_items(
         self, vertex: Hashable
     ) -> Iterator[Tuple[Hashable, Any]]:
-        """``(neighbor, weight)`` pairs in row (edge-insertion) order
-        — the ``GraphSource`` fast read the state store builds its
-        per-vertex edge dicts from."""
+        """``(neighbor, weight)`` pairs in row (edge-insertion) order,
+        as :meth:`Graph.out_edge_items` yields them.  A per-row read
+        for callers: a run reads its topology by position
+        (:meth:`rows_at`) and builds edge dicts with
+        :func:`edge_dicts`, never through this."""
         pos = self._position(vertex)
         lo, hi = self._out_off[pos], self._out_off[pos + 1]
         ids = self._ids

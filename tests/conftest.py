@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
+from unittest import mock
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.algorithms.cc_hashmin import HashMinComponents
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SingleSourceShortestPaths
 from repro.algorithms.wcc import WeaklyConnectedComponents
-from repro.bsp import SumAggregator, VertexProgram
+from repro.bsp import SumAggregator, VertexProgram, kernels
 from repro.bsp.engine import PregelResult
 from repro.graph import (
     connected_erdos_renyi_graph,
@@ -247,6 +248,20 @@ def assert_held_to_oracle(result, oracle, faulted=False, note=""):
     assert result.aggregate_history == oracle.aggregate_history, (
         f"aggregate history; {note}"
     )
+
+
+def dense_pass():
+    """Pin the per-vertex dense pass: with no vectorized kernel
+    registered, ``vector_phase`` declines every superstep.  A context
+    manager, so one test can run the same case on both tiers."""
+    return mock.patch.dict(kernels._VECTOR_KERNELS, clear=True)
+
+
+@pytest.fixture
+def dense_only():
+    """The whole test on the per-vertex dense pass (:func:`dense_pass`)."""
+    with dense_pass():
+        yield
 
 
 @pytest.fixture

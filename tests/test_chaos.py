@@ -190,10 +190,11 @@ class TestHangDetection:
         )
 
 
-def _chaos_subprocess(*argv, stderr=None):
+def _chaos_subprocess(*argv, stderr=None, setup=None):
     """Run the chaos CLI; its output is captured, or its stderr goes
     to the ``stderr`` file (so that processes the run orphans cannot
-    hold the capture pipe open)."""
+    hold the capture pipe open).  ``setup`` is Python run in the CLI's
+    interpreter before it starts."""
     src = os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "src",
@@ -205,8 +206,13 @@ def _chaos_subprocess(*argv, stderr=None):
         dict(capture_output=True) if stderr is None
         else dict(stdout=subprocess.DEVNULL, stderr=stderr)
     )
+    command = ["-m", "repro.core.chaos"] if setup is None else [
+        "-c",
+        f"import sys; {setup}; from repro.core.chaos import main; "
+        "sys.exit(main(sys.argv[1:]))",
+    ]
     return subprocess.run(
-        [sys.executable, "-m", "repro.core.chaos", *argv],
+        [sys.executable, *command, *argv],
         text=True,
         env=env,
         timeout=300,
@@ -224,15 +230,21 @@ class TestKillAndResume:
         self, tmp_path, backend
     ):
         directory = str(tmp_path / "ck")
-        killed = _chaos_subprocess(
-            "--backend",
-            backend,
-            "--checkpoint-dir",
-            directory,
-            "--kill-at",
-            "6",
-        )
-        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        # The killed half's stderr goes to a file: a rank it orphans
+        # must not hold a capture pipe (and so this test) open.
+        with open(tmp_path / "killed.err", "w+") as err:
+            killed = _chaos_subprocess(
+                "--backend",
+                backend,
+                "--checkpoint-dir",
+                directory,
+                "--kill-at",
+                "6",
+                stderr=err,
+            )
+            err.seek(0)
+            stderr = err.read()
+        assert killed.returncode == -signal.SIGKILL, stderr
         resumed = _chaos_subprocess(
             "--backend",
             backend,
@@ -347,6 +359,38 @@ class TestProcessHygiene:
         assert engine.rank_restarts == 2
         assert len(rank_pids) == 8
         assert _outliving(rank_pids, wait=0) == []
+
+    def test_a_dead_coordinator_gives_its_ranks_eof(self, tmp_path):
+        # The heartbeat, and with it the orphan watchdog, is 60s in the
+        # killed run, so only EOF on the rank pipes can end the ranks
+        # in time: no rank may hold the coordinator's end of its own
+        # pipe or of a sibling's open.
+        with open(tmp_path / "killed.err", "w+") as err:
+            killed = _chaos_subprocess(
+                "--backend",
+                "parallel",
+                "--checkpoint-dir",
+                str(tmp_path / "ck"),
+                "--kill-at",
+                "6",
+                stderr=err,
+                setup="from repro.bsp import parallel; "
+                "parallel.RANK_HEARTBEAT_INTERVAL = 60.0",
+            )
+            err.seek(0)
+            stderr = err.read()
+        assert killed.returncode == -signal.SIGKILL, stderr
+        listed = next(
+            line for line in stderr.splitlines()
+            if line.startswith("rank_pids=")
+        )
+        orphans = [int(pid) for pid in listed.split("=")[1].split(",")]
+        assert len(orphans) == 4, listed
+        outliving = _outliving(orphans, wait=5.0)
+        for pid in outliving:  # a failing run must not leak them
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        assert outliving == []
 
     def test_coordinator_sigkill_orphans_exit_and_resume_matches(
         self, tmp_path

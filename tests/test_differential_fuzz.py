@@ -2,8 +2,8 @@
 
 For a deterministic matrix of seeded random graphs x workloads x
 worker counts x fault plans, every case runs on four engine paths —
-the dense fast path (vectorization pinned off), the dense fast path
-with the vectorized kernel tier engaged, the dense fast path against
+the dense fast path (no vectorized kernel registered), the dense fast
+path with the vectorized kernel tier engaged, the dense fast path against
 a memory-mapped :class:`CsrSnapshot` under a 1-byte message budget
 (every lane spills to disk and replays at delivery), and the
 process-parallel backend — and all four must be **byte-identical**: same
@@ -48,6 +48,7 @@ to a printed generator recipe.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import random
@@ -99,6 +100,7 @@ from tests.conftest import (
     FrontierScript,
     as_pregel_result,
     assert_held_to_oracle,
+    dense_pass,
     oracle_result,
 )
 
@@ -124,10 +126,11 @@ FAULT_MODES = [
 
 #: "reference" is the oracle (:mod:`tests.oracle`), which runs no
 #: engine, writes no trace and ignores the fault plan.
-#: "fast" pins ``use_vectorized=False`` so the per-vertex dense pass
-#: stays covered on every recipe; "fast+vectorized" requires the
-#: kernel tier for programs that register one (and runs auto-engage
-#: for the rest, proving the silent fallback is harmless).
+#: "fast" runs with no vectorized kernel registered
+#: (:func:`tests.conftest.dense_pass`) so the per-vertex dense pass
+#: stays covered on every recipe; "fast+vectorized" runs the kernel
+#: tier for programs that register one (the per-vertex pass for the
+#: rest, proving the silent fallback is harmless).
 #: "snapshot" re-runs the dense fast path against a saved-and-mmap'd
 #: ``CsrSnapshot`` of the same graph under ``memory_budget=1``, so
 #: every buffered message lane spills to disk and replays at delivery
@@ -177,28 +180,16 @@ def _run_case(graph, make_program, natural, recipe, backend, workers,
     if make_plan is not None:
         kwargs["checkpoint_interval"] = 2
         kwargs["fault_plan"] = make_plan()
-    if backend == "fast":
+    if backend == "snapshot":
+        kwargs["memory_budget"] = 1
+    pinned = backend in ("fast", "snapshot")
+    with dense_pass() if pinned else contextlib.nullcontext():
         engine = create_engine(
-            graph, make_program(), backend="serial",
-            use_vectorized=False, **kwargs,
-        )
-    elif backend == "fast+vectorized":
-        program = make_program()
-        engine = create_engine(
-            graph, program, backend="serial",
-            use_vectorized=True if program.vectorizable() else None,
+            graph, make_program(),
+            backend="parallel" if backend == "parallel" else "serial",
             **kwargs,
         )
-    elif backend == "snapshot":
-        engine = create_engine(
-            graph, make_program(), backend="serial",
-            use_vectorized=False, memory_budget=1, **kwargs,
-        )
-    else:
-        engine = create_engine(
-            graph, make_program(), backend="parallel", **kwargs,
-        )
-    return engine, engine.run()
+        return engine, engine.run()
 
 
 def canonical(result):

@@ -29,6 +29,7 @@ from repro.bsp import (
     duplicate_plan,
     run_program,
 )
+from repro.bsp import loop
 from repro.errors import (
     CheckpointError,
     RecoveryExhaustedError,
@@ -273,11 +274,11 @@ class TestRecoveryAccounting:
         assert err.value.superstep == 7
         assert err.value.attempts == 4  # budget 3 + the fatal one
 
-    def test_custom_retry_budget(self):
+    def test_custom_retry_budget(self, monkeypatch):
+        monkeypatch.setattr(loop, "MAX_RECOVERY_ATTEMPTS", 5)
         result = self._run(
             checkpoint_interval=4,
             fault_plan=crash_plan(superstep=7, times=5, seed=0),
-            max_recovery_attempts=5,
         )
         assert result.stats.recovery_attempts == 5
 
@@ -355,22 +356,16 @@ class TestRecoveryAccounting:
                 UNDIRECTED, PageRank(), checkpoint_interval=0
             )
 
-    def test_invalid_retry_budget(self):
-        with pytest.raises(ValueError, match="max_recovery_attempts"):
-            PregelEngine(
-                UNDIRECTED, PageRank(), max_recovery_attempts=-1
-            )
-
-    def test_zero_retry_budget_exhausts_on_first_crash(self):
-        # max_recovery_attempts=0 is valid configuration: the first
-        # injected crash immediately exhausts recovery.
+    def test_zero_retry_budget_exhausts_on_first_crash(self, monkeypatch):
+        # With a budget of 0 the first injected crash immediately
+        # exhausts recovery.
+        monkeypatch.setattr(loop, "MAX_RECOVERY_ATTEMPTS", 0)
         with pytest.raises(RecoveryExhaustedError):
             PregelEngine(
                 UNDIRECTED,
                 PageRank(num_supersteps=6),
                 checkpoint_interval=2,
                 fault_plan=crash_plan(superstep=2, seed=5),
-                max_recovery_attempts=0,
             ).run()
 
     def test_resume_without_checkpoint_dir_rejected(self):

@@ -251,7 +251,7 @@ def test_sssp_visits_the_frontier_on_a_pool_rank(
     assert lane.states.gets <= span + 3 * active
 
 
-def test_dense_frontier_takes_the_range_scan(monkeypatch):
+def test_dense_frontier_takes_the_range_scan(monkeypatch, dense_only):
     """Per-vertex PageRank: every vertex awake and mailed.  The pass
     must scan the range and pay for no frontier — no arrivals shared
     out, no sort, no union, no list of who stayed awake — which is
@@ -266,7 +266,7 @@ def test_dense_frontier_takes_the_range_scan(monkeypatch):
     graph = erdos_renyi_graph(60, 0.2, seed=3)
     engine = create_engine(
         graph, PageRank(num_supersteps=6), combiner=SumCombiner(),
-        num_workers=2, use_vectorized=False, track_bppa=False,
+        num_workers=2, track_bppa=False,
     )
     fabric = engine._fabric
     in_count = fabric.in_count = CountingList(fabric.in_count)

@@ -35,6 +35,7 @@ from repro.bsp.engine import (
     get_default_backend,
     set_default_backend,
 )
+from repro.bsp import parallel as parallel_module
 from repro.bsp.parallel import ParallelPregelEngine, default_start_method
 from repro.bsp.program import VertexProgram
 from repro.core.chaos import in_rank_process
@@ -131,13 +132,18 @@ def test_degenerate_and_uneven_worker_counts(workers):
     assert engine.parallel_supersteps > 0
 
 
-def test_spawn_start_method():
+def test_spawn_start_method(monkeypatch):
     # ``spawn`` re-imports modules in the children instead of
     # inheriting the parent image: the portable (and macOS/Windows
-    # default) start method must work from a pytest process.
-    serial, engine, parallel = _pagerank_pair(
-        num_workers=2, mp_start_method="spawn"
+    # default) start method must work from a pytest process.  The
+    # pool reads its method from ``default_start_method``.
+    asked = []
+    monkeypatch.setattr(
+        parallel_module, "default_start_method",
+        lambda: asked.append("spawn") or "spawn",
     )
+    serial, engine, parallel = _pagerank_pair(num_workers=2)
+    assert asked
     assert engine.parallel_disabled_reason is None
     assert engine.parallel_supersteps == serial.stats.num_supersteps
     assert canonical(parallel) == canonical(serial)

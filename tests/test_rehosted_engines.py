@@ -160,8 +160,7 @@ class TestCrashRecovery:
 
 class TestFaultToleranceKeywords:
     @pytest.mark.parametrize(
-        "argument,value",
-        [("checkpoint_interval", 0), ("max_recovery_attempts", -1)],
+        "argument,value", [("checkpoint_interval", 0)]
     )
     @pytest.mark.parametrize("kind,runner", ENGINES, ids=ENGINE_IDS)
     def test_rejected_with_a_value_error_naming_it(

@@ -28,6 +28,7 @@ pins that promise three ways:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import operator
@@ -46,7 +47,6 @@ import repro.bsp.parallel as parallel
 from repro.algorithms.cc_hashmin import HashMinComponents
 from repro.algorithms.degree import DegreeCentrality
 from repro.algorithms.pagerank import PageRank
-from repro.algorithms.sssp import SingleSourceShortestPaths
 from repro.algorithms.wcc import WeaklyConnectedComponents
 from repro.bsp import (
     MinCombiner,
@@ -63,7 +63,7 @@ from repro.core.report import format_trace_report
 from repro.graph import erdos_renyi_graph
 from repro.graph.graph import Graph
 from repro.trace.recorder import TraceRecorder
-from tests.conftest import assert_held_to_oracle, oracle_result
+from tests.conftest import assert_held_to_oracle, dense_pass, oracle_result
 from tests.scatter_reference import adjacency_of
 
 #: Every workload with a registered vectorized kernel, with its
@@ -108,6 +108,9 @@ def canonical(result):
 
 def run_serial(graph, make_program, combiner_cls, *, vectorize,
                make_plan=None, trace=None, num_workers=4):
+    """One serial run; ``vectorize=False`` pins the per-vertex pass
+    (:func:`tests.conftest.dense_pass`), ``True`` lets the registered
+    kernel engage wherever its proof holds."""
     kwargs = dict(
         num_workers=num_workers, track_bppa=True, seed=0, trace=trace
     )
@@ -116,9 +119,8 @@ def run_serial(graph, make_program, combiner_cls, *, vectorize,
     if make_plan is not None:
         kwargs["checkpoint_interval"] = 2
         kwargs["fault_plan"] = make_plan()
-    kwargs["use_vectorized"] = vectorize
-    engine = PregelEngine(graph, make_program(), **kwargs)
-    return engine.run()
+    with contextlib.nullcontext() if vectorize else dense_pass():
+        return PregelEngine(graph, make_program(), **kwargs).run()
 
 
 def assert_per_vertex_run_matches_oracle(
@@ -339,19 +341,6 @@ def test_trace_report_renders_kernel_tier_section():
     # The per-vertex pass never leaves the dense tier, so the section
     # is omitted entirely.
     assert "== kernel tiers" not in ref_report
-
-
-# ---------------------------------------------------------------------
-# use_vectorized=True is a requirement, not a hint
-# ---------------------------------------------------------------------
-
-
-def test_use_vectorized_requires_registered_kernel():
-    with pytest.raises(ValueError, match="no vectorized kernel"):
-        PregelEngine(
-            graph_undirected(), SingleSourceShortestPaths(0),
-            use_vectorized=True,
-        )
 
 
 # ---------------------------------------------------------------------
@@ -656,7 +645,6 @@ def test_oracle_catches_reassociated_summation(monkeypatch):
         pooled = create_engine(
             graph, pagerank(), backend="parallel", num_workers=4,
             combiner=SumCombiner(), track_bppa=True, seed=0,
-            mp_start_method="fork",
         ).run()
         assert "vectorized" in tiers_of(pooled)
         assert canonical(pooled) != canonical(ref)
