@@ -44,7 +44,7 @@ from repro.metrics.cost_model import BSPCostModel
 from repro.trace.recorder import TraceRecorder
 
 
-@dataclass(kw_only=True)
+@dataclass
 class AsyncResult(HostedResult):
     """Answers plus the async engine's cost counters.
 
@@ -76,6 +76,7 @@ class AsyncEngine(HostedEngine):
     """
 
     backend_name = "async"
+    id_slots = ("queue", "queued")
 
     def __init__(
         self,

@@ -59,7 +59,9 @@ def cow_copy(value: Any) -> Any:
     Returns ``value`` itself when it is (recursively) immutable and a
     recursive copy otherwise (``copy.deepcopy`` for unknown objects),
     so later in-place mutation of live containers cannot reach into
-    the snapshot.
+    the snapshot.  Dict keys and set members are shared as they are:
+    they are hashable, a snapshot never mutates them, and a vertex id
+    that hashes by identity must stay the same object to be found.
     """
     if isinstance(value, _IMMUTABLE_TYPES):
         return value
@@ -69,11 +71,11 @@ def cow_copy(value: Any) -> Any:
             return value  # tuple of immutables: share it
         return tuple(copied)
     if isinstance(value, dict):
-        return {cow_copy(k): cow_copy(v) for k, v in value.items()}
+        return {k: cow_copy(v) for k, v in value.items()}
     if isinstance(value, list):
         return [cow_copy(item) for item in value]
     if isinstance(value, set):
-        return {cow_copy(item) for item in value}
+        return set(value)
     return copy.deepcopy(value)
 
 

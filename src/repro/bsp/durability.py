@@ -97,6 +97,7 @@ import uuid
 import zlib
 from typing import Any, List, Optional, Tuple
 
+from repro.bsp import loop
 from repro.bsp.checkpoint import CheckpointStore, restore_checkpoint
 from repro.bsp.columns import typed_column
 from repro.errors import (
@@ -197,7 +198,6 @@ def config_fingerprint(
     num_workers: int,
     seed: Optional[int],
     checkpoint_interval: Optional[int],
-    max_recovery_attempts: int,
     confined_recovery: bool,
     track_bppa: bool,
     combiner,
@@ -209,7 +209,8 @@ def config_fingerprint(
 
     Everything that shapes deterministic execution is folded in; the
     backend and plane, the transport and ``max_supersteps`` are
-    deliberately excluded (see the module docstring).  ``baseline`` is
+    deliberately excluded (see the module docstring), and the recovery
+    budget is read from ``loop.MAX_RECOVERY_ATTEMPTS``.  ``baseline`` is
     the engine's frozen ``TopologySnapshot``; each of its columns goes
     in as tagged raw or typed-array bytes, or as its canonical
     ``repr`` when it does not conform, so the result is independent of
@@ -224,7 +225,7 @@ def config_fingerprint(
         f"num_workers={num_workers}",
         f"seed={seed!r}",
         f"checkpoint_interval={checkpoint_interval!r}",
-        f"max_recovery_attempts={max_recovery_attempts!r}",
+        f"max_recovery_attempts={loop.MAX_RECOVERY_ATTEMPTS!r}",
         f"confined_recovery={bool(confined_recovery)!r}",
         f"track_bppa={bool(track_bppa)!r}",
         f"combiner={_object_signature(combiner)}",

@@ -73,7 +73,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional
 
-from repro.bsp import loop
 from repro.bsp.aggregator import AggregateSink
 from repro.bsp.checkpoint import restore_checkpoint, take_checkpoint
 from repro.bsp.combiner import Combiner
@@ -290,7 +289,6 @@ class PregelEngine:
                 num_workers=num_workers,
                 seed=seed,
                 checkpoint_interval=checkpoint_interval,
-                max_recovery_attempts=loop.MAX_RECOVERY_ATTEMPTS,
                 confined_recovery=confined_recovery,
                 track_bppa=track_bppa,
                 combiner=combiner,

@@ -125,6 +125,7 @@ class GASEngine(HostedEngine):
     """
 
     backend_name = "gas"
+    id_slots = ("active",)
 
     def __init__(
         self,

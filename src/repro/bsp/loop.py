@@ -53,8 +53,9 @@ keeps only its state layout, its superstep body and its
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.bsp.checkpoint import CheckpointStore, EngineSnapshot, cow_copy
 from repro.bsp.faults import FaultInjector, FaultPlan, inject_network_faults
@@ -389,7 +390,7 @@ class HostedResult:
     stats: RunStats
     #: False when the run stopped at its budget (a soft cap, not an
     #: error).
-    converged: bool = True
+    converged: bool
 
     @property
     def num_supersteps(self) -> int:
@@ -413,7 +414,14 @@ class HostedEngine:
         Its complete mutable run state as a dict of containers (read
         for a checkpoint, which copies it), and adopting such a dict
         (a private copy of the checkpoint's) on rollback.
+    ``id_slots``
+        The payload entries that hold only vertex ids.  They are
+        copied one level deep, so the copy holds the very ids (an id
+        may hash by identity); every other entry goes through
+        :func:`~repro.bsp.checkpoint.cow_copy`, which shares dict keys.
     """
+
+    id_slots: Tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -465,13 +473,19 @@ class HostedEngine:
             network=True,
         )
 
+    def _copy(self, payload: dict) -> dict:
+        return {
+            key: copy.copy(slot) if key in self.id_slots else cow_copy(slot)
+            for key, slot in payload.items()
+        }
+
     def _checkpoint(self, superstep: int) -> EngineSnapshot:
         return EngineSnapshot(
-            superstep=superstep, payload=cow_copy(self._payload())
+            superstep=superstep, payload=self._copy(self._payload())
         )
 
     def _rollback(self, crash, superstep: int, stats, ckpt) -> int:
-        self._restore(cow_copy(ckpt.payload))
+        self._restore(self._copy(ckpt.payload))
         return self._loop.rollback(stats, ckpt, self._graph.num_vertices)
 
 

@@ -34,12 +34,13 @@ import pickle
 import subprocess
 import sys
 import zlib
+from unittest import mock
 
 import pytest
 
 import repro.bsp.durability as durability
 from repro.algorithms.pagerank import PageRank
-from repro.bsp import SumCombiner, VertexProgram
+from repro.bsp import SumCombiner, VertexProgram, loop
 from repro.bsp.checkpoint import EngineSnapshot
 from repro.bsp.durability import (
     FORMAT_VERSION,
@@ -839,7 +840,6 @@ def _fingerprint(graph, **overrides) -> str:
         num_workers=3,
         seed=11,
         checkpoint_interval=2,
-        max_recovery_attempts=2,
         confined_recovery=False,
         track_bppa=False,
         combiner=None,
@@ -850,7 +850,9 @@ def _fingerprint(graph, **overrides) -> str:
     program = overrides.pop("program", PageRank(num_supersteps=8))
     kwargs.update(overrides)
     kwargs.setdefault("baseline", _baseline(graph, kwargs["num_workers"]))
-    return config_fingerprint(graph, program, **kwargs)
+    # The pinned fingerprints hash a recovery budget of 2.
+    with mock.patch.object(loop, "MAX_RECOVERY_ATTEMPTS", 2):
+        return config_fingerprint(graph, program, **kwargs)
 
 
 def _pinned_graphs():

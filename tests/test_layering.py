@@ -62,7 +62,7 @@ ENGINE_PY = (
 #: ``aggregator.AggregateSink``, the send forwards went), and from 638
 #: when ``use_vectorized`` and ``max_recovery_attempts`` stopped being
 #: keywords.
-ENGINE_LINE_BUDGET = 616
+ENGINE_LINE_BUDGET = 614
 
 
 def test_engine_module_stays_thin():
@@ -84,7 +84,7 @@ BSP_ROOT = ENGINE_PY.parent
 #: graph, from 8003 when the shared-memory segment left and the rank
 #: pipe became the one transport, and from 7518 when three test-only
 #: options went and the GAS, block and async engines got one host.
-REPRO_BSP_LINE_BUDGET = 7407
+REPRO_BSP_LINE_BUDGET = 7424
 
 #: The dense compute plane is written once (``kernels.py`` loops and
 #: kernels over a ``fabric.DenseLane``) and hosted twice (the serial
@@ -797,14 +797,11 @@ class TestTheKeywordSurfaceIsPinned:
             "use_vectorized", "mp_start_method", "vectorizable",
             "has_vectorized_kernel", "max_recovery_attempts",
         ):
-            # The fingerprint keeps its parameter (the pinned
-            # fingerprints hash it); nothing else names the option.
-            found = _src_files_matching(rf"\b{name}\b")
-            allowed = (
-                {"bsp/durability.py", "bsp/engine.py"}
-                if name == "max_recovery_attempts" else set()
-            )
-            assert found <= allowed, (name, found)
+            # The fingerprint hashes ``loop.MAX_RECOVERY_ATTEMPTS``
+            # under the option's old name, so the pinned fingerprints
+            # do not move; nothing names it as a parameter.
+            pattern = rf"\b{name}\b(?!=\{{)"
+            assert not _src_files_matching(pattern), name
 
     def test_the_paradigm_host_serves_every_engine_alike(self):
         from repro.bsp.loop import HostedEngine

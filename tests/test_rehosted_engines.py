@@ -27,7 +27,7 @@ from repro.bsp import (
     crash_plan,
     drop_plan,
 )
-from repro.graph import erdos_renyi_graph
+from repro.graph import Graph, erdos_renyi_graph
 from repro.trace.events import Rollback
 from repro.trace.recorder import TraceRecorder, stats_from_events
 
@@ -144,6 +144,34 @@ class TestCrashRecovery:
         assert faulted.converged
         assert faulted.stats.recovery_attempts >= 1
         assert faulted.stats.checkpoints_written >= 1
+
+    @pytest.mark.parametrize("engine", [GASEngine, AsyncEngine])
+    def test_ids_that_hash_by_identity_survive_a_rollback(
+        self, graph, engine
+    ):
+        # A rollback must hand back the very vertex ids, not copies
+        # of them: a copy of an id that hashes by identity is a
+        # different key, so the next lookup would miss.
+        class Opaque:
+            pass
+
+        ids = {v: Opaque() for v in graph.vertices()}
+        opaque = Graph()
+        for v in graph.vertices():
+            opaque.add_vertex(ids[v])
+        for u, v in graph.edges():
+            opaque.add_edge(ids[u], ids[v])
+        clean = engine(graph, SsspGAS(source=0)).run()
+        faulted = engine(
+            opaque,
+            SsspGAS(source=ids[0]),
+            checkpoint_interval=2,
+            fault_plan=crash_plan(superstep=1, worker=0),
+        ).run()
+        assert faulted.stats.recovery_attempts == 1
+        assert faulted.values == {
+            ids[v]: value for v, value in clean.values.items()
+        }
 
     @pytest.mark.parametrize("kind,runner", RUNNERS, ids=RUNNER_IDS)
     def test_checkpoint_accounting(self, graph, kind, runner):
