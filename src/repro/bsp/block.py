@@ -196,10 +196,8 @@ class BlockEngine(HostedEngine):
                     vertices=owned,
                     subgraph=graph.subgraph(owned),
                     boundary=boundary,
-                    values={v: None for v in owned},
                 )
             )
-        self._inbox: List[List] = [[] for _ in range(num_blocks)]
         # Restored in place: the contexts hold the list.
         self._halted = [False] * num_blocks
         self._contexts = [
@@ -221,6 +219,10 @@ class BlockEngine(HostedEngine):
         self._inbox = payload["inbox"]
 
     def run(self) -> BlockResult:
+        for block in self._blocks:
+            block.values = dict.fromkeys(block.vertices)
+        self._halted[:] = [False] * len(self._blocks)
+        self._inbox: List[List] = [[] for _ in self._blocks]
         stats, converged = self._run_loop()
         values: Dict[Hashable, Any] = {}
         for block in self._blocks:

@@ -238,13 +238,6 @@ class CheckpointStore:
         store keeps nothing durable; the durable subclass overrides
         this with the atomic on-disk write."""
 
-    def require_latest(self) -> Checkpoint:
-        if self.latest is None:
-            raise CheckpointError(
-                "no checkpoint available to restore from"
-            )
-        return self.latest
-
 
 def _freeze(values: List[Any], floor: int):
     """``(column, atoms)`` of a snapshot column, each entry counting

@@ -388,6 +388,7 @@ class PregelEngine:
             num_workers=self._num_workers, cost_model=self._cost_model
         )
         self._aggregate_history = []
+        self._loop.reset()
         start_superstep = 0
         if self._resume_state is not None:
             ckpt, context = self._resume_state
@@ -479,9 +480,8 @@ class PregelEngine:
                 peak_rss_bytes=peak_rss_bytes(),
             )
         )
-        # On the parallel backend the coordinator filled the Worker
-        # objects from the rank payloads in rank order, so the
-        # committed profile and its barrier events are deterministic.
+        # A parallel coordinator filled the Workers from the rank
+        # payloads in rank order: the committed profile is fixed.
         self._loop.commit_superstep(
             stats, ws, superstep, active_count, delivered
         )

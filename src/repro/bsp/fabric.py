@@ -1,68 +1,47 @@
 """The message fabric: routing, combining, ledger accounting, and
 fault-injected delivery.
 
-This layer owns every mailbox the Pregel engine has, the send/fanout
-entry points the compute kernels call and the delivery routine that
-moves a superstep's traffic across the barrier.  The engine composes
-exactly one fabric, which binds the compute context's sends to the
-send methods of the :class:`DenseLane` whose worker is executing
-(:meth:`MessageFabric.bind_lane`).  A lane is one worker's share of
-the dense plane; the dense send paths are written once against it,
-and a pool rank of the parallel backend runs the very same lane code
-over its partition slice.  Neither holds its engine or a bound method
-of itself (``docs/architecture.md``, "One-way ownership").
+The engine composes exactly one fabric: every mailbox, the send paths
+the compute kernels call, and the delivery that moves a superstep's
+traffic across the barrier.  A :class:`DenseLane` is one worker's
+share of the dense plane and owns the send paths; the fabric binds the
+compute context's sends to the lane whose worker is executing
+(:meth:`MessageFabric.bind_lane`), and a pool rank of the parallel
+backend runs the same lane code over its slice.  Neither holds its
+engine (``docs/architecture.md``, "One-way ownership").
 
 One plane
 ---------
 
-A fabric has one mailbox layout, the **dense plane**: vertex ids
-compiled to contiguous ints
-(:class:`~repro.graph.partition.DenseIndex`), an inbox of columns in
-delivery order (see below) and the combiner folded *at send time* into
-a per-``(destination, sending worker)`` slot.  Mutations, rollbacks
-and confined recovery all run on it: a barrier that applied mutations
-ends with :meth:`MessageFabric.reindex`.
-
+Vertex ids are compiled to contiguous ints
+(:class:`~repro.graph.partition.DenseIndex`), re-indexed in place by
+:meth:`MessageFabric.reindex` after a barrier that mutated topology.
 Its orders are the ones the test-side oracle defines
-(``docs/architecture.md``, "Oracle"):
+(``docs/architecture.md``, "Oracle"): workers execute sequentially, so
+global send order is all of worker 0's sends, then worker 1's, …;
+``out_dirty`` holds the destinations in first-send order (each
+worker's first touches, deduplicated across workers in worker order),
+which fixes the fault-draw sequence and the inbox (and checkpoint)
+order; a destination's messages arrive in worker order.
 
+A per-vertex pass sends into its lane's slots, by dense destination:
+with a combiner one combined message in ``acc[dst]`` plus its logical
+count in ``cnt[dst]`` (occupied: ``cnt > 0``, so a message may be any
+value), without one a list of messages in send order.  Full-neighbor
+fanouts read the compiled row while :meth:`DenseLane.held_row` finds
+it current.  A vectorized kernel scattering through its compiled plan
+writes no slot: it emits its :class:`LaneRecord` payload column in an
+order fixed at compile time, which delivery puts where a
+:class:`DeliveryLayout`, compiled with the plans, says the scan would.
 
-* Workers execute sequentially, so global send order is "all of
-  worker 0's sends, then worker 1's, …".  Each worker owns a
-  persistent accumulator array indexed by dense destination (its
-  ``(src_worker, destination)`` slots), and delivery scans the workers
-  in index order per destination.
-* ``out_dirty`` is rebuilt per superstep by stamping first touches per
-  worker and deduplicating across workers in worker order: the
-  destinations in first-send order, which fixes the fault-injection
-  draw sequence and the inbox (and checkpoint) insertion order.
-* The dense adjacency (an :class:`~repro.graph.partition.Adjacency`
-  of flat columns, compiled at every engage) replaces the per-message
-  id hash for full-neighbor fanouts, row by row while
-  :meth:`DenseLane.held_row` finds it current: an ``out_edges`` dict
-  edited in place sends through the per-target loop.
-
-With a combiner, a slot is a single combined message in worker
-``w``'s ``lane.acc[dst]`` plus its logical count in ``lane.cnt[dst]``
-(occupancy is ``cnt > 0``, so messages may be any value, including
-None); without one it is a list of messages in send order (occupancy:
-non-None).
-
-The dense inbox holds no container per destination: delivery appends
-each destination's messages, in worker order, to one flat column
-``in_msgs`` and records their offset and number in the
-position-indexed ``in_start``/``in_count`` (0: no mail); ``in_dirty``
-lists the destinations in delivery order.  Reading a position's
-messages is one slice, clearing is O(destinations), and nothing is
-left for the cyclic garbage collector to promote and re-scan.
-
-Off its accumulator arrays a lane's slots have exactly one form,
-:class:`LaneRecord` — three columns over the dense slot index.  It is
-what a pool rank detaches (grouped by owning rank) and replies with,
-what the coordinator holds, forwards and, delivering itself, adopts,
-what the spill tier sizes, writes and reloads, and what a rank's
-inbound batch is; :meth:`DenseLane.detach` and :meth:`DenseLane.adopt`
-move slots between the two forms.
+The inbox holds no container per destination: delivery appends each
+destination's messages to one flat column ``in_msgs`` and records
+their offset and number in the position-indexed ``in_start``/
+``in_count`` (0: no mail); ``in_dirty`` lists the destinations in
+delivery order.  Off the accumulators a lane's slots have one form,
+:class:`LaneRecord`: what a pool rank replies with (grouped by owning
+rank), what the coordinator holds, forwards or adopts, what the spill
+tier sizes, writes and reloads, and a rank's inbound batch.
 """
 
 from __future__ import annotations
@@ -73,6 +52,8 @@ import pickle
 import shutil
 import tempfile
 from array import array
+from collections import deque
+from itertools import accumulate, chain, islice, repeat
 from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 
 from repro.bsp.combiner import SumCombiner
@@ -136,33 +117,44 @@ class LaneRecord(NamedTuple):
         return size + 8 * len(self.counts) + 8 * len(self.touched)
 
 
+class DeliveryLayout(NamedTuple):
+    """Where planned lane records land (:meth:`MessageFabric.
+    plan_delivery`): ``dirty`` the destinations in first-touch order,
+    ``starts`` their mail's offsets then the end; per worker ``w``,
+    ``scatter[w]`` its record entries' inbox positions, ``tallies[w]``
+    its ``(sent_network, received_network, received_logical)``."""
+
+    dirty: array
+    starts: array
+    scatter: list
+    tallies: list
+
+
 class DenseLane:
     """One worker's lane of the dense plane: everything a single
     worker's compute pass reads and writes, and the send paths that
     write it.
 
     The serial engine holds one lane per worker over the fabric's
-    global arrays (``base == 0``); a pool rank holds exactly one over
-    its resident slice (``base == start``).  Both run the same compute
-    loops (:mod:`repro.bsp.kernels`) and the same send methods against
-    their lanes, so what one worker's pass *is* exists once.
+    arrays (``base == 0``), a pool rank one over its slice (``base ==
+    start``); both run the same kernels and send methods on it.
 
     ``states``/``in_start``/``in_count`` and the adjacency columns
     (``out_start``/``out_dst``/``remote_out``/``dangling``) are indexed
     by ``dense idx - base`` (the inbox columns are the fabric's on the
     serial host, the lane's own on a pool rank, which fills them from
-    its inbound :class:`LaneRecord`); ``acc``/``cnt`` —
-    this worker's ``(src_worker, destination)`` slots — and the
-    ``idx_of``/``owner_of`` tables by global dense index.  ``touched``
-    lists the destinations first written this pass, in first-touch
-    order; ``cur`` is the position of the vertex currently executing
-    (the full-neighbor fanout reads its precompiled row).  The host
-    binds its compute context's sends to :meth:`sends`.  The
-    frontier is two ascending position lists: ``arrivals``, the lane's
-    share of this superstep's mailed positions (set by the host before a
-    pass that visits them), and ``awake``, the vertices the last
-    per-vertex pass left un-halted — ``None`` when unknown: whatever
-    writes ``halted`` outside that pass resets it.
+    its inbound :class:`LaneRecord`); the slots (:meth:`slots`, this
+    worker's ``(src_worker, destination)`` slots) and ``idx_of``/
+    ``owner_of`` by global dense index.  ``touched`` lists the
+    destinations first written this pass, in first-touch order;
+    ``cur`` is the position of the vertex executing (the full-neighbor
+    fanout reads its compiled row).  The host binds its compute
+    context's sends to :meth:`sends`.  The frontier is two ascending
+    position lists: ``arrivals``, the lane's share of this superstep's
+    mailed positions (set by the host before a pass that visits them),
+    and ``awake``, the vertices the last per-vertex pass left
+    un-halted — ``None`` when unknown: whatever writes ``halted``
+    outside that pass resets it.
     """
 
     __slots__ = (
@@ -194,25 +186,30 @@ class DenseLane:
         ) = adjacency
         self.idx_of = idx_of
         self.owner_of = owner_of
-        n = len(owner_of)
-        self.acc: List[Any] = [None] * n
+        # The slots, allocated by slots(): a lane whose sends all go
+        # through its scatter plan never needs them.
+        self.acc = self.cnt = None
         self.touched: List[int] = []
         self.cur = -1
         self.arrivals, self.awake = (), None
         self.rows = rows
         if combiner is None:
-            self.cnt = None
             self.combine = None
+        elif type(combiner) is SumCombiner:
+            # The C-level add is exactly SumCombiner.combine's ``a + b``
+            # without its Python frame; gated on the exact type so a
+            # subclass keeps its own behavior.
+            self.combine = operator.add
         else:
-            self.cnt = [0] * n
-            # Stock SumCombiner folds with the C-level add (exactly
-            # ``a + b``, the same expression its combine() evaluates),
-            # skipping a Python frame per fold.  Gated on the exact
-            # type so subclasses keep their overridden behavior.
-            if type(combiner) is SumCombiner:
-                self.combine = operator.add
-            else:
-                self.combine = combiner.combine
+            self.combine = combiner.combine
+
+    def slots(self):
+        """``(acc, cnt)``, allocated when first needed."""
+        if self.acc is None:
+            n = len(self.owner_of)
+            self.acc = [None] * n
+            self.cnt = None if self.combine is None else [0] * n
+        return self.acc, self.cnt
 
     def materialize(self) -> None:
         """Give the lane's vertices private edge dicts, in one pass,
@@ -235,7 +232,7 @@ class DenseLane:
     def sends(self):
         """``(enqueue, fanout)``: the plain or the combining pair, as
         the lane is laid out (not stored: a cycle through the lane)."""
-        if self.cnt is None:
+        if self.slots()[1] is None:
             return self.enqueue_plain, self.fanout_plain
         return self.enqueue_combining, self.fanout_combining
 
@@ -388,8 +385,7 @@ class DenseLane:
     def detach(self, touched) -> LaneRecord:
         """Gather the ``touched`` slots into a record and clear
         them."""
-        acc = self.acc
-        cnt = self.cnt
+        acc, cnt = self.slots()
         slots = [acc[d] for d in touched]
         if cnt is None:
             record = LaneRecord.from_buckets(touched, slots)
@@ -408,8 +404,7 @@ class DenseLane:
     def adopt(self, record: LaneRecord) -> None:
         """Write a record's slots back into the (clear) accumulator
         slots they were detached from."""
-        acc = self.acc
-        cnt = self.cnt
+        acc, cnt = self.slots()
         if cnt is None:
             for d, bucket in record.buckets():
                 acc[d] = bucket
@@ -474,9 +469,7 @@ class MessageFabric:
         self._confined_recovery = confined_recovery
         self.run_stats = None
         #: Soft cap, in encoded bytes, on one superstep's buffered
-        #: message volume across the slot-mailbox accumulator lanes.
-        #: ``None`` (the default) disables the spill tier entirely —
-        #: no accounting, no detaching.
+        #: lane records; ``None`` disables the spill tier entirely.
         self.memory_budget = memory_budget
         self._spill_dir = spill_dir
         self._spill_tmp: Optional[str] = None
@@ -505,11 +498,12 @@ class MessageFabric:
         #: Per source rank, the effect set whose records the parallel
         #: backend holds off this inbox for the ranks to deliver.
         self.held: Optional[list] = None
-        #: One :class:`DenseLane` per worker, in worker order (the
-        #: order delivery scans their accumulator arrays).
+        #: One :class:`DenseLane` per worker, in worker order.
         self.lanes: Optional[List[DenseLane]] = None
         self.slot_seen: Optional[List[int]] = None
         self.stamp = 0
+        #: The plans' :class:`DeliveryLayout`; the held planned records.
+        self.layout = self.records = None
         self.engage_fast_path()
 
     # ------------------------------------------------------------------
@@ -562,38 +556,40 @@ class MessageFabric:
                 seen[dst] = stamp
                 dirty.append(dst)
         lane.touched = []
-        self.account_lane(lane.index, touched)
+        if self.memory_budget is not None and touched:
+            record = lane.detach(touched)
+            if self.account_lane(lane.index, record):
+                lane.adopt(record)
+
+    def hold(self, index: int, plan, payloads) -> None:
+        """Keep a planned lane's record payload column for delivery,
+        charged against the memory budget like a flushed lane."""
+        self.records = self.records or [(None, ())] * len(self.lanes)
+        self.records[index] = plan, payloads
+        if self.memory_budget is not None and payloads:
+            record = _planned(plan, typed_column(payloads))
+            if not self.account_lane(index, record):
+                self.records[index] = plan, None
 
     # ------------------------------------------------------------------
     # Spill tier: byte-accounted lane eviction under a memory budget
     # ------------------------------------------------------------------
     #
-    # When ``memory_budget`` is set, every finished lane is detached
-    # into its LaneRecord and the record's size charged against the
-    # budget; a record that would push the superstep's buffered volume
-    # past it is pickled to disk as it is, the others are adopted back.
-    # Delivery reloads spilled records — in worker-index order, the
-    # order the delivery scan reads lanes — before the normal slot
-    # scan, so the spill is invisible to everything downstream:
-    # ``out_dirty`` was recorded at flush time and the reloaded values
-    # round-trip exactly (typed columns for conforming floats/ints,
-    # pickle otherwise — the same equality contract the parallel
-    # backend's rank boundary relies on).
+    # With a ``memory_budget``, every finished lane's LaneRecord (its
+    # detached slots, or a planned lane's record) is charged against
+    # it; a record past the budget is pickled to disk, the others stay
+    # (slots adopted back).  Delivery first reloads spilled records, in
+    # worker order, so the spill is invisible downstream: the values
+    # round-trip exactly (typed columns, else pickle — the rank
+    # boundary's equality contract).
 
-    def account_lane(self, worker_index: int, touched) -> None:
-        """Charge one worker's finished lane — its ``touched`` slots,
-        detached — against the memory budget, spilling it to disk
-        when the budget is exceeded.  No-op without a budget or an
-        empty lane."""
-        if self.memory_budget is None or not touched:
-            return
-        lane = self.lanes[worker_index]
-        record = lane.detach(touched)
+    def account_lane(self, worker_index: int, record: LaneRecord) -> bool:
+        """Charge one worker's finished lane ``record`` against the
+        budget; False when it went past it, to disk."""
         nbytes = record.nbytes
         if self._resident_bytes + nbytes <= self.memory_budget:
             self._resident_bytes += nbytes
-            lane.adopt(record)
-            return
+            return True
         root = self._spill_root()
         path = os.path.join(
             root, f"lane_{self._spill_seq}_{worker_index}.bin"
@@ -608,6 +604,7 @@ class MessageFabric:
             raise SpillError(f"cannot spill lane to {path}: {exc}") from exc
         self.spilled_lanes += 1
         self.spilled_bytes += nbytes
+        return False
 
     def _reload_spilled(self) -> None:
         """Load every spilled record back into its lane (worker order
@@ -622,7 +619,11 @@ class MessageFabric:
                     f"cannot reload spilled lane {path}: {exc!r}"
                 ) from exc
             os.unlink(path)
-            self.lanes[worker_index].adopt(record)
+            if self.records is not None:
+                plan = self.records[worker_index][0]
+                self.records[worker_index] = plan, record.payloads
+            else:
+                self.lanes[worker_index].adopt(record)
         self._spilled = {}
 
     def _spill_root(self) -> str:
@@ -695,6 +696,7 @@ class MessageFabric:
         ]
         self.slot_seen = [0] * n
         self.stamp = 0
+        self.layout = self.records = None
         self._drop_spill_files()
         self.bind_lane(self.lanes[0])
 
@@ -766,6 +768,67 @@ class MessageFabric:
     # Delivery
     # ------------------------------------------------------------------
 
+    def plan_delivery(self, plans) -> None:
+        """Compile :attr:`layout` for the lanes' scatter ``plans``, once
+        per dense index: a destination's entries in worker order, the
+        destinations in first-touch order — where the slot scan puts them."""
+        plain = self._combiner is None
+        ranges, dirty = self.dense.ranges, array("i")
+        width = [0] * len(self.dense.id_of)  # entries per destination
+        logical = list(width)  # messages per destination
+        for plan in plans:
+            for dst in plan.order:
+                if not width[dst]:
+                    dirty.append(dst)
+                width[dst] += 1
+        for plan in plans if plain else ():
+            for dst, count in zip(*plan.shape()):
+                width[dst] += count - 1
+        network = [sum(width[lo:hi]) for lo, hi in ranges]
+        starts = array(
+            "i", accumulate(map(width.__getitem__, dirty), initial=0)
+        )
+        cursor = width  # from here: each destination's next free entry
+        _drain(map(operator.setitem, repeat(cursor), dirty, starts))
+        scatter = []
+        for plan in plans:
+            slots, counts = plan.shape()
+            at = array("i")
+            put = at.append
+            for dst, count in zip(slots, counts):
+                put(cursor[dst])
+                cursor[dst] += count if plain else 1
+                logical[dst] += count
+            scatter.append(array("i", chain.from_iterable(
+                map(range, at, map(operator.add, at, counts))
+            )) if plain else at)
+        self.layout = DeliveryLayout(dirty, starts, scatter, [
+            (len(at), net, sum(logical[lo:hi]))
+            for at, net, (lo, hi) in zip(scatter, network, ranges)
+        ])
+
+    def _deliver_planned(self, records) -> int:
+        """Put the records' payloads where :attr:`layout` places them and
+        charge its tallies: the slot scan's inbox and ledger, at C level."""
+        layout = self.layout
+        starts, put = layout.starts, operator.setitem
+        self.in_msgs += repeat(None, starts[-1])
+        for index, scatter in enumerate(layout.scatter):
+            (_plan, payloads), records[index] = records[index], None
+            _drain(map(put, repeat(self.in_msgs), scatter, payloads))
+        _drain(map(put, repeat(self.in_start), layout.dirty, starts))
+        _drain(map(put, repeat(self.in_count), layout.dirty, map(
+            operator.sub, islice(starts, 1, None), starts
+        )))
+        for worker, (sent, received, logical) in zip(
+            self.workers, layout.tallies
+        ):
+            worker.sent_network += sent
+            worker.received_network += received
+            worker.received_logical += logical
+        self.in_dirty, self._resident_bytes = layout.dirty, 0
+        return starts[-1]
+
     def deliver_fast(self, superstep: int, mutated: bool) -> int:
         """Move the superstep's slots into next superstep's inbox
         columns; return the number of messages delivered.
@@ -782,6 +845,9 @@ class MessageFabric:
         the books balance.  Without a mutation this superstep the
         check is skipped, because every dense id is live by
         construction.
+
+        Planned records go through the layout (:meth:`_deliver_planned`)
+        unless a mutation or a recovery log needs them in the slots.
         """
         injector = self._injector
         workers = self.workers
@@ -802,7 +868,16 @@ class MessageFabric:
         faults = DeliveryFaults() if injector is not None else None
         if self._spilled:
             self._reload_spilled()
-        lanes = [(lane.worker, lane.acc, lane.cnt) for lane in self.lanes]
+        records, self.records = self.records, None
+        if records is not None:
+            if not mutated and log_entry is None:
+                return self._deliver_planned(records)
+            self.out_dirty = self.layout.dirty
+            for lane, (plan, payloads) in zip(self.lanes, records):
+                if plan is not None:
+                    lane.adopt(_planned(plan, payloads))
+        lanes = [(lane.worker, lane.acc, lane.cnt)
+                 for lane in self.lanes if lane.acc is not None]
         for dst in self.out_dirty:
             if mutated and id_of[dst] not in states:
                 # Dropped: destination removed this superstep —
@@ -873,3 +948,14 @@ class MessageFabric:
                     )
                 )
         return hi - first
+
+
+def _drain(iterator) -> None:
+    """Run a C-level ``map`` pipeline for its side effects."""
+    deque(iterator, maxlen=0)
+
+
+def _planned(plan, payloads) -> LaneRecord:
+    """A planned lane's record: ``payloads`` laid out by ``plan``."""
+    slots, counts = plan.shape()
+    return LaneRecord(slots, payloads, counts)

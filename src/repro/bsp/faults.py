@@ -202,14 +202,6 @@ class FaultInjector:
             self._crash_budget[key] -= 1
             raise WorkerCrashError(worker, superstep)
 
-    def pending_crashes(self, superstep: int) -> int:
-        """Remaining crash firings scheduled at ``superstep``."""
-        return sum(
-            left
-            for (s, _), left in self._crash_budget.items()
-            if s == superstep
-        )
-
     # -- durable-checkpoint support -------------------------------------
 
     def snapshot_state(self) -> dict:

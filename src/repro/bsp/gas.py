@@ -147,10 +147,7 @@ class GASEngine(HostedEngine):
         self._owner = build_owner_map(
             graph.vertices(), partitioner, num_workers
         )
-        self._values: Dict[Hashable, Any] = {
-            v: program.initial_value(v, graph)
-            for v in graph.vertices()
-        }
+        self._values: Dict[Hashable, Any] = {}
         self._active: Set[Hashable] = set()
         self._out_degree = {
             v: graph.out_degree(v) for v in graph.vertices()
@@ -178,7 +175,11 @@ class GASEngine(HostedEngine):
         self._active = payload["active"]
 
     def run(self) -> GASResult:
-        self._active = set(self._graph.vertices())
+        vertices = list(self._graph.vertices())
+        self._values = {
+            v: self._program.initial_value(v, self._graph) for v in vertices
+        }
+        self._active = set(vertices)
         stats, _ = self._run_loop()
         return GASResult(
             values=dict(self._values),

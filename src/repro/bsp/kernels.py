@@ -48,37 +48,31 @@ block, async) live with their engines' state layouts.
 The vectorized tier
 -------------------
 
-On top of the per-vertex loops sits an opt-in tier: whole-lane
-**vectorized kernels** that execute one superstep of a *registered*
-program as array-shaped passes over the lane's inbox columns and
-a scatter plan precompiled from its dense adjacency (an SpMV
-transposed into per-destination gather lists, held in stdlib
-``array`` lanes like the typed columns of :mod:`repro.bsp.columns`;
-no numpy).
-Exact reproduction is the admission rule, not a goal: a kernel
-registers for exactly one program class (``register_vectorized``) and
-has three parts —
+On top of the per-vertex loops sit whole-lane **vectorized kernels**:
+one superstep of a *registered* program as array-shaped passes over
+the lane's inbox columns and a scatter plan precompiled from its dense
+adjacency (stdlib ``array`` columns, no numpy).  Exact reproduction is
+the admission rule: a kernel registers for exactly one program class
+(``register_vectorized``) and has three parts —
 
 * ``applies(program, fabric, superstep, wake_all) -> phase | None``:
-  a cheap, state-based proof that this superstep's semantics are
-  expressible with the *identical* float operation sequence as the
-  per-vertex loop (fixed summation order per destination, left folds
-  with no injected zero seed — which would flip ``-0.0`` — division
-  by the same exactly-converted degree).  Always evaluated on the
-  authoritative fabric (:func:`vector_phase`): the serial engine's
-  own, or the coordinator's, which ships the verdict to every rank;
+  a cheap, state-based proof that this superstep is expressible with
+  the *identical* float operation sequence as the per-vertex loop
+  (fixed summation order per destination, left folds with no injected
+  zero seed, division by the same exactly-converted degree), evaluated
+  on the authoritative fabric (:func:`vector_phase`);
 * ``compile(lane, program) -> plan | None``: the lane's topology
   compiled once (``None`` when it cannot be reproduced exactly, e.g.
   a dangling out-edge whose send must raise);
 * ``run(host, lane, plan, phase)``: the lane's share of the superstep.
+  A kernel that scatters through its plan returns its lane record's
+  payload column (:func:`_emit`) instead of writing send slots.
 
 Every other superstep — fault-injected runs, wake-all phases,
 unregistered programs, non-conforming topology — runs
-:func:`dense_compute_pass`, a fallback per superstep as a column's
-typing is per column (a mutation re-indexes the plane; plans
-recompile).  The tier actually used is reported per superstep via ``engine._kernel_tier`` /
-``Worker.kernel_tier`` (observability only — never part of the
-byte-identity surface).
+:func:`dense_compute_pass`, per superstep (a mutation re-indexes the
+plane; plans recompile).  The tier used is reported per superstep in
+``engine._kernel_tier`` / ``Worker.kernel_tier`` (observability only).
 """
 
 from __future__ import annotations
@@ -87,12 +81,13 @@ import operator
 import time
 from array import array
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from functools import partial, reduce
 from itertools import accumulate, chain, repeat
 from typing import Any, Dict, List, Tuple
 
 from repro.bsp.aggregator import left_sum
+from repro.bsp.fabric import _drain
 
 
 def dense_compute_pass(host, lane, wake_all: bool):
@@ -207,9 +202,9 @@ def compile_plan(program, lane):
 def lane_compute_pass(host, lane, wake_all: bool, phase, plan):
     """One lane's share of a superstep, on the tier its plan allows.
 
-    Returns ``(tier, executed, scattered)``: ``executed`` is the dense
-    indices visited, in visit order; ``scattered`` is the scatter plan
-    whose whole ``order`` was written into the lane's accumulators, or
+    Returns ``(tier, executed, emitted)``: ``executed`` is the dense
+    indices visited, in visit order; ``emitted`` is the payload column
+    of the record the lane's scatter plan laid out (:func:`_emit`), or
     ``None`` when the sends went through ``lane.touched``.
     """
     if plan is None:
@@ -243,15 +238,8 @@ def _affine(totals, scale, shift):
 _HALTED = operator.attrgetter("halted")
 _VALUE = operator.attrgetter("value")
 _SUB = operator.sub
-_SETITEM = operator.setitem
 #: ``getter(shares)`` as a mappable: C-level apply over a getter column.
 _CALL_WITH = operator.methodcaller
-
-
-def _drain(iterator):
-    """Run a C-level ``map`` pipeline for its side effects (a
-    zero-length deque consumes without buffering)."""
-    deque(iterator, maxlen=0)
 
 
 class _ScatterLane:
@@ -271,17 +259,25 @@ class _ScatterLane:
     fatter destinations keep their own getter and fold count
     (``m_dst``/``m_get``/``m_cnt``).  ``order`` is the first-touch
     destination order — identical to the lane's ``touched`` order
-    the per-vertex pass would produce — and ``novel`` (see
-    :func:`_link_commit_order`) is its cross-lane deduplication.
-    Index lanes are stdlib ``array('q')`` / ``array('d')`` columns,
-    same conventions as :mod:`repro.bsp.columns`.
+    the per-vertex pass would produce.  Index lanes are stdlib
+    ``array('q')`` / ``array('d')`` columns, as in :mod:`repro.bsp.columns`.
     """
 
     __slots__ = (
-        "n", "value_getter", "degs", "order", "novel",
+        "n", "value_getter", "degs", "order",
         "s_dst", "s_get", "groups", "m_dst", "m_get", "m_cnt",
         "sent", "remote",
     )
+
+    def shape(self):
+        """``(slots, counts)``: the destinations of the record
+        :func:`_emit` fills, in its order, and their logical counts."""
+        slots = array("q", self.s_dst)
+        counts = array("q", [1]) * len(slots)
+        for count, dsts, _getters in self.groups:
+            slots += dsts
+            counts += array("q", [count]) * len(dsts)
+        return slots + self.m_dst, counts + self.m_cnt
 
 
 #: Largest contributor count still transposed into columns; fatter
@@ -394,103 +390,27 @@ def _group_fold(combine, getters, shares):
     return carry
 
 
-def _scatter_combined(lane, shares, acc, cnt, combine):
-    """Write one lane's shares into a combining accumulator lane.
-
-    Equivalent to the per-vertex ``enqueue_fast_combining`` sequence:
-    each destination's messages folded pairwise in arrival order
-    (never seeded with a literal zero, which would flip ``-0.0``),
-    counts set to the contribution count.  Single-contributor
-    destinations skip the fold entirely via one flat C-level
-    ``itemgetter`` call; grouped destinations fold column-wise
-    (:func:`_group_fold`); the fat leftovers fold per destination
-    (:func:`_segment_folder`).
-    """
-    if lane.s_dst:
-        _drain(map(_SETITEM, repeat(acc), lane.s_dst, lane.s_get(shares)))
-        _drain(map(_SETITEM, repeat(cnt), lane.s_dst, repeat(1)))
-    for count, dsts, getters in lane.groups:
-        _drain(
-            map(
-                _SETITEM,
-                repeat(acc),
-                dsts,
-                _group_fold(combine, getters, shares),
-            )
-        )
-        _drain(map(_SETITEM, repeat(cnt), dsts, repeat(count)))
+def _emit(lane, shares, combine):
+    """One lane's shares as its record's payload column, in
+    :meth:`_ScatterLane.shape` order.  A destination's messages, in
+    arrival order, are laid end to end without a combiner (``combine``
+    ``None``), else left-folded — as ``enqueue_combining`` folds, never
+    seeded with a literal zero, which would flip ``-0.0``: groups
+    column-wise (:func:`_group_fold`), fat ones by
+    :func:`_segment_folder`."""
+    out = list(lane.s_get(shares)) if lane.s_dst else []
+    apply_shares = _CALL_WITH("__call__", shares)
+    if combine is None:
+        for _count, _dsts, getters in lane.groups:
+            out += chain.from_iterable(zip(*[g(shares) for g in getters]))
+        out += chain.from_iterable(map(apply_shares, lane.m_get))
+        return out
+    for _count, _dsts, getters in lane.groups:
+        out += _group_fold(combine, getters, shares)
     if lane.m_dst:
         fold = _segment_folder(combine)
-        apply_shares = _CALL_WITH("__call__", shares)
-        _drain(
-            map(
-                _SETITEM,
-                repeat(acc),
-                lane.m_dst,
-                map(fold, map(apply_shares, lane.m_get)),
-            )
-        )
-        _drain(map(_SETITEM, repeat(cnt), lane.m_dst, lane.m_cnt))
-
-
-def _scatter_lists(lane, shares, acc):
-    """Write one lane's shares into a plain (non-combining) accumulator
-    lane as *fresh* per-destination buckets in arrival order — delivery
-    adopts the first occupied lane's bucket object, so lanes must never
-    share list instances."""
-    if lane.s_dst:
-        # ``zip(column)`` wraps each value in a 1-tuple at C level, so
-        # ``map(list, ...)`` materializes the fresh single-item buckets
-        # without a per-value Python frame.
-        _drain(
-            map(
-                _SETITEM,
-                repeat(acc),
-                lane.s_dst,
-                map(list, zip(lane.s_get(shares))),
-            )
-        )
-    for _count, dsts, getters in lane.groups:
-        columns = [getter(shares) for getter in getters]
-        _drain(
-            map(_SETITEM, repeat(acc), dsts, map(list, zip(*columns)))
-        )
-    if lane.m_dst:
-        apply_shares = _CALL_WITH("__call__", shares)
-        _drain(
-            map(
-                _SETITEM,
-                repeat(acc),
-                lane.m_dst,
-                map(list, map(apply_shares, lane.m_get)),
-            )
-        )
-
-
-def _link_commit_order(lanes):
-    """Precompute each lane's ``novel`` column: the destinations it is
-    the *first* lane to touch, in first-touch order.
-
-    When a kernel scatters through every lane in worker-index order
-    (the only way the serial host runs them), extending ``out_dirty``
-    with the lanes' ``novel`` columns reproduces exactly the
-    stamp-dedup that ``flush_worker_sends`` performs over a lane's
-    ``touched`` list — but the dedup is paid once at compile time
-    instead of every superstep."""
-    seen = set()
-    for lane in lanes:
-        novel = [dst for dst in lane.order if dst not in seen]
-        seen.update(novel)
-        lane.novel = array("q", novel)
-
-
-def _scatter(plan, shares, lane) -> None:
-    """Write ``shares`` through ``plan`` into ``lane``'s accumulators
-    (combining or plain, as the lane is laid out)."""
-    if lane.cnt is not None:
-        _scatter_combined(plan, shares, lane.acc, lane.cnt, lane.combine)
-    else:
-        _scatter_lists(plan, shares, lane.acc)
+        out += map(fold, map(apply_shares, lane.m_get))
+    return out
 
 
 def _compile_lane_scatter(lane, program):
@@ -531,14 +451,11 @@ def fast_compute_pass(engine, wake_all: bool) -> int:
         plan = plans[lane.index] if plans else None
         if plan is None:
             fabric.bind_lane(lane)
-        tier, executed, scattered = lane_compute_pass(
+        tier, executed, emitted = lane_compute_pass(
             engine, lane, wake_all, phase, plan
         )
-        if scattered is not None:
-            # The plan's cross-lane dedup was paid at compile time.
-            fabric.out_dirty.extend(scattered.novel)
-            if fabric.memory_budget is not None:
-                fabric.account_lane(lane.index, scattered.order)
+        if emitted is not None:
+            fabric.hold(lane.index, plan, emitted)
         elif lane.touched:
             fabric.flush_worker_sends(lane)
         active += len(executed)
@@ -550,9 +467,9 @@ def fast_compute_pass(engine, wake_all: bool) -> int:
 
 def _serial_plans(engine):
     """One compiled plan per lane of the engine's fabric, or ``None``
-    when any lane declines — all or nothing, because the scatter
-    plans' precomputed ``novel`` columns assume every earlier lane
-    scattered its whole order.  Compiled once per dense index."""
+    when any lane declines — all or nothing, because the fabric's
+    delivery layout, compiled with scatter plans, assumes every lane
+    emits its record.  Compiled once per dense index."""
     fabric = engine._fabric
     cache = engine._vector_kernel_cache
     if cache is not None and cache[0] is fabric.dense:
@@ -560,10 +477,8 @@ def _serial_plans(engine):
     plans = [compile_plan(engine._program, lane) for lane in fabric.lanes]
     if None in plans:
         plans = None
-    else:
-        _link_commit_order(
-            [plan for plan in plans if type(plan) is _ScatterLane]
-        )
+    elif all(type(plan) is _ScatterLane for plan in plans):
+        fabric.plan_delivery(plans)
     engine._vector_kernel_cache = (fabric.dense, plans)
     return plans
 
@@ -664,24 +579,21 @@ class PageRankKernel:
                 map(setattr, seg_states, repeat("halted"), repeat(True))
             )
             sent = 0
-            scattered = None
+            emitted = None
         else:
             sent = plan.sent
-            if plan.n:
-                shares = list(map(
-                    operator.truediv, plan.value_getter(new_vals), plan.degs
-                ))
-                _scatter(plan, shares, lane)
+            emitted = _emit(plan, list(map(
+                operator.truediv, plan.value_getter(new_vals), plan.degs
+            )), lane.combine) if plan.n else []
             worker.sent_logical += sent
             worker.sent_remote += plan.remote
-            scattered = plan
         worker.work += float(n_seg + total_msgs + sent)
         if host._tracker is not None:
             _feed_tracker(
                 host._tracker, program, lane, seg_states, seg_counts,
                 phase != "final",
             )
-        return range(lane.start, lane.stop), scattered
+        return range(lane.start, lane.stop), emitted
 
 
 # -- Min-propagation (hashmin / WCC) ----------------------------------------
@@ -780,8 +692,7 @@ class MinPropagationKernel:
         tracker = host._tracker
         state_size = host._program.state_size
         worker = lane.worker
-        acc = lane.acc
-        cnt = lane.cnt
+        acc, cnt = lane.slots()
         combine = lane.combine
         touched = lane.touched
         base = lane.base
@@ -881,14 +792,13 @@ class DegreeKernel:
             for state in seg_states:
                 state.value = 0.0
                 state.halted = True
-            if plan.n:
-                _scatter(plan, [1.0] * plan.n, lane)
+            emitted = _emit(plan, [1.0] * plan.n, lane.combine)
             worker.sent_logical += plan.sent
             worker.sent_remote += plan.remote
             worker.work += float(len(seg_states) + plan.sent)
             if tracker is not None:
                 _feed_tracker(tracker, program, lane, seg_states, None, True)
-            return range(lane.start, lane.stop), plan
+            return range(lane.start, lane.stop), emitted
         state_size = program.state_size
         in_msgs, in_start = lane.in_msgs, lane.in_start
         in_count = lane.in_count

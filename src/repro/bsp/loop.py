@@ -188,6 +188,15 @@ class SuperstepLoop:
         self.crash_counts: Dict[int, int] = {}
         self.ckpt_costs: Dict[int, float] = {}
 
+    def reset(self) -> None:
+        """Begin a run afresh, in place: empty ledgers and in-memory store,
+        the fault plan from the top (a durable resume restores its own)."""
+        self.exec_counts, self.crash_counts, self.ckpt_costs = {}, {}, {}
+        if not self.policy.store.durable:
+            self.policy.store.__init__()
+        if self.injector is not None:
+            self.injector.__init__(self.injector.plan, self.num_workers)
+
     def run(self, host, stats: RunStats, start_superstep: int = 0) -> bool:
         """Supervise ``host`` to termination.
 
@@ -457,6 +466,7 @@ class HostedEngine:
         stats = RunStats(
             num_workers=len(self._workers), cost_model=self._cost_model
         )
+        self._loop.reset()
         return stats, self._loop.run(self, stats)
 
     def _open(self, superstep: int) -> None:

@@ -212,8 +212,17 @@ class _PartitionRuntime:
 
     @cached_property
     def _plan_by_rank(self):
-        """The plan's fixed send order, grouped by owning rank once."""
-        return self._by_rank(self._plan.order)
+        """The plan's record regrouped by owning rank once: slots,
+        counts, group sizes and each payload entry's emitted place."""
+        slots, counts = self._plan.shape()
+        perm, sizes = self._by_rank(slots)
+        entries = perm if self.lane.combine is not None else self._by_rank(
+            array("q", chain.from_iterable(map(repeat, slots, counts)))
+        )[0]
+        return (
+            array("q", map(slots.__getitem__, perm)),
+            array("q", map(counts.__getitem__, perm)), sizes, entries,
+        )
 
     @property
     def progress(self) -> int:
@@ -223,15 +232,14 @@ class _PartitionRuntime:
         return self._passes * (len(self.states) + 1) + self.lane.cur + 1
 
     def _by_rank(self, touched) -> Tuple[array, List[int]]:
-        """``touched`` regrouped by owning rank, each group in its
-        first-touch order, and the groups' sizes."""
+        """The indices of ``touched`` regrouped by owning rank, each
+        group in ``touched`` order, and the groups' sizes."""
         owners = list(map(self.lane.owner_of.__getitem__, touched))
         groups = [
-            list(compress(touched, map(rank.__eq__, owners)))
+            list(compress(range(len(owners)), map(rank.__eq__, owners)))
             for rank in range(self.num_ranks)
         ]
-        grouped = array("q", chain.from_iterable(groups))
-        return grouped, list(map(len, groups))
+        return array("q", chain.from_iterable(groups)), list(map(len, groups))
 
     def _merge(self, inbound: LaneRecord) -> array:
         """Fill the (drained) inbox from ``inbound``, entries in source-
@@ -301,17 +309,20 @@ class _PartitionRuntime:
         lane.cur = -1
         self._passes += 1
         self._ctx._begin_superstep(superstep, agg_prev, self.num_vertices)
-        kernel_tier, executed, scattered = lane_compute_pass(
+        kernel_tier, executed, emitted = lane_compute_pass(
             self, lane, wake_all, phase, plan
         )
         lane.drain(positions)
-        if scattered is None:
+        if emitted is None:
             order = array("q", lane.touched)
-            grouped, slots = self._by_rank(lane.touched)
-        else:
-            order = scattered.order
-            grouped, slots = self._plan_by_rank
-        record = lane.detach(grouped)
+            perm, slots = self._by_rank(order)
+            record = lane.detach(array("q", map(order.__getitem__, perm)))
+        else:  # the emitted column, permuted into rank groups once
+            order = plan.order
+            touched, counts, slots, entries = self._plan_by_rank
+            record = LaneRecord(touched, typed_column(
+                list(map(emitted.__getitem__, entries))
+            ), counts)
         lane.touched = []
         cuts = list(accumulate(slots, initial=0))
         rng_state = self.rng.getstate()
@@ -593,11 +604,6 @@ class ParallelPregelEngine(PregelEngine):
             self._disable_pool("program declares parallel_safe=False")
 
     # -- pool management --------------------------------------------
-
-    @property
-    def parallel_active(self) -> bool:
-        """True while the process pool is alive."""
-        return self._links is not None
 
     def _disable_pool(self, reason: str) -> None:
         self._pool_disabled = True

@@ -21,9 +21,14 @@ from repro.bsp.faults import (
     FaultPlan,
     crash_plan,
 )
-from repro.errors import CheckpointError, WorkerCrashError
+from repro.bsp.loop import SuperstepLoop
+from repro.errors import (
+    CheckpointError, RecoveryExhaustedError, WorkerCrashError,
+)
 from repro.graph import erdos_renyi_graph, path_graph
 from repro.metrics.bppa import state_atoms
+from repro.metrics.cost_model import BSPCostModel
+from repro.metrics.stats import RunStats
 from tests.conftest import WORKLOADS, assert_held_to_oracle, oracle_result
 
 
@@ -172,9 +177,16 @@ class TestCheckpointRoundTrip:
         assert store.total_size >= 2 * store.latest.size
 
     def test_empty_store_refuses_restore(self):
-        store = CheckpointStore()
-        with pytest.raises(CheckpointError):
-            store.require_latest()
+        # Recovery reads the store's ``latest``; with none there is
+        # nothing to restore and the crash is not recoverable.
+        loop = SuperstepLoop(
+            max_supersteps=5, program_name="p", num_workers=2,
+            cost_model=BSPCostModel(),
+        )
+        assert loop.policy.store.latest is None
+        stats = RunStats(num_workers=2, cost_model=BSPCostModel())
+        with pytest.raises(RecoveryExhaustedError):
+            loop.recover(None, WorkerCrashError(0, 0), 0, stats)
 
 
 # ---------------------------------------------------------------------
@@ -432,11 +444,11 @@ class TestFaultInjector:
             injector.begin_superstep(2)
         assert err.value.worker == 1
         assert err.value.superstep == 2
-        assert injector.pending_crashes(2) == 1
+        assert injector._crash_budget == {(2, 1): 1}
         with pytest.raises(WorkerCrashError):
             injector.begin_superstep(2)
         injector.begin_superstep(2)  # budget exhausted: no raise
-        assert injector.pending_crashes(2) == 0
+        assert injector._crash_budget == {(2, 1): 0}
 
     def test_crash_worker_wraps_around_num_workers(self):
         injector = FaultInjector(

@@ -172,15 +172,26 @@ def test_poisoned_control_worker_order_is_caught(monkeypatch):
     deliver = MessageFabric.deliver_fast
     poisoned = []
 
+    def held(fabric, lane):
+        """``{destination: messages}`` the lane holds for delivery: its
+        planned record's shape when the mail travels as records, else
+        its slots."""
+        if fabric.records is not None:
+            plan = fabric.records[lane.index][0]
+            return dict(zip(*plan.shape())) if plan is not None else {}
+        acc = lane.slots()[0]
+        return {d: len(acc[d]) for d in fabric.out_dirty if acc[d]}
+
     def reordering(self, superstep, mutated):
         # The first destination both workers wrote to, and how many
         # messages worker 0 holds for it.
-        first, second = (lane.acc for lane in self.lanes[:2])
+        first, second = (held(self, lane) for lane in self.lanes[:2])
+        dirty = self.out_dirty if self.records is None else self.layout.dirty
         target = next(
             (
-                (dst, len(first[dst]))
-                for dst in self.out_dirty
-                if first[dst] is not None and second[dst] is not None
+                (dst, first[dst])
+                for dst in dirty
+                if dst in first and dst in second
             ),
             None,
         )

@@ -98,11 +98,15 @@ REPRO_BSP_LINE_BUDGET = 7424
 #: lowered (from 989 and 1013) when the dict-path oracle's compute
 #: loop, mailboxes and delivery left for tests/oracle.py; kernels and
 #: parallel (from 944 and 1133) when the adjacency became columns and
-#: the scatter plan a count-then-place compile.
-KERNELS_LINE_BUDGET = 933
+#: the scatter plan a count-then-place compile.  Kernels fell (from
+#: 933) and fabric rose (from 878) by more when a planned scatter
+#: began to emit its lane record and the fabric to deliver it through
+#: a layout compiled with the plans: the slot-writing scatters left
+#: kernels.py, the layout compile and its delivery joined fabric.py.
+KERNELS_LINE_BUDGET = 820
 PARALLEL_LINE_BUDGET = 1128
 COLUMNS_LINE_BUDGET = 55
-FABRIC_LINE_BUDGET = 878
+FABRIC_LINE_BUDGET = 961
 
 
 def _bsp_lines() -> dict:

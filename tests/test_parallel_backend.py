@@ -122,7 +122,7 @@ def test_parallel_byte_identical_to_serial():
     assert engine.parallel_disabled_reason is None
     assert engine.parallel_supersteps == serial.stats.num_supersteps
     # run() tears the pool down in its finally block.
-    assert not engine.parallel_active
+    assert engine._links is None  # the pool is down
 
 
 @pytest.mark.parametrize("workers", [1, 7])
@@ -350,7 +350,7 @@ def test_parallel_unsafe_program_disabled_up_front():
         == "program declares parallel_safe=False"
     )
     assert engine.parallel_supersteps == 0
-    assert not engine.parallel_active
+    assert engine._links is None  # the pool is down
 
 
 class _Unpicklable(VertexProgram):
@@ -419,7 +419,7 @@ def test_pool_startup_failure_degrades_to_serial_and_says_so():
         if isinstance(e, Handoff)
     ] == [("parallel", "serial", engine.parallel_disabled_reason)]
     # Nothing of the half-started pool is left behind.
-    assert not engine.parallel_active
+    assert engine._links is None  # the pool is down
     assert not [
         p.name
         for p in multiprocessing.active_children()

@@ -274,3 +274,27 @@ class TestRunResultProtocol:
                 == result.stats.num_supersteps
             ), kind
             assert result.num_supersteps > 0, kind
+
+
+REBUILDERS = [
+    ("pregel", lambda g: PregelEngine(g, HashMinComponents(), num_workers=4)),
+    ("gas", lambda g: GASEngine(g, HashMinGAS(), num_workers=4)),
+    ("block", lambda g: BlockEngine(g, BlockHashMin(), num_blocks=4)),
+    ("async", lambda g: AsyncEngine(g, SsspGAS(source=0))),
+]
+
+
+class TestRunIsRepeatable:
+    """A second ``run()`` of one engine starts from the initial values,
+    the initial active/halted state and fresh loop ledgers, so it
+    repeats the first run exactly."""
+
+    @pytest.mark.parametrize(
+        "kind,build", REBUILDERS, ids=[r[0] for r in REBUILDERS]
+    )
+    def test_a_second_run_repeats_the_first(self, kind, build):
+        engine = build(erdos_renyi_graph(32, 0.14, seed=1))
+        first = engine.run()
+        second = engine.run()
+        assert second.values == first.values, kind
+        assert pickle.dumps(second.stats) == pickle.dumps(first.stats), kind

@@ -6,7 +6,7 @@ the flat adjacency columns without a container per destination;
 replaced.  Drawn adjacencies — hubs above ``_GROUP_MAX`` contributors,
 empty rows, a dangling row, one to seven lanes — must compile to
 identical plans: every column, with the getters compared by what they
-return on a probe, and the cross-lane ``novel`` columns.
+return on a probe.
 """
 
 from __future__ import annotations
@@ -93,12 +93,6 @@ def test_count_then_place_matches_the_bucket_compile(drawn):
         got.append(kernels._compile_scatter_lane(lo, hi, adjacency))
         want.append(reference_scatter_lane(lo, hi, rows, remote_out))
         assert _view(got[-1], probe) == _view(want[-1], probe), (lo, hi)
-    if None not in got:
-        kernels._link_commit_order(got)
-        kernels._link_commit_order(want)
-        assert [p.novel.tolist() for p in got] == [
-            p.novel.tolist() for p in want
-        ]
 
 
 def test_a_hub_above_the_group_limit_is_fat():

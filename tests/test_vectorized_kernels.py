@@ -34,7 +34,6 @@ import multiprocessing
 import operator
 import pickle
 import struct
-from array import array
 from functools import reduce
 from types import SimpleNamespace
 
@@ -404,6 +403,19 @@ def test_float_folds_are_the_programs_left_fold(monkeypatch, fold, msgs):
     assert _bits(state.value) == _bits((1.0 - d) / 1 + d * want)
 
 
+def _emitted_slots(plan, shares, combine):
+    """The record ``kernels._emit`` lays out for ``plan``, as
+    ``{dst: payload}`` and ``{dst: count}``; without a combiner each
+    payload is the destination's message list."""
+    slots, counts = plan.shape()
+    payloads = kernels._emit(plan, shares, combine)
+    if combine is None:
+        record = fabric.LaneRecord(slots, payloads, counts)
+        return dict(record.buckets()), dict(zip(slots, counts))
+    assert len(payloads) == len(slots)
+    return dict(zip(slots, payloads)), dict(zip(slots, counts))
+
+
 def _oracle_scatter(dense_out, shares, combine):
     """The per-vertex path's combining enqueue sequence: for each
     sender in ascending order, fold its share into every destination
@@ -484,13 +496,10 @@ def test_scatter_combined_is_bit_exact_on_edge_floats(combine):
     assert lane.m_dst and lane.groups and len(lane.s_dst), (
         "topology must cover fat, grouped and single destinations"
     )
-    n_dst = 7
-    acc = [None] * n_dst
-    cnt = array("q", [0]) * n_dst
-    kernels._scatter_combined(lane, shares, acc, cnt, combine)
+    acc, cnt = _emitted_slots(lane, shares, combine)
     want_acc, want_cnt, _ = _oracle_scatter(dense_out, shares, combine)
-    for dst in range(n_dst):
-        assert cnt[dst] == want_cnt.get(dst, 0), dst
+    assert cnt == want_cnt
+    for dst in range(7):
         if dst in want_acc:
             assert _bits(acc[dst]) == _bits(want_acc[dst]), (
                 f"dst {dst}: {acc[dst]!r} != {want_acc[dst]!r} bitwise"
@@ -502,11 +511,7 @@ def test_scatter_combined_preserves_negative_zero():
     # into +0.0; the kernels must seed with the first message itself.
     dense_out = [[0], [0]]
     lane = kernels._compile_scatter_lane(0, 2, adjacency_of(dense_out))
-    acc = [None]
-    cnt = array("q", [0])
-    kernels._scatter_combined(
-        lane, [-0.0, -0.0], acc, cnt, operator.add
-    )
+    acc, cnt = _emitted_slots(lane, [-0.0, -0.0], operator.add)
     assert _bits(acc[0]) == _bits(-0.0)
     assert cnt[0] == 2
 
@@ -520,8 +525,7 @@ def test_scatter_lists_matches_arrival_order_with_fresh_buckets():
     lane = kernels._compile_scatter_lane(
         0, n_senders, adjacency_of(dense_out)
     )
-    acc = [None] * 7
-    kernels._scatter_lists(lane, shares, acc)
+    acc, cnt = _emitted_slots(lane, shares, None)
     want_acc, _, _ = _oracle_scatter(
         dense_out, shares, lambda a, b: a  # unused
     )
@@ -534,11 +538,14 @@ def test_scatter_lists_matches_arrival_order_with_fresh_buckets():
         for dst in nbrs:
             oracle_buckets.setdefault(dst, []).append(shares[k])
         k += 1
+    assert set(acc) == set(oracle_buckets)
     for dst, want in oracle_buckets.items():
         got = acc[dst]
         assert [_bits(v) for v in got] == [_bits(v) for v in want], dst
-    # Buckets must be fresh list instances (delivery adopts them).
-    ids = [id(b) for b in acc if b is not None]
+        assert cnt[dst] == len(want)
+    # Buckets must be fresh list instances (adopting them into the
+    # slots hands each lane its own).
+    ids = [id(b) for b in acc.values()]
     assert len(ids) == len(set(ids))
 
 
@@ -684,10 +691,7 @@ def test_monkeypatch_seams_are_the_live_code_paths(monkeypatch):
         0, 3, adjacency_of([[0], [0], [0]])
     )
     assert grouped.groups and not len(grouped.m_dst)
-    acc, cnt = [None], array("q", [0])
-    kernels._scatter_combined(
-        grouped, [1.0, 2.0, 3.0], acc, cnt, operator.add
-    )
+    acc, cnt = _emitted_slots(grouped, [1.0, 2.0, 3.0], operator.add)
     assert calls == ["group"] and acc[0] == 6.0 and cnt[0] == 3
 
     # A destination fatter than _GROUP_MAX must hit the segment-
@@ -696,8 +700,5 @@ def test_monkeypatch_seams_are_the_live_code_paths(monkeypatch):
     n = kernels._GROUP_MAX + 1
     fat = kernels._compile_scatter_lane(0, n, adjacency_of([[0]] * n))
     assert len(fat.m_dst) and not fat.groups
-    acc, cnt = [None], array("q", [0])
-    kernels._scatter_combined(
-        fat, [1.0] * n, acc, cnt, operator.add
-    )
+    acc, cnt = _emitted_slots(fat, [1.0] * n, operator.add)
     assert calls == ["segment"] and acc[0] == float(n) and cnt[0] == n
