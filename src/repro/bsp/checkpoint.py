@@ -336,11 +336,14 @@ def restore_checkpoint(engine, checkpoint: Checkpoint) -> int:
     the loop's (:meth:`~repro.bsp.loop.SuperstepLoop.rollback`).
     """
     topology = _topology_of(engine, checkpoint)
-    engine._states = {
+    # Whole dicts swap: the fabric's hot-path mirrors follow the store.
+    store, fabric = engine._store, engine._fabric
+    store.states = fabric.states = {
         state.id: state
         for state in _restored_states(engine, checkpoint, topology)
     }
-    engine._owner = dict(zip(topology.owner_ids, topology.owner_workers))
+    owner = zip(topology.owner_ids, topology.owner_workers)
+    store.owner = fabric.owner = dict(owner)
     ids = iter(topology.worker_ids)
     lists = map(list, map(islice, repeat(ids), topology.worker_lens))
     for worker, vids in zip(engine._workers, lists):

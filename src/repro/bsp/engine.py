@@ -247,6 +247,7 @@ class PregelEngine:
                 "resume requires checkpoint_dir (the durable "
                 "checkpoint directory to resume from)"
             )
+        self._seed = seed
         self.rng = random.Random(seed)
 
         partitioner = partitioner or HashPartitioner(num_workers)
@@ -326,22 +327,6 @@ class PregelEngine:
     def _states(self) -> Dict[Hashable, Any]:
         return self._store.states
 
-    @_states.setter
-    def _states(self, states: Dict[Hashable, Any]) -> None:
-        # A checkpoint restore swaps the whole dict; refresh the
-        # fabric's hot-path mirror alongside the store.
-        self._store.states = states
-        self._fabric.states = states
-
-    @property
-    def _owner(self) -> Dict[Hashable, int]:
-        return self._store.owner
-
-    @_owner.setter
-    def _owner(self, owner: Dict[Hashable, int]) -> None:
-        self._store.owner = owner
-        self._fabric.owner = owner
-
     @property
     def _workers(self):
         return self._store.workers
@@ -387,7 +372,15 @@ class PregelEngine:
         stats = RunStats(
             num_workers=self._num_workers, cost_model=self._cost_model
         )
-        self._aggregate_history = []
+        # Every run starts from the initial state, not the last run's.
+        self._aggregate_history, self._agg_finalized = [], {}
+        self._wake_all = False
+        self.rng.seed(self._seed)
+        self._store.reset(self._program, self._graph)
+        self._fabric.restore_inbox((), (), ())
+        tracker = self._tracker
+        if tracker is not None:
+            tracker.observation = BppaObservation(n=tracker.observation.n)
         self._loop.reset()
         start_superstep = 0
         if self._resume_state is not None:
@@ -395,7 +388,6 @@ class PregelEngine:
             self._resume_state = None
             start_superstep, stats = resume_engine(self, ckpt, context)
         self._fabric.run_stats = stats
-        tracker = self._tracker
 
         try:
             self._loop.run(self, stats, start_superstep=start_superstep)

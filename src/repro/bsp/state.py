@@ -62,18 +62,23 @@ class StateStore:
             else CsrSnapshot.from_graph(graph)
         )
         for row, v in enumerate(graph.vertices()):
-            self.states[v] = VertexState.of_rows(
-                v, program.initial_value(v, graph), row
-            )
+            self.states[v] = VertexState.of_rows(v, None, row)
             self.workers[self.assign(v)].vertex_ids.append(v)
 
         # Recovery bookkeeping.  ``baseline`` is the topology frozen
         # right after construction (:meth:`freeze_baseline`) that later
         # checkpoints share for as long as it verifiably still holds.
         self.baseline: Optional[TopologySnapshot] = None
+        self.mutated_since_checkpoint = False
+        self.reset(program, graph)
+
+    def reset(self, program, graph: Graph) -> None:
+        """Every vertex back to its initial value, not halted, and the
+        confined-recovery logs empty: the state a run starts from."""
         self.message_log: Dict[int, Dict[Hashable, List[Any]]] = {}
         self.wake_log: Dict[int, bool] = {}
-        self.mutated_since_checkpoint = False
+        for vid, state in self.states.items():
+            state.value, state.halted = program.initial_value(vid, graph), False
 
     def freeze_baseline(self) -> None:
         """Capture the topology checkpoints are columns over.  Called

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, Tuple
 
 from repro.errors import EdgeNotFoundError, VertexNotFoundError
 
@@ -399,36 +399,4 @@ class Graph:
         for u, v, edata in self.edges(data=True):
             if u in keep and v in keep:
                 g.add_edge(u, v, weight=edata.weight, label=edata.label)
-        return g
-
-    def without_self_loops(self) -> "Graph":
-        """A copy with self-loops removed."""
-        g = self.copy()
-        for v in list(g.vertices()):
-            if g.has_edge(v, v):
-                g.remove_edge(v, v)
-        return g
-
-    # ------------------------------------------------------------------
-    # Convenience constructors
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[Tuple],
-        directed: bool = False,
-        vertices: Optional[Iterable[VertexId]] = None,
-    ) -> "Graph":
-        """Build a graph from an iterable of ``(u, v)`` or
-        ``(u, v, weight)`` tuples, plus optional isolated ``vertices``."""
-        g = cls(directed=directed)
-        if vertices is not None:
-            for v in vertices:
-                g.add_vertex(v)
-        for edge in edges:
-            if len(edge) == 2:
-                g.add_edge(edge[0], edge[1])
-            else:
-                g.add_edge(edge[0], edge[1], weight=edge[2])
         return g

@@ -11,11 +11,13 @@ Two tiers live here (see ``docs/partitioning.md``):
   :class:`RangePartitioner`, :class:`GreedyEdgeBalancedPartitioner`:
   pure functions of the id (and at most the degree sequence);
 * **cut-minimizing** — :class:`BfsGrowPartitioner`,
-  :class:`LabelPropagationPartitioner`,
-  :class:`MultilevelPartitioner`, :class:`HubSplitPartitioner`: read
-  the topology to trade edge-cut against balance, which
-  :func:`partition_metrics` scores and
+  :class:`HubSplitPartitioner`: read the topology to trade edge-cut
+  against balance, which :func:`partition_metrics` scores and
   ``tests/test_partitioner_invariants.py`` holds at run level.
+
+Each partitioner here has a caller (:data:`PARTITIONER_FAMILIES`);
+none has beaten hash on measured wall time with its build counted
+(``docs/partitioning.md``, "Wall time").
 
 Determinism contract
 --------------------
@@ -448,22 +450,6 @@ def partition_metrics(
     )
 
 
-def edge_cut(
-    graph: Graph, partitioner: Partitioner, num_workers: int
-) -> int:
-    """Edges whose endpoints land on different workers."""
-    return partition_metrics(graph, partitioner, num_workers).edge_cut
-
-
-def replication_factor(
-    graph: Graph, partitioner: Partitioner, num_workers: int
-) -> float:
-    """Average per-vertex mirror count under the assignment."""
-    return partition_metrics(
-        graph, partitioner, num_workers
-    ).replication_factor
-
-
 class HashPartitioner:
     """Pregel's default: ``stable_hash(vertex) mod p``.
 
@@ -608,299 +594,6 @@ class BfsGrowPartitioner:
 # ---------------------------------------------------------------------
 
 
-class LabelPropagationPartitioner:
-    """Capacity-constrained label propagation (LPA) partitioning.
-
-    Labels seed from ``stable_hash(v) % p`` (the hash assignment,
-    probing forward past partitions already at capacity), then sweep:
-    every vertex adopts the label most of its
-    neighbors hold, provided the target partition is under its
-    capacity ``ceil(n/p · balance_tolerance)``.  Sweeps visit vertices
-    in :func:`canonical_sort_key` order and adoption requires a strict
-    score improvement (ties keep the current label; equal-scoring
-    alternatives resolve to the lowest label index), so the result is
-    a pure function of the frozen graph and ``num_workers`` — no
-    builtin ``hash()``, no RNG.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        num_workers: int,
-        balance_tolerance: float = 1.1,
-        max_sweeps: int = 10,
-    ):
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if balance_tolerance < 1.0:
-            raise ValueError("balance_tolerance must be >= 1.0")
-        self.num_workers = num_workers
-        self.balance_tolerance = balance_tolerance
-        p = num_workers
-        order = sorted(graph.vertices(), key=canonical_sort_key)
-        n = len(order)
-        cap = max(1, -(-int(n * balance_tolerance) // p))
-        adj = _weighted_adjacency(graph)
-        # Capacity-aware hash seeding: start from ``stable_hash % p``
-        # and probe forward past full partitions, so the capacity is
-        # an invariant from the first sweep on (sweeps below never
-        # move a vertex *into* a full partition, but they also never
-        # drain one nothing wants to leave).
-        label: Dict[Hashable, int] = {}
-        load = [0] * p
-        for v in order:
-            target = stable_hash(v) % p
-            while load[target] >= cap:
-                target = (target + 1) % p
-            label[v] = target
-            load[target] += 1
-        for _ in range(max_sweeps):
-            moved = 0
-            for v in order:
-                cur = label[v]
-                score = [0] * p
-                for u, w in adj[v].items():
-                    score[label[u]] += w
-                best, best_score = cur, score[cur]
-                for cand in range(p):
-                    if cand == cur or load[cand] >= cap:
-                        continue
-                    if score[cand] > best_score:
-                        best, best_score = cand, score[cand]
-                if best != cur:
-                    load[cur] -= 1
-                    load[best] += 1
-                    label[v] = best
-                    moved += 1
-            if moved == 0:
-                break
-        self._assignment: Dict[Hashable, int] = dict(label)
-
-    def __call__(self, vertex: Hashable) -> int:
-        return self._assignment.get(
-            vertex, stable_hash(vertex) % self.num_workers
-        )
-
-
-class MultilevelPartitioner:
-    """Multilevel coarsen → partition → refine (METIS-style).
-
-    Three phases, all deterministic sweeps in canonical vertex order:
-
-    1. **Coarsening** — heavy-edge matching: each unmatched vertex
-       merges with the unmatched neighbor joined by the heaviest
-       (multi-)edge, lighter merged weight first on ties; contract and
-       repeat until the coarse graph is small or matching stalls.
-    2. **Initial partition** — greedy affinity assignment of coarse
-       nodes in decreasing-weight order: place each node on the
-       partition it has the most edge weight to, subject to the
-       weighted capacity ``total/p · balance_tolerance``.
-    3. **Refinement** — on every uncoarsening level, boundary
-       KL/FM-style passes move a vertex to a neighboring partition
-       when that strictly lowers the edge-cut, never breaching the
-       capacity and never emptying a partition.
-
-    The construction is a pure function of the frozen graph and
-    ``num_workers``: no RNG, no builtin ``hash()``, and every
-    tie-break is by canonical order or lowest partition index.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        num_workers: int,
-        balance_tolerance: float = 1.1,
-        refine_passes: int = 4,
-        coarsest_size: Optional[int] = None,
-    ):
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if balance_tolerance < 1.0:
-            raise ValueError("balance_tolerance must be >= 1.0")
-        self.num_workers = num_workers
-        self.balance_tolerance = balance_tolerance
-        p = num_workers
-        verts = sorted(graph.vertices(), key=canonical_sort_key)
-        n = len(verts)
-        self._assignment: Dict[Hashable, int] = {}
-        if n == 0:
-            return
-        if p == 1:
-            self._assignment = {v: 0 for v in verts}
-            return
-        index = {v: i for i, v in enumerate(verts)}
-        base = _weighted_adjacency(graph)
-        adj: List[Dict[int, int]] = [{} for _ in range(n)]
-        for v, nbrs in base.items():
-            i = index[v]
-            for u, w in nbrs.items():
-                adj[i][index[u]] = w
-        weights = [1] * n
-        coarsest = coarsest_size or max(32, 8 * p)
-        levels: List[Tuple[List[Dict[int, int]], List[int], List[int]]] = []
-        while len(weights) > coarsest:
-            mapping, n_coarse = self._heavy_edge_matching(adj, weights)
-            if n_coarse >= len(weights) * 0.95:
-                break  # matching stalled; further levels are noise
-            levels.append((adj, weights, mapping))
-            adj, weights = self._contract(adj, weights, mapping, n_coarse)
-        part = self._initial_partition(adj, weights, p)
-        part = self._refine(adj, weights, part, p, refine_passes)
-        while levels:
-            fine_adj, fine_weights, mapping = levels.pop()
-            part = [part[mapping[i]] for i in range(len(fine_weights))]
-            part = self._refine(
-                fine_adj, fine_weights, part, p, refine_passes
-            )
-        self._assignment = {verts[i]: part[i] for i in range(n)}
-
-    @staticmethod
-    def _heavy_edge_matching(
-        adj: List[Dict[int, int]], weights: List[int]
-    ) -> Tuple[List[int], int]:
-        """Match each node with its heaviest-edge unmatched neighbor.
-
-        Returns ``(mapping, n_coarse)`` where ``mapping[i]`` is node
-        ``i``'s coarse id.  Visits nodes in ascending index (canonical
-        order); ties on edge weight prefer the lighter neighbor, then
-        the lower index — all deterministic.
-        """
-        n = len(weights)
-        mapping = [-1] * n
-        n_coarse = 0
-        for i in range(n):
-            if mapping[i] != -1:
-                continue
-            best = -1
-            best_key: Optional[Tuple[int, int, int]] = None
-            for j, w in adj[i].items():
-                if mapping[j] != -1:
-                    continue
-                key = (w, -weights[j], -j)
-                if best_key is None or key > best_key:
-                    best, best_key = j, key
-            mapping[i] = n_coarse
-            if best != -1:
-                mapping[best] = n_coarse
-            n_coarse += 1
-        return mapping, n_coarse
-
-    @staticmethod
-    def _contract(
-        adj: List[Dict[int, int]],
-        weights: List[int],
-        mapping: List[int],
-        n_coarse: int,
-    ) -> Tuple[List[Dict[int, int]], List[int]]:
-        coarse_adj: List[Dict[int, int]] = [{} for _ in range(n_coarse)]
-        coarse_weights = [0] * n_coarse
-        for i, w in enumerate(weights):
-            coarse_weights[mapping[i]] += w
-        for i in range(len(weights)):
-            ci = mapping[i]
-            for j, w in adj[i].items():
-                if i >= j:
-                    continue  # each undirected pair once
-                cj = mapping[j]
-                if ci == cj:
-                    continue
-                coarse_adj[ci][cj] = coarse_adj[ci].get(cj, 0) + w
-                coarse_adj[cj][ci] = coarse_adj[cj].get(ci, 0) + w
-        return coarse_adj, coarse_weights
-
-    def _capacity(self, weights: Sequence[int], p: int) -> float:
-        return sum(weights) / p * self.balance_tolerance
-
-    def _initial_partition(
-        self, adj: List[Dict[int, int]], weights: List[int], p: int
-    ) -> List[int]:
-        """Greedy affinity split of the coarsest graph."""
-        n = len(weights)
-        cap = self._capacity(weights, p)
-        order = sorted(range(n), key=lambda i: (-weights[i], i))
-        part = [-1] * n
-        loads = [0] * p
-        for i in order:
-            score = [0] * p
-            for j, w in adj[i].items():
-                if part[j] != -1:
-                    score[part[j]] += w
-            best = -1
-            best_key: Optional[Tuple[int, int, int]] = None
-            for q in range(p):
-                if loads[q] + weights[i] > cap:
-                    continue
-                key = (score[q], -loads[q], -q)
-                if best_key is None or key > best_key:
-                    best, best_key = q, key
-            if best == -1:
-                # A single coarse node can outweigh the capacity;
-                # fall back to the least-loaded partition.
-                best = min(range(p), key=lambda q: (loads[q], q))
-            part[i] = best
-            loads[best] += weights[i]
-        return part
-
-    def _refine(
-        self,
-        adj: List[Dict[int, int]],
-        weights: List[int],
-        part: List[int],
-        p: int,
-        passes: int,
-    ) -> List[int]:
-        """Greedy boundary refinement: apply strictly cut-lowering
-        moves that respect the capacity and keep every partition
-        non-empty."""
-        n = len(weights)
-        cap = self._capacity(weights, p)
-        loads = [0] * p
-        members = [0] * p
-        for i in range(n):
-            loads[part[i]] += weights[i]
-            members[part[i]] += 1
-        for _ in range(passes):
-            moved = 0
-            for i in range(n):
-                cur = part[i]
-                if members[cur] <= 1:
-                    continue
-                gain_to: Dict[int, int] = {}
-                internal = 0
-                for j, w in adj[i].items():
-                    q = part[j]
-                    if q == cur:
-                        internal += w
-                    else:
-                        gain_to[q] = gain_to.get(q, 0) + w
-                best = -1
-                best_key: Optional[Tuple[int, int, int]] = None
-                for q in sorted(gain_to):
-                    gain = gain_to[q] - internal
-                    if gain <= 0:
-                        continue
-                    if loads[q] + weights[i] > cap:
-                        continue
-                    key = (gain, -loads[q], -q)
-                    if best_key is None or key > best_key:
-                        best, best_key = q, key
-                if best != -1:
-                    loads[cur] -= weights[i]
-                    members[cur] -= 1
-                    loads[best] += weights[i]
-                    members[best] += 1
-                    part[i] = best
-                    moved += 1
-            if moved == 0:
-                break
-        return part
-
-    def __call__(self, vertex: Hashable) -> int:
-        return self._assignment.get(
-            vertex, stable_hash(vertex) % self.num_workers
-        )
-
-
 class HubSplitPartitioner:
     """Degree-aware hub splitting for power-law graphs.
 
@@ -911,11 +604,10 @@ class HubSplitPartitioner:
     one mirror of the hub per worker.  This partitioner does the
     opposite:
 
-    1. **Hubs** — vertices with total degree ≥ ``hub_degree``
-       (default: 4× the average degree, at least 8) — are spread
-       across workers in decreasing-degree LPT order, balancing the
-       *degree* load the way the greedy edge-balanced partitioner
-       does.
+    1. **Hubs** — vertices with total degree ≥ 4× the average
+       degree, at least 8 — are spread across workers in
+       decreasing-degree LPT order, balancing the *degree* load the
+       way the greedy edge-balanced partitioner does.
     2. **Fringe** — the remaining vertices are visited in a
        deterministic multi-source BFS from the hubs (so every vertex
        is placed while its neighborhood is freshly assigned) and
@@ -926,30 +618,22 @@ class HubSplitPartitioner:
     Clustering each hub's fringe onto the hub's own worker collapses
     the hub's mirror set, which is precisely the replication factor
     the GAS engine's placement pays for — see
-    :func:`replication_factor`.
+    :attr:`PartitionMetrics.replication_factor`.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        num_workers: int,
-        hub_degree: Optional[int] = None,
-        balance_tolerance: float = 1.1,
-    ):
+    #: Worker vertex counts stay within ``ceil(n/p · 1.1)``.
+    balance_tolerance = 1.1
+
+    def __init__(self, graph: Graph, num_workers: int):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if balance_tolerance < 1.0:
-            raise ValueError("balance_tolerance must be >= 1.0")
         self.num_workers = num_workers
-        self.balance_tolerance = balance_tolerance
         p = num_workers
         order = sorted(graph.vertices(), key=canonical_sort_key)
         n = len(order)
-        if hub_degree is None:
-            avg = (2.0 * graph.num_edges / n) if n else 0.0
-            hub_degree = max(8, int(4 * avg))
-        self.hub_degree = hub_degree
-        cap = max(1, -(-int(n * balance_tolerance) // p))
+        avg = (2.0 * graph.num_edges / n) if n else 0.0
+        hub_degree = max(8, int(4 * avg))
+        cap = max(1, -(-int(n * self.balance_tolerance) // p))
         adj = _weighted_adjacency(graph)
         assignment: Dict[Hashable, int] = {}
         counts = [0] * p
@@ -1007,17 +691,15 @@ class HubSplitPartitioner:
 
 #: The partitioner suite by report label — the constructors all share
 #: the ``(graph, num_workers)`` signature, which is what the
-#: invariant tests sweep.
+#: invariant tests sweep.  Each has a caller: ``range`` and
+#: ``greedy-edge`` the ablation bench, ``bfs-grow`` the block engine's
+#: default, ``hub-split`` the run-level payoff test.
 PARTITIONER_FAMILIES: Dict[str, Callable[[Graph, int], Partitioner]] = {
     "hash": lambda graph, p: HashPartitioner(p),
-    "range": lambda graph, p: RangePartitioner(graph, p),
-    "greedy-edge": lambda graph, p: GreedyEdgeBalancedPartitioner(
-        graph, p
-    ),
-    "bfs-grow": lambda graph, p: BfsGrowPartitioner(graph, p),
-    "lpa": lambda graph, p: LabelPropagationPartitioner(graph, p),
-    "multilevel": lambda graph, p: MultilevelPartitioner(graph, p),
-    "hub-split": lambda graph, p: HubSplitPartitioner(graph, p),
+    "range": RangePartitioner,
+    "greedy-edge": GreedyEdgeBalancedPartitioner,
+    "bfs-grow": BfsGrowPartitioner,
+    "hub-split": HubSplitPartitioner,
 }
 
 

@@ -57,8 +57,8 @@ def _string_id_graph():
 
 def _partition_digest() -> str:
     """Digest of every partitioner family's full assignment map —
-    the topology-blind originals and the cut-minimizing suite
-    (multilevel / label-propagation / hub-split) alike."""
+    the topology-blind ones and the cut-minimizing ones (bfs-grow /
+    hub-split) alike."""
     from repro.graph import PARTITIONER_FAMILIES
 
     graph = _string_id_graph()

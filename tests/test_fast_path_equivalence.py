@@ -340,7 +340,7 @@ def test_vertex_removal_compacts_worker_lists():
     assert sum(
         len(w.vertex_ids) for w in engine._workers
     ) == len(engine._states)
-    assert set(engine._owner) == set(engine._states)
+    assert set(engine._store.owner) == set(engine._states)
 
 
 # ---------------------------------------------------------------------

@@ -266,17 +266,3 @@ class TestDerivedGraphs:
         g.add_vertex(1)
         with pytest.raises(VertexNotFoundError):
             g.subgraph([1, 2])
-
-    def test_without_self_loops(self):
-        g = Graph()
-        g.add_edge(1, 1)
-        g.add_edge(1, 2)
-        h = g.without_self_loops()
-        assert h.num_edges == 1
-        assert g.num_edges == 2  # original untouched
-
-    def test_from_edges(self):
-        g = Graph.from_edges([(1, 2), (2, 3, 5.0)], vertices=[9])
-        assert g.num_vertices == 4
-        assert g.weight(2, 3) == 5.0
-        assert g.has_vertex(9)

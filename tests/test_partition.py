@@ -129,11 +129,11 @@ class TestBfsGrowFrontier:
         from repro.graph import (
             BfsGrowPartitioner,
             HashPartitioner,
-            edge_cut,
             grid_graph,
+            partition_metrics,
         )
 
         g = grid_graph(12, 12)
-        grown = edge_cut(g, BfsGrowPartitioner(g, 6), 6)
-        hashed = edge_cut(g, HashPartitioner(6), 6)
+        grown = partition_metrics(g, BfsGrowPartitioner(g, 6), 6).edge_cut
+        hashed = partition_metrics(g, HashPartitioner(6), 6).edge_cut
         assert grown < hashed / 2

@@ -24,6 +24,7 @@ from repro.bsp import (
     GASEngine,
     PregelEngine,
     RunResult,
+    create_engine,
     crash_plan,
     drop_plan,
 )
@@ -276,8 +277,19 @@ class TestRunResultProtocol:
             assert result.num_supersteps > 0, kind
 
 
+def _checkpointed_pregel(backend):
+    # A checkpoint charges the values and the inbox it snapshots, so
+    # its cost tells a run from one begun at the last run's end state.
+    return lambda g: create_engine(
+        g, HashMinComponents(), backend=backend, num_workers=4,
+        checkpoint_interval=2,
+    )
+
+
 REBUILDERS = [
     ("pregel", lambda g: PregelEngine(g, HashMinComponents(), num_workers=4)),
+    ("pregel-ckpt-serial", _checkpointed_pregel("serial")),
+    ("pregel-ckpt-parallel", _checkpointed_pregel("parallel")),
     ("gas", lambda g: GASEngine(g, HashMinGAS(), num_workers=4)),
     ("block", lambda g: BlockEngine(g, BlockHashMin(), num_blocks=4)),
     ("async", lambda g: AsyncEngine(g, SsspGAS(source=0))),
