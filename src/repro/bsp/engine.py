@@ -175,10 +175,10 @@ class PregelEngine:
         and starts fresh otherwise.
     memory_budget:
         Soft cap, in encoded bytes, on one superstep's buffered
-        message volume.  When set, finished accumulator lanes are
-        byte-accounted in the typed-column encoding and lanes
-        past the budget spill to disk, replayed in worker order at
-        delivery — results stay byte-identical to an unbudgeted run.
+        message volume.  When set, finished lane records are
+        byte-accounted in the typed-column encoding and records
+        past the budget spill to disk, reloaded at delivery —
+        results stay byte-identical to an unbudgeted run.
         ``None`` (default) disables the spill tier entirely.
     spill_dir:
         Directory for spill files (created if missing).  ``None``
@@ -376,8 +376,7 @@ class PregelEngine:
         self._aggregate_history, self._agg_finalized = [], {}
         self._wake_all = False
         self.rng.seed(self._seed)
-        self._store.reset(self._program, self._graph)
-        self._fabric.restore_inbox((), (), ())
+        self._fabric.restart(self._program, self._graph)
         tracker = self._tracker
         if tracker is not None:
             tracker.observation = BppaObservation(n=tracker.observation.n)

@@ -18,30 +18,39 @@ Vertex ids are compiled to contiguous ints
 :meth:`MessageFabric.reindex` after a barrier that mutated topology.
 Its orders are the ones the test-side oracle defines
 (``docs/architecture.md``, "Oracle"): workers execute sequentially, so
-global send order is all of worker 0's sends, then worker 1's, …;
-``out_dirty`` holds the destinations in first-send order (each
-worker's first touches, deduplicated across workers in worker order),
-which fixes the fault-draw sequence and the inbox (and checkpoint)
-order; a destination's messages arrive in worker order.
+global send order is all of worker 0's sends, then worker 1's, ….
+Delivery puts the destinations in first-touch order (each worker's
+first touches, deduplicated across workers in worker order), which
+fixes the fault-draw sequence and the inbox (and checkpoint) order,
+and a destination's messages in worker order.
 
-A per-vertex pass sends into its lane's slots, by dense destination:
-with a combiner one combined message in ``acc[dst]`` plus its logical
-count in ``cnt[dst]`` (occupied: ``cnt > 0``, so a message may be any
-value), without one a list of messages in send order.  Full-neighbor
-fanouts read the compiled row while :meth:`DenseLane.held_row` finds
-it current.  A vectorized kernel scattering through its compiled plan
-writes no slot: it emits its :class:`LaneRecord` payload column in an
-order fixed at compile time, which delivery puts where a
-:class:`DeliveryLayout`, compiled with the plans, says the scan would.
+One mail representation
+-----------------------
+
+A lane's mail for one barrier is a :class:`LaneRecord`.  A per-vertex
+pass sends into its lane's ``mail`` dict, keyed by dense destination
+(O(touched); insertion order is the first-touch order): with a
+combiner the send-time fold, and in ``folded`` the logical count of
+a destination that folded more than one message, without one the
+list of its messages in send order.  Full-neighbor fanouts read the compiled
+row while :meth:`DenseLane.held_row` finds it current.  The pass ends
+in :meth:`DenseLane.detach`.  A vectorized kernel scattering through
+its compiled plan writes no mail: it emits its record's payload
+column in an order fixed at compile time.  A pool rank replies with
+its record grouped by owning rank.  Every lane hands the barrier one
+``(order, record)`` (:meth:`MessageFabric.flush_worker_sends`),
+``order`` its
+first-touch destination order; the spill tier sizes, writes and
+reloads records; and one merge (:class:`MailMerge`) delivers any set
+of them — the serial barrier's and a rank's inbound alike — laying
+out a shape that repeats once and replaying the cached layout, so a
+planned run lays out once.
 
 The inbox holds no container per destination: delivery appends each
 destination's messages to one flat column ``in_msgs`` and records
 their offset and number in the position-indexed ``in_start``/
 ``in_count`` (0: no mail); ``in_dirty`` lists the destinations in
-delivery order.  Off the accumulators a lane's slots have one form,
-:class:`LaneRecord`: what a pool rank replies with (grouped by owning
-rank), what the coordinator holds, forwards or adopts, what the spill
-tier sizes, writes and reloads, and a rank's inbound batch.
+delivery order.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ import shutil
 import tempfile
 from array import array
 from collections import deque
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, repeat
 from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 
 from repro.bsp.combiner import SumCombiner
@@ -66,43 +75,35 @@ from repro.trace.events import FaultInjected
 
 
 class LaneRecord(NamedTuple):
-    """Slots of one lane, detached from its accumulator arrays.
+    """One lane's mail for one barrier, detached from the lane.
 
-    ``touched`` is the slots' dense indices (``array('q')``, first-
-    touch order).  With a combiner ``payloads`` holds one combined
-    message per slot and ``counts`` the slots' logical counts; without
-    one ``payloads`` is the slots' messages laid end to end and
-    ``counts`` the bucket lengths.  ``counts`` is an ``array('q')``;
-    ``payloads`` is a typed array when
-    :func:`~repro.bsp.columns.typed_column` takes the column
-    (exact floats or in-range exact ints — bit- and type-identical on
-    the way back) and the plain list otherwise.
+    ``touched`` is the destinations' dense indices, one entry each.
+    With a combiner ``payloads`` holds one combined message per entry
+    and ``counts`` the entries' logical counts; without one
+    ``payloads`` is the entries' messages laid end to end and
+    ``counts`` how many each holds.  ``touched`` and ``counts`` are
+    int sequences (``array('q')`` wherever the record crosses the rank
+    pipe); there ``payloads`` is a typed array when
+    :func:`~repro.bsp.columns.typed_column` takes the column (exact
+    floats or in-range exact ints — bit- and type-identical on the way
+    back) and the plain list otherwise, as it is on the spill tier.
     """
 
     touched: array
     payloads: Any
     counts: array
 
-    @classmethod
-    def from_buckets(cls, touched, buckets) -> "LaneRecord":
-        """The plain-layout record of ``buckets`` (one message list
-        per touched slot)."""
-        return cls(
-            array("q", touched),
-            typed_column([m for b in buckets for m in b]),
-            array("q", map(len, buckets)),
+    def select(self, keep) -> "LaneRecord":
+        """The record of the entries whose ``keep`` flag is set (an
+        entry holds one payload with a combiner, ``counts`` without)."""
+        flags = keep if len(self.payloads) == len(self.touched) else (
+            chain.from_iterable(map(repeat, keep, self.counts))
         )
-
-    def buckets(self):
-        """``(slot, message list)`` pairs of a plain-layout record."""
-        flat = self.payloads
-        if type(flat) is array:
-            flat = flat.tolist()
-        pos = 0
-        for slot, n in zip(self.touched, self.counts):
-            end = pos + n
-            yield slot, flat[pos:end]
-            pos = end
+        return LaneRecord(
+            array("q", compress(self.touched, keep)),
+            typed_column(list(compress(self.payloads, flags))),
+            array("q", compress(self.counts, keep)),
+        )
 
     @property
     def nbytes(self) -> int:
@@ -117,17 +118,198 @@ class LaneRecord(NamedTuple):
         return size + 8 * len(self.counts) + 8 * len(self.touched)
 
 
-class DeliveryLayout(NamedTuple):
-    """Where planned lane records land (:meth:`MessageFabric.
-    plan_delivery`): ``dirty`` the destinations in first-touch order,
-    ``starts`` their mail's offsets then the end; per worker ``w``,
-    ``scatter[w]`` its record entries' inbox positions, ``tallies[w]``
-    its ``(sent_network, received_network, received_logical)``."""
+#: The record of a lane that sent nothing (shared: records are never
+#: edited in place).
+_NO_MAIL = LaneRecord(array("q"), array("d"), array("q"))
 
-    dirty: array
-    starts: array
-    scatter: list
+
+class MailLayout(NamedTuple):
+    """Where one set of lane records lands (:class:`MailMerge`):
+    ``positions`` the destinations' inbox positions in delivery order,
+    ``starts`` their mail's offsets then the end, ``widths`` its
+    sizes, ``scatter`` the inbox place of each payload of the records
+    laid end to end (``None`` after a direct merge), and per worker
+    ``tallies`` its ``(sent_network, received_network,
+    received_logical)``."""
+
+    positions: Any
+    starts: Any
+    widths: Any
+    scatter: Any
     tallies: list
+
+
+#: Payloads from which a record set is laid out at first sight: a
+#: direct merge builds one list per destination, too many to hold
+#: beside a large superstep's mail.
+LAY_OUT_AT = 4096
+
+
+class MailMerge:
+    """The one merge that delivers lane records into an inbox.
+
+    It is handed one ``(order, record)`` per source lane in worker
+    order (``None`` for a lane without mail) and puts the destinations
+    in first-touch order — the lanes' ``order``s, deduplicated across
+    lanes in worker order, or ascending when ``order`` is ``None`` —
+    and each destination's entries in worker order.  A lane's entries
+    may come in any order.  Where the entries land depends on the
+    records' shape only (orders, ``touched``, ``counts``, payload
+    count).  A shape seen at two barriers in a row, or of at least
+    :data:`LAY_OUT_AT` payloads, is laid out and its layout cached, so
+    a planned pass, whose shape is fixed when its plan compiles,
+    delivers in a few C-level passes; any other set (a per-vertex
+    pass's, whose shape moves with the frontier) is merged directly,
+    one pass filling per-destination boxes.  ``base`` is subtracted
+    from a destination for its inbox position (a pool rank's slice).
+    """
+
+    __slots__ = (
+        "owner_of", "num_workers", "base", "_seen", "_key", "_layout",
+    )
+
+    def __init__(self, owner_of, num_workers: int, base: int = 0):
+        self.owner_of = owner_of
+        self.num_workers = num_workers
+        self.base = base
+        self._seen = self._key = self._layout = None
+
+    def fill(self, parts, lane) -> MailLayout:
+        """Fill ``lane``'s drained inbox columns from ``parts``; return
+        the layout it followed."""
+        key = [
+            None if part is None
+            else (part[0], part[1].touched, part[1].counts,
+                  len(part[1].payloads))
+            for part in parts
+        ]
+        payloads = [part[1].payloads for part in parts if part is not None]
+        if key != self._key:
+            if key != self._seen and sum(map(len, payloads)) < LAY_OUT_AT:
+                self._seen = key
+                boxes, layout = self._merge(parts)
+                lane.in_msgs += chain.from_iterable(boxes)
+                return self._place(layout, lane)
+            self._key, self._layout = key, self._lay_out(parts)
+        layout = self._layout
+        put, in_msgs = operator.setitem, lane.in_msgs
+        in_msgs += repeat(None, layout.starts[-1])
+        _drain(map(
+            put, repeat(in_msgs), layout.scatter,
+            chain.from_iterable(payloads),
+        ))
+        return self._place(layout, lane)
+
+    def _place(self, layout, lane) -> MailLayout:
+        put, positions = operator.setitem, layout.positions
+        _drain(map(put, repeat(lane.in_start), positions, layout.starts))
+        _drain(map(put, repeat(lane.in_count), positions, layout.widths))
+        return layout
+
+    def _merge(self, parts):
+        """``(boxes, layout)`` of a direct merge: every destination's
+        payloads, in worker order, and the layout but its scatter."""
+        sent = [0 if part is None else len(part[1].payloads) for part in parts]
+        parts = [part for part in parts if part is not None]
+        if parts and parts[0][0] is None:  # a rank's inbound: ascending
+            boxes = dict.fromkeys(sorted(set(chain.from_iterable(
+                record.touched for _order, record in parts
+            ))))
+        elif all(order is record.touched for order, record in parts):
+            boxes = {}  # entries in first-touch order: insertion order
+        else:
+            boxes = dict.fromkeys(chain.from_iterable(
+                order for order, _record in parts
+            ))
+        get, owner_of = boxes.get, self.owner_of
+        network = [0] * self.num_workers
+        logical = [0] * self.num_workers
+        for _order, record in parts:
+            if len(record.payloads) == len(record.touched):
+                entries = zip(record.touched, record.payloads, record.counts)
+                for dst, payload, n in entries:
+                    owner = owner_of[dst]
+                    network[owner] += 1
+                    logical[owner] += n
+                    box = get(dst)
+                    if box is None:
+                        boxes[dst] = [payload]
+                    else:
+                        box.append(payload)
+                continue
+            at, flat = 0, record.payloads
+            for dst, n in zip(record.touched, record.counts):  # n payloads
+                owner = owner_of[dst]
+                network[owner] += n
+                logical[owner] += n
+                box = get(dst)
+                if box is None:
+                    boxes[dst] = box = []
+                box += flat[at:at + n]
+                at += n
+        positions = list(boxes)
+        if self.base:
+            positions = list(map(operator.sub, positions, repeat(self.base)))
+        widths = list(map(len, boxes.values()))
+        return boxes.values(), MailLayout(
+            positions, list(accumulate(widths, initial=0)), widths, None,
+            list(zip(sent, network, logical)),
+        )
+
+    def _lay_out(self, parts) -> MailLayout:
+        """The layout of ``parts``: each entry's inbox place is its
+        destination's start plus the payloads before it there, in
+        worker order."""
+        sent = [0 if part is None else len(part[1].payloads) for part in parts]
+        records = [part[1] for part in parts if part is not None]
+        if parts and all(part is None or part[0] is None for part in parts):
+            width = dict.fromkeys(sorted(set(chain.from_iterable(
+                record.touched for record in records
+            ))), 0)
+        else:
+            width = dict.fromkeys(chain.from_iterable(
+                part[0] for part in parts if part is not None
+            ), 0)
+        owner_of = self.owner_of
+        network = [0] * self.num_workers
+        logical = [0] * self.num_workers
+        offsets = []  # each entry's place in its destination's mail
+        put = offsets.append
+        spans = []
+        for record in records:
+            one = len(record.payloads) == len(record.touched)
+            spans.append(record.counts if not one else (
+                repeat(1, len(record.touched))
+            ))
+            for dst, n in zip(record.touched, record.counts):
+                owner = owner_of[dst]
+                span = 1 if one else n
+                network[owner] += span
+                logical[owner] += n
+                off = width[dst]
+                put(off)
+                width[dst] = off + span
+        widths = array("q", width.values())
+        starts = array("q", accumulate(widths, initial=0))
+        start = dict(zip(width, starts))
+        scatter = array("q", map(operator.add, map(
+            start.__getitem__,
+            chain.from_iterable(record.touched for record in records),
+        ), offsets))
+        if starts[-1] != len(scatter):  # entries of many payloads
+            scatter = array("q", chain.from_iterable(map(
+                range, scatter,
+                map(operator.add, scatter, chain.from_iterable(spans)),
+            )))
+        positions = array("q", width)
+        if self.base:
+            positions = array(
+                "q", map(operator.sub, positions, repeat(self.base))
+            )
+        return MailLayout(
+            positions, starts, widths, scatter,
+            list(zip(sent, network, logical)),
+        )
 
 
 class DenseLane:
@@ -143,18 +325,17 @@ class DenseLane:
     (``out_start``/``out_dst``/``remote_out``/``dangling``) are indexed
     by ``dense idx - base`` (the inbox columns are the fabric's on the
     serial host, the lane's own on a pool rank, which fills them from
-    its inbound :class:`LaneRecord`); the slots (:meth:`slots`, this
-    worker's ``(src_worker, destination)`` slots) and ``idx_of``/
-    ``owner_of`` by global dense index.  ``touched`` lists the
-    destinations first written this pass, in first-touch order;
-    ``cur`` is the position of the vertex executing (the full-neighbor
-    fanout reads its compiled row).  The host binds its compute
-    context's sends to :meth:`sends`.  The frontier is two ascending
-    position lists: ``arrivals``, the lane's share of this superstep's
-    mailed positions (set by the host before a pass that visits them),
-    and ``awake``, the vertices the last per-vertex pass left
-    un-halted — ``None`` when unknown: whatever writes ``halted``
-    outside that pass resets it.
+    its inbound :class:`LaneRecord`); ``mail`` (this pass's sends, by
+    destination, in first-touch order), ``folded`` (the logical count
+    of a combined destination past one) and ``idx_of``/``owner_of`` by
+    global dense index.  ``cur`` is the position of the vertex
+    executing (the full-neighbor fanout reads its compiled row).  The
+    host binds its compute context's sends to :meth:`sends`.  The
+    frontier is two ascending position lists: ``arrivals``, the lane's
+    share of this superstep's mailed positions (set by the host before
+    a pass that visits them), and ``awake``, the vertices the last
+    per-vertex pass left un-halted — ``None`` when unknown: whatever
+    writes ``halted`` outside that pass resets it.
     """
 
     __slots__ = (
@@ -162,7 +343,7 @@ class DenseLane:
         "states", "in_msgs", "in_start", "in_count",
         "out_start", "out_dst", "remote_out", "dangling",
         "idx_of", "owner_of",
-        "acc", "cnt", "combine", "touched", "cur", "arrivals", "awake",
+        "mail", "folded", "combine", "cur", "arrivals", "awake",
         "rows",
     )
 
@@ -186,10 +367,8 @@ class DenseLane:
         ) = adjacency
         self.idx_of = idx_of
         self.owner_of = owner_of
-        # The slots, allocated by slots(): a lane whose sends all go
-        # through its scatter plan never needs them.
-        self.acc = self.cnt = None
-        self.touched: List[int] = []
+        self.mail: Dict[int, Any] = {}
+        self.folded: Dict[int, int] = {}
         self.cur = -1
         self.arrivals, self.awake = (), None
         self.rows = rows
@@ -203,14 +382,6 @@ class DenseLane:
         else:
             self.combine = combiner.combine
 
-    def slots(self):
-        """``(acc, cnt)``, allocated when first needed."""
-        if self.acc is None:
-            n = len(self.owner_of)
-            self.acc = [None] * n
-            self.cnt = None if self.combine is None else [0] * n
-        return self.acc, self.cnt
-
     def materialize(self) -> None:
         """Give the lane's vertices private edge dicts, in one pass,
         from ``rows(positions)``: the run's ``CsrSnapshot.edge_rows``,
@@ -223,18 +394,11 @@ class DenseLane:
             for state, (out, incoming) in zip(lazy, pairs):
                 state.out_edges, state.in_edges = out, incoming
 
-    # Send paths.  A slot without a combiner is the list of messages in
-    # send order; with one it is the send-time fold in ``acc`` plus the
-    # logical count in ``cnt``.  A confined replay binds its own
-    # context's sends to the fabric's null pair, so no replay guard is
-    # needed here.
-
-    def sends(self):
-        """``(enqueue, fanout)``: the plain or the combining pair, as
-        the lane is laid out (not stored: a cycle through the lane)."""
-        if self.slots()[1] is None:
-            return self.enqueue_plain, self.fanout_plain
-        return self.enqueue_combining, self.fanout_combining
+    # Send paths.  Without a combiner a destination's mail is the list
+    # of its messages in send order; with one it is the send-time fold,
+    # its logical count in ``folded`` once past one.  A confined replay
+    # binds its own context's sends to the fabric's null pair, so no
+    # replay guard is needed here.
 
     def held_row(self, pos: int, targets):
         """Position ``pos``'s compiled row, or ``None`` when it may not
@@ -251,188 +415,100 @@ class DenseLane:
             return None
         return self.out_dst[lo:hi]
 
-    def enqueue_plain(
+    def enqueue(
         self, source: Hashable, target: Hashable, message: Any
     ) -> None:
         dst = self.idx_of.get(target)
         if dst is None:
             raise MessageToUnknownVertexError(target)
-        bucket = self.acc[dst]
-        if bucket is None:
-            self.acc[dst] = [message]
-            self.touched.append(dst)
+        mail = self.mail
+        if dst not in mail:
+            mail[dst] = [message] if self.combine is None else message
+        elif self.combine is None:
+            mail[dst].append(message)
         else:
-            bucket.append(message)
+            mail[dst] = self.combine(mail[dst], message)
+            folded = self.folded
+            folded[dst] = folded.get(dst, 1) + 1
         worker = self.worker
         worker.sent_logical += 1
         if self.owner_of[dst] != self.index:
             worker.sent_remote += 1
 
-    def enqueue_combining(
-        self, source: Hashable, target: Hashable, message: Any
-    ) -> None:
-        dst = self.idx_of.get(target)
-        if dst is None:
-            raise MessageToUnknownVertexError(target)
-        cnt = self.cnt
-        c = cnt[dst]
-        if c:
-            self.acc[dst] = self.combine(self.acc[dst], message)
-            cnt[dst] = c + 1
-        else:
-            self.acc[dst] = message
-            cnt[dst] = 1
-            self.touched.append(dst)
-        worker = self.worker
-        worker.sent_logical += 1
-        if self.owner_of[dst] != self.index:
-            worker.sent_remote += 1
-
-    def fanout_plain(self, source, targets, message) -> int:
+    def fanout(self, source, targets, message) -> int:
+        """Send ``message`` to every one of ``targets``; a full-neighbor
+        fanout scatters along the compiled row, with no per-target
+        hashing."""
         cur = self.cur
-        acc = self.acc
-        touched = self.touched
-        worker = self.worker
-        nbrs = self.held_row(cur, targets)
-        if nbrs is not None:
-            # Full-neighbor fanout: use the precompiled dense
-            # adjacency — no per-target hashing.
-            for dst in nbrs:
-                bucket = acc[dst]
-                if bucket is None:
-                    acc[dst] = [message]
-                    touched.append(dst)
-                else:
-                    bucket.append(message)
-            n = len(nbrs)
-            worker.sent_logical += n
-            worker.sent_remote += self.remote_out[cur]
-            return n
-        idx_get = self.idx_of.get
-        owner_of = self.owner_of
-        src = self.index
-        n = remote = 0
-        try:
-            for target in targets:
-                dst = idx_get(target)
-                if dst is None:
-                    raise MessageToUnknownVertexError(target)
-                bucket = acc[dst]
-                if bucket is None:
-                    acc[dst] = [message]
-                    touched.append(dst)
-                else:
-                    bucket.append(message)
-                if owner_of[dst] != src:
-                    remote += 1
-                n += 1
-        finally:
-            # Commit partial counts on an unknown-target raise, exactly
-            # as per-message sends would have.
-            worker.sent_logical += n
-            worker.sent_remote += remote
-        return n
+        row = self.held_row(cur, targets)
+        if row is not None:
+            self.scatter(row, message, self.remote_out[cur])
+            return len(row)
+        targets = list(targets)
+        row = list(map(self.idx_of.get, targets))
+        if None in row:  # the sends before it stand, as per-message ones
+            row = row[:row.index(None)]
+            self.scatter(row, message, self._remote(row))
+            raise MessageToUnknownVertexError(targets[len(row)])
+        self.scatter(row, message, self._remote(row))
+        return len(row)
 
-    def fanout_combining(self, source, targets, message) -> int:
-        cur = self.cur
-        acc = self.acc
-        cnt = self.cnt
-        touched = self.touched
+    def _remote(self, row) -> int:
+        """How many of the dense destinations ``row`` live on other
+        workers."""
+        return sum(map(
+            self.index.__ne__, map(self.owner_of.__getitem__, row)
+        ))
+
+    def scatter(self, row, message, remote: int) -> None:
+        """Send ``message`` to every dense destination of ``row``,
+        ``remote`` of them on other workers."""
+        mail = self.mail
         combine = self.combine
+        if combine is None:
+            for dst in row:
+                if dst in mail:
+                    mail[dst].append(message)
+                else:
+                    mail[dst] = [message]
+        else:
+            folded = self.folded
+            for dst in row:
+                if dst in mail:
+                    mail[dst] = combine(mail[dst], message)
+                    folded[dst] = folded.get(dst, 1) + 1
+                else:
+                    mail[dst] = message
         worker = self.worker
-        nbrs = self.held_row(cur, targets)
-        if nbrs is not None:
-            for dst in nbrs:
-                c = cnt[dst]
-                if c:
-                    acc[dst] = combine(acc[dst], message)
-                    cnt[dst] = c + 1
-                else:
-                    acc[dst] = message
-                    cnt[dst] = 1
-                    touched.append(dst)
-            n = len(nbrs)
-            worker.sent_logical += n
-            worker.sent_remote += self.remote_out[cur]
-            return n
-        idx_get = self.idx_of.get
-        owner_of = self.owner_of
-        src = self.index
-        n = remote = 0
-        try:
-            for target in targets:
-                dst = idx_get(target)
-                if dst is None:
-                    raise MessageToUnknownVertexError(target)
-                c = cnt[dst]
-                if c:
-                    acc[dst] = combine(acc[dst], message)
-                    cnt[dst] = c + 1
-                else:
-                    acc[dst] = message
-                    cnt[dst] = 1
-                    touched.append(dst)
-                if owner_of[dst] != src:
-                    remote += 1
-                n += 1
-        finally:
-            worker.sent_logical += n
-            worker.sent_remote += remote
-        return n
+        worker.sent_logical += len(row)
+        worker.sent_remote += remote
 
-    # The two moves between accumulator slots and a LaneRecord.
-
-    def detach(self, touched) -> LaneRecord:
-        """Gather the ``touched`` slots into a record and clear
-        them."""
-        acc, cnt = self.slots()
-        slots = [acc[d] for d in touched]
-        if cnt is None:
-            record = LaneRecord.from_buckets(touched, slots)
+    def detach(self) -> LaneRecord:
+        """The pass's mail as a record, its entries in first-touch
+        order, and the lane's mail emptied."""
+        mail = self.mail
+        if not mail:
+            return _NO_MAIL
+        self.mail = {}
+        touched = list(mail)
+        if self.combine is None:
+            buckets = mail.values()
+            payloads = list(chain.from_iterable(buckets))
+            counts = list(map(len, buckets))
         else:
-            record = LaneRecord(
-                array("q", touched),
-                typed_column(slots),
-                array("q", [cnt[d] for d in touched]),
+            folded, self.folded = self.folded, {}
+            payloads = list(mail.values())
+            counts = list(
+                map(folded.get, touched, repeat(1)) if folded
+                else repeat(1, len(touched))
             )
-            for d in touched:
-                cnt[d] = 0
-        for d in touched:
-            acc[d] = None
-        return record
-
-    def adopt(self, record: LaneRecord) -> None:
-        """Write a record's slots back into the (clear) accumulator
-        slots they were detached from."""
-        acc, cnt = self.slots()
-        if cnt is None:
-            for d, bucket in record.buckets():
-                acc[d] = bucket
-        else:
-            for d, payload, count in zip(
-                record.touched, record.payloads, record.counts
-            ):
-                acc[d] = payload
-                cnt[d] = count
-
-    # The two moves of the inbox columns.
-
-    def receive(self, positions, counts, msgs) -> None:
-        """Fill the (drained) inbox: ``counts[k]`` messages of
-        ``msgs``, laid end to end, for position ``positions[k]``."""
-        self.in_msgs += msgs
-        in_start, in_count = self.in_start, self.in_count
-        lo = 0
-        for pos, count in zip(positions, counts):
-            in_start[pos] = lo
-            in_count[pos] = count
-            lo += count
+        return LaneRecord(touched, payloads, counts)
 
     def drain(self, positions) -> None:
         """Empty the inbox, which holds mail for ``positions``."""
-        in_count = self.in_count
-        for pos in positions:
-            in_count[pos] = 0
+        _drain(map(
+            operator.setitem, repeat(self.in_count), positions, repeat(0)
+        ))
         self.in_msgs.clear()
 
 
@@ -445,9 +521,9 @@ class MessageFabric:
     log, and the frozen ``topology`` every index compiles from),
     ``ctx`` the context whose sends :meth:`bind_lane` binds; delivery
     reads ``injector``/``trace``/``confined_recovery`` and ``run_stats``,
-    which the engine sets when a run starts.  The engine's
-    ``_states``/``_owner`` setters refresh the mirrors whenever a
-    checkpoint restore swaps the underlying dicts.
+    which the engine sets when a run starts.  A checkpoint restore and
+    :meth:`restart` refresh the mirrors when they swap the store's
+    dicts.
     """
 
     def __init__(
@@ -484,27 +560,7 @@ class MessageFabric:
         self.states = store.states
         self.owner = store.owner
         self.workers = store.workers
-
-        # The dense plane (compiled by engage_fast_path, below).
-        self.dense = None
-        self.dense_states = None
-        self.adjacency = None
-        #: The inbox columns (module docstring).
-        self.in_msgs: List[Any] = []
-        self.in_start: Optional[List[int]] = None
-        self.in_count: Optional[List[int]] = None
-        self.in_dirty: List[int] = []
-        self.out_dirty: List[int] = []
-        #: Per source rank, the effect set whose records the parallel
-        #: backend holds off this inbox for the ranks to deliver.
-        self.held: Optional[list] = None
-        #: One :class:`DenseLane` per worker, in worker order.
-        self.lanes: Optional[List[DenseLane]] = None
-        self.slot_seen: Optional[List[int]] = None
-        self.stamp = 0
-        #: The plans' :class:`DeliveryLayout`; the held planned records.
-        self.layout = self.records = None
-        self.engage_fast_path()
+        self.engage_fast_path()  # the dense plane
 
     # ------------------------------------------------------------------
     # Send paths: the lane binding, and the null pair of a confined
@@ -525,63 +581,40 @@ class MessageFabric:
         self, source: Hashable, targets, message: Any
     ) -> int:
         """One :meth:`replayed_send` check per target."""
-        n = 0
-        for target in targets:
-            self.replayed_send(source, target, message)
-            n += 1
-        return n
+        return len([
+            self.replayed_send(source, target, message) for target in targets
+        ])
 
     def bind_lane(self, lane: DenseLane) -> None:
         """Route the context's sends to ``lane`` — the worker whose
         compute pass is about to run (workers run sequentially)."""
-        self._ctx._enqueue, self._ctx._fanout = lane.sends()
+        self._ctx._enqueue, self._ctx._fanout = lane.enqueue, lane.fanout
 
-    def flush_worker_sends(self, lane: DenseLane) -> None:
-        """Commit the finished worker's sends: record its first-touched
-        destinations in the global dirty list.
-
-        The lane's slots stay resident in its accumulators until
-        delivery (the parallel coordinator adopts a rank's records
-        into them first).  Runs once per worker per superstep,
-        O(touched destinations).  Workers flush in index order, which
-        is also global send order, so ``out_dirty`` gets the
-        destinations in first-send order.
-        """
-        touched = lane.touched
-        seen = self.slot_seen
-        stamp = self.stamp
-        dirty = self.out_dirty
-        for dst in touched:
-            if seen[dst] != stamp:
-                seen[dst] = stamp
-                dirty.append(dst)
-        lane.touched = []
-        if self.memory_budget is not None and touched:
-            record = lane.detach(touched)
-            if self.account_lane(lane.index, record):
-                lane.adopt(record)
-
-    def hold(self, index: int, plan, payloads) -> None:
-        """Keep a planned lane's record payload column for delivery,
-        charged against the memory budget like a flushed lane."""
-        self.records = self.records or [(None, ())] * len(self.lanes)
-        self.records[index] = plan, payloads
-        if self.memory_budget is not None and payloads:
-            record = _planned(plan, typed_column(payloads))
+    def flush_worker_sends(self, index: int, order, record) -> None:
+        """Take worker ``index``'s mail for the barrier: ``record``,
+        whose destinations its lane first touched in ``order``;
+        charged against the memory budget, past which it spills."""
+        if not len(record.touched):
+            return
+        self.parts[index] = order, record
+        if self.memory_budget is not None:
+            if type(record.payloads) is not array:  # what the budget charges
+                record = record._replace(
+                    payloads=typed_column(record.payloads)
+                )
             if not self.account_lane(index, record):
-                self.records[index] = plan, None
+                self.parts[index] = order, None
 
     # ------------------------------------------------------------------
     # Spill tier: byte-accounted lane eviction under a memory budget
     # ------------------------------------------------------------------
     #
-    # With a ``memory_budget``, every finished lane's LaneRecord (its
-    # detached slots, or a planned lane's record) is charged against
-    # it; a record past the budget is pickled to disk, the others stay
-    # (slots adopted back).  Delivery first reloads spilled records, in
-    # worker order, so the spill is invisible downstream: the values
-    # round-trip exactly (typed columns, else pickle — the rank
-    # boundary's equality contract).
+    # With a ``memory_budget``, every record a lane hands the barrier
+    # is charged against it; a record past the budget is pickled to
+    # disk, the others stay.  Delivery first reloads spilled records,
+    # so the spill is invisible downstream: the values round-trip
+    # exactly (typed columns, else pickle — the rank boundary's
+    # equality contract).
 
     def account_lane(self, worker_index: int, record: LaneRecord) -> bool:
         """Charge one worker's finished lane ``record`` against the
@@ -607,9 +640,8 @@ class MessageFabric:
         return False
 
     def _reload_spilled(self) -> None:
-        """Load every spilled record back into its lane (worker order
-        — the order the delivery scan consumes lanes) and delete the
-        files."""
+        """Load every spilled record back into :attr:`parts` and
+        delete the files."""
         for worker_index, path in sorted(self._spilled.items()):
             try:
                 with open(path, "rb") as fh:
@@ -619,11 +651,7 @@ class MessageFabric:
                     f"cannot reload spilled lane {path}: {exc!r}"
                 ) from exc
             os.unlink(path)
-            if self.records is not None:
-                plan = self.records[worker_index][0]
-                self.records[worker_index] = plan, record.payloads
-            else:
-                self.lanes[worker_index].adopt(record)
+            self.parts[worker_index] = self.parts[worker_index][0], record
         self._spilled = {}
 
     def _spill_root(self) -> str:
@@ -659,21 +687,19 @@ class MessageFabric:
     # ------------------------------------------------------------------
 
     def engage_fast_path(self) -> None:
-        """Compile the dense index over the store's current partition
-        and lay out empty slot mailboxes.
+        """Compile the dense index over the store's current partition,
+        with empty lanes and no undelivered mail.
 
         Called at construction and by :meth:`reindex`.  The dense
         order mirrors worker/`vertex_ids` order exactly, so execution
         sequencing is unchanged.
         """
-        dense = build_dense_index(self.workers)
-        self.dense = dense
+        dense = self.dense = build_dense_index(self.workers)
         for worker, (start, stop) in zip(self.workers, dense.ranges):
             worker.range_start = start
             worker.range_stop = stop
         states = self.states
-        dense_states = [states[vid] for vid in dense.id_of]
-        self.dense_states = dense_states
+        dense_states = self.dense_states = [states[vid] for vid in dense.id_of]
         n = len(dense.id_of)
         # Compile the dense adjacency: full-neighbor fanouts iterate
         # precomputed int indices instead of hashing ids per message.
@@ -681,11 +707,12 @@ class MessageFabric:
         adjacency = self.adjacency = dense_adjacency(
             dense_states, dense, topology
         )
+        #: The inbox columns (module docstring).
         inbox = self.in_msgs, self.in_start, self.in_count = (
             [], [0] * n, [0] * n
         )
         self.in_dirty = []
-        self.out_dirty = []
+        #: One :class:`DenseLane` per worker, in worker order.
         self.lanes = [
             DenseLane(
                 worker, 0, dense_states, inbox,
@@ -694,11 +721,29 @@ class MessageFabric:
             )
             for worker in self.workers
         ]
-        self.slot_seen = [0] * n
-        self.stamp = 0
-        self.layout = self.records = None
+        #: Per worker, the ``(order, record)`` its lane handed the
+        #: barrier (the record ``None`` while spilled), or ``None``.
+        self.parts: List[Optional[tuple]] = [None] * len(self.workers)
+        #: Per source rank, the effect set whose records the parallel
+        #: backend holds off this inbox for the ranks to deliver.
+        self.held: Optional[list] = None
+        self.merge = MailMerge(dense.owner_of, len(self.workers))
         self._drop_spill_files()
         self.bind_lane(self.lanes[0])
+
+    def restart(self, program, graph) -> None:
+        """Put the store and the plane where a run starts: every
+        vertex at its initial value over the partition construction
+        laid out — laid out again, and re-indexed, after an earlier
+        run, which may have mutated the topology — and an empty inbox,
+        which resets every lane's frontier."""
+        store = self._store
+        if self.run_stats is not None:
+            store.lay_out()
+            self.states, self.owner = store.states, store.owner
+            self.engage_fast_path()
+        store.reset(program, graph)
+        self.restore_inbox((), (), ())
 
     def reindex(self, inbox=None) -> None:
         """Rebuild the dense plane over the store's current partition
@@ -723,20 +768,14 @@ class MessageFabric:
         """The dense inbox split by owning rank, for a parallel step
         after coordinator delivery: one plain-layout :class:`LaneRecord`
         per rank, in delivery order (``in_dirty``)."""
-        owner_of = self.dense.owner_of
-        msgs, in_start, in_count = self.in_msgs, self.in_start, self.in_count
-        parts = [([], [], []) for _ in range(num_ranks)]
-        for idx in self.in_dirty:
-            touched, flat, counts = parts[owner_of[idx]]
-            lo = in_start[idx]
-            count = in_count[idx]
-            touched.append(idx)
-            flat += msgs[lo:lo + count]
-            counts.append(count)
+        dirty = self.in_dirty
+        inbox = LaneRecord(
+            dirty, self.in_msgs, list(map(self.in_count.__getitem__, dirty))
+        )
+        owners = list(map(self.dense.owner_of.__getitem__, dirty))
         return [
-            LaneRecord(array("q", touched), typed_column(flat),
-                       array("q", counts))
-            for touched, flat, counts in parts
+            inbox.select(list(map(rank.__eq__, owners)))
+            for rank in range(num_ranks)
         ]
 
     # ------------------------------------------------------------------
@@ -757,10 +796,13 @@ class MessageFabric:
     def restore_inbox(self, ids, lens, msgs) -> None:
         """Replace the undelivered inbox with a copy of the ``(ids,
         lens, msgs)`` columns (delivery-ordered)."""
-        flat = list(msgs)  # before draining: ``msgs`` may be live
+        touched = list(map(self.dense.idx_of.__getitem__, ids))
+        # Copied before draining: ``msgs`` may be live.
+        record = LaneRecord(touched, list(msgs), list(lens))
         self.drain_inbox()
-        self.in_dirty = list(map(self.dense.idx_of.__getitem__, ids))
-        self.lanes[0].receive(self.in_dirty, lens, flat)
+        self.in_dirty = self.merge.fill(
+            [(touched, record)], self.lanes[0]
+        ).positions
         for lane in self.lanes:  # the caller rewrote ``halted``
             lane.awake = None
 
@@ -768,174 +810,72 @@ class MessageFabric:
     # Delivery
     # ------------------------------------------------------------------
 
-    def plan_delivery(self, plans) -> None:
-        """Compile :attr:`layout` for the lanes' scatter ``plans``, once
-        per dense index: a destination's entries in worker order, the
-        destinations in first-touch order — where the slot scan puts them."""
-        plain = self._combiner is None
-        ranges, dirty = self.dense.ranges, array("i")
-        width = [0] * len(self.dense.id_of)  # entries per destination
-        logical = list(width)  # messages per destination
-        for plan in plans:
-            for dst in plan.order:
-                if not width[dst]:
-                    dirty.append(dst)
-                width[dst] += 1
-        for plan in plans if plain else ():
-            for dst, count in zip(*plan.shape()):
-                width[dst] += count - 1
-        network = [sum(width[lo:hi]) for lo, hi in ranges]
-        starts = array(
-            "i", accumulate(map(width.__getitem__, dirty), initial=0)
-        )
-        cursor = width  # from here: each destination's next free entry
-        _drain(map(operator.setitem, repeat(cursor), dirty, starts))
-        scatter = []
-        for plan in plans:
-            slots, counts = plan.shape()
-            at = array("i")
-            put = at.append
-            for dst, count in zip(slots, counts):
-                put(cursor[dst])
-                cursor[dst] += count if plain else 1
-                logical[dst] += count
-            scatter.append(array("i", chain.from_iterable(
-                map(range, at, map(operator.add, at, counts))
-            )) if plain else at)
-        self.layout = DeliveryLayout(dirty, starts, scatter, [
-            (len(at), net, sum(logical[lo:hi]))
-            for at, net, (lo, hi) in zip(scatter, network, ranges)
-        ])
+    def _drop_removed(self, parts) -> None:
+        """Drop the mail of destinations a mutation removed this
+        superstep and reverse their senders' charges, so the books
+        balance."""
+        id_of, states, owner = self.dense.id_of, self.states, self.owner
+        for index, part in enumerate(parts):
+            if part is None:
+                continue
+            order, record = part
+            live = [id_of[dst] in states for dst in record.touched]
+            if all(live):
+                continue
+            worker = self.workers[index]
+            for dst, n, kept in zip(record.touched, record.counts, live):
+                if not kept:
+                    worker.sent_logical -= n
+                    if index != owner.get(id_of[dst]):
+                        worker.sent_remote -= n
+            parts[index] = (
+                array("q", [dst for dst in order if id_of[dst] in states]),
+                record.select(live),
+            )
 
-    def _deliver_planned(self, records) -> int:
-        """Put the records' payloads where :attr:`layout` places them and
-        charge its tallies: the slot scan's inbox and ledger, at C level."""
-        layout = self.layout
-        starts, put = layout.starts, operator.setitem
-        self.in_msgs += repeat(None, starts[-1])
-        for index, scatter in enumerate(layout.scatter):
-            (_plan, payloads), records[index] = records[index], None
-            _drain(map(put, repeat(self.in_msgs), scatter, payloads))
-        _drain(map(put, repeat(self.in_start), layout.dirty, starts))
-        _drain(map(put, repeat(self.in_count), layout.dirty, map(
-            operator.sub, islice(starts, 1, None), starts
-        )))
-        for worker, (sent, received, logical) in zip(
+    def deliver_fast(self, superstep: int, mutated: bool) -> int:
+        """Move the records the lanes handed this barrier into next
+        superstep's inbox columns through the one merge; return the
+        number of messages delivered.
+
+        Charges ``sent_network`` per record payload (the combiner
+        already folded at send time), ``received_network`` per inbox
+        message and ``received_logical`` from the records' logical
+        counts, and runs the injected network faults through the
+        reliable-delivery layer, one draw per destination in delivery
+        order.  ``mutated`` enables the removed-destination check:
+        messages to a vertex a mutation removed are dropped and their
+        senders' charges reversed.  Without a mutation this superstep
+        the check is skipped, because every dense id is live by
+        construction.
+        """
+        if self._spilled:
+            self._reload_spilled()
+        parts, self.parts = self.parts, [None] * len(self.lanes)
+        if mutated:
+            self._drop_removed(parts)
+        layout = self.merge.fill(parts, self.lanes[0])
+        for worker, (sent, network, logical) in zip(
             self.workers, layout.tallies
         ):
             worker.sent_network += sent
-            worker.received_network += received
+            worker.received_network += network
             worker.received_logical += logical
-        self.in_dirty, self._resident_bytes = layout.dirty, 0
-        return starts[-1]
-
-    def deliver_fast(self, superstep: int, mutated: bool) -> int:
-        """Move the superstep's slots into next superstep's inbox
-        columns; return the number of messages delivered.
-
-        Charges ``received_logical`` from the per-slot logical
-        tallies and the network counts from the occupied
-        ``(destination, src_worker)`` slots (the combiner already
-        folded at send time), appends a destination's messages in
-        worker order, and runs the injected network faults through
-        the reliable-delivery layer, one draw per destination in
-        ``out_dirty`` order.  ``mutated`` enables the
-        removed-destination check: messages to a vertex a mutation
-        removed are dropped and their senders' charges reversed, so
-        the books balance.  Without a mutation this superstep the
-        check is skipped, because every dense id is live by
-        construction.
-
-        Planned records go through the layout (:meth:`_deliver_planned`)
-        unless a mutation or a recovery log needs them in the slots.
-        """
+        self.in_dirty, self._resident_bytes = layout.positions, 0
+        if self._confined_recovery:
+            # Confined recovery replays from an id-keyed log entry.
+            id_of, msgs = self.dense.id_of, self.in_msgs
+            self._store.message_log[superstep + 1] = {
+                id_of[dst]: msgs[lo:lo + n]
+                for dst, lo, n in zip(
+                    layout.positions, layout.starts, layout.widths
+                )
+            }
         injector = self._injector
-        workers = self.workers
-        dense = self.dense
-        owner_of = dense.owner_of
-        id_of = dense.id_of
-        in_msgs = self.in_msgs
-        put = in_msgs.append
-        in_start = self.in_start
-        in_count = self.in_count
-        first = hi = len(in_msgs)
-        states = self.states
-        combining = self._combiner is not None
-        # Confined recovery replays from an id-keyed log entry.
-        log_entry: Optional[Dict[Hashable, List[Any]]] = (
-            {} if self._confined_recovery else None
-        )
-        faults = DeliveryFaults() if injector is not None else None
-        if self._spilled:
-            self._reload_spilled()
-        records, self.records = self.records, None
-        if records is not None:
-            if not mutated and log_entry is None:
-                return self._deliver_planned(records)
-            self.out_dirty = self.layout.dirty
-            for lane, (plan, payloads) in zip(self.lanes, records):
-                if plan is not None:
-                    lane.adopt(_planned(plan, payloads))
-        lanes = [(lane.worker, lane.acc, lane.cnt)
-                 for lane in self.lanes if lane.acc is not None]
-        for dst in self.out_dirty:
-            if mutated and id_of[dst] not in states:
-                # Dropped: destination removed this superstep —
-                # reverse the senders' charges.
-                target_owner = self.owner.get(id_of[dst])
-                for w, acc_w, cnt_w in lanes:
-                    if combining:
-                        count, cnt_w[dst] = cnt_w[dst], 0
-                    else:
-                        count = len(acc_w[dst] or ())
-                    acc_w[dst] = None
-                    w.sent_logical -= count
-                    if w.index != target_owner:
-                        w.sent_remote -= count
-                continue
-            dst_worker = workers[owner_of[dst]]
-            lo = hi
-            if combining:
-                received = 0
-                for src_worker, acc_w, cnt_w in lanes:
-                    count = cnt_w[dst]
-                    if count:
-                        cnt_w[dst] = 0
-                        put(acc_w[dst])
-                        acc_w[dst] = None
-                        hi += 1
-                        received += count
-                        src_worker.sent_network += 1
-                count = hi - lo
-                dst_worker.received_logical += received
-                dst_worker.received_network += count
-            else:
-                for src_worker, acc_w, _cnt in lanes:
-                    bucket = acc_w[dst]
-                    if bucket is not None:
-                        acc_w[dst] = None
-                        count = len(bucket)
-                        src_worker.sent_network += count
-                        in_msgs += bucket
-                        hi += count
-                count = hi - lo
-                dst_worker.received_logical += count
-                dst_worker.received_network += count
-            if injector is not None:
-                faults.absorb(injector.network_faults(count))
-            in_start[dst] = lo
-            in_count[dst] = count
-            if log_entry is not None:
-                log_entry[id_of[dst]] = in_msgs[lo:]
-        if log_entry is not None:
-            self._store.message_log[superstep + 1] = log_entry
-        # Every destination not dropped holds mail, in out_dirty order.
-        self.in_dirty = self.out_dirty if not mutated else [
-            dst for dst in self.out_dirty if in_count[dst]
-        ]
-        self.out_dirty = []
-        self._resident_bytes = 0
-        if faults is not None:
+        if injector is not None:
+            faults = DeliveryFaults()
+            for n in layout.widths:
+                faults.absorb(injector.network_faults(n))
             injector.commit(faults, self.run_stats)
             if self._trace is not None and faults.any:
                 self._trace.emit(
@@ -947,7 +887,7 @@ class MessageFabric:
                         delayed=faults.delayed,
                     )
                 )
-        return hi - first
+        return layout.starts[-1]
 
 
 def _drain(iterator) -> None:
@@ -957,5 +897,5 @@ def _drain(iterator) -> None:
 
 def _planned(plan, payloads) -> LaneRecord:
     """A planned lane's record: ``payloads`` laid out by ``plan``."""
-    slots, counts = plan.shape()
-    return LaneRecord(slots, payloads, counts)
+    touched, counts = plan.shape()
+    return LaneRecord(touched, payloads, counts)

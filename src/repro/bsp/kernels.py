@@ -4,7 +4,7 @@ Bottom layer of the decomposed runtime (``docs/architecture.md``).
 The per-vertex loop lives here: :func:`dense_compute_pass`, written
 against **one worker's lane** (:class:`~repro.bsp.fabric.DenseLane`):
 vertices reached by dense position, messages sliced out of the lane's
-inbox columns, sends folded into the lane's accumulators.
+inbox columns, sends folded into the lane's mail.
 
 It visits vertices in Pregel's order (worker index order, then the
 worker's ``vertex_ids`` order — the dense ranges mirror it), applies
@@ -26,8 +26,8 @@ a pool rank of the parallel backend (:mod:`repro.bsp.parallel`) runs
 its single lane (:func:`lane_compute_pass`).  What differs between
 them is bookkeeping only, kept at the two call sites: the engine
 folds aggregate contributions where a rank logs them for the
-coordinator, and commits a lane's touched destinations to
-``out_dirty`` where a rank ships them grouped by owning rank.
+coordinator, and hands a lane's record to its fabric's barrier where
+a rank ships it grouped by owning rank.
 
 Sparse supersteps
 -----------------
@@ -66,7 +66,8 @@ the admission rule: a kernel registers for exactly one program class
   a dangling out-edge whose send must raise);
 * ``run(host, lane, plan, phase)``: the lane's share of the superstep.
   A kernel that scatters through its plan returns its lane record's
-  payload column (:func:`_emit`) instead of writing send slots.
+  payload column (:func:`_emit`) instead of sending into the lane's
+  mail.
 
 Every other superstep — fault-injected runs, wake-all phases,
 unregistered programs, non-conforming topology — runs
@@ -87,7 +88,7 @@ from itertools import accumulate, chain, repeat
 from typing import Any, Dict, List, Tuple
 
 from repro.bsp.aggregator import left_sum
-from repro.bsp.fabric import _drain
+from repro.bsp.fabric import _drain, _planned
 
 
 def dense_compute_pass(host, lane, wake_all: bool):
@@ -202,18 +203,25 @@ def compile_plan(program, lane):
 def lane_compute_pass(host, lane, wake_all: bool, phase, plan):
     """One lane's share of a superstep, on the tier its plan allows.
 
-    Returns ``(tier, executed, emitted)``: ``executed`` is the dense
-    indices visited, in visit order; ``emitted`` is the payload column
-    of the record the lane's scatter plan laid out (:func:`_emit`), or
-    ``None`` when the sends went through ``lane.touched``.
+    Returns ``(tier, executed, order, record)``: ``executed`` is the
+    dense indices visited, in visit order; ``record`` the lane's mail
+    for the barrier — the payload column its scatter plan laid out
+    (:func:`_emit`), or the sends detached from ``lane.mail`` — and
+    ``order`` its destinations' first-touch order.
     """
+    tier, emitted = "vectorized", None
     if plan is None:
-        return "dense", dense_compute_pass(host, lane, wake_all), None
-    lane.awake = None  # unless the kernel keeps every vertex halted
-    if lane.start == lane.stop:  # no vertex to run, nothing to send
-        return "vectorized", (), None
-    kernel = _VECTOR_KERNELS[type(host._program)]
-    return ("vectorized", *kernel.run(host, lane, plan, phase))
+        tier, executed = "dense", dense_compute_pass(host, lane, wake_all)
+    elif lane.start == lane.stop:  # no vertex to run, nothing to send
+        lane.awake, executed = None, ()
+    else:
+        lane.awake = None  # unless the kernel keeps every vertex halted
+        kernel = _VECTOR_KERNELS[type(host._program)]
+        executed, emitted = kernel.run(host, lane, plan, phase)
+    if emitted is None:
+        record = lane.detach()
+        return tier, executed, record.touched, record
+    return tier, executed, plan.order, _planned(plan, emitted)
 
 
 def _segment_folder(combine):
@@ -258,26 +266,29 @@ class _ScatterLane:
     passes — the same per-destination left fold, batched.  The rare
     fatter destinations keep their own getter and fold count
     (``m_dst``/``m_get``/``m_cnt``).  ``order`` is the first-touch
-    destination order — identical to the lane's ``touched`` order
-    the per-vertex pass would produce.  Index lanes are stdlib
+    destination order — identical to the order of the lane's mail
+    after the per-vertex pass.  Index lanes are stdlib
     ``array('q')`` / ``array('d')`` columns, as in :mod:`repro.bsp.columns`.
     """
 
     __slots__ = (
         "n", "value_getter", "degs", "order",
         "s_dst", "s_get", "groups", "m_dst", "m_get", "m_cnt",
-        "sent", "remote",
+        "sent", "remote", "_shape",
     )
 
     def shape(self):
-        """``(slots, counts)``: the destinations of the record
-        :func:`_emit` fills, in its order, and their logical counts."""
-        slots = array("q", self.s_dst)
-        counts = array("q", [1]) * len(slots)
-        for count, dsts, _getters in self.groups:
-            slots += dsts
-            counts += array("q", [count]) * len(dsts)
-        return slots + self.m_dst, counts + self.m_cnt
+        """``(touched, counts)``: the destinations of the record
+        :func:`_emit` fills, in its order, and their logical counts;
+        built once, so every record of the plan has the same shape."""
+        if self._shape is None:
+            touched = array("q", self.s_dst)
+            counts = array("q", [1]) * len(touched)
+            for count, dsts, _getters in self.groups:
+                touched += dsts
+                counts += array("q", [count]) * len(dsts)
+            self._shape = touched + self.m_dst, counts + self.m_cnt
+        return self._shape
 
 
 #: Largest contributor count still transposed into columns; fatter
@@ -319,6 +330,7 @@ def _compile_scatter_lane(lo, hi, adjacency):
     senders = list(filter(lens.__getitem__, range(hi - lo)))
     k = len(senders)
     lane = _ScatterLane()
+    lane._shape = None
     lane.n = k
     lane.degs = array("d", map(float, filter(None, lens)))
     lane.sent = len(dsts)
@@ -394,7 +406,7 @@ def _emit(lane, shares, combine):
     """One lane's shares as its record's payload column, in
     :meth:`_ScatterLane.shape` order.  A destination's messages, in
     arrival order, are laid end to end without a combiner (``combine``
-    ``None``), else left-folded — as ``enqueue_combining`` folds, never
+    ``None``), else left-folded — as a combining lane's sends fold, never
     seeded with a literal zero, which would flip ``-0.0``: groups
     column-wise (:func:`_group_fold`), fat ones by
     :func:`_segment_folder`."""
@@ -444,20 +456,16 @@ def fast_compute_pass(engine, wake_all: bool) -> int:
         for lane in fabric.lanes:
             lo = bisect_left(ordered, lane.start)
             lane.arrivals = ordered[lo:bisect_left(ordered, lane.stop)]
-    fabric.stamp += 1
     active = 0
     for lane in fabric.lanes:
         seg_start = time.perf_counter()
         plan = plans[lane.index] if plans else None
         if plan is None:
             fabric.bind_lane(lane)
-        tier, executed, emitted = lane_compute_pass(
+        tier, executed, order, record = lane_compute_pass(
             engine, lane, wake_all, phase, plan
         )
-        if emitted is not None:
-            fabric.hold(lane.index, plan, emitted)
-        elif lane.touched:
-            fabric.flush_worker_sends(lane)
+        fabric.flush_worker_sends(lane.index, order, record)
         active += len(executed)
         lane.worker.kernel_tier = engine._kernel_tier = tier
         lane.worker.wall_seconds = time.perf_counter() - seg_start
@@ -467,9 +475,8 @@ def fast_compute_pass(engine, wake_all: bool) -> int:
 
 def _serial_plans(engine):
     """One compiled plan per lane of the engine's fabric, or ``None``
-    when any lane declines — all or nothing, because the fabric's
-    delivery layout, compiled with scatter plans, assumes every lane
-    emits its record.  Compiled once per dense index."""
+    when any lane declines — all or nothing: a superstep runs on one
+    tier.  Compiled once per dense index."""
     fabric = engine._fabric
     cache = engine._vector_kernel_cache
     if cache is not None and cache[0] is fabric.dense:
@@ -477,8 +484,6 @@ def _serial_plans(engine):
     plans = [compile_plan(engine._program, lane) for lane in fabric.lanes]
     if None in plans:
         plans = None
-    elif all(type(plan) is _ScatterLane for plan in plans):
-        fabric.plan_delivery(plans)
     engine._vector_kernel_cache = (fabric.dense, plans)
     return plans
 
@@ -627,9 +632,9 @@ class MinPropagationKernel:
     mailed positions in ascending order, take the min message under the
     program's total order, and scatter improved labels along peer
     lists precompiled to dense indices and remote counts, so the loop
-    never rebuilds a set or hashes an id.  The inline scatter mirrors
-    the lane's generic fanout (first-touch append, pairwise combining
-    in arrival order).
+    never rebuilds a set or hashes an id.  It sends through the lane's
+    own scatter (:meth:`~repro.bsp.fabric.DenseLane.scatter`), as a
+    full-neighbor fanout does.
 
     Superstep 0 (candidate gathering) stays on the per-vertex loop;
     halt flags stay ``True`` throughout because the program's
@@ -670,8 +675,6 @@ class MinPropagationKernel:
         else:
             lane.materialize()  # the peer sets read the edge dicts
             idx_get = lane.idx_of.get
-            owner_of = lane.owner_of
-            src = lane.index
             off, starts = lo, array("q", [0])
             peers, remote = array("q"), array("q")
             for state in lane.states[lo:hi]:
@@ -680,9 +683,7 @@ class MinPropagationKernel:
                     return None
                 peers.extend(row)
                 starts.append(len(peers))
-                remote.append(
-                    sum(map(src.__ne__, map(owner_of.__getitem__, row)))
-                )
+                remote.append(lane._remote(row))
         key = None if _plain_numeric_ids(lane.idx_of) else self._key
         return key, off, starts, peers, remote
 
@@ -692,16 +693,12 @@ class MinPropagationKernel:
         tracker = host._tracker
         state_size = host._program.state_size
         worker = lane.worker
-        acc, cnt = lane.slots()
-        combine = lane.combine
-        touched = lane.touched
+        scatter = lane.scatter
         base = lane.base
         states = lane.states
         in_msgs, in_start = lane.in_msgs, lane.in_start
         in_count = lane.in_count
         work = worker.work
-        sent_total = 0
-        remote_total = 0
         executed: List[int] = []
         lane.awake = []
         for pos in lane.arrivals:
@@ -719,28 +716,10 @@ class MinPropagationKernel:
                 improved = key(incoming) < key(state.value)
             if improved:
                 state.value = incoming
-                peers = peer_dst[first:first + n_peers]
-                if cnt is not None:
-                    for dst in peers:
-                        c = cnt[dst]
-                        if c:
-                            acc[dst] = combine(acc[dst], incoming)
-                            cnt[dst] = c + 1
-                        else:
-                            acc[dst] = incoming
-                            cnt[dst] = 1
-                            touched.append(dst)
-                else:
-                    for dst in peers:
-                        bucket = acc[dst]
-                        if bucket is None:
-                            acc[dst] = [incoming]
-                            touched.append(dst)
-                        else:
-                            bucket.append(incoming)
+                scatter(
+                    peer_dst[first:first + n_peers], incoming, peer_remote[i]
+                )
                 sent = n_peers
-                sent_total += n_peers
-                remote_total += peer_remote[i]
             else:
                 sent = 0
             executed.append(pos + base)
@@ -754,8 +733,6 @@ class MinPropagationKernel:
                     state.id, sent, ln, ops, state_size(state)
                 )
         worker.work = work
-        worker.sent_logical += sent_total
-        worker.sent_remote += remote_total
         return executed, None
 
 

@@ -31,8 +31,9 @@ order :meth:`~repro.bsp.fabric.MessageFabric.deliver_fast` appends
 them in, and contributions fold through the coordinator's sink in
 rank order, so combining, float sums and non-associative reducers see
 the serial order.  Whenever the coordinator must read or change the
-inbox itself, it commits the held records to its lanes in each rank's
-first-touch order and runs the serial delivery over them.  Where real
+inbox itself, it hands the held records to its fabric's barrier, each
+with its rank's first-touch order, as its own lanes would, and the
+one merge delivers them.  Where real
 processes cannot keep the contract (a program that is not
 ``parallel_safe``, a shared-RNG draw, an in-place edge edit, a
 topology mutation, a rank lost past the restart budget) the backend
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
-import operator
 import os
 import pickle
 import random
@@ -55,15 +55,15 @@ import weakref
 from array import array
 from collections import Counter
 from contextlib import suppress
-from functools import cached_property, reduce
-from itertools import accumulate, chain, compress, groupby, repeat
+from functools import cached_property
+from itertools import accumulate, chain, groupby, repeat
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bsp.columns import typed_column
 from repro.bsp.context import ComputeContext
 from repro.bsp.engine import PregelEngine, PregelResult
-from repro.bsp.fabric import DenseLane, LaneRecord
+from repro.bsp.fabric import DenseLane, LaneRecord, MailMerge
 from repro.bsp.kernels import (
     compile_plan,
     lane_compute_pass,
@@ -161,10 +161,11 @@ class _PartitionRuntime:
 
     It supplies what a host owes the lane code (``_program``/``_ctx``/
     ``_tracker``/``num_vertices``/``_agg_sink``) and what differs
-    across the process boundary: mail is merged into the inbox here,
-    aggregate contributions are logged, and the touched slots are
-    detached grouped by owning rank and shipped instead of committed
-    to ``out_dirty``.  :meth:`step` returns the effect set as columns,
+    across the process boundary: aggregate contributions are logged,
+    and the lane's record is detached grouped by owning rank and
+    shipped instead of handed to a fabric's barrier.  Mail comes in
+    through the fabric's one merge, in ascending position order.
+    :meth:`step` returns the effect set as columns,
     typed where they conform, for the reply message to carry.
     """
 
@@ -197,9 +198,12 @@ class _PartitionRuntime:
         #: Compute passes started over the partition's lifetime (see
         #: :attr:`progress`).
         self._passes = 0
-        self._shape = self._layout = None  # the last inbox layout
+        self._mail = MailMerge(
+            init["owner_of"], self.num_ranks, worker.range_start
+        )
+        self._shape = self._grouping = None  # the last regrouping
         self._ctx = ComputeContext(self.rng, self._agg_sink.aggregate)
-        self._ctx._enqueue, self._ctx._fanout = lane.sends()
+        self._ctx._enqueue, self._ctx._fanout = lane.enqueue, lane.fanout
 
     @cached_property
     def _plan(self):
@@ -210,20 +214,6 @@ class _PartitionRuntime:
         live each pass."""
         return compile_plan(self._program, self.lane)
 
-    @cached_property
-    def _plan_by_rank(self):
-        """The plan's record regrouped by owning rank once: slots,
-        counts, group sizes and each payload entry's emitted place."""
-        slots, counts = self._plan.shape()
-        perm, sizes = self._by_rank(slots)
-        entries = perm if self.lane.combine is not None else self._by_rank(
-            array("q", chain.from_iterable(map(repeat, slots, counts)))
-        )[0]
-        return (
-            array("q", map(slots.__getitem__, perm)),
-            array("q", map(counts.__getitem__, perm)), sizes, entries,
-        )
-
     @property
     def progress(self) -> int:
         """Monotonic while the rank advances — passes started, then
@@ -231,43 +221,29 @@ class _PartitionRuntime:
         heartbeat can tell a slow rank from a stuck one."""
         return self._passes * (len(self.states) + 1) + self.lane.cur + 1
 
-    def _by_rank(self, touched) -> Tuple[array, List[int]]:
-        """The indices of ``touched`` regrouped by owning rank, each
-        group in ``touched`` order, and the groups' sizes."""
-        owners = list(map(self.lane.owner_of.__getitem__, touched))
-        groups = [
-            list(compress(range(len(owners)), map(rank.__eq__, owners)))
-            for rank in range(self.num_ranks)
-        ]
-        return array("q", chain.from_iterable(groups)), list(map(len, groups))
-
-    def _merge(self, inbound: LaneRecord) -> array:
-        """Fill the (drained) inbox from ``inbound``, entries in source-
-        rank order; return the mailed positions, ascending.  A stable
-        sort by position keeps each destination's messages in the
-        order coordinator delivery appends them in.  An entry is one
-        message when there is one payload per entry (a combining
-        rank's slots), else ``counts`` of them.  The layout depends on
-        the slot columns only: a fixed send order sorts once."""
-        touched, payloads, counts = inbound
-        shape = (touched, counts, len(payloads))
+    def _by_rank(self, record: LaneRecord) -> Tuple[LaneRecord, List[int]]:
+        """``record`` regrouped by owning rank, each group in record
+        order, and the groups' sizes.  The regrouping depends on the
+        record's shape only and is cached by it: a plan's records
+        regroup once."""
+        shape = record.touched, record.counts, len(record.payloads)
         if shape != self._shape:
-            keys = list(map(operator.sub, touched, repeat(self.lane.start)))
-            if len(payloads) != len(keys):
-                keys = list(chain.from_iterable(map(repeat, keys, counts)))
-            tally = Counter(keys)
-            positions = sorted(tally)
-            arrival = sorted(range(len(keys)), key=keys.__getitem__)
-            self._shape, self._layout = shape, (
-                array("q", positions),
-                array("q", map(tally.__getitem__, positions)),
-                array("q", arrival),
+            owners = list(map(self.lane.owner_of.__getitem__, record.touched))
+            by_payload = owners if len(record.payloads) == len(owners) else (
+                list(chain.from_iterable(map(repeat, owners, record.counts)))
             )
-        positions, tallies, arrival = self._layout
-        self.lane.receive(
-            positions, tallies, map(payloads.__getitem__, arrival)
-        )
-        return positions
+            perm = sorted(range(len(owners)), key=owners.__getitem__)
+            tally = Counter(owners)
+            self._shape, self._grouping = shape, (
+                array("q", map(record.touched.__getitem__, perm)),
+                array("q", map(record.counts.__getitem__, perm)),
+                [tally[rank] for rank in range(self.num_ranks)],
+                sorted(range(len(by_payload)), key=by_payload.__getitem__),
+            )
+        touched, counts, sizes, places = self._grouping
+        return LaneRecord(touched, typed_column(
+            list(map(record.payloads.__getitem__, places))
+        ), counts), sizes
 
     # -- superstep execution ----------------------------------------
 
@@ -276,7 +252,7 @@ class _PartitionRuntime:
         superstep: int,
         wake_all: bool,
         agg_prev: Dict[str, Any],
-        inbound: LaneRecord,
+        inbound: List[LaneRecord],
         program_state: Optional[Dict[str, Any]],
         phase,
     ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -285,9 +261,10 @@ class _PartitionRuntime:
 
         With a ``phase`` (the coordinator's ``vector_phase`` verdict)
         the lane runs the vectorized kernel if its plan compiles.  The
-        outbound record is grouped by destination rank: ``slots`` and
-        ``logical`` count each group's entries and messages, ``order``
-        is the first-touch order the serial flush would commit.
+        outbound record is grouped by destination rank: ``entries``,
+        ``network`` and ``logical`` count each group's entries,
+        payloads and messages; ``order`` is the first-touch order the
+        serial flush would hand the barrier.
         """
         if program_state is not None:
             # master_compute mutated the program since the last ship.
@@ -295,36 +272,28 @@ class _PartitionRuntime:
             self._program.__dict__.update(program_state)
         lane = self.lane
         start = lane.start
-        positions = self._merge(inbound)
+        positions = self._mail.fill(
+            [(None, record) for record in inbound], lane
+        ).positions
         plan = self._plan if phase is not None else None
         # Arrivals only for a frontier walk, as in fast_compute_pass.
-        if not wake_all and (
+        lane.arrivals = positions if not wake_all and (
             phase == "gather" if plan is not None
             else lane.awake is not None
-        ):
-            lane.arrivals = positions
-        else:
-            lane.arrivals = ()
+        ) else ()
         lane.worker.reset_counters()
         lane.cur = -1
         self._passes += 1
         self._ctx._begin_superstep(superstep, agg_prev, self.num_vertices)
-        kernel_tier, executed, emitted = lane_compute_pass(
+        kernel_tier, executed, order, record = lane_compute_pass(
             self, lane, wake_all, phase, plan
         )
         lane.drain(positions)
-        if emitted is None:
-            order = array("q", lane.touched)
-            perm, slots = self._by_rank(order)
-            record = lane.detach(array("q", map(order.__getitem__, perm)))
-        else:  # the emitted column, permuted into rank groups once
-            order = plan.order
-            touched, counts, slots, entries = self._plan_by_rank
-            record = LaneRecord(touched, typed_column(
-                list(map(emitted.__getitem__, entries))
-            ), counts)
-        lane.touched = []
-        cuts = list(accumulate(slots, initial=0))
+        record, sizes = self._by_rank(record)
+        cuts = list(accumulate(sizes, initial=0))
+        logical = [
+            sum(record.counts[lo:hi]) for lo, hi in zip(cuts, cuts[1:])
+        ]
         rng_state = self.rng.getstate()
         states = self.states
         # What the pass did that a partition may not, if anything (an
@@ -349,10 +318,9 @@ class _PartitionRuntime:
             "sent_remote": worker.sent_remote,
             "broke": broke,
             "kernel_tier": kernel_tier,
-            "slots": slots,
-            "logical": [
-                sum(record.counts[lo:hi]) for lo, hi in zip(cuts, cuts[1:])
-            ],
+            "entries": sizes,
+            "network": logical if lane.combine is None else sizes,
+            "logical": logical,
             "bppa": None if tracker is None else tracker.maxima(),
         }
         columns = {
@@ -366,7 +334,7 @@ class _PartitionRuntime:
             ),
             "agg_name": log.names,
             "agg_val": typed_column(log.values),
-            "order": order,
+            "order": array("q", order),
             **record._asdict(),
         }
         log.names, log.values = array("q"), []
@@ -827,8 +795,8 @@ class ParallelPregelEngine(PregelEngine):
             ship_state = program_state
         held = fabric.held
         inbound = (
-            fabric.rank_inbound(len(links)) if held is None
-            else self._forwarded(held)
+            [[record] for record in fabric.rank_inbound(len(links))]
+            if held is None else self._forwarded(held)
         )
         superstep = self._ctx.superstep
         agg_prev = self._agg_finalized
@@ -868,8 +836,8 @@ class ParallelPregelEngine(PregelEngine):
                 return None
         if all(
             type(column) is array
-            for record, (_scalars, columns) in zip(inbound, effects)
-            for column in chain(record, columns.values())
+            for records, (_scalars, columns) in zip(inbound, effects)
+            for column in chain(*records, columns.values())
         ):
             self.columnar_supersteps += 1
         return self._apply_parallel_results(effects)
@@ -996,39 +964,34 @@ class ParallelPregelEngine(PregelEngine):
         )
         return active_count
 
-    def _forwarded(self, held) -> List[LaneRecord]:
+    def _forwarded(self, held) -> List[List[LaneRecord]]:
         """Every rank's inbound: the held sub-records addressed to it,
-        source ranks in order — column slices joined at C level."""
-        cut = "slots" if self._combiner is not None else "logical"
-        parts: List[List[Tuple]] = [[] for _ in held]
+        in source-rank order — column slices, merged by the rank."""
+        inbound: List[List[LaneRecord]] = [[] for _ in held]
         for scalars, columns in held:
-            slots = list(accumulate(scalars["slots"], initial=0))
-            data = list(accumulate(scalars[cut], initial=0))
-            for dst, part in enumerate(parts):
-                lo, hi = slots[dst], slots[dst + 1]
-                part.append((
+            entries = list(accumulate(scalars["entries"], initial=0))
+            data = list(accumulate(scalars["network"], initial=0))
+            for dst, records in enumerate(inbound):
+                lo, hi = entries[dst], entries[dst + 1]
+                records.append(LaneRecord(
                     columns["touched"][lo:hi],
                     columns["payloads"][data[dst]:data[dst + 1]],
                     columns["counts"][lo:hi],
                 ))
-        return [LaneRecord(*map(_joined, zip(*part))) for part in parts]
+        return inbound
 
     def _release_held(self) -> bool:
-        """Commit the held records to the coordinator's lanes as the
-        serial flush would have (slots adopted, each rank's first
-        touches in its send order) for ``deliver_fast`` to read;
+        """Hand the held records to the fabric's barrier, each with
+        its rank's first-touch order, for ``deliver_fast`` to merge;
         False when nothing is held."""
         fabric = self._fabric
         held, fabric.held = fabric.held, None
         if held is None:
             return False
-        fabric.stamp += 1
-        for lane, (_scalars, columns) in zip(fabric.lanes, held):
-            lane.adopt(LaneRecord(
+        for rank, (_scalars, columns) in enumerate(held):
+            fabric.flush_worker_sends(rank, columns["order"], LaneRecord(
                 columns["touched"], columns["payloads"], columns["counts"]
             ))
-            lane.touched = columns["order"]
-            fabric.flush_worker_sends(lane)
         return True
 
     def _deliver(self, superstep: int, mutated: bool) -> int:
@@ -1048,13 +1011,11 @@ class ParallelPregelEngine(PregelEngine):
         ):
             self._release_held()
             return super()._deliver(superstep, mutated)
-        # As deliver_fast counts: one network message per occupied
-        # slot with a combiner, per message without.
-        network_key = "slots" if self._combiner is not None else "logical"
+        # As deliver_fast counts: one network message per payload.
         workers = fabric.workers
         delivered = 0
         for source, (scalars, _columns) in zip(workers, held):
-            network = scalars[network_key]
+            network = scalars["network"]
             source.sent_network += sum(network)
             delivered += sum(network)
             for worker, count, logical in zip(
@@ -1064,15 +1025,3 @@ class ParallelPregelEngine(PregelEngine):
                 worker.received_logical += logical
         return delivered
 
-
-def _joined(columns):
-    """``columns`` end to end: one typed array when every non-empty
-    one is an array of one type code, else a list."""
-    full = [column for column in columns if len(column)] or columns[:1]
-    head = full[0]
-    if all(
-        type(column) is array and column.typecode == head.typecode
-        for column in full
-    ):
-        return reduce(operator.add, full)
-    return list(chain.from_iterable(full))

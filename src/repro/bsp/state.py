@@ -52,8 +52,6 @@ class StateStore:
         self.partitioner = partitioner
         self.num_workers = num_workers
         self.workers = [Worker(i) for i in range(num_workers)]
-        self.states: Dict[Hashable, VertexState] = {}
-        self.owner: Dict[Hashable, int] = {}
         #: The run's one immutable topology: the caller's snapshot, or
         #: the ``Graph`` frozen into CSR columns (the same rows).  A
         #: row gets a dict only when needed (:meth:`materialize`).
@@ -61,22 +59,32 @@ class StateStore:
             graph if is_graph_snapshot(graph)
             else CsrSnapshot.from_graph(graph)
         )
-        for row, v in enumerate(graph.vertices()):
-            self.states[v] = VertexState.of_rows(v, None, row)
-            self.workers[self.assign(v)].vertex_ids.append(v)
+        self.lay_out()
 
         # Recovery bookkeeping.  ``baseline`` is the topology frozen
         # right after construction (:meth:`freeze_baseline`) that later
         # checkpoints share for as long as it verifiably still holds.
         self.baseline: Optional[TopologySnapshot] = None
-        self.mutated_since_checkpoint = False
         self.reset(program, graph)
+
+    def lay_out(self) -> None:
+        """A fresh state per vertex of the frozen topology, and the
+        owner map and worker lists over them: the partition every run
+        starts from, whatever an earlier run mutated."""
+        self.states: Dict[Hashable, VertexState] = {}
+        self.owner: Dict[Hashable, int] = {}
+        for worker in self.workers:
+            worker.vertex_ids = []
+        for row, v in enumerate(self.topology.vertices()):
+            self.states[v] = VertexState.of_rows(v, None, row)
+            self.workers[self.assign(v)].vertex_ids.append(v)
 
     def reset(self, program, graph: Graph) -> None:
         """Every vertex back to its initial value, not halted, and the
         confined-recovery logs empty: the state a run starts from."""
         self.message_log: Dict[int, Dict[Hashable, List[Any]]] = {}
         self.wake_log: Dict[int, bool] = {}
+        self.mutated_since_checkpoint = False
         for vid, state in self.states.items():
             state.value, state.halted = program.initial_value(vid, graph), False
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
+from array import array
 from unittest import mock
 
 import pytest
@@ -15,7 +16,9 @@ from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SingleSourceShortestPaths
 from repro.algorithms.wcc import WeaklyConnectedComponents
 from repro.bsp import SumAggregator, VertexProgram, kernels
+from repro.bsp.columns import typed_column
 from repro.bsp.engine import PregelResult
+from repro.bsp.fabric import LaneRecord
 from repro.graph import (
     connected_erdos_renyi_graph,
     erdos_renyi_graph,
@@ -305,3 +308,28 @@ def assert_same_partition(labels_a, labels_b):
             assert reverse[b] == a, f"partition mismatch at {key!r}"
         else:
             reverse[b] = a
+
+
+# ---------------------------------------------------------------------
+# Plain-layout lane records, built and read by destination
+# ---------------------------------------------------------------------
+
+
+def plain_record(touched, buckets) -> LaneRecord:
+    """The plain-layout record of ``buckets`` (one message list per
+    destination of ``touched``)."""
+    return LaneRecord(
+        array("q", touched),
+        typed_column([m for bucket in buckets for m in bucket]),
+        array("q", map(len, buckets)),
+    )
+
+
+def record_buckets(record: LaneRecord):
+    """``(destination, message list)`` pairs of a plain-layout
+    record."""
+    flat = list(record.payloads)
+    pos = 0
+    for dst, n in zip(record.touched, record.counts):
+        yield dst, flat[pos:pos + n]
+        pos += n

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 from collections import defaultdict
+from itertools import chain
 
 import pytest
 
@@ -24,9 +25,10 @@ from repro.algorithms.pagerank import PageRank
 from repro.bsp import VertexProgram, create_engine
 from repro.bsp import parallel
 from repro.bsp.combiner import SumCombiner
-from repro.bsp.fabric import LaneRecord, MessageFabric
+from repro.bsp.fabric import MessageFabric
 from repro.errors import BSPError
 from repro.graph import barabasi_albert_graph
+from tests.conftest import plain_record
 from tests.test_differential_fuzz import _assert_same_runs, _run_case
 
 #: Generous for the four inbox columns; one list per destination
@@ -106,7 +108,7 @@ def test_rank_inbox_holds_no_container_per_destination(
     mail = defaultdict(list)
     for part in parts:
         _scalars, columns = part.step(
-            0, True, {}, LaneRecord.from_buckets([], []), None, None
+            0, True, {}, [plain_record([], [])], None, None
         )
         for slot, message in zip(columns["touched"], columns["payloads"]):
             mail[slot].append(message)
@@ -126,7 +128,7 @@ def test_rank_inbox_holds_no_container_per_destination(
     monkeypatch.setattr(parallel, "lane_compute_pass", counting)
     for rank, part in enumerate(parts):
         scalars, _columns = part.step(
-            1, False, {}, LaneRecord.from_buckets(*inbound[rank]),
+            1, False, {}, [plain_record(*inbound[rank])],
             None, None,
         )
         assert scalars["active"] == len(part.states)
@@ -172,21 +174,22 @@ def test_poisoned_control_worker_order_is_caught(monkeypatch):
     deliver = MessageFabric.deliver_fast
     poisoned = []
 
-    def held(fabric, lane):
-        """``{destination: messages}`` the lane holds for delivery: its
-        planned record's shape when the mail travels as records, else
-        its slots."""
-        if fabric.records is not None:
-            plan = fabric.records[lane.index][0]
-            return dict(zip(*plan.shape())) if plan is not None else {}
-        acc = lane.slots()[0]
-        return {d: len(acc[d]) for d in fabric.out_dirty if acc[d]}
+    def held(part):
+        """``{destination: messages}`` of the record a lane handed the
+        barrier (no combiner here: one count per message)."""
+        if part is None or part[1] is None:
+            return {}
+        record = part[1]
+        return dict(zip(record.touched, record.counts))
 
     def reordering(self, superstep, mutated):
-        # The first destination both workers wrote to, and how many
-        # messages worker 0 holds for it.
-        first, second = (held(self, lane) for lane in self.lanes[:2])
-        dirty = self.out_dirty if self.records is None else self.layout.dirty
+        # The first destination both workers wrote to, in the merged
+        # first-touch order, and how many messages worker 0 holds for
+        # it.
+        first, second = (held(part) for part in self.parts[:2])
+        dirty = dict.fromkeys(chain.from_iterable(
+            part[0] for part in self.parts if part is not None
+        ))
         target = next(
             (
                 (dst, first[dst])

@@ -16,14 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.pagerank import PageRank
-from repro.bsp.columns import encode_lane
+from repro.bsp.columns import encode_lane, typed_column
 from repro.bsp.combiner import Combiner, resolve_combiner
 from repro.bsp.engine import create_engine
 from repro.bsp.fabric import DenseLane, LaneRecord
 from repro.bsp.parallel import _recv_msg, _send_msg
 from repro.bsp.worker import Worker
 from repro.graph import barabasi_albert_graph, erdos_renyi_graph
-from tests.conftest import WORKLOADS
+from tests.conftest import WORKLOADS, record_buckets
 from tests.scatter_reference import adjacency_of
 from tests.test_differential_fuzz import canonical
 
@@ -93,12 +93,13 @@ class TestEncodeLane:
 # The lane record across its three carriers
 # ---------------------------------------------------------------------
 
-NUM_SLOTS = 12
+NUM_DESTINATIONS = 12
 
 
 class _KeepLast(Combiner):
-    """Folds to the latest message, so a combining slot holds exactly
-    the value a strategy drew (and ``cnt`` the number of sends)."""
+    """Folds to the latest message, so a combining lane holds for a
+    destination exactly the value a strategy drew (and the number of
+    sends)."""
 
     def combine(self, a, b):
         return b
@@ -106,10 +107,11 @@ class _KeepLast(Combiner):
 
 def _lane(combiner):
     worker = Worker(0)
-    worker.range_start, worker.range_stop = 0, NUM_SLOTS
+    worker.range_start, worker.range_stop = 0, NUM_DESTINATIONS
     return DenseLane(
         worker, 0, [], None, adjacency_of([]),
-        {i: i for i in range(NUM_SLOTS)}, [0] * NUM_SLOTS, combiner,
+        {i: i for i in range(NUM_DESTINATIONS)}, [0] * NUM_DESTINATIONS,
+        combiner,
     )
 
 
@@ -121,16 +123,26 @@ def _sig(value):
     return type(value), repr(value)
 
 
-def _slots(lane):
-    """Occupied slots of the lane's accumulators, as signatures."""
-    out = {}
-    for d in range(NUM_SLOTS):
-        if lane.cnt is not None:
-            if lane.cnt[d]:
-                out[d] = (_sig(lane.acc[d]), lane.cnt[d])
-        elif lane.acc[d] is not None:
-            out[d] = [_sig(m) for m in lane.acc[d]]
-    return out
+def _mail(lane):
+    """The lane's mail by destination, as signatures."""
+    if lane.combine is not None:
+        return {
+            d: (_sig(m), lane.folded.get(d, 1)) for d, m in lane.mail.items()
+        }
+    return {d: [_sig(m) for m in bucket] for d, bucket in lane.mail.items()}
+
+
+def _record_mail(record, combining):
+    """A record's entries by destination, as :func:`_mail` signs a
+    lane's mail."""
+    if combining:
+        return {
+            d: (_sig(m), n)
+            for d, m, n in zip(record.touched, record.payloads, record.counts)
+        }
+    return {
+        d: [_sig(m) for m in bucket] for d, bucket in record_buckets(record)
+    }
 
 
 def _in_memory(record):
@@ -172,7 +184,7 @@ _ANYTHING = st.one_of(
 _SENDS = st.one_of(
     *(
         st.lists(
-            st.tuples(st.integers(0, NUM_SLOTS - 1), messages),
+            st.tuples(st.integers(0, NUM_DESTINATIONS - 1), messages),
             max_size=40,
         )
         for messages in (_FLOATS, _INTS, _ANYTHING)
@@ -188,24 +200,28 @@ _SENDS = st.one_of(
 @given(sends=_SENDS)
 def test_lane_record_round_trips_every_carrier(carry, combiner, sends):
     lane = _lane(combiner)
-    enqueue, _fanout = lane.sends()
+    enqueue = lane.enqueue
     for dst, message in sends:
         enqueue(None, dst, message)
-    before = _slots(lane)
-    assert list(before) == sorted(set(lane.touched))
-    held = [lane.acc[d] for d in lane.touched]
+    before = _mail(lane)
+    first_touch = list(dict.fromkeys(dst for dst, _message in sends))
+    assert list(before) == first_touch
+    held = list(lane.mail.values())
     if combiner is None:
         held = [m for bucket in held for m in bucket]
 
-    record = lane.detach(lane.touched)
-    assert _slots(lane) == {}
-    assert record.touched.tolist() == lane.touched
+    record = lane.detach()
+    assert lane.mail == {} and lane.folded == {}
+    assert list(record.touched) == first_touch
+    # Typed as the spill tier and the rank reply carry it.
+    record = record._replace(payloads=typed_column(record.payloads))
     floats = all(type(m) is float for m in held)
     ints = all(type(m) is int and -(2**63) <= m < 2**63 for m in held)
     assert (type(record.payloads) is array) == (floats or ints)
 
-    lane.adopt(carry(record))
-    assert _slots(lane) == before
+    back = _record_mail(carry(record), combiner is not None)
+    assert list(back) == first_touch
+    assert back == before
 
 
 # ---------------------------------------------------------------------

@@ -21,7 +21,9 @@ recovery after a crash, a spilling ``memory_budget`` and barrier
 mutations.
 
 The digests were recorded before delivery became one merge over lane
-records; they must not be edited to make a change pass.
+records; they must not be edited to make a change pass.  A poisoned
+control swaps two destinations in the merged first-touch order, which
+leaves every value as it was; the pins must catch it.
 ``REPRO_FUZZ_WORKERS`` narrows the worker counts of the first matrix.
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+from itertools import accumulate
 
 import pytest
 
@@ -37,6 +40,7 @@ from repro.algorithms.cc_hashmin import HashMinComponents
 from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SingleSourceShortestPaths
 from repro.bsp import MinCombiner, SumCombiner, create_engine
+from repro.bsp.fabric import MailMerge
 from repro.bsp.faults import FaultPlan, crash_plan
 from repro.graph import barabasi_albert_graph, erdos_renyi_graph, grid_graph
 from tests.test_differential_fuzz import MutateMidRun
@@ -182,3 +186,41 @@ def test_delivery_order_is_pinned(
         f"{case} [{backend}]: checkpoint inboxes, RunStats, values or "
         f"aggregate history no longer match the pinned run; got {got}"
     )
+
+
+def test_poisoned_control_swapped_first_touch_order_is_caught(monkeypatch):
+    """Swap the first two destinations of every merged inbox, each
+    with its mail: every value stays (HashMin's labels do not depend
+    on the order destinations are delivered in), so the oracle cannot
+    see it, but the checkpoints' inbox columns move and the pins must
+    catch it."""
+    fill = MailMerge.fill
+
+    def swapping(self, parts, lane):
+        layout = fill(self, parts, lane)
+        if len(layout.positions) < 2:
+            return layout
+        positions, widths = list(layout.positions), list(layout.widths)
+        lo, mid, hi = layout.starts[:3]
+        msgs = lane.in_msgs
+        msgs[lo:hi] = msgs[mid:hi] + msgs[lo:mid]
+        positions[:2], widths[:2] = positions[1::-1], widths[1::-1]
+        starts = list(accumulate(widths, initial=0))
+        for pos, start, width in zip(positions[:2], starts, widths):
+            lane.in_start[pos], lane.in_count[pos] = start, width
+        return layout._replace(
+            positions=positions, starts=starts, widths=widths
+        )
+
+    def values():
+        graph, make, combiner = PROGRAMS["hashmin"]
+        return create_engine(
+            graph, make(), num_workers=4, combiner=combiner(), seed=0
+        ).run().values
+
+    clean = values()
+    monkeypatch.setattr(MailMerge, "fill", swapping)
+    assert values() == clean
+    assert run_digest("hashmin", 4, True, "serial") != PINNED[
+        "hashmin-w4-comb"
+    ]

@@ -30,12 +30,11 @@ from repro.algorithms.pagerank import PageRank
 from repro.algorithms.sssp import SingleSourceShortestPaths
 from repro.bsp import create_engine, kernels
 from repro.bsp.combiner import MinCombiner, SumCombiner
-from repro.bsp.fabric import LaneRecord
 from repro.bsp.parallel import _PartitionRuntime
 from repro.errors import BSPError
 from repro.graph import erdos_renyi_graph, grid_graph, path_graph
 from repro.graph.snapshot import CsrSnapshot
-from tests.conftest import FrontierScript, oracle_result
+from tests.conftest import FrontierScript, oracle_result, plain_record
 from tests.test_differential_fuzz import (
     FAULT_MODES,
     WORKER_COUNTS,
@@ -226,7 +225,7 @@ def test_sssp_visits_the_frontier_on_a_pool_rank(
         for rank, part in enumerate(parts):
             scalars, columns = part.step(
                 superstep, superstep == 0, {},
-                LaneRecord.from_buckets(*inbound[rank]), None, None,
+                [plain_record(*inbound[rank])], None, None,
             )
             assert scalars["kernel_tier"] == "dense"
             if rank == 0:

@@ -1,37 +1,39 @@
-"""A planned scatter emits its lane record; the barrier delivers it
-through a layout compiled with the plans.
+"""A planned scatter's record and a per-vertex pass's mail reach the
+inbox through one merge.
 
 A vectorized kernel that scatters through its compiled plan writes no
-accumulator slot: it emits its lane's ``LaneRecord`` payload column,
-and ``MessageFabric.deliver_fast`` puts every entry where the
-``DeliveryLayout`` (compiled once per dense index, beside the plans)
-says the slot scan would have.  Held here barrier by barrier: after
-every delivery, the inbox columns (``fabric.inbox_columns()``) and
-every worker's ledger of a vectorized run equal those of the same run
-on the per-vertex pass (``tests.conftest.dense_pass()``), whose sends
-go through the slots — PageRank and degree, with and without a sum
-combiner, over 1 to 7 workers; a run resumed from a durable
-checkpoint; a ``memory_budget`` run that spills records; and a
-barrier mutation, where the records fall back to the slot scan.  A
-poisoned control swaps two lanes' entries for one destination in the
-compiled layout; the oracle differential must catch it.
+mail: it emits its lane's ``LaneRecord`` payload column, and
+``MessageFabric.deliver_fast`` hands it to the same ``MailMerge`` as
+the records a per-vertex pass detaches.  The merge lays out a shape
+it sees at two barriers in a row and caches that layout; a plan fixes
+its records' shape when it compiles, so a planned run lays out once
+per dense index, at its second delivery.  Held here barrier by
+barrier: after every delivery, the inbox columns
+(``fabric.inbox_columns()``) and every worker's ledger of a vectorized
+run equal those of the same run on the per-vertex pass
+(``tests.conftest.dense_pass()``) — PageRank and degree, with and
+without a sum combiner, over 1 to 7 workers; a run resumed from a
+durable checkpoint; a ``memory_budget`` run that spills records; and
+a barrier mutation, whose merge drops the removed vertex's mail.  A
+poisoned control swaps two entries of the widest destination in the
+merge; the oracle differential must catch it.
 
+The tests keep the ids they had when the per-vertex pass sent
+through n-length slots and delivery scanned them ("the slot scan").
 ``REPRO_FUZZ_WORKERS`` narrows the worker counts.
 """
 
 from __future__ import annotations
 
-import operator
 import os
 import pickle
-from itertools import accumulate
 
 import pytest
 
 from repro.algorithms.degree import DegreeCentrality
 from repro.algorithms.pagerank import PageRank
 from repro.bsp import PregelEngine, SumCombiner, kernels
-from repro.bsp.fabric import MessageFabric
+from repro.bsp.fabric import MailMerge
 from repro.graph import barabasi_albert_graph
 from tests.conftest import assert_held_to_oracle, dense_pass, oracle_result
 from tests.test_differential_fuzz import canonical
@@ -43,8 +45,6 @@ PROGRAMS = {
     "pagerank": lambda: PageRank(num_supersteps=6),
     "degree": DegreeCentrality,
 }
-#: The supersteps whose delivery must take the planned path.
-PLANNED = {"pagerank": list(range(6)), "degree": [0]}
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +62,11 @@ def _ledger(worker):
 
 
 def _run(graph, program, workers, combiner, bind=None, **kwargs):
-    """``(result, barriers, planned)``: per delivery, the superstep,
-    the count delivered, the pickled inbox columns and every worker's
-    ledger; the supersteps delivered through the layout.  ``bind``
-    sees the engine before it runs."""
+    """``(result, barriers, compiled, tiers)``: per delivery, the
+    superstep, the count delivered, the pickled inbox columns and every
+    worker's ledger; the supersteps whose barrier laid its shape out;
+    the kernel tiers the run used.  ``bind`` sees the engine
+    before it runs."""
     engine = PregelEngine(
         graph, program, num_workers=workers, seed=0,
         combiner=SumCombiner() if combiner else None, **kwargs,
@@ -73,30 +74,31 @@ def _run(graph, program, workers, combiner, bind=None, **kwargs):
     if bind is not None:
         bind(engine)
     fabric = engine._fabric
-    deliver, through_layout = fabric.deliver_fast, fabric._deliver_planned
-    barriers, planned = [], []
+    deliver = fabric.deliver_fast
+    barriers, compiled = [], []
 
     def recording(superstep, mutated):
+        layout, mail = fabric.merge._layout, any(fabric.parts)
         delivered = deliver(superstep, mutated)
+        if mail and fabric.merge._layout is not layout:
+            compiled.append(superstep)
         barriers.append((
             superstep, delivered, pickle.dumps(fabric.inbox_columns()),
             [_ledger(worker) for worker in fabric.workers],
         ))
         return delivered
 
-    def counting(records):
-        planned.append(engine._ctx.superstep)
-        return through_layout(records)
-
-    fabric.deliver_fast, fabric._deliver_planned = recording, counting
-    return engine.run(), barriers, planned
+    fabric.deliver_fast = recording
+    result = engine.run()
+    tiers = {wall.kernel_tier for wall in result.stats.wall}
+    return result, barriers, compiled, tiers
 
 
 def _assert_same_barriers(vectorized, dense):
-    (got, got_barriers, planned), (want, want_barriers, slots) = (
+    (got, got_barriers, _, tiers), (want, want_barriers, _, dense_tiers) = (
         vectorized, dense,
     )
-    assert not slots  # the per-vertex pass sends through the slots
+    assert "vectorized" in tiers and dense_tiers == {"dense"}
     assert [b[0] for b in got_barriers] == [b[0] for b in want_barriers]
     for mine, theirs in zip(got_barriers, want_barriers):
         assert mine == theirs, f"barrier after superstep {mine[0]}"
@@ -111,14 +113,16 @@ def test_planned_barriers_match_the_slot_scan(graph, name, workers, combiner):
     with dense_pass():
         dense = _run(graph, PROGRAMS[name](), workers, combiner)
     _assert_same_barriers(vectorized, dense)
-    assert vectorized[2] == PLANNED[name]
+    # PageRank lays out at its second barrier and reuses the layout;
+    # degree delivers once, directly.
+    assert vectorized[2] == {"pagerank": [1], "degree": []}[name]
 
 
 @pytest.mark.parametrize("workers", WORKERS)
 def test_a_restored_run_recompiles_its_layout(graph, workers, tmp_path):
     """Resumed from its last durable checkpoint (superstep 6), the run
     re-indexes, compiles plans and layout again and delivers through
-    them — barrier for barrier as the resumed slot scan does."""
+    them — barrier for barrier as the resumed per-vertex pass does."""
     def resumed(directory):
         kwargs = dict(checkpoint_interval=3, checkpoint_dir=directory)
         _run(graph, PageRank(num_supersteps=8), workers, True, **kwargs)
@@ -131,7 +135,7 @@ def test_a_restored_run_recompiles_its_layout(graph, workers, tmp_path):
     with dense_pass():
         dense = resumed(str(tmp_path / "dense"))
     _assert_same_barriers(vectorized, dense)
-    assert vectorized[1][0][0] == 6 and vectorized[2] == [6, 7]
+    assert vectorized[1][0][0] == 6 and vectorized[2] == [7]
 
 
 @pytest.mark.parametrize("combiner", [True, False], ids=["sum", "none"])
@@ -146,7 +150,8 @@ def test_spilled_records_deliver_as_the_slots_do(graph, workers, combiner):
             graph, PageRank(num_supersteps=4), workers, combiner, **budget
         )
     _assert_same_barriers(vectorized, dense)
-    assert vectorized[2] == [0, 1, 2, 3]
+    # A reloaded record has its plan's shape: the layout holds.
+    assert vectorized[2] == [1]
 
 
 class _Pruning(PageRank):
@@ -168,9 +173,9 @@ class _Pruning(PageRank):
 def test_a_mutation_falls_back_to_the_slot_scan(
     graph, workers, monkeypatch
 ):
-    """The mutating barrier adopts the records into the slots, whose
-    scan drops the removed vertex's mail and reverses its senders'
-    charges; the re-indexed plane plans and lays out again."""
+    """The mutating barrier drops the removed vertex's entries from
+    the records and reverses its senders' charges, a shape of its own;
+    the re-indexed plane plans again and lays out once more."""
     def run():
         program = _Pruning(victim=5)
         return _run(
@@ -185,16 +190,16 @@ def test_a_mutation_falls_back_to_the_slot_scan(
     with dense_pass():
         dense = run()
     _assert_same_barriers(vectorized, dense)
-    assert vectorized[2] == [0, 1, 3, 4]
+    assert vectorized[2] == [1, 4]
     assert 5 not in vectorized[0].values
 
 
 def test_poisoned_control_swapped_layout_entries_are_caught(
     graph, monkeypatch
 ):
-    """Swap the first and the last of four lanes' first entries for the
-    hub all four send to: its messages arrive out of worker order, and
-    the oracle differential must notice."""
+    """Swap the first and the last message of the widest destination,
+    in a direct merge and in a laid-out one: its messages arrive out
+    of worker order, and the oracle differential must notice."""
     def run():
         return PregelEngine(
             graph, PageRank(num_supersteps=6), num_workers=4, seed=0,
@@ -202,29 +207,30 @@ def test_poisoned_control_swapped_layout_entries_are_caught(
 
     oracle = oracle_result(graph, PageRank(num_supersteps=6), num_workers=4)
     assert_held_to_oracle(run(), oracle)  # sound before the poison
-    compile_layout = MessageFabric.plan_delivery
+    merge, lay_out = MailMerge._merge, MailMerge._lay_out
     poisoned = []
 
-    def swapping(self, plans):
-        compile_layout(self, plans)
-        layout = self.layout
-        entry = [  # destination -> its first entry in the lane's record
-            dict(zip(slots, accumulate(counts, initial=0)))
-            for slots, counts in (plan.shape() for plan in plans)
-        ]
-        width = dict(zip(layout.dirty, map(
-            operator.sub, layout.starts[1:], layout.starts
-        )))
-        hub = max(
-            (d for d in layout.dirty if all(d in e for e in entry)),
-            key=width.__getitem__,
-        )
-        first, last = layout.scatter[0], layout.scatter[-1]
-        i, j = entry[0][hub], entry[-1][hub]
-        first[i], last[j] = last[j], first[i]
-        poisoned.append(hub)
+    def swapping(self, parts):
+        boxes, layout = merge(self, parts)
+        box = max(boxes, key=len, default=())
+        if len(box) > 1:
+            box[0], box[-1] = box[-1], box[0]
+            poisoned.append(len(box))
+        return boxes, layout
 
-    monkeypatch.setattr(MessageFabric, "plan_delivery", swapping)
+    def swapping_layout(self, parts):
+        layout = lay_out(self, parts)
+        spans = zip(layout.starts, layout.starts[1:])
+        lo, hi = max(spans, key=lambda span: span[1] - span[0])
+        if hi - lo > 1:
+            scatter = layout.scatter
+            i, j = scatter.index(lo), scatter.index(hi - 1)
+            scatter[i], scatter[j] = scatter[j], scatter[i]
+            poisoned.append(hi - lo)
+        return layout
+
+    monkeypatch.setattr(MailMerge, "_lay_out", swapping_layout)
+    monkeypatch.setattr(MailMerge, "_merge", swapping)
     with pytest.raises(AssertionError):
         assert_held_to_oracle(run(), oracle)
     assert poisoned

@@ -24,11 +24,12 @@ from repro.bsp import (
     GASEngine,
     PregelEngine,
     RunResult,
+    VertexProgram,
     create_engine,
     crash_plan,
     drop_plan,
 )
-from repro.graph import Graph, erdos_renyi_graph
+from repro.graph import Graph, erdos_renyi_graph, path_graph
 from repro.trace.events import Rollback
 from repro.trace.recorder import TraceRecorder, stats_from_events
 
@@ -286,10 +287,40 @@ def _checkpointed_pregel(backend):
     )
 
 
+class _Grows(VertexProgram):
+    """Vertex 0 adds vertex ``"born"`` (value 100) and an edge to it
+    at superstep 0; every vertex counts the messages it hears while
+    all of them gossip for three supersteps."""
+
+    name = "grows"
+
+    def initial_value(self, vertex_id, graph):
+        return 0
+
+    def compute(self, v, msgs, ctx):
+        v.value += len(msgs)
+        if ctx.superstep == 0 and v.id == 0:
+            ctx.add_vertex("born", value=100)
+            ctx.add_edge(0, "born")
+        if ctx.superstep < 3:
+            ctx.send_to_neighbors(v, 1)
+        else:
+            v.vote_to_halt()
+
+
+def _mutating_pregel(backend):
+    # The topology a run mutated must not be the next run's input.
+    return lambda g: create_engine(
+        path_graph(4), _Grows(), backend=backend, num_workers=2
+    )
+
+
 REBUILDERS = [
     ("pregel", lambda g: PregelEngine(g, HashMinComponents(), num_workers=4)),
     ("pregel-ckpt-serial", _checkpointed_pregel("serial")),
     ("pregel-ckpt-parallel", _checkpointed_pregel("parallel")),
+    ("pregel-mutating-serial", _mutating_pregel("serial")),
+    ("pregel-mutating-parallel", _mutating_pregel("parallel")),
     ("gas", lambda g: GASEngine(g, HashMinGAS(), num_workers=4)),
     ("block", lambda g: BlockEngine(g, BlockHashMin(), num_blocks=4)),
     ("async", lambda g: AsyncEngine(g, SsspGAS(source=0))),

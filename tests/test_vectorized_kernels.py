@@ -62,7 +62,12 @@ from repro.core.report import format_trace_report
 from repro.graph import erdos_renyi_graph
 from repro.graph.graph import Graph
 from repro.trace.recorder import TraceRecorder
-from tests.conftest import assert_held_to_oracle, dense_pass, oracle_result
+from tests.conftest import (
+    assert_held_to_oracle,
+    dense_pass,
+    oracle_result,
+    record_buckets,
+)
 from tests.scatter_reference import adjacency_of
 
 #: Every workload with a registered vectorized kernel, with its
@@ -411,7 +416,7 @@ def _emitted_slots(plan, shares, combine):
     payloads = kernels._emit(plan, shares, combine)
     if combine is None:
         record = fabric.LaneRecord(slots, payloads, counts)
-        return dict(record.buckets()), dict(zip(slots, counts))
+        return dict(record_buckets(record)), dict(zip(slots, counts))
     assert len(payloads) == len(slots)
     return dict(zip(slots, payloads)), dict(zip(slots, counts))
 
