@@ -42,9 +42,9 @@ its record grouped by owning rank.  Every lane hands the barrier one
 ``order`` its
 first-touch destination order; the spill tier sizes, writes and
 reloads records; and one merge (:class:`MailMerge`) delivers any set
-of them — the serial barrier's and a rank's inbound alike — laying
-out a shape that repeats once and replaying the cached layout, so a
-planned run lays out once.
+of them — the serial barrier's and a rank's inbound alike — directly
+when it is small and new, else through a layout cached by the
+records' shape, so a planned run lays out once.
 
 The inbox holds no container per destination: delivery appends each
 destination's messages to one flat column ``in_msgs`` and records
@@ -127,22 +127,26 @@ class MailLayout(NamedTuple):
     """Where one set of lane records lands (:class:`MailMerge`):
     ``positions`` the destinations' inbox positions in delivery order,
     ``starts`` their mail's offsets then the end, ``widths`` its
-    sizes, ``scatter`` the inbox place of each payload of the records
-    laid end to end (``None`` after a direct merge), and per worker
-    ``tallies`` its ``(sent_network, received_network,
-    received_logical)``."""
+    sizes, ``gather`` which payload of the records laid end to end
+    fills each inbox slot (``None`` after a direct merge), and per
+    worker ``tallies`` its ``(sent_network, received_network,
+    received_logical)`` (``None`` where the merge serves a pool
+    rank)."""
 
     positions: Any
     starts: Any
     widths: Any
-    scatter: Any
-    tallies: list
+    gather: Any
+    tallies: Optional[list]
 
 
-#: Payloads from which a record set is laid out at first sight: a
-#: direct merge builds one list per destination, too many to hold
-#: beside a large superstep's mail.
-LAY_OUT_AT = 4096
+#: Payloads from which a record set is laid out at first sight rather
+#: than merged directly.  A layout costs 1.2-1.9x a direct merge the
+#: first time and a replay 0.2-0.6x, so it pays for a shape that
+#: repeats: a planned pass's (at least 19,968 payloads a set in the
+#: benchmark), not a per-vertex pass's (at most 6,506, in Table 1).
+#: ``docs/performance.md``, "One mail representation".
+LAY_OUT_AT = 8192
 
 
 class MailMerge:
@@ -152,23 +156,26 @@ class MailMerge:
     order (``None`` for a lane without mail) and puts the destinations
     in first-touch order — the lanes' ``order``s, deduplicated across
     lanes in worker order, or ascending when ``order`` is ``None`` —
-    and each destination's entries in worker order.  A lane's entries
-    may come in any order.  Where the entries land depends on the
-    records' shape only (orders, ``touched``, ``counts``, payload
-    count).  A shape seen at two barriers in a row, or of at least
-    :data:`LAY_OUT_AT` payloads, is laid out and its layout cached, so
-    a planned pass, whose shape is fixed when its plan compiles,
-    delivers in a few C-level passes; any other set (a per-vertex
-    pass's, whose shape moves with the frontier) is merged directly,
-    one pass filling per-destination boxes.  ``base`` is subtracted
-    from a destination for its inbox position (a pool rank's slice).
+    and each destination's entries in worker order, filling a box per
+    destination.  A lane's entries may come in any order.  Where the
+    entries land depends on the records' shape only (orders,
+    ``touched``, ``counts``, payload count), so a set of at least
+    :data:`LAY_OUT_AT` payloads, or of the shape seen at the previous
+    barrier, is laid out — the same merge, of its payloads' indices —
+    and the layout cached and replayed, a C-level gather, while the
+    shape repeats: a planned pass, whose shape is fixed when its plan
+    compiles, lays out once.  Any other set (a per-vertex pass's, whose
+    shape moves with the frontier) is merged directly.  ``base`` is
+    subtracted from a destination for its inbox position (a pool
+    rank's slice); without ``owner_of`` (a pool rank's) no ledger
+    tallies are kept.
     """
 
     __slots__ = (
         "owner_of", "num_workers", "base", "_seen", "_key", "_layout",
     )
 
-    def __init__(self, owner_of, num_workers: int, base: int = 0):
+    def __init__(self, owner_of=None, num_workers: int = 0, base: int = 0):
         self.owner_of = owner_of
         self.num_workers = num_workers
         self.base = base
@@ -177,30 +184,24 @@ class MailMerge:
     def fill(self, parts, lane) -> MailLayout:
         """Fill ``lane``'s drained inbox columns from ``parts``; return
         the layout it followed."""
-        key = [
-            None if part is None
-            else (part[0], part[1].touched, part[1].counts,
-                  len(part[1].payloads))
-            for part in parts
-        ]
         payloads = [part[1].payloads for part in parts if part is not None]
-        if key != self._key:
-            if key != self._seen and sum(map(len, payloads)) < LAY_OUT_AT:
-                self._seen = key
-                boxes, layout = self._merge(parts)
-                lane.in_msgs += chain.from_iterable(boxes)
-                return self._place(layout, lane)
-            self._key, self._layout = key, self._lay_out(parts)
-        layout = self._layout
-        put, in_msgs = operator.setitem, lane.in_msgs
-        in_msgs += repeat(None, layout.starts[-1])
-        _drain(map(
-            put, repeat(in_msgs), layout.scatter,
-            chain.from_iterable(payloads),
-        ))
-        return self._place(layout, lane)
-
-    def _place(self, layout, lane) -> MailLayout:
+        key = [part and (
+            part[0], part[1].touched, part[1].counts, len(part[1].payloads)
+        ) for part in parts]
+        if sum(map(len, payloads)) < LAY_OUT_AT and (
+            key != self._key and key != self._seen
+        ):
+            self._seen = key
+            boxes, layout = self._merge(parts)
+            lane.in_msgs += chain.from_iterable(boxes)
+        else:
+            if key != self._key:
+                self._key, self._layout = key, self._lay_out(parts)
+            layout = self._layout
+            flat = payloads[0] if len(payloads) == 1 else list(
+                chain.from_iterable(payloads)
+            )
+            lane.in_msgs += map(flat.__getitem__, layout.gather)
         put, positions = operator.setitem, layout.positions
         _drain(map(put, repeat(lane.in_start), positions, layout.starts))
         _drain(map(put, repeat(lane.in_count), positions, layout.widths))
@@ -208,108 +209,94 @@ class MailMerge:
 
     def _merge(self, parts):
         """``(boxes, layout)`` of a direct merge: every destination's
-        payloads, in worker order, and the layout but its scatter."""
-        sent = [0 if part is None else len(part[1].payloads) for part in parts]
-        parts = [part for part in parts if part is not None]
-        if parts and parts[0][0] is None:  # a rank's inbound: ascending
-            boxes = dict.fromkeys(sorted(set(chain.from_iterable(
-                record.touched for _order, record in parts
-            ))))
-        elif all(order is record.touched for order, record in parts):
-            boxes = {}  # entries in first-touch order: insertion order
-        else:
-            boxes = dict.fromkeys(chain.from_iterable(
-                order for order, _record in parts
-            ))
-        get, owner_of = boxes.get, self.owner_of
-        network = [0] * self.num_workers
-        logical = [0] * self.num_workers
-        for _order, record in parts:
-            if len(record.payloads) == len(record.touched):
-                entries = zip(record.touched, record.payloads, record.counts)
-                for dst, payload, n in entries:
-                    owner = owner_of[dst]
-                    network[owner] += 1
-                    logical[owner] += n
-                    box = get(dst)
-                    if box is None:
-                        boxes[dst] = [payload]
-                    else:
-                        box.append(payload)
-                continue
-            at, flat = 0, record.payloads
-            for dst, n in zip(record.touched, record.counts):  # n payloads
-                owner = owner_of[dst]
-                network[owner] += n
-                logical[owner] += n
-                box = get(dst)
-                if box is None:
-                    boxes[dst] = box = []
-                box += flat[at:at + n]
-                at += n
-        positions = list(boxes)
-        if self.base:
-            positions = list(map(operator.sub, positions, repeat(self.base)))
-        widths = list(map(len, boxes.values()))
-        return boxes.values(), MailLayout(
-            positions, list(accumulate(widths, initial=0)), widths, None,
-            list(zip(sent, network, logical)),
-        )
+        payloads, in worker order, and the layout but its gather."""
+        boxes = _boxes(parts)
+        return boxes.values(), self._layout_of(parts, boxes)
 
     def _lay_out(self, parts) -> MailLayout:
-        """The layout of ``parts``: each entry's inbox place is its
-        destination's start plus the payloads before it there, in
-        worker order."""
-        sent = [0 if part is None else len(part[1].payloads) for part in parts]
-        records = [part[1] for part in parts if part is not None]
-        if parts and all(part is None or part[0] is None for part in parts):
-            width = dict.fromkeys(sorted(set(chain.from_iterable(
-                record.touched for record in records
-            ))), 0)
-        else:
-            width = dict.fromkeys(chain.from_iterable(
-                part[0] for part in parts if part is not None
-            ), 0)
-        owner_of = self.owner_of
-        network = [0] * self.num_workers
-        logical = [0] * self.num_workers
-        offsets = []  # each entry's place in its destination's mail
-        put = offsets.append
-        spans = []
-        for record in records:
-            one = len(record.payloads) == len(record.touched)
-            spans.append(record.counts if not one else (
-                repeat(1, len(record.touched))
+        """The layout of ``parts``: the merge of the indices of their
+        payloads laid end to end, in compact columns."""
+        ends = accumulate(
+            len(part[1].payloads) if part else 0 for part in parts
+        )
+        boxes = _boxes([part and (part[0], part[1]._replace(  # by index
+            payloads=range(end - len(part[1].payloads), end),
+        )) for part, end in zip(parts, ends)])
+        layout = self._layout_of(parts, boxes)
+        return layout._replace(
+            positions=array("q", layout.positions),
+            starts=array("q", layout.starts),
+            widths=array("q", layout.widths),
+            gather=array("q", chain.from_iterable(boxes.values())),
+        )
+
+    def _layout_of(self, parts, boxes) -> MailLayout:
+        """The layout of ``parts`` merged into ``boxes`` but its
+        gather, with every worker's payloads sent and messages
+        received, on the network and logically, where the merge keeps
+        the ledger tallies."""
+        destinations = list(boxes)
+        widths = list(map(len, boxes.values()))
+        tallies = None
+        if self.owner_of is not None:
+            owner_of = self.owner_of
+            network = [0] * self.num_workers
+            logical = [0] * self.num_workers
+            for dst, n in zip(destinations, widths):
+                network[owner_of[dst]] += n
+            for _order, record in filter(None, parts):
+                for dst, n in zip(record.touched, record.counts):
+                    logical[owner_of[dst]] += n
+            tallies = list(zip(
+                [0 if part is None else len(part[1].payloads)
+                 for part in parts],
+                network, logical,
             ))
-            for dst, n in zip(record.touched, record.counts):
-                owner = owner_of[dst]
-                span = 1 if one else n
-                network[owner] += span
-                logical[owner] += n
-                off = width[dst]
-                put(off)
-                width[dst] = off + span
-        widths = array("q", width.values())
-        starts = array("q", accumulate(widths, initial=0))
-        start = dict(zip(width, starts))
-        scatter = array("q", map(operator.add, map(
-            start.__getitem__,
-            chain.from_iterable(record.touched for record in records),
-        ), offsets))
-        if starts[-1] != len(scatter):  # entries of many payloads
-            scatter = array("q", chain.from_iterable(map(
-                range, scatter,
-                map(operator.add, scatter, chain.from_iterable(spans)),
-            )))
-        positions = array("q", width)
         if self.base:
-            positions = array(
-                "q", map(operator.sub, positions, repeat(self.base))
+            destinations = list(
+                map(operator.sub, destinations, repeat(self.base))
             )
         return MailLayout(
-            positions, starts, widths, scatter,
-            list(zip(sent, network, logical)),
+            destinations, list(accumulate(widths, initial=0)), widths,
+            None, tallies,
         )
+
+
+def _boxes(parts) -> dict:
+    """Every destination's payloads in ``parts``, in worker order,
+    keyed in delivery order: ascending for a rank's inbound (``order``
+    ``None``), else the lanes' orders deduplicated in worker order —
+    the order a per-vertex pass's entries already come in, so their
+    boxes are keyed as they fill."""
+    parts = list(filter(None, parts))
+    if parts and parts[0][0] is None:
+        boxes = dict.fromkeys(sorted(set(chain.from_iterable(
+            record.touched for _order, record in parts
+        ))))
+    elif all(order is record.touched for order, record in parts):
+        boxes = {}
+    else:
+        boxes = dict.fromkeys(chain.from_iterable(
+            order for order, _record in parts
+        ))
+    get = boxes.get
+    for _order, record in parts:
+        if len(record.payloads) == len(record.touched):
+            for dst, payload in zip(record.touched, record.payloads):
+                box = get(dst)
+                if box is None:
+                    boxes[dst] = [payload]
+                else:
+                    box.append(payload)
+            continue
+        at, flat = 0, record.payloads
+        for dst, n in zip(record.touched, record.counts):  # n payloads
+            box = get(dst)
+            if box is None:
+                boxes[dst] = box = []
+            box += flat[at:at + n]
+            at += n
+    return boxes
 
 
 class DenseLane:
@@ -556,6 +543,9 @@ class MessageFabric:
         #: run must stay byte-identical to an unbudgeted one).
         self.spilled_lanes = 0
         self.spilled_bytes = 0
+        #: Whether :meth:`reindex` ran since the partition was laid
+        #: out (:meth:`restart`).
+        self.reindexed = False
         # Hot-path mirrors of the store's partition (see class doc).
         self.states = store.states
         self.owner = store.owner
@@ -734,14 +724,22 @@ class MessageFabric:
     def restart(self, program, graph) -> None:
         """Put the store and the plane where a run starts: every
         vertex at its initial value over the partition construction
-        laid out — laid out again, and re-indexed, after an earlier
-        run, which may have mutated the topology — and an empty inbox,
-        which resets every lane's frontier."""
+        laid out, and an empty inbox, which resets every lane's
+        frontier.  A run that re-indexed the plane (a mutation, a
+        restore) moved the partition: it is laid out again from the
+        frozen topology.  Edge dicts a pass gave a lane's rows, which
+        the program may have edited in place, are dropped."""
         store = self._store
-        if self.run_stats is not None:
+        if self.reindexed:
             store.lay_out()
             self.states, self.owner = store.states, store.owner
             self.engage_fast_path()
+            self.reindexed = False
+        for lane in self.lanes:
+            if lane.rows is None:  # materialized
+                for state in lane.states[lane.start:lane.stop]:
+                    state.out_edges = state.in_edges = None
+                lane.rows = store.topology.edge_rows
         store.reset(program, graph)
         self.restore_inbox((), (), ())
 
@@ -757,6 +755,7 @@ class MessageFabric:
             inbox = self.inbox_columns()
         self.engage_fast_path()
         self.restore_inbox(*inbox)
+        self.reindexed = True
 
     def drain_inbox(self) -> None:
         """Clear the inbox a finished compute pass consumed —

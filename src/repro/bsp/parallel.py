@@ -198,9 +198,7 @@ class _PartitionRuntime:
         #: Compute passes started over the partition's lifetime (see
         #: :attr:`progress`).
         self._passes = 0
-        self._mail = MailMerge(
-            init["owner_of"], self.num_ranks, worker.range_start
-        )
+        self._mail = MailMerge(base=worker.range_start)
         self._shape = self._grouping = None  # the last regrouping
         self._ctx = ComputeContext(self.rng, self._agg_sink.aggregate)
         self._ctx._enqueue, self._ctx._fanout = lane.enqueue, lane.fanout

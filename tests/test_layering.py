@@ -111,8 +111,10 @@ BSP_ROOT = ENGINE_PY.parent
 #: graph, from 8003 when the shared-memory segment left and the rank
 #: pipe became the one transport, from 7518 when three test-only
 #: options went and the GAS, block and async engines got one host, and
-#: from 7424 when every lane's mail became a record and one merge.
-REPRO_BSP_LINE_BUDGET = 7297
+#: from 7424 when every lane's mail became a record and one merge,
+#: and from 7297 when that merge's layout became the same merge run
+#: over payload indices.
+REPRO_BSP_LINE_BUDGET = 7294
 
 #: The dense compute plane is written once (``kernels.py`` loops and
 #: kernels over a ``fabric.DenseLane``) and hosted twice (the serial
@@ -133,12 +135,14 @@ REPRO_BSP_LINE_BUDGET = 7297
 #: kernels.py, the layout compile and its delivery joined fabric.py.
 #: All three fell (from 820, 1128 and 961) when the accumulator slots,
 #: their scan, the planned-only layout and the rank's private merge
-#: gave way to one mail record per lane and one merge (which keeps a
-#: direct merge for small unrepeated record sets beside its layout).
+#: gave way to one mail record per lane and one merge; parallel and
+#: fabric again (from 1027 and 901) when the merge's layout became
+#: the merge itself run over payload indices and a rank's merge
+#: stopped keeping ledger tallies.
 KERNELS_LINE_BUDGET = 797
-PARALLEL_LINE_BUDGET = 1027
+PARALLEL_LINE_BUDGET = 1025
 COLUMNS_LINE_BUDGET = 55
-FABRIC_LINE_BUDGET = 901
+FABRIC_LINE_BUDGET = 900
 
 
 def _bsp_lines() -> dict:
@@ -177,9 +181,9 @@ class TestDensePlaneIsNotForked:
             assert name not in DenseLane.__slots__, name
         for name in ("slots", "adopt"):
             assert not hasattr(DenseLane, name), name
-        # One merge fills an inbox from records (MailMerge.fill, which
-        # places the columns in _place), a checkpoint's columns
-        # included; besides it only drain writes the columns' contents.
+        # One merge fills an inbox from records (MailMerge.fill), a
+        # checkpoint's columns included; besides it only drain writes
+        # the columns' contents.
         tree = ast.parse((BSP_ROOT / "fabric.py").read_text())
         write = re.compile(
             r"\bin_(?:start|count)\[[^\]]*\]\s*=[^=]"
@@ -191,7 +195,7 @@ class TestDensePlaneIsNotForked:
             if isinstance(node, ast.FunctionDef)
             and write.search(ast.unparse(node))
         }
-        assert writers == {"_place", "drain"}
+        assert writers == {"fill", "drain"}
 
     def test_vertex_compute_is_called_from_two_loops(self):
         # The dense lane loop, which both hosts of the dense plane

@@ -4,19 +4,23 @@ inbox through one merge.
 A vectorized kernel that scatters through its compiled plan writes no
 mail: it emits its lane's ``LaneRecord`` payload column, and
 ``MessageFabric.deliver_fast`` hands it to the same ``MailMerge`` as
-the records a per-vertex pass detaches.  The merge lays out a shape
-it sees at two barriers in a row and caches that layout; a plan fixes
+the records a per-vertex pass detaches.  The merge lays out a set of
+at least ``fabric.LAY_OUT_AT`` payloads, or of the shape it saw at
+the previous barrier, and caches that layout by shape; a plan fixes
 its records' shape when it compiles, so a planned run lays out once
-per dense index, at its second delivery.  Held here barrier by
-barrier: after every delivery, the inbox columns
-(``fabric.inbox_columns()``) and every worker's ledger of a vectorized
-run equal those of the same run on the per-vertex pass
-(``tests.conftest.dense_pass()``) — PageRank and degree, with and
-without a sum combiner, over 1 to 7 workers; a run resumed from a
-durable checkpoint; a ``memory_budget`` run that spills records; and
-a barrier mutation, whose merge drops the removed vertex's mail.  A
-poisoned control swaps two entries of the widest destination in the
-merge; the oracle differential must catch it.
+per dense index.  The graphs here send fewer, so the vectorized runs
+lower ``LAY_OUT_AT`` to 1 (:func:`laid_out`) and every barrier with
+mail takes the layout, while the per-vertex runs they are held to
+(``tests.conftest.dense_pass()``) merge their first barrier directly.
+Held here barrier by barrier: after every delivery, the inbox columns
+(``fabric.inbox_columns()``) and every worker's ledger of the two
+runs are equal — PageRank and degree, with and without a sum
+combiner, over 1 to 7 workers; a run resumed from a durable
+checkpoint; a ``memory_budget`` run that spills records; and a
+barrier mutation, whose merge drops the removed vertex's mail.  Two
+poisoned controls reorder the widest destination's messages, one in
+the layout and one in the direct merge; the oracle differential must
+catch each on its own.
 
 The tests keep the ids they had when the per-vertex pass sent
 through n-length slots and delivery scanned them ("the slot scan").
@@ -27,12 +31,13 @@ from __future__ import annotations
 
 import os
 import pickle
+from unittest import mock
 
 import pytest
 
 from repro.algorithms.degree import DegreeCentrality
 from repro.algorithms.pagerank import PageRank
-from repro.bsp import PregelEngine, SumCombiner, kernels
+from repro.bsp import PregelEngine, SumCombiner, fabric, kernels
 from repro.bsp.fabric import MailMerge
 from repro.graph import barabasi_albert_graph
 from tests.conftest import assert_held_to_oracle, dense_pass, oracle_result
@@ -51,6 +56,11 @@ PROGRAMS = {
 def graph():
     # Hubs above the plan's _GROUP_MAX contributors at one worker.
     return barabasi_albert_graph(400, 4, seed=3)
+
+
+def laid_out():
+    """Within it, every record set with mail is laid out."""
+    return mock.patch.object(fabric, "LAY_OUT_AT", 1)
 
 
 def _ledger(worker):
@@ -109,13 +119,13 @@ def _assert_same_barriers(vectorized, dense):
 @pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_planned_barriers_match_the_slot_scan(graph, name, workers, combiner):
-    vectorized = _run(graph, PROGRAMS[name](), workers, combiner)
+    with laid_out():
+        vectorized = _run(graph, PROGRAMS[name](), workers, combiner)
     with dense_pass():
         dense = _run(graph, PROGRAMS[name](), workers, combiner)
     _assert_same_barriers(vectorized, dense)
-    # PageRank lays out at its second barrier and reuses the layout;
-    # degree delivers once, directly.
-    assert vectorized[2] == {"pagerank": [1], "degree": []}[name]
+    # Both lay out at their first barrier; PageRank reuses the layout.
+    assert vectorized[2] == [0]
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -131,27 +141,29 @@ def test_a_restored_run_recompiles_its_layout(graph, workers, tmp_path):
             resume=True, **kwargs,
         )
 
-    vectorized = resumed(str(tmp_path / "vectorized"))
+    with laid_out():
+        vectorized = resumed(str(tmp_path / "vectorized"))
     with dense_pass():
         dense = resumed(str(tmp_path / "dense"))
     _assert_same_barriers(vectorized, dense)
-    assert vectorized[1][0][0] == 6 and vectorized[2] == [7]
+    assert vectorized[1][0][0] == 6 and vectorized[2] == [6]
 
 
 @pytest.mark.parametrize("combiner", [True, False], ids=["sum", "none"])
 @pytest.mark.parametrize("workers", WORKERS)
 def test_spilled_records_deliver_as_the_slots_do(graph, workers, combiner):
     budget = dict(memory_budget=2048)
-    vectorized = _run(
-        graph, PageRank(num_supersteps=4), workers, combiner, **budget
-    )
+    with laid_out():
+        vectorized = _run(
+            graph, PageRank(num_supersteps=4), workers, combiner, **budget
+        )
     with dense_pass():
         dense = _run(
             graph, PageRank(num_supersteps=4), workers, combiner, **budget
         )
     _assert_same_barriers(vectorized, dense)
     # A reloaded record has its plan's shape: the layout holds.
-    assert vectorized[2] == [1]
+    assert vectorized[2] == [0]
 
 
 class _Pruning(PageRank):
@@ -174,8 +186,9 @@ def test_a_mutation_falls_back_to_the_slot_scan(
     graph, workers, monkeypatch
 ):
     """The mutating barrier drops the removed vertex's entries from
-    the records and reverses its senders' charges, a shape of its own;
-    the re-indexed plane plans again and lays out once more."""
+    the records and reverses its senders' charges, a shape of its own
+    that is laid out; the re-indexed plane plans again and lays out
+    once more."""
     def run():
         program = _Pruning(victim=5)
         return _run(
@@ -186,20 +199,40 @@ def test_a_mutation_falls_back_to_the_slot_scan(
     monkeypatch.setitem(
         kernels._VECTOR_KERNELS, _Pruning, kernels.PageRankKernel
     )
-    vectorized = run()
+    with laid_out():
+        vectorized = run()
     with dense_pass():
         dense = run()
     _assert_same_barriers(vectorized, dense)
-    assert vectorized[2] == [1, 4]
+    assert vectorized[2] == [0, 2, 3]
     assert 5 not in vectorized[0].values
 
 
-def test_poisoned_control_swapped_layout_entries_are_caught(
-    graph, monkeypatch
-):
-    """Swap the first and the last message of the widest destination,
-    in a direct merge and in a laid-out one: its messages arrive out
-    of worker order, and the oracle differential must notice."""
+def _reversing_merge(merge, poisoned):
+    def reversing(self, parts):
+        boxes, layout = merge(self, parts)
+        box = max(boxes, key=len, default=())
+        if len(set(box)) > 1:
+            box.reverse()
+            poisoned.append(len(box))
+        return boxes, layout
+    return reversing
+
+
+def _swapping_lay_out(lay_out, poisoned):
+    def swapping(self, parts):
+        layout = lay_out(self, parts)
+        spans = zip(layout.starts, layout.starts[1:])
+        lo, hi = max(spans, key=lambda span: span[1] - span[0])
+        if hi - lo > 1:
+            gather = layout.gather
+            gather[lo], gather[hi - 1] = gather[hi - 1], gather[lo]
+            poisoned.append(hi - lo)
+        return layout
+    return swapping
+
+
+def _assert_poison_is_caught(graph, monkeypatch, path, poison):
     def run():
         return PregelEngine(
             graph, PageRank(num_supersteps=6), num_workers=4, seed=0,
@@ -207,30 +240,88 @@ def test_poisoned_control_swapped_layout_entries_are_caught(
 
     oracle = oracle_result(graph, PageRank(num_supersteps=6), num_workers=4)
     assert_held_to_oracle(run(), oracle)  # sound before the poison
-    merge, lay_out = MailMerge._merge, MailMerge._lay_out
     poisoned = []
-
-    def swapping(self, parts):
-        boxes, layout = merge(self, parts)
-        box = max(boxes, key=len, default=())
-        if len(box) > 1:
-            box[0], box[-1] = box[-1], box[0]
-            poisoned.append(len(box))
-        return boxes, layout
-
-    def swapping_layout(self, parts):
-        layout = lay_out(self, parts)
-        spans = zip(layout.starts, layout.starts[1:])
-        lo, hi = max(spans, key=lambda span: span[1] - span[0])
-        if hi - lo > 1:
-            scatter = layout.scatter
-            i, j = scatter.index(lo), scatter.index(hi - 1)
-            scatter[i], scatter[j] = scatter[j], scatter[i]
-            poisoned.append(hi - lo)
-        return layout
-
-    monkeypatch.setattr(MailMerge, "_lay_out", swapping_layout)
-    monkeypatch.setattr(MailMerge, "_merge", swapping)
+    monkeypatch.setattr(
+        MailMerge, path, poison(getattr(MailMerge, path), poisoned)
+    )
     with pytest.raises(AssertionError):
         assert_held_to_oracle(run(), oracle)
     assert poisoned
+
+
+def test_poisoned_control_swapped_layout_entries_are_caught(
+    graph, monkeypatch
+):
+    """Every set laid out, swap the first and the last message of the
+    widest destination in the layout, the direct merge left sound:
+    its messages arrive out of worker order, and the oracle
+    differential must notice."""
+    monkeypatch.setattr(fabric, "LAY_OUT_AT", 1)
+    _assert_poison_is_caught(
+        graph, monkeypatch, "_lay_out", _swapping_lay_out
+    )
+
+
+def test_poisoned_control_reversed_direct_merge_entries_are_caught(
+    graph, monkeypatch
+):
+    """Reverse the widest destination's messages in the direct merge,
+    the layout left sound: at the default ``LAY_OUT_AT`` PageRank's
+    first barrier here is merged directly (its later ones replay a
+    layout), and only a reversal reliably moves that one float sum —
+    its first two messages swapped sum the same."""
+    _assert_poison_is_caught(graph, monkeypatch, "_merge", _reversing_merge)
+
+
+@pytest.mark.parametrize("at", [0, 1])
+def test_the_size_of_a_record_set_picks_its_path(graph, at, monkeypatch):
+    """A set of ``LAY_OUT_AT`` payloads or more is laid out at first
+    sight and its layout cached; one payload fewer and it is merged
+    directly (and laid out only when its shape comes back)."""
+    engine = PregelEngine(
+        graph, PageRank(num_supersteps=2), num_workers=3, seed=0,
+    )
+    fabric_ = engine._fabric
+    deliver = fabric_.deliver_fast
+    first = []
+
+    def recording(superstep, mutated):
+        if superstep == 0:
+            size = sum(len(part[1].payloads) for part in fabric_.parts if part)
+            monkeypatch.setattr(fabric, "LAY_OUT_AT", size + at)
+            delivered = deliver(superstep, mutated)
+            first.append((size, fabric_.merge._layout))
+            return delivered
+        return deliver(superstep, mutated)
+
+    fabric_.deliver_fast = recording
+    engine.run()
+    [(size, laid)] = first
+    assert size > 0
+    if at:
+        assert laid is None
+    else:
+        assert laid is not None and laid.starts[-1] == size
+
+
+def test_a_rerun_lays_out_again_only_after_a_mutation(graph, monkeypatch):
+    """A second run of the vectorized pruning PageRank starts from the
+    frozen topology again (vertex 5 back, then removed again), so it
+    repeats the first; a second run that nothing re-indexed keeps the
+    dense index it had."""
+    monkeypatch.setitem(
+        kernels._VECTOR_KERNELS, _Pruning, kernels.PageRankKernel
+    )
+    program = _Pruning(victim=5)
+    engine = PregelEngine(graph, program, num_workers=3, seed=0)
+    program.ctx = engine._ctx
+    first, second = engine.run(), engine.run()
+    assert {wall.kernel_tier for wall in first.stats.wall} == {"vectorized"}
+    assert 5 not in first.values and second.values == first.values
+    assert pickle.dumps(second.stats) == pickle.dumps(first.stats)
+
+    engine = PregelEngine(graph, PageRank(num_supersteps=3), num_workers=3)
+    first = engine.run()
+    dense = engine._fabric.dense
+    assert engine.run().values == first.values
+    assert engine._fabric.dense is dense

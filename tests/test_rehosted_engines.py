@@ -308,6 +308,22 @@ class _Grows(VertexProgram):
             v.vote_to_halt()
 
 
+class _Prunes(_Grows):
+    """Vertex 0 drops an out-edge from its own edge dict, in place, at
+    superstep 0 and then gossips as :class:`_Grows` does."""
+
+    name = "prunes"
+
+    def compute(self, v, msgs, ctx):
+        if ctx.superstep == 0 and v.id == 0:
+            v.out_edges.pop(next(iter(v.out_edges)))
+        v.value += len(msgs)
+        if ctx.superstep < 3:
+            ctx.send_to_neighbors(v, 1)
+        else:
+            v.vote_to_halt()
+
+
 def _mutating_pregel(backend):
     # The topology a run mutated must not be the next run's input.
     return lambda g: create_engine(
@@ -321,6 +337,10 @@ REBUILDERS = [
     ("pregel-ckpt-parallel", _checkpointed_pregel("parallel")),
     ("pregel-mutating-serial", _mutating_pregel("serial")),
     ("pregel-mutating-parallel", _mutating_pregel("parallel")),
+    # An edge dict edited in place must not be the next run's either.
+    ("pregel-editing", lambda g: PregelEngine(
+        path_graph(4), _Prunes(), num_workers=2
+    )),
     ("gas", lambda g: GASEngine(g, HashMinGAS(), num_workers=4)),
     ("block", lambda g: BlockEngine(g, BlockHashMin(), num_blocks=4)),
     ("async", lambda g: AsyncEngine(g, SsspGAS(source=0))),
