@@ -35,24 +35,26 @@ Sparse supersteps
 A superstep costs its *active* vertices.  Only a vertex that holds
 mail or was left un-halted can execute, so :func:`dense_compute_pass`
 walks the lane's frontier — ``lane.arrivals ∪ lane.awake``, ascending,
-which is the order the range scan would execute the same vertices in
-— and scans ``[start, stop)`` only when that is not known to be
-cheaper: on a wake-all superstep, when ``awake`` is ``None`` (fresh
-or re-indexed lanes; after a whole-lane kernel, a rollback, a
-confined replay or a rank reload rewrote ``halted``; after a pass
-that ran every vertex, which does not stop to list who halted), or
-when the frontier is as long as the range.  The gather kernels below
-visit ``lane.arrivals`` the same way.  The other engines' loops (GAS,
-block, async) live with their engines' state layouts.
+the range scan's order — and scans ``[start, stop)`` only when that
+is not known to be cheaper: on a wake-all superstep, when ``awake``
+is ``None`` (fresh or re-indexed lanes; after a whole-lane kernel, a
+rollback, a confined replay or a rank reload rewrote ``halted``;
+after a pass that ran every vertex), or when the frontier is as long
+as the range.  The gather kernels below visit ``lane.arrivals`` the
+same way.  The GAS, block and async loops live with their engines.
 
 The vectorized tier
 -------------------
 
 On top of the per-vertex loops sit whole-lane **vectorized kernels**:
 one superstep of a *registered* program as array-shaped passes over
-the lane's inbox columns and a scatter plan precompiled from its dense
-adjacency (stdlib ``array`` columns, no numpy).  Exact reproduction is
-the admission rule: a kernel registers for exactly one program class
+the lane's inbox columns and a scatter plan compiled from its dense
+adjacency (stdlib ``array`` columns, no numpy) in up to two stages.
+The count stage tallies each destination's messages in first-touch
+order, all a constant scatter (degree) needs; the place stage, run
+only where a share depends on its sender (PageRank), transposes the
+rows into per-destination sender columns.  Exact reproduction is the
+admission rule: a kernel registers for exactly one program class
 (``register_vectorized``) and has three parts —
 
 * ``applies(program, fabric, superstep, wake_all) -> phase | None``:
@@ -66,8 +68,7 @@ the admission rule: a kernel registers for exactly one program class
   a dangling out-edge whose send must raise);
 * ``run(host, lane, plan, phase)``: the lane's share of the superstep.
   A kernel that scatters through its plan returns its lane record's
-  payload column (:func:`_emit`) instead of sending into the lane's
-  mail.
+  payload column instead of sending into the lane's mail.
 
 Every other superstep — fault-injected runs, wake-all phases,
 unregistered programs, non-conforming topology — runs
@@ -201,13 +202,13 @@ def compile_plan(program, lane):
 
 
 def lane_compute_pass(host, lane, wake_all: bool, phase, plan):
-    """One lane's share of a superstep, on the tier its plan allows.
-
-    Returns ``(tier, executed, order, record)``: ``executed`` is the
+    """One lane's share of a superstep, on the tier its plan allows;
+    returns ``(tier, executed, order, record)``: ``executed`` is the
     dense indices visited, in visit order; ``record`` the lane's mail
-    for the barrier — the payload column its scatter plan laid out
-    (:func:`_emit`), or the sends detached from ``lane.mail`` — and
-    ``order`` its destinations' first-touch order.
+    for the barrier — a payload column in its plan's ``shape()``, its
+    sends charged to the lane's worker here, or the sends detached
+    from ``lane.mail`` — and ``order`` its destinations' first-touch
+    order.
     """
     tier, emitted = "vectorized", None
     if plan is None:
@@ -221,19 +222,17 @@ def lane_compute_pass(host, lane, wake_all: bool, phase, plan):
     if emitted is None:
         record = lane.detach()
         return tier, executed, record.touched, record
+    lane.worker.sent_logical += plan.sent
+    lane.worker.sent_remote += plan.remote
     return tier, executed, plan.order, _planned(plan, emitted)
 
 
 def _segment_folder(combine):
-    """Left fold with *no* initial value, matching send-time combining.
-
-    The per-vertex path folds a destination's messages pairwise in
-    arrival order (``acc = combine(acc, msg)``), seeded by the first
-    message itself — never by a literal zero, which would turn
-    ``-0.0`` into ``+0.0`` under sum-combining.  Kept as a module-level
-    hook so the oracle-differential tests can swap in a deliberately
-    re-associated fold and prove the harness catches it.
-    """
+    """Left fold with *no* initial value, matching send-time combining:
+    ``acc = combine(acc, msg)`` in arrival order, seeded by the first
+    message — a literal zero would turn ``-0.0`` into ``+0.0`` under
+    sum-combining.  Module-level so the oracle-differential tests can
+    swap in a re-associated fold and prove the harness catches it."""
     return partial(reduce, combine)
 
 
@@ -250,37 +249,44 @@ _SUB = operator.sub
 _CALL_WITH = operator.methodcaller
 
 
-class _ScatterLane:
-    """A precompiled scatter plan for one worker's dense range.
+class _CountPlan:
+    """A scatter plan's count stage (:func:`_count_stage`): the lane's
+    destinations in first-touch order (``order``, the order of its
+    mail after a per-vertex pass), how many messages each gets
+    (``counts``) and the lane's ``sent`` and ``remote`` tallies — all
+    a constant scatter's record needs (:func:`_constant_payloads`)."""
+
+    __slots__ = ("order", "counts", "sent", "remote")
+
+    def shape(self):
+        return self.order, self.counts
+
+
+class _ScatterLane(_CountPlan):
+    """A full scatter plan: the count stage, then the place stage
+    (:func:`_place_stage`), for shares that depend on the sender.
 
     Transposes the range's out-adjacency into per-destination gather
-    lists over the range's *share values* (one value per sending
-    vertex, in ascending vertex order — the exact order the per-vertex
-    loop would enqueue).  Destinations with a single contributor are
-    batched behind one flat ``itemgetter`` (``s_dst``/``s_get``).
-    Destinations with 2..``_GROUP_MAX`` contributors are grouped by
-    contributor count ``k`` and transposed once more into ``k``
-    *contributor columns* (``groups``): column ``j`` holds every
-    grouped destination's ``j``-th message position, so one whole
-    group folds with ``k - 1`` flat C-level ``map(combine, ...)``
-    passes — the same per-destination left fold, batched.  The rare
-    fatter destinations keep their own getter and fold count
-    (``m_dst``/``m_get``/``m_cnt``).  ``order`` is the first-touch
-    destination order — identical to the order of the lane's mail
-    after the per-vertex pass.  Index lanes are stdlib
-    ``array('q')`` / ``array('d')`` columns, as in :mod:`repro.bsp.columns`.
+    lists over the range's *share values* (one per sending vertex, in
+    ascending vertex order — the per-vertex loop's enqueue order).
+    Single-contributor destinations share one flat ``itemgetter``
+    (``s_dst``/``s_get``).  Those with 2..``_GROUP_MAX`` contributors
+    are grouped by contributor count ``k`` into ``k`` *contributor
+    columns* (``groups``): column ``j`` holds each grouped
+    destination's ``j``-th message position, so a group folds with
+    ``k - 1`` C-level ``map(combine, ...)`` passes — the same
+    per-destination left fold, batched.  Fatter destinations keep
+    their own getter and fold count (``m_dst``/``m_get``/``m_cnt``).
     """
 
     __slots__ = (
-        "n", "value_getter", "degs", "order",
-        "s_dst", "s_get", "groups", "m_dst", "m_get", "m_cnt",
-        "sent", "remote", "_shape",
+        "n", "value_getter", "degs",
+        "s_dst", "s_get", "groups", "m_dst", "m_get", "m_cnt", "_shape",
     )
 
     def shape(self):
-        """``(touched, counts)``: the destinations of the record
-        :func:`_emit` fills, in its order, and their logical counts;
-        built once, so every record of the plan has the same shape."""
+        """``(touched, counts)`` in :func:`_emit`'s order — singles,
+        groups, fat — built once: every record has the same shape."""
         if self._shape is None:
             touched = array("q", self.s_dst)
             counts = array("q", [1]) * len(touched)
@@ -306,35 +312,41 @@ def _column_getter(positions):
     return operator.itemgetter(*positions)
 
 
-def _compile_scatter_lane(lo, hi, adjacency):
-    """Compile the scatter plan for dense positions ``[lo, hi)``.
-
-    ``adjacency`` is ``(out_start, out_dst, remote_out, dangling)``
-    columns indexed by those positions (a lane's ``dense idx - base``);
-    row targets are global dense indices.  Returns ``None`` when any
-    vertex in range has a dangling out-edge — the per-vertex path must
-    run so the send raises identically.
-
-    Count, then place: a C-level ``Counter`` over the range's targets
-    gives every destination's contributor count in first-touch order;
-    destinations ordered by (count, first touch) each get a run of one
-    flat placement column, filled with the sender ordinals in send
-    order; the plan's columns are cuts of that column.  No container
-    is built per destination or per vertex.
-    """
+def _count_stage(plan, lo, hi, adjacency):
+    """Fill ``plan``'s count stage for dense positions ``[lo, hi)`` of
+    ``adjacency`` (``(out_start, out_dst, remote_out, dangling)``, rows
+    of global dense indices) and return the range's targets and their
+    ``Counter``; ``None`` when a vertex in range has a dangling
+    out-edge — the per-vertex path must run so the send raises."""
     out_start, out_dst, remote_out, dangling = adjacency
     if any(lo <= pos < hi for pos in dangling):
         return None
     dsts = out_dst[out_start[lo]:out_start[hi]]
+    counts = Counter(dsts)
+    plan.order = array("q", counts)
+    plan.counts = array("q", counts.values())
+    plan.sent = len(dsts)
+    plan.remote = sum(remote_out[lo:hi])
+    return dsts, counts
+
+
+def _compile_scatter_lane(lo, hi, adjacency):
+    """Count, then place: ``[lo, hi)``'s full plan (``None``: dangling)."""
+    lane = _ScatterLane()
+    counted = _count_stage(lane, lo, hi, adjacency)
+    return counted and _place_stage(lane, lo, hi, adjacency[0], *counted)
+
+
+def _place_stage(lane, lo, hi, out_start, dsts, counts):
+    """``lane``'s place stage: destinations ordered by (count, first
+    touch) each get a run of one flat placement column, filled with
+    the sender ordinals in send order; the plan's columns are cuts of
+    that column.  No container is built per destination or vertex."""
     lens = list(map(_SUB, out_start[lo + 1:hi + 1], out_start[lo:hi]))
     senders = list(filter(lens.__getitem__, range(hi - lo)))
     k = len(senders)
-    lane = _ScatterLane()
-    lane._shape = None
-    lane.n = k
+    lane._shape, lane.n = None, k
     lane.degs = array("d", map(float, filter(None, lens)))
-    lane.sent = len(dsts)
-    lane.remote = sum(remote_out[lo:hi])
     if not k:
         lane.value_getter = None
     elif senders[-1] - senders[0] + 1 == k:
@@ -343,8 +355,6 @@ def _compile_scatter_lane(lo, hi, adjacency):
         )
     else:
         lane.value_getter = operator.itemgetter(*senders)
-    counts = Counter(dsts)
-    lane.order = array("q", counts)
     ranked = sorted(counts, key=counts.__getitem__)
     sizes = list(map(counts.__getitem__, ranked))
     cursor = dict(zip(ranked, accumulate(sizes, initial=0)))
@@ -354,10 +364,8 @@ def _compile_scatter_lane(lo, hi, adjacency):
         at = cursor[dst]
         place[at] = j
         cursor[dst] = at + 1
-    lane.s_dst = array("q")
-    lane.s_get = None
-    groups = []
-    fat = {}
+    lane.s_dst, lane.s_get = array("q"), None
+    groups, fat = [], {}
     d = at = 0
     for count, members in sorted(Counter(sizes).items()):
         run = ranked[d:d + members]
@@ -384,17 +392,11 @@ def _compile_scatter_lane(lo, hi, adjacency):
 
 
 def _group_fold(combine, getters, shares):
-    """Fold one contributor-column group pairwise, column by column.
-
-    Column ``j`` holds every grouped destination's ``j``-th message,
-    so chaining ``map(combine, carry, column_j)`` left to right
-    performs, for each destination, exactly the per-vertex path's
-    ``acc = combine(acc, msg)`` sequence in arrival order — batched
-    across the whole group at C level.  Module-level for the same
-    reason as :func:`_segment_folder`: the oracle-differential tests
-    swap in a deliberately re-associated version and prove the
-    harness catches it.
-    """
+    """Fold one contributor-column group pairwise, column by column:
+    column ``j`` holds every grouped destination's ``j``-th message,
+    so chaining ``map(combine, carry, column_j)`` is, per destination,
+    the per-vertex path's ``acc = combine(acc, msg)`` in arrival order,
+    batched at C level.  Module-level as :func:`_segment_folder` is."""
     columns = iter(getters)
     carry = next(columns)(shares)
     for getter in columns:
@@ -404,12 +406,10 @@ def _group_fold(combine, getters, shares):
 
 def _emit(lane, shares, combine):
     """One lane's shares as its record's payload column, in
-    :meth:`_ScatterLane.shape` order.  A destination's messages, in
-    arrival order, are laid end to end without a combiner (``combine``
-    ``None``), else left-folded — as a combining lane's sends fold, never
-    seeded with a literal zero, which would flip ``-0.0``: groups
-    column-wise (:func:`_group_fold`), fat ones by
-    :func:`_segment_folder`."""
+    :meth:`_ScatterLane.shape` order: a destination's messages laid end
+    to end in arrival order without a combiner, else left-folded as a
+    combining lane's sends fold — groups column-wise
+    (:func:`_group_fold`), fat ones by :func:`_segment_folder`."""
     out = list(lane.s_get(shares)) if lane.s_dst else []
     apply_shares = _CALL_WITH("__call__", shares)
     if combine is None:
@@ -425,12 +425,22 @@ def _emit(lane, shares, combine):
     return out
 
 
-def _compile_lane_scatter(lane, program):
-    """``compile`` of the kernels that scatter along every out-edge."""
+def _constant_payloads(counts, message, combine):
+    """The payload column of ``counts[i]`` copies of ``message`` to
+    each destination ``i``: laid end to end without a combiner, else
+    left-folded by :func:`_segment_folder` once per distinct count."""
+    if combine is None:
+        return list(chain.from_iterable(map(repeat, repeat(message), counts)))
+    fold = _segment_folder(combine)
+    folded = {count: fold([message] * count) for count in set(counts)}
+    return list(map(folded.__getitem__, counts))
+
+
+def _lane_range(lane):
+    """``(lo, hi, adjacency)`` of ``lane``'s range, for the compiles."""
     base = lane.base
-    return _compile_scatter_lane(
-        lane.start - base, lane.stop - base,
-        (lane.out_start, lane.out_dst, lane.remote_out, lane.dangling),
+    return lane.start - base, lane.stop - base, (
+        lane.out_start, lane.out_dst, lane.remote_out, lane.dangling
     )
 
 
@@ -507,15 +517,12 @@ def _feed_tracker(tracker, program, lane, seg_states, seg_counts, sends):
 
 
 def _pagerank_phase(program, fabric, superstep, wake_all):
-    """Which vectorized PageRank phase covers this superstep, if any.
-
-    The program's ``compute`` has exactly three shapes, keyed on the
-    superstep number: seed (rank ``1/n`` + scatter at superstep 0),
-    steady (gather + aggregate + scatter), final (gather + aggregate +
-    halt at ``num_supersteps``).  Anything off-script — a wake-all
-    re-activation mid-run, a pre-halted vertex, supersteps past the
-    program's horizon (possible after ``master_compute`` re-activates)
-    — declines so the per-vertex loop reproduces it.
+    """Which vectorized PageRank phase covers this superstep, if any:
+    seed (rank ``1/n`` + scatter at superstep 0), steady (gather +
+    aggregate + scatter) or final (gather + aggregate + halt at
+    ``num_supersteps``).  Anything off-script — a wake-all mid-run, a
+    pre-halted vertex, supersteps past the program's horizon (after
+    ``master_compute`` re-activates) — declines to the per-vertex loop.
     """
     num = program.num_supersteps
     if superstep > num:
@@ -547,7 +554,10 @@ class PageRankKernel:
     """
 
     applies = staticmethod(_pagerank_phase)
-    compile = staticmethod(_compile_lane_scatter)
+
+    @staticmethod
+    def compile(lane, program):
+        return _compile_scatter_lane(*_lane_range(lane))
 
     @staticmethod
     def run(host, lane, plan, phase):
@@ -560,8 +570,7 @@ class PageRankKernel:
         n = host.num_vertices
         d = program.damping
         if phase == "seed":
-            seg_counts = None
-            total_msgs = 0
+            seg_counts, total_msgs = None, 0
             new_vals = [1.0 / n] * n_seg
         else:
             seg_counts = lane.in_count[lo:hi]
@@ -580,18 +589,13 @@ class PageRankKernel:
             )
         _drain(map(setattr, seg_states, repeat("value"), new_vals))
         if phase == "final":
-            _drain(
-                map(setattr, seg_states, repeat("halted"), repeat(True))
-            )
-            sent = 0
-            emitted = None
+            _drain(map(setattr, seg_states, repeat("halted"), repeat(True)))
+            sent, emitted = 0, None
         else:
             sent = plan.sent
             emitted = _emit(plan, list(map(
                 operator.truediv, plan.value_getter(new_vals), plan.degs
             )), lane.combine) if plan.n else []
-            worker.sent_logical += sent
-            worker.sent_remote += plan.remote
         worker.work += float(n_seg + total_msgs + sent)
         if host._tracker is not None:
             _feed_tracker(
@@ -607,13 +611,12 @@ class PageRankKernel:
 def _plain_numeric_ids(ids):
     """True when every vertex id is a plain (non-bool) int or float.
 
-    The min-label programs' labels are always drawn from the vertex-id
-    set, and ``repr_key`` orders plain numerics by value alone, so
-    under this proof ``min(messages)`` and ``a < b`` reproduce the
-    keyed comparisons exactly — ties, NaNs and mixed int/float
-    included, because the key tuples' leading elements are then always
-    equal and every tuple comparison reduces to the same underlying
-    value comparison the plain operators perform."""
+    The min-label programs' labels are drawn from the vertex-id set,
+    and ``repr_key`` orders plain numerics by value alone, so then
+    ``min(messages)`` and ``a < b`` reproduce the keyed comparisons
+    exactly — ties, NaNs and mixed int/float included: the key tuples'
+    leading elements are equal, so every tuple comparison is the
+    plain operators' value comparison."""
     return all(type(i) in (int, float) for i in ids)
 
 
@@ -631,23 +634,18 @@ class MinPropagationKernel:
     """Steady-state min-label pass (WCC and hashmin): visit the lane's
     mailed positions in ascending order, take the min message under the
     program's total order, and scatter improved labels along peer
-    lists precompiled to dense indices and remote counts, so the loop
-    never rebuilds a set or hashes an id.  It sends through the lane's
-    own scatter (:meth:`~repro.bsp.fabric.DenseLane.scatter`), as a
-    full-neighbor fanout does.
-
-    Superstep 0 (candidate gathering) stays on the per-vertex loop;
-    halt flags stay ``True`` throughout because the program's
-    wake -> compute -> ``vote_to_halt`` round-trips every visited
-    vertex back to halted.
+    lists precompiled to dense indices and remote counts — no set
+    rebuilt, no id hashed — through the lane's own scatter
+    (:meth:`~repro.bsp.fabric.DenseLane.scatter`).  Superstep 0 stays
+    on the per-vertex loop; halt flags stay ``True`` throughout, as
+    every visit round-trips to ``vote_to_halt``.
 
     ``key`` is the program's total order over labels (dropped under
     the plain-numeric proof).  ``peers_of(state)`` is the program's
     own peer-set expression, evaluated once per vertex at compile;
-    ``None`` means the program propagates along its out-edges, which
-    is exactly the lane's compiled adjacency.  ``charge_peers``
-    reproduces WCC's cost model, which charges the peer-set size on
-    every visit; hashmin's compute term is message count only.
+    ``None`` means its out-edges, the lane's compiled adjacency.
+    ``charge_peers`` reproduces WCC's cost model, which charges the
+    peer-set size on every visit; hashmin's charges messages only.
     """
 
     def __init__(self, key, peers_of=None, charge_peers=False):
@@ -663,8 +661,7 @@ class MinPropagationKernel:
         ``i = pos - off``, ``remote[i]`` of them on other workers —
         the lane's own adjacency columns, or the program's peer sets
         laid out the same way.  ``None`` when a peer is unknown
-        (dangling edge): the per-vertex loop must run so the send
-        raises identically."""
+        (dangling edge), so the per-vertex send raises."""
         lo = lane.start - lane.base
         hi = lane.stop - lane.base
         if self._peers_of is None:
@@ -741,9 +738,10 @@ class MinPropagationKernel:
 
 class DegreeKernel:
     """Degree-style workload: a seed superstep scattering a constant
-    ``1.0`` along the precompiled plan, then pure gather supersteps
-    (``value += left_sum(messages, 0.0)``) over the mailed positions
-    with every vertex staying halted."""
+    ``1.0`` along every out-edge — a record built from the count stage
+    alone (:func:`_constant_payloads`), no place stage — then pure
+    gather supersteps (``value += left_sum(messages, 0.0)``) over the
+    mailed positions with every vertex staying halted."""
 
     @staticmethod
     def applies(program, fabric, superstep, wake_all):
@@ -754,7 +752,11 @@ class DegreeKernel:
             return None
         return None if any(map(_HALTED, states)) else "seed"
 
-    compile = staticmethod(_compile_lane_scatter)
+    @staticmethod
+    def compile(lane, program):
+        """The count stage alone: every message is ``1.0``."""
+        plan = _CountPlan()
+        return _count_stage(plan, *_lane_range(lane)) and plan
 
     @staticmethod
     def run(host, lane, plan, phase):
@@ -769,9 +771,7 @@ class DegreeKernel:
             for state in seg_states:
                 state.value = 0.0
                 state.halted = True
-            emitted = _emit(plan, [1.0] * plan.n, lane.combine)
-            worker.sent_logical += plan.sent
-            worker.sent_remote += plan.remote
+            emitted = _constant_payloads(plan.counts, 1.0, lane.combine)
             worker.work += float(len(seg_states) + plan.sent)
             if tracker is not None:
                 _feed_tracker(tracker, program, lane, seg_states, None, True)

@@ -20,7 +20,9 @@ checkpoint; a ``memory_budget`` run that spills records; and a
 barrier mutation, whose merge drops the removed vertex's mail.  Two
 poisoned controls reorder the widest destination's messages, one in
 the layout and one in the direct merge; the oracle differential must
-catch each on its own.
+catch each on its own.  Degree's constant scatter compiles the plan's
+count stage alone: a spy on the place stage (``kernels._place_stage``)
+fails any degree run that reaches it, serial and on the pool.
 
 The tests keep the ids they had when the per-vertex pass sent
 through n-length slots and delivery scanned them ("the slot scan").
@@ -37,14 +39,17 @@ import pytest
 
 from repro.algorithms.degree import DegreeCentrality
 from repro.algorithms.pagerank import PageRank
-from repro.bsp import PregelEngine, SumCombiner, fabric, kernels
+from repro.bsp import PregelEngine, SumCombiner, create_engine, fabric, kernels
 from repro.bsp.fabric import MailMerge
+from repro.bsp.parallel import default_start_method as parallel_start_method
 from repro.graph import barabasi_albert_graph
 from tests.conftest import assert_held_to_oracle, dense_pass, oracle_result
 from tests.test_differential_fuzz import canonical
 
 _env = os.environ.get("REPRO_FUZZ_WORKERS")
 WORKERS = [int(w) for w in _env.split(",")] if _env else [1, 2, 3, 4, 7]
+#: The place-stage spy's worker counts: 1, 4 and 7, as narrowed.
+SPY_WORKERS = [w for w in WORKERS if w in (1, 4, 7)] or WORKERS
 
 PROGRAMS = {
     "pagerank": lambda: PageRank(num_supersteps=6),
@@ -325,3 +330,68 @@ def test_a_rerun_lays_out_again_only_after_a_mutation(graph, monkeypatch):
     dense = engine._fabric.dense
     assert engine.run().values == first.values
     assert engine._fabric.dense is dense
+
+
+def _forbid_place_stage(monkeypatch):
+    """Fail wherever the place stage runs: in this process and in the
+    pool's ranks, which fork with the patch in place.  Returns the
+    calls this process saw."""
+    reached = []
+
+    def place_stage(*args):
+        reached.append(args)
+        raise AssertionError("the place stage ran")
+
+    monkeypatch.setattr(kernels, "_place_stage", place_stage)
+    return reached
+
+
+@pytest.mark.parametrize("combiner", [True, False], ids=["sum", "none"])
+@pytest.mark.parametrize("workers", SPY_WORKERS)
+@pytest.mark.parametrize("backend", ["serial", "parallel"])
+def test_degree_never_runs_the_place_stage(
+    graph, backend, workers, combiner, monkeypatch
+):
+    """Both supersteps vectorized, held to the oracle and, byte for
+    byte, to the per-vertex pass (values, pickled ``RunStats``, BPPA)
+    — with the place stage forbidden.  On the pool every superstep
+    ran on the ranks, none restarted."""
+    if backend == "parallel" and parallel_start_method() != "fork":
+        pytest.skip("spawned ranks do not inherit the spy")
+
+    def engine():
+        return create_engine(
+            graph, DegreeCentrality(), backend=backend, num_workers=workers,
+            combiner=SumCombiner() if combiner else None, track_bppa=True,
+            seed=0,
+        )
+
+    oracle = oracle_result(
+        graph, DegreeCentrality(), num_workers=workers,
+        combiner=SumCombiner() if combiner else None,
+    )
+    with dense_pass():
+        dense = engine().run()
+    reached = _forbid_place_stage(monkeypatch)
+    spied = engine()
+    result = spied.run()
+    assert not reached
+    assert [wall.kernel_tier for wall in result.stats.wall] == (
+        ["vectorized"] * 2
+    )
+    assert_held_to_oracle(result, oracle)
+    assert canonical(result) == canonical(dense)
+    if backend == "parallel":
+        assert spied.parallel_disabled_reason is None
+        assert spied.rank_restarts == 0
+        assert spied.parallel_supersteps == result.stats.num_supersteps
+
+
+def test_the_place_stage_spy_is_live(graph, monkeypatch):
+    """PageRank's shares depend on the sender: it reaches the spied
+    place stage, which fails the run."""
+    reached = _forbid_place_stage(monkeypatch)
+    engine = PregelEngine(graph, PageRank(num_supersteps=2), num_workers=4)
+    with pytest.raises(AssertionError, match="the place stage ran"):
+        engine.run()
+    assert reached

@@ -7,14 +7,29 @@ replaced.  Drawn adjacencies — hubs above ``_GROUP_MAX`` contributors,
 empty rows, a dangling row, one to seven lanes — must compile to
 identical plans: every column, with the getters compared by what they
 return on a probe.
+
+Degree scatters a constant ``1.0`` and compiles the count stage alone
+(``kernels._count_stage``).  Over the same drawn adjacencies its
+order, counts and send tallies are the full plan's, and its seed
+record, merged per destination, is the record ``kernels._emit`` lays
+out through the full plan for ``[1.0] * n`` — with no combiner, sum,
+min and a non-associative fold.
 """
 
 from __future__ import annotations
 
+import operator
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.degree import DegreeCentrality
 from repro.bsp import kernels
+from repro.bsp.fabric import LaneRecord, _planned
+from repro.bsp.vertex import VertexState
+from repro.bsp.worker import Worker
+from tests.conftest import record_buckets
 from tests.scatter_reference import adjacency_of, reference_scatter_lane
 
 
@@ -102,3 +117,61 @@ def test_a_hub_above_the_group_limit_is_fat():
     assert plan.m_dst.tolist() == [0]
     assert plan.m_cnt.tolist() == [n]
     assert [count for count, _d, _g in plan.groups] == [n // 2, n - n // 2]
+
+
+#: Degree's combiners: none, sum, min and a non-associative fold whose
+#: result tells the fold's order and seed apart.
+COMBINES = [None, operator.add, min, lambda a, b: a + 2 * b]
+
+
+def _merged(record, combine):
+    """``{destination: (count, payload bits)}`` of ``record``."""
+    if combine is None:
+        return {
+            dst: (len(msgs), [m.hex() for m in msgs])
+            for dst, msgs in record_buckets(record)
+        }
+    assert len(record.payloads) == len(record.touched)
+    return {
+        dst: (count, [payload.hex()])
+        for dst, payload, count in zip(*record)
+    }
+
+
+def _degree_seed(lo, hi, rows, adjacency, combine):
+    """``(plan, record)`` of degree's seed over ``[lo, hi)``, as the
+    kernel compiles and runs it on one lane (``None, None`` when the
+    compile declines)."""
+    lane = SimpleNamespace(
+        base=0, start=lo, stop=hi, worker=Worker(0), combine=combine,
+        states=[VertexState(i) for i in range(len(rows))],
+        **adjacency._asdict(),
+    )
+    plan = kernels.DegreeKernel.compile(lane, DegreeCentrality())
+    if plan is None:
+        return None, None
+    host = SimpleNamespace(_program=DegreeCentrality(), _tracker=None)
+    _executed, payloads = kernels.DegreeKernel.run(host, lane, plan, "seed")
+    return plan, _planned(plan, payloads)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=lanes_of_rows())
+def test_the_count_stage_gives_the_full_plans_record(drawn):
+    rows, remote_out, bounds = drawn
+    adjacency = adjacency_of(rows, remote_out)
+    for lo, hi in zip(bounds, bounds[1:]):
+        full = kernels._compile_scatter_lane(lo, hi, adjacency)
+        for combine in COMBINES:
+            plan, record = _degree_seed(lo, hi, rows, adjacency, combine)
+            if full is None:
+                assert plan is None and None in rows[lo:hi], (lo, hi)
+                break
+            assert plan.order.tolist() == full.order.tolist()
+            assert dict(zip(*plan.shape())) == dict(zip(*full.shape()))
+            assert (plan.sent, plan.remote) == (full.sent, full.remote)
+            touched, counts = full.shape()
+            want = LaneRecord(
+                touched, kernels._emit(full, [1.0] * full.n, combine), counts
+            )
+            assert _merged(record, combine) == _merged(want, combine)
