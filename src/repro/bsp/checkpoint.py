@@ -10,13 +10,11 @@ A :class:`Checkpoint` is the run's *columns* over one frozen topology
 (``docs/fault_tolerance.md``): a value and a halted-flag column in
 ``states`` order, the undelivered inbox as delivery-ordered columns,
 the aggregator, RNG, BPPA and wake-all scalars, and ``topology`` — a
-:class:`TopologySnapshot`, or ``None`` for "the baseline the engine's
-state store froze at construction".  Programs may mutate topology (at
-superstep boundaries, and ``VertexState.out_edges`` in place), so
-sharing the baseline is **verified, never assumed**:
-:func:`take_checkpoint` shares it only when
-:meth:`TopologySnapshot.holds` and captures a fresh snapshot into the
-checkpoint otherwise.
+:class:`TopologySnapshot`, or ``None`` for the state store's
+:class:`Baseline`, whose rows are the run's own ``CsrSnapshot``.
+Programs may mutate topology (at superstep boundaries, and
+``VertexState.out_edges`` in place), so sharing the baseline is
+**verified, never assumed** (:meth:`Baseline.holds`).
 
 Value and message columns are **copy-on-write**: exact floats or
 exact ints become one typed array, anything else goes through
@@ -44,7 +42,7 @@ from typing import Sequence, Tuple
 from repro.bsp.columns import typed_column
 from repro.bsp.vertex import VertexState
 from repro.errors import CheckpointError
-from repro.graph.snapshot import row_dicts, same_rows
+from repro.graph.snapshot import CsrSnapshot, row_dicts, same_rows
 from repro.metrics.bppa import BppaObservation, state_atoms
 
 #: Types shared (not copied) by :func:`cow_copy`.
@@ -88,23 +86,9 @@ def _vertex_columns(store):
     )
 
 
-def _live_topology(store):
-    """``store``'s topology in the field order of
-    :class:`TopologySnapshot`; a row that is not materialized is read
-    off the frozen topology's columns, never built into a dict."""
-    shape, (ids, owner_ids, worker_ids) = _vertex_columns(store)
-    states = store.states.values()
-    aliased, lens, nbrs, wts = store.topology.live_rows(
-        [s.row for s in states],
-        [s.out_edges for s in states], [s.in_edges for s in states],
-    )
-    return (aliased, lens, *shape, ids, nbrs, wts, owner_ids, worker_ids)
-
-
 class TopologySnapshot(NamedTuple):
-    """Frozen edge maps, ownership and worker lists as flat columns:
-    what a restore needs besides the per-vertex columns.  Never handed
-    out — a restore builds fresh lists and dicts from them."""
+    """Edge maps, ownership and worker lists as flat columns, captured
+    once the live topology is no longer the :class:`Baseline`."""
 
     #: Per vertex in ``states`` order: 1 where ``in_edges is
     #: out_edges`` (undirected graphs).
@@ -125,29 +109,17 @@ class TopologySnapshot(NamedTuple):
 
     @classmethod
     def capture(cls, store) -> "TopologySnapshot":
-        return cls(*_live_topology(store))
-
-    def holds(self, store) -> bool:
-        """Whether ``store``'s live topology still is this snapshot, the
-        baseline, whose rows are the frozen topology's: the vertex
-        columns by identity (``1 == 1.0 == True``), and the rows that
-        are materialized, the only ones that can differ — O(n +
-        touched), not O(m)."""
-        shape, leaves = _vertex_columns(store)
-        kept = self.ids, self.owner_ids, self.worker_ids
-        if (
-            shape != (self.owner_workers, self.worker_lens)
-            or list(map(len, leaves)) != list(map(len, kept))
-            or not all(map(all, map(map, repeat(is_), leaves, kept)))
-        ):
-            return False  # past here every vertex has a frozen row
-        touched = [s for s in store.states.values() if s.out_edges is not None]
-        rows = [s.row for s in touched]
-        live = store.topology.live_rows(
-            rows, [s.out_edges for s in touched], [s.in_edges for s in touched]
+        """``store``'s live topology; a row that is not materialized is
+        read off the frozen topology's columns, never built into a dict."""
+        shape, (ids, owner_ids, worker_ids) = _vertex_columns(store)
+        states = store.states.values()
+        aliased, lens, nbrs, wts = store.topology.live_rows(
+            [s.row for s in states],
+            [s.out_edges for s in states], [s.in_edges for s in states],
         )
-        frozen = store.topology.live_rows(rows, *[[None] * len(rows)] * 2)
-        return live[0] == frozen[0] and same_rows(live[1:], frozen[1:])
+        return cls(aliased, lens, *shape, ids, nbrs, wts, owner_ids, worker_ids)
+
+    edge_entries = property(lambda self: len(self.edge_ids))
 
     def edge_maps(self):
         """Per vertex, fresh ``(out_edges, in_edges)`` dicts — one
@@ -160,6 +132,49 @@ class TopologySnapshot(NamedTuple):
             (out, out if shared else next(in_maps))
             for out, shared in zip(maps, self.aliased)
         ]
+
+
+class Baseline(NamedTuple):
+    """The topology frozen at construction: a :class:`TopologySnapshot`'s
+    vertex columns, O(n), over the run's own ``CsrSnapshot`` rows."""
+
+    owner_workers: List[int]
+    worker_lens: List[int]
+    ids: List[Hashable]
+    owner_ids: List[Hashable]
+    worker_ids: List[Hashable]
+    rows: CsrSnapshot
+    edge_entries: int  # out-row entries, and in-row ones when directed
+
+    @classmethod
+    def freeze(cls, store) -> "Baseline":
+        targets = store.topology.edge_columns()[1::3]  # out, in if directed
+        shape, leaves = _vertex_columns(store)
+        return cls(*shape, *leaves, store.topology, sum(map(len, targets)))
+
+    def holds(self, store) -> bool:
+        """Whether ``store``'s live topology still is this baseline: the
+        vertex columns by identity (``1 == 1.0 == True``), and the
+        materialized rows, the only ones that can differ — O(n + touched)."""
+        shape, leaves = _vertex_columns(store)
+        kept = self.ids, self.owner_ids, self.worker_ids
+        if (
+            shape != (self.owner_workers, self.worker_lens)
+            or list(map(len, leaves)) != list(map(len, kept))
+            or not all(map(all, map(map, repeat(is_), leaves, kept)))
+        ):
+            return False  # past here every vertex has a frozen row
+        touched = [s for s in store.states.values() if s.out_edges is not None]
+        rows = [s.row for s in touched]
+        live = self.rows.live_rows(
+            rows, [s.out_edges for s in touched], [s.in_edges for s in touched]
+        )
+        frozen = self.rows.live_rows(rows, *[[None] * len(rows)] * 2)
+        return live[0] == frozen[0] and same_rows(live[1:], frozen[1:])
+
+    def edge_maps(self):
+        """Per vertex, no dict: a restored row is the frozen one."""
+        return repeat((None, None))
 
 
 @dataclass
@@ -182,7 +197,7 @@ class Checkpoint:
     #: State atoms (one per vertex, plus value, edge, inbox and
     #: aggregator atoms) — drives the write-cost charge.
     size: int
-    #: ``None``: the state store's verified baseline.
+    #: ``None``: the state store's verified :class:`Baseline`.
     topology: Optional[TopologySnapshot] = None
 
 
@@ -192,10 +207,9 @@ class EngineSnapshot:
 
     The GAS/block/async engines describe their complete mutable run
     state as a payload dict (each engine's ``_checkpoint``); this
-    wrapper adds what the shared machinery needs: the
-    ``superstep`` the :class:`~repro.bsp.loop.CheckpointPolicy`
-    schedule keys on and the ``size`` in state atoms that drives the
-    write-cost charge, exactly like :class:`Checkpoint`.
+    wrapper adds what the shared machinery needs: the ``superstep`` the
+    :class:`~repro.bsp.loop.CheckpointPolicy` schedule keys on and the
+    ``size`` in state atoms that drives the write-cost charge.
     """
 
     superstep: int
@@ -288,13 +302,13 @@ def take_checkpoint(engine, superstep: int) -> Checkpoint:
         bppa_observation=None
         if tracker is None
         else dataclasses.replace(tracker.observation),
-        size=len(values) + value_atoms + len(topology.edge_ids)
+        size=len(values) + value_atoms + topology.edge_entries
         + msg_atoms + state_atoms(engine._agg_finalized),
         topology=None if shared else topology,
     )
 
 
-def _topology_of(engine, checkpoint: Checkpoint) -> TopologySnapshot:
+def _topology_of(engine, checkpoint: Checkpoint):
     topology = checkpoint.topology or engine._store.baseline
     if topology is None:
         raise CheckpointError(
@@ -307,18 +321,14 @@ def _topology_of(engine, checkpoint: Checkpoint) -> TopologySnapshot:
 def _restored_states(engine, checkpoint: Checkpoint, topology, keep=None):
     """A fresh ``VertexState`` per vertex of ``checkpoint`` (only
     those whose id is in ``keep``, when given, which a confined replay
-    runs ``compute`` on).  A full restore of a checkpoint sharing the
+    runs ``compute`` on).  A restore of a checkpoint sharing the
     baseline puts the frozen rows back: it builds no dict."""
-    maps = (
-        repeat((None, None)) if keep is None and checkpoint.topology is None
-        else topology.edge_maps()
-    )
     for vid, value, halted, row, (out_edges, in_edges) in zip(
         topology.ids,
         _thaw(checkpoint.values),
         checkpoint.halted,
         engine._store.topology.positions(topology.ids),
-        maps,
+        topology.edge_maps(),
     ):
         if keep is None or vid in keep:
             state = VertexState.of_rows(vid, value, row, out_edges, in_edges)
@@ -385,4 +395,6 @@ def restore_partition(engine, checkpoint: Checkpoint, worker: int) -> int:
         state = live[saved.id]
         state.value, state.halted = saved.value, saved.halted
         state.out_edges, state.in_edges = saved.out_edges, saved.in_edges
+    if checkpoint.topology is None:  # the lane re-reads the frozen rows
+        engine._fabric.lanes[worker].rows = engine._store.topology.edge_rows
     return len(owned)

@@ -9,80 +9,60 @@ fault-tolerance story: recovery cost, not steady-state speed, decides
 whether a long iterative job is usable (Ammar & Özsu treat
 fault-handling behavior as a first-class differentiator).
 
-On-disk format (version 4)
+On-disk format (version 5)
 --------------------------
 A checkpoint directory holds one JSON manifest plus one binary record
-per retained checkpoint::
+per retained checkpoint (``docs/fault_tolerance.md`` has the rules)::
 
     MANIFEST.json       # format version, run id, config fingerprint,
                         # write counters, per-checkpoint index entries
     ckpt-000001.bin     # pickled {"format_version", "superstep",
     ckpt-000002.bin     #          "checkpoint", "context"}
-    ...
 
-A record's :class:`~repro.bsp.checkpoint.Checkpoint` is columns plus,
-only when the run's topology is no longer the baseline the engine
-froze at construction, a ``TopologySnapshot`` of its own.  A record of
-an unmutated run therefore holds no edge, owner or worker-list data
-and does not grow with the edge count: the resuming engine re-derives
-the baseline from the graph it is handed, and the fingerprint (below)
-guarantees that graph lays the columns out identically.  An older
-directory (version 1: edge-map copies; 2: the plane in records and
-fingerprint; 3: a fingerprint over the sorted edge walk) is refused,
+A record's :class:`~repro.bsp.checkpoint.Checkpoint` carries a
+``TopologySnapshot`` only once the run's topology is no longer the
+``Baseline`` the engine froze, so a record of an unmutated run holds
+no edge, owner or worker-list data: the resuming engine freezes its
+baseline over the graph it is handed, and the fingerprint guarantees
+that graph lays the columns out identically.  A directory of another
+version (1: edge-map copies; 2: the plane in records; 3: a sorted
+edge walk fingerprinted; 4: per-edge lists fingerprinted) is refused,
 resuming or not, with a ``CheckpointError`` naming the version.
 
-Every write is atomic: the bytes go to a temp file in the same
-directory, are flushed and ``fsync``'d, and only then renamed over the
-final name (``os.replace``), so a crash mid-write can never leave a
-half-written checkpoint under a valid name.  A write the filesystem
-refuses (disk full, quota) raises a ``CheckpointError`` naming the
-file and leaves no temp file; the manifest is rewritten before older
-generations are pruned, so it names only records that are on disk and
-the run resumes from the previous generation.  The manifest records
-each record's byte length and CRC-32; on load both are verified
-*before* unpickling, and any record that fails — truncated,
-bit-flipped, undecodable — is skipped in favor of the newest older
-intact checkpoint.  Only when every retained generation is damaged
-does the store raise :class:`~repro.errors.CheckpointCorruptionError`;
-raw pickle tracebacks never escape.
+Every write is atomic (temp file, ``fsync``, ``os.replace``); a write
+the filesystem refuses is a ``CheckpointError`` naming the file, and
+the manifest is rewritten before older generations are pruned, so it
+names only records on disk.  The manifest holds each record's length
+and CRC-32, verified *before* unpickling: a damaged record falls back
+to the newest older intact one, and only when every generation is
+damaged does :class:`~repro.errors.CheckpointCorruptionError` rise.
 
 Config fingerprint
 ------------------
-The manifest carries one SHA-256 over everything that shapes the
-deterministic execution: the program's class and constructor state,
-worker count, seed, checkpoint interval, recovery budget, recovery
-mode, BPPA tracking, the combiner/partitioner/cost-model
-configuration, the fault plan, and the graph — its counters and the
-columns of the baseline the engine froze, each read once (nothing
-here walks the graph's edges).  It is **order-sensitive, because
-execution is**: vertex order is what a record's columns align to and
-adjacency order is the send order.  Edge labels are *not* covered: a
-label reaches a run only through ``initial_value`` at construction,
-and a resume overwrites every value from the record.  Resuming
-against a directory whose fingerprint differs raises
-:class:`~repro.errors.FingerprintMismatchError` instead of silently
-mixing incompatible state.  Three knobs are deliberately *excluded*:
-
-* the backend — serial and process-parallel execution are
-  byte-identical by contract, so a run checkpointed under one may
-  resume under the other;
-* the parallel backend's ``transport`` — it has one effective value
-  (the kwarg is consumed by ``ParallelPregelEngine`` and never reaches
-  the fingerprint);
-* ``max_supersteps`` — it is a guard, not semantics; the canonical
-  reason to resume is "the run was killed, give it more budget".
+One SHA-256 over everything that shapes the deterministic execution:
+the program's class and constructor state, the engine settings, the
+fault plan, and the graph — its counters, the baseline's vertex
+columns, and the run's CSR columns hashed where they lie (nothing
+walks the edges or copies a row), so a ``Graph`` and its
+saved-and-opened ``CsrSnapshot`` fingerprint alike.  It is
+**order-sensitive, because execution is**: vertex order is what a
+record's columns align to, adjacency order the send order.  Edge
+labels are *not* covered (a label reaches a run only through
+``initial_value``, and a resume overwrites every value).  A
+mismatch raises :class:`~repro.errors.FingerprintMismatchError`.
+Excluded: the backend and the parallel ``transport`` (byte-identical
+by contract, so a run may resume under the other) and
+``max_supersteps`` (a guard: "give the killed run more budget" is the
+canonical resume).
 
 Resume context
 --------------
-A :class:`~repro.bsp.checkpoint.Checkpoint` rewinds a *live* engine;
-a fresh process additionally needs the run-scoped state that rollback
-never restores because the crashed process still had it: the
-:class:`~repro.metrics.stats.RunStats` so far, the aggregate history,
-execution/crash counters, per-superstep checkpoint costs, the
-confined-recovery logs, the program's mutable attributes, and the
-fault injector's RNG stream.  :func:`build_run_context` captures it at
-every durable write; :func:`resume_engine` adopts it before the
-standard :func:`~repro.bsp.checkpoint.restore_checkpoint` runs.
+A fresh process also needs the run-scoped state an in-process
+rollback keeps (stats, aggregate history, counters, checkpoint
+costs, confined-recovery logs, program attributes, the injector's RNG
+stream): :func:`build_run_context` captures it at every durable
+write, :func:`resume_engine` adopts it before the standard
+:func:`~repro.bsp.checkpoint.restore_checkpoint` runs.
 """
 
 from __future__ import annotations
@@ -107,7 +87,7 @@ from repro.errors import (
 )
 
 #: Version of the on-disk layout; bumped on incompatible changes.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 MANIFEST_NAME = "MANIFEST.json"
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -179,11 +159,16 @@ def _object_signature(obj: Any) -> str:
 
 
 def _column_bytes(column) -> Tuple[str, Any]:
-    """A baseline column as ``(tag, bytes-like)``: ``bytes`` as they
-    are, a conforming column as its typed array under its typecode,
-    any other as its canonical ``repr``."""
-    if isinstance(column, bytes):
-        return "bytes", column
+    """A fingerprinted column as ``(tag, bytes-like)``: a typed CSR
+    column zero-copy under its item format (an ``array`` and an
+    mmapped view of the same values alike), ``None`` (the default
+    weights) as ``ones``, a conforming list as its typed array under
+    its typecode, any other list as its canonical ``repr``."""
+    if column is None:
+        return "ones", b""
+    if not isinstance(column, list):
+        view = memoryview(column)
+        return view.format, view
     typed = typed_column(column)
     if typed is column:
         return "repr", repr(column).encode("utf-8")
@@ -211,10 +196,9 @@ def config_fingerprint(
     backend and plane, the transport and ``max_supersteps`` are
     deliberately excluded (see the module docstring), and the recovery
     budget is read from ``loop.MAX_RECOVERY_ATTEMPTS``.  ``baseline`` is
-    the engine's frozen ``TopologySnapshot``; each of its columns goes
-    in as tagged raw or typed-array bytes, or as its canonical
-    ``repr`` when it does not conform, so the result is independent of
-    ``PYTHONHASHSEED``.
+    the engine's frozen ``Baseline``: its vertex columns, then its
+    rows' CSR columns, each in as tagged bytes (:func:`_column_bytes`),
+    so the result is independent of ``PYTHONHASHSEED``.
     """
     parts = [
         f"format={FORMAT_VERSION}",
@@ -234,7 +218,9 @@ def config_fingerprint(
         f"fault_plan={fault_plan!r}",
     ]
     digest = hashlib.sha256("|".join(parts).encode("utf-8"))
-    for tag, data in map(_column_bytes, baseline):
+    *vertex_columns, rows, _entries = baseline
+    columns = (*vertex_columns, *rows.edge_columns())
+    for tag, data in map(_column_bytes, columns):
         digest.update(f"|{tag}:{memoryview(data).nbytes}:".encode())
         digest.update(data)
     return digest.hexdigest()[:16]

@@ -85,7 +85,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from functools import partial, reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Any, Dict, List, Tuple
 
 from repro.bsp.aggregator import left_sum
@@ -357,7 +357,9 @@ def _place_stage(lane, lo, hi, out_start, dsts, counts):
         lane.value_getter = operator.itemgetter(*senders)
     ranked = sorted(counts, key=counts.__getitem__)
     sizes = list(map(counts.__getitem__, ranked))
-    cursor = dict(zip(ranked, accumulate(sizes, initial=0)))
+    cursor = [0] * (max(counts, default=-1) + 1)  # by dense destination
+    for dst, at in zip(ranked, accumulate(sizes, initial=0)):
+        cursor[dst] = at
     place = [0] * len(dsts)
     ordinals = chain.from_iterable(map(repeat, range(k), filter(None, lens)))
     for j, dst in zip(ordinals, dsts):
@@ -366,10 +368,10 @@ def _place_stage(lane, lo, hi, out_start, dsts, counts):
         cursor[dst] = at + 1
     lane.s_dst, lane.s_get = array("q"), None
     groups, fat = [], {}
-    d = at = 0
+    ranked_left, place_left = iter(ranked), iter(place)
     for count, members in sorted(Counter(sizes).items()):
-        run = ranked[d:d + members]
-        block = place[at:at + count * members]
+        run = list(islice(ranked_left, members))
+        block = list(islice(place_left, count * members))
         if count == 1:
             lane.s_dst = array("q", run)
             lane.s_get = _column_getter(block)
@@ -381,8 +383,6 @@ def _place_stage(lane, lo, hi, out_start, dsts, counts):
         else:
             for i, dst in enumerate(run):
                 fat[dst] = block[i * count:(i + 1) * count]
-        d += members
-        at += count * members
     lane.groups = tuple(groups)
     m_dst = list(filter(fat.__contains__, counts))
     lane.m_dst = array("q", m_dst)

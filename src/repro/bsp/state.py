@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import chain, islice
 from typing import Any, Dict, Hashable, List, Optional, Set
 
-from repro.bsp.checkpoint import TopologySnapshot, restore_partition
+from repro.bsp.checkpoint import Baseline, restore_partition
 from repro.bsp.context import ComputeContext
 from repro.bsp.vertex import VertexState
 from repro.bsp.worker import Worker
@@ -64,7 +64,7 @@ class StateStore:
         # Recovery bookkeeping.  ``baseline`` is the topology frozen
         # right after construction (:meth:`freeze_baseline`) that later
         # checkpoints share for as long as it verifiably still holds.
-        self.baseline: Optional[TopologySnapshot] = None
+        self.baseline: Optional[Baseline] = None
         self.reset(program, graph)
 
     def lay_out(self) -> None:
@@ -89,9 +89,9 @@ class StateStore:
             state.value, state.halted = program.initial_value(vid, graph), False
 
     def freeze_baseline(self) -> None:
-        """Capture the topology checkpoints are columns over.  Called
+        """Freeze the topology checkpoints are columns over.  Called
         once, before any program code can touch an edge map."""
-        self.baseline = TopologySnapshot.capture(self)
+        self.baseline = Baseline.freeze(self)
 
     def materialize(self, state: VertexState) -> VertexState:
         """``state``, given private edge dicts if it has none yet."""
@@ -263,7 +263,7 @@ def confined_replay(
             elif wake_all:
                 state.halted = False
             messages = list(messages) if messages else []
-            ctx._begin_vertex(state)
+            ctx._begin_vertex(store.materialize(state))
             program.compute(state, messages, ctx)
             replay_work += 1 + len(messages) + ctx._sent + ctx._charged
     # The crashed worker lost its incoming queue for the current

@@ -64,6 +64,14 @@ def _canonical_bytes(value: Hashable) -> bytes:
     bipartite tags and the ``(u, v)`` tree-edge ids); anything else
     falls back to ``repr``, which is stable for the builtin types.
     """
+    kind = type(value)
+    if kind is int:  # the common ids first, by exact type
+        return b"i%d" % value
+    if kind is str:
+        return b"s" + value.encode("utf-8")
+    if isinstance(value, tuple):  # no tuple is an int, str or bytes
+        parts = [_canonical_bytes(item) for item in value]
+        return b"t%d(%b)" % (len(parts), b"|".join(parts))
     if value is None:
         return b"n"
     if isinstance(value, bool):
@@ -76,15 +84,6 @@ def _canonical_bytes(value: Hashable) -> bytes:
         return b"s" + value.encode("utf-8")
     if isinstance(value, bytes):
         return b"b" + value
-    if isinstance(value, tuple):
-        parts = [_canonical_bytes(item) for item in value]
-        return (
-            b"t"
-            + str(len(parts)).encode("ascii")
-            + b"("
-            + b"|".join(parts)
-            + b")"
-        )
     if isinstance(value, frozenset):
         parts = sorted(_canonical_bytes(item) for item in value)
         return b"z(" + b"|".join(parts) + b")"

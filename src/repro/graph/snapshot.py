@@ -550,6 +550,16 @@ class CsrSnapshot:
             list(chain(out[1], inc[1])), list(chain(out[2], inc[2])),
         )
 
+    def edge_columns(self) -> tuple:
+        """The CSR columns as held, zero-copy (in RAM or mmapped): out
+        offsets, targets (positions) and weights (``None``: every
+        weight is the default ``1.0``), then the in-columns when
+        directed."""
+        out = self._out_off, self._out_tgt, self._out_w
+        if not self._directed:
+            return out
+        return out + (self._in_off, self._in_tgt, self._in_w)
+
     def edge_rows(self, positions):
         """``(out, in)``: the rows of the vertices at ``positions`` both
         ways (:meth:`rows_at`), as ``(lengths, neighbor ids, weights)``

@@ -1,12 +1,15 @@
 """Unit tests for the checkpoint and fault-injection primitives."""
 
 import dataclasses
+import gc
 import pickle
+import tracemalloc
 
 import pytest
 
 import repro.bsp.engine as engine_module
-from repro.bsp import PregelEngine, VertexProgram
+from repro.algorithms.pagerank import PageRank
+from repro.bsp import PregelEngine, VertexProgram, create_engine
 from repro.bsp.checkpoint import (
     CheckpointStore,
     TopologySnapshot,
@@ -25,7 +28,7 @@ from repro.bsp.loop import SuperstepLoop
 from repro.errors import (
     CheckpointError, RecoveryExhaustedError, WorkerCrashError,
 )
-from repro.graph import erdos_renyi_graph, path_graph
+from repro.graph import barabasi_albert_graph, erdos_renyi_graph, path_graph
 from repro.metrics.bppa import state_atoms
 from repro.metrics.cost_model import BSPCostModel
 from repro.metrics.stats import RunStats
@@ -332,6 +335,49 @@ class TestVerifiedBaselineSharing:
         assert again.stats == first.stats
         assert pickle.dumps(again.stats) == pickle.dumps(first.stats)
         assert again.aggregate_history == first.aggregate_history
+
+
+class TestBaselineIsTheRunsTopology:
+    """The baseline a checkpointing engine freezes is its vertex
+    columns over the run's own ``CsrSnapshot``: it costs O(n), never a
+    second copy of the m edges."""
+
+    GRAPH = barabasi_albert_graph(3000, 8, 1)
+
+    def _held(self, **kwargs):
+        """Bytes still allocated once the engine is built, and it."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine = create_engine(
+                self.GRAPH, PageRank(num_supersteps=10), num_workers=2,
+                **kwargs,
+            )
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before, engine
+        finally:
+            tracemalloc.stop()
+
+    def test_checkpointing_costs_o_n_not_o_m(self):
+        n, m = self.GRAPH.num_vertices, self.GRAPH.num_edges
+        plain, _ = self._held()
+        checked, engine = self._held(checkpoint_interval=3)
+        assert engine._store.baseline is not None
+        # A list with one pointer per edge entry alone (2m of them,
+        # undirected) would be 8 * 2m = 128 bytes per vertex here.
+        assert checked - plain <= 64 * n, (checked - plain, n, m)
+
+    def test_no_baseline_field_holds_an_entry_per_edge(self):
+        engine = PregelEngine(
+            self.GRAPH, PageRank(), num_workers=2, checkpoint_interval=3
+        )
+        baseline = engine._store.baseline
+        assert baseline.rows is engine._store.topology
+        assert baseline.edge_entries == 2 * self.GRAPH.num_edges
+        for field in baseline:
+            if hasattr(field, "__len__"):
+                assert len(field) <= self.GRAPH.num_vertices
 
 
 def _parent_formula_size(engine) -> int:

@@ -19,10 +19,11 @@ Three layers of coverage:
   run, a topology-carrying record after a mutation, a fingerprint
   that pins vertex and adjacency order, and nothing about the
   execution plane;
-* the fingerprint (version 4) — one pass over the frozen baseline's
-  columns: pinned values, weight types and signs told apart, edge
-  labels and ``PYTHONHASHSEED`` ignored, the graph's edges never
-  walked.
+* the fingerprint (version 5) — the baseline's vertex columns and
+  the run's CSR columns, hashed where they lie: pinned values, weight
+  types and signs told apart, edge labels and ``PYTHONHASHSEED``
+  ignored, the graph's edges never walked, a ``Graph`` and its
+  saved-and-opened ``CsrSnapshot`` interchangeable.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from repro.errors import (
 from repro.graph import Graph
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.partition import HashPartitioner
+from repro.graph.snapshot import CsrSnapshot
 
 GRAPH = erdos_renyi_graph(30, 0.15, seed=7, directed=True)
 
@@ -224,7 +226,7 @@ class TestCorruptionMatrix:
         # Version 2 records carried ``fast_active`` and fingerprinted
         # ``use_fast_path``: typed refusal, never an unpickling
         # traceback or a fingerprint mismatch.
-        assert FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 5
         _fill(_store(tmp_path), 2)
         manifest = json.loads(
             (tmp_path / MANIFEST_NAME).read_text()
@@ -253,6 +255,26 @@ class TestCorruptionMatrix:
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(
             CheckpointError, match="format version 3;"
+        ) as info:
+            open_durable_store(str(tmp_path), "another-fp", resume)
+        assert not isinstance(info.value, FingerprintMismatchError)
+        assert len(_ckpt_files(tmp_path)) == 2
+
+    @pytest.mark.parametrize("resume", [True, False, "auto"])
+    def test_version_4_directory_is_refused_by_name(
+        self, tmp_path, resume
+    ):
+        # Version 4 fingerprinted the baseline's per-edge id and weight
+        # lists, which the baseline no longer holds: the refusal names
+        # the version instead of a fingerprint mismatch.
+        _fill(_store(tmp_path), 2)
+        manifest = json.loads(
+            (tmp_path / MANIFEST_NAME).read_text()
+        )
+        manifest["format_version"] = 4
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(
+            CheckpointError, match="format version 4;"
         ) as info:
             open_durable_store(str(tmp_path), "another-fp", resume)
         assert not isinstance(info.value, FingerprintMismatchError)
@@ -784,6 +806,39 @@ class TestColumnarRecord:
             _fresh_interpreter(directory, "baseline")
         )
 
+    @pytest.mark.parametrize("name", [int, "v{}".format])
+    def test_a_graph_and_its_opened_snapshot_resume_each_other(
+        self, tmp_path, name
+    ):
+        # Int ids are stored as an int64 column, str ids pickled; the
+        # weights are non-default floats either way, read from an
+        # ``array`` in RAM and from an mmapped view once opened.
+        graph = Graph(directed=True)
+        for v in GRAPH.vertices():
+            graph.add_vertex(name(v))
+        for i, (u, v) in enumerate(GRAPH.edges()):
+            graph.add_edge(name(u), name(v), weight=0.5 + 0.25 * (i % 7))
+        CsrSnapshot.from_graph(graph).save(str(tmp_path / "snap"))
+        snapshot = CsrSnapshot.open(str(tmp_path / "snap"))
+        assert _fingerprint(snapshot) == _fingerprint(graph)
+        common = dict(num_workers=3, seed=11, checkpoint_interval=2)
+        whole = canonical_result(
+            run_program(graph, PageRank(num_supersteps=8), **common)
+        )
+        for first, second in ((graph, snapshot), (snapshot, graph)):
+            directory = str(tmp_path / f"ck-{first is graph}")
+            with pytest.raises(SuperstepLimitExceeded):
+                run_program(
+                    first, PageRank(num_supersteps=8),
+                    checkpoint_dir=directory, max_supersteps=5, **common,
+                )
+            resumed = run_program(
+                second, PageRank(num_supersteps=8),
+                checkpoint_dir=directory, resume=True, **common,
+            )
+            assert canonical_result(resumed) == whole
+        snapshot.close()
+
     def test_insertion_order_is_part_of_the_fingerprint(self, tmp_path):
         edges = list(GRAPH.edges())
         vertices = list(GRAPH.vertices())
@@ -918,10 +973,10 @@ class TestFingerprint:
 
     def test_fingerprint_values_are_pinned(self):
         # The graphs ``graph_signature`` was pinned on (format 3), at
-        # format 4: a change here is a format change.
+        # format 5: a change here is a format change.
         directed, undirected = _pinned_graphs()
-        assert _fingerprint(directed) == "39b713bc5f9d5c3f"
-        assert _fingerprint(undirected) == "4032710a8df26292"
+        assert _fingerprint(directed) == "e3deb84da2567725"
+        assert _fingerprint(undirected) == "d8b0f342046b059d"
 
     def test_labels_are_not_fingerprinted(self):
         assert _fingerprint(_relabelled(GRAPH, str)) == _fingerprint(

@@ -113,8 +113,9 @@ BSP_ROOT = ENGINE_PY.parent
 #: options went and the GAS, block and async engines got one host, and
 #: from 7424 when every lane's mail became a record and one merge,
 #: and from 7297 when that merge's layout became the same merge run
-#: over payload indices.
-REPRO_BSP_LINE_BUDGET = 7294
+#: over payload indices, and from 7294 when the checkpoint baseline
+#: stopped copying the frozen topology's rows.
+REPRO_BSP_LINE_BUDGET = 7292
 
 #: The dense compute plane is written once (``kernels.py`` loops and
 #: kernels over a ``fabric.DenseLane``) and hosted twice (the serial
@@ -360,8 +361,9 @@ class TestCheckpointIsColumnsOverOneBaseline:
         # no dict copy, no per-vertex loop over an edge map.
         sharing_branch = [
             checkpoint_module.take_checkpoint,
-            checkpoint_module.TopologySnapshot.holds,
-            checkpoint_module._live_topology,
+            checkpoint_module.Baseline.freeze,
+            checkpoint_module.Baseline.holds,
+            checkpoint_module.TopologySnapshot.capture,
         ]
         for function in sharing_branch:
             source = inspect.getsource(function)

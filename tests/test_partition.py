@@ -1,5 +1,9 @@
 """Tests for vertex partitioners."""
 
+import enum
+import random
+import zlib
+
 import pytest
 
 from repro.graph import (
@@ -28,6 +32,99 @@ class TestHashPartitioner:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             HashPartitioner(0)
+
+
+def _reference_canonical_bytes(value) -> bytes:
+    """The vertex-id encoder as it stood before its exact-type fast
+    paths, kept as the reference they must reproduce byte for byte."""
+    if value is None:
+        return b"n"
+    if isinstance(value, bool):
+        return b"o1" if value else b"o0"
+    if isinstance(value, int):
+        return b"i" + str(value).encode("ascii")
+    if isinstance(value, float):
+        return b"f" + repr(value).encode("ascii")
+    if isinstance(value, str):
+        return b"s" + value.encode("utf-8")
+    if isinstance(value, bytes):
+        return b"b" + value
+    if isinstance(value, tuple):
+        parts = [_reference_canonical_bytes(item) for item in value]
+        return (
+            b"t"
+            + str(len(parts)).encode("ascii")
+            + b"("
+            + b"|".join(parts)
+            + b")"
+        )
+    if isinstance(value, frozenset):
+        parts = sorted(_reference_canonical_bytes(item) for item in value)
+        return b"z(" + b"|".join(parts) + b")"
+    return b"r" + repr(value).encode("utf-8")
+
+
+def _reference_stable_hash(vertex) -> int:
+    if isinstance(vertex, bool):
+        return int(vertex)
+    if isinstance(vertex, int):
+        return vertex
+    return zlib.crc32(_reference_canonical_bytes(vertex)) & 0xFFFFFFFF
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+    BLUE = -7
+
+
+class _Str(str):
+    pass
+
+
+class _Pair(tuple):
+    pass
+
+
+def _random_id(rng, depth=0):
+    """One vertex id of a kind the encoder must keep as it was."""
+    pick = rng.randrange(14 if depth < 2 else 11)
+    if pick == 0:
+        return rng.randrange(-1000, 1000)
+    if pick == 1:
+        return rng.choice([1, -1]) * rng.randrange(2**62, 2**200)
+    if pick == 2:
+        return rng.choice([float("nan"), -0.0, 0.0, 1e308, rng.random()])
+    if pick == 3:
+        return "".join(map(chr, rng.sample(range(32, 0x2FFF), 5)))
+    if pick == 4:
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(4)))
+    if pick == 5:
+        return None
+    if pick == 6:
+        return rng.choice([True, False])
+    if pick == 7:
+        return rng.choice(list(_Colour))
+    if pick == 8:
+        return _Str("sub-%d" % rng.randrange(99))
+    if pick == 9:
+        return frozenset(rng.sample(range(50), rng.randrange(4)))
+    if pick == 10:
+        return rng.randrange(150)
+    kids = [_random_id(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return _Pair(kids) if pick == 11 else tuple(kids)
+
+
+def test_stable_hash_fast_paths_keep_the_encoding():
+    from repro.graph.partition import _canonical_bytes, stable_hash
+
+    rng = random.Random(20)
+    ids = [_random_id(rng) for _ in range(22500)]
+    ids += [(r, c) for r in range(30) for c in range(30)]
+    for vertex in ids:
+        assert _canonical_bytes(vertex) == _reference_canonical_bytes(
+            vertex
+        ), vertex
+        assert stable_hash(vertex) == _reference_stable_hash(vertex)
 
 
 class TestRangePartitioner:
