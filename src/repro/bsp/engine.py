@@ -31,11 +31,12 @@ GAS/block/async engines:
 * :class:`~repro.bsp.loop.SuperstepLoop` — scheduling, the
   max-superstep guard, the superstep lifecycle (open, commit,
   checkpoint accounting, rollback discard), the checkpoint schedule
-  (:class:`~repro.bsp.loop.CheckpointPolicy`), fault-injector arming,
-  and the crash-supervision protocol;
+  (:class:`~repro.bsp.loop.CheckpointPolicy`), the fault injector
+  (crashes at each boundary, network faults at each commit), and the
+  crash-supervision protocol;
 * :class:`~repro.bsp.fabric.MessageFabric` — the dense mailboxes,
   the send/fanout entry points, combining, ledger accounting, and
-  fault-injected delivery;
+  delivery;
 * :class:`~repro.bsp.state.StateStore` — the partitioned vertex
   states, the owner map, and the confined-recovery logs;
 * the compute kernels (:mod:`repro.bsp.kernels`) — the per-superstep
@@ -241,7 +242,6 @@ class PregelEngine:
             fault_plan=fault_plan,
             trace=self._trace,
         )
-        self._injector = self._loop.injector
         if resume and checkpoint_dir is None:
             raise ValueError(
                 "resume requires checkpoint_dir (the durable "
@@ -312,8 +312,6 @@ class PregelEngine:
             self._store,
             combiner,
             self._ctx,
-            injector=self._injector,
-            trace=self._trace,
             confined_recovery=confined_recovery,
             memory_budget=memory_budget,
             spill_dir=spill_dir,
@@ -386,7 +384,6 @@ class PregelEngine:
             ckpt, context = self._resume_state
             self._resume_state = None
             start_superstep, stats = resume_engine(self, ckpt, context)
-        self._fabric.run_stats = stats
 
         try:
             self._loop.run(self, stats, start_superstep=start_superstep)

@@ -1,5 +1,5 @@
 """The message fabric: routing, combining, ledger accounting, and
-fault-injected delivery.
+delivery.
 
 The engine composes exactly one fabric: every mailbox, the send paths
 the compute kernels call, and the delivery that moves a superstep's
@@ -21,8 +21,8 @@ Its orders are the ones the test-side oracle defines
 global send order is all of worker 0's sends, then worker 1's, ….
 Delivery puts the destinations in first-touch order (each worker's
 first touches, deduplicated across workers in worker order), which
-fixes the fault-draw sequence and the inbox (and checkpoint) order,
-and a destination's messages in worker order.
+fixes the inbox (and checkpoint) order, and a destination's messages
+in worker order.
 
 One mail representation
 -----------------------
@@ -66,12 +66,10 @@ from itertools import accumulate, chain, compress, repeat
 from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 
 from repro.bsp.combiner import SumCombiner
-from repro.bsp.faults import DeliveryFaults
 from repro.bsp.columns import typed_column
 from repro.errors import MessageToUnknownVertexError, SpillError
 from repro.graph.partition import build_dense_index, dense_adjacency
 from repro.graph.snapshot import edge_dicts
-from repro.trace.events import FaultInjected
 
 
 class LaneRecord(NamedTuple):
@@ -507,10 +505,9 @@ class MessageFabric:
     for the per-message hot paths, plus the confined-recovery message
     log, and the frozen ``topology`` every index compiles from),
     ``ctx`` the context whose sends :meth:`bind_lane` binds; delivery
-    reads ``injector``/``trace``/``confined_recovery`` and ``run_stats``,
-    which the engine sets when a run starts.  A checkpoint restore and
-    :meth:`restart` refresh the mirrors when they swap the store's
-    dicts.
+    writes the confined-recovery log when ``confined_recovery`` is
+    set.  A checkpoint restore and :meth:`restart` refresh the
+    mirrors when they swap the store's dicts.
     """
 
     def __init__(
@@ -518,8 +515,6 @@ class MessageFabric:
         store,
         combiner,
         ctx,
-        injector=None,
-        trace=None,
         confined_recovery: bool = False,
         memory_budget: Optional[int] = None,
         spill_dir: Optional[str] = None,
@@ -527,10 +522,7 @@ class MessageFabric:
         self._store = store
         self._combiner = combiner
         self._ctx = ctx
-        self._injector = injector
-        self._trace = trace
         self._confined_recovery = confined_recovery
-        self.run_stats = None
         #: Soft cap, in encoded bytes, on one superstep's buffered
         #: lane records; ``None`` disables the spill tier entirely.
         self.memory_budget = memory_budget
@@ -840,9 +832,8 @@ class MessageFabric:
         Charges ``sent_network`` per record payload (the combiner
         already folded at send time), ``received_network`` per inbox
         message and ``received_logical`` from the records' logical
-        counts, and runs the injected network faults through the
-        reliable-delivery layer, one draw per destination in delivery
-        order.  ``mutated`` enables the removed-destination check:
+        counts (the superstep's commit draws its network faults over
+        the last).  ``mutated`` enables the removed-destination check:
         messages to a vertex a mutation removed are dropped and their
         senders' charges reversed.  Without a mutation this superstep
         the check is skipped, because every dense id is live by
@@ -870,22 +861,6 @@ class MessageFabric:
                     layout.positions, layout.starts, layout.widths
                 )
             }
-        injector = self._injector
-        if injector is not None:
-            faults = DeliveryFaults()
-            for n in layout.widths:
-                faults.absorb(injector.network_faults(n))
-            injector.commit(faults, self.run_stats)
-            if self._trace is not None and faults.any:
-                self._trace.emit(
-                    FaultInjected(
-                        superstep=superstep,
-                        fault="network",
-                        retransmitted=faults.retransmitted,
-                        duplicated=faults.duplicated,
-                        delayed=faults.delayed,
-                    )
-                )
         return layout.starts[-1]
 
 

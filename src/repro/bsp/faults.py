@@ -19,9 +19,10 @@ attempt; with ``times`` larger than the engine's retry budget the run
 raises :class:`~repro.errors.RecoveryExhaustedError`.
 
 **Message-level faults** (drop / duplicate / delay rates) strike the
-simulated network during delivery.  Crucially they are *masked* by
-the runtime's reliable-delivery protocol — dropped packets are
-retransmitted, duplicates are discarded by sequence number, and a
+simulated network: every engine draws a superstep's faults once, at
+its commit, over the messages it delivered.  Crucially they are
+*masked* by the runtime's reliable-delivery protocol — dropped packets
+are retransmitted, duplicates are discarded by sequence number, and a
 late packet stalls the superstep barrier until it arrives — so they
 distort only the *cost* of the run (extra network traffic, extra
 synchronization latency), never its semantics.  This mirrors the real
@@ -154,18 +155,6 @@ class DeliveryFaults:
             self.retransmitted or self.duplicated or self.delayed
         )
 
-    def absorb(self, other: "DeliveryFaults") -> None:
-        """Accumulate another batch's outcomes into this one.
-
-        Delivery code calls :meth:`FaultInjector.network_faults` once
-        per destination batch and absorbs the results into a single
-        per-superstep accumulator, then commits it via
-        :meth:`FaultInjector.commit`.
-        """
-        self.retransmitted += other.retransmitted
-        self.duplicated += other.duplicated
-        self.delayed += other.delayed
-
 
 class FaultInjector:
     """Replays a :class:`FaultPlan` against one engine run.
@@ -173,7 +162,8 @@ class FaultInjector:
     One injector serves one run: crash budgets count down as the
     engine (re-)executes supersteps, and the private RNG advances one
     draw per potential message fault, so the whole failure trace is a
-    pure function of ``(plan, execution order)``.
+    pure function of the plan and each executed superstep's network
+    message count.
     """
 
     def __init__(self, plan: FaultPlan, num_workers: int = None):
@@ -227,9 +217,13 @@ class FaultInjector:
     def network_faults(self, num_messages: int) -> DeliveryFaults:
         """Decide the fate of ``num_messages`` network messages.
 
-        One independent draw per configured fault family per message.
-        The runtime masks every outcome (retransmit / dedup / barrier
-        stall), so the return value is pure cost accounting.
+        One independent draw per configured fault family per message,
+        in a fixed order, and no other state: calls over widths
+        ``w1 … wk`` consume exactly the stream of one call over their
+        sum, so how a superstep's messages are batched (or which
+        process delivered them) cannot change the draws.  The runtime
+        masks every outcome (retransmit / dedup / barrier stall), so
+        the return value is pure cost accounting.
         """
         plan = self.plan
         faults = DeliveryFaults()
@@ -248,39 +242,26 @@ class FaultInjector:
                 faults.delayed += 1
         return faults
 
-    def commit(self, faults: DeliveryFaults, stats) -> None:
-        """Fold one superstep's accumulated faults into ``stats``.
-
-        This is the single injection point of the engine's delivery
-        (serial, or the coordinator's on the parallel backend).
-        Injection is mailbox-layout agnostic: :meth:`network_faults`
-        draws from counts alone, so as long as delivery presents the
-        same per-destination batch sizes in the same order, the fault
-        trace — and therefore the cost accounting — is identical.
-        """
-        stats.retransmitted_messages += faults.retransmitted
-        stats.duplicate_messages += faults.duplicated
-        if faults.delayed:
-            stats.delay_stalls += 1
-
 
 def inject_network_faults(
     injector, num_messages: int, stats, trace, superstep: int
 ) -> None:
-    """Draw and commit one superstep's message-level faults in a
-    single batch.
+    """Draw one superstep's message-level faults over its
+    ``num_messages`` network messages and fold them into ``stats``.
 
-    The shared delivery-fault entry point for engines that account a
-    superstep's network traffic as one batch (the GAS, block, and
-    async engines); the Pregel fabric draws per destination instead
-    but commits and traces through the same injector methods, so a
+    The single injection point, called by every engine at the
+    superstep's commit (``SuperstepLoop.commit_superstep``), so a
     faulted run's cost accounting and ``FaultInjected`` stream have
-    the same shape on every engine.  No-op when ``injector`` is None.
+    the same shape on every engine and backend.  No-op when
+    ``injector`` is None.
     """
     if injector is None:
         return
     faults = injector.network_faults(num_messages)
-    injector.commit(faults, stats)
+    stats.retransmitted_messages += faults.retransmitted
+    stats.duplicate_messages += faults.duplicated
+    if faults.stalled:
+        stats.delay_stalls += 1
     if trace is not None and faults.any:
         from repro.trace.events import FaultInjected
 

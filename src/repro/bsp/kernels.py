@@ -70,10 +70,10 @@ admission rule: a kernel registers for exactly one program class
   A kernel that scatters through its plan returns its lane record's
   payload column instead of sending into the lane's mail.
 
-Every other superstep — fault-injected runs, wake-all phases,
-unregistered programs, non-conforming topology — runs
-:func:`dense_compute_pass`, per superstep (a mutation re-indexes the
-plane; plans recompile).  The tier used is reported per superstep in
+Every other superstep — wake-all phases, unregistered programs,
+non-conforming topology — runs :func:`dense_compute_pass`, per
+superstep (a mutation re-indexes the plane; plans recompile; a fault
+plan selects no tier).  The tier used is reported per superstep in
 ``engine._kernel_tier`` / ``Worker.kernel_tier`` (observability only).
 """
 
@@ -180,12 +180,10 @@ def vector_phase(engine, wake_all: bool):
 
     Evaluated against the authoritative fabric state — the serial
     engine's own, or the coordinator's on the parallel backend, so
-    every rank receives the same verdict.  Declines outright when a
-    fault injector is present (the exactness proofs do not cover
-    replayed supersteps) or the program's exact class has no kernel.
+    every rank receives the same verdict.  Declines outright when the
+    program's exact class has no kernel.  A rolled-back superstep
+    replays from restored state, which the proofs read like any other.
     """
-    if engine._injector is not None:
-        return None
     kernel = _VECTOR_KERNELS.get(type(engine._program))
     if kernel is None:
         return None

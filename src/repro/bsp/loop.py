@@ -10,11 +10,12 @@ supersteps on rollback.  The loop owns —
 
 * the max-superstep guard (raise :class:`SuperstepLimitExceeded`, or
   stop gracefully for engines whose cap is a soft budget);
-* the supervision stack: the fault injector (armed at every superstep
-  boundary), the checkpoint store and its :class:`CheckpointPolicy`
-  schedule, and the per-superstep ledgers — execution counts, crash
-  counts, checkpoint charges — that a durable resume carries across
-  processes (:mod:`repro.bsp.durability`);
+* the supervision stack: the fault injector (crashes armed at every
+  superstep boundary, network faults drawn at every commit), the
+  checkpoint store and its :class:`CheckpointPolicy` schedule, and
+  the per-superstep ledgers — execution counts, crash counts,
+  checkpoint charges — that a durable resume carries across processes
+  (:mod:`repro.bsp.durability`);
 * the superstep lifecycle: :meth:`SuperstepLoop.open_superstep` and
   :meth:`SuperstepLoop.commit_superstep`, whose trace events are
   identical for every engine, so
@@ -257,17 +258,13 @@ class SuperstepLoop:
         superstep: int,
         active: int,
         delivered: Optional[int] = None,
-        network: bool = False,
     ) -> None:
-        """Freeze the workers' profile into the superstep's
-        ``RunStats`` entry — with the checkpoint charge written before
-        it and its execution count — and emit the barrier block.
-
-        ``network=True`` first draws the superstep's message faults as
-        one batch over its network traffic (the GAS, block and async
-        engines; the Pregel fabric draws per destination during
-        delivery).  ``delivered`` defaults to the logical messages
-        received.
+        """Draw the superstep's message faults over its network
+        traffic (the one draw every engine makes), freeze the
+        workers' profile into the superstep's ``RunStats`` entry —
+        with the checkpoint charge written before it and its
+        execution count — and emit the barrier block.  ``delivered``
+        defaults to the logical messages received.
         """
         entry = superstep_profile(
             workers,
@@ -276,14 +273,13 @@ class SuperstepLoop:
             checkpoint_cost=self.ckpt_costs.get(superstep, 0.0),
             executions=self.exec_counts.get(superstep, 1),
         )
-        if network:
-            inject_network_faults(
-                self.injector,
-                sum(entry.received_network),
-                stats,
-                self.trace,
-                superstep,
-            )
+        inject_network_faults(
+            self.injector,
+            sum(entry.received_network),
+            stats,
+            self.trace,
+            superstep,
+        )
         stats.supersteps.append(entry)
         if self.trace is not None:
             emit_superstep_commit(
@@ -475,12 +471,8 @@ class HostedEngine:
         )
 
     def _commit(self, stats, superstep, active, delivered=None) -> None:
-        # Injected message faults strike the superstep's network
-        # traffic as one batch; reliable delivery masks them, so this
-        # is pure cost accounting.
         self._loop.commit_superstep(
-            stats, self._workers, superstep, active, delivered,
-            network=True,
+            stats, self._workers, superstep, active, delivered
         )
 
     def _copy(self, payload: dict) -> dict:

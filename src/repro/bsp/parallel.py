@@ -742,8 +742,8 @@ class ParallelPregelEngine(PregelEngine):
 
     def _rollback(self, crash, superstep, stats, ckpt):
         # Make the injected crash a real process death before the
-        # stock recovery; _post_restore_sync respawns the rank.
-        self._fabric.held = None  # mail of a discarded superstep
+        # stock recovery (whose re-laid plane drops the held mail);
+        # _post_restore_sync respawns the rank.
         if self._links is not None:
             self._links[crash.worker % self._num_workers].kill()
         return super()._rollback(crash, superstep, stats, ckpt)
@@ -996,13 +996,12 @@ class ParallelPregelEngine(PregelEngine):
         """Charge the held records' delivery from the ranks' counts and
         keep holding them for the next step to forward.  The serial
         flush and delivery run instead when the coordinator must read
-        or change the inbox: a mutation, a checkpoint due next, fault
-        draws, confined-recovery logs or spill accounting."""
+        or change the inbox: a mutation, a checkpoint due next,
+        confined-recovery logs or spill accounting."""
         fabric = self._fabric
         held = fabric.held
         if held is None or (
             mutated
-            or self._injector is not None
             or self._confined_recovery
             or fabric.memory_budget is not None
             or self._loop.policy.due(superstep + 1)

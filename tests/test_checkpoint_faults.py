@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -523,6 +524,35 @@ class TestFaultInjector:
 
         assert trace(11) == trace(11)
         assert trace(11) != trace(12)
+
+    def test_network_faults_do_not_see_how_messages_are_batched(self):
+        """Draws over widths ``w1 … wk`` are the draws over their sum:
+        a superstep's faults depend on its message count alone, so one
+        draw at commit stands for any per-destination delivery order."""
+        lists = random.Random(46)
+        for case in range(200):
+            widths = [
+                lists.randrange(0, 12)
+                for _ in range(lists.randrange(0, 15))
+            ]
+            plan = FaultPlan(
+                seed=case,
+                drop_rate=lists.choice([0.0, 0.2]),
+                duplicate_rate=lists.choice([0.0, 0.3]),
+                delay_rate=lists.choice([0.0, 0.05]),
+            )
+            batched, whole = FaultInjector(plan), FaultInjector(plan)
+            summed = [0, 0, 0]
+            for width in widths:
+                f = batched.network_faults(width)
+                summed[0] += f.retransmitted
+                summed[1] += f.duplicated
+                summed[2] += f.delayed
+            f = whole.network_faults(sum(widths))
+            assert summed == [f.retransmitted, f.duplicated, f.delayed]
+            assert (
+                batched.snapshot_state() == whole.snapshot_state()
+            ), (case, widths)
 
     def test_no_rates_means_no_draws(self):
         injector = FaultInjector(FaultPlan())

@@ -306,9 +306,8 @@ def _assert_every_path_agrees(
     # Kernel-tier honesty: the pinned-off fast path must never leave
     # the dense pass, while the vectorized path and the pool ranks
     # (which run the same registered kernels) must actually use the
-    # array kernels on clean runs of registered programs — and must
-    # stay per-vertex under a fault injector (the exactness proofs do
-    # not cover replayed supersteps).
+    # array kernels on runs of registered programs, faulted or not (a
+    # fault plan selects no tier).
     fast_tiers = {
         w.kernel_tier for w in results["fast"].stats.wall
     }
@@ -323,12 +322,7 @@ def _assert_every_path_agrees(
         vec_tiers = {
             w.kernel_tier for w in results[backend].stats.wall
         }
-        if make_plan is not None:
-            assert "vectorized" not in vec_tiers, (
-                f"{backend} ran array kernels under a fault plan; "
-                f"{repro}"
-            )
-        elif wl_name in VECTORIZED_WORKLOADS:
+        if wl_name in VECTORIZED_WORKLOADS:
             assert "vectorized" in vec_tiers, (
                 f"{backend} never left the dense tier; {repro}"
             )

@@ -114,8 +114,10 @@ BSP_ROOT = ENGINE_PY.parent
 #: from 7424 when every lane's mail became a record and one merge,
 #: and from 7297 when that merge's layout became the same merge run
 #: over payload indices, and from 7294 when the checkpoint baseline
-#: stopped copying the frozen topology's rows.
-REPRO_BSP_LINE_BUDGET = 7292
+#: stopped copying the frozen topology's rows, and from 7292 when a
+#: fault plan stopped choosing execution paths (one network-fault
+#: draw at commit for every engine).
+REPRO_BSP_LINE_BUDGET = 7234
 
 #: The dense compute plane is written once (``kernels.py`` loops and
 #: kernels over a ``fabric.DenseLane``) and hosted twice (the serial
@@ -139,11 +141,13 @@ REPRO_BSP_LINE_BUDGET = 7292
 #: gave way to one mail record per lane and one merge; parallel and
 #: fabric again (from 1027 and 901) when the merge's layout became
 #: the merge itself run over payload indices and a rank's merge
-#: stopped keeping ledger tallies.
-KERNELS_LINE_BUDGET = 797
-PARALLEL_LINE_BUDGET = 1025
+#: stopped keeping ledger tallies; all three (from 797, 1025 and 900)
+#: when the fabric's per-destination fault draws, the pool's
+#: fault-plan delivery trigger and the tier's fault-plan decline went.
+KERNELS_LINE_BUDGET = 795
+PARALLEL_LINE_BUDGET = 1024
 COLUMNS_LINE_BUDGET = 55
-FABRIC_LINE_BUDGET = 900
+FABRIC_LINE_BUDGET = 875
 
 
 def _bsp_lines() -> dict:

@@ -5,9 +5,9 @@ record by owning rank; the coordinator charges delivery from two
 scalars per destination rank, holds the sub-records and forwards them
 with the next step, and each rank merges its own inbox.  The
 coordinator runs the serial flush and delivery itself only when it
-must read or change the inbox (a checkpoint is due, a fault injector,
-confined recovery or a memory budget is configured, a mutation
-applied, the pool hands off to serial).
+must read or change the inbox (a checkpoint is due, confined recovery
+or a memory budget is configured, a mutation applied, the pool hands
+off to serial).  A fault plan is not among them.
 
 Every test holds a parallel run byte-identical to the serial engine:
 values, pickled ``RunStats``, aggregate history and the BPPA
@@ -30,7 +30,7 @@ from repro.bsp import (
     SumCombiner,
     create_engine,
 )
-from repro.bsp.faults import FaultPlan
+from repro.bsp.faults import FaultPlan, chaos_plan, crash_plan
 from repro.bsp.fabric import MessageFabric
 from repro.bsp.parallel import ParallelPregelEngine
 from repro.bsp.program import VertexProgram
@@ -245,18 +245,6 @@ def test_a_spill_budget_is_accounted_by_the_coordinator():
     assert engine.parallel_supersteps == serial.stats.num_supersteps
 
 
-def test_an_injector_draws_on_the_coordinator():
-    graph = _graph()
-    plan = FaultPlan(drop_rate=0.2, duplicate_rate=0.1, seed=4)
-    serial, engine, parallel = _pair(
-        graph, Chatter, num_workers=3, combiner=MinCombiner(), seed=0,
-        fault_plan=plan,
-    )
-    assert canonical(parallel) == canonical(serial)
-    assert parallel.stats.retransmitted_messages > 0
-    assert engine.parallel_supersteps == serial.stats.num_supersteps
-
-
 def test_confined_recovery_logs_are_written_by_the_coordinator():
     graph = _graph()
     kwargs = dict(
@@ -321,3 +309,62 @@ def test_with_checkpoints_it_delivers_before_each_one(monkeypatch):
     assert calls["deliver_fast"] == [2, 5, 8]
     assert calls["rank_inbound"] == [0, 3, 6, 9]
     assert calls["flush_worker_sends"] == [2, 2, 5, 5, 8, 8]
+
+
+@pytest.mark.parametrize(
+    "make_program,combiner,kwargs",
+    [
+        (Chatter, MinCombiner, dict(
+            num_workers=3,
+            fault_plan=FaultPlan(drop_rate=0.2, duplicate_rate=0.1, seed=4),
+        )),
+        (lambda: PageRank(num_supersteps=12), SumCombiner, dict(
+            num_workers=2, checkpoint_interval=4,
+            fault_plan=chaos_plan(crash_superstep=6, seed=4),
+        )),
+    ],
+    ids=["message-faults", "chaos-checkpointed"],
+)
+def test_a_fault_plan_leaves_delivery_to_the_ranks(
+    monkeypatch, make_program, combiner, kwargs
+):
+    """The commit draws the network faults from the delivered count,
+    so the coordinator delivers only before a checkpoint."""
+    graph = _graph()
+    kwargs = dict(kwargs, combiner=combiner(), seed=0)
+    serial = PregelEngine(graph, make_program(), **kwargs).run()
+    engine = ParallelPregelEngine(graph, make_program(), **kwargs)
+    saved = _record_checkpoints(engine)
+    calls = _calls_by_superstep(monkeypatch, engine, PATH)
+    parallel = engine.run()
+    assert canonical(parallel) == canonical(serial)
+    assert parallel.stats.retransmitted_messages > 0
+    assert engine.parallel_disabled_reason is None
+    checkpoints = [pickle.loads(blob).superstep for blob in saved]
+    assert calls["deliver_fast"] == [s - 1 for s in checkpoints if s]
+
+
+def test_a_rollback_drops_the_held_mail(monkeypatch):
+    """A crash after a rank-delivered barrier: the coordinator holds
+    that barrier's records, and the full rollback must discard them
+    (the restored inbox replaces them)."""
+    graph = _graph()
+    kwargs = dict(
+        num_workers=2, combiner=SumCombiner(), seed=0,
+        fault_plan=crash_plan(superstep=5),
+    )
+    serial = PregelEngine(graph, PageRank(num_supersteps=8), **kwargs).run()
+    engine = ParallelPregelEngine(graph, PageRank(num_supersteps=8), **kwargs)
+    held_at_crash = []
+    rollback = engine._rollback
+
+    def spying(crash, superstep, stats, ckpt):
+        held_at_crash.append(engine._fabric.held is not None)
+        return rollback(crash, superstep, stats, ckpt)
+
+    monkeypatch.setattr(engine, "_rollback", spying)
+    parallel = engine.run()
+    assert held_at_crash == [True]
+    assert canonical(parallel) == canonical(serial)
+    assert parallel.stats.supersteps_replayed == 5
+    assert engine.parallel_disabled_reason is None
