@@ -141,13 +141,16 @@ REPRO_BSP_LINE_BUDGET = 7234
 #: gave way to one mail record per lane and one merge; parallel and
 #: fabric again (from 1027 and 901) when the merge's layout became
 #: the merge itself run over payload indices and a rank's merge
-#: stopped keeping ledger tallies; all three (from 797, 1025 and 900)
-#: when the fabric's per-destination fault draws, the pool's
-#: fault-plan delivery trigger and the tier's fault-plan decline went.
-KERNELS_LINE_BUDGET = 795
-PARALLEL_LINE_BUDGET = 1024
+#: stopped keeping ledger tallies.  The budget is part of each case's
+#: name, so a file that shrinks leaves its budget where it stands:
+#: fabric.py fell to 875 lines when the fabric's per-destination
+#: fault draws went, and kernels and parallel by a line or two with
+#: the tier's fault-plan decline and the pool's fault-plan delivery
+#: trigger.
+KERNELS_LINE_BUDGET = 797
+PARALLEL_LINE_BUDGET = 1025
 COLUMNS_LINE_BUDGET = 55
-FABRIC_LINE_BUDGET = 875
+FABRIC_LINE_BUDGET = 900
 
 
 def _bsp_lines() -> dict:
