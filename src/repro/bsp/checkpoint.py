@@ -318,11 +318,10 @@ def _topology_of(engine, checkpoint: Checkpoint):
     return topology
 
 
-def _restored_states(engine, checkpoint: Checkpoint, topology, keep=None):
-    """A fresh ``VertexState`` per vertex of ``checkpoint`` (only
-    those whose id is in ``keep``, when given, which a confined replay
-    runs ``compute`` on).  A restore of a checkpoint sharing the
-    baseline puts the frozen rows back: it builds no dict."""
+def _restored_states(engine, checkpoint: Checkpoint, topology):
+    """A fresh ``VertexState`` per vertex of ``checkpoint``.  A
+    restore of a checkpoint sharing the baseline puts the frozen rows
+    back: it builds no dict."""
     for vid, value, halted, row, (out_edges, in_edges) in zip(
         topology.ids,
         _thaw(checkpoint.values),
@@ -330,10 +329,9 @@ def _restored_states(engine, checkpoint: Checkpoint, topology, keep=None):
         engine._store.topology.positions(topology.ids),
         topology.edge_maps(),
     ):
-        if keep is None or vid in keep:
-            state = VertexState.of_rows(vid, value, row, out_edges, in_edges)
-            state.halted = bool(halted)
-            yield state
+        state = VertexState.of_rows(vid, value, row, out_edges, in_edges)
+        state.halted = bool(halted)
+        yield state
 
 
 def restore_checkpoint(engine, checkpoint: Checkpoint) -> int:
@@ -377,24 +375,3 @@ def restore_checkpoint(engine, checkpoint: Checkpoint) -> int:
     # pool's rank copies) resynchronize against the restored engine.
     engine._post_restore_sync()
     return len(checkpoint.values)
-
-
-def restore_partition(engine, checkpoint: Checkpoint, worker: int) -> int:
-    """Confined restore: rewind only ``worker``'s vertices, in place
-    (the dense plane indexes the live ``VertexState`` objects), and
-    return how many.  Topology must not have changed since the
-    checkpoint (the engine falls back to full rollback otherwise)."""
-    topology = _topology_of(engine, checkpoint)
-    owned = {
-        vid
-        for vid, widx in zip(topology.owner_ids, topology.owner_workers)
-        if widx == worker
-    }
-    live = engine._states
-    for saved in _restored_states(engine, checkpoint, topology, owned):
-        state = live[saved.id]
-        state.value, state.halted = saved.value, saved.halted
-        state.out_edges, state.in_edges = saved.out_edges, saved.in_edges
-    if checkpoint.topology is None:  # the lane re-reads the frozen rows
-        engine._fabric.lanes[worker].rows = engine._store.topology.edge_rows
-    return len(owned)

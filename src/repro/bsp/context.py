@@ -21,9 +21,9 @@ class ComputeContext:
     ``rng``, the ``aggregate(name, value)`` sink its contributions go
     to, and — bound by the host before each worker's pass — the send
     pair ``_enqueue``/``_fanout``, the send methods of the executing
-    :class:`~repro.bsp.fabric.DenseLane` (or a confined replay's null
-    pair).  Hosts are the serial engine and the per-process partition
-    runtime of the parallel backend (:mod:`repro.bsp.parallel`).
+    :class:`~repro.bsp.fabric.DenseLane`.  Hosts are the serial engine
+    and the per-process partition runtime of the parallel backend
+    (:mod:`repro.bsp.parallel`).
     """
 
     def __init__(self, rng: random.Random, aggregate):

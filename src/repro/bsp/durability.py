@@ -58,11 +58,10 @@ canonical resume).
 Resume context
 --------------
 A fresh process also needs the run-scoped state an in-process
-rollback keeps (stats, aggregate history, counters, checkpoint
-costs, confined-recovery logs, program attributes, the injector's RNG
-stream): :func:`build_run_context` captures it at every durable
-write, :func:`resume_engine` adopts it before the standard
-:func:`~repro.bsp.checkpoint.restore_checkpoint` runs.
+rollback keeps (stats, aggregate history, counters, checkpoint costs,
+program attributes, the injector's RNG stream): :func:`build_run_context`
+captures it at every durable write, :func:`resume_engine` adopts it
+before the standard :func:`~repro.bsp.checkpoint.restore_checkpoint` runs.
 """
 
 from __future__ import annotations
@@ -183,7 +182,6 @@ def config_fingerprint(
     num_workers: int,
     seed: Optional[int],
     checkpoint_interval: Optional[int],
-    confined_recovery: bool,
     track_bppa: bool,
     combiner,
     partitioner,
@@ -194,8 +192,10 @@ def config_fingerprint(
 
     Everything that shapes deterministic execution is folded in; the
     backend and plane, the transport and ``max_supersteps`` are
-    deliberately excluded (see the module docstring), and the recovery
-    budget is read from ``loop.MAX_RECOVERY_ATTEMPTS``.  ``baseline`` is
+    deliberately excluded (see the module docstring), the recovery
+    budget is read from ``loop.MAX_RECOVERY_ATTEMPTS``; the label after
+    it is a constant of a removed recovery option, kept so directories
+    written before its removal stay resumable.  ``baseline`` is
     the engine's frozen ``Baseline``: its vertex columns, then its
     rows' CSR columns, each in as tagged bytes (:func:`_column_bytes`),
     so the result is independent of ``PYTHONHASHSEED``.
@@ -210,7 +210,7 @@ def config_fingerprint(
         f"seed={seed!r}",
         f"checkpoint_interval={checkpoint_interval!r}",
         f"max_recovery_attempts={loop.MAX_RECOVERY_ATTEMPTS!r}",
-        f"confined_recovery={bool(confined_recovery)!r}",
+        "confined_recovery=False",
         f"track_bppa={bool(track_bppa)!r}",
         f"combiner={_object_signature(combiner)}",
         f"partitioner={_object_signature(partitioner)}",
@@ -532,11 +532,10 @@ def build_run_context(engine, stats) -> dict:
     The :class:`Checkpoint` already carries the engine state that
     rollback restores; this adds everything an in-process rollback
     keeps implicitly: the accumulated stats, aggregate history,
-    execution/crash counters, checkpoint-cost ledger, the
-    confined-recovery logs, the program's mutable attributes, and the
-    fault injector's RNG stream and crash budget.
+    execution/crash counters, checkpoint-cost ledger, the program's
+    mutable attributes, and the fault injector's RNG stream and crash
+    budget.
     """
-    store = engine._store
     loop = engine._loop
     injector = loop.injector
     return {
@@ -545,13 +544,6 @@ def build_run_context(engine, stats) -> dict:
         "exec_counts": dict(loop.exec_counts),
         "crash_counts": dict(loop.crash_counts),
         "ckpt_costs": dict(loop.ckpt_costs),
-        "message_log": {
-            superstep: {
-                vid: list(msgs) for vid, msgs in log.items()
-            }
-            for superstep, log in store.message_log.items()
-        },
-        "wake_log": dict(store.wake_log),
         "program_state": dict(
             getattr(engine._program, "__dict__", {})
         ),
@@ -592,20 +584,15 @@ def resume_engine(engine, checkpoint, context: dict):
     :func:`restore_checkpoint` rewinds the engine state exactly as an
     in-process rollback would (it emits no ``Rollback`` event: the
     loop's rollback does, and resuming is a continuation, not a
-    recovery).
+    recovery).  Records written by earlier builds also carry
+    ``message_log`` and ``wake_log`` entries; they are not read.
     """
     stats = _rebuild_stats(context["stats"])
-    store = engine._store
     loop = engine._loop
     engine._aggregate_history = list(context["aggregate_history"])
     loop.exec_counts = dict(context["exec_counts"])
     loop.crash_counts = dict(context["crash_counts"])
     loop.ckpt_costs = dict(context["ckpt_costs"])
-    store.message_log = {
-        superstep: {vid: list(msgs) for vid, msgs in log.items()}
-        for superstep, log in context["message_log"].items()
-    }
-    store.wake_log = dict(context["wake_log"])
     program_state = context.get("program_state")
     if program_state is not None and hasattr(
         engine._program, "__dict__"

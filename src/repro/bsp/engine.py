@@ -38,7 +38,7 @@ GAS/block/async engines:
   the send/fanout entry points, combining, ledger accounting, and
   delivery;
 * :class:`~repro.bsp.state.StateStore` — the partitioned vertex
-  states, the owner map, and the confined-recovery logs;
+  states, the owner map, and the checkpoint baseline;
 * the compute kernels (:mod:`repro.bsp.kernels`) — the per-superstep
   vertex-execution loop and the vectorized tier over it, which
   ``vector_phase`` engages for each superstep whose exactness proof
@@ -46,7 +46,7 @@ GAS/block/async engines:
 
 One plane (``docs/performance.md``): an engine executes on the dense
 plane from its first superstep to its last — topology mutations
-re-index it in place at the barrier, rollbacks and confined recovery
+re-index it in place at the barrier, and rollbacks
 restore into it.  Real process parallelism over the same plane lives
 in :mod:`repro.bsp.parallel` and is selected with
 ``backend="parallel"`` via :func:`create_engine`/:func:`run_program`;
@@ -60,9 +60,8 @@ The fault-tolerance story (``docs/fault_tolerance.md``): with
 ``checkpoint_interval`` set the engine snapshots state at superstep
 boundaries (:mod:`repro.bsp.checkpoint`), and with a ``fault_plan``
 (:mod:`repro.bsp.faults`) it survives injected worker crashes by
-rolling back and replaying — or, with ``confined_recovery``, by
-recomputing only the crashed partition from logged messages.  Message
-drop/duplicate/delay faults are masked by the simulated
+rolling every worker back to the last checkpoint and replaying.
+Message drop/duplicate/delay faults are masked by the simulated
 reliable-delivery layer, so *any* faulted run that completes produces
 byte-identical values to the fault-free run; only the cost accounting
 (``RunStats.recovery_overhead``) differs.
@@ -89,7 +88,7 @@ from repro.bsp.faults import FaultPlan
 from repro.bsp.kernels import fast_compute_pass
 from repro.bsp.loop import SuperstepLoop
 from repro.bsp.program import VertexProgram
-from repro.bsp.state import StateStore, apply_mutations, confined_replay
+from repro.bsp.state import StateStore, apply_mutations
 from repro.errors import WorkerCrashError
 from repro.graph.graph import Graph
 from repro.graph.partition import HashPartitioner
@@ -156,12 +155,6 @@ class PregelEngine:
         :data:`~repro.bsp.loop.MAX_RECOVERY_ATTEMPTS` times per
         superstep; message faults are masked by reliable delivery and
         only add cost.
-    confined_recovery:
-        Recompute only the crashed worker's partition from logged
-        messages instead of rolling every worker back (cheaper; falls
-        back to full rollback when topology mutated since the last
-        checkpoint; assumes ``compute`` does not draw from
-        ``ctx.random``).
     checkpoint_dir:
         Directory for durable on-disk checkpoints
         (:mod:`repro.bsp.durability`): each scheduled checkpoint is
@@ -213,7 +206,6 @@ class PregelEngine:
         seed: int = 0,
         checkpoint_interval: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-        confined_recovery: bool = False,
         checkpoint_dir: Optional[str] = None,
         resume=False,
         memory_budget: Optional[int] = None,
@@ -277,7 +269,6 @@ class PregelEngine:
         self._wake_all = False
         self._aggregate_history: List[Dict[str, Any]] = []
 
-        self._confined_recovery = confined_recovery
         # Durable checkpoints: swap the loop's in-memory store for the
         # on-disk one (the fingerprint makes a resume against a
         # different configuration fail loudly — see
@@ -290,7 +281,6 @@ class PregelEngine:
                 num_workers=num_workers,
                 seed=seed,
                 checkpoint_interval=checkpoint_interval,
-                confined_recovery=confined_recovery,
                 track_bppa=track_bppa,
                 combiner=combiner,
                 partitioner=partitioner,
@@ -312,7 +302,6 @@ class PregelEngine:
             self._store,
             combiner,
             self._ctx,
-            confined_recovery=confined_recovery,
             memory_budget=memory_budget,
             spill_dir=spill_dir,
         )
@@ -338,13 +327,13 @@ class PregelEngine:
     # ------------------------------------------------------------------
 
     def _post_restore_sync(self) -> None:
-        """Hook invoked after a recovery (a full rollback or a
-        confined replay) has rewritten the engine state.  The parallel
-        backend re-initialises its ranks from it here."""
+        """Hook invoked after a rollback has rewritten the engine
+        state.  The parallel backend re-initialises its ranks from it
+        here."""
 
     def _deliver(self, superstep: int, mutated: bool) -> int:
         """Move the superstep's mail across the barrier."""
-        return self._fabric.deliver_fast(superstep, mutated)
+        return self._fabric.deliver_fast(mutated)
 
     def _reindex(self) -> None:
         """End of a barrier that applied topology mutations: the
@@ -363,9 +352,8 @@ class PregelEngine:
         The shared :class:`~repro.bsp.loop.SuperstepLoop` supervises
         the run: a checkpoint may be written before a superstep
         executes, an injected :class:`WorkerCrashError` rolls the run
-        back to the last checkpoint (or triggers confined recovery)
-        and execution resumes, with all recovery costs accounted in
-        ``RunStats``.
+        back to the last checkpoint and execution resumes, with all
+        recovery costs accounted in ``RunStats``.
         """
         stats = RunStats(
             num_workers=self._num_workers, cost_model=self._cost_model
@@ -421,8 +409,6 @@ class PregelEngine:
 
         wake_all = self._wake_all or superstep == 0
         self._wake_all = False
-        if self._confined_recovery:
-            self._store.wake_log[superstep] = wake_all
         active_count = self._compute_pass_fast(wake_all)
         # Every send charged its worker.
         pending = sum(w.sent_logical for w in fabric.workers)
@@ -493,14 +479,7 @@ class PregelEngine:
     # ------------------------------------------------------------------
 
     def _checkpoint(self, superstep: int):
-        ckpt = take_checkpoint(self, superstep)
-        store = self._store
-        store.mutated_since_checkpoint = False
-        if self._confined_recovery:
-            # Logged messages before the checkpoint can never be
-            # replayed again; reclaim them.
-            store.prune_logs(superstep)
-        return ckpt
+        return take_checkpoint(self, superstep)
 
     def _run_context(self, stats: RunStats) -> dict:
         return build_run_context(self, stats)
@@ -512,12 +491,6 @@ class PregelEngine:
         stats: RunStats,
         ckpt,
     ) -> int:
-        if (
-            self._confined_recovery
-            and not self._store.mutated_since_checkpoint
-        ):
-            confined_replay(self, crash, superstep, stats, ckpt)
-            return superstep
         return self._loop.rollback(
             stats, ckpt, restore_checkpoint(self, ckpt)
         )

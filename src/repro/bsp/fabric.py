@@ -381,9 +381,7 @@ class DenseLane:
 
     # Send paths.  Without a combiner a destination's mail is the list
     # of its messages in send order; with one it is the send-time fold,
-    # its logical count in ``folded`` once past one.  A confined replay
-    # binds its own context's sends to the fabric's null pair, so no
-    # replay guard is needed here.
+    # its logical count in ``folded`` once past one.
 
     def held_row(self, pos: int, targets):
         """Position ``pos``'s compiled row, or ``None`` when it may not
@@ -502,12 +500,10 @@ class MessageFabric:
 
     Handed what it reads, not its engine: ``store`` supplies the
     vertex partition (``states``/``owner``/``workers``, mirrored here
-    for the per-message hot paths, plus the confined-recovery message
-    log, and the frozen ``topology`` every index compiles from),
-    ``ctx`` the context whose sends :meth:`bind_lane` binds; delivery
-    writes the confined-recovery log when ``confined_recovery`` is
-    set.  A checkpoint restore and :meth:`restart` refresh the
-    mirrors when they swap the store's dicts.
+    for the per-message hot paths, and the frozen ``topology`` every
+    index compiles from), ``ctx`` the context whose sends
+    :meth:`bind_lane` binds.  A checkpoint restore and :meth:`restart`
+    refresh the mirrors when they swap the store's dicts.
     """
 
     def __init__(
@@ -515,14 +511,12 @@ class MessageFabric:
         store,
         combiner,
         ctx,
-        confined_recovery: bool = False,
         memory_budget: Optional[int] = None,
         spill_dir: Optional[str] = None,
     ):
         self._store = store
         self._combiner = combiner
         self._ctx = ctx
-        self._confined_recovery = confined_recovery
         #: Soft cap, in encoded bytes, on one superstep's buffered
         #: lane records; ``None`` disables the spill tier entirely.
         self.memory_budget = memory_budget
@@ -545,27 +539,8 @@ class MessageFabric:
         self.engage_fast_path()  # the dense plane
 
     # ------------------------------------------------------------------
-    # Send paths: the lane binding, and the null pair of a confined
-    # replay
+    # Send paths: the lane binding
     # ------------------------------------------------------------------
-
-    def replayed_send(
-        self, source: Hashable, target: Hashable, message: Any
-    ) -> None:
-        """The null send a confined replay's context is bound to: a
-        re-issued send is checked like a live one, then dropped — the
-        original was delivered, and logged, when the superstep first
-        ran."""
-        if target not in self.states:
-            raise MessageToUnknownVertexError(target)
-
-    def replayed_fanout(
-        self, source: Hashable, targets, message: Any
-    ) -> int:
-        """One :meth:`replayed_send` check per target."""
-        return len([
-            self.replayed_send(source, target, message) for target in targets
-        ])
 
     def bind_lane(self, lane: DenseLane) -> None:
         """Route the context's sends to ``lane`` — the worker whose
@@ -824,7 +799,7 @@ class MessageFabric:
                 record.select(live),
             )
 
-    def deliver_fast(self, superstep: int, mutated: bool) -> int:
+    def deliver_fast(self, mutated: bool) -> int:
         """Move the records the lanes handed this barrier into next
         superstep's inbox columns through the one merge; return the
         number of messages delivered.
@@ -852,15 +827,6 @@ class MessageFabric:
             worker.received_network += network
             worker.received_logical += logical
         self.in_dirty, self._resident_bytes = layout.positions, 0
-        if self._confined_recovery:
-            # Confined recovery replays from an id-keyed log entry.
-            id_of, msgs = self.dense.id_of, self.in_msgs
-            self._store.message_log[superstep + 1] = {
-                id_of[dst]: msgs[lo:lo + n]
-                for dst, lo, n in zip(
-                    layout.positions, layout.starts, layout.widths
-                )
-            }
         return layout.starts[-1]
 
 

@@ -12,11 +12,11 @@ Two fault families are modelled:
 
 **Worker crashes** (:class:`CrashFault`) kill a worker at the start
 of a given superstep.  The engine recovers by rolling back to the
-last checkpoint and replaying (or by confined recovery — see
-``docs/fault_tolerance.md``).  A crash spec fires ``times`` times:
-with ``times=1`` the replayed superstep succeeds on the second
-attempt; with ``times`` larger than the engine's retry budget the run
-raises :class:`~repro.errors.RecoveryExhaustedError`.
+last checkpoint and replaying (``docs/fault_tolerance.md``).  A crash
+spec fires ``times`` times: with ``times=1`` the replayed superstep
+succeeds on the second attempt; with ``times`` larger than the
+engine's retry budget the run raises
+:class:`~repro.errors.RecoveryExhaustedError`.
 
 **Message-level faults** (drop / duplicate / delay rates) strike the
 simulated network: every engine draws a superstep's faults once, at

@@ -38,7 +38,7 @@ walks the lane's frontier — ``lane.arrivals ∪ lane.awake``, ascending,
 the range scan's order — and scans ``[start, stop)`` only when that
 is not known to be cheaper: on a wake-all superstep, when ``awake``
 is ``None`` (fresh or re-indexed lanes; after a whole-lane kernel, a
-rollback, a confined replay or a rank reload rewrote ``halted``;
+rollback or a rank reload rewrote ``halted``;
 after a pass that ran every vertex), or when the frontier is as long
 as the range.  The gather kernels below visit ``lane.arrivals`` the
 same way.  The GAS, block and async loops live with their engines.

@@ -37,10 +37,9 @@ reached through a small duck-typed protocol:
     a payload :class:`~repro.bsp.checkpoint.EngineSnapshot` elsewhere).
 ``_rollback(crash, superstep, stats, ckpt) -> int``
     Recover from an injected crash; return the superstep to resume
-    at.  A full rollback restores ``ckpt`` and returns
-    :meth:`SuperstepLoop.rollback`; the Pregel engine may instead
-    replay only the crashed partition (confined recovery), and its
-    parallel backend first kills the crashed rank's real process.
+    at.  Every host restores ``ckpt`` and returns
+    :meth:`SuperstepLoop.rollback`; the Pregel engine's parallel
+    backend first kills the crashed rank's real process.
 ``_run_context(stats) -> dict``
     Pregel only, called only when the store is durable
     (``checkpoint_dir``): the run-scoped state a fresh interpreter
@@ -374,7 +373,6 @@ class SuperstepLoop:
                 Rollback(
                     superstep=ckpt.superstep,
                     restored_vertices=restored,
-                    confined=False,
                     discarded_supersteps=len(discarded),
                 )
             )

@@ -697,7 +697,7 @@ class ParallelPregelEngine(PregelEngine):
         if self._release_held():
             # The serial pass reads the held mail from the inbox; the
             # barrier that held it charged the ledger already.
-            self._fabric.deliver_fast(self._ctx.superstep - 1, False)
+            self._fabric.deliver_fast(False)
             for worker in self._workers:
                 worker.reset_counters()
         return super()._compute_pass_fast(wake_all)
@@ -749,9 +749,8 @@ class ParallelPregelEngine(PregelEngine):
         return super()._rollback(crash, superstep, stats, ckpt)
 
     def _post_restore_sync(self) -> None:
-        """Called after a full rollback or a confined replay: respawn
-        dead ranks, then re-``init`` every rank from the restored
-        partition."""
+        """Called after a rollback: respawn dead ranks, then
+        re-``init`` every rank from the restored partition."""
         links = self._links
         if links is None:
             return
@@ -996,13 +995,12 @@ class ParallelPregelEngine(PregelEngine):
         """Charge the held records' delivery from the ranks' counts and
         keep holding them for the next step to forward.  The serial
         flush and delivery run instead when the coordinator must read
-        or change the inbox: a mutation, a checkpoint due next,
-        confined-recovery logs or spill accounting."""
+        or change the inbox: a mutation, a checkpoint due next or
+        spill accounting."""
         fabric = self._fabric
         held = fabric.held
         if held is None or (
             mutated
-            or self._confined_recovery
             or fabric.memory_budget is not None
             or self._loop.policy.due(superstep + 1)
         ):

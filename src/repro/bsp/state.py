@@ -1,46 +1,34 @@
 """The state store: vertex values, ownership, and the Pregel
-engine's recovery state.
+engine's checkpoint baseline.
 
 Middle layer of the decomposed runtime (``docs/architecture.md``).
 :class:`StateStore` owns the Pregel engine's partitioned vertex
 state — the ``states`` dict, the ``owner`` map (built through the
 shared :func:`~repro.graph.partition.owner_for` rule), the worker
-vertex lists, the run's one frozen CSR ``topology`` — plus what its
-checkpoints and confined recovery need beyond the loop's ledgers: the
-``baseline``, the confined-recovery message/wake logs, and the flag
-that vetoes confined replay.  The checkpoint store, its schedule and
-the checkpoint charges belong to the :class:`~repro.bsp.loop.
-SuperstepLoop`, for every engine.
+vertex lists, the run's one frozen CSR ``topology`` — plus the
+``baseline`` its checkpoints share.  The checkpoint store, its
+schedule and the checkpoint charges belong to the
+:class:`~repro.bsp.loop.SuperstepLoop`, for every engine.
 
-The module-level functions implement the state-changing protocols
-that used to live inline in the engine:
-
-* :func:`apply_mutations` — Pregel's superstep-boundary topology
-  mutations, in Pregel's order (edge removals, vertex removals,
-  vertex additions, edge additions);
-* :func:`confined_replay` — recompute only a crashed worker's
-  partition from the logged per-superstep inboxes.
+:func:`apply_mutations` implements Pregel's superstep-boundary
+topology mutations, in Pregel's order (edge removals, vertex
+removals, vertex additions, edge additions).
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
-from typing import Any, Dict, Hashable, List, Optional, Set
+from typing import Dict, Hashable, Optional, Set
 
-from repro.bsp.checkpoint import Baseline, restore_partition
-from repro.bsp.context import ComputeContext
+from repro.bsp.checkpoint import Baseline
 from repro.bsp.vertex import VertexState
 from repro.bsp.worker import Worker
-from repro.errors import WorkerCrashError
 from repro.graph.graph import Graph
 from repro.graph.partition import owner_for
 from repro.graph.snapshot import CsrSnapshot, edge_dicts, is_graph_snapshot
-from repro.metrics.stats import RunStats
-from repro.trace.events import Rollback
 
 
 class StateStore:
-    """One engine's partitioned vertex state and recovery logs."""
+    """One engine's partitioned vertex state."""
 
     def __init__(
         self,
@@ -80,11 +68,8 @@ class StateStore:
             self.workers[self.assign(v)].vertex_ids.append(v)
 
     def reset(self, program, graph: Graph) -> None:
-        """Every vertex back to its initial value, not halted, and the
-        confined-recovery logs empty: the state a run starts from."""
-        self.message_log: Dict[int, Dict[Hashable, List[Any]]] = {}
-        self.wake_log: Dict[int, bool] = {}
-        self.mutated_since_checkpoint = False
+        """Every vertex back to its initial value, not halted: the
+        state a run starts from."""
         for vid, state in self.states.items():
             state.value, state.halted = program.initial_value(vid, graph), False
 
@@ -110,20 +95,6 @@ class StateStore:
         self.owner[vertex_id] = widx
         return widx
 
-    def prune_logs(self, superstep: int) -> None:
-        """Drop confined-recovery log entries before ``superstep``
-        (they can never be replayed once a checkpoint at that
-        superstep exists)."""
-        self.message_log = {
-            t: log
-            for t, log in self.message_log.items()
-            if t >= superstep
-        }
-        self.wake_log = {
-            t: wake
-            for t, wake in self.wake_log.items()
-            if t >= superstep
-        }
 
 
 def apply_mutations(engine) -> Optional[Set[Hashable]]:
@@ -140,7 +111,6 @@ def apply_mutations(engine) -> Optional[Set[Hashable]]:
         return None
     store = engine._store
     states = store.states
-    store.mutated_since_checkpoint = True
     directed = engine._graph.directed
     # Every row edited below is materialized first: a private dict is
     # the one mark that a row may differ from the frozen topology.
@@ -202,87 +172,3 @@ def apply_mutations(engine) -> Optional[Set[Hashable]]:
                 edit(dst).in_edges[u] = weight
     log.clear()
     return removed
-
-
-def confined_replay(
-    engine,
-    crash: WorkerCrashError,
-    superstep: int,
-    stats: RunStats,
-    ckpt,
-) -> None:
-    """Rebuild only the crashed worker's partition.
-
-    The healthy workers keep their live state; the crashed partition
-    is restored from the checkpoint and its vertices' ``compute``
-    calls are replayed against the logged per-superstep inboxes, with
-    outgoing messages and aggregator contributions suppressed (their
-    effects are already in the live state of the other workers).
-    Replay work is charged as recovery cost but does not touch the
-    committed superstep stats.
-
-    The log is keyed by vertex id (delivery writes it), the partition
-    is restored into the live ``VertexState`` objects (which the dense
-    plane indexes by position), suppression is a binding (the replay
-    context's sends are the fabric's null pair, its ``aggregate`` a
-    no-op) and the lost inbox goes back through ``restore_inbox``.
-    """
-    store = engine._store
-    fabric = engine._fabric
-    worker_idx = crash.worker % store.num_workers
-    restored = restore_partition(engine, ckpt, worker_idx)
-    if engine._trace is not None:
-        engine._trace.emit(
-            Rollback(
-                superstep=superstep,
-                restored_vertices=restored,
-                confined=True,
-            )
-        )
-    worker = store.workers[worker_idx]
-    program = engine._program
-    # Contributions were reduced when the superstep first ran.
-    ctx = ComputeContext(engine.rng, lambda name, value: None)
-    ctx._enqueue = fabric.replayed_send
-    ctx._fanout = fabric.replayed_fanout
-    replay_work = 0.0
-    for t in range(ckpt.superstep, superstep):
-        prev_aggs = engine._aggregate_history[t - 1] if t >= 1 else {}
-        ctx._begin_superstep(t, prev_aggs, len(store.states))
-        wake_all = store.wake_log.get(t, t == 0)
-        log_t = store.message_log.get(t, {})
-        for vid in worker.vertex_ids:
-            state = store.states.get(vid)
-            if state is None:
-                continue
-            messages = log_t.get(vid)
-            if messages:
-                state.halted = False
-            elif state.halted and not wake_all:
-                continue
-            elif wake_all:
-                state.halted = False
-            messages = list(messages) if messages else []
-            ctx._begin_vertex(store.materialize(state))
-            program.compute(state, messages, ctx)
-            replay_work += 1 + len(messages) + ctx._sent + ctx._charged
-    # The crashed worker lost its incoming queue for the current
-    # superstep; restore it from the delivery log.
-    log_now = store.message_log.get(superstep, {})
-    ids, lens, msgs = fabric.inbox_columns()
-    flat = iter(msgs)
-    inbox = {vid: list(islice(flat, n)) for vid, n in zip(ids, lens)}
-    for vid in worker.vertex_ids:
-        if vid in log_now:
-            inbox[vid] = log_now[vid]
-        else:
-            inbox.pop(vid, None)
-    boxes = inbox.values()
-    fabric.restore_inbox(
-        list(inbox), list(map(len, boxes)), chain.from_iterable(boxes)
-    )
-    stats.replay_cost += replay_work
-    stats.supersteps_replayed += superstep - ckpt.superstep
-    # Backends with external execution state resynchronize, as after
-    # a full rollback.
-    engine._post_restore_sync()

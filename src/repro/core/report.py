@@ -280,9 +280,8 @@ def format_trace_report(events: Sequence[TraceEvent]) -> str:
                     f"{e.duplicated} duplicated, {e.delayed} delayed"
                 )
         for e in rollbacks:
-            mode = "confined" if e.confined else "full"
             parts.append(
-                f"  {mode} rollback to superstep {e.superstep}: "
+                f"  rollback to superstep {e.superstep}: "
                 f"{e.restored_vertices} vertices restored, "
                 f"{e.discarded_supersteps} supersteps discarded"
             )

@@ -301,7 +301,7 @@ class RunStats:
     checkpoints_written: int = 0
     #: Total charge of those writes (``c_ckpt`` x snapshot atoms).
     checkpoint_cost: float = 0.0
-    #: Supersteps re-executed (or replayed confined) after rollbacks.
+    #: Supersteps re-executed after rollbacks.
     supersteps_replayed: int = 0
     #: BSP charge of the work that was rolled back and redone.
     replay_cost: float = 0.0

@@ -182,18 +182,14 @@ class CheckpointWrite(TraceEvent):
 class Rollback(TraceEvent):
     """Recovery rewound state.
 
-    A full rollback (``confined=False``) restored every partition from
+    A rollback restored every partition's ``restored_vertices`` from
     the checkpoint taken at the start of ``superstep`` and discarded
     ``discarded_supersteps`` committed supersteps (they re-execute
-    byte-identically).  Confined recovery (``confined=True``) restored
-    only the crashed partition's ``restored_vertices`` and replayed it
-    from logged messages; ``superstep`` is then the superstep being
-    resumed.
+    byte-identically).
     """
 
     superstep: int
     restored_vertices: int
-    confined: bool = False
     discarded_supersteps: int = 0
 
     kind: ClassVar[str] = "rollback"

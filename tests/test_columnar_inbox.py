@@ -75,8 +75,8 @@ def test_fabric_inbox_holds_no_container_per_destination(
     counts = []
     deliver = MessageFabric.deliver_fast
 
-    def counting(self, superstep, mutated):
-        delivered = deliver(self, superstep, mutated)
+    def counting(self, mutated):
+        delivered = deliver(self, mutated)
         counts.append(
             (delivered, _tracked_reachable(_inbox(self, vars(self))))
         )
@@ -182,7 +182,7 @@ def test_poisoned_control_worker_order_is_caught(monkeypatch):
         record = part[1]
         return dict(zip(record.touched, record.counts))
 
-    def reordering(self, superstep, mutated):
+    def reordering(self, mutated):
         # The first destination both workers wrote to, in the merged
         # first-touch order, and how many messages worker 0 holds for
         # it.
@@ -198,7 +198,7 @@ def test_poisoned_control_worker_order_is_caught(monkeypatch):
             ),
             None,
         )
-        delivered = deliver(self, superstep, mutated)
+        delivered = deliver(self, mutated)
         if target is not None and not poisoned:
             dst, head = target
             lo = self.in_start[dst]

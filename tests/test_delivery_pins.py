@@ -4,8 +4,9 @@ Delivery puts a superstep's destinations in first-touch order (each
 worker's first sends, deduplicated across workers in worker order)
 and a destination's messages in worker order.  Values cannot see the
 first of the two orders, so the oracle differential does not hold it:
-it shows in the inbox columns a checkpoint snapshots, and in the fault
-draws, one per destination in that order, which ``RunStats`` counts.
+it shows in the inbox columns a checkpoint snapshots.  (The network
+fault draws do not see it: they are one per superstep, at its commit,
+over the superstep's message count.)
 
 For each case the run's every checkpoint contributes its superstep and
 its pickled inbox columns (ids, message counts, messages); the run
@@ -16,12 +17,14 @@ of a case must both give its one digest.  The cases cross SSSP on a
 grid (tuple ids), HashMin and PageRank with 1, 2, 4 and 7 workers and
 with and without a combiner, every one checkpointing every second
 superstep (so a pool run also forwards held mail between
-checkpoints); and, at 3 workers, a network-fault plan, confined
-recovery after a crash, a spilling ``memory_budget`` and barrier
+checkpoints); and, at 3 workers, a network-fault plan, a crash
+recovered by rollback, a spilling ``memory_budget`` and barrier
 mutations.
 
 The digests were recorded before delivery became one merge over lane
-records; they must not be edited to make a change pass.  A poisoned
+records (the two ``crash`` rows, a full rollback of the same crash
+plan, just before confined recovery was removed); they must not be
+edited to make a change pass.  A poisoned
 control swaps two destinations in the merged first-touch order, which
 leaves every value as it was; the pins must catch it.
 ``REPRO_FUZZ_WORKERS`` narrows the worker counts of the first matrix.
@@ -76,9 +79,8 @@ SPECIALS = {
     "faults": ("hashmin", dict(fault_plan=FaultPlan(
         drop_rate=0.2, duplicate_rate=0.1, delay_rate=0.1, seed=4,
     ))),
-    "confined": ("sssp", dict(
+    "crash": ("sssp", dict(
         fault_plan=crash_plan(superstep=5, worker=1),
-        confined_recovery=True,
     )),
     "spill": ("pagerank", dict(memory_budget=256)),
     "mutation": ("mutation", {}),
@@ -152,8 +154,8 @@ PINNED = {
     "pagerank-w7-plain": "053a3e18dfa870b8",
     "faults-w3-comb": "027d99e56d27ea7e",
     "faults-w3-plain": "183055e4335c25c8",
-    "confined-w3-comb": "67d76a99822c186e",
-    "confined-w3-plain": "f98b84c95cfc4684",
+    "crash-w3-comb": "8b4a5fabb47b06d0",
+    "crash-w3-plain": "38e1cc87060ca778",
     "spill-w3-comb": "ced2f2a8633490a7",
     "spill-w3-plain": "db1c1765358141cb",
     "mutation-w3-comb": "e01453899781bb56",

@@ -37,7 +37,7 @@ counts); unset runs all of them.
 
 The second matrix below crosses what used to leave the dense plane —
 barrier mutations (:class:`MutateMidRun`), in-place edge edits
-(:class:`EdgeTouch`) and confined recovery, plus the frontier
+(:class:`EdgeTouch`) and crash rollback, plus the frontier
 transitions of :class:`FrontierScript` — with every worker count,
 both combiner modes and every fault plan.  A poisoned control skips
 the barrier re-index and must be caught.  Beyond the fixed matrix, a
@@ -109,19 +109,11 @@ _env = os.environ.get("REPRO_FUZZ_WORKERS")
 if _env:
     WORKER_COUNTS = [int(w) for w in _env.split(",") if w.strip()]
 
-#: ``(name, make_plan, confined)``.  "confined-crash" recomputes only
-#: the crashed partition from the delivery log (checkpoint at 2, crash
-#: at 3: superstep 2 is replayed with its sends bound to the null
-#: pair) — on the same plane as everything else.
+#: ``(name, make_plan)``.
 FAULT_MODES = [
-    ("clean", None, False),
-    ("crash", lambda: crash_plan(superstep=2, worker=1, seed=9), False),
-    ("msg-drop", lambda: drop_plan(rate=0.25, seed=9), False),
-    (
-        "confined-crash",
-        lambda: crash_plan(superstep=3, worker=1, seed=9),
-        True,
-    ),
+    ("clean", None),
+    ("crash", lambda: crash_plan(superstep=2, worker=1, seed=9)),
+    ("msg-drop", lambda: drop_plan(rate=0.25, seed=9)),
 ]
 
 #: "reference" is the oracle (:mod:`tests.oracle`), which runs no
@@ -165,7 +157,7 @@ def _case_recipe(wl_name: str, workers: int, fault_name: str) -> dict:
 
 
 def _run_case(graph, make_program, natural, recipe, backend, workers,
-              make_plan, confined=False, trace=None):
+              make_plan, trace=None):
     """One case on one backend: ``(engine, result)``, where the
     ``"reference"`` backend has no engine (``None``)."""
     combiner = resolve_combiner(natural) if recipe["use_combiner"] else None
@@ -175,7 +167,7 @@ def _run_case(graph, make_program, natural, recipe, backend, workers,
         )
     kwargs = dict(
         num_workers=workers, track_bppa=True, seed=0, trace=trace,
-        confined_recovery=confined, combiner=combiner,
+        combiner=combiner,
     )
     if make_plan is not None:
         kwargs["checkpoint_interval"] = 2
@@ -239,7 +231,7 @@ def _assert_same_runs(results, repro, faulted=False):
 
 
 @pytest.mark.parametrize(
-    "fault_name,make_plan,confined",
+    "fault_name,make_plan",
     FAULT_MODES,
     ids=[f[0] for f in FAULT_MODES],
 )
@@ -251,17 +243,17 @@ def _assert_same_runs(results, repro, faulted=False):
 )
 def test_differential_fuzz(
     wl_name, _graph, make_program, natural, workers, fault_name,
-    make_plan, confined, tmp_path,
+    make_plan, tmp_path,
 ):
     _fuzz_case(
         wl_name, make_program, natural, workers, fault_name, make_plan,
-        confined, str(tmp_path / "snap"),
+        str(tmp_path / "snap"),
     )
 
 
 def _fuzz_case(
     wl_name, make_program, natural, workers, fault_name, make_plan,
-    confined, snap_dir,
+    snap_dir,
 ):
     recipe = _case_recipe(wl_name, workers, fault_name)
     repro = (
@@ -280,13 +272,13 @@ def _fuzz_case(
     )
     _assert_every_path_agrees(
         graph, wl_name, make_program, natural, recipe, workers,
-        make_plan, confined, snap_dir, repro,
+        make_plan, snap_dir, repro,
     )
 
 
 def _assert_every_path_agrees(
     graph, wl_name, make_program, natural, recipe, workers, make_plan,
-    confined, snap_dir, repro,
+    snap_dir, repro,
 ):
     """Run one case on every backend of ``BACKENDS``, hold the engine
     paths to each other and to the oracle, plus the tier, spill and
@@ -299,7 +291,7 @@ def _assert_every_path_agrees(
         engines[backend], results[backend] = _run_case(
             snap if backend == "snapshot" else graph,
             make_program, natural, recipe, backend, workers,
-            make_plan, confined,
+            make_plan,
         )
     ref = results["reference"]
     _assert_same_runs(results, repro, make_plan is not None)
@@ -312,12 +304,6 @@ def _assert_every_path_agrees(
         w.kernel_tier for w in results["fast"].stats.wall
     }
     assert "vectorized" not in fast_tiers, f"fast; {repro}"
-    fast = results["fast"]
-    if confined and fast.stats.num_supersteps > 3:
-        # The crash struck, and recovery stayed confined: the
-        # checkpointed superstep was replayed, none was discarded.
-        assert fast.stats.recovery_attempts == 1, repro
-        assert fast.stats.supersteps_replayed == 1, repro
     for backend in ("fast+vectorized", "parallel"):
         vec_tiers = {
             w.kernel_tier for w in results[backend].stats.wall
@@ -402,13 +388,13 @@ def test_differential_shapes(
         assert max(map(graph.total_degree, graph.vertices())) > _GROUP_MAX
     _assert_every_path_agrees(
         graph, wl_name, make_program, natural, recipe, workers, None,
-        False, str(tmp_path / "snap"), repro,
+        str(tmp_path / "snap"), repro,
     )
 
 
 # ---------------------------------------------------------------------
 # What used to leave the dense plane: barrier mutations, in-place edge
-# edits, confined recovery.  Oracle / dense / spilling snapshot /
+# edits, crash rollback.  Oracle / dense / spilling snapshot /
 # process pool, every worker count, with and without a combiner, under
 # every fault plan.
 # ---------------------------------------------------------------------
@@ -490,20 +476,17 @@ PLANE_BACKENDS = ["reference", "fast", "snapshot", "parallel"]
 
 #: Checkpoints at 0, 2, 4 and a crash at 3, so the full rollback
 #: restores the topology the superstep-1 barrier mutated, onto the
-#: dense plane, and re-executes superstep 2; the confined plan replays
-#: it on the crashed partition only.
-_crash_at_3 = lambda: crash_plan(superstep=3, worker=1, seed=9)
+#: dense plane, and re-executes superstep 2.
 PLANE_FAULT_MODES = [
-    ("clean", None, False),
-    ("crash", _crash_at_3, False),
-    ("msg-drop", lambda: drop_plan(rate=0.25, seed=9), False),
-    ("confined-crash", _crash_at_3, True),
+    ("clean", None),
+    ("crash", lambda: crash_plan(superstep=3, worker=1, seed=9)),
+    ("msg-drop", lambda: drop_plan(rate=0.25, seed=9)),
 ]
 
 
 def _assert_planes_agree(
-    graph, make_program, use_combiner, workers, make_plan, confined,
-    snap_dir, repro,
+    graph, make_program, use_combiner, workers, make_plan, snap_dir,
+    repro,
 ):
     """Run one corpus case on every backend of ``PLANE_BACKENDS``:
     the engine paths agree on values, ``RunStats`` (recovery
@@ -519,7 +502,7 @@ def _assert_planes_agree(
         engines[backend], results[backend] = _run_case(
             snap if backend == "snapshot" else graph,
             make_program, "sum", recipe, backend, workers,
-            make_plan, confined, traces[backend],
+            make_plan, traces[backend],
         )
     _assert_same_runs(results, repro, make_plan is not None)
     for backend in PLANE_BACKENDS[2:]:
@@ -530,7 +513,7 @@ def _assert_planes_agree(
 
 
 @pytest.mark.parametrize(
-    "fault_name,make_plan,confined",
+    "fault_name,make_plan",
     PLANE_FAULT_MODES,
     ids=[f[0] for f in PLANE_FAULT_MODES],
 )
@@ -545,7 +528,7 @@ def _assert_planes_agree(
 )
 def test_plane_corpus(
     name, make_program, pool_reason, workers, use_combiner,
-    fault_name, make_plan, confined, tmp_path,
+    fault_name, make_plan, tmp_path,
 ):
     rnd = random.Random(f"plane-{name}-{workers}-{fault_name}")
     n, p = rnd.randrange(24, 56), round(rnd.uniform(0.1, 0.2), 3)
@@ -559,7 +542,7 @@ def test_plane_corpus(
     graph = erdos_renyi_graph(n, p, seed=graph_seed, directed=directed)
     engines, results = _assert_planes_agree(
         graph, make_program, use_combiner, workers, make_plan,
-        confined, str(tmp_path / "snap"), repro,
+        str(tmp_path / "snap"), repro,
     )
     ref = results["reference"]
     if "crash" in fault_name:
@@ -591,7 +574,7 @@ def test_poisoned_control_skipped_reindex_is_caught(
     index across a mutating barrier."""
     graph = erdos_renyi_graph(30, 0.15, seed=4)
     args = (
-        graph, MutateMidRun, False, 2, None, False,
+        graph, MutateMidRun, False, 2, None,
         str(tmp_path / "snap"), "poisoned control",
     )
     _assert_planes_agree(*args)  # sound before the poison
@@ -630,7 +613,7 @@ def _clean_case(tmp_path, name="pagerank"):
         w for w in FUZZ_WORKLOADS if w[0] == name
     )
     return lambda: _fuzz_case(
-        name, make_program, natural, 4, "clean", None, False,
+        name, make_program, natural, 4, "clean", None,
         str(tmp_path / "snap"),
     )
 
@@ -695,7 +678,7 @@ def test_poisoned_control_mutation_order_is_caught(tmp_path, monkeypatch):
     and added back in one barrier) disappears instead of moving last."""
     graph = erdos_renyi_graph(30, 0.15, seed=4)
     args = (
-        graph, MutateMidRun, False, 2, None, False,
+        graph, MutateMidRun, False, 2, None,
         str(tmp_path / "snap"), "poisoned control",
     )
     _assert_planes_agree(*args)

@@ -895,7 +895,6 @@ def _fingerprint(graph, **overrides) -> str:
         num_workers=3,
         seed=11,
         checkpoint_interval=2,
-        confined_recovery=False,
         track_bppa=False,
         combiner=None,
         partitioner=None,

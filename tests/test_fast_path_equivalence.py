@@ -217,8 +217,8 @@ def test_budgeted_run_keeps_spilling_after_a_mutation():
     spilled_after = []
     deliver = fabric.deliver_fast
 
-    def recording_deliver(superstep, mutated):
-        delivered = deliver(superstep, mutated)
+    def recording_deliver(mutated):
+        delivered = deliver(mutated)
         spilled_after.append(fabric.spilled_lanes)
         return delivered
 
@@ -273,33 +273,6 @@ def test_rewired_row_of_equal_length_is_not_trusted(combiner_name):
 # ---------------------------------------------------------------------
 # Fast-path configuration surface.
 # ---------------------------------------------------------------------
-
-
-def test_fast_path_with_confined_recovery_constructs_and_runs():
-    g = erdos_renyi_graph(24, 0.2, seed=13)
-    kwargs = dict(
-        num_workers=4,
-        confined_recovery=True,
-        checkpoint_interval=2,
-    )
-    make_plan = lambda: crash_plan(superstep=3, worker=2, seed=1)
-    oracle = oracle_result(g, WORKLOADS[0][2](), num_workers=4)
-    engine = PregelEngine(
-        g, WORKLOADS[0][2](), fault_plan=make_plan(), **kwargs,
-    )
-    result = engine.run()
-    assert_identical(oracle, result, faulted=True)
-    assert_stayed_dense(engine, result)
-    assert result.stats.recovery_attempts == 1
-    # Confined: only the crashed partition's supersteps since the
-    # checkpoint were replayed, nothing was discarded.
-    assert result.stats.supersteps_replayed == 1
-
-
-def test_confined_recovery_defaults_to_dense_plane():
-    g = path_graph(4)
-    engine = PregelEngine(g, MutateMidRun(), confined_recovery=True)
-    assert_stayed_dense(engine, engine.run())
 
 
 def test_fast_path_is_the_default():

@@ -3,10 +3,10 @@ oracle and the recovery accounting.
 
 The scientific invariant under test: **any run under any fault plan
 that completes must produce byte-identical values to the fault-free
-run**.  Worker crashes are survived by checkpoint rollback (or
-confined recovery); message drop/duplication/delay are masked by the
-reliable-delivery layer; all of it shows up only in the cost
-accounting (``RunStats.recovery_overhead``), never in the answers.
+run**.  Worker crashes are survived by checkpoint rollback; message
+drop/duplication/delay are masked by the reliable-delivery layer; all
+of it shows up only in the cost accounting
+(``RunStats.recovery_overhead``), never in the answers.
 """
 
 import pickle
@@ -102,22 +102,6 @@ def test_determinism_oracle(
     assert canonical(faulted.values) == canonical(baseline.values)
 
 
-def test_oracle_with_confined_recovery():
-    for prog_name, graph, make_program in PROGRAMS:
-        baseline = run_program(graph, make_program(), num_workers=4)
-        faulted = run_program(
-            graph,
-            make_program(),
-            num_workers=4,
-            checkpoint_interval=2,
-            fault_plan=crash_plan(superstep=3, worker=2, seed=1),
-            confined_recovery=True,
-        )
-        assert canonical(faulted.values) == canonical(
-            baseline.values
-        ), f"{prog_name} diverged under confined recovery"
-
-
 def test_oracle_with_randomized_program():
     """RNG state is checkpointed: replayed supersteps redraw the same
     randomness, so even randomized programs recover exactly."""
@@ -165,8 +149,9 @@ def test_oracle_with_aggregators_and_master():
 
 
 def test_oracle_with_topology_mutation_falls_back_to_rollback():
-    """A mutating program cannot use confined recovery; the engine
-    must detect the mutation and take the full rollback instead."""
+    """A crash after a topology mutation rolls back past it: the
+    rollback restores the checkpointed topology and the replay
+    re-applies the mutation, to the fault-free values."""
 
     class DropAndCount(VertexProgram):
         name = "drop-and-count"
@@ -192,7 +177,6 @@ def test_oracle_with_topology_mutation_falls_back_to_rollback():
         num_workers=3,
         checkpoint_interval=2,
         fault_plan=crash_plan(superstep=3, worker=1, seed=5),
-        confined_recovery=True,
     )
     assert canonical(faulted.values) == canonical(baseline.values)
 
@@ -281,19 +265,6 @@ class TestRecoveryAccounting:
             fault_plan=crash_plan(superstep=7, times=5, seed=0),
         )
         assert result.stats.recovery_attempts == 5
-
-    def test_confined_recovery_is_cheaper_than_rollback(self):
-        plan = lambda: crash_plan(superstep=7, worker=1, seed=0)
-        full = self._run(
-            checkpoint_interval=4, fault_plan=plan()
-        ).stats
-        confined = self._run(
-            checkpoint_interval=4,
-            fault_plan=plan(),
-            confined_recovery=True,
-        ).stats
-        assert confined.replay_cost < full.replay_cost
-        assert confined.recovery_overhead < full.recovery_overhead
 
     def test_message_fault_accounting(self):
         dropped = self._run(fault_plan=drop_plan(rate=0.2, seed=3))

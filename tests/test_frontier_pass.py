@@ -57,8 +57,8 @@ def _script_case(seed):
         seed=seed,
         horizon=rnd.randrange(7, 11),
         actor=rnd.randrange(n),
-        # After the crash plans' supersteps (2 and 3), so the pool is
-        # still alive to be killed, re-initialised and confined-replayed.
+        # After the crash plan's superstep (2), so the pool is still
+        # alive to be killed, re-initialised and rolled back.
         wake_at=rnd.choice([None, 4, 5]),
         grow_at=rnd.choice([None, 4, 5, 6]),
         edit_at=rnd.choice([None, 5, 6, 7]),
@@ -72,7 +72,7 @@ def _script_case(seed):
 
 
 def _assert_frontier_equivalence(
-    seed, workers, combiner, make_plan, confined, backends, snap_dir
+    seed, workers, combiner, make_plan, backends, snap_dir
 ):
     graph, make_program, repro = _script_case(seed)
     repro += f"; workers={workers}, combiner={combiner}"
@@ -86,7 +86,7 @@ def _assert_frontier_equivalence(
         _engine, results[backend] = _run_case(
             snap if backend == "snapshot" else graph,
             make_program, combiner, recipe, backend, workers,
-            make_plan, confined,
+            make_plan,
         )
     _assert_same_runs(results, repro, make_plan is not None)
     for backend in backends[1:]:
@@ -96,18 +96,18 @@ def _assert_frontier_equivalence(
 
 
 @pytest.mark.parametrize(
-    "fault_name,make_plan,confined",
+    "fault_name,make_plan",
     FAULT_MODES,
     ids=[f[0] for f in FAULT_MODES],
 )
 @pytest.mark.parametrize("combiner", [None, "min", "sum"])
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_frontier_matrix(
-    workers, combiner, fault_name, make_plan, confined, tmp_path
+    workers, combiner, fault_name, make_plan, tmp_path
 ):
     fast = _assert_frontier_equivalence(
         f"{workers}-{combiner}-{fault_name}", workers, combiner,
-        make_plan, confined, BACKENDS, str(tmp_path / "snap"),
+        make_plan, BACKENDS, str(tmp_path / "snap"),
     )
     if "crash" in fault_name:
         assert fast.stats.recovery_attempts == 1
@@ -121,7 +121,7 @@ def test_frontier_matrix(
 )
 def test_frontier_equals_oracle_on_drawn_scripts(seed, workers, combiner):
     _assert_frontier_equivalence(
-        seed, workers, combiner, None, False,
+        seed, workers, combiner, None,
         ["reference", "fast"], None,
     )
 
@@ -136,7 +136,7 @@ def test_poisoned_control_forgotten_awake_is_caught(monkeypatch):
             lane.awake = []
         return sound(host, lane, wake_all)
 
-    args = (7, 2, "sum", None, False, ["reference", "fast"], None)
+    args = (7, 2, "sum", None, ["reference", "fast"], None)
     _assert_frontier_equivalence(*args)  # sound before the poison
     monkeypatch.setattr(kernels, "dense_compute_pass", forgetful)
     with pytest.raises((AssertionError, BSPError)):

@@ -250,7 +250,6 @@ def test_a_program_sees_one_dict_per_vertex():
     assert set(result.values.values()) == {5}
 
 
-@pytest.mark.parametrize("confined", [False, True], ids=["full", "confined"])
 @pytest.mark.parametrize(
     "graph", [UNDIRECTED, DIRECTED], ids=["undirected", "directed"]
 )
@@ -260,12 +259,11 @@ def test_a_program_sees_one_dict_per_vertex():
 # frozen again and the replayed superstep 0 edits fresh dicts.
 @pytest.mark.parametrize("prune_at,crash_at", [(1, 3), (0, 1)])
 def test_in_place_edit_checkpoint_rollback_matches_the_oracle(
-    graph, confined, prune_at, crash_at
+    graph, prune_at, crash_at
 ):
     make = partial(EdgeTouch, rounds=5, prune_at=prune_at)
     result = PregelEngine(
         graph, make(), num_workers=3, checkpoint_interval=2,
-        confined_recovery=confined,
         fault_plan=crash_plan(superstep=crash_at, worker=1, seed=2),
     ).run()
     assert result.stats.recovery_attempts == 1

@@ -25,7 +25,6 @@ from repro.bsp import (
     SuperstepLoop,
 )
 from repro.bsp import checkpoint as checkpoint_module
-from repro.bsp import state as state_module
 from repro.bsp.checkpoint import EngineSnapshot
 from repro.bsp.fabric import DenseLane, MessageFabric
 from repro.errors import SuperstepLimitExceeded
@@ -68,8 +67,9 @@ ENGINE_PY = (
 #: when ``use_vectorized`` and ``max_recovery_attempts`` stopped being
 #: keywords, and from 614 when a checkpoint restore began to swap the
 #: store's and the fabric's dicts itself (the engine's ``_states`` and
-#: ``_owner`` setters went).
-ENGINE_LINE_BUDGET = 606
+#: ``_owner`` setters went), and from 606 when confined recovery went
+#: (a crash has one recovery path, full rollback).
+ENGINE_LINE_BUDGET = 575
 
 
 def test_engine_module_stays_thin():
@@ -116,8 +116,10 @@ BSP_ROOT = ENGINE_PY.parent
 #: over payload indices, and from 7294 when the checkpoint baseline
 #: stopped copying the frozen topology's rows, and from 7292 when a
 #: fault plan stopped choosing execution paths (one network-fault
-#: draw at commit for every engine).
-REPRO_BSP_LINE_BUDGET = 7234
+#: draw at commit for every engine), and from 7234 when confined
+#: recovery, its per-superstep message logs and its partial restore
+#: went.
+REPRO_BSP_LINE_BUDGET = 7019
 
 #: The dense compute plane is written once (``kernels.py`` loops and
 #: kernels over a ``fabric.DenseLane``) and hosted twice (the serial
@@ -146,7 +148,8 @@ REPRO_BSP_LINE_BUDGET = 7234
 #: fabric.py fell to 875 lines when the fabric's per-destination
 #: fault draws went, and kernels and parallel by a line or two with
 #: the tier's fault-plan decline and the pool's fault-plan delivery
-#: trigger.
+#: trigger; fabric.py to 841 and parallel.py to 1022 when confined
+#: recovery's null send pair, delivery log and delivery trigger went.
 KERNELS_LINE_BUDGET = 797
 PARALLEL_LINE_BUDGET = 1025
 COLUMNS_LINE_BUDGET = 55
@@ -221,8 +224,8 @@ class TestDensePlaneIsNotForked:
             for path in BSP_ROOT.glob("*.py")
             if "raise MessageToUnknownVertexError" in path.read_text()
         }
-        # fabric.py: the lane send paths and the confined replay's
-        # null pair; block.py: the block engine's own mailbox.
+        # fabric.py: the lane send paths; block.py: the block
+        # engine's own mailbox.
         assert raising == {"fabric.py", "block.py"}
 
     def test_no_module_maps_shared_memory(self):
@@ -309,14 +312,6 @@ class TestOnePlanePerRun:
         fabric = (BSP_ROOT / "fabric.py").read_text()
         assert "def deliver(" not in fabric
         assert not re.search(r"\.(?:inbox|outbox)\b", fabric)
-
-    def test_confined_replay_has_one_implementation(self):
-        assert _src_files_matching(r"def confined_replay\(") == {
-            "bsp/state.py"
-        }
-        state = (BSP_ROOT / "state.py").read_text()
-        assert state.count("def confined_replay(") == 1
-        assert "fast_active" not in state
 
     def test_only_the_pool_hands_off(self):
         # ``class Handoff(TraceEvent)`` is the definition; the only
@@ -481,14 +476,10 @@ class TestFrontierIsResetWhereHaltedIsWritten:
         "state.py": [
             # ``PregelEngine.run`` follows it with ``restore_inbox``
             "StateStore.reset",
-            # ends in ``fabric.restore_inbox``
-            "confined_replay",
         ],
         "checkpoint.py": [
-            # full restore: ``fabric.reindex`` builds fresh lanes;
-            # confined restore: ``confined_replay`` above
+            # a restore: ``fabric.reindex`` builds fresh lanes
             "_restored_states",
-            "restore_partition",
         ],
         "parallel.py": [
             # a fresh lane (a rank is only ever re-initialised)
@@ -527,13 +518,9 @@ class TestFrontierIsResetWhereHaltedIsWritten:
         assert self.AWAKE_WRITERS["parallel.py"] == (
             self.HALTED_WRITERS["parallel.py"][1:]
         )
-        # ... a confined replay ends in restore_inbox, which resets
-        # every lane, and a full restore re-indexes into fresh ones.
+        # ... and a restore re-indexes into fresh lanes.
         assert "lane.awake = None" in inspect.getsource(
             MessageFabric.restore_inbox
-        )
-        assert "fabric.restore_inbox(" in inspect.getsource(
-            state_module.confined_replay
         )
         assert "_fabric.reindex(" in inspect.getsource(
             checkpoint_module.restore_checkpoint
@@ -812,15 +799,15 @@ class TestOneWayToStartARank:
 #: them: ``use_vectorized``, ``mp_start_method`` and
 #: ``max_recovery_attempts`` went, and tests reach their paths through
 #: seams instead (``tests.conftest.dense_pass``,
-#: ``parallel.default_start_method``, ``loop.MAX_RECOVERY_ATTEMPTS``).
+#: ``parallel.default_start_method``, ``loop.MAX_RECOVERY_ATTEMPTS``);
+#: ``confined_recovery`` went with the recovery path it selected.
 #: Adding a keyword means adding it here.
 CONSTRUCTOR_PARAMETERS = {
     "PregelEngine": [
         "graph", "program", "num_workers", "partitioner", "combiner",
         "cost_model", "max_supersteps", "track_bppa", "seed",
-        "checkpoint_interval", "fault_plan", "confined_recovery",
-        "checkpoint_dir", "resume", "memory_budget", "spill_dir",
-        "trace",
+        "checkpoint_interval", "fault_plan", "checkpoint_dir",
+        "resume", "memory_budget", "spill_dir", "trace",
     ],
     "ParallelPregelEngine": [
         "graph", "program", "args", "transport", "kwargs",
@@ -858,11 +845,13 @@ class TestTheKeywordSurfaceIsPinned:
         for name in (
             "use_vectorized", "mp_start_method", "vectorizable",
             "has_vectorized_kernel", "max_recovery_attempts",
+            "confined_recovery",
         ):
             # The fingerprint hashes ``loop.MAX_RECOVERY_ATTEMPTS``
-            # under the option's old name, so the pinned fingerprints
-            # do not move; nothing names it as a parameter.
-            pattern = rf"\b{name}\b(?!=\{{)"
+            # under the option's old name, and ``confined_recovery``
+            # as the constant ``False``, so the pinned fingerprints do
+            # not move; nothing names either as a parameter.
+            pattern = rf"\b{name}\b(?!=\{{|=False\")"
             assert not _src_files_matching(pattern), name
 
     def test_the_paradigm_host_serves_every_engine_alike(self):

@@ -92,9 +92,10 @@ def _run(graph, program, workers, combiner, bind=None, **kwargs):
     deliver = fabric.deliver_fast
     barriers, compiled = [], []
 
-    def recording(superstep, mutated):
+    def recording(mutated):
+        superstep = engine._ctx.superstep
         layout, mail = fabric.merge._layout, any(fabric.parts)
-        delivered = deliver(superstep, mutated)
+        delivered = deliver(mutated)
         if mail and fabric.merge._layout is not layout:
             compiled.append(superstep)
         barriers.append((
@@ -290,14 +291,14 @@ def test_the_size_of_a_record_set_picks_its_path(graph, at, monkeypatch):
     deliver = fabric_.deliver_fast
     first = []
 
-    def recording(superstep, mutated):
-        if superstep == 0:
+    def recording(mutated):
+        if engine._ctx.superstep == 0:
             size = sum(len(part[1].payloads) for part in fabric_.parts if part)
             monkeypatch.setattr(fabric, "LAY_OUT_AT", size + at)
-            delivered = deliver(superstep, mutated)
+            delivered = deliver(mutated)
             first.append((size, fabric_.merge._layout))
             return delivered
-        return deliver(superstep, mutated)
+        return deliver(mutated)
 
     fabric_.deliver_fast = recording
     engine.run()

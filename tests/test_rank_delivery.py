@@ -5,9 +5,9 @@ record by owning rank; the coordinator charges delivery from two
 scalars per destination rank, holds the sub-records and forwards them
 with the next step, and each rank merges its own inbox.  The
 coordinator runs the serial flush and delivery itself only when it
-must read or change the inbox (a checkpoint is due, confined recovery
-or a memory budget is configured, a mutation applied, the pool hands
-off to serial).  A fault plan is not among them.
+must read or change the inbox (a checkpoint is due, a memory budget
+is configured, a mutation applied, the pool hands off to serial).  A
+fault plan is not among them.
 
 Every test holds a parallel run byte-identical to the serial engine:
 values, pickled ``RunStats``, aggregate history and the BPPA
@@ -242,21 +242,6 @@ def test_a_spill_budget_is_accounted_by_the_coordinator():
     )
     assert canonical(parallel) == canonical(serial)
     assert engine._fabric.spilled_lanes > 0
-    assert engine.parallel_supersteps == serial.stats.num_supersteps
-
-
-def test_confined_recovery_logs_are_written_by_the_coordinator():
-    graph = _graph()
-    kwargs = dict(
-        num_workers=2, combiner=MinCombiner(), seed=0,
-        confined_recovery=True, checkpoint_interval=4,
-    )
-    serial_engine = PregelEngine(graph, Chatter(), **kwargs)
-    serial = serial_engine.run()
-    engine = ParallelPregelEngine(graph, Chatter(), **kwargs)
-    assert canonical(engine.run()) == canonical(serial)
-    logs = serial_engine._store.message_log
-    assert logs and engine._store.message_log == logs
     assert engine.parallel_supersteps == serial.stats.num_supersteps
 
 

@@ -65,11 +65,6 @@ CASES = [
         "checkpoint_interval": 2,
         "fault_plan": crash_plan(superstep=3, worker=1, seed=1),
     }),
-    ("confined", lambda: PageRank(num_supersteps=6), {
-        "checkpoint_interval": 2,
-        "confined_recovery": True,
-        "fault_plan": crash_plan(superstep=3, worker=1, seed=1),
-    }),
     ("spill", lambda: PageRank(num_supersteps=4),
      {"combiner": SumCombiner(), "memory_budget": 4096}),
 ]

@@ -198,26 +198,6 @@ class TestReconciliation:
         assert modeled_equal(a, b), f"{p0} vs {p1}"
         assert ra.values == rb.values
 
-    def test_confined_recovery_emits_confined_rollback(self, small_er):
-        recorder, result = traced_run(
-            small_er,
-            lambda: PageRank(num_supersteps=6),
-            "sum",
-            "serial",
-            checkpoint_interval=2,
-            confined_recovery=True,
-            fault_plan=crash_plan(superstep=3, worker=1),
-        )
-        rollbacks = [
-            e for e in recorder.events() if isinstance(e, Rollback)
-        ]
-        assert rollbacks and all(r.confined for r in rollbacks)
-        assert rollbacks[0].restored_vertices > 0
-        recon = stats_from_events(recorder)
-        assert pickle.dumps(recon) == pickle.dumps(
-            result.stats.supersteps
-        )
-
     def test_checkpoint_write_events_reconcile(self, small_er):
         recorder, result = traced_run(
             small_er,
@@ -588,6 +568,10 @@ class TestEventSchema:
         ]
         for event in samples:
             assert event_from_dict(event.to_dict()) == event
+        # Traces written while confined recovery existed carry a
+        # ``confined`` flag on every rollback; they still read.
+        legacy = {**samples[5].to_dict(), "confined": False}
+        assert event_from_dict(legacy) == samples[5]
 
 
 class TestTraceReport:
