@@ -111,7 +111,7 @@ def test_preis_rounds_collapse_on_random_weights(benchmark):
         easy_edges, easy_result = locally_dominant_matching(easy)
         hard = __import__(
             "repro.graph", fromlist=["path_graph"]
-        ).path_graph(n)
+        ).path_graph(n).to_graph()
         for i in range(n - 1):
             hard.set_weight(i, i + 1, float(i + 1))
         hard_edges, hard_result = locally_dominant_matching(hard)

@@ -59,8 +59,8 @@ class LocallyDominantMatching(VertexProgram):
             "partner": None,
             "choice": None,
             "avail": {
-                u: graph.weight(vertex_id, u)
-                for u in graph.neighbors(vertex_id)
+                u: weight
+                for u, weight in graph.out_edge_items(vertex_id)
                 if u != vertex_id
             },
         }

@@ -89,8 +89,8 @@ class BoruvkaMST(VertexProgram):
 
     def initial_value(self, vertex_id, graph) -> Dict[str, Any]:
         adj = {
-            nbr: (graph.weight(vertex_id, nbr), (vertex_id, nbr))
-            for nbr in graph.neighbors(vertex_id)
+            nbr: (weight, (vertex_id, nbr))
+            for nbr, weight in graph.out_edge_items(vertex_id)
             if nbr != vertex_id
         }
         return {

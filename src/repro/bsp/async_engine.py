@@ -177,9 +177,9 @@ class AsyncEngine(HostedEngine):
                 break
             v = queue.popleft()
             queued.discard(v)
-            sources = list(graph.in_neighbors(v))
+            sources = list(graph.in_edge_items(v))
             total = gather(
-                program, graph, values, self._out_degree, v, sources,
+                program, values, self._out_degree, sources,
                 program.identity(),
             )
             self._edge_reads += len(sources)

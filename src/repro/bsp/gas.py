@@ -99,13 +99,13 @@ class GASResult(HostedResult):
         return self.stats.num_supersteps
 
 
-def gather(program, graph, values, out_degree, v, sources, total):
-    """Fold ``v``'s in-edges from ``sources``, in order, into
-    ``total`` (``None`` takes the first contribution): the gather of
-    the GAS and async engines alike."""
-    for u in sources:
+def gather(program, values, out_degree, sources, total):
+    """Fold a vertex's in-edges ``sources``, ``(in-neighbor, weight)``
+    pairs, in order, into ``total`` (``None`` takes the first
+    contribution): the gather of the GAS and async engines alike."""
+    for u, weight in sources:
         view = NeighborView(id=u, value=values[u], out_degree=out_degree[u])
-        contribution = program.gather(view, graph.weight(u, v))
+        contribution = program.gather(view, weight)
         total = (
             contribution
             if total is None
@@ -155,16 +155,16 @@ class GASEngine(HostedEngine):
         # Vertex-cut edge placement: host each edge at the worker of
         # its lower-degree endpoint, so high-degree vertices are the
         # ones mirrored — the PowerGraph heuristic that flattens hub
-        # traffic.  ``_in_hosts[v]`` groups v's in-edges by hosting
-        # worker.
+        # traffic.  ``_in_hosts[v]`` groups v's in-edges, as
+        # ``(in-neighbor, weight)`` pairs, by hosting worker.
         self._in_hosts: Dict[Hashable, Dict[int, list]] = {}
         for v in graph.vertices():
             groups: Dict[int, list] = {}
             dv = graph.total_degree(v)
-            for u in graph.in_neighbors(v):
+            for u, weight in graph.in_edge_items(v):
                 du = graph.total_degree(u)
                 host = self._owner[u] if du <= dv else self._owner[v]
-                groups.setdefault(host, []).append(u)
+                groups.setdefault(host, []).append((u, weight))
             self._in_hosts[v] = groups
 
     def _payload(self) -> dict:
@@ -219,11 +219,10 @@ class GASEngine(HostedEngine):
             total = program.identity()
             for host, sources in self._in_hosts[v].items():
                 total = gather(
-                    program, graph, values, self._out_degree, v,
-                    sources, total,
+                    program, values, self._out_degree, sources, total
                 )
                 host_worker = workers[host]
-                for u in sources:
+                for u, _ in sources:
                     src_worker = self._owner[u]
                     # Edge-parallel local work at the hosting
                     # worker; logical/remote counts stay

@@ -26,6 +26,7 @@ from repro.core.runner import (
 )
 from repro.graph import generators as gen
 from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter
 
 #: Engine settings shared by every row.
@@ -230,15 +231,23 @@ def _row12_coloring_p4(size: int, seed: int) -> PairedMeasurement:
     )
 
 
+def _weighted_path(size: int, weights: Sequence[float]) -> CsrSnapshot:
+    """The path ``0 - 1 - ... - (size-1)`` with edge ``(i, i + 1)``
+    weighing ``weights[i]``, built through ``Graph`` and frozen once."""
+    graph = Graph()
+    for v in range(size):
+        graph.add_vertex(v)
+    for i in range(size - 1):
+        graph.add_edge(i, i + 1, weight=weights[i])
+    return CsrSnapshot.from_graph(graph)
+
+
 def _row13_matching(size: int, seed: int) -> PairedMeasurement:
     # Strictly increasing weights along a path: exactly one locally
     # dominant edge per round — the Θ(n)-round regime of row 13.
-    graph = gen.path_graph(size)
-    for i in range(size - 1):
-        graph.set_weight(i, i + 1, float(i + 1))
     return _paired(
         size,
-        graph,
+        _weighted_path(size, [float(i + 1) for i in range(size)]),
         lambda g: vc.locally_dominant_matching(g, **ENGINE_KWARGS)[1],
         lambda g, ops: seq.path_growing_matching(g, ops),
     )
@@ -289,13 +298,11 @@ def _row16_sssp(size: int, seed: int) -> PairedMeasurement:
 
 
 def _row16_sssp_p4(size: int, seed: int) -> PairedMeasurement:
-    graph = gen.path_graph(size)
-    rng_w = [float(1 + (i * 7919) % 97) for i in range(size)]
-    for i in range(size - 1):
-        graph.set_weight(i, i + 1, rng_w[i])
     return _paired(
         size,
-        graph,
+        _weighted_path(
+            size, [float(1 + (i * 7919) % 97) for i in range(size)]
+        ),
         lambda g: vc.sssp(g, 0, **ENGINE_KWARGS),
         lambda g, ops: seq.dijkstra(g, 0, ops),
     )

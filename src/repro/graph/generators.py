@@ -12,7 +12,12 @@ families that exercise each regime the analysis distinguishes:
 * **labeled digraphs + pattern graphs** — rows 18–20 (simulation).
 
 All generators take an explicit ``seed`` so every experiment is
-deterministic and reproducible.
+deterministic and reproducible.  Each builds through the mutable
+:class:`~repro.graph.graph.Graph`, freezes it once with
+:meth:`CsrSnapshot.from_graph
+<repro.graph.snapshot.CsrSnapshot.from_graph>`, drops the builder and
+returns the snapshot, so a run never re-freezes its input and no dict
+graph sits beside it.  ``to_graph()`` thaws one for editing.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ import random
 from typing import List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 
 
-def path_graph(n: int) -> Graph:
-    """The path ``0 - 1 - ... - (n-1)``; diameter ``n - 1``."""
+def _path(n: int) -> Graph:
     g = Graph()
     for v in range(n):
         g.add_vertex(v)
@@ -34,25 +39,29 @@ def path_graph(n: int) -> Graph:
     return g
 
 
-def cycle_graph(n: int) -> Graph:
+def path_graph(n: int) -> CsrSnapshot:
+    """The path ``0 - 1 - ... - (n-1)``; diameter ``n - 1``."""
+    return CsrSnapshot.from_graph(_path(n))
+
+
+def cycle_graph(n: int) -> CsrSnapshot:
     """The cycle on ``n`` vertices; diameter ``⌊n/2⌋``."""
-    g = path_graph(n)
+    g = _path(n)
     if n > 2:
         g.add_edge(n - 1, 0)
-    return g
+    return CsrSnapshot.from_graph(g)
 
 
-def star_graph(n: int) -> Graph:
+def star_graph(n: int) -> CsrSnapshot:
     """A star: center ``0`` joined to leaves ``1 .. n-1``."""
     g = Graph()
     g.add_vertex(0)
     for v in range(1, n):
         g.add_edge(0, v)
-    return g
+    return CsrSnapshot.from_graph(g)
 
 
-def complete_graph(n: int) -> Graph:
-    """The complete graph ``K_n`` — worst case for MIS coloring."""
+def _complete(n: int) -> Graph:
     g = Graph()
     for v in range(n):
         g.add_vertex(v)
@@ -61,7 +70,12 @@ def complete_graph(n: int) -> Graph:
     return g
 
 
-def grid_graph(rows: int, cols: int) -> Graph:
+def complete_graph(n: int) -> CsrSnapshot:
+    """The complete graph ``K_n`` — worst case for MIS coloring."""
+    return CsrSnapshot.from_graph(_complete(n))
+
+
+def grid_graph(rows: int, cols: int) -> CsrSnapshot:
     """A 2-D grid; vertices are ``(r, c)`` tuples.
 
     Useful as a road-network stand-in: bounded degree, large diameter.
@@ -76,13 +90,10 @@ def grid_graph(rows: int, cols: int) -> Graph:
                 g.add_edge((r, c), (r + 1, c))
             if c + 1 < cols:
                 g.add_edge((r, c), (r, c + 1))
-    return g
+    return CsrSnapshot.from_graph(g)
 
 
-def erdos_renyi_graph(
-    n: int, p: float, seed: int = 0, directed: bool = False
-) -> Graph:
-    """G(n, p): every (ordered, if directed) pair is an edge w.p. ``p``."""
+def _erdos_renyi(n: int, p: float, seed: int, directed: bool) -> Graph:
     rng = random.Random(seed)
     g = Graph(directed=directed)
     for v in range(n):
@@ -97,15 +108,16 @@ def erdos_renyi_graph(
     return g
 
 
-def connected_erdos_renyi_graph(n: int, p: float, seed: int = 0) -> Graph:
-    """G(n, p) patched to be connected.
+def erdos_renyi_graph(
+    n: int, p: float, seed: int = 0, directed: bool = False
+) -> CsrSnapshot:
+    """G(n, p): every (ordered, if directed) pair is an edge w.p. ``p``."""
+    return CsrSnapshot.from_graph(_erdos_renyi(n, p, seed, directed))
 
-    A random spanning-tree skeleton guarantees connectivity; the ER edges
-    are laid on top.  Used by workloads whose sequential reference
-    assumes connectivity (diameter, SSSP on one component, …).
-    """
+
+def _connected_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
-    g = erdos_renyi_graph(n, p, seed=seed)
+    g = _erdos_renyi(n, p, seed, False)
     order = list(range(n))
     rng.shuffle(order)
     for i in range(1, n):
@@ -113,7 +125,19 @@ def connected_erdos_renyi_graph(n: int, p: float, seed: int = 0) -> Graph:
     return g
 
 
-def barabasi_albert_graph(n: int, k: int, seed: int = 0) -> Graph:
+def connected_erdos_renyi_graph(
+    n: int, p: float, seed: int = 0
+) -> CsrSnapshot:
+    """G(n, p) patched to be connected.
+
+    A random spanning-tree skeleton guarantees connectivity; the ER edges
+    are laid on top.  Used by workloads whose sequential reference
+    assumes connectivity (diameter, SSSP on one component, …).
+    """
+    return CsrSnapshot.from_graph(_connected_erdos_renyi(n, p, seed))
+
+
+def barabasi_albert_graph(n: int, k: int, seed: int = 0) -> CsrSnapshot:
     """Preferential-attachment scale-free graph.
 
     Each new vertex attaches to ``k`` existing vertices chosen with
@@ -123,7 +147,7 @@ def barabasi_albert_graph(n: int, k: int, seed: int = 0) -> Graph:
     if n <= k:
         return complete_graph(max(n, 1))
     rng = random.Random(seed)
-    g = complete_graph(k + 1)
+    g = _complete(k + 1)
     endpoints: List[int] = []
     for u, v in g.edges():
         endpoints.extend((u, v))
@@ -135,39 +159,39 @@ def barabasi_albert_graph(n: int, k: int, seed: int = 0) -> Graph:
         for t in targets:
             g.add_edge(v, t)
             endpoints.extend((v, t))
-    return g
+    return CsrSnapshot.from_graph(g)
 
 
-def random_tree(n: int, seed: int = 0) -> Graph:
+def random_tree(n: int, seed: int = 0) -> CsrSnapshot:
     """A uniformly random labeled tree (random attachment)."""
     rng = random.Random(seed)
     g = Graph()
     g.add_vertex(0)
     for v in range(1, n):
         g.add_edge(v, rng.randrange(v))
-    return g
+    return CsrSnapshot.from_graph(g)
 
 
-def balanced_binary_tree(depth: int) -> Graph:
+def balanced_binary_tree(depth: int) -> CsrSnapshot:
     """A complete binary tree of the given depth (root ``0``)."""
     g = Graph()
     g.add_vertex(0)
     n = 2 ** (depth + 1) - 1
     for v in range(1, n):
         g.add_edge(v, (v - 1) // 2)
-    return g
+    return CsrSnapshot.from_graph(g)
 
 
-def caterpillar_tree(spine: int, legs: int) -> Graph:
+def caterpillar_tree(spine: int, legs: int) -> CsrSnapshot:
     """A caterpillar: a path of ``spine`` vertices, each with ``legs``
     pendant leaves.  A tree with large diameter and varying degrees."""
-    g = path_graph(spine)
+    g = _path(spine)
     nxt = spine
     for s in range(spine):
         for _ in range(legs):
             g.add_edge(s, nxt)
             nxt += 1
-    return g
+    return CsrSnapshot.from_graph(g)
 
 
 def random_weighted_graph(
@@ -178,7 +202,7 @@ def random_weighted_graph(
     max_weight: float = 100.0,
     connected: bool = True,
     distinct_weights: bool = True,
-) -> Graph:
+) -> CsrSnapshot:
     """A weighted undirected graph for MST / SSSP / matching workloads.
 
     ``distinct_weights=True`` assigns every edge a unique weight, which
@@ -187,9 +211,9 @@ def random_weighted_graph(
     """
     rng = random.Random(seed)
     if connected:
-        g = connected_erdos_renyi_graph(n, p, seed=seed)
+        g = _connected_erdos_renyi(n, p, seed)
     else:
-        g = erdos_renyi_graph(n, p, seed=seed)
+        g = _erdos_renyi(n, p, seed, False)
     edges = list(g.edges())
     if distinct_weights:
         weights = rng.sample(range(1, 10 * len(edges) + 1), len(edges))
@@ -198,12 +222,12 @@ def random_weighted_graph(
     else:
         for u, v in edges:
             g.set_weight(u, v, rng.uniform(min_weight, max_weight))
-    return g
+    return CsrSnapshot.from_graph(g)
 
 
 def random_bipartite_graph(
     n_left: int, n_right: int, p: float, seed: int = 0
-) -> Tuple[Graph, Sequence, Sequence]:
+) -> Tuple[CsrSnapshot, Sequence, Sequence]:
     """A random bipartite graph.
 
     Returns ``(graph, left_ids, right_ids)``.  Left vertices are
@@ -221,7 +245,7 @@ def random_bipartite_graph(
         for v in right:
             if rng.random() < p:
                 g.add_edge(u, v)
-    return g, left, right
+    return CsrSnapshot.from_graph(g), left, right
 
 
 def random_labeled_digraph(
@@ -229,16 +253,16 @@ def random_labeled_digraph(
     p: float,
     labels: Sequence[str],
     seed: int = 0,
-) -> Graph:
+) -> CsrSnapshot:
     """A random directed graph with vertex labels drawn from ``labels``.
 
     The data-graph side of the simulation workloads (rows 18–20).
     """
     rng = random.Random(seed)
-    g = erdos_renyi_graph(n, p, seed=seed, directed=True)
+    g = _erdos_renyi(n, p, seed, True)
     for v in range(n):
         g.set_label(v, rng.choice(list(labels)))
-    return g
+    return CsrSnapshot.from_graph(g)
 
 
 def random_query_graph(
@@ -246,7 +270,7 @@ def random_query_graph(
     labels: Sequence[str],
     seed: int = 0,
     extra_edge_prob: float = 0.3,
-) -> Graph:
+) -> CsrSnapshot:
     """A small connected labeled query (pattern) graph.
 
     A random arborescence keeps it connected; extra forward/backward
@@ -264,10 +288,10 @@ def random_query_graph(
             if u != v and not g.has_edge(u, v):
                 if rng.random() < extra_edge_prob / n:
                     g.add_edge(u, v)
-    return g
+    return CsrSnapshot.from_graph(g)
 
 
-def linked_list_graph(n: int, seed: Optional[int] = None) -> Graph:
+def linked_list_graph(n: int, seed: Optional[int] = None) -> CsrSnapshot:
     """A directed path encoding a linked list for list-ranking (§3.4.2).
 
     Each vertex points to its *predecessor*; the head has none.  With a
@@ -283,4 +307,4 @@ def linked_list_graph(n: int, seed: Optional[int] = None) -> Graph:
         g.add_vertex(v)
     for i in range(1, n):
         g.add_edge(ids[i], ids[i - 1])  # edge to predecessor
-    return g
+    return CsrSnapshot.from_graph(g)

@@ -1,10 +1,16 @@
-"""Core graph data structure shared by every subsystem in the package.
+"""The mutable graph builder shared by every subsystem in the package.
 
 The :class:`Graph` class supports directed and undirected graphs, with
 optional edge weights, optional vertex labels and optional edge labels —
 everything the twenty benchmarked workloads need.  Vertex ids may be any
 hashable value; the tree-traversal algorithms, for instance, build derived
 graphs whose vertices are ``(u, v)`` tuples naming directed tree edges.
+
+It is a builder: the generators and the edge-list reader build through
+it, freeze it once with :meth:`CsrSnapshot.from_graph
+<repro.graph.snapshot.CsrSnapshot.from_graph>` and return the
+snapshot, so no dict graph sits beside a run.  ``snapshot.to_graph()``
+thaws an input for editing.
 
 Design notes
 ------------
@@ -46,7 +52,44 @@ class EdgeData:
         return f"EdgeData(weight={self.weight!r}, label={self.label!r})"
 
 
-class Graph:
+class DerivedGraphs:
+    """The derived graphs, written once over the read API that a
+    :class:`Graph` and a :class:`~repro.graph.snapshot.CsrSnapshot`
+    share (``directed``, ``vertices()``, ``label()``,
+    ``edges(data=True)``).  Each is a fresh mutable :class:`Graph`."""
+
+    def copy(self) -> "Graph":
+        """A deep structural copy (edge data is duplicated)."""
+        return self._derived(self.directed)
+
+    def to_undirected(self) -> "Graph":
+        """The underlying undirected graph (used for WCC).
+
+        Antiparallel directed edges collapse to one undirected edge; the
+        weight/label of the last one inserted wins.
+        """
+        return self._derived(False)
+
+    def reverse(self) -> "Graph":
+        """The reverse (transpose) of a directed graph."""
+        return self._derived(self.directed, flip=self.directed)
+
+    def subgraph(self, vertices: Iterable[VertexId]) -> "Graph":
+        """The induced subgraph on ``vertices``."""
+        return self._derived(self.directed, keep=set(vertices))
+
+    def _derived(self, directed, flip=False, keep=None) -> "Graph":
+        g = Graph(directed=directed)
+        for v in self.vertices() if keep is None else keep:
+            g.add_vertex(v, self.label(v))
+        for u, v, edata in self.edges(data=True):
+            if keep is None or u in keep and v in keep:
+                u, v = (v, u) if flip else (u, v)
+                g.add_edge(u, v, weight=edata.weight, label=edata.label)
+        return g
+
+
+class Graph(DerivedGraphs):
     """A directed or undirected graph with weights and labels.
 
     Parameters
@@ -347,56 +390,3 @@ class Graph:
         if self._directed:
             return self.in_degree(vertex) + self.out_degree(vertex)
         return self.degree(vertex)
-
-    # ------------------------------------------------------------------
-    # Derived graphs
-    # ------------------------------------------------------------------
-
-    def copy(self) -> "Graph":
-        """A deep structural copy (edge data is duplicated)."""
-        g = Graph(directed=self._directed)
-        for v in self.vertices():
-            g.add_vertex(v, self._vertex_labels.get(v))
-        for u, v, edata in self.edges(data=True):
-            g.add_edge(u, v, weight=edata.weight, label=edata.label)
-        return g
-
-    def to_undirected(self) -> "Graph":
-        """The underlying undirected graph (used for WCC).
-
-        Antiparallel directed edges collapse to one undirected edge; the
-        weight/label of the last one inserted wins.
-        """
-        if not self._directed:
-            return self.copy()
-        g = Graph(directed=False)
-        for v in self.vertices():
-            g.add_vertex(v, self._vertex_labels.get(v))
-        for u, v, edata in self.edges(data=True):
-            g.add_edge(u, v, weight=edata.weight, label=edata.label)
-        return g
-
-    def reverse(self) -> "Graph":
-        """The reverse (transpose) of a directed graph."""
-        g = Graph(directed=self._directed)
-        for v in self.vertices():
-            g.add_vertex(v, self._vertex_labels.get(v))
-        for u, v, edata in self.edges(data=True):
-            if self._directed:
-                g.add_edge(v, u, weight=edata.weight, label=edata.label)
-            else:
-                g.add_edge(u, v, weight=edata.weight, label=edata.label)
-        return g
-
-    def subgraph(self, vertices: Iterable[VertexId]) -> "Graph":
-        """The induced subgraph on ``vertices``."""
-        keep = set(vertices)
-        g = Graph(directed=self._directed)
-        for v in keep:
-            if v not in self._adj:
-                raise VertexNotFoundError(v)
-            g.add_vertex(v, self._vertex_labels.get(v))
-        for u, v, edata in self.edges(data=True):
-            if u in keep and v in keep:
-                g.add_edge(u, v, weight=edata.weight, label=edata.label)
-        return g

@@ -1,5 +1,6 @@
-"""Edge-list I/O for :class:`~repro.graph.graph.Graph` and streamed
-construction of :class:`~repro.graph.snapshot.CsrSnapshot`.
+"""Edge-list I/O: the reader returns a frozen
+:class:`~repro.graph.snapshot.CsrSnapshot`, built either in RAM or
+streamed straight to disk.
 
 The format is the plain whitespace-separated edge list used by most
 graph-processing systems (SNAP, Giraph's simple text formats):
@@ -18,9 +19,11 @@ Three readers share one chunked tokenizer:
   fixed-size chunks (never the whole file) and yields typed entries,
   raising :class:`~repro.errors.EdgeListFormatError` on malformed
   lines with the offending line number and text;
-* :func:`read_edge_list` — materializes a mutable :class:`Graph`
-  (``on_duplicate="error"`` upgrades the default update-in-place
-  behavior to :class:`~repro.errors.DuplicateEdgeError`);
+* :func:`read_edge_list` — builds through the mutable :class:`Graph`
+  and freezes it once into a :class:`~repro.graph.snapshot.
+  CsrSnapshot` (``on_duplicate="error"`` upgrades the default
+  update-in-place behavior to :class:`~repro.errors.
+  DuplicateEdgeError`);
 * :func:`write_snapshot_from_edge_list` — builds an on-disk CSR
   snapshot in two streaming passes (degree count, then row fill)
   without ever materializing the dict-of-dicts representation, so a
@@ -37,6 +40,7 @@ from typing import IO, Iterator, Optional, Tuple, Union
 
 from repro.errors import DuplicateEdgeError, EdgeListFormatError
 from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 
 PathOrFile = Union[str, "os.PathLike[str]", IO[str]]
 
@@ -149,8 +153,8 @@ def read_edge_list(
     source: PathOrFile,
     directed: Optional[bool] = None,
     on_duplicate: str = "update",
-) -> Graph:
-    """Read a graph from an edge-list file or open text handle.
+) -> CsrSnapshot:
+    """Read a graph from an edge-list file or open text handle, frozen.
 
     ``directed`` overrides any ``# directed`` header when not
     ``None``.  ``on_duplicate`` is ``"update"`` (the mutable graph's
@@ -186,7 +190,7 @@ def read_edge_list(
             if on_duplicate == "error" and g.has_edge(u, v):
                 raise DuplicateEdgeError(u, v, lineno=lineno)
             g.add_edge(u, v, weight=weight)
-    return g
+    return CsrSnapshot.from_graph(g)
 
 
 def write_snapshot_from_edge_list(
@@ -200,8 +204,7 @@ def write_snapshot_from_edge_list(
     Two streaming passes over ``source`` — degree counting, then row
     filling — so peak memory is O(n) id table plus the CSR columns
     themselves, never the dict-of-dicts :class:`Graph`.  The result is
-    byte-identical to ``CsrSnapshot.from_graph(read_edge_list(source))
-    .save(directory)``: vertex order is first appearance, row order is
+    byte-identical to ``read_edge_list(source).save(directory)``: vertex order is first appearance, row order is
     file order, exactly as ``Graph.add_edge`` would have built them.
 
     Duplicate edges raise :class:`~repro.errors.DuplicateEdgeError`
@@ -209,8 +212,6 @@ def write_snapshot_from_edge_list(
     update-in-place to fall back to).  Returns the opened, mmap-backed
     :class:`~repro.graph.snapshot.CsrSnapshot`.
     """
-    from repro.graph.snapshot import CsrSnapshot
-
     source = os.fspath(source)
 
     # ---- pass 1: id table, degree counts, directedness ----------
@@ -324,7 +325,7 @@ def write_snapshot_from_edge_list(
     return CsrSnapshot.open(directory)
 
 
-def write_edge_list(graph: Graph, target: PathOrFile) -> None:
+def write_edge_list(graph, target: PathOrFile) -> None:
     """Write ``graph`` as an edge list (weights included when != 1)."""
     if hasattr(target, "write"):
         _write_lines(graph, target)
@@ -333,7 +334,7 @@ def write_edge_list(graph: Graph, target: PathOrFile) -> None:
         _write_lines(graph, handle)
 
 
-def _write_lines(graph: Graph, handle: IO[str]) -> None:
+def _write_lines(graph, handle: IO[str]) -> None:
     handle.write(
         f"# {'directed' if graph.directed else 'undirected'} "
         f"n={graph.num_vertices} m={graph.num_edges}\n"

@@ -21,13 +21,18 @@ A snapshot implements the :class:`Graph` *read* API — ``directed``,
 ``num_vertices``, ``vertices()``, ``neighbors()``, ``in_neighbors()``,
 ``weight()``, degrees, ``edges(data=True)``, labels,
 ``out_edge_items()`` / ``in_edge_items()`` — plus the bulk read
-``rows()`` it shares with ``Graph``.  Iteration order is preserved bit
+``rows()`` and the derived graphs (``copy()``, ``to_undirected()``,
+``reverse()``, ``subgraph()``) it shares with ``Graph``.  ``weight()``
+scans the row (O(degree)): a loop over a vertex's neighbours reads
+``out_edge_items()`` instead.  Iteration order is preserved bit
 for bit (vertex insertion order; per-row edge insertion order), which
 is what makes snapshot-backed runs byte-identical to in-memory runs.
 
-Every run's topology is one snapshot
+Every input starts as one: the generators and the edge-list reader
+build through ``Graph``, freeze once with :meth:`CsrSnapshot.from_graph`
+and return the snapshot.  Every run's topology is one snapshot
 (:attr:`~repro.bsp.state.StateStore.topology`): the one it is handed,
-or its ``Graph`` frozen by :meth:`CsrSnapshot.from_graph`.  The
+or a caller's ``Graph`` frozen by :meth:`CsrSnapshot.from_graph`.  The
 runtime reads it by position (:meth:`CsrSnapshot.rows_at`, a run's
 vertex states knowing their positions), builds a vertex's edge dicts
 from it only when the per-vertex tier first runs the vertex's lane
@@ -90,6 +95,7 @@ from repro.errors import (
     SnapshotError,
     VertexNotFoundError,
 )
+from repro.graph.graph import DerivedGraphs
 
 #: Version of the on-disk layout; bumped on incompatible changes.
 FORMAT_VERSION = 1
@@ -162,11 +168,12 @@ def _ids_storable_as_int64(ids: Sequence[Hashable]) -> bool:
     )
 
 
-class CsrSnapshot:
+class CsrSnapshot(DerivedGraphs):
     """An immutable CSR view of a graph (see the module docstring).
 
-    Build one with :meth:`from_graph`, stream one from an edge list
-    with :func:`repro.graph.io.write_snapshot_from_edge_list`, or
+    Every generator and :func:`repro.graph.io.read_edge_list` return
+    one; build one with :meth:`from_graph`, stream one from an edge
+    list with :func:`repro.graph.io.write_snapshot_from_edge_list`, or
     memory-map a saved one with :meth:`open`.  The constructor wires
     pre-built columns together and is not meant to be called directly.
     """
@@ -266,18 +273,9 @@ class CsrSnapshot:
             edge_labels=elabels,
         )
 
-    def to_graph(self):
-        """Materialize back into a mutable
-        :class:`~repro.graph.graph.Graph` (tests and tooling; the
-        runtime never needs this)."""
-        from repro.graph.graph import Graph
-
-        g = Graph(directed=self._directed)
-        for i, v in enumerate(self._ids):
-            g.add_vertex(v, self._vlabels.get(i))
-        for u, v, data in self.edges(data=True):
-            g.add_edge(u, v, weight=data.weight, label=data.label)
-        return g
+    #: Thaw into a mutable :class:`~repro.graph.graph.Graph` to edit
+    #: an input (a generator's, say); the runtime never needs this.
+    to_graph = DerivedGraphs.copy
 
     # ------------------------------------------------------------------
     # Graph read API
@@ -582,110 +580,34 @@ class CsrSnapshot:
     def _column_sections(self) -> List[Tuple[str, bytes, str, int]]:
         """``(name, payload, typecode, count)`` for every section this
         snapshot needs on disk (``typecode`` is an array code or the
-        pickle tag)."""
-
-        def raw(col, typecode):
-            if isinstance(col, array):
-                return col.tobytes()
-            return memoryview(col).tobytes()
-
-        def weight_section(name, col):
-            if col is None:
-                return None
-            if isinstance(col, list):
-                return (
-                    name,
-                    pickle.dumps(col, pickle.HIGHEST_PROTOCOL),
-                    _PICKLE_TAG,
-                    len(col),
-                )
-            return (
-                name,
-                raw(col, _WEIGHT_TYPECODE),
-                _WEIGHT_TYPECODE,
-                len(col),
+        pickle tag): raw columns, pickled lists (non-int ids, non-float
+        weights) and label dicts; absent columns are left out."""
+        directions = ("out", "in") if self._directed else ("out",)
+        columns = [
+            (f"{way}_{name}", getattr(self, f"_{way}_{attr}"), code)
+            for way in directions
+            for name, attr, code in (
+                ("offsets", "off", _OFFSET_TYPECODE),
+                ("targets", "tgt", _OFFSET_TYPECODE),
+                ("weights", "w", _WEIGHT_TYPECODE),
             )
-
-        sections = [
-            (
-                "out_offsets",
-                raw(self._out_off, _OFFSET_TYPECODE),
-                _OFFSET_TYPECODE,
-                len(self._out_off),
-            ),
-            (
-                "out_targets",
-                raw(self._out_tgt, _OFFSET_TYPECODE),
-                _OFFSET_TYPECODE,
-                len(self._out_tgt),
-            ),
         ]
-        ws = weight_section("out_weights", self._out_w)
-        if ws is not None:
-            sections.append(ws)
-        if self._directed:
-            sections.append(
-                (
-                    "in_offsets",
-                    raw(self._in_off, _OFFSET_TYPECODE),
-                    _OFFSET_TYPECODE,
-                    len(self._in_off),
-                )
-            )
-            sections.append(
-                (
-                    "in_targets",
-                    raw(self._in_tgt, _OFFSET_TYPECODE),
-                    _OFFSET_TYPECODE,
-                    len(self._in_tgt),
-                )
-            )
-            ws = weight_section("in_weights", self._in_w)
-            if ws is not None:
-                sections.append(ws)
-        if _ids_storable_as_int64(self._ids):
-            sections.append(
-                (
-                    "ids",
-                    array(_OFFSET_TYPECODE, self._ids).tobytes(),
-                    _OFFSET_TYPECODE,
-                    len(self._ids),
-                )
-            )
-        else:
-            sections.append(
-                (
-                    "ids",
-                    pickle.dumps(
-                        self._ids, pickle.HIGHEST_PROTOCOL
-                    ),
-                    _PICKLE_TAG,
-                    len(self._ids),
-                )
-            )
-        if self._vlabels:
-            sections.append(
-                (
-                    "vertex_labels",
-                    pickle.dumps(
-                        self._vlabels, pickle.HIGHEST_PROTOCOL
-                    ),
-                    _PICKLE_TAG,
-                    len(self._vlabels),
-                )
-            )
-        if self._elabels:
-            sections.append(
-                (
-                    "edge_labels",
-                    pickle.dumps(
-                        self._elabels, pickle.HIGHEST_PROTOCOL
-                    ),
-                    _PICKLE_TAG,
-                    len(self._elabels),
-                )
-            )
-        return sections
+        ids = self._ids
+        if _ids_storable_as_int64(ids):
+            ids = array(_OFFSET_TYPECODE, ids)
+        columns += [
+            ("ids", ids, _OFFSET_TYPECODE),
+            ("vertex_labels", self._vlabels or None, _PICKLE_TAG),
+            ("edge_labels", self._elabels or None, _PICKLE_TAG),
+        ]
+        return [
+            (name, pickle.dumps(col, pickle.HIGHEST_PROTOCOL),
+             _PICKLE_TAG, len(col))
+            if isinstance(col, (list, dict))
+            else (name, memoryview(col).tobytes(), typecode, len(col))
+            for name, col, typecode in columns
+            if col is not None
+        ]
 
     def save(self, directory: str) -> str:
         """Write this snapshot under ``directory`` (created if

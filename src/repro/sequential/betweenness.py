@@ -97,9 +97,9 @@ def weighted_betweenness_centrality(
                 continue
             dist[v] = d
             order.append(v)
-            for w in graph.neighbors(v):
+            for w, weight in graph.out_edge_items(v):
                 ops.add()
-                nd = d + graph.weight(v, w)
+                nd = d + weight
                 if w in dist:
                     continue
                 if w not in seen or nd < seen[w] - 1e-12:

@@ -76,9 +76,10 @@ def path_growing_matching(
     """
     ops = ensure_counter(counter)
     removed: Set[Hashable] = set()
-    # Mutable residual adjacency (weights looked up in the graph).
-    adj: Dict[Hashable, Set[Hashable]] = {
-        v: set(graph.neighbors(v)) - {v} for v in graph.vertices()
+    # Mutable residual adjacency: neighbor -> edge weight.
+    adj: Dict[Hashable, Dict[Hashable, float]] = {
+        v: {u: w for u, w in graph.out_edge_items(v) if u != v}
+        for v in graph.vertices()
     }
     ops.add(graph.num_vertices + 2 * graph.num_edges)
     m1: List[Edge] = []
@@ -93,9 +94,8 @@ def path_growing_matching(
         while v is not None and adj[v]:
             # Heaviest remaining edge at v (ties by neighbor id).
             best_u, best_w = None, None
-            for u in adj[v]:
+            for u, w in adj[v].items():
                 ops.add()
-                w = graph.weight(v, u)
                 if (
                     best_w is None
                     or w > best_w
@@ -112,9 +112,9 @@ def path_growing_matching(
             # Remove v from the residual graph.
             removed.add(v)
             for u in adj[v]:
-                adj[u].discard(v)
+                adj[u].pop(v, None)
                 ops.add()
-            adj[v] = set()
+            adj[v] = {}
             v = best_u if best_u not in removed else None
     chosen = m1 if w1 >= w2 else m2
     # The heavier path-matching can repeat endpoints across different

@@ -59,11 +59,11 @@ def prim(
             if v in best_edge:
                 edges.append((best_edge[v], v))
                 total += key
-            for u in graph.neighbors(v):
+            for u, w in graph.out_edge_items(v):
                 ops.add()
                 if u in in_tree:
                     continue
-                if pq.insert(u, graph.weight(v, u)):
+                if pq.insert(u, w):
                     best_edge[u] = v
     return edges, total
 

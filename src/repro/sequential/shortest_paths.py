@@ -37,9 +37,8 @@ def dijkstra(
         if v in dist:
             continue
         dist[v] = d
-        for u in graph.neighbors(v):
+        for u, w in graph.out_edge_items(v):
             ops.add()
-            w = graph.weight(v, u)
             if w < 0:
                 raise GraphError(
                     f"negative edge weight on ({v!r}, {u!r})"
@@ -66,9 +65,9 @@ def dijkstra_with_paths(
         if v in dist:
             continue
         dist[v] = d
-        for u in graph.neighbors(v):
+        for u, w in graph.out_edge_items(v):
             ops.add()
-            nd = d + graph.weight(v, u)
+            nd = d + w
             if u not in dist and (u not in best or nd < best[u]):
                 best[u] = nd
                 parent[u] = v
@@ -97,10 +96,10 @@ def dijkstra_to_target(
         dist[v] = d
         if v == target:
             return d
-        for u in graph.neighbors(v):
+        for u, w in graph.out_edge_items(v):
             ops.add()
             if u not in dist:
-                pq.insert(u, d + graph.weight(v, u))
+                pq.insert(u, d + w)
     return None
 
 
@@ -118,9 +117,9 @@ def bellman_ford(
         changed = False
         for v in list(dist):
             base = dist[v]
-            for u in graph.neighbors(v):
+            for u, w in graph.out_edge_items(v):
                 ops.add()
-                nd = base + graph.weight(v, u)
+                nd = base + w
                 if u not in dist or nd < dist[u]:
                     dist[u] = nd
                     changed = True

@@ -210,7 +210,7 @@ def test_editing_the_input_graph_after_construction_changes_nothing(
     clean = create_engine(
         graph.copy(), Relay(), backend=backend, num_workers=2
     ).run()
-    edited = graph.copy()
+    edited = graph.to_graph()  # a snapshot input, thawed to edit
     engine = create_engine(edited, Relay(), backend=backend, num_workers=2)
     vertices = list(edited.vertices())
     for u, v in list(edited.edges())[:10]:

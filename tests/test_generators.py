@@ -1,8 +1,12 @@
 """Tests for the synthetic graph generators."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.graph import (
+    CsrSnapshot,
     balanced_binary_tree,
     barabasi_albert_graph,
     caterpillar_tree,
@@ -24,6 +28,7 @@ from repro.graph import (
     star_graph,
     bipartition,
 )
+from tests.test_generator_pins import CASES
 
 
 class TestDeterministicFamilies:
@@ -151,6 +156,43 @@ class TestRandomFamilies:
         heads = [v for v in g.vertices() if g.out_degree(v) == 0]
         tails = [v for v in g.vertices() if g.in_degree(v) == 0]
         assert len(heads) == 1 and len(tails) == 1
+
+
+class TestInputsAreFrozen:
+    """Every generator and ``read_edge_list`` return a
+    :class:`CsrSnapshot`, and the builder it was frozen from is gone."""
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_returns_exactly_a_snapshot(self, case):
+        assert type(CASES[case]()) is CsrSnapshot
+
+    def test_bipartite_returns_snapshot_and_sides(self):
+        g, left, right = random_bipartite_graph(4, 3, 0.5, seed=1)
+        assert type(g) is CsrSnapshot
+        assert left == [("L", i) for i in range(4)]
+        assert right == [("R", j) for j in range(3)]
+
+    def test_the_builder_is_not_retained(self):
+        """After ``gc.collect()`` the result holds at most a quarter of
+        the bytes a ``Graph`` of the same graph holds."""
+
+        def traced_bytes(build):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = build()
+                gc.collect()
+                return kept, tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        snapshot, retained = traced_bytes(
+            lambda: barabasi_albert_graph(5000, 8, 1)
+        )
+        builder, held = traced_bytes(snapshot.to_graph)
+        assert builder.num_edges == snapshot.num_edges
+        assert 0 < retained <= held / 4, (retained, held)
 
 
 class TestPartitionerInputs:

@@ -123,7 +123,7 @@ class TestIterEdgeList:
 
 class TestRoundTrip:
     def test_roundtrip_file(self, tmp_path):
-        g = erdos_renyi_graph(25, 0.2, seed=8)
+        g = erdos_renyi_graph(25, 0.2, seed=8).to_graph()
         g.add_vertex(999)  # isolated
         path = tmp_path / "g.txt"
         write_edge_list(g, path)

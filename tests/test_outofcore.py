@@ -34,7 +34,7 @@ from repro.bsp.fabric import MessageFabric
 from repro.bsp.parallel import ParallelPregelEngine
 from repro.core.report import format_trace_report
 from repro.errors import BSPError, SpillError, SuperstepLimitExceeded
-from repro.graph import barabasi_albert_graph, erdos_renyi_graph
+from repro.graph import Graph, barabasi_albert_graph, erdos_renyi_graph
 from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.stats import peak_rss_bytes
 from repro.trace.events import Barrier
@@ -390,7 +390,7 @@ def test_serial_snapshot_with_string_ids(tmp_path):
     """Snapshot-backed + budgeted runs on non-integer vertex ids (the
     dense CSR compile must fall back or translate correctly)."""
     base_graph = erdos_renyi_graph(40, 0.15, seed=41)
-    g = type(base_graph)(directed=False)
+    g = Graph(directed=False)
     for v in base_graph.vertices():
         g.add_vertex(f"n{v}")
     for u, v, e in base_graph.edges(data=True):

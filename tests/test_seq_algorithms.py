@@ -144,7 +144,7 @@ class TestMatching:
             assert matching_weight(g, m) >= 0.5 * optimal
 
     def test_path_growing_on_path(self):
-        g = path_graph(5)
+        g = path_graph(5).to_graph()
         for u, v in g.edges():
             g.set_weight(u, v, float(10 * (u + v)))
         m = path_growing_matching(g)

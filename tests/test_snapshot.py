@@ -303,5 +303,6 @@ class TestStreamedBuilder:
 
 def test_is_graph_snapshot():
     g = erdos_renyi_graph(5, 0.5, seed=1)
-    assert not is_graph_snapshot(g)
-    assert is_graph_snapshot(CsrSnapshot.from_graph(g))
+    assert is_graph_snapshot(g)
+    assert not is_graph_snapshot(g.to_graph())
+    assert is_graph_snapshot(CsrSnapshot.from_graph(g.to_graph()))

@@ -147,7 +147,7 @@ class TestPreisMatching:
         assert edges in ([(0, 1)], [(1, 0)])
 
     def test_path_picks_heaviest_alternation(self):
-        g = path_graph(4)
+        g = path_graph(4).to_graph()
         g.set_weight(0, 1, 1.0)
         g.set_weight(1, 2, 10.0)
         g.set_weight(2, 3, 1.5)
