@@ -237,8 +237,8 @@ def _weighted_path(size: int, weights: Sequence[float]) -> CsrSnapshot:
     graph = Graph()
     for v in range(size):
         graph.add_vertex(v)
-    for i in range(size - 1):
-        graph.add_edge(i, i + 1, weight=weights[i])
+    for i, weight in enumerate(weights):
+        graph.add_edge(i, i + 1, weight=weight)
     return CsrSnapshot.from_graph(graph)
 
 
@@ -247,7 +247,7 @@ def _row13_matching(size: int, seed: int) -> PairedMeasurement:
     # dominant edge per round — the Θ(n)-round regime of row 13.
     return _paired(
         size,
-        _weighted_path(size, [float(i + 1) for i in range(size)]),
+        _weighted_path(size, [float(i + 1) for i in range(size - 1)]),
         lambda g: vc.locally_dominant_matching(g, **ENGINE_KWARGS)[1],
         lambda g, ops: seq.path_growing_matching(g, ops),
     )
@@ -301,7 +301,7 @@ def _row16_sssp_p4(size: int, seed: int) -> PairedMeasurement:
     return _paired(
         size,
         _weighted_path(
-            size, [float(1 + (i * 7919) % 97) for i in range(size)]
+            size, [float(1 + (i * 7919) % 97) for i in range(size - 1)]
         ),
         lambda g: vc.sssp(g, 0, **ENGINE_KWARGS),
         lambda g, ops: seq.dijkstra(g, 0, ops),

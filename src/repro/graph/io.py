@@ -204,8 +204,9 @@ def write_snapshot_from_edge_list(
     Two streaming passes over ``source`` — degree counting, then row
     filling — so peak memory is O(n) id table plus the CSR columns
     themselves, never the dict-of-dicts :class:`Graph`.  The result is
-    byte-identical to ``read_edge_list(source).save(directory)``: vertex order is first appearance, row order is
-    file order, exactly as ``Graph.add_edge`` would have built them.
+    byte-identical to ``read_edge_list(source).save(directory)``:
+    vertex order is first appearance, row order is file order, exactly
+    as ``Graph.add_edge`` would have built them.
 
     Duplicate edges raise :class:`~repro.errors.DuplicateEdgeError`
     (a CSR row is sized at first sight of each edge, so there is no
