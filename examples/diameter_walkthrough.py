@@ -14,17 +14,17 @@ Run with::
 
 from repro.algorithms.diameter import EccentricityFlood
 from repro.bsp import PregelEngine
-from repro.graph import Graph
+from repro.graph import CsrSnapshot, Graph
 
 
-def build_graph() -> Graph:
+def build_graph() -> CsrSnapshot:
     #   0 - 1 - 2
     #       |   |
     #       3 - 4 - 5
     g = Graph()
     for u, v in [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]:
         g.add_edge(u, v)
-    return g
+    return g.freeze()
 
 
 class NarratedFlood(EccentricityFlood):

@@ -19,7 +19,7 @@ from repro.algorithms import (
     graph_simulation,
     strong_simulation,
 )
-from repro.graph import Graph
+from repro.graph import CsrSnapshot, Graph
 from repro.sequential import (
     dual_simulation as seq_dual,
     graph_simulation as seq_sim,
@@ -27,7 +27,7 @@ from repro.sequential import (
 )
 
 
-def build_mention_graph(seed: int = 5) -> Graph:
+def build_mention_graph(seed: int = 5) -> CsrSnapshot:
     rng = random.Random(seed)
     g = Graph(directed=True)
     labels = ["user"] * 30 + ["bot"] * 10 + ["news"] * 8
@@ -43,10 +43,10 @@ def build_mention_graph(seed: int = 5) -> Graph:
         g.add_edge(bot, news)
         g.add_edge(news, user)
         g.add_edge(user, bot)
-    return g
+    return g.freeze()
 
 
-def build_query() -> Graph:
+def build_query() -> CsrSnapshot:
     q = Graph(directed=True)
     q.add_vertex("B", label="bot")
     q.add_vertex("N", label="news")
@@ -54,7 +54,7 @@ def build_query() -> Graph:
     q.add_edge("B", "N")
     q.add_edge("N", "U")
     q.add_edge("U", "B")
-    return q
+    return q.freeze()
 
 
 def show(name: str, relation) -> None:

@@ -59,12 +59,12 @@ def main() -> None:
         print(f"  is_ancestor({u:>2}, {v:>2}) = {is_ancestor(u, v)}")
 
     # --- Cut edges of a tree-plus-shortcuts network (row 5) ------------
-    network = tree.copy()
+    network = tree.to_graph()
     for _ in range(12):
         u, v = rng.randrange(40), rng.randrange(40)
         if u != v and not network.has_edge(u, v):
             network.add_edge(u, v)
-    labels = biconnected_components(network).output
+    labels = biconnected_components(network.freeze()).output
     by_component = {}
     for edge, label in labels.items():
         by_component.setdefault(label, []).append(tuple(sorted(edge)))

@@ -155,6 +155,7 @@ def biconnected_components(
         tree.add_vertex(v)
     for u, v in forest_edges:
         tree.add_edge(u, v)
+    tree = tree.freeze()
     from repro.graph.trees import root_tree
 
     parent, depth = root_tree(tree, root)
@@ -195,7 +196,9 @@ def biconnected_components(
             aux.add_edge(w, v)
 
     # Stage 5: Hash-Min over the auxiliary graph.
-    cc_result = run_program(aux, HashMinComponents(), **engine_kwargs)
+    cc_result = run_program(
+        aux.freeze(), HashMinComponents(), **engine_kwargs
+    )
     tree_edge_label = dict(cc_result.values)
 
     labels: Dict[FrozenSet, Hashable] = {}

@@ -275,7 +275,7 @@ class BallGathering(VertexProgram):
                         ball.add_edge(member, target)
             ops = OpCounter()
             relation = _ball_dual_simulation(
-                self.query, ball, state["members"], ops
+                self.query, ball.freeze(), state["members"], ops
             )
             ctx.charge(ops.ops)
             if has_match(relation) and any(

@@ -37,6 +37,7 @@ from repro.bsp.engine import run_program
 from repro.bsp.program import VertexProgram
 from repro.bsp.vertex import VertexState
 from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 
 Edge = Tuple[Hashable, Hashable]
 
@@ -74,15 +75,16 @@ class TwinExchangeMarking(VertexProgram):
 
 def _tour_list_graph(
     successors: Dict[Edge, Edge], start: Edge
-) -> Graph:
-    """The tour as a predecessor-linked list broken at ``start``."""
+) -> CsrSnapshot:
+    """The tour as a predecessor-linked list broken at ``start``,
+    frozen once for the three rankings that read it."""
     g = Graph(directed=True)
     for e in successors:
         g.add_vertex(e)
     for e, nxt in successors.items():
         if nxt != start:
             g.add_edge(nxt, e)  # e precedes nxt
-    return g
+    return g.freeze()
 
 
 def tree_traversal(
@@ -113,7 +115,7 @@ def tree_traversal(
     for e in successors:
         twin_graph.add_vertex(e)
     marking_result = run_program(
-        twin_graph, TwinExchangeMarking(sum1), **engine_kwargs
+        twin_graph.freeze(), TwinExchangeMarking(sum1), **engine_kwargs
     )
     forward = {
         e: val["forward"] for e, val in marking_result.values.items()

@@ -32,7 +32,7 @@ from typing import Any, Dict, Hashable, List, Optional, Set
 from repro.bsp.faults import FaultPlan
 from repro.bsp.loop import HostedEngine, HostedResult
 from repro.errors import MessageToUnknownVertexError
-from repro.graph.graph import Graph
+from repro.graph import CsrSnapshot, Graph
 from repro.graph.partition import (
     BfsGrowPartitioner,
     build_owner_map,
@@ -53,7 +53,8 @@ class BlockView:
     vertices:
         The vertex ids owned by this block.
     subgraph:
-        The induced subgraph on the owned vertices.
+        The induced subgraph on the owned vertices, in the graph's
+        vertex and row order.
     boundary:
         ``{internal vertex: [external neighbors]}`` for every owned
         vertex with at least one cross-block edge.
@@ -64,7 +65,7 @@ class BlockView:
 
     index: int
     vertices: Set[Hashable]
-    subgraph: Graph
+    subgraph: CsrSnapshot
     boundary: Dict[Hashable, List[Hashable]]
     values: Dict[Hashable, Any] = field(default_factory=dict)
 
@@ -163,6 +164,7 @@ class BlockEngine(HostedEngine):
             graph, program, num_blocks, max_supersteps, cost_model,
             checkpoint_interval, fault_plan, trace,
         )
+        graph = self._graph  # frozen
         partitioner = partitioner or BfsGrowPartitioner(
             graph, num_blocks
         )

@@ -252,9 +252,8 @@ class PregelEngine:
 
         self._tracker: Optional[BppaTracker] = None
         if track_bppa:
-            degrees = {
-                v: graph.total_degree(v) for v in graph.vertices()
-            }
+            top = self._store.topology
+            degrees = {v: top.total_degree(v) for v in top.vertices()}
             self._tracker = BppaTracker(degrees)
 
         # Superstep-scoped structures: the aggregator sink and master
@@ -362,7 +361,7 @@ class PregelEngine:
         self._aggregate_history, self._agg_finalized = [], {}
         self._wake_all = False
         self.rng.seed(self._seed)
-        self._fabric.restart(self._program, self._graph)
+        self._fabric.restart(self._program)
         tracker = self._tracker
         if tracker is not None:
             tracker.observation = BppaObservation(n=tracker.observation.n)

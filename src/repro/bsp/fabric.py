@@ -688,7 +688,7 @@ class MessageFabric:
         self._drop_spill_files()
         self.bind_lane(self.lanes[0])
 
-    def restart(self, program, graph) -> None:
+    def restart(self, program) -> None:
         """Put the store and the plane where a run starts: every
         vertex at its initial value over the partition construction
         laid out, and an empty inbox, which resets every lane's
@@ -707,7 +707,7 @@ class MessageFabric:
                 for state in lane.states[lane.start:lane.stop]:
                     state.out_edges = state.in_edges = None
                 lane.rows = store.topology.edge_rows
-        store.reset(program, graph)
+        store.reset(program)
         self.restore_inbox((), (), ())
 
     def reindex(self, inbox=None) -> None:

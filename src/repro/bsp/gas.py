@@ -143,15 +143,14 @@ class GASEngine(HostedEngine):
             graph, program, num_workers, max_iterations, cost_model,
             checkpoint_interval, fault_plan, trace,
         )
+        graph = self._graph  # frozen
         partitioner = partitioner or HashPartitioner(num_workers)
         self._owner = build_owner_map(
             graph.vertices(), partitioner, num_workers
         )
         self._values: Dict[Hashable, Any] = {}
         self._active: Set[Hashable] = set()
-        self._out_degree = {
-            v: graph.out_degree(v) for v in graph.vertices()
-        }
+        self._out_degree = {v: graph.out_degree(v) for v in graph.vertices()}
         # Vertex-cut edge placement: host each edge at the worker of
         # its lower-degree endpoint, so high-degree vertices are the
         # ones mirrored — the PowerGraph heuristic that flattens hub

@@ -437,7 +437,7 @@ class HostedEngine:
         fault_plan: Optional[FaultPlan],
         trace: Optional[TraceRecorder],
     ):
-        self._graph = graph
+        self._graph = graph.freeze()
         self._program = program
         self._cost_model = cost_model or BSPCostModel()
         self._workers = [Worker(i) for i in range(num_workers)]

@@ -24,7 +24,7 @@ from repro.bsp.vertex import VertexState
 from repro.bsp.worker import Worker
 from repro.graph.graph import Graph
 from repro.graph.partition import owner_for
-from repro.graph.snapshot import CsrSnapshot, edge_dicts, is_graph_snapshot
+from repro.graph.snapshot import edge_dicts
 
 
 class StateStore:
@@ -43,17 +43,14 @@ class StateStore:
         #: The run's one immutable topology: the caller's snapshot, or
         #: the ``Graph`` frozen into CSR columns (the same rows).  A
         #: row gets a dict only when needed (:meth:`materialize`).
-        self.topology = (
-            graph if is_graph_snapshot(graph)
-            else CsrSnapshot.from_graph(graph)
-        )
+        self.topology = graph.freeze()
         self.lay_out()
 
         # Recovery bookkeeping.  ``baseline`` is the topology frozen
         # right after construction (:meth:`freeze_baseline`) that later
         # checkpoints share for as long as it verifiably still holds.
         self.baseline: Optional[Baseline] = None
-        self.reset(program, graph)
+        self.reset(program)
 
     def lay_out(self) -> None:
         """A fresh state per vertex of the frozen topology, and the
@@ -67,11 +64,12 @@ class StateStore:
             self.states[v] = VertexState.of_rows(v, None, row)
             self.workers[self.assign(v)].vertex_ids.append(v)
 
-    def reset(self, program, graph: Graph) -> None:
-        """Every vertex back to its initial value, not halted: the
-        state a run starts from."""
+    def reset(self, program) -> None:
+        """Every vertex back to its initial value over the frozen
+        topology, not halted: the state a run starts from."""
+        top = self.topology
         for vid, state in self.states.items():
-            state.value, state.halted = program.initial_value(vid, graph), False
+            state.value, state.halted = program.initial_value(vid, top), False
 
     def freeze_baseline(self) -> None:
         """Freeze the topology checkpoints are columns over.  Called

@@ -55,9 +55,9 @@ def _metrics(result) -> Tuple[int, int, float, float, object]:
 
 def _paired(
     size: int,
-    graph: Graph,
-    run_vc: Callable[[Graph], object],
-    run_seq: Callable[[Graph, OpCounter], object],
+    graph: CsrSnapshot,
+    run_vc: Callable[[CsrSnapshot], object],
+    run_seq: Callable[[CsrSnapshot, OpCounter], object],
 ) -> PairedMeasurement:
     result = run_vc(graph)
     supersteps, messages, work, tpp, bppa = _metrics(result)
@@ -149,7 +149,7 @@ def _row6_wcc(size: int, seed: int) -> PairedMeasurement:
             graph.add_edge(v + 1, v)
     return _paired(
         size,
-        graph,
+        graph.freeze(),
         lambda g: vc.weakly_connected_components(g, **ENGINE_KWARGS),
         lambda g, ops: seq.weakly_connected_components(g, ops),
     )
@@ -165,7 +165,7 @@ def _row7_scc(size: int, seed: int) -> PairedMeasurement:
         graph.add_edge(v, v + 1)
     return _paired(
         size,
-        graph,
+        graph.freeze(),
         lambda g: vc.scc(g, **ENGINE_KWARGS),
         lambda g, ops: seq.strongly_connected_components(g, ops),
     )
@@ -239,7 +239,7 @@ def _weighted_path(size: int, weights: Sequence[float]) -> CsrSnapshot:
         graph.add_vertex(v)
     for i, weight in enumerate(weights):
         graph.add_edge(i, i + 1, weight=weight)
-    return CsrSnapshot.from_graph(graph)
+    return graph.freeze()
 
 
 def _row13_matching(size: int, seed: int) -> PairedMeasurement:
@@ -291,7 +291,7 @@ def _row16_sssp(size: int, seed: int) -> PairedMeasurement:
             graph.add_edge(i, j, weight=float((j - i) ** 2))
     return _paired(
         size,
-        graph,
+        graph.freeze(),
         lambda g: vc.sssp(g, 0, **ENGINE_KWARGS),
         lambda g, ops: seq.dijkstra(g, 0, ops),
     )
@@ -322,7 +322,7 @@ def _tournament_data(size: int) -> Graph:
     """An all-``A`` transitive tournament: the removal cascade takes
     Θ(n) rounds and every round forces whole-neighborhood
     re-evaluations — the witness for the vertex-centric
-    re-computation blow-up of rows 18-19."""
+    re-computation blow-up of rows 18-19; the caller freezes it."""
     graph = Graph(directed=True)
     for v in range(size):
         graph.add_vertex(v, label="A")
@@ -332,11 +332,11 @@ def _tournament_data(size: int) -> Graph:
     return graph
 
 
-def _loop_query() -> Graph:
+def _loop_query() -> CsrSnapshot:
     query = Graph(directed=True)
     query.add_vertex(0, label="A")
     query.add_edge(0, 0)
-    return query
+    return query.freeze()
 
 
 def _row18_simulation(size: int, seed: int) -> PairedMeasurement:
@@ -344,7 +344,7 @@ def _row18_simulation(size: int, seed: int) -> PairedMeasurement:
     query = _loop_query()
     return _paired(
         size,
-        data,
+        data.freeze(),
         lambda g: vc.graph_simulation(g, query, **ENGINE_KWARGS)[1],
         lambda g, ops: seq.graph_simulation_efficient(g, query, ops),
     )
@@ -355,19 +355,19 @@ def _row19_dual(size: int, seed: int) -> PairedMeasurement:
     query = _loop_query()
     return _paired(
         size,
-        data,
+        data.freeze(),
         lambda g: vc.dual_simulation(g, query, **ENGINE_KWARGS)[1],
         lambda g, ops: seq.dual_simulation_efficient(g, query, ops),
     )
 
 
-def _two_cycle_query() -> Graph:
+def _two_cycle_query() -> CsrSnapshot:
     query = Graph(directed=True)
     query.add_vertex(0, label="A")
     query.add_vertex(1, label="A")
     query.add_edge(0, 1)
     query.add_edge(1, 0)
-    return query
+    return query.freeze()
 
 
 def _row20_strong(size: int, seed: int) -> PairedMeasurement:
@@ -383,7 +383,7 @@ def _row20_strong(size: int, seed: int) -> PairedMeasurement:
     query = _two_cycle_query()
     return _paired(
         size,
-        data,
+        data.freeze(),
         lambda g: vc.strong_simulation(g, query, **ENGINE_KWARGS),
         lambda g, ops: seq.strong_simulation(g, query, ops),
     )

@@ -13,11 +13,10 @@ families that exercise each regime the analysis distinguishes:
 
 All generators take an explicit ``seed`` so every experiment is
 deterministic and reproducible.  Each builds through the mutable
-:class:`~repro.graph.graph.Graph`, freezes it once with
-:meth:`CsrSnapshot.from_graph
-<repro.graph.snapshot.CsrSnapshot.from_graph>`, drops the builder and
-returns the snapshot, so a run never re-freezes its input and no dict
-graph sits beside it.  ``to_graph()`` thaws one for editing.
+:class:`~repro.graph.graph.Graph`, freezes it once
+(:meth:`Graph.freeze <repro.graph.graph.Graph.freeze>`), drops the
+builder and returns the snapshot, so a run never re-freezes its input
+and no dict graph sits beside it.  ``to_graph()`` thaws one for editing.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ def _path(n: int) -> Graph:
 
 def path_graph(n: int) -> CsrSnapshot:
     """The path ``0 - 1 - ... - (n-1)``; diameter ``n - 1``."""
-    return CsrSnapshot.from_graph(_path(n))
+    return _path(n).freeze()
 
 
 def cycle_graph(n: int) -> CsrSnapshot:
@@ -49,7 +48,7 @@ def cycle_graph(n: int) -> CsrSnapshot:
     g = _path(n)
     if n > 2:
         g.add_edge(n - 1, 0)
-    return CsrSnapshot.from_graph(g)
+    return g.freeze()
 
 
 def star_graph(n: int) -> CsrSnapshot:
@@ -58,7 +57,7 @@ def star_graph(n: int) -> CsrSnapshot:
     g.add_vertex(0)
     for v in range(1, n):
         g.add_edge(0, v)
-    return CsrSnapshot.from_graph(g)
+    return g.freeze()
 
 
 def _complete(n: int) -> Graph:
@@ -72,7 +71,7 @@ def _complete(n: int) -> Graph:
 
 def complete_graph(n: int) -> CsrSnapshot:
     """The complete graph ``K_n`` — worst case for MIS coloring."""
-    return CsrSnapshot.from_graph(_complete(n))
+    return _complete(n).freeze()
 
 
 def grid_graph(rows: int, cols: int) -> CsrSnapshot:
@@ -90,7 +89,7 @@ def grid_graph(rows: int, cols: int) -> CsrSnapshot:
                 g.add_edge((r, c), (r + 1, c))
             if c + 1 < cols:
                 g.add_edge((r, c), (r, c + 1))
-    return CsrSnapshot.from_graph(g)
+    return g.freeze()
 
 
 def _erdos_renyi(n: int, p: float, seed: int, directed: bool) -> Graph:
@@ -112,7 +111,7 @@ def erdos_renyi_graph(
     n: int, p: float, seed: int = 0, directed: bool = False
 ) -> CsrSnapshot:
     """G(n, p): every (ordered, if directed) pair is an edge w.p. ``p``."""
-    return CsrSnapshot.from_graph(_erdos_renyi(n, p, seed, directed))
+    return _erdos_renyi(n, p, seed, directed).freeze()
 
 
 def _connected_erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -134,7 +133,7 @@ def connected_erdos_renyi_graph(
     are laid on top.  Used by workloads whose sequential reference
     assumes connectivity (diameter, SSSP on one component, …).
     """
-    return CsrSnapshot.from_graph(_connected_erdos_renyi(n, p, seed))
+    return _connected_erdos_renyi(n, p, seed).freeze()
 
 
 def barabasi_albert_graph(n: int, k: int, seed: int = 0) -> CsrSnapshot:
@@ -159,7 +158,7 @@ def barabasi_albert_graph(n: int, k: int, seed: int = 0) -> CsrSnapshot:
         for t in targets:
             g.add_edge(v, t)
             endpoints.extend((v, t))
-    return CsrSnapshot.from_graph(g)
+    return g.freeze()
 
 
 def random_tree(n: int, seed: int = 0) -> CsrSnapshot:
@@ -169,7 +168,7 @@ def random_tree(n: int, seed: int = 0) -> CsrSnapshot:
     g.add_vertex(0)
     for v in range(1, n):
         g.add_edge(v, rng.randrange(v))
-    return CsrSnapshot.from_graph(g)
+    return g.freeze()
 
 
 def balanced_binary_tree(depth: int) -> CsrSnapshot:
@@ -179,7 +178,7 @@ def balanced_binary_tree(depth: int) -> CsrSnapshot:
     n = 2 ** (depth + 1) - 1
     for v in range(1, n):
         g.add_edge(v, (v - 1) // 2)
-    return CsrSnapshot.from_graph(g)
+    return g.freeze()
 
 
 def caterpillar_tree(spine: int, legs: int) -> CsrSnapshot:
@@ -191,7 +190,7 @@ def caterpillar_tree(spine: int, legs: int) -> CsrSnapshot:
         for _ in range(legs):
             g.add_edge(s, nxt)
             nxt += 1
-    return CsrSnapshot.from_graph(g)
+    return g.freeze()
 
 
 def random_weighted_graph(
@@ -222,7 +221,7 @@ def random_weighted_graph(
     else:
         for u, v in edges:
             g.set_weight(u, v, rng.uniform(min_weight, max_weight))
-    return CsrSnapshot.from_graph(g)
+    return g.freeze()
 
 
 def random_bipartite_graph(
@@ -245,7 +244,7 @@ def random_bipartite_graph(
         for v in right:
             if rng.random() < p:
                 g.add_edge(u, v)
-    return CsrSnapshot.from_graph(g), left, right
+    return g.freeze(), left, right
 
 
 def random_labeled_digraph(
@@ -262,7 +261,7 @@ def random_labeled_digraph(
     g = _erdos_renyi(n, p, seed, True)
     for v in range(n):
         g.set_label(v, rng.choice(list(labels)))
-    return CsrSnapshot.from_graph(g)
+    return g.freeze()
 
 
 def random_query_graph(
@@ -288,7 +287,7 @@ def random_query_graph(
             if u != v and not g.has_edge(u, v):
                 if rng.random() < extra_edge_prob / n:
                     g.add_edge(u, v)
-    return CsrSnapshot.from_graph(g)
+    return g.freeze()
 
 
 def linked_list_graph(n: int, seed: Optional[int] = None) -> CsrSnapshot:
@@ -307,4 +306,4 @@ def linked_list_graph(n: int, seed: Optional[int] = None) -> CsrSnapshot:
         g.add_vertex(v)
     for i in range(1, n):
         g.add_edge(ids[i], ids[i - 1])  # edge to predecessor
-    return CsrSnapshot.from_graph(g)
+    return g.freeze()

@@ -1,16 +1,19 @@
 """The mutable graph builder shared by every subsystem in the package.
 
-The :class:`Graph` class supports directed and undirected graphs, with
+The :class:`Graph` class builds directed and undirected graphs, with
 optional edge weights, optional vertex labels and optional edge labels —
 everything the twenty benchmarked workloads need.  Vertex ids may be any
 hashable value; the tree-traversal algorithms, for instance, build derived
 graphs whose vertices are ``(u, v)`` tuples naming directed tree edges.
 
-It is a builder: the generators and the edge-list reader build through
-it, freeze it once with :meth:`CsrSnapshot.from_graph
-<repro.graph.snapshot.CsrSnapshot.from_graph>` and return the
-snapshot, so no dict graph sits beside a run.  ``snapshot.to_graph()``
-thaws an input for editing.
+It is only a builder: it adds and removes vertices and edges, sets
+weights and labels, answers ``has_vertex``/``has_edge`` and the
+counters, and :meth:`Graph.freeze` turns it into the immutable
+:class:`~repro.graph.snapshot.CsrSnapshot`, the one graph that
+anything reads (neighbourhoods, degrees, weights, labels, edges and
+the derived graphs).  The generators and the edge-list reader build
+through it and return the frozen snapshot; ``snapshot.to_graph()``
+thaws one for editing, each row in its frozen order.
 
 Design notes
 ------------
@@ -18,18 +21,17 @@ Design notes
   for the edge.  Undirected edges appear under both endpoints and share
   one ``EdgeData`` instance, so a weight update through either endpoint
   is seen by both.
-* Directed graphs additionally maintain a predecessor map ``_pred`` so
-  in-neighbors are O(in-degree), which the simulation algorithms and
-  SCC need.
+* Directed graphs additionally maintain a predecessor map ``_pred``:
+  the in-rows a freeze writes, in edge-insertion order.
 * Multi-edges are not supported (an ``add_edge`` on an existing pair
-  updates it in place); self-loops are allowed but can be stripped.
+  updates it in place); self-loops are allowed.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Dict, Hashable, Iterable, Iterator, Tuple
+from typing import Any, Dict, Hashable, Iterator, Tuple
 
 from repro.errors import EdgeNotFoundError, VertexNotFoundError
 
@@ -52,44 +54,7 @@ class EdgeData:
         return f"EdgeData(weight={self.weight!r}, label={self.label!r})"
 
 
-class DerivedGraphs:
-    """The derived graphs, written once over the read API that a
-    :class:`Graph` and a :class:`~repro.graph.snapshot.CsrSnapshot`
-    share (``directed``, ``vertices()``, ``label()``,
-    ``edges(data=True)``).  Each is a fresh mutable :class:`Graph`."""
-
-    def copy(self) -> "Graph":
-        """A deep structural copy (edge data is duplicated)."""
-        return self._derived(self.directed)
-
-    def to_undirected(self) -> "Graph":
-        """The underlying undirected graph (used for WCC).
-
-        Antiparallel directed edges collapse to one undirected edge; the
-        weight/label of the last one inserted wins.
-        """
-        return self._derived(False)
-
-    def reverse(self) -> "Graph":
-        """The reverse (transpose) of a directed graph."""
-        return self._derived(self.directed, flip=self.directed)
-
-    def subgraph(self, vertices: Iterable[VertexId]) -> "Graph":
-        """The induced subgraph on ``vertices``."""
-        return self._derived(self.directed, keep=set(vertices))
-
-    def _derived(self, directed, flip=False, keep=None) -> "Graph":
-        g = Graph(directed=directed)
-        for v in self.vertices() if keep is None else keep:
-            g.add_vertex(v, self.label(v))
-        for u, v, edata in self.edges(data=True):
-            if keep is None or u in keep and v in keep:
-                u, v = (v, u) if flip else (u, v)
-                g.add_edge(u, v, weight=edata.weight, label=edata.label)
-        return g
-
-
-class Graph(DerivedGraphs):
+class Graph:
     """A directed or undirected graph with weights and labels.
 
     Parameters
@@ -102,9 +67,10 @@ class Graph(DerivedGraphs):
     >>> g = Graph()
     >>> g.add_edge(1, 2, weight=3.0)
     >>> g.add_edge(2, 3)
-    >>> sorted(g.neighbors(2))
+    >>> s = g.freeze()
+    >>> sorted(s.neighbors(2))
     [1, 3]
-    >>> g.weight(1, 2)
+    >>> s.weight(1, 2)
     3.0
     """
 
@@ -259,17 +225,9 @@ class Graph(DerivedGraphs):
         """Whether edge ``(u, v)`` is present."""
         return u in self._adj and v in self._adj[u]
 
-    def weight(self, u: VertexId, v: VertexId) -> float:
-        """The weight of edge ``(u, v)``."""
-        return self._edge_data(u, v).weight
-
     def set_weight(self, u: VertexId, v: VertexId, weight: float) -> None:
         """Update the weight of an existing edge."""
         self._edge_data(u, v).weight = weight
-
-    def edge_label(self, u: VertexId, v: VertexId) -> Any:
-        """The label of edge ``(u, v)`` (``None`` if unlabeled)."""
-        return self._edge_data(u, v).label
 
     def _edge_data(self, u: VertexId, v: VertexId) -> EdgeData:
         if u not in self._adj or v not in self._adj[u]:
@@ -298,59 +256,12 @@ class Graph(DerivedGraphs):
                     if position[v] >= first:
                         yield (u, v, edata) if data else (u, v)
 
-    # ------------------------------------------------------------------
-    # Neighborhoods and degrees
-    # ------------------------------------------------------------------
-
-    def neighbors(self, vertex: VertexId) -> Iterator[VertexId]:
-        """Out-neighbors (directed) or neighbors (undirected)."""
-        if vertex not in self._adj:
-            raise VertexNotFoundError(vertex)
-        return iter(self._adj[vertex])
-
-    # Alias used by code written from the directed-graph perspective.
-    out_neighbors = neighbors
-
-    def in_neighbors(self, vertex: VertexId) -> Iterator[VertexId]:
-        """In-neighbors.  Equal to :meth:`neighbors` when undirected."""
-        if vertex not in self._adj:
-            raise VertexNotFoundError(vertex)
-        if self._directed:
-            return iter(self._pred[vertex])
-        return iter(self._adj[vertex])
-
-    def out_edge_items(
-        self, vertex: VertexId
-    ) -> Iterator[Tuple[VertexId, float]]:
-        """``(neighbor, weight)`` pairs in row (edge-insertion) order —
-        the sequence a :class:`~repro.graph.snapshot.CsrSnapshot` of
-        the graph yields too.  A per-row read for callers: a run reads
-        its topology in bulk (:meth:`rows`), never through this."""
-        if vertex not in self._adj:
-            raise VertexNotFoundError(vertex)
-        return (
-            (u, data.weight) for u, data in self._adj[vertex].items()
-        )
-
-    def in_edge_items(
-        self, vertex: VertexId
-    ) -> Iterator[Tuple[VertexId, float]]:
-        """``(in-neighbor, weight)`` pairs; equals
-        :meth:`out_edge_items` when undirected."""
-        if vertex not in self._adj:
-            raise VertexNotFoundError(vertex)
-        row = self._pred[vertex] if self._directed else self._adj[vertex]
-        return ((u, data.weight) for u, data in row.items())
-
     def rows(self, vertices, incoming: bool = False):
         """The out- (or in-) rows of ``vertices`` as ``(lengths,
-        neighbor ids, weights)``: a list of row lengths, then two
-        iterators over every row's neighbor ids and weights end to
-        end, in row order, good for one pass while the graph is not
-        edited — the ``GraphSource`` bulk read a CSR snapshot (and so
-        every run's topology) is built from, shared with
-        :meth:`CsrSnapshot.rows <repro.graph.snapshot.CsrSnapshot.
-        rows>`."""
+        neighbor ids, weights)``: the row lengths, then every row's
+        neighbor ids and weights end to end in row order, lazily and
+        good for one pass while the graph is not edited — the bulk
+        read :meth:`freeze` copies, as it does ``CsrSnapshot.rows``."""
         adj = self._pred if incoming and self._directed else self._adj
         try:
             rows = list(map(adj.__getitem__, vertices))
@@ -362,31 +273,10 @@ class Graph(DerivedGraphs):
             map(_WEIGHT, chain.from_iterable(map(dict.values, rows))),
         )
 
-    def sorted_neighbors(self, vertex: VertexId) -> list:
-        """Neighbors sorted by id — the adjacency-list order the Euler
-        tour construction of the paper (§3.4.1) assumes."""
-        return sorted(self._adj[vertex]) if vertex in self._adj else []
+    def freeze(self):
+        """The immutable :class:`~repro.graph.snapshot.CsrSnapshot` of
+        this graph — the same vertices, rows and labels in the same
+        order — through which it is read."""
+        from repro.graph.snapshot import CsrSnapshot
 
-    def degree(self, vertex: VertexId) -> int:
-        """Degree (undirected) or out-degree (directed) of ``vertex``."""
-        if vertex not in self._adj:
-            raise VertexNotFoundError(vertex)
-        return len(self._adj[vertex])
-
-    out_degree = degree
-
-    def in_degree(self, vertex: VertexId) -> int:
-        """In-degree of ``vertex`` (== degree when undirected)."""
-        if vertex not in self._adj:
-            raise VertexNotFoundError(vertex)
-        if self._directed:
-            return len(self._pred[vertex])
-        return len(self._adj[vertex])
-
-    def total_degree(self, vertex: VertexId) -> int:
-        """``d(v)`` for undirected graphs, ``d_in(v) + d_out(v)`` for
-        directed graphs — the balance denominator used by the BPPA
-        properties (§2.2)."""
-        if self._directed:
-            return self.in_degree(vertex) + self.out_degree(vertex)
-        return self.degree(vertex)
+        return CsrSnapshot.from_graph(self)

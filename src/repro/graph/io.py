@@ -190,7 +190,7 @@ def read_edge_list(
             if on_duplicate == "error" and g.has_edge(u, v):
                 raise DuplicateEdgeError(u, v, lineno=lineno)
             g.add_edge(u, v, weight=weight)
-    return CsrSnapshot.from_graph(g)
+    return g.freeze()
 
 
 def write_snapshot_from_edge_list(

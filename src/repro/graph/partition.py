@@ -51,7 +51,7 @@ from typing import (
     Tuple,
 )
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 
 Partitioner = Callable[[Hashable], int]
 
@@ -306,7 +306,7 @@ def dense_adjacency(states, dense: DenseIndex, topology) -> Adjacency:
     return Adjacency(out_start, out_dst, remote_out, dangling)
 
 
-def _undirected_neighbors(graph: Graph, vertex: Hashable) -> List[Hashable]:
+def _undirected_neighbors(graph: CsrSnapshot, vertex: Hashable) -> list:
     """``vertex``'s neighbors in the undirected view of ``graph``.
 
     Out- plus in-neighbors, deduplicated.  Returned in no particular
@@ -321,7 +321,7 @@ def _undirected_neighbors(graph: Graph, vertex: Hashable) -> List[Hashable]:
 
 
 def _weighted_adjacency(
-    graph: Graph,
+    graph: CsrSnapshot,
 ) -> Dict[Hashable, Dict[Hashable, int]]:
     """Undirected weighted adjacency: ``adj[u][v]`` counts the arcs
     between ``u`` and ``v`` (2 for a reciprocal digraph pair).
@@ -410,7 +410,7 @@ class PartitionMetrics:
 
 
 def partition_metrics(
-    graph: Graph, partitioner: Partitioner, num_workers: int
+    graph: CsrSnapshot, partitioner: Partitioner, num_workers: int
 ) -> PartitionMetrics:
     """Compute :class:`PartitionMetrics` for one assignment.
 
@@ -480,7 +480,7 @@ class RangePartitioner:
     the contiguous-range contract for any graph with >= 10 int ids).
     """
 
-    def __init__(self, graph: Graph, num_workers: int):
+    def __init__(self, graph: CsrSnapshot, num_workers: int):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
@@ -506,7 +506,7 @@ class GreedyEdgeBalancedPartitioner:
     target, and gives the cost model a better-balanced ``w_i``.
     """
 
-    def __init__(self, graph: Graph, num_workers: int):
+    def __init__(self, graph: CsrSnapshot, num_workers: int):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
@@ -550,7 +550,7 @@ class BfsGrowPartitioner:
     contiguous on digraphs too.
     """
 
-    def __init__(self, graph: Graph, num_workers: int):
+    def __init__(self, graph: CsrSnapshot, num_workers: int):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
@@ -623,7 +623,7 @@ class HubSplitPartitioner:
     #: Worker vertex counts stay within ``ceil(n/p · 1.1)``.
     balance_tolerance = 1.1
 
-    def __init__(self, graph: Graph, num_workers: int):
+    def __init__(self, graph: CsrSnapshot, num_workers: int):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
@@ -693,7 +693,7 @@ class HubSplitPartitioner:
 #: invariant tests sweep.  Each has a caller: ``range`` and
 #: ``greedy-edge`` the ablation bench, ``bfs-grow`` the block engine's
 #: default, ``hub-split`` the run-level payoff test.
-PARTITIONER_FAMILIES: Dict[str, Callable[[Graph, int], Partitioner]] = {
+PARTITIONER_FAMILIES: Dict[str, Callable[[CsrSnapshot, int], Partitioner]] = {
     "hash": lambda graph, p: HashPartitioner(p),
     "range": RangePartitioner,
     "greedy-edge": GreedyEdgeBalancedPartitioner,
@@ -703,7 +703,7 @@ PARTITIONER_FAMILIES: Dict[str, Callable[[Graph, int], Partitioner]] = {
 
 
 def partition_counts(
-    graph: Graph, partitioner: Partitioner, num_workers: int
+    graph: CsrSnapshot, partitioner: Partitioner, num_workers: int
 ) -> List[int]:
     """Vertices per worker under ``partitioner`` — a balance diagnostic.
 

@@ -13,9 +13,10 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import NotATreeError
 from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 
 
-def bfs_distances(graph: Graph, source: Hashable) -> Dict[Hashable, int]:
+def bfs_distances(graph: CsrSnapshot, source: Hashable) -> Dict[Hashable, int]:
     """Hop distances from ``source`` to every reachable vertex."""
     dist = {source: 0}
     queue = deque([source])
@@ -28,17 +29,17 @@ def bfs_distances(graph: Graph, source: Hashable) -> Dict[Hashable, int]:
     return dist
 
 
-def eccentricity(graph: Graph, vertex: Hashable) -> int:
+def eccentricity(graph: CsrSnapshot, vertex: Hashable) -> int:
     """Largest hop distance from ``vertex`` to any reachable vertex."""
     return max(bfs_distances(graph, vertex).values())
 
 
-def diameter(graph: Graph) -> int:
+def diameter(graph: CsrSnapshot) -> int:
     """Exact diameter via BFS from every vertex (reference only)."""
     return max(eccentricity(graph, v) for v in graph.vertices())
 
 
-def connected_components(graph: Graph) -> List[Set[Hashable]]:
+def connected_components(graph: CsrSnapshot) -> List[Set[Hashable]]:
     """Connected components of an undirected graph, as vertex sets."""
     seen: Set[Hashable] = set()
     components = []
@@ -51,7 +52,7 @@ def connected_components(graph: Graph) -> List[Set[Hashable]]:
     return components
 
 
-def is_connected(graph: Graph) -> bool:
+def is_connected(graph: CsrSnapshot) -> bool:
     """Whether the (undirected) graph is connected."""
     if graph.num_vertices == 0:
         return True
@@ -59,7 +60,7 @@ def is_connected(graph: Graph) -> bool:
     return len(bfs_distances(graph, first)) == graph.num_vertices
 
 
-def is_tree(graph: Graph) -> bool:
+def is_tree(graph: CsrSnapshot) -> bool:
     """Whether an undirected graph is a tree."""
     return (
         graph.num_vertices > 0
@@ -68,7 +69,7 @@ def is_tree(graph: Graph) -> bool:
     )
 
 
-def require_tree(graph: Graph) -> None:
+def require_tree(graph: CsrSnapshot) -> None:
     """Raise :class:`NotATreeError` unless ``graph`` is a tree."""
     if not is_tree(graph):
         raise NotATreeError(
@@ -77,7 +78,7 @@ def require_tree(graph: Graph) -> None:
         )
 
 
-def bipartition(graph: Graph) -> Optional[Tuple[Set, Set]]:
+def bipartition(graph: CsrSnapshot) -> Optional[Tuple[Set, Set]]:
     """A 2-coloring ``(left, right)`` if bipartite, else ``None``."""
     color: Dict[Hashable, int] = {}
     for start in graph.vertices():
@@ -98,7 +99,7 @@ def bipartition(graph: Graph) -> Optional[Tuple[Set, Set]]:
     return left, right
 
 
-def degree_histogram(graph: Graph) -> Dict[int, int]:
+def degree_histogram(graph: CsrSnapshot) -> Dict[int, int]:
     """Map ``degree -> number of vertices with that degree``."""
     hist: Dict[int, int] = {}
     for v in graph.vertices():
@@ -107,14 +108,14 @@ def degree_histogram(graph: Graph) -> Dict[int, int]:
     return hist
 
 
-def max_degree(graph: Graph) -> int:
+def max_degree(graph: CsrSnapshot) -> int:
     """The maximum total degree in the graph (0 for empty graphs)."""
     return max(
         (graph.total_degree(v) for v in graph.vertices()), default=0
     )
 
 
-def is_valid_coloring(graph: Graph, colors: Dict[Hashable, int]) -> bool:
+def is_valid_coloring(graph: CsrSnapshot, colors: Dict[Hashable, int]) -> bool:
     """Whether ``colors`` assigns different colors to adjacent vertices."""
     for u, v in graph.edges():
         if u == v:
@@ -126,7 +127,7 @@ def is_valid_coloring(graph: Graph, colors: Dict[Hashable, int]) -> bool:
     return True
 
 
-def is_matching(graph: Graph, edges: Iterable[Tuple]) -> bool:
+def is_matching(graph: CsrSnapshot, edges: Iterable[Tuple]) -> bool:
     """Whether ``edges`` is a matching in ``graph`` (edge-disjoint and
     present in the graph)."""
     used: Set[Hashable] = set()
@@ -140,7 +141,7 @@ def is_matching(graph: Graph, edges: Iterable[Tuple]) -> bool:
     return True
 
 
-def is_maximal_matching(graph: Graph, edges: Iterable[Tuple]) -> bool:
+def is_maximal_matching(graph: CsrSnapshot, edges: Iterable[Tuple]) -> bool:
     """Whether ``edges`` is a matching no graph edge can extend."""
     edges = list(edges)
     if not is_matching(graph, edges):
@@ -155,9 +156,8 @@ def is_maximal_matching(graph: Graph, edges: Iterable[Tuple]) -> bool:
     return True
 
 
-def spanning_tree_weight(graph: Graph, edges: Iterable[Tuple]) -> float:
+def spanning_tree_weight(graph: CsrSnapshot, edges: Iterable[Tuple]) -> float:
     """Total weight of ``edges``, verifying they form a spanning tree."""
-    edges = list(edges)
     t = Graph()
     for v in graph.vertices():
         t.add_vertex(v)
@@ -165,5 +165,5 @@ def spanning_tree_weight(graph: Graph, edges: Iterable[Tuple]) -> float:
     for u, v in edges:
         total += graph.weight(u, v)
         t.add_edge(u, v)
-    require_tree(t)
+    require_tree(t.freeze())
     return total

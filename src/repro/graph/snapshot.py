@@ -12,31 +12,35 @@ fits in RAM.  :class:`CsrSnapshot` is the out-of-core answer — an
   also the order the engines' :class:`~repro.graph.partition.
   DenseIndex` is derived from);
 * the mirror ``in_*`` columns for directed graphs (reverse adjacency
-  in edge-insertion order, exactly matching ``Graph.in_neighbors``);
+  in edge-insertion order, the builder's predecessor rows);
 * a type-tagged id table mapping positions back to the original
   hashable vertex ids (an int64 column when every id is an int, a
   pickled list otherwise — tuple and string ids round-trip exactly).
 
-A snapshot implements the :class:`Graph` *read* API — ``directed``,
+A snapshot is the package's one graph *read* API — ``directed``,
 ``num_vertices``, ``vertices()``, ``neighbors()``, ``in_neighbors()``,
 ``weight()``, degrees, ``edges(data=True)``, labels,
-``out_edge_items()`` / ``in_edge_items()`` — plus the bulk read
-``rows()`` and the derived graphs (``copy()``, ``to_undirected()``,
-``reverse()``, ``subgraph()``) it shares with ``Graph``.  ``weight()``
-scans the row (O(degree)): a loop over a vertex's neighbours reads
-``out_edge_items()`` instead.  Iteration order is preserved bit
-for bit (vertex insertion order; per-row edge insertion order), which
-is what makes snapshot-backed runs byte-identical to in-memory runs.
+``out_edge_items()`` / ``in_edge_items()``, the bulk read ``rows()``
+and the derived graphs ``copy()``, ``to_undirected()``, ``reverse()``
+and ``subgraph()``, each a snapshot in this one's vertex and row
+order.  The :class:`~repro.graph.graph.Graph` builder has none of
+these reads: it is frozen once (``Graph.freeze()``) and read as a
+snapshot, and ``to_graph()`` thaws a snapshot for editing, each row
+in its frozen order.  ``weight()`` scans the row (O(degree)): a loop
+over a vertex's neighbours reads ``out_edge_items()`` instead.
+Iteration order is preserved bit for bit (vertex insertion order;
+per-row edge insertion order), which is what makes snapshot-backed
+runs byte-identical to in-memory runs.
 
 Every input starts as one: the generators and the edge-list reader
-build through ``Graph``, freeze once with :meth:`CsrSnapshot.from_graph`
-and return the snapshot.  Every run's topology is one snapshot
+build through ``Graph``, freeze once and return the snapshot.  Every
+run's topology is one snapshot
 (:attr:`~repro.bsp.state.StateStore.topology`): the one it is handed,
-or a caller's ``Graph`` frozen by :meth:`CsrSnapshot.from_graph`.  The
-runtime reads it by position (:meth:`CsrSnapshot.rows_at`, a run's
-vertex states knowing their positions), builds a vertex's edge dicts
-from it only when the per-vertex tier first runs the vertex's lane
-(:func:`edge_dicts`), and compares a materialized row with its frozen
+or a caller's ``Graph`` frozen once.  The runtime reads it by
+position (:meth:`CsrSnapshot.rows_at`, a run's vertex states knowing
+their positions), builds a vertex's edge dicts from it only when the
+per-vertex tier first runs the vertex's lane (:func:`edge_dicts`),
+and compares a materialized row with its frozen
 row (:func:`same_rows`) to decide whether a checkpoint may share the
 baseline.
 
@@ -95,7 +99,7 @@ from repro.errors import (
     SnapshotError,
     VertexNotFoundError,
 )
-from repro.graph.graph import DerivedGraphs
+from repro.graph.graph import EdgeData, Graph
 
 #: Version of the on-disk layout; bumped on incompatible changes.
 FORMAT_VERSION = 1
@@ -110,24 +114,6 @@ _PICKLE_TAG = "pickle"
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
-
-
-class _SnapshotEdge:
-    """Read-only stand-in for :class:`~repro.graph.graph.EdgeData` in
-    ``edges(data=True)`` — same ``weight`` / ``label`` attributes,
-    no shared mutability."""
-
-    __slots__ = ("weight", "label")
-
-    def __init__(self, weight: float, label: Any = None):
-        self.weight = weight
-        self.label = label
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (
-            f"_SnapshotEdge(weight={self.weight!r}, "
-            f"label={self.label!r})"
-        )
 
 
 def _pack_weights(weights: List[Any]):
@@ -168,7 +154,7 @@ def _ids_storable_as_int64(ids: Sequence[Hashable]) -> bool:
     )
 
 
-class CsrSnapshot(DerivedGraphs):
+class CsrSnapshot:
     """An immutable CSR view of a graph (see the module docstring).
 
     Every generator and :func:`repro.graph.io.read_edge_list` return
@@ -231,10 +217,11 @@ class CsrSnapshot(DerivedGraphs):
 
     @classmethod
     def from_graph(cls, graph) -> "CsrSnapshot":
-        """Freeze a live graph (or any ``GraphSource``) into CSR
-        columns, preserving vertex and per-row edge iteration order
-        exactly.  The labels are scanned only when the source says it
-        holds any (:meth:`has_labels`)."""
+        """Freeze a :class:`Graph` builder (what ``Graph.freeze()``
+        calls) or copy a snapshot into in-RAM CSR columns, preserving
+        vertex and per-row edge iteration order exactly.  The labels
+        are scanned only when the source says it holds any
+        (:meth:`has_labels`)."""
         ids = list(graph.vertices())
         # Ids 0..n-1 in order (what the generators make) are their own
         # positions: no table lookup per edge.
@@ -273,9 +260,51 @@ class CsrSnapshot(DerivedGraphs):
             edge_labels=elabels,
         )
 
-    #: Thaw into a mutable :class:`~repro.graph.graph.Graph` to edit
-    #: an input (a generator's, say); the runtime never needs this.
-    to_graph = DerivedGraphs.copy
+    def freeze(self) -> "CsrSnapshot":
+        """This snapshot, already frozen (as ``Graph.freeze()`` is)."""
+        return self
+
+    def to_graph(self) -> Graph:
+        """Thaw into a mutable :class:`~repro.graph.graph.Graph` to
+        edit an input (a generator's, say); the runtime never needs
+        this.  ``s.to_graph().freeze()`` has ``s``'s columns exactly."""
+        return self._thaw(range(len(self._ids)))
+
+    def _thaw(self, kept, flip=False) -> Graph:
+        """A builder of the vertices at the ascending positions
+        ``kept``, each row restricted to them and written in its order
+        (an undirected edge's two entries, and a directed edge's out-
+        and in-entry, share one ``EdgeData``); ``flip`` swaps the out-
+        and in-rows."""
+        g, ids, new = Graph(directed=self._directed), self._ids, set(kept)
+        for p in kept:
+            g.add_vertex(ids[p], self._vlabels.get(p))
+        out = self._out_off, self._out_tgt, self._out_w
+        inc = self._in_off, self._in_tgt, self._in_w
+        (off, tgt, w), (in_off, in_tgt, _) = (inc, out) if flip else (out, inc)
+        adj = g._adj
+        for p in kept:
+            row = adj[ids[p]]
+            for i in range(off[p], off[p + 1]):
+                q = tgt[i]
+                if q not in new:
+                    continue
+                if self._directed or q >= p:
+                    row[ids[q]] = EdgeData(
+                        1.0 if w is None else w[i],
+                        self._elabels.get((q, p) if flip else (p, q)),
+                    )
+                    g._num_edges += 1
+                else:  # written with row q, earlier
+                    row[ids[q]] = adj[ids[q]][ids[p]]
+        if self._directed:
+            for p in kept:
+                g._pred[ids[p]] = {
+                    ids[q]: adj[ids[q]][ids[p]]
+                    for q in in_tgt[in_off[p]:in_off[p + 1]] if q in new
+                }
+        g._labelled = self.has_labels()
+        return g
 
     # ------------------------------------------------------------------
     # Graph read API
@@ -320,6 +349,7 @@ class CsrSnapshot(DerivedGraphs):
         return iter(self._ids)
 
     def label(self, vertex: Hashable) -> Any:
+        """The label of ``vertex`` (``None`` if unlabeled)."""
         return self._vlabels.get(self._position(vertex))
 
     def has_labels(self) -> bool:
@@ -333,6 +363,7 @@ class CsrSnapshot(DerivedGraphs):
         return pos
 
     def neighbors(self, vertex: Hashable) -> Iterator[Hashable]:
+        """Out-neighbors (directed) or neighbors (undirected)."""
         pos = self._position(vertex)
         ids = self._ids
         tgt = self._out_tgt
@@ -342,6 +373,7 @@ class CsrSnapshot(DerivedGraphs):
     out_neighbors = neighbors
 
     def in_neighbors(self, vertex: Hashable) -> Iterator[Hashable]:
+        """In-neighbors; equal to :meth:`neighbors` when undirected."""
         pos = self._position(vertex)
         ids = self._ids
         tgt = self._in_tgt
@@ -349,11 +381,14 @@ class CsrSnapshot(DerivedGraphs):
         return (ids[tgt[i]] for i in range(lo, hi))
 
     def sorted_neighbors(self, vertex: Hashable) -> list:
+        """Neighbors sorted by id — the adjacency-list order the Euler
+        tour construction of the paper (§3.4.1) assumes."""
         if vertex not in self._pos:
             return []
         return sorted(self.neighbors(vertex))
 
     def degree(self, vertex: Hashable) -> int:
+        """Degree (undirected) or out-degree (directed)."""
         pos = self._position(vertex)
         return self._out_off[pos + 1] - self._out_off[pos]
 
@@ -364,6 +399,8 @@ class CsrSnapshot(DerivedGraphs):
         return self._in_off[pos + 1] - self._in_off[pos]
 
     def total_degree(self, vertex: Hashable) -> int:
+        """``d(v)`` undirected, ``d_in(v) + d_out(v)`` directed — the
+        balance denominator of the BPPA properties (§2.2)."""
         if self._directed:
             return self.in_degree(vertex) + self.out_degree(vertex)
         return self.degree(vertex)
@@ -371,10 +408,9 @@ class CsrSnapshot(DerivedGraphs):
     def out_edge_items(
         self, vertex: Hashable
     ) -> Iterator[Tuple[Hashable, Any]]:
-        """``(neighbor, weight)`` pairs in row (edge-insertion) order,
-        as :meth:`Graph.out_edge_items` yields them.  A per-row read
-        for callers: a run reads its topology by position
-        (:meth:`rows_at`) and builds edge dicts with
+        """``(neighbor, weight)`` pairs in row (edge-insertion) order.
+        A per-row read for callers: a run reads its topology by
+        position (:meth:`rows_at`) and builds edge dicts with
         :func:`edge_dicts`, never through this."""
         pos = self._position(vertex)
         lo, hi = self._out_off[pos], self._out_off[pos + 1]
@@ -391,7 +427,8 @@ class CsrSnapshot(DerivedGraphs):
     def in_edge_items(
         self, vertex: Hashable
     ) -> Iterator[Tuple[Hashable, Any]]:
-        """``(in-neighbor, weight)`` pairs in reverse-row order."""
+        """``(in-neighbor, weight)`` pairs in reverse-row order; equal
+        to :meth:`out_edge_items` when undirected."""
         pos = self._position(vertex)
         lo, hi = self._in_off[pos], self._in_off[pos + 1]
         ids = self._ids
@@ -439,11 +476,11 @@ class CsrSnapshot(DerivedGraphs):
 
     def edges(self, data: bool = False) -> Iterator[Tuple]:
         """Iterate edges in the same order and orientation as the
-        source :class:`Graph`: rows in vertex order, row entries in
-        edge-insertion order, each undirected edge yielded once from
-        its earlier-positioned endpoint (both directions of an
-        undirected edge enter the adjacency simultaneously, so the
-        earlier row is always where ``Graph.edges`` first sees it)."""
+        source :class:`Graph`'s ``edges()``: rows in vertex order, row
+        entries in edge-insertion order, each undirected edge yielded
+        once from its earlier-positioned endpoint.  With ``data=True``
+        yields ``(u, v, EdgeData)`` triples, a fresh ``EdgeData`` per
+        edge."""
         ids = self._ids
         off, tgt, w = self._out_off, self._out_tgt, self._out_w
         for p in range(len(ids)):
@@ -452,42 +489,62 @@ class CsrSnapshot(DerivedGraphs):
                 if not self._directed and q < p:
                     continue
                 if data:
-                    yield (
-                        ids[p],
-                        ids[q],
-                        _SnapshotEdge(
-                            1.0 if w is None else w[i],
-                            self._elabels.get((p, q)),
-                        ),
+                    yield ids[p], ids[q], EdgeData(
+                        1.0 if w is None else w[i], self._elabels.get((p, q))
                     )
                 else:
                     yield ids[p], ids[q]
+
+    # ------------------------------------------------------------------
+    # Derived graphs: snapshots in this one's vertex and row order
+    # ------------------------------------------------------------------
+
+    def copy(self) -> "CsrSnapshot":
+        """An in-RAM snapshot with this one's columns."""
+        return CsrSnapshot.from_graph(self)
+
+    def subgraph(self, vertices) -> "CsrSnapshot":
+        """The induced subgraph on ``vertices``: its vertices, and each
+        of its rows, in this snapshot's order, however ``vertices`` is
+        ordered (a set's order may follow the hash seed)."""
+        return self._thaw(sorted(set(map(self._position, vertices)))).freeze()
+
+    def reverse(self) -> "CsrSnapshot":
+        """The transpose: a directed snapshot's in-rows are its out-rows
+        and back, so ``s.reverse().reverse()`` has ``s``'s columns; an
+        undirected snapshot is its own reverse."""
+        return self._thaw(range(len(self._ids)), self._directed).freeze()
+
+    def to_undirected(self) -> "CsrSnapshot":
+        """The underlying undirected graph (used for WCC): this
+        snapshot's vertices, and its :meth:`edges` added in that order,
+        so antiparallel edges collapse to one that carries the later
+        edge's weight and label."""
+        if not self._directed:
+            return self.copy()
+        g = Graph()
+        for v in self._ids:
+            g.add_vertex(v, self.label(v))
+        for u, v, data in self.edges(data=True):
+            g.add_edge(u, v, weight=data.weight, label=data.label)
+        return g.freeze()
 
     # ------------------------------------------------------------------
     # Position-level reads (the dense fast path compiles from these
     # without re-hashing ids)
     # ------------------------------------------------------------------
 
-    def position_of(self, vertex: Hashable) -> int:
-        """The frozen 0..n-1 position of ``vertex``."""
-        return self._position(vertex)
-
     def positions(self, vertices) -> List[Optional[int]]:
         """The position of each of ``vertices`` (``None``: not held)."""
         return list(map(self._pos.get, vertices))
-
-    def out_row_positions(self, pos: int):
-        """The forward-adjacency row of position ``pos`` as target
-        positions (a zero-copy slice of the CSR column)."""
-        return self._out_tgt[self._out_off[pos]:self._out_off[pos + 1]]
 
     def rows(self, vertices, incoming: bool = False):
         """The out- (or in-) rows of ``vertices`` as ``(lengths,
         neighbor ids, weights)``: a list of row lengths, then two
         iterators over every row's neighbor ids and weights end to
         end, in row order, built lazily off the CSR columns and good
-        for one pass — :meth:`Graph.rows <repro.graph.graph.Graph.
-        rows>` over a snapshot."""
+        for one pass — the bulk read :meth:`from_graph` copies, as it
+        does :meth:`Graph.rows <repro.graph.graph.Graph.rows>`."""
         try:
             positions = list(map(self._pos.__getitem__, vertices))
         except KeyError as exc:
@@ -976,9 +1033,3 @@ def same_rows(one, other) -> bool:
         and array(_WEIGHT_TYPECODE, mine).tobytes()
         == array(_WEIGHT_TYPECODE, theirs).tobytes()
     )
-
-
-def is_graph_snapshot(obj: Any) -> bool:
-    """Whether ``obj`` is a :class:`CsrSnapshot` (the runtime's cheap
-    "is this graph source immutable and position-addressed?" check)."""
-    return isinstance(obj, CsrSnapshot)

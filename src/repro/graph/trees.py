@@ -7,12 +7,12 @@ from collections import deque
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import NotATreeError
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.graph.properties import require_tree
 
 
 def root_tree(
-    tree: Graph, root: Hashable
+    tree: CsrSnapshot, root: Hashable
 ) -> Tuple[Dict[Hashable, Optional[Hashable]], Dict[Hashable, int]]:
     """Orient an undirected tree away from ``root``.
 
@@ -66,7 +66,7 @@ def subtree_sizes(
     return size
 
 
-def euler_tour_edges(tree: Graph, root: Hashable) -> List[Tuple]:
+def euler_tour_edges(tree: CsrSnapshot, root: Hashable) -> List[Tuple]:
     """The Euler tour of ``tree`` as an ordered list of directed edges.
 
     This is the *sequential reference* tour used to validate the

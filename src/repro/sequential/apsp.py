@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter
 from repro.sequential.bfs import bfs_distances
 
 
 def all_pairs_shortest_paths(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> Dict[Hashable, Dict[Hashable, int]]:
     """``{source: {target: hop distance}}`` via ``n`` BFS sweeps.
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, Iterable, Optional
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter
 from repro.sequential.heaps import PairingHeap
 
 
 def betweenness_centrality(
-    graph: Graph,
+    graph: CsrSnapshot,
     counter: Optional[OpCounter] = None,
     sources: Optional[Iterable[Hashable]] = None,
     normalized: bool = False,
@@ -72,7 +72,7 @@ def betweenness_centrality(
 
 
 def weighted_betweenness_centrality(
-    graph: Graph,
+    graph: CsrSnapshot,
     counter: Optional[OpCounter] = None,
     sources: Optional[Iterable[Hashable]] = None,
 ) -> Dict[Hashable, float]:

@@ -11,12 +11,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter
 
 
 def bfs_distances(
-    graph: Graph,
+    graph: CsrSnapshot,
     source: Hashable,
     counter: Optional[OpCounter] = None,
 ) -> Dict[Hashable, int]:
@@ -37,7 +37,7 @@ def bfs_distances(
 
 
 def bfs_tree(
-    graph: Graph,
+    graph: CsrSnapshot,
     source: Hashable,
     counter: Optional[OpCounter] = None,
 ) -> Dict[Hashable, Optional[Hashable]]:
@@ -58,7 +58,7 @@ def bfs_tree(
 
 
 def bfs_components(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> Dict[Hashable, Hashable]:
     """Connected-component labels: each vertex maps to the smallest
     vertex id of its component (matching Hash-Min's "color")."""
@@ -77,7 +77,7 @@ def bfs_components(
 
 
 def bfs_spanning_forest(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> List[Tuple[Hashable, Hashable]]:
     """A spanning forest as a list of tree edges (BFS per component)."""
     ops = ensure_counter(counter)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter
 
 
@@ -46,7 +46,7 @@ class BiconnectivityResult:
 
 
 def biconnected_components(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> BiconnectivityResult:
     """Hopcroft–Tarjan DFS with an edge stack — ``O(m + n)``."""
     ops = ensure_counter(counter)

@@ -7,12 +7,12 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional, Set, Tuple
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter
 
 
 def triangle_counts(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> Dict[Hashable, int]:
     """Triangles through each vertex."""
     ops = ensure_counter(counter)
@@ -47,7 +47,7 @@ def triangle_counts(
 
 
 def local_clustering(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> Dict[Hashable, float]:
     """Per-vertex clustering coefficients (degree < 2 gives 0)."""
     ops = ensure_counter(counter)
@@ -64,7 +64,7 @@ def local_clustering(
 
 
 def average_clustering(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> float:
     """The mean LCC (0 for the empty graph)."""
     coefficients = local_clustering(graph, counter)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter
 
 
 def lexicographically_first_mis(
-    graph: Graph,
+    graph: CsrSnapshot,
     active: Set[Hashable],
     counter: Optional[OpCounter] = None,
 ) -> Set[Hashable]:
@@ -38,7 +38,7 @@ def lexicographically_first_mis(
 
 
 def greedy_mis_coloring(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> Tuple[Dict[Hashable, int], int]:
     """Color by peeling LF-MIS phases.
 
@@ -60,7 +60,7 @@ def greedy_mis_coloring(
 
 
 def greedy_sequential_coloring(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> Tuple[Dict[Hashable, int], int]:
     """Classic first-fit greedy coloring in id order — ``O(m + n)``.
 

@@ -10,20 +10,20 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter
 from repro.sequential.bfs import bfs_components, bfs_spanning_forest
 
 
 def connected_components(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> Dict[Hashable, Hashable]:
     """Component labels (smallest member id) — ``O(m + n)``."""
     return bfs_components(graph, counter)
 
 
 def weakly_connected_components(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> Dict[Hashable, Hashable]:
     """WCC of a directed graph: BFS over the underlying undirected
     graph.  Charges the conversion scan, keeping it ``O(m + n)``."""
@@ -34,7 +34,7 @@ def weakly_connected_components(
 
 
 def spanning_forest(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> List[Tuple[Hashable, Hashable]]:
     """A BFS spanning forest — ``O(m + n)``."""
     return bfs_spanning_forest(graph, counter)

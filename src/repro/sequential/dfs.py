@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter
 
 
 def dfs_orders(
-    graph: Graph,
+    graph: CsrSnapshot,
     root: Hashable,
     counter: Optional[OpCounter] = None,
 ) -> Tuple[Dict[Hashable, int], Dict[Hashable, int]]:
@@ -59,7 +59,7 @@ def dfs_orders(
 
 
 def dfs_tree(
-    graph: Graph,
+    graph: CsrSnapshot,
     root: Hashable,
     counter: Optional[OpCounter] = None,
 ) -> Dict[Hashable, Optional[Hashable]]:

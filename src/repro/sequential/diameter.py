@@ -11,13 +11,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import DisconnectedGraphError
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter
 from repro.sequential.bfs import bfs_distances
 
 
 def diameter(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> int:
     """Exact diameter via ``n`` BFS traversals — ``O(mn)`` ops.
 
@@ -39,7 +39,7 @@ def diameter(
 
 
 def eccentricities(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> dict:
     """Per-vertex eccentricities (same BFS sweep as :func:`diameter`)."""
     out = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.graph.properties import require_tree
 from repro.metrics.opcounter import OpCounter, ensure_counter
 
@@ -19,7 +19,7 @@ Edge = Tuple[Hashable, Hashable]
 
 
 def euler_tour_successors(
-    tree: Graph, counter: Optional[OpCounter] = None
+    tree: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> Dict[Edge, Edge]:
     """The Euler-tour successor of every directed tree edge."""
     require_tree(tree)
@@ -35,7 +35,7 @@ def euler_tour_successors(
 
 
 def euler_tour(
-    tree: Graph,
+    tree: CsrSnapshot,
     root: Hashable,
     counter: Optional[OpCounter] = None,
 ) -> List[Edge]:

@@ -21,19 +21,19 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter
 
 Edge = Tuple[Hashable, Hashable]
 
 
-def matching_weight(graph: Graph, edges: Sequence[Edge]) -> float:
+def matching_weight(graph: CsrSnapshot, edges: Sequence[Edge]) -> float:
     """Total weight of a matching."""
     return sum(graph.weight(u, v) for u, v in edges)
 
 
 def locally_dominant_matching(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> List[Edge]:
     """Greedy over edges in decreasing-weight order (ties by ids).
 
@@ -67,7 +67,7 @@ def locally_dominant_matching(
 
 
 def path_growing_matching(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> List[Edge]:
     """Drake–Hougardy path-growing ½-approximation, ``O(m)``.
 
@@ -131,7 +131,7 @@ def path_growing_matching(
 
 
 def greedy_maximal_matching(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> List[Edge]:
     """Greedy maximal matching by edge scan — ``O(m + n)``."""
     ops = ensure_counter(counter)
@@ -147,7 +147,7 @@ def greedy_maximal_matching(
 
 
 def greedy_bipartite_matching(
-    graph: Graph,
+    graph: CsrSnapshot,
     left: Sequence[Hashable],
     counter: Optional[OpCounter] = None,
 ) -> List[Edge]:

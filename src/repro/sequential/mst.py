@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter
 from repro.sequential.heaps import BinaryHeap, PairingHeap
 from repro.sequential.unionfind import UnionFind
@@ -29,7 +29,7 @@ Edge = Tuple[Hashable, Hashable]
 
 
 def prim(
-    graph: Graph,
+    graph: CsrSnapshot,
     counter: Optional[OpCounter] = None,
     heap: str = "pairing",
 ) -> Tuple[List[Edge], float]:
@@ -69,7 +69,7 @@ def prim(
 
 
 def kruskal(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> Tuple[List[Edge], float]:
     """Kruskal's algorithm: sort edges, union-find the forest."""
     ops = ensure_counter(counter)
@@ -96,7 +96,7 @@ def kruskal(
 
 
 def kruskal_counting_sort(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> Tuple[List[Edge], float]:
     """Kruskal with a counting sort on integer weights — the
     near-linear sequential MST standing in for Chazelle's
@@ -131,7 +131,7 @@ def kruskal_counting_sort(
 
 
 def boruvka(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> Tuple[List[Edge], float]:
     """Sequential Boruvka: rounds of per-component minimum edges.
 

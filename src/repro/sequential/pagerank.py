@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter
 
 
 def pagerank(
-    graph: Graph,
+    graph: CsrSnapshot,
     damping: float = 0.85,
     num_iterations: Optional[int] = 30,
     tolerance: Optional[float] = None,

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter
 
 
 def strongly_connected_components(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> Dict[Hashable, Hashable]:
     """SCC labels: each vertex maps to the smallest vertex of its SCC.
 

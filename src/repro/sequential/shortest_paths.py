@@ -10,13 +10,13 @@ from __future__ import annotations
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.errors import GraphError
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter
 from repro.sequential.heaps import BinaryHeap, PairingHeap
 
 
 def dijkstra(
-    graph: Graph,
+    graph: CsrSnapshot,
     source: Hashable,
     counter: Optional[OpCounter] = None,
     heap: str = "pairing",
@@ -49,7 +49,7 @@ def dijkstra(
 
 
 def dijkstra_with_paths(
-    graph: Graph,
+    graph: CsrSnapshot,
     source: Hashable,
     counter: Optional[OpCounter] = None,
 ) -> Tuple[Dict[Hashable, float], Dict[Hashable, Optional[Hashable]]]:
@@ -76,7 +76,7 @@ def dijkstra_with_paths(
 
 
 def dijkstra_to_target(
-    graph: Graph,
+    graph: CsrSnapshot,
     source: Hashable,
     target: Hashable,
     counter: Optional[OpCounter] = None,
@@ -104,7 +104,7 @@ def dijkstra_to_target(
 
 
 def bellman_ford(
-    graph: Graph,
+    graph: CsrSnapshot,
     source: Hashable,
     counter: Optional[OpCounter] = None,
 ) -> Dict[Hashable, float]:

@@ -22,14 +22,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, Optional, Set
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter
 
 Relation = Dict[Hashable, Set[Hashable]]
 
 
 def _initial_relation(
-    data: Graph, query: Graph, ops: OpCounter
+    data: CsrSnapshot, query: CsrSnapshot, ops: OpCounter
 ) -> Relation:
     sim: Relation = {q: set() for q in query.vertices()}
     for q in query.vertices():
@@ -42,8 +42,8 @@ def _initial_relation(
 
 
 def _refine(
-    data: Graph,
-    query: Graph,
+    data: CsrSnapshot,
+    query: CsrSnapshot,
     sim: Relation,
     ops: OpCounter,
     dual: bool,
@@ -90,8 +90,8 @@ def _refine(
 
 
 def graph_simulation(
-    data: Graph,
-    query: Graph,
+    data: CsrSnapshot,
+    query: CsrSnapshot,
     counter: Optional[OpCounter] = None,
 ) -> Relation:
     """The maximal graph-simulation relation (child condition)."""
@@ -101,8 +101,8 @@ def graph_simulation(
 
 
 def dual_simulation(
-    data: Graph,
-    query: Graph,
+    data: CsrSnapshot,
+    query: CsrSnapshot,
     counter: Optional[OpCounter] = None,
 ) -> Relation:
     """The maximal dual-simulation relation (child + parent)."""
@@ -117,8 +117,8 @@ def has_match(relation: Relation) -> bool:
 
 
 def _efficient_refine(
-    data: Graph,
-    query: Graph,
+    data: CsrSnapshot,
+    query: CsrSnapshot,
     sim: Relation,
     ops: OpCounter,
     dual: bool,
@@ -199,8 +199,8 @@ def _efficient_refine(
 
 
 def graph_simulation_efficient(
-    data: Graph,
-    query: Graph,
+    data: CsrSnapshot,
+    query: CsrSnapshot,
     counter: Optional[OpCounter] = None,
 ) -> Relation:
     """The maximal simulation relation via the HHK-style worklist —
@@ -212,8 +212,8 @@ def graph_simulation_efficient(
 
 
 def dual_simulation_efficient(
-    data: Graph,
-    query: Graph,
+    data: CsrSnapshot,
+    query: CsrSnapshot,
     counter: Optional[OpCounter] = None,
 ) -> Relation:
     """The maximal dual-simulation relation via the worklist fixpoint
@@ -223,7 +223,7 @@ def dual_simulation_efficient(
     return _efficient_refine(data, query, sim, ops, dual=True)
 
 
-def query_radius(query: Graph) -> int:
+def query_radius(query: CsrSnapshot) -> int:
     """``d_Q``: the diameter of the query's underlying undirected
     graph — the ball radius strong simulation uses."""
     undirected = query.to_undirected()
@@ -244,7 +244,7 @@ def query_radius(query: Graph) -> int:
 
 
 def ball(
-    data: Graph,
+    data: CsrSnapshot,
     center: Hashable,
     radius: int,
     ops: Optional[OpCounter] = None,
@@ -268,8 +268,8 @@ def ball(
 
 
 def strong_simulation(
-    data: Graph,
-    query: Graph,
+    data: CsrSnapshot,
+    query: CsrSnapshot,
     counter: Optional[OpCounter] = None,
 ) -> Dict[Hashable, Relation]:
     """Ma et al.'s strong simulation.

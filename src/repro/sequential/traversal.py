@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional, Tuple
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.graph.properties import require_tree
 from repro.metrics.opcounter import OpCounter
 from repro.sequential.dfs import dfs_orders
 
 
 def tree_orders(
-    tree: Graph,
+    tree: CsrSnapshot,
     root: Hashable,
     counter: Optional[OpCounter] = None,
 ) -> Tuple[Dict[Hashable, int], Dict[Hashable, int]]:
@@ -28,7 +28,7 @@ def tree_orders(
 
 
 def preorder(
-    tree: Graph,
+    tree: CsrSnapshot,
     root: Hashable,
     counter: Optional[OpCounter] = None,
 ) -> Dict[Hashable, int]:
@@ -38,7 +38,7 @@ def preorder(
 
 
 def postorder(
-    tree: Graph,
+    tree: CsrSnapshot,
     root: Hashable,
     counter: Optional[OpCounter] = None,
 ) -> Dict[Hashable, int]:
@@ -48,7 +48,7 @@ def postorder(
 
 
 def euler_orders(
-    tree: Graph,
+    tree: CsrSnapshot,
     root: Hashable,
     counter: Optional[OpCounter] = None,
 ) -> Tuple[Dict[Hashable, int], Dict[Hashable, int]]:

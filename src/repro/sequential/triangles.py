@@ -6,12 +6,12 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional, Set
 
-from repro.graph.graph import Graph
+from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter
 
 
 def count_triangles(
-    graph: Graph, counter: Optional[OpCounter] = None
+    graph: CsrSnapshot, counter: Optional[OpCounter] = None
 ) -> int:
     """Count triangles in an undirected graph.
 

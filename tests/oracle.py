@@ -1,7 +1,8 @@
 """A standalone Pregel interpreter: the differential suites' oracle.
 
-This module runs a vertex program over a :class:`~repro.graph.Graph`
-the plainest way Pregel can be written down, and shares no code with
+This module runs a vertex program over a graph (a
+:class:`~repro.graph.CsrSnapshot`, or a ``Graph`` builder it freezes
+once, as the engine does) the plainest way Pregel can be written down, and shares no code with
 the engine it judges.  It imports nothing from ``repro.bsp`` (the
 package, so no fabric, kernel, state store, worker, loop or compute
 context) and nothing from ``repro.metrics`` (so no ``BppaTracker``):
@@ -218,6 +219,7 @@ MAX_SUPERSTEPS = 100_000
 
 class _Interpreter:
     def __init__(self, graph, program, num_workers, combiner, seed):
+        graph = graph.freeze()
         self.program = program
         self.storage = _storage_of(program)
         self.combiner = combiner

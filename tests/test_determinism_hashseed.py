@@ -52,7 +52,7 @@ def _string_id_graph():
     graph = Graph()
     for u, v in base.edges():
         graph.add_edge(f"vertex-{u:03d}", f"vertex-{v:03d}")
-    return graph
+    return graph.freeze()
 
 
 def _partition_digest() -> str:

@@ -1,4 +1,5 @@
-"""Unit tests for the core Graph data structure."""
+"""Unit tests for the Graph builder; its reads go through the frozen
+snapshot (``g.freeze()``), the one graph read API."""
 
 import pytest
 
@@ -44,8 +45,9 @@ class TestVertices:
         g.remove_vertex(2)
         assert not g.has_vertex(2)
         assert g.num_edges == 0
-        assert list(g.neighbors(1)) == []
-        assert list(g.neighbors(3)) == []
+        s = g.freeze()
+        assert list(s.neighbors(1)) == []
+        assert list(s.neighbors(3)) == []
 
     def test_remove_vertex_directed(self):
         g = Graph(directed=True)
@@ -54,8 +56,9 @@ class TestVertices:
         g.add_edge(2, 4)
         g.remove_vertex(2)
         assert g.num_edges == 0
-        assert list(g.neighbors(1)) == []
-        assert list(g.in_neighbors(4)) == []
+        s = g.freeze()
+        assert list(s.neighbors(1)) == []
+        assert list(s.in_neighbors(4)) == []
 
     def test_remove_missing_vertex_raises(self):
         g = Graph()
@@ -92,17 +95,18 @@ class TestEdges:
     def test_weight_default_and_update(self):
         g = Graph()
         g.add_edge(1, 2)
-        assert g.weight(1, 2) == 1.0
+        assert g.freeze().weight(1, 2) == 1.0
         g.set_weight(1, 2, 7.5)
-        assert g.weight(1, 2) == 7.5
-        assert g.weight(2, 1) == 7.5  # shared EdgeData
+        s = g.freeze()
+        assert s.weight(1, 2) == 7.5
+        assert s.weight(2, 1) == 7.5  # shared EdgeData
 
     def test_add_existing_edge_updates_in_place(self):
         g = Graph()
         g.add_edge(1, 2, weight=3.0)
         g.add_edge(1, 2, weight=9.0)
         assert g.num_edges == 1
-        assert g.weight(1, 2) == 9.0
+        assert g.freeze().weight(1, 2) == 9.0
 
     def test_remove_edge(self):
         g = Graph()
@@ -121,7 +125,9 @@ class TestEdges:
     def test_weight_missing_edge_raises(self):
         g = Graph()
         with pytest.raises(EdgeNotFoundError):
-            g.weight(1, 2)
+            g.set_weight(1, 2, 3.0)
+        with pytest.raises(EdgeNotFoundError):
+            g.freeze().weight(1, 2)
 
     def test_self_loop(self):
         g = Graph()
@@ -161,7 +167,8 @@ class TestEdges:
                         seen.add(edge)
                         yield (u, v)
 
-        assert list(g.edges()) == list(first_met(g))
+        assert list(g.edges()) == list(first_met(g.freeze()))
+        assert list(g.freeze().edges()) == list(g.edges())
         assert [(u, v) for u, v, _ in g.edges(data=True)] == list(
             g.edges()
         )
@@ -178,7 +185,7 @@ class TestEdges:
     def test_edge_label(self):
         g = Graph(directed=True)
         g.add_edge("a", "b", label="knows")
-        assert g.edge_label("a", "b") == "knows"
+        assert g.freeze().edge_label("a", "b") == "knows"
 
 
 class TestDegrees:
@@ -186,50 +193,55 @@ class TestDegrees:
         g = Graph()
         g.add_edge(0, 1)
         g.add_edge(0, 2)
-        assert g.degree(0) == 2
-        assert g.total_degree(0) == 2
+        s = g.freeze()
+        assert s.degree(0) == 2
+        assert s.total_degree(0) == 2
 
     def test_directed_degrees(self):
         g = Graph(directed=True)
         g.add_edge(0, 1)
         g.add_edge(2, 0)
         g.add_edge(0, 3)
-        assert g.out_degree(0) == 2
-        assert g.in_degree(0) == 1
-        assert g.total_degree(0) == 3
+        s = g.freeze()
+        assert s.out_degree(0) == 2
+        assert s.in_degree(0) == 1
+        assert s.total_degree(0) == 3
 
     def test_degree_missing_vertex_raises(self):
         g = Graph()
         with pytest.raises(VertexNotFoundError):
-            g.degree(1)
+            g.freeze().degree(1)
 
     def test_sorted_neighbors(self):
         g = Graph()
         for v in (5, 1, 3):
             g.add_edge(0, v)
-        assert g.sorted_neighbors(0) == [1, 3, 5]
+        assert g.freeze().sorted_neighbors(0) == [1, 3, 5]
 
     def test_in_neighbors_directed(self):
         g = Graph(directed=True)
         g.add_edge(1, 0)
         g.add_edge(2, 0)
-        assert sorted(g.in_neighbors(0)) == [1, 2]
-        assert list(g.neighbors(0)) == []
+        s = g.freeze()
+        assert sorted(s.in_neighbors(0)) == [1, 2]
+        assert list(s.neighbors(0)) == []
 
 
 class TestDerivedGraphs:
     def test_copy_is_independent(self):
         g = Graph()
         g.add_edge(1, 2, weight=5.0)
-        h = g.copy()
+        s = g.freeze()
+        h = s.copy().to_graph()
         h.set_weight(1, 2, 9.0)
-        assert g.weight(1, 2) == 5.0
+        assert s.weight(1, 2) == 5.0
+        assert h.freeze().weight(1, 2) == 9.0
 
     def test_copy_preserves_labels(self):
         g = Graph(directed=True)
         g.add_vertex(1, label="A")
         g.add_edge(1, 2, label="e")
-        h = g.copy()
+        h = g.freeze().copy()
         assert h.label(1) == "A"
         assert h.edge_label(1, 2) == "e"
         assert h.directed
@@ -239,7 +251,7 @@ class TestDerivedGraphs:
         g.add_edge(1, 2)
         g.add_edge(2, 1)
         g.add_edge(2, 3)
-        u = g.to_undirected()
+        u = g.freeze().to_undirected()
         assert not u.directed
         assert u.num_edges == 2
         assert u.has_edge(3, 2)
@@ -247,7 +259,7 @@ class TestDerivedGraphs:
     def test_reverse(self):
         g = Graph(directed=True)
         g.add_edge(1, 2)
-        r = g.reverse()
+        r = g.freeze().reverse()
         assert r.has_edge(2, 1)
         assert not r.has_edge(1, 2)
 
@@ -256,7 +268,7 @@ class TestDerivedGraphs:
         g.add_edge(1, 2)
         g.add_edge(2, 3)
         g.add_edge(3, 4)
-        s = g.subgraph([2, 3, 4])
+        s = g.freeze().subgraph([2, 3, 4])
         assert s.num_vertices == 3
         assert s.num_edges == 2
         assert not s.has_vertex(1)
@@ -265,4 +277,4 @@ class TestDerivedGraphs:
         g = Graph()
         g.add_vertex(1)
         with pytest.raises(VertexNotFoundError):
-            g.subgraph([1, 2])
+            g.freeze().subgraph([1, 2])

@@ -577,7 +577,6 @@ BARE_KEY_REPR_WHITELIST = {
 BARE_VERTEX_SORT_WHITELIST = {
     # ``sorted_neighbors``: documented "sorted by id" Euler-tour
     # helpers; the paper's construction assumes homogeneous ids.
-    "graph/graph.py": 1,
     "graph/snapshot.py": 1,
     "bsp/vertex.py": 1,
     # Kruskal baseline sorting (weight, canonical-key) tuples.
@@ -890,6 +889,54 @@ class TestOwnershipIsOneWay:
     def test_the_row_list_adjacency_is_gone(self):
         assert _src_files_matching(r"\bdense_out\b") == set()
         assert _src_files_matching(r"\brow_holds\b") == set()
+
+
+#: The reads a ``Graph`` builder does not have: it is frozen once
+#: (``Graph.freeze()``) and read as a ``CsrSnapshot``.
+SNAPSHOT_READS = (
+    "neighbors", "in_neighbors", "out_edge_items", "in_edge_items",
+    "sorted_neighbors", "degree", "out_degree", "in_degree",
+    "total_degree", "weight", "edge_label",
+)
+
+
+class TestGraphIsOnlyABuilder:
+    """``Graph`` adds, removes and freezes; the frozen ``CsrSnapshot``
+    is the one graph anything reads, engines included."""
+
+    def test_the_builder_has_no_reads(self):
+        from repro.graph import CsrSnapshot, Graph
+
+        for name in SNAPSHOT_READS:
+            assert not hasattr(Graph, name), name
+            assert callable(getattr(CsrSnapshot, name)), name
+        names = "|".join(SNAPSHOT_READS)
+        defined = re.compile(rf"^    (def ({names})\(|({names}) = )", re.M)
+        graph_modules = {
+            path.relative_to(SRC_ROOT).as_posix()
+            for path in (SRC_ROOT / "graph").glob("*.py")
+            if defined.search(path.read_text())
+        }
+        assert graph_modules == {"graph/snapshot.py"}
+
+    def test_hosted_engines_hold_a_snapshot(self):
+        from repro.algorithms.block_programs import BlockHashMin
+        from repro.algorithms.cc_hashmin import HashMinComponents
+        from repro.algorithms.gas_programs import HashMinGAS, SsspGAS
+        from repro.bsp import AsyncEngine, BlockEngine, GASEngine
+        from repro.graph import CsrSnapshot, Graph
+
+        builder = Graph()
+        for v in range(6):
+            builder.add_edge(v, (v + 1) % 6, weight=float(v + 1))
+        for engine in (
+            GASEngine(builder, HashMinGAS(), num_workers=2),
+            BlockEngine(builder, BlockHashMin(), num_blocks=2),
+            AsyncEngine(builder, SsspGAS(source=0)),
+        ):
+            assert type(engine._graph) is CsrSnapshot, type(engine)
+        engine = PregelEngine(builder, HashMinComponents(), num_workers=2)
+        assert type(engine._store.topology) is CsrSnapshot
 
 
 class TestSuperstepLoop:

@@ -48,7 +48,7 @@ def _graphs():
         "ba": barabasi_albert_graph(90, 3, seed=2),
         "grid": grid_graph(10, 12),
         "tree": random_tree(80, seed=5),
-        "strings": strings,
+        "strings": strings.freeze(),
     }
 
 

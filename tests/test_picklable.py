@@ -62,7 +62,7 @@ def _query_graph():
         g.add_vertex(v)
     g.add_edge(0, 1)
     g.add_edge(1, 2)
-    return g
+    return g.freeze()
 
 
 #: How to build one instance of each registered program class.  A

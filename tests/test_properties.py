@@ -37,7 +37,7 @@ class TestDistances:
         g = Graph()
         g.add_edge(0, 1)
         g.add_vertex(2)
-        assert 2 not in bfs_distances(g, 0)
+        assert 2 not in bfs_distances(g.freeze(), 0)
 
     def test_eccentricity(self):
         g = path_graph(5)
@@ -58,7 +58,7 @@ class TestConnectivity:
         g.add_edge(0, 1)
         g.add_edge(2, 3)
         g.add_vertex(4)
-        comps = connected_components(g)
+        comps = connected_components(g.freeze())
         assert sorted(map(sorted, comps)) == [[0, 1], [2, 3], [4]]
 
     def test_is_connected(self):
@@ -66,8 +66,8 @@ class TestConnectivity:
         g = Graph()
         g.add_vertex(0)
         g.add_vertex(1)
-        assert not is_connected(g)
-        assert is_connected(Graph())  # vacuously
+        assert not is_connected(g.freeze())
+        assert is_connected(Graph().freeze())  # vacuously
 
 
 class TestTrees:
@@ -130,6 +130,7 @@ class TestValidators:
         g.add_edge(0, 1, weight=2.0)
         g.add_edge(1, 2, weight=3.0)
         g.add_edge(0, 2, weight=10.0)
+        g = g.freeze()
         assert spanning_tree_weight(g, [(0, 1), (1, 2)]) == 5.0
         with pytest.raises(NotATreeError):
             spanning_tree_weight(g, [(0, 1)])  # does not span

@@ -77,7 +77,7 @@ def undirected(edges, n=12):
     for u, v in edges:
         if u != v:
             g.add_edge(u, v)
-    return g
+    return g.freeze()
 
 
 def directed(edges, n=12):
@@ -87,7 +87,7 @@ def directed(edges, n=12):
     for u, v in edges:
         if u != v:
             g.add_edge(u, v)
-    return g
+    return g.freeze()
 
 
 def weighted(entries, n=10):
@@ -99,7 +99,7 @@ def weighted(entries, n=10):
             # Perturb weights so they are distinct but ordered as
             # given (keeps the locally-dominant matching unique).
             g.add_edge(u, v, weight=w + i * 1e-4)
-    return g
+    return g.freeze()
 
 
 def random_tree_from(parents):
@@ -107,7 +107,7 @@ def random_tree_from(parents):
     g.add_vertex(0)
     for i, p in enumerate(parents, start=1):
         g.add_edge(i, p % i)
-    return g
+    return g.freeze()
 
 
 def labeled_digraph(edges, n=9):
@@ -117,7 +117,7 @@ def labeled_digraph(edges, n=9):
     for u, v in edges:
         if u != v:
             g.add_edge(u, v)
-    return g
+    return g.freeze()
 
 
 # -- properties ----------------------------------------------------------

@@ -38,7 +38,7 @@ def build(edges, directed=False):
     for u, v in edges:
         if u != v:
             g.add_edge(u, v)
-    return g
+    return g.freeze()
 
 
 class TestGraphInvariants:

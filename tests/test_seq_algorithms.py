@@ -69,7 +69,7 @@ class TestMst:
         g = Graph()
         g.add_edge(0, 1, weight=2.0)
         g.add_edge(2, 3, weight=5.0)
-        edges, total = prim(g)
+        edges, total = prim(g.freeze())
         assert len(edges) == 2
         assert total == 7.0
 
@@ -147,6 +147,7 @@ class TestMatching:
         g = path_graph(5).to_graph()
         for u, v in g.edges():
             g.set_weight(u, v, float(10 * (u + v)))
+        g = g.freeze()
         m = path_growing_matching(g)
         assert is_matching(g, m)
 
@@ -172,13 +173,13 @@ class TestShortestPaths:
         g = Graph()
         g.add_edge(0, 1, weight=-1.0)
         with pytest.raises(GraphError):
-            dijkstra(g, 0)
+            dijkstra(g.freeze(), 0)
 
     def test_unreachable_absent(self):
         g = Graph()
         g.add_edge(0, 1)
         g.add_vertex(2)
-        assert 2 not in dijkstra(g, 0)
+        assert 2 not in dijkstra(g.freeze(), 0)
 
 
 class TestApspAndDiameter:
@@ -197,7 +198,7 @@ class TestApspAndDiameter:
         g.add_vertex(0)
         g.add_vertex(1)
         with pytest.raises(DisconnectedGraphError):
-            diameter(g)
+            diameter(g.freeze())
 
     def test_diameter_known(self):
         assert diameter(cycle_graph(10)) == 5

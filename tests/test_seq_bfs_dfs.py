@@ -44,7 +44,7 @@ class TestBfs:
         g.add_edge(3, 7)
         g.add_edge(10, 11)
         g.add_vertex(99)
-        labels = bfs_components(g)
+        labels = bfs_components(g.freeze())
         assert labels == {5: 3, 3: 3, 7: 3, 10: 10, 11: 10, 99: 99}
 
     def test_spanning_forest_spans(self):
@@ -56,13 +56,13 @@ class TestBfs:
         for u, v in edges:
             assert g.has_edge(u, v)
             t.add_edge(u, v)
-        assert is_tree(t)
+        assert is_tree(t.freeze())
 
     def test_spanning_forest_disconnected(self):
         g = Graph()
         g.add_edge(0, 1)
         g.add_edge(2, 3)
-        edges = bfs_spanning_forest(g)
+        edges = bfs_spanning_forest(g.freeze())
         assert len(edges) == 2
 
 
@@ -77,7 +77,7 @@ class TestDfs:
         g.add_edge(0, 1)
         g.add_edge(0, 2)
         g.add_edge(1, 3)
-        pre, post = dfs_orders(g, 0)
+        pre, post = dfs_orders(g.freeze(), 0)
         assert pre == {0: 0, 1: 1, 3: 2, 2: 3}
         assert post == {3: 0, 1: 1, 2: 2, 0: 3}
 
@@ -85,7 +85,7 @@ class TestDfs:
         g = Graph()
         g.add_edge(0, 5)
         g.add_edge(0, 2)
-        pre, _ = dfs_orders(g, 0)
+        pre, _ = dfs_orders(g.freeze(), 0)
         assert pre[2] < pre[5]
 
     def test_orders_cover_component(self):

@@ -19,7 +19,7 @@ def labeled(edges, labels, directed=True):
         g.add_vertex(v, label=lab)
     for u, v in edges:
         g.add_edge(u, v)
-    return g
+    return g.freeze()
 
 
 @pytest.fixture
@@ -52,7 +52,6 @@ class TestGraphSimulation:
         data = labeled(
             [(0, 1)], {0: "A", 1: "B", 2: "A"}
         )
-        data.add_vertex(2, label="A")
         sim = graph_simulation(data, chain_query)
         assert sim[0] == {0}
         assert sim[1] == {1}
@@ -94,7 +93,6 @@ class TestDualSimulation:
         data = labeled(
             [(0, 1)], {0: "A", 1: "B", 2: "B"}
         )
-        data.add_vertex(2, label="B")
         sim = graph_simulation(data, chain_query)
         dual = dual_simulation(data, chain_query)
         # Child-only simulation keeps both B vertices (B has no
@@ -144,8 +142,6 @@ class TestStrongSimulation:
         data = labeled(
             [(0, 1)], {0: "A", 1: "B", 2: "A", 3: "B"}
         )
-        data.add_vertex(2, label="A")
-        data.add_vertex(3, label="B")
         strong = strong_simulation(data, chain_query)
         assert set(strong) == {0, 1}
 

@@ -95,6 +95,7 @@ class TestMetricOracles:
         for i in range(20):
             g.add_edge(i, (i + 1) % 20)
             g.add_edge(i, (i + 7) % 20)
+        g = g.freeze()
         ours = pagerank(g, num_iterations=200)
         theirs = nx.pagerank(to_nx(g), alpha=0.85, tol=1e-12)
         for v in g.vertices():

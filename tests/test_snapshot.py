@@ -34,10 +34,7 @@ from repro.graph import (
     write_edge_list,
 )
 from repro.graph.io import write_snapshot_from_edge_list
-from repro.graph.snapshot import (
-    CsrSnapshot,
-    is_graph_snapshot,
-)
+from repro.graph.snapshot import CsrSnapshot
 
 
 def _string_id_graph() -> Graph:
@@ -91,6 +88,14 @@ FAMILIES = [
 FAMILY_IDS = [f[0] for f in FAMILIES]
 
 
+def _row(graph, v, incoming=False):
+    """One out- (or in-) row of a builder (or a snapshot) as
+    ``(neighbor, weight)`` pairs in row order, through the bulk
+    ``rows`` read a freeze copies: the test's reader of a builder."""
+    _lens, neighbors, weights = graph.rows([v], incoming)
+    return list(zip(neighbors, weights))
+
+
 def assert_equivalent(graph: Graph, snap: CsrSnapshot) -> None:
     """Every read the runtime performs, compared exactly."""
     assert snap.directed == graph.directed
@@ -99,29 +104,22 @@ def assert_equivalent(graph: Graph, snap: CsrSnapshot) -> None:
     assert len(snap) == graph.num_vertices
     vs = list(graph.vertices())
     assert list(snap.vertices()) == vs
-    for v in vs:
+    # The CSR position layer must agree with the id layer.
+    assert snap.positions(vs) == list(range(len(vs)))
+    offsets, targets = snap.edge_columns()[:2]
+    for p, v in enumerate(vs):
         assert v in snap
         assert snap.has_vertex(v)
-        assert list(snap.neighbors(v)) == list(graph.neighbors(v))
-        assert list(snap.in_neighbors(v)) == list(
-            graph.in_neighbors(v)
-        )
-        assert list(snap.out_edge_items(v)) == list(
-            graph.out_edge_items(v)
-        )
-        assert list(snap.in_edge_items(v)) == list(
-            graph.in_edge_items(v)
-        )
-        assert snap.degree(v) == graph.degree(v)
-        assert snap.in_degree(v) == graph.in_degree(v)
+        out_row, in_row = _row(graph, v), _row(graph, v, incoming=True)
+        assert list(snap.neighbors(v)) == [u for u, _ in out_row]
+        assert list(snap.in_neighbors(v)) == [u for u, _ in in_row]
+        assert list(snap.out_edge_items(v)) == out_row
+        assert list(snap.in_edge_items(v)) == in_row
+        assert snap.degree(v) == len(out_row)
+        assert snap.in_degree(v) == len(in_row)
         assert snap.label(v) == graph.label(v)
-        # The CSR position layer must agree with the id layer.
-        pos = snap.position_of(v)
-        assert vs[pos] == v
-        row_ids = [
-            vs[q] for q in snap.out_row_positions(pos)
-        ]
-        assert row_ids == list(graph.neighbors(v))
+        row_ids = [vs[q] for q in targets[offsets[p]:offsets[p + 1]]]
+        assert row_ids == [u for u, _ in out_row]
     g_edges = [
         (u, v, e.weight, e.label)
         for u, v, e in graph.edges(data=True)
@@ -162,26 +160,26 @@ def test_saved_and_mmapped_equivalent(name, make, tmp_path):
     "name,make", FAMILIES, ids=FAMILY_IDS
 )
 def test_to_graph_round_trip(name, make):
-    """``to_graph`` materializes the same graph *values* (vertex
-    order, edge set, weights, labels); undirected row order is not
-    part of its contract — it replays each edge once."""
+    """``to_graph`` gives back the same builder: vertex order, every
+    out- and in-row in its order, weights, labels and edges."""
     graph = make()
     back = CsrSnapshot.from_graph(graph).to_graph()
     assert back.directed == graph.directed
     assert list(back.vertices()) == list(graph.vertices())
     assert back.num_edges == graph.num_edges
     for v in graph.vertices():
-        assert sorted(
-            back.out_edge_items(v), key=repr
-        ) == sorted(graph.out_edge_items(v), key=repr)
+        assert _row(back, v) == _row(graph, v)
+        assert _row(back, v, incoming=True) == _row(graph, v, incoming=True)
         assert back.label(v) == graph.label(v)
+    assert [
+        (u, v, e.weight, e.label) for u, v, e in back.edges(data=True)
+    ] == [(u, v, e.weight, e.label) for u, v, e in graph.edges(data=True)]
 
 
 class TestErrors:
     def test_unknown_vertex(self):
         snap = CsrSnapshot.from_graph(erdos_renyi_graph(8, 0.3, seed=1))
-        with pytest.raises(VertexNotFoundError):
-            snap.position_of("nope")
+        assert snap.positions(["nope"]) == [None]
         with pytest.raises(VertexNotFoundError):
             list(snap.neighbors("nope"))
 
@@ -262,7 +260,7 @@ class TestStreamedBuilder:
         )
         via_stream = str(tmp_path / "via_stream")
         snap = write_snapshot_from_edge_list(listing, via_stream)
-        assert is_graph_snapshot(snap)
+        assert type(snap) is CsrSnapshot
         for name in ("MANIFEST.json", "snapshot.bin"):
             a = open(os.path.join(via_graph, name), "rb").read()
             b = open(os.path.join(via_stream, name), "rb").read()
@@ -302,7 +300,9 @@ class TestStreamedBuilder:
 
 
 def test_is_graph_snapshot():
+    """A generator's output is frozen, its thaw is a builder, and a
+    freeze of either is a snapshot (a snapshot's is itself)."""
     g = erdos_renyi_graph(5, 0.5, seed=1)
-    assert is_graph_snapshot(g)
-    assert not is_graph_snapshot(g.to_graph())
-    assert is_graph_snapshot(CsrSnapshot.from_graph(g.to_graph()))
+    assert type(g) is CsrSnapshot and g.freeze() is g
+    assert type(g.to_graph()) is Graph
+    assert type(g.to_graph().freeze()) is CsrSnapshot

@@ -56,7 +56,7 @@ class TestBoruvkaMst:
     def test_two_vertices(self):
         g = Graph()
         g.add_edge("a", "b", weight=3.0)
-        edges, total, _ = minimum_spanning_tree(g)
+        edges, total, _ = minimum_spanning_tree(g.freeze())
         assert total == 3.0
         assert len(edges) == 1
 

@@ -58,6 +58,7 @@ class TestScc:
             g.add_edge(i + 1, i)
             if i + 2 < 12:
                 g.add_edge(i + 1, i + 2)
+        g = g.freeze()
         labels = scc_labels(scc(g))
         assert_same_partition(labels, seq_scc(g))
         assert len(set(labels.values())) == 6

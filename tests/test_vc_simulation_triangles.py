@@ -32,7 +32,7 @@ def labeled(edges, labels):
         g.add_vertex(v, label=lab)
     for u, v in edges:
         g.add_edge(u, v)
-    return g
+    return g.freeze()
 
 
 class TestGraphSimulation:

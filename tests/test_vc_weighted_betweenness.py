@@ -78,6 +78,7 @@ class TestVertexCentricWeightedBetweenness:
         g.add_edge(0, 1, weight=10.0)
         g.add_edge(0, 2, weight=1.0)
         g.add_edge(1, 2, weight=1.0)
+        g = g.freeze()
         values = weighted_betweenness_values(weighted_betweenness(g))
         unweighted = betweenness_centrality(g)
         assert values[2] == pytest.approx(2.0)  # relays 0 <-> 1
