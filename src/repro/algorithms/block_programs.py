@@ -13,7 +13,7 @@ paper says they should be.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Set, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
 from repro.algorithms.cc_hashmin import repr_key
 from repro.bsp.block import (

@@ -18,7 +18,7 @@ Measured profile (what the paper derives):
 
 from __future__ import annotations
 
-from typing import Any, Hashable, List
+from typing import Any, List
 
 from repro.bsp.context import ComputeContext
 from repro.bsp.engine import PregelResult, run_program

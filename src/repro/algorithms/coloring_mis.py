@@ -31,7 +31,6 @@ from repro.bsp.engine import PregelResult, run_program
 from repro.bsp.program import VertexProgram
 from repro.bsp.vertex import VertexState
 from repro.graph.graph import Graph
-from repro.graph.properties import is_valid_coloring  # noqa: F401  (doc xref)
 
 _SELECT = "select"
 _DECIDE = "decide"

@@ -10,7 +10,7 @@ alludes to — GAS's per-worker gather pre-aggregation flattens the
 from __future__ import annotations
 
 import math
-from typing import Any, Hashable, Tuple
+from typing import Any, Hashable
 
 from repro.algorithms.cc_hashmin import repr_key
 from repro.bsp.gas import GASProgram, GASResult, NeighborView, run_gas

@@ -256,8 +256,9 @@ def minimum_spanning_tree(
 
     Returns ``(edges, total_weight, result)`` where ``edges`` are
     original graph edges (deduplicated across the two endpoints of
-    each 2-cycle).
+    each 2-cycle).  A ``Graph`` builder is frozen once, here.
     """
+    graph = graph.freeze()
     result = run_program(graph, BoruvkaMST(), **engine_kwargs)
     seen: Set[FrozenSet] = set()
     edges: List[Tuple] = []

@@ -26,6 +26,9 @@ Measured profiles (the paper's rows): supersteps are bounded by
 ``O(m)`` (removal chains), matchSets cost ``O(n_q)`` per message —
 the TPPs exceed the sequential HHK / Ma et al. bounds and none of the
 three is BPPA.
+
+Each entry point takes a ``Graph`` builder or a ``CsrSnapshot`` and
+freezes its inputs once, on entry.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from repro.graph.graph import Graph
 from repro.metrics.opcounter import OpCounter
 from repro.sequential.simulation import (
     Relation,
-    dual_simulation as _seq_dual,
     has_match,
     query_radius,
 )
@@ -163,6 +165,7 @@ def graph_simulation(
     data: Graph, query: Graph, **engine_kwargs
 ) -> Tuple[Relation, PregelResult]:
     """Row 18: the maximal graph-simulation relation."""
+    query = query.freeze()
     result = run_program(
         data, SimulationProgram(query, dual=False), **engine_kwargs
     )
@@ -173,6 +176,7 @@ def dual_simulation(
     data: Graph, query: Graph, **engine_kwargs
 ) -> Tuple[Relation, PregelResult]:
     """Row 19: the maximal dual-simulation relation."""
+    query = query.freeze()
     result = run_program(
         data, SimulationProgram(query, dual=True), **engine_kwargs
     )
@@ -350,6 +354,7 @@ def strong_simulation(
     The ``output`` maps each surviving center to its local relation,
     matching :func:`repro.sequential.simulation.strong_simulation`.
     """
+    data, query = data.freeze(), query.freeze()
     dual_relation, dual_result = dual_simulation(
         data, query, **engine_kwargs
     )

@@ -12,6 +12,8 @@ A :class:`Checkpoint` is the run's *columns* over one frozen topology
 the aggregator, RNG, BPPA and wake-all scalars, and ``topology`` — a
 :class:`TopologySnapshot`, or ``None`` for the state store's
 :class:`Baseline`, whose rows are the run's own ``CsrSnapshot``.
+Either holds the partition as two columns, the fabric's dense-order
+ids (``worker_ids``) and each worker's count (``worker_lens``).
 Programs may mutate topology (at superstep boundaries, and
 ``VertexState.out_edges`` in place), so sharing the baseline is
 **verified, never assumed** (:meth:`Baseline.holds`).
@@ -34,7 +36,7 @@ import copy
 import dataclasses
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import is_
 from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 from typing import Sequence, Tuple
@@ -77,18 +79,16 @@ def cow_copy(value: Any) -> Any:
     return copy.deepcopy(value)
 
 
-def _vertex_columns(store):
-    """``store``'s worker indices and list lengths (by value), and the
-    ids of ``states``, the owner map and the worker lists (by id)."""
-    lists = [w.vertex_ids for w in store.workers]
-    return (list(store.owner.values()), list(map(len, lists))), (
-        list(store.states), list(store.owner), list(chain(*lists)),
-    )
+def _vertex_columns(store, dense):
+    """The partition's worker range lengths (by value), and the ids
+    of ``states`` and of the partition ``dense`` in dense order (by
+    id)."""
+    return [b - a for a, b in dense.ranges], (list(store.states), dense.id_of)
 
 
 class TopologySnapshot(NamedTuple):
-    """Edge maps, ownership and worker lists as flat columns, captured
-    once the live topology is no longer the :class:`Baseline`."""
+    """Edge maps and the partition as flat columns, captured once the
+    live topology is no longer the :class:`Baseline`."""
 
     #: Per vertex in ``states`` order: 1 where ``in_edges is
     #: out_edges`` (undirected graphs).
@@ -96,28 +96,29 @@ class TopologySnapshot(NamedTuple):
     #: Lengths of the edge rows: every vertex's out-row, then the
     #: in-row of each vertex that is not aliased.
     row_lens: List[int]
-    owner_workers: List[int]
+    #: Per worker, how many vertices it owns.
     worker_lens: List[int]
     #: Vertex ids in ``states`` order — what the columns align to.
     ids: List[Hashable]
     #: The edge rows end to end, each in dict iteration order.
     edge_ids: List[Hashable]
     edge_weights: List[Any]
-    owner_ids: List[Hashable]
-    #: The workers' vertex lists end to end.
+    #: The partition's ids in dense order (``DenseIndex.id_of``): the
+    #: workers' ids end to end, each worker's in execution order.
     worker_ids: List[Hashable]
 
     @classmethod
-    def capture(cls, store) -> "TopologySnapshot":
-        """``store``'s live topology; a row that is not materialized is
-        read off the frozen topology's columns, never built into a dict."""
-        shape, (ids, owner_ids, worker_ids) = _vertex_columns(store)
+    def capture(cls, store, dense) -> "TopologySnapshot":
+        """``store``'s live topology over the partition ``dense``; a row
+        that is not materialized is read off the frozen topology's
+        columns, never built into a dict."""
+        lens, (ids, worker_ids) = _vertex_columns(store, dense)
         states = store.states.values()
-        aliased, lens, nbrs, wts = store.topology.live_rows(
+        aliased, rows, nbrs, wts = store.topology.live_rows(
             [s.row for s in states],
             [s.out_edges for s in states], [s.in_edges for s in states],
         )
-        return cls(aliased, lens, *shape, ids, nbrs, wts, owner_ids, worker_ids)
+        return cls(aliased, rows, lens, ids, nbrs, wts, worker_ids)
 
     edge_entries = property(lambda self: len(self.edge_ids))
 
@@ -135,31 +136,31 @@ class TopologySnapshot(NamedTuple):
 
 
 class Baseline(NamedTuple):
-    """The topology frozen at construction: a :class:`TopologySnapshot`'s
-    vertex columns, O(n), over the run's own ``CsrSnapshot`` rows."""
+    """The topology and partition frozen at construction: a
+    :class:`TopologySnapshot`'s vertex columns, O(n), over the run's own
+    ``CsrSnapshot`` rows."""
 
-    owner_workers: List[int]
     worker_lens: List[int]
     ids: List[Hashable]
-    owner_ids: List[Hashable]
     worker_ids: List[Hashable]
     rows: CsrSnapshot
     edge_entries: int  # out-row entries, and in-row ones when directed
 
     @classmethod
-    def freeze(cls, store) -> "Baseline":
+    def freeze(cls, store, dense) -> "Baseline":
         targets = store.topology.edge_columns()[1::3]  # out, in if directed
-        shape, leaves = _vertex_columns(store)
-        return cls(*shape, *leaves, store.topology, sum(map(len, targets)))
+        lens, leaves = _vertex_columns(store, dense)
+        return cls(lens, *leaves, store.topology, sum(map(len, targets)))
 
-    def holds(self, store) -> bool:
-        """Whether ``store``'s live topology still is this baseline: the
-        vertex columns by identity (``1 == 1.0 == True``), and the
-        materialized rows, the only ones that can differ — O(n + touched)."""
-        shape, leaves = _vertex_columns(store)
-        kept = self.ids, self.owner_ids, self.worker_ids
+    def holds(self, store, dense) -> bool:
+        """Whether ``store``'s live topology over the partition
+        ``dense`` still is this baseline: the vertex columns by
+        identity (``1 == 1.0 == True``), and the materialized rows, the
+        only ones that can differ — O(n + touched)."""
+        lens, leaves = _vertex_columns(store, dense)
+        kept = self.ids, self.worker_ids
         if (
-            shape != (self.owner_workers, self.worker_lens)
+            lens != self.worker_lens
             or list(map(len, leaves)) != list(map(len, kept))
             or not all(map(all, map(map, repeat(is_), leaves, kept)))
         ):
@@ -277,7 +278,7 @@ def take_checkpoint(engine, superstep: int) -> Checkpoint:
     """Snapshot ``engine`` at the start of ``superstep``: a superstep
     boundary, where the outbox is empty (the previous superstep's
     traffic is in the inbox) and no ``compute()`` is in flight."""
-    store = engine._store
+    store, dense = engine._store, engine._fabric.dense
     states = store.states.values()
     values, value_atoms = _freeze([s.value for s in states], 0)
     # Copies the fabric's live message column (``_freeze`` never
@@ -285,8 +286,8 @@ def take_checkpoint(engine, superstep: int) -> Checkpoint:
     inbox_ids, inbox_lens, msgs = engine._fabric.inbox_columns()
     msgs, msg_atoms = _freeze(msgs, 1)
     baseline = store.baseline
-    shared = baseline is not None and baseline.holds(store)
-    topology = baseline if shared else TopologySnapshot.capture(store)
+    shared = baseline is not None and baseline.holds(store, dense)
+    topology = baseline if shared else TopologySnapshot.capture(store, dense)
     tracker = engine._tracker
     return Checkpoint(
         superstep=superstep,
@@ -344,26 +345,20 @@ def restore_checkpoint(engine, checkpoint: Checkpoint) -> int:
     the loop's (:meth:`~repro.bsp.loop.SuperstepLoop.rollback`).
     """
     topology = _topology_of(engine, checkpoint)
-    # Whole dicts swap: the fabric's hot-path mirrors follow the store.
-    store, fabric = engine._store, engine._fabric
-    store.states = fabric.states = {
+    engine._store.states = {
         state.id: state
         for state in _restored_states(engine, checkpoint, topology)
     }
-    owner = zip(topology.owner_ids, topology.owner_workers)
-    store.owner = fabric.owner = dict(owner)
-    ids = iter(topology.worker_ids)
-    lists = map(list, map(islice, repeat(ids), topology.worker_lens))
-    for worker, vids in zip(engine._workers, lists):
-        worker.vertex_ids = vids
+    for worker in engine._workers:
         worker.reset_counters()
     # A snapshot is layout-free: the engine's own plane re-indexes
-    # over the restored worker lists and adopts the undelivered inbox.
-    engine._fabric.reindex((
-        checkpoint.inbox_ids,
-        checkpoint.inbox_lens,
-        _thaw(checkpoint.inbox_msgs),
-    ))
+    # over the restored partition and adopts the undelivered inbox.
+    ids = iter(topology.worker_ids)
+    inbox = checkpoint.inbox_ids, checkpoint.inbox_lens
+    engine._fabric.reindex(
+        (*inbox, _thaw(checkpoint.inbox_msgs)),
+        [list(islice(ids, n)) for n in topology.worker_lens],
+    )
     engine._agg_finalized = cow_copy(checkpoint.agg_finalized)
     del engine._aggregate_history[checkpoint.history_len:]
     engine.rng.setstate(checkpoint.rng_state)

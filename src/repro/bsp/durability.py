@@ -9,7 +9,7 @@ fault-tolerance story: recovery cost, not steady-state speed, decides
 whether a long iterative job is usable (Ammar & Özsu treat
 fault-handling behavior as a first-class differentiator).
 
-On-disk format (version 5)
+On-disk format (version 6)
 --------------------------
 A checkpoint directory holds one JSON manifest plus one binary record
 per retained checkpoint (``docs/fault_tolerance.md`` has the rules)::
@@ -22,11 +22,13 @@ per retained checkpoint (``docs/fault_tolerance.md`` has the rules)::
 A record's :class:`~repro.bsp.checkpoint.Checkpoint` carries a
 ``TopologySnapshot`` only once the run's topology is no longer the
 ``Baseline`` the engine froze, so a record of an unmutated run holds
-no edge, owner or worker-list data: the resuming engine freezes its
-baseline over the graph it is handed, and the fingerprint guarantees
-that graph lays the columns out identically.  A directory of another
-version (1: edge-map copies; 2: the plane in records; 3: a sorted
-edge walk fingerprinted; 4: per-edge lists fingerprinted) is refused,
+no edge or partition data: the resuming engine freezes its baseline
+over the graph it is handed, and the fingerprint guarantees that
+graph lays the columns out identically.  The partition is two
+columns, ``worker_ids`` (the dense index's ids) and ``worker_lens``.
+A directory of another version (1: edge-map copies; 2: the plane in
+records; 3: a sorted edge walk fingerprinted; 4: per-edge lists
+fingerprinted; 5: an owner map beside the partition) is refused,
 resuming or not, with a ``CheckpointError`` naming the version.
 
 Every write is atomic (temp file, ``fsync``, ``os.replace``); a write
@@ -86,7 +88,7 @@ from repro.errors import (
 )
 
 #: Version of the on-disk layout; bumped on incompatible changes.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 MANIFEST_NAME = "MANIFEST.json"
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL

@@ -34,11 +34,11 @@ GAS/block/async engines:
   (:class:`~repro.bsp.loop.CheckpointPolicy`), the fault injector
   (crashes at each boundary, network faults at each commit), and the
   crash-supervision protocol;
-* :class:`~repro.bsp.fabric.MessageFabric` — the dense mailboxes,
-  the send/fanout entry points, combining, ledger accounting, and
-  delivery;
-* :class:`~repro.bsp.state.StateStore` — the partitioned vertex
-  states, the owner map, and the checkpoint baseline;
+* :class:`~repro.bsp.fabric.MessageFabric` — the partition (its
+  dense index), the dense mailboxes, the send/fanout entry points,
+  combining, ledger accounting, and delivery;
+* :class:`~repro.bsp.state.StateStore` — the vertex states, the
+  frozen topology, and the checkpoint baseline;
 * the compute kernels (:mod:`repro.bsp.kernels`) — the per-superstep
   vertex-execution loop and the vectorized tier over it, which
   ``vector_phase`` engages for each superstep whose exactness proof
@@ -244,11 +244,7 @@ class PregelEngine:
 
         partitioner = partitioner or HashPartitioner(num_workers)
         self._partitioner = partitioner
-        self._store = StateStore(graph, program, partitioner, num_workers)
-        # A checkpoint is columns over one frozen topology: freeze it
-        # before any program code runs, iff one can ever be written.
-        if self._loop.policy.enabled or checkpoint_dir is not None:
-            self._store.freeze_baseline()
+        self._store = StateStore(graph, partitioner, num_workers)
 
         self._tracker: Optional[BppaTracker] = None
         if track_bppa:
@@ -267,6 +263,24 @@ class PregelEngine:
         self._agg_finalized: Dict[str, Any] = {}
         self._wake_all = False
         self._aggregate_history: List[Dict[str, Any]] = []
+        self._kernel_tier = "dense"
+        self._vector_kernel_cache = None
+
+        # The fabric lays the partition out and owns every mailbox; it
+        # binds the context's sends to the executing lane.
+        self._fabric = MessageFabric(
+            self._store,
+            combiner,
+            self._ctx,
+            memory_budget=memory_budget,
+            spill_dir=spill_dir,
+        )
+        self._store.reset(program)
+        # A checkpoint is columns over one frozen topology and its
+        # partition: freeze them before any ``compute`` can edit an
+        # edge map, iff one can ever be written.
+        if self._loop.policy.enabled or checkpoint_dir is not None:
+            self._store.freeze_baseline(self._fabric.dense)
 
         # Durable checkpoints: swap the loop's in-memory store for the
         # on-disk one (the fingerprint makes a resume against a
@@ -290,20 +304,6 @@ class PregelEngine:
             store = open_durable_store(checkpoint_dir, fingerprint, resume)
             self._loop.policy.store = store
             self._resume_state = store.resume_state()
-
-        self._kernel_tier = "dense"
-        self._vector_kernel_cache = None
-
-        # The fabric owns every mailbox and binds the context's sends
-        # to the executing lane.  Built last: the dense arrays then
-        # reuse what the fingerprint freed.
-        self._fabric = MessageFabric(
-            self._store,
-            combiner,
-            self._ctx,
-            memory_budget=memory_budget,
-            spill_dir=spill_dir,
-        )
 
     # ------------------------------------------------------------------
     # Layer views (compat surface shared with checkpoint/parallel code)
@@ -427,17 +427,10 @@ class PregelEngine:
         )
         program.master_compute(master)
 
-        removed = apply_mutations(self)
-        mutated = removed is not None
+        mutated = apply_mutations(self)
+        # Delivery reads the old partition: it reverses the senders'
+        # charges for messages to removed vertices.
         delivered = self._deliver(superstep, mutated)
-        if removed:
-            # The senders' charges for messages to removed vertices
-            # were reversed during delivery; the ownership entries can
-            # now be reclaimed (re-added ids were already discarded
-            # from ``removed`` by apply_mutations).
-            owner = self._store.owner
-            for vid in removed:
-                owner.pop(vid, None)
         if mutated:
             # The dense index no longer matches the topology:
             # recompile it in place, inbox carried across by id.

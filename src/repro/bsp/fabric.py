@@ -68,7 +68,9 @@ from typing import Any, Dict, Hashable, List, NamedTuple, Optional
 from repro.bsp.combiner import SumCombiner
 from repro.bsp.columns import typed_column
 from repro.errors import MessageToUnknownVertexError, SpillError
-from repro.graph.partition import build_dense_index, dense_adjacency
+from repro.graph.partition import (
+    build_dense_index, dense_adjacency, owner_for,
+)
 from repro.graph.snapshot import edge_dicts
 
 
@@ -304,7 +306,8 @@ class DenseLane:
 
     The serial engine holds one lane per worker over the fabric's
     arrays (``base == 0``), a pool rank one over its slice (``base ==
-    start``); both run the same kernels and send methods on it.
+    start``); both run the same kernels and send methods on it.  The
+    lane's ``span`` is its worker's dense range ``(start, stop)``.
 
     ``states``/``in_start``/``in_count`` and the adjacency columns
     (``out_start``/``out_dst``/``remote_out``/``dangling``) are indexed
@@ -333,13 +336,12 @@ class DenseLane:
     )
 
     def __init__(
-        self, worker, base, states, inbox,
+        self, worker, span, base, states, inbox,
         adjacency, idx_of, owner_of, combiner, rows=None,
     ):
         self.worker = worker
         self.index = worker.index
-        self.start = worker.range_start
-        self.stop = worker.range_stop
+        self.start, self.stop = span
         self.base = base
         self.states = states
         # The host's inbox columns, or (``None``) the lane's own.
@@ -499,11 +501,11 @@ class MessageFabric:
     """One engine's mailboxes, send paths, and delivery routines.
 
     Handed what it reads, not its engine: ``store`` supplies the
-    vertex partition (``states``/``owner``/``workers``, mirrored here
-    for the per-message hot paths, and the frozen ``topology`` every
-    index compiles from), ``ctx`` the context whose sends
-    :meth:`bind_lane` binds.  A checkpoint restore and :meth:`restart`
-    refresh the mirrors when they swap the store's dicts.
+    vertex ``states``, the ``workers`` whose counters the lanes charge
+    and the frozen ``topology`` every index compiles from, ``ctx`` the
+    context whose sends :meth:`bind_lane` binds.  The fabric's
+    ``dense`` index is the run's one record of the partition: which
+    worker owns which vertex, and in what order it runs them.
     """
 
     def __init__(
@@ -532,11 +534,8 @@ class MessageFabric:
         #: Whether :meth:`reindex` ran since the partition was laid
         #: out (:meth:`restart`).
         self.reindexed = False
-        # Hot-path mirrors of the store's partition (see class doc).
-        self.states = store.states
-        self.owner = store.owner
         self.workers = store.workers
-        self.engage_fast_path()  # the dense plane
+        self.engage_fast_path(store.lay_out())  # the dense plane
 
     # ------------------------------------------------------------------
     # Send paths: the lane binding
@@ -643,19 +642,16 @@ class MessageFabric:
     # Execution-path management
     # ------------------------------------------------------------------
 
-    def engage_fast_path(self) -> None:
-        """Compile the dense index over the store's current partition,
-        with empty lanes and no undelivered mail.
+    def engage_fast_path(self, lists) -> None:
+        """Compile the dense index over the partition ``lists`` (per
+        worker, its vertex ids in execution order), with empty lanes
+        and no undelivered mail.
 
-        Called at construction and by :meth:`reindex`.  The dense
-        order mirrors worker/`vertex_ids` order exactly, so execution
-        sequencing is unchanged.
+        Called at construction and by :meth:`restart` and
+        :meth:`reindex`.
         """
-        dense = self.dense = build_dense_index(self.workers)
-        for worker, (start, stop) in zip(self.workers, dense.ranges):
-            worker.range_start = start
-            worker.range_stop = stop
-        states = self.states
+        dense = self.dense = build_dense_index(lists)
+        states = self._store.states
         dense_states = self.dense_states = [states[vid] for vid in dense.id_of]
         n = len(dense.id_of)
         # Compile the dense adjacency: full-neighbor fanouts iterate
@@ -672,11 +668,11 @@ class MessageFabric:
         #: One :class:`DenseLane` per worker, in worker order.
         self.lanes = [
             DenseLane(
-                worker, 0, dense_states, inbox,
+                worker, span, 0, dense_states, inbox,
                 adjacency, dense.idx_of, dense.owner_of, self._combiner,
                 topology.edge_rows,
             )
-            for worker in self.workers
+            for worker, span in zip(self.workers, dense.ranges)
         ]
         #: Per worker, the ``(order, record)`` its lane handed the
         #: barrier (the record ``None`` while spilled), or ``None``.
@@ -698,9 +694,7 @@ class MessageFabric:
         the program may have edited in place, are dropped."""
         store = self._store
         if self.reindexed:
-            store.lay_out()
-            self.states, self.owner = store.states, store.owner
-            self.engage_fast_path()
+            self.engage_fast_path(store.lay_out())
             self.reindexed = False
         for lane in self.lanes:
             if lane.rows is None:  # materialized
@@ -710,19 +704,36 @@ class MessageFabric:
         store.reset(program)
         self.restore_inbox((), (), ())
 
-    def reindex(self, inbox=None) -> None:
-        """Rebuild the dense plane over the store's current partition
-        and carry ``inbox`` — ``(ids, lens, msgs)`` columns, default:
-        the undelivered inbox — across by vertex id.  Ends a barrier
-        that applied topology mutations (one O(n + m) recompile of
-        the index, the adjacency and, ``self.dense`` being new, the
-        lanes' vectorized plans) and a checkpoint restore, which
-        passes the snapshot's inbox columns."""
+    def reindex(self, inbox=None, lists=None) -> None:
+        """Rebuild the dense plane over the partition ``lists``
+        (default: the one the barrier left, :meth:`_relaid`) and carry
+        ``inbox`` — ``(ids, lens, msgs)`` columns, default: the
+        undelivered inbox — across by vertex id.  Ends a barrier that
+        applied topology mutations (one O(n + m) recompile of the
+        index, the adjacency and, ``self.dense`` being new, the lanes'
+        vectorized plans) and a checkpoint restore, which passes the
+        snapshot's inbox columns and partition."""
         if inbox is None:
             inbox = self.inbox_columns()
-        self.engage_fast_path()
+        self.engage_fast_path(self._relaid() if lists is None else lists)
         self.restore_inbox(*inbox)
         self.reindexed = True
+
+    def _relaid(self) -> List[List[Hashable]]:
+        """The partition a mutating barrier left: per worker, the
+        vertices that kept their state, in dense order, then those the
+        barrier added — the tail of ``states``, in order — on their
+        owners.  Only the added ids are hashed to an owner."""
+        store = self._store
+        states = store.states
+        lists = [
+            [s.id for s in self.dense_states[a:b] if states.get(s.id) is s]
+            for a, b in self.dense.ranges
+        ]
+        for vid in list(states)[sum(map(len, lists)):]:
+            owner = owner_for(vid, store.partitioner, store.num_workers)
+            lists[owner].append(vid)
+        return lists
 
     def drain_inbox(self) -> None:
         """Clear the inbox a finished compute pass consumed —
@@ -780,7 +791,8 @@ class MessageFabric:
         """Drop the mail of destinations a mutation removed this
         superstep and reverse their senders' charges, so the books
         balance."""
-        id_of, states, owner = self.dense.id_of, self.states, self.owner
+        id_of, owner_of = self.dense.id_of, self.dense.owner_of
+        states = self._store.states
         for index, part in enumerate(parts):
             if part is None:
                 continue
@@ -792,7 +804,7 @@ class MessageFabric:
             for dst, n, kept in zip(record.touched, record.counts, live):
                 if not kept:
                     worker.sent_logical -= n
-                    if index != owner.get(id_of[dst]):
+                    if index != owner_of[dst]:
                         worker.sent_remote -= n
             parts[index] = (
                 array("q", [dst for dst in order if id_of[dst] in states]),

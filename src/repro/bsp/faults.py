@@ -34,8 +34,8 @@ that completes returns byte-identical values to the fault-free run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.errors import WorkerCrashError
 

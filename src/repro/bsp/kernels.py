@@ -6,8 +6,8 @@ against **one worker's lane** (:class:`~repro.bsp.fabric.DenseLane`):
 vertices reached by dense position, messages sliced out of the lane's
 inbox columns, sends folded into the lane's mail.
 
-It visits vertices in Pregel's order (worker index order, then the
-worker's ``vertex_ids`` order — the dense ranges mirror it), applies
+It visits vertices in Pregel's order (worker index order, then each
+worker's dense range: graph order, then added vertices), applies
 the wake/halt transitions, charges work ``1 + len(messages) + sent +
 charged`` per compute call and feeds the BPPA tracker — the counts
 the differential suites hold to their oracle, an interpreter that
@@ -86,7 +86,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import partial, reduce
 from itertools import accumulate, chain, islice, repeat
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.bsp.aggregator import left_sum
 from repro.bsp.fabric import _drain, _planned

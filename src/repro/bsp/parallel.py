@@ -172,8 +172,7 @@ class _PartitionRuntime:
     def __init__(self, rank: int, init: Dict[str, Any]):
         self.num_vertices: int = init["num_vertices"]
         self.num_ranks: int = init["ranks"]
-        worker = Worker(rank)
-        worker.range_start, worker.range_stop = init["range"]
+        span = init["range"]
         self._program: VertexProgram = init["program"]
         self._tracker: Optional[BppaTracker] = init["tracker"]
         self._agg_sink = _AggregateLog(init["agg_names"])
@@ -191,14 +190,14 @@ class _PartitionRuntime:
         # the inbox columns and clears them after the pass.  A frozen
         # row becomes a dict only if a per-vertex pass runs the lane.
         self.lane = lane = DenseLane(
-            worker, worker.range_start, states, None, init["adjacency"],
+            Worker(rank), span, span[0], states, None, init["adjacency"],
             init["idx_of"], init["owner_of"], init["combiner"],
             lambda positions, rows=init["rows"]: rows,
         )
         #: Compute passes started over the partition's lifetime (see
         #: :attr:`progress`).
         self._passes = 0
-        self._mail = MailMerge(base=worker.range_start)
+        self._mail = MailMerge(base=lane.base)
         self._shape = self._grouping = None  # the last regrouping
         self._ctx = ComputeContext(self.rng, self._agg_sink.aggregate)
         self._ctx._enqueue, self._ctx._fanout = lane.enqueue, lane.fanout

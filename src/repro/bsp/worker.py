@@ -1,8 +1,9 @@
 """Simulated Pregel workers.
 
-A worker owns a fixed subset of the vertices (decided by the
-partitioner) and accumulates the per-superstep profile — local work,
-messages sent and received — that feeds the BSP cost model.  The
+A worker accumulates the per-superstep profile — local work, messages
+sent and received — that feeds the BSP cost model.  Which vertices it
+owns is not recorded here: on the Pregel engine that is its dense
+range in the fabric's :class:`~repro.graph.partition.DenseIndex`.  The
 simulation executes workers sequentially but the semantics are those of
 parallel execution: all compute() calls in a superstep observe only
 messages from the previous superstep, and mutations apply only at the
@@ -11,7 +12,7 @@ superstep boundary.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Sequence
+from typing import Sequence
 
 from repro.metrics.stats import SuperstepStats
 
@@ -21,9 +22,6 @@ class Worker:
 
     __slots__ = (
         "index",
-        "vertex_ids",
-        "range_start",
-        "range_stop",
         "work",
         "sent_logical",
         "received_logical",
@@ -38,11 +36,6 @@ class Worker:
 
     def __init__(self, index: int):
         self.index = index
-        self.vertex_ids: List[Hashable] = []
-        # Dense CSR range [range_start, range_stop) owned by this
-        # worker on the dense plane, rewritten by every re-index.
-        self.range_start = 0
-        self.range_stop = 0
         self.work = 0.0
         self.sent_logical = 0
         self.received_logical = 0
@@ -81,10 +74,7 @@ class Worker:
         self.kernel_tier = "dense"
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return (
-            f"<Worker {self.index} vertices={len(self.vertex_ids)} "
-            f"work={self.work}>"
-        )
+        return f"<Worker {self.index} work={self.work}>"
 
 
 def superstep_profile(

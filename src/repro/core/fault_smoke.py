@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.algorithms.cc_hashmin import HashMinComponents
 from repro.algorithms.pagerank import PageRank

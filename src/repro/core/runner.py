@@ -23,7 +23,7 @@ the two verdicts:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.metrics.bppa import BppaObservation, BppaVerdict

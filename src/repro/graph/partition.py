@@ -149,8 +149,9 @@ def owner_for(
     """The worker index owning ``vertex``: ``partitioner(v) % p``.
 
     The single definition of the ownership rule.  Every engine — the
-    Pregel state store, its mutation path, the GAS vertex-cut mirror
-    map, the block router — resolves ownership through here (or
+    Pregel partition's lay-out and its re-index after a mutating
+    barrier, the GAS vertex-cut mirror map, the block router —
+    resolves ownership through here (or
     :func:`build_owner_map`), so a partitioner returning out-of-range
     indices is clamped identically everywhere.
     """
@@ -175,15 +176,15 @@ def build_owner_map(
 
 @dataclass(frozen=True)
 class DenseIndex:
-    """A frozen id ↔ dense-int table over a fixed vertex partition.
+    """A frozen id ↔ dense-int table over a fixed vertex partition:
+    the Pregel engine's one record of which worker owns which vertex,
+    and in what order it runs them.
 
-    The engine's fast execution path replaces hashable-keyed dict
-    lookups with flat-list indexing: every vertex id is compiled to a
-    contiguous int, grouped CSR-style so each worker owns one
-    contiguous index range.  Within a worker the dense order equals
-    the worker's ``vertex_ids`` order, which keeps the fast path's
-    compute/send/deliver sequencing in Pregel's worker-then-insertion
-    order.
+    Every vertex id is compiled to a contiguous int, grouped CSR-style
+    so each worker owns one contiguous index range, so the engine
+    indexes flat lists instead of hashing ids.  Within a worker the
+    dense order is its execution order: graph order, then the
+    vertices barriers added — Pregel's worker-then-insertion order.
 
     The table is *frozen*: it is valid only while the vertex set and
     ownership it was built from stay unchanged.  Topology mutations
@@ -204,27 +205,20 @@ class DenseIndex:
         return len(self.id_of)
 
 
-def build_dense_index(workers: Sequence) -> DenseIndex:
-    """Compile the workers' vertex lists into a :class:`DenseIndex`.
-
-    ``workers`` is the engine's worker list; each worker contributes
-    its ``vertex_ids`` in order, so worker ``i`` owns the contiguous
-    range ``ranges[i]`` and iteration over ``range(start, stop)``
-    visits vertices in exactly the order ``vertex_ids`` lists them.
-    """
-    id_of: List[Hashable] = []
-    idx_of: Dict[Hashable, int] = {}
-    owner_of: List[int] = []
-    ranges: List[Tuple[int, int]] = []
-    for worker in workers:
-        start = len(id_of)
-        for vid in worker.vertex_ids:
-            idx_of[vid] = len(id_of)
-            id_of.append(vid)
-            owner_of.append(worker.index)
-        ranges.append((start, len(id_of)))
+def build_dense_index(lists: Sequence[Sequence[Hashable]]) -> DenseIndex:
+    """Compile per-worker vertex id lists into a :class:`DenseIndex`:
+    worker ``i`` owns the contiguous range ``ranges[i]``, whose
+    positions visit ``lists[i]`` in order."""
+    lens = list(map(len, lists))
+    id_of = list(chain.from_iterable(lists))
+    stops = list(accumulate(lens))
     return DenseIndex(
-        id_of=id_of, idx_of=idx_of, owner_of=owner_of, ranges=ranges
+        id_of=id_of,
+        idx_of=dict(zip(id_of, range(len(id_of)))),
+        owner_of=list(chain.from_iterable(
+            map(repeat, range(len(lens)), lens)
+        )),
+        ranges=list(zip([0, *stops], stops)),
     )
 
 

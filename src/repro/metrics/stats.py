@@ -106,16 +106,6 @@ class SuperstepWall:
             return 0
         return sum(self.payload_bytes)
 
-    @property
-    def wall_imbalance(self) -> float:
-        """``max_i t_i / mean_i t_i`` over measured compute seconds —
-        the empirical analogue of :meth:`SuperstepStats.imbalance`."""
-        total = sum(self.compute_seconds)
-        if total <= 0.0:
-            return 1.0
-        mean = total / len(self.compute_seconds)
-        return max(self.compute_seconds) / mean
-
 
 @dataclass
 class SuperstepStats:
@@ -426,11 +416,6 @@ class RunStats:
         if self.bsp_time == 0:
             return 0.0
         return self.recovery_cost / self.bsp_time
-
-    @property
-    def faulted_time_processor_product(self) -> float:
-        """``P(n) * total_time`` — the TPP including fault handling."""
-        return self.num_workers * self.total_time
 
     def summary(self) -> Dict[str, float]:
         """A plain-dict summary convenient for reports and tests."""

@@ -5,7 +5,7 @@ bounded arboricity."""
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Set, Tuple
+from typing import Dict, Hashable, Optional, Set
 
 from repro.graph.snapshot import CsrSnapshot
 from repro.metrics.opcounter import OpCounter, ensure_counter

@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.metrics.stats import SuperstepStats
 from repro.trace.events import (
-    Barrier,
     SuperstepEnd,
     SuperstepStart,
     TraceEvent,

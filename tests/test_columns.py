@@ -106,10 +106,8 @@ class _KeepLast(Combiner):
 
 
 def _lane(combiner):
-    worker = Worker(0)
-    worker.range_start, worker.range_stop = 0, NUM_DESTINATIONS
     return DenseLane(
-        worker, 0, [], None, adjacency_of([]),
+        Worker(0), (0, NUM_DESTINATIONS), 0, [], None, adjacency_of([]),
         {i: i for i in range(NUM_DESTINATIONS)}, [0] * NUM_DESTINATIONS,
         combiner,
     )

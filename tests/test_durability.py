@@ -52,7 +52,6 @@ from repro.bsp.durability import (
     open_durable_store,
 )
 from repro.bsp.engine import PregelEngine, run_program
-from repro.bsp.state import StateStore
 from repro.bsp.faults import chaos_plan
 from repro.core.chaos import (
     bitflip_file,
@@ -68,7 +67,6 @@ from repro.errors import (
 )
 from repro.graph import Graph
 from repro.graph.generators import erdos_renyi_graph
-from repro.graph.partition import HashPartitioner
 from repro.graph.snapshot import CsrSnapshot
 
 GRAPH = erdos_renyi_graph(30, 0.15, seed=7, directed=True)
@@ -201,23 +199,29 @@ class TestCorruptionMatrix:
         ):
             _store(tmp_path, resume=True)
 
-    @pytest.mark.parametrize("resume", [True, False, "auto"])
-    def test_version_1_directory_is_refused_by_name(
-        self, tmp_path, resume
-    ):
+    @staticmethod
+    def _assert_refused_by_name(tmp_path, version, fingerprint, resume):
+        """A directory stamped ``version`` is refused with a
+        ``CheckpointError`` naming it, not a fingerprint mismatch, and
+        is not wiped."""
         _fill(_store(tmp_path), 2)
         manifest = json.loads(
             (tmp_path / MANIFEST_NAME).read_text()
         )
-        manifest["format_version"] = 1
+        manifest["format_version"] = version
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(
-            CheckpointError, match="format version 1;"
+            CheckpointError, match=f"format version {version};"
         ) as info:
-            open_durable_store(str(tmp_path), FP, resume)
+            open_durable_store(str(tmp_path), fingerprint, resume)
         assert not isinstance(info.value, FingerprintMismatchError)
-        # Refused, not wiped.
         assert len(_ckpt_files(tmp_path)) == 2
+
+    @pytest.mark.parametrize("resume", [True, False, "auto"])
+    def test_version_1_directory_is_refused_by_name(
+        self, tmp_path, resume
+    ):
+        self._assert_refused_by_name(tmp_path, 1, FP, resume)
 
     @pytest.mark.parametrize("resume", [True, False, "auto"])
     def test_version_2_directory_is_refused_by_name(
@@ -226,19 +230,8 @@ class TestCorruptionMatrix:
         # Version 2 records carried ``fast_active`` and fingerprinted
         # ``use_fast_path``: typed refusal, never an unpickling
         # traceback or a fingerprint mismatch.
-        assert FORMAT_VERSION == 5
-        _fill(_store(tmp_path), 2)
-        manifest = json.loads(
-            (tmp_path / MANIFEST_NAME).read_text()
-        )
-        manifest["format_version"] = 2
-        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
-        with pytest.raises(
-            CheckpointError, match="format version 2;"
-        ) as info:
-            open_durable_store(str(tmp_path), "another-fp", resume)
-        assert not isinstance(info.value, FingerprintMismatchError)
-        assert len(_ckpt_files(tmp_path)) == 2
+        assert FORMAT_VERSION == 6
+        self._assert_refused_by_name(tmp_path, 2, "another-fp", resume)
 
     @pytest.mark.parametrize("resume", [True, False, "auto"])
     def test_version_3_directory_is_refused_by_name(
@@ -247,18 +240,7 @@ class TestCorruptionMatrix:
         # Version 3 fingerprinted a sorted walk of the graph's edges,
         # labels included: its fingerprints can never match, so the
         # refusal names the version instead of a fingerprint mismatch.
-        _fill(_store(tmp_path), 2)
-        manifest = json.loads(
-            (tmp_path / MANIFEST_NAME).read_text()
-        )
-        manifest["format_version"] = 3
-        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
-        with pytest.raises(
-            CheckpointError, match="format version 3;"
-        ) as info:
-            open_durable_store(str(tmp_path), "another-fp", resume)
-        assert not isinstance(info.value, FingerprintMismatchError)
-        assert len(_ckpt_files(tmp_path)) == 2
+        self._assert_refused_by_name(tmp_path, 3, "another-fp", resume)
 
     @pytest.mark.parametrize("resume", [True, False, "auto"])
     def test_version_4_directory_is_refused_by_name(
@@ -267,18 +249,15 @@ class TestCorruptionMatrix:
         # Version 4 fingerprinted the baseline's per-edge id and weight
         # lists, which the baseline no longer holds: the refusal names
         # the version instead of a fingerprint mismatch.
-        _fill(_store(tmp_path), 2)
-        manifest = json.loads(
-            (tmp_path / MANIFEST_NAME).read_text()
-        )
-        manifest["format_version"] = 4
-        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
-        with pytest.raises(
-            CheckpointError, match="format version 4;"
-        ) as info:
-            open_durable_store(str(tmp_path), "another-fp", resume)
-        assert not isinstance(info.value, FingerprintMismatchError)
-        assert len(_ckpt_files(tmp_path)) == 2
+        self._assert_refused_by_name(tmp_path, 4, "another-fp", resume)
+
+    @pytest.mark.parametrize("resume", [True, False, "auto"])
+    def test_version_5_directory_is_refused_by_name(
+        self, tmp_path, resume
+    ):
+        # Version 5 records and fingerprints carried an owner map
+        # beside the partition's columns.
+        self._assert_refused_by_name(tmp_path, 5, "another-fp", resume)
 
     def test_empty_manifest_never_ran(self, tmp_path):
         _store(tmp_path)  # fresh open writes an empty manifest
@@ -883,11 +862,10 @@ class TestColumnarRecord:
 
 def _baseline(graph, num_workers=3):
     """The topology baseline an engine over ``graph`` freezes."""
-    store = StateStore(
-        graph, PageRank(), HashPartitioner(num_workers), num_workers
+    engine = PregelEngine(
+        graph, PageRank(), num_workers=num_workers, checkpoint_interval=1
     )
-    store.freeze_baseline()
-    return store.baseline
+    return engine._store.baseline
 
 
 def _fingerprint(graph, **overrides) -> str:
@@ -972,10 +950,10 @@ class TestFingerprint:
 
     def test_fingerprint_values_are_pinned(self):
         # The graphs ``graph_signature`` was pinned on (format 3), at
-        # format 5: a change here is a format change.
+        # format 6: a change here is a format change.
         directed, undirected = _pinned_graphs()
-        assert _fingerprint(directed) == "e3deb84da2567725"
-        assert _fingerprint(undirected) == "d8b0f342046b059d"
+        assert _fingerprint(directed) == "edf3c3ffab1ce229"
+        assert _fingerprint(undirected) == "2a172f59d85a0770"
 
     def test_labels_are_not_fingerprinted(self):
         assert _fingerprint(_relabelled(GRAPH, str)) == _fingerprint(

@@ -11,8 +11,9 @@ see :func:`tests.conftest.assert_held_to_oracle`).  The ``ref`` ids
 run the oracle; this suite is the contract.
 
 Also here: the regression tests for the two satellite fixes that rode
-along with the fast path — worker ``vertex_ids`` compaction on vertex
-removal, and the per-superstep message-ledger balance.
+along with the fast path — the partition (the fabric's dense index)
+compacted on vertex removal, and the per-superstep message-ledger
+balance.
 """
 
 import pickle
@@ -305,12 +306,12 @@ def test_vertex_removal_compacts_worker_lists():
     engine = PregelEngine(g, RemoveOdds(), num_workers=3)
     result = engine.run()
     assert set(result.values) == set(range(0, 20, 2))
-    # Regression: removed vertices used to linger in the workers'
-    # vertex_ids lists (skipped each superstep but never reclaimed).
-    assert sum(
-        len(w.vertex_ids) for w in engine._workers
-    ) == len(engine._states)
-    assert set(engine._store.owner) == set(engine._states)
+    # Regression: removed vertices used to linger in the partition
+    # (skipped each superstep but never reclaimed): the dense index
+    # holds exactly the live vertices.
+    dense = engine._fabric.dense
+    assert sorted(dense.id_of) == sorted(engine._states)
+    assert dense.ranges[-1][1] == len(engine._states)
 
 
 # ---------------------------------------------------------------------

@@ -300,10 +300,6 @@ class TestRecoveryAccounting:
         assert summary["supersteps_replayed"] == stats.supersteps_replayed
         assert summary["recovery_overhead"] == stats.recovery_overhead
         assert summary["total_time"] == stats.total_time
-        assert (
-            stats.faulted_time_processor_product
-            == stats.num_workers * stats.total_time
-        )
 
     def test_same_plan_same_seed_is_reproducible(self):
         kwargs = dict(

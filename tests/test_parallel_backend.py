@@ -517,7 +517,6 @@ def test_runstats_wall_recorded_but_outside_contract():
         for wall in stats.wall:
             assert len(wall.compute_seconds) == 4
             assert len(wall.barrier_seconds) == 4
-            assert wall.wall_imbalance >= 1.0
     # The serial backends run workers sequentially: no barrier wait.
     assert all(
         b == 0.0 for w in serial.stats.wall for b in w.barrier_seconds
